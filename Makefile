@@ -37,13 +37,17 @@ bench:
 # oracle equivalence check) are exercised on every push without the
 # statistical assertions (which need quiet hardware), the 10x explorer
 # p95 gate (which needs the 100k chain), or the 20x cascade gate (which
-# needs the 100k world).
+# needs the 100k world).  The untraced end-to-end smoke run adds the five
+# workloads' correctness gates (index vs. scan, the same trace/author from
+# every peer's ledger, receipts on every peer, the recovery audit) — the
+# checks that guard the shared commit path.
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_micro_substrate.py \
 		benchmarks/bench_pipeline.py \
 		benchmarks/bench_recovery.py::test_cold_start_recovery \
 		benchmarks/bench_explorer.py \
 		benchmarks/bench_cascade.py \
+		benchmarks/e2e/test_e2e_smoke.py::test_untraced_smoke_run \
 		-q --benchmark-disable
 
 # Crash-recovery: deep catch-up tests, the storage-engine suites

@@ -866,24 +866,20 @@ class PBFTEngine(ConsensusEngine):
         valid_signers = {signer for signer in certificate if signer in self._validator_set}
         if len(valid_signers) < self.quorum:
             return
-        proof: Any = list(certificate)
-        if signatures:
-            proof = {"signers": list(certificate), "signatures": dict(signatures)}
+        proof = {"signers": list(certificate), "signatures": dict(signatures or {})}
         peer.sync.offer_block(block, proof, src=src)
 
     @staticmethod
     def _proof_parts(proof: Any) -> tuple[list[str], dict[str, str]] | None:
-        """Normalize a certificate proof: legacy name list/tuple or the
-        dict form ``{"signers": [...], "signatures": {name: hex}}``."""
-        if isinstance(proof, dict):
-            signers = proof.get("signers")
-            signatures = proof.get("signatures") or {}
-            if not isinstance(signers, (list, tuple)) or not isinstance(signatures, dict):
-                return None
-            return list(signers), dict(signatures)
-        if isinstance(proof, (list, tuple)):
-            return list(proof), {}
-        return None
+        """Unpack a certificate proof ``{"signers": [...], "signatures":
+        {name: hex}}``; anything else is rejected (``None``)."""
+        if not isinstance(proof, dict):
+            return None
+        signers = proof.get("signers")
+        signatures = proof.get("signatures")
+        if not isinstance(signers, (list, tuple)) or not isinstance(signatures, dict):
+            return None
+        return list(signers), dict(signatures)
 
     def verify_synced_block(self, block: Block, proof: Any) -> bool:
         """A fetched block needs a 2f+1-distinct-validator certificate.
@@ -891,8 +887,8 @@ class PBFTEngine(ConsensusEngine):
         Signers whose key is registered only count when their Ed25519
         vote signature over this block's (height, hash) verifies — all
         such signatures are checked in ONE batched call.  Signers with no
-        registered key fall back to the name-set check (legacy proofs,
-        keyless unit-test engines).
+        registered key fall back to the name-set check (keyless unit-test
+        engines).
         """
         parts = self._proof_parts(proof)
         if parts is None:
@@ -923,16 +919,15 @@ class PBFTEngine(ConsensusEngine):
         return len(counted) >= self.quorum
 
     def sync_proof(self, height: int) -> Any:
-        """Serve the stored commit certificate alongside the block —
-        dict form when vote signatures were recorded, legacy name list
-        otherwise."""
+        """Serve the stored commit certificate alongside the block
+        (``signatures`` is empty on a keyless engine)."""
         entry = self.commit_certificates.get(height)
         if entry is None:
             return None
-        signatures = self.commit_signatures.get(height)
-        if signatures:
-            return {"signers": list(entry[1]), "signatures": dict(signatures)}
-        return list(entry[1])
+        return {
+            "signers": list(entry[1]),
+            "signatures": dict(self.commit_signatures.get(height, {})),
+        }
 
     def on_synced_block(self, block: Block, proof: Any) -> None:
         parts = self._proof_parts(proof)

@@ -284,7 +284,7 @@ class ChainIndex:
         return out
 
     def transactions_by_sender(self, sender: str) -> list[str]:
-        """All of *sender*'s tx ids, chain order (mirrors the ledger view)."""
+        """All of *sender*'s tx ids, chain order."""
         sender_id = self.addresses.lookup(sender)
         if sender_id is None:
             return []
@@ -379,19 +379,20 @@ class ChainIndex:
         scanned_total = 0
         scanned_valid = 0
         scanned_contracts: dict[str, int] = {}
-        for committed in ledger.transactions(valid_only=False):
+        for ordinal, committed in enumerate(ledger.transactions(valid_only=False)):
             scanned_total += 1
             if committed.valid:
                 scanned_valid += 1
             tx = committed.transaction
             scanned_contracts[tx.contract] = scanned_contracts.get(tx.contract, 0) + 1
-            row = self.get(tx.tx_id)
-            if row is None:
+            if ordinal >= len(self._tx_ids):
                 problems.append(f"tx {tx.tx_id[:12]} missing from index")
                 continue
-            if (row.block_height, row.tx_index, row.valid) != (
-                committed.block_height, committed.tx_index, committed.valid
-            ):
+            # Row by row, not by id: a tx id can sit at two positions.
+            if (
+                self._tx_ids[ordinal], self._heights[ordinal],
+                self._indexes[ordinal], self._valid[ordinal],
+            ) != (tx.tx_id, committed.block_height, committed.tx_index, committed.valid):
                 problems.append(f"tx {tx.tx_id[:12]} indexed at wrong position")
         if scanned_total != len(self._tx_ids):
             problems.append(

@@ -1,15 +1,16 @@
-"""The append-only ledger: the chain of blocks plus query indexes.
+"""The append-only ledger: the chain of blocks plus a lookup by tx id.
 
 Beyond storage, the ledger is the platform's *audit substrate*: the
 supply-chain graph (§VI), expert mining, and accountability experiments
-all reconstruct history by scanning committed transactions and events,
-so the ledger keeps secondary indexes by transaction id, sender, and
-contract.
+all reconstruct history by scanning committed transactions and events.
+The ledger records each block's verdict vector as committed and indexes
+by transaction id only; the by-sender / by-contract / by-method views
+live in :class:`~repro.chain.index.ChainIndex`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -42,52 +43,65 @@ class Ledger:
     the blocks *above* the snapshot; heights below come from an
     ``archive`` callable (decoding the block log on demand) behind a
     bounded LRU cache — see :meth:`from_recovery`.
+
+    Verdicts are kept per position (one vector per block): a transaction
+    id can occur twice on a chain (a duplicate copy forced into a later
+    block fails MVCC there), and the two copies have different verdicts.
+    ``_tx_locator`` answers lookups by id and names the latest copy.
     """
 
     def __init__(self, genesis: Block | None = None):
         self._blocks: list[Block] = [genesis or make_genesis_block()]
+        #: The verdict vector of each block in ``_blocks`` (parallel list).
+        self._verdicts: list[list[bool]] = [[]]
         #: Height of ``self._blocks[0]``; anything below is archived.
         self._base = 0
-        self._archive: Callable[[int], Block] | None = None
-        self._archive_cache: OrderedDict[int, Block] = OrderedDict()
+        self._archive: Callable[[int], tuple[Block, list[bool]]] | None = None
+        self._archive_cache: OrderedDict[int, tuple[Block, list[bool]]] = OrderedDict()
         self._tx_locator: dict[str, tuple[int, int]] = {}
-        self._validity: dict[str, bool] = {}
-        self._by_sender: dict[str, list[str]] = defaultdict(list)
-        self._by_contract: dict[str, list[str]] = defaultdict(list)
 
     @classmethod
     def from_recovery(
         cls,
-        window: list[Block],
+        window: list[tuple[Block, list[bool]]],
         base: int,
         indexes: dict[str, Any],
-        archive: Callable[[int], Block] | None = None,
+        archive: Callable[[int], tuple[Block, list[bool]]] | None = None,
     ) -> "Ledger":
         """Rebuild a ledger from a recovery snapshot.
 
-        *window* is the in-memory block window starting at height *base*
-        (the snapshot anchor); *indexes* is a :meth:`index_dump` mapping
-        covering heights ``<= base``; *archive* serves heights below
+        *window* is the in-memory ``(block, verdicts)`` window starting at
+        height *base* (the snapshot anchor); *indexes* is a
+        :meth:`index_dump` mapping covering heights ``<= base`` (keys
+        other than ``tx_locator``, which older snapshots carry, are
+        ignored); *archive* serves ``(block, verdicts)`` for heights below
         *base* on demand.
         """
         ledger = cls.__new__(cls)
-        ledger._blocks = list(window)
+        ledger._blocks = [block for block, _ in window]
+        ledger._verdicts = [list(verdicts) for _, verdicts in window]
         ledger._base = base
         ledger._archive = archive
         ledger._archive_cache = OrderedDict()
         ledger._tx_locator = {
             tx_id: (loc[0], loc[1]) for tx_id, loc in indexes.get("tx_locator", {}).items()
         }
-        ledger._validity = {k: bool(v) for k, v in indexes.get("validity", {}).items()}
-        ledger._by_sender = defaultdict(list)
-        for sender, tx_ids in indexes.get("by_sender", {}).items():
-            ledger._by_sender[sender] = list(tx_ids)
-        ledger._by_contract = defaultdict(list)
-        for contract, tx_ids in indexes.get("by_contract", {}).items():
-            ledger._by_contract[contract] = list(tx_ids)
         return ledger
 
     # -- growth ------------------------------------------------------------
+
+    def check_extends(self, block: Block) -> None:
+        """Raise :class:`InvalidBlockError` unless *block* is internally
+        consistent and links onto the current head.  Mutates nothing, so
+        the commit path runs it before touching state or receipts."""
+        head = self.head
+        if block.height != head.height + 1:
+            raise InvalidBlockError(
+                f"block height {block.height} does not extend head {head.height}"
+            )
+        if block.prev_hash != head.block_hash:
+            raise InvalidBlockError(f"block {block.height} prev_hash mismatch")
+        block.verify_structure()
 
     def append(self, block: Block, validity: list[bool]) -> None:
         """Append a block whose per-tx validity verdicts are *validity*.
@@ -97,28 +111,16 @@ class Ledger:
         linkage, a hostile transaction object raising mid-indexing)
         leaves the ledger exactly as it was.  The seed version appended
         the block *before* building the indexes; a failure there left a
-        committed block invisible to ``tx_locator``/``by_sender`` lookups.
+        committed block invisible to ``tx_locator`` lookups.
         """
-        head = self.head
-        if block.height != head.height + 1:
-            raise InvalidBlockError(
-                f"block height {block.height} does not extend head {head.height}"
-            )
-        if block.prev_hash != head.block_hash:
-            raise InvalidBlockError(f"block {block.height} prev_hash mismatch")
-        block.verify_structure()
+        self.check_extends(block)
         if len(validity) != len(block.transactions):
             raise InvalidBlockError("validity vector length mismatch")
-        entries = [
-            (tx.tx_id, index, tx.sender, tx.contract)
-            for index, tx in enumerate(block.transactions)
-        ]
+        tx_ids = [tx.tx_id for tx in block.transactions]
         self._blocks.append(block)
-        for tx_id, index, sender, contract in entries:
+        self._verdicts.append(list(validity))
+        for index, tx_id in enumerate(tx_ids):
             self._tx_locator[tx_id] = (block.height, index)
-            self._validity[tx_id] = validity[index]
-            self._by_sender[sender].append(tx_id)
-            self._by_contract[contract].append(tx_id)
 
     # -- access ------------------------------------------------------------
 
@@ -130,20 +132,25 @@ class Ledger:
     def height(self) -> int:
         return self.head.height
 
-    def block(self, height: int) -> Block:
+    def _entry(self, height: int) -> tuple[Block, list[bool]]:
+        """The block at *height* and the verdict vector it committed with."""
         if height < 0 or height >= self._base:
-            return self._blocks[height - self._base if height >= 0 else height]
+            offset = height - self._base if height >= 0 else height
+            return self._blocks[offset], self._verdicts[offset]
         cached = self._archive_cache.get(height)
         if cached is not None:
             self._archive_cache.move_to_end(height)
             return cached
         if self._archive is None:
             raise InvalidBlockError(f"height {height} is below the recovered window")
-        block = self._archive(height)
-        self._archive_cache[height] = block
+        entry = self._archive(height)
+        self._archive_cache[height] = entry
         if len(self._archive_cache) > _ARCHIVE_CACHE_SIZE:
             self._archive_cache.popitem(last=False)
-        return block
+        return entry
+
+    def block(self, height: int) -> Block:
+        return self._entry(height)[0]
 
     def blocks(self) -> Iterator[Block]:
         for height in range(self.height + 1):
@@ -161,20 +168,17 @@ class Ledger:
         if locator is None:
             return None
         height, index = locator
-        return CommittedTx(
-            transaction=self.block(height).transactions[index],
-            block_height=height,
-            tx_index=index,
-            valid=self._validity[tx_id],
-        )
+        block, verdicts = self._entry(height)
+        return CommittedTx(block.transactions[index], height, index, verdicts[index])
 
     def transactions(self, valid_only: bool = True) -> Iterator[CommittedTx]:
         """All committed transactions, in chain order."""
-        for block in self.blocks():
+        for height in range(self.height + 1):
+            block, verdicts = self.block(height), self.block_validity(height)
             for index, tx in enumerate(block.transactions):
-                valid = self._validity[tx.tx_id]
+                valid = verdicts[index]
                 if valid or not valid_only:
-                    yield CommittedTx(tx, block.height, index, valid)
+                    yield CommittedTx(tx, height, index, valid)
 
     def transactions_newest_first(self, valid_only: bool = False) -> Iterator[CommittedTx]:
         """Committed transactions in reverse chain order (height desc,
@@ -186,25 +190,17 @@ class Ledger:
         ``reversed(list(self.transactions(...)))`` would.
         """
         for height in range(self.height, 0, -1):
-            block = self.block(height)
+            block, verdicts = self.block(height), self.block_validity(height)
             for index in range(len(block.transactions) - 1, -1, -1):
                 tx = block.transactions[index]
-                valid = self._validity[tx.tx_id]
+                valid = verdicts[index]
                 if valid or not valid_only:
                     yield CommittedTx(tx, height, index, valid)
 
     def block_validity(self, height: int) -> list[bool]:
         """The per-transaction validity vector for the block at *height*
         (the same vector :meth:`append` recorded for it)."""
-        return [self._validity[tx.tx_id] for tx in self.block(height).transactions]
-
-    def transactions_by_sender(self, sender: str) -> list[CommittedTx]:
-        found = [self.get_transaction(tx_id) for tx_id in self._by_sender.get(sender, [])]
-        return [c for c in found if c is not None]
-
-    def transactions_by_contract(self, contract: str) -> list[CommittedTx]:
-        found = [self.get_transaction(tx_id) for tx_id in self._by_contract.get(contract, [])]
-        return [c for c in found if c is not None]
+        return list(self._entry(height)[1])
 
     def events(self, contract: str | None = None, kind: str | None = None) -> Iterator[dict[str, Any]]:
         """All events emitted by valid transactions, optionally filtered.
@@ -241,13 +237,8 @@ class Ledger:
         return True
 
     def index_dump(self) -> dict[str, Any]:
-        """JSON-ready copy of the secondary indexes, for snapshots."""
-        return {
-            "tx_locator": {k: list(v) for k, v in self._tx_locator.items()},
-            "validity": dict(self._validity),
-            "by_sender": {k: list(v) for k, v in self._by_sender.items()},
-            "by_contract": {k: list(v) for k, v in self._by_contract.items()},
-        }
+        """JSON-ready copy of the tx-id lookup, for snapshots."""
+        return {"tx_locator": {k: list(v) for k, v in self._tx_locator.items()}}
 
     def replay_state(self):
         """Rebuild the world state by replaying valid write sets in order.

@@ -4,13 +4,15 @@ The trusting-news platform (``repro.core``) needs ledger semantics —
 signed immutable transactions, contracts, events, auditability — but
 most experiments don't need to pay full consensus simulation for every
 article share.  ``LocalChain`` runs the identical transaction pipeline
-(sign → execute → endorse → MVCC validate → block commit) on one
-in-process peer, committing one block per invocation batch.
+(sign → execute → endorse → validate → block commit) on one in-process
+peer, committing one block per invocation batch through the same
+:func:`repro.chain.commit.commit_block` every networked peer uses.
 
 Everything that reads the ledger (supply-chain graph construction,
 expert mining, accountability tracing) works identically against a
 LocalChain or a :class:`~repro.chain.network.BlockchainNetwork` peer,
-because both expose the same :class:`~repro.chain.ledger.Ledger`.
+because both expose the same :class:`~repro.chain.ledger.Ledger` and
+:class:`~repro.chain.index.ChainIndex`.
 E9 is the experiment where consensus latency itself is the subject, and
 it uses the networked harness.
 """
@@ -20,7 +22,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.chain.block import Block
-from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy, check_endorsements
+from repro.chain.commit import commit_block
+from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy
 from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
@@ -31,12 +34,15 @@ from repro.chain.transaction import (
     rwset_digest,
     signature_items,
 )
-from repro.crypto.batch import batch_verification_enabled, verify_many
+from repro.crypto.batch import verify_many
 from repro.crypto.keys import KeyPair
 from repro.errors import ContractError
 from repro.chain.consensus.sharded import ShardedExecutor
 
 __all__ = ["LocalChain"]
+
+#: The single local peer endorses everything it commits.
+_POLICY = EndorsementPolicy(required=1)
 
 
 class LocalChain:
@@ -53,6 +59,7 @@ class LocalChain:
         #: Explorer index, fed at every commit (see repro.chain.index).
         self.index = ChainIndex()
         self.state = WorldState()
+        self.receipts: dict[str, TxReceipt] = {}
         self.sharded_executor = ShardedExecutor(n_shards) if n_shards else None
         self._clock = 0.0
         self._nonces: dict[str, int] = {}
@@ -125,36 +132,16 @@ class LocalChain:
             proposer=self.node_id,
             transactions=txs,
         )
-        if batch_verification_enabled() and txs:
-            # Warm the verify cache for the whole batch; the unchanged
-            # per-transaction checks below then hit it.
-            verify_many(signature_items(txs))
-        validity: list[bool] = []
-        receipts: list[TxReceipt] = []
-        valid_txs: list[Transaction] = []
-        for tx in txs:
-            tx.validate_structure()
-            check_endorsements(tx, EndorsementPolicy(required=1))
-            fresh = self.state.validate_read_set(tx.read_set)
-            validity.append(fresh)
-            if fresh:
-                self.state.apply_write_set(tx.write_set)
-                valid_txs.append(tx)
-            receipts.append(
-                TxReceipt(
-                    tx_id=tx.tx_id,
-                    block_height=block.height,
-                    success=fresh,
-                    return_value=tx.return_value if fresh else None,
-                    events=tx.events if fresh else (),
-                    error=None if fresh else "MVCC conflict: stale read set",
-                )
-            )
-        self.ledger.append(block, validity)
-        self.index.on_commit(block, validity)
-        if self.sharded_executor is not None and valid_txs:
-            self.sharded_executor.plan_block(valid_txs)
-        return receipts
+        # Warm the verify cache for the whole batch; the per-transaction
+        # checks in the commit path then hit it.
+        verify_many(signature_items(txs))
+        result = commit_block(
+            block, lambda contract: _POLICY,
+            ledger=self.ledger, state=self.state, receipts=self.receipts, index=self.index,
+        )
+        if self.sharded_executor is not None and result.valid_txs:
+            self.sharded_executor.plan_block(result.valid_txs)
+        return result.receipts
 
     def query(
         self,

@@ -1,10 +1,11 @@
 """A validating peer: mempool + ledger + world state + contracts + consensus.
 
-The peer implements Fabric's *validate* phase at commit time: every
-transaction in a decided block is checked for (1) client signature,
-(2) endorsement policy, (3) MVCC read-set freshness; only then is its
-write set applied.  All peers run the same deterministic checks over the
-same block sequence, so their world states stay identical — asserted by
+The peer runs Fabric's *validate* phase at commit time through
+:mod:`repro.chain.commit`: every transaction in a decided block is
+checked for (1) client signature, (2) endorsement policy, (3) MVCC
+read-set freshness; only then is its write set applied.  All peers run
+the same deterministic checks over the same block sequence, so their
+world states stay identical — asserted by
 ``BlockchainNetwork.assert_convergence`` in tests.
 
 Beyond consensus, each peer owns a :class:`~repro.chain.sync.SyncManager`
@@ -12,8 +13,8 @@ that detects when the peer has fallen behind the network head and
 fetches, verifies, and applies the missing blocks — the recovery path
 for crash windows, partitions, and message loss.  :meth:`Peer.restart`
 models a real process restart: volatile state (mempool, open consensus
-rounds, timers) is wiped and the world state is rebuilt from the durable
-ledger via :meth:`~repro.chain.ledger.Ledger.replay_state`.
+rounds, timers) is wiped and state and receipts are rebuilt from what
+the storage backend kept.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from __future__ import annotations
 import enum
 from typing import Callable
 
+from repro.chain import commit
 from repro.chain.consensus.base import ConsensusEngine
 from repro.chain.consensus.sharded import ShardedExecutor
-from repro.chain.contracts import ContractRegistry, EndorsementPolicy, check_endorsements
+from repro.chain.contracts import ContractRegistry, EndorsementPolicy
 from repro.chain.contracts.runtime import ExecutionResult
 from repro.chain.block import Block
 from repro.chain.index import ChainIndex
@@ -39,9 +41,9 @@ from repro.chain.transaction import (
     rwset_digest,
     signature_items,
 )
-from repro.crypto.batch import batch_verification_enabled, verify_many
+from repro.crypto.batch import verify_many
 from repro.crypto.keys import KeyPair
-from repro.errors import EndorsementError, InvalidTransactionError
+from repro.errors import InvalidTransactionError
 from repro.obs import MetricsRegistry, ObsView, Tracer, metric_attr
 from repro.simnet.network import Message, NetworkNode
 
@@ -80,6 +82,13 @@ class Admission(enum.Enum):
         return self in (Admission.ADMITTED, Admission.DUPLICATE, Admission.COMMITTED)
 
 
+_REJECTION_METRICS = {
+    "signature": "peer.signature_failures",
+    "endorsement": "peer.endorsement_failures",
+    "mvcc": "peer.mvcc_conflicts",
+}
+
+
 class PeerMetrics(ObsView):
     """Per-peer counters the experiments read.
 
@@ -115,6 +124,11 @@ class PeerMetrics(ObsView):
     def record_block_commit(self, now: float) -> None:
         self.blocks_committed += 1
         self._commit_times.observe(now)
+
+    def record_rejection(self, failed_check: str) -> None:
+        """Count one commit-time rejection by the check that failed
+        (:attr:`repro.chain.commit.Verdict.failed_check`)."""
+        self._obs_counter(_REJECTION_METRICS[failed_check]).inc()
 
     def record_tx_commit_latency(self, latency: float) -> None:
         self.commit_latency_total += latency
@@ -236,11 +250,10 @@ class Peer(NetworkNode):
         """
         if self.crashed:
             return Admission.CRASHED
-        if batch_verification_enabled():
-            # Prewarm the verify cache with the client + endorsement
-            # signatures in one batch; validate_structure and the later
-            # commit-time endorsement checks then hit the cache.
-            verify_many(signature_items([tx]), registry=self.obs, peer=self.node_id)
+        # Prewarm the verify cache with the client + endorsement
+        # signatures in one batch; validate_structure and the later
+        # commit-time endorsement checks then hit the cache.
+        verify_many(signature_items([tx]), registry=self.obs, peer=self.node_id)
         try:
             tx.validate_structure()
         except InvalidTransactionError:
@@ -280,53 +293,33 @@ class Peer(NetworkNode):
         self.obs.histogram("phase.consensus_round", peer=self.node_id).observe(
             max(0.0, self.sim.now - block.timestamp)
         )
-        if batch_verification_enabled() and block.transactions:
-            # One batched pass over every signature in the block (client
-            # + endorsements); the per-transaction validation below is
-            # unchanged and hits the warmed cache, so verdicts — and the
-            # order failures are attributed in — are identical.
-            verify_many(
-                signature_items(block.transactions),
-                registry=self.obs,
-                peer=self.node_id,
-            )
-        validity: list[bool] = []
-        errors: list[str | None] = []
-        valid_txs: list[Transaction] = []
-        for tx in block.transactions:
-            verdict, error = self._validate_transaction(tx)
-            validity.append(verdict)
-            errors.append(error)
-            receipt = TxReceipt(
-                tx_id=tx.tx_id,
-                block_height=block.height,
-                success=verdict,
-                return_value=tx.return_value if verdict else None,
-                events=tx.events if verdict else (),
-                error=error,
-            )
-            existing = self.receipts.get(tx.tx_id)
-            if existing is None or verdict or not existing.success:
-                # Never downgrade: if a duplicate copy of an already
-                # committed-valid tx lands in a later block, its MVCC
-                # failure there must not overwrite the valid receipt.
-                self.receipts[tx.tx_id] = receipt
-            if verdict:
-                self.state.apply_write_set(tx.write_set)
-                valid_txs.append(tx)
-                self.metrics.txs_committed_valid += 1
-                self.metrics.record_tx_commit_latency(self.sim.now - tx.timestamp)
-            else:
-                self.metrics.txs_committed_invalid += 1
-        self.ledger.append(block, validity)
-        self.index.on_commit(block, validity)
+        # One batched pass over every signature in the block (client +
+        # endorsements); the per-transaction checks then hit the warmed
+        # cache, so verdicts — and the order failures are attributed in —
+        # are those of checking one signature at a time.
+        verify_many(signature_items(block.transactions), registry=self.obs, peer=self.node_id)
+        result = commit.commit_block(
+            block, self.policy_for,
+            ledger=self.ledger, state=self.state, receipts=self.receipts, index=self.index,
+        )
+        for verdict in result.verdicts:
+            if verdict.failed_check is not None:
+                self.metrics.record_rejection(verdict.failed_check)
+        valid_txs = result.valid_txs
+        self.metrics.txs_committed_valid += len(valid_txs)
+        self.metrics.txs_committed_invalid += len(block) - len(valid_txs)
+        for tx in valid_txs:
+            self.metrics.record_tx_commit_latency(self.sim.now - tx.timestamp)
         # Write-ahead durability: the record (block + verdicts + error
         # strings + consensus proof) is logged and fsync'd-in-model before
         # this commit is acknowledged durable; recovery re-verifies the
         # proof before trusting the record.  PBFT records its certificate
         # before calling commit_block, so sync_proof is available here.
         self.store.on_commit(
-            block, validity, proof=self.engine.sync_proof(block.height), errors=errors
+            block,
+            result.validity,
+            proof=self.engine.sync_proof(block.height),
+            errors=result.errors,
         )
         self.mempool.remove([tx.tx_id for tx in block.transactions])
         self.metrics.record_block_commit(self.sim.now)
@@ -341,31 +334,15 @@ class Peer(NetworkNode):
         # auditor must have seen *this* block first.
         self.engine.on_block_applied(block)
 
-    def _validate_transaction(self, tx: Transaction) -> tuple[bool, str | None]:
-        try:
-            tx.validate_structure()
-        except InvalidTransactionError as exc:
-            self.metrics.signature_failures += 1
-            return False, str(exc)
-        try:
-            check_endorsements(tx, self.policy_for(tx.contract))
-        except EndorsementError as exc:
-            self.metrics.endorsement_failures += 1
-            return False, str(exc)
-        if not self.state.validate_read_set(tx.read_set):
-            self.metrics.mvcc_conflicts += 1
-            return False, "MVCC conflict: stale read set"
-        return True, None
-
     # -- crash recovery -----------------------------------------------------------
 
     def restart(self) -> set[str]:
         """Simulate a process restart: durable state survives, the rest dies.
 
         What "durable" means depends on the storage backend.  With the
-        in-memory store (seed behaviour) the ledger object is axiomatically
-        kept and the world state is rebuilt by full
-        :meth:`~repro.chain.ledger.Ledger.replay_state` from genesis.
+        in-memory store (seed behaviour) the chain is axiomatically kept
+        and replayed from genesis under its recorded verdicts
+        (:func:`repro.chain.commit.replay_ledger`).
         With a :class:`~repro.chain.store.DurableStore`, restart is
         *recovery*: the backend rebuilds ledger, state, and receipts from
         its verified snapshot + log tail — and anything it had to give up
@@ -386,8 +363,7 @@ class Peer(NetworkNode):
         recovered = self.store.recover(engine=self.engine)
         report = None
         if recovered is None:
-            self.state = self.ledger.replay_state()
-            self.receipts = self._rebuild_receipts()
+            self.ledger, self.state, self.receipts = commit.replay_ledger(self.ledger)
         else:
             report = recovered.report
             self.ledger = recovered.ledger
@@ -422,26 +398,6 @@ class Peer(NetworkNode):
                 signatures = getattr(self.engine, "commit_signatures", None)
                 if signatures is not None:
                     signatures.pop(height, None)
-
-    def _rebuild_receipts(self) -> dict[str, TxReceipt]:
-        """Receipts are derivable from the chain: validity verdicts and
-        block heights are recorded there (per-tx error strings are not,
-        so rebuilt failure receipts carry a generic marker)."""
-        receipts: dict[str, TxReceipt] = {}
-        for committed in self.ledger.transactions(valid_only=False):
-            tx = committed.transaction
-            existing = receipts.get(tx.tx_id)
-            if existing is not None and existing.success:
-                continue  # same no-downgrade rule as the live commit path
-            receipts[tx.tx_id] = TxReceipt(
-                tx_id=tx.tx_id,
-                block_height=committed.block_height,
-                success=committed.valid,
-                return_value=tx.return_value if committed.valid else None,
-                events=tx.events if committed.valid else (),
-                error=None if committed.valid else "invalid (rebuilt from ledger)",
-            )
-        return receipts
 
     # -- network ------------------------------------------------------------------------
 

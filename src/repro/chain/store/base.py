@@ -9,7 +9,7 @@ when a world-state snapshot is due.  ``Peer.restart`` calls
 :meth:`BlockStore.recover`: a backend that can rebuild the chain from
 its own media returns a :class:`RecoveredChain`; the in-memory backend
 returns ``None``, which tells the peer to fall back to the seed
-behaviour (keep the in-memory ledger, replay state from it).
+behaviour (keep the in-memory chain, replay it from genesis).
 """
 
 from __future__ import annotations

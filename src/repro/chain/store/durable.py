@@ -6,8 +6,8 @@ into one record, appended to the log, and fsync'd — only then is the
 block *acknowledged durable* and remembered in :attr:`DurableStore.acked`
 (the model's ground truth for the storage-durability invariant; it is
 never used to rebuild state).  Every ``snapshot_interval`` blocks,
-:meth:`maybe_snapshot` persists the world state, receipts, and ledger
-indexes.
+:meth:`maybe_snapshot` persists the world state, receipts, and the
+ledger's tx-id locator.
 
 Recovery (:meth:`recover`) is verify-before-trust, and it *degrades*,
 never guesses::
@@ -38,6 +38,7 @@ import zlib
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.chain.block import Block, make_genesis_block
+from repro.chain.commit import replay_block
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
 from repro.chain.store.base import BlockStore, Degradation, RecoveredChain, RecoveryReport
@@ -336,9 +337,9 @@ class DurableStore(BlockStore):
             receipts = {
                 obj["tx_id"]: receipt_from_obj(obj) for obj in snap_obj["receipts"]
             }
-            anchor = decoded[0][0]  # block at snap_height, verified above
             ledger = Ledger.from_recovery(
-                window=[anchor],
+                # (block, verdicts) at snap_height, verified above
+                window=[decoded[0][:2]],
                 base=snap_height,
                 indexes=snap_obj["indexes"],
                 archive=self._archive_fn(records, snap_height),
@@ -352,23 +353,9 @@ class DurableStore(BlockStore):
 
         proofs: dict[int, Any] = {b.height: p for b, _, _, p in decoded}
         for block, validity, errors, _ in to_apply:
-            ledger.append(block, validity)
-            for index, tx in enumerate(block.transactions):
-                verdict = validity[index]
-                if verdict:
-                    state.apply_write_set(tx.write_set)
-                receipt = TxReceipt(
-                    tx_id=tx.tx_id,
-                    block_height=block.height,
-                    success=verdict,
-                    return_value=tx.return_value if verdict else None,
-                    events=tx.events if verdict else (),
-                    error=errors[index],
-                )
-                existing = receipts.get(tx.tx_id)
-                if existing is None or verdict or not existing.success:
-                    # Same no-downgrade rule as the live commit path.
-                    receipts[tx.tx_id] = receipt
+            replay_block(
+                block, validity, errors, ledger=ledger, state=state, receipts=receipts
+            )
 
         report.mode = (
             "snapshot+tail" if snap_obj is not None
@@ -385,19 +372,19 @@ class DurableStore(BlockStore):
 
     def _archive_fn(
         self, records: list[LogRecord], snap_height: int
-    ) -> Callable[[int], Block]:
-        """Lazy loader for blocks below the snapshot: served straight from
-        the scan-verified log records, decoded on demand (the recovered
-        ledger keeps a bounded cache on top)."""
+    ) -> Callable[[int], tuple[Block, list[bool]]]:
+        """Lazy loader for blocks (and their verdicts) below the snapshot:
+        served straight from the scan-verified log records, decoded on
+        demand (the recovered ledger keeps a bounded cache on top)."""
         by_height = {r.height: r for r in records if r.height < snap_height}
 
-        def load(height: int) -> Block:
+        def load(height: int) -> tuple[Block, list[bool]]:
             if height == 0:
-                return make_genesis_block()
+                return make_genesis_block(), []
             record = by_height[height]
             self._count("store.archive_loads")
-            block, _, _, _ = decode_record(record.payload)
-            return block
+            block, validity, _, _ = decode_record(record.payload)
+            return block, validity
 
         return load
 

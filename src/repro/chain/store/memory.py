@@ -2,9 +2,9 @@
 
 Nothing is persisted beyond the peer's own ``Ledger`` object (which the
 crash model already treats as durable); recovery returns ``None`` so
-``Peer.restart`` keeps the seed path — full ``replay_state()`` from
-genesis plus receipt rebuild.  This is the baseline the recovery
-benchmark compares the durable backend against.
+``Peer.restart`` replays that chain from genesis under its recorded
+verdicts (:func:`repro.chain.commit.replay_ledger`).  This is the
+baseline the recovery benchmark compares the durable backend against.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A snapshot pins everything needed to resume at height *H* without
 replaying blocks 1..H: the world state dump (values + MVCC versions +
-commit sequence), the receipt map, and the ledger's secondary indexes.
+commit sequence), the receipt map, and the ledger's tx-id locator.
 Snapshots are written to their own file (``snapshot-<height>``) with the
 same CRC-framed envelope as log records, fsync'd on write, and pruned to
 the newest *keep* — so a corrupt newest snapshot can degrade to the one

@@ -24,7 +24,7 @@ payloads in the canonical PR 7 codec.
 Recovery reuses :class:`DurableStore`'s entire verify-before-trust
 ladder via the snapshot-media hooks: ``_load_snapshot`` CRC-checks and
 deserializes an image, validates/migrates the schema, cross-checks the
-recorded height, and reconstructs the ledger's secondary indexes *from
+recorded height, and reconstructs the ledger's tx-id locator *from
 the relational tables* — so the tx tables are load-bearing, not
 decorative.  Every failure is counted through the same
 ``store.degradations`` ladder (a bad image is ``snapshot-corrupt``, an
@@ -368,31 +368,11 @@ class SQLiteStore(DurableStore):
 
     @staticmethod
     def _indexes_from_tables(conn: sqlite3.Connection) -> dict[str, Any]:
-        """Rebuild the ledger's secondary-index dump from the relational
+        """Rebuild the ledger's tx-id lookup dump from the relational
         tables — the tx tables are the source of truth, there is no
         duplicate JSON index blob to drift from them."""
-        tx_locator: dict[str, list[int]] = {}
-        validity: dict[str, bool] = {}
-        by_sender: dict[str, list[str]] = {}
-        by_contract: dict[str, list[str]] = {}
-        rows = conn.execute(
-            "SELECT t.tx_id, t.height, t.tx_index, a.address, c.name, t.valid "
-            "FROM txs t "
-            "JOIN addresses a ON a.id = t.sender_id "
-            "JOIN contracts c ON c.id = t.contract_id "
-            "ORDER BY t.height, t.tx_index"
-        )
-        for tx_id, height, tx_index, sender, contract, valid in rows:
-            tx_locator[tx_id] = [height, tx_index]
-            validity[tx_id] = bool(valid)
-            by_sender.setdefault(sender, []).append(tx_id)
-            by_contract.setdefault(contract, []).append(tx_id)
-        return {
-            "tx_locator": tx_locator,
-            "validity": validity,
-            "by_sender": by_sender,
-            "by_contract": by_contract,
-        }
+        rows = conn.execute("SELECT tx_id, height, tx_index FROM txs ORDER BY height, tx_index")
+        return {"tx_locator": {tx_id: [height, tx_index] for tx_id, height, tx_index in rows}}
 
     # -- recovery ----------------------------------------------------------
 

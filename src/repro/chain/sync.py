@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Block
 from repro.chain.transaction import signature_items
-from repro.crypto.batch import batch_verification_enabled, verify_many
+from repro.crypto.batch import verify_many
 from repro.crypto.keys import verify_signature
 from repro.obs import MetricsRegistry, ObsView, metric_attr
 from repro.obs.trace import Span
@@ -517,14 +517,13 @@ class SyncManager:
             and isinstance(entry.get("block"), Block)
             and entry["block"].height > self.peer.ledger.height
         ]
-        if batch_verification_enabled() and pending:
-            # One batched pass over every signature in the fetched range;
-            # the per-block verify/commit path below hits the warmed cache.
-            verify_many(
-                [item for block in pending for item in signature_items(block.transactions)],
-                registry=self.peer.obs,
-                peer=self.peer.node_id,
-            )
+        # One batched pass over every signature in the fetched range; the
+        # per-block verify/commit path below hits the warmed cache.
+        verify_many(
+            [item for block in pending for item in signature_items(block.transactions)],
+            registry=self.peer.obs,
+            peer=self.peer.node_id,
+        )
         clean = True
         for entry in payload.get("blocks", ()):
             block = entry["block"]

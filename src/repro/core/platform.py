@@ -592,21 +592,15 @@ class TrustingNewsPlatform:
         object, and its verification result against the block's root.
         """
         ledger = self.chain.ledger
-        recording_tx = None
-        committed = None
-        for candidate in ledger.transactions_by_contract("supplychain"):
-            tx = candidate.transaction
-            if tx.method == "record_node" and tx.args.get("article_id") == article_id:
-                recording_tx = tx
-                committed = candidate
-                break
-        if recording_tx is None or committed is None:
+        tx_id = self.graph.nodes.get(article_id, {}).get("tx_id")
+        committed = ledger.get_transaction(tx_id) if tx_id else None
+        if committed is None:
             raise PlatformError(f"no supply-chain record for {article_id}")
         block = ledger.block(committed.block_height)
-        proof = block.prove_inclusion(recording_tx.tx_id)
+        proof = block.prove_inclusion(tx_id)
         return {
             "article_id": article_id,
-            "tx_id": recording_tx.tx_id,
+            "tx_id": tx_id,
             "block_height": block.height,
             "block_hash": block.block_hash,
             "merkle_root": block.merkle_root,

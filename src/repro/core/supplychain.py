@@ -166,9 +166,10 @@ def build_supply_chain_graph(ledger: Ledger) -> nx.DiGraph:
 
     Nodes are article ids (plus ``fact:<id>`` nodes for factual-database
     roots); a directed edge child -> parent points *toward provenance*.
-    Node attributes carry author, op, modification degree, topic, and
-    recording time, so every downstream analysis (ranking, experts,
-    accountability) works from the same reconstruction.
+    Node attributes carry author, op, modification degree, topic,
+    recording time, and the id of the recording transaction, so every
+    downstream analysis (ranking, experts, accountability, inclusion
+    proofs) works from the same reconstruction.
     """
     graph = nx.DiGraph()
     for event in ledger.events(contract="supplychain", kind="supply-node-recorded"):
@@ -180,6 +181,7 @@ def build_supply_chain_graph(ledger: Ledger) -> nx.DiGraph:
             topic=event["topic"],
             modification_degree=event["modification_degree"],
             recorded_at=event["_height"],
+            tx_id=event["_tx_id"],
             is_fact_root=False,
         )
         parent_degrees = event.get("parent_degrees") or [event["modification_degree"]] * len(

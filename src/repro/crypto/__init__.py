@@ -4,12 +4,7 @@ Built from scratch (stdlib ``hashlib`` only) so the blockchain layer has
 verifiable, dependency-free primitives.
 """
 
-from repro.crypto.batch import (
-    batch_verification,
-    batch_verification_enabled,
-    set_batch_verification,
-    verify_many,
-)
+from repro.crypto.batch import verify_many
 from repro.crypto.ed25519 import verify_batch
 from repro.crypto.hashing import hash_json, sha256_bytes, sha256_hex, short_id
 from repro.crypto.keys import KeyPair, address_from_public_key, verify_signature
@@ -25,9 +20,6 @@ __all__ = [
     "verify_signature",
     "verify_batch",
     "verify_many",
-    "batch_verification",
-    "batch_verification_enabled",
-    "set_batch_verification",
     "EMPTY_ROOT",
     "MerkleProof",
     "MerkleTree",

@@ -1,71 +1,33 @@
 """Chain-facing batch-verification facade.
 
 The chain layer never calls :func:`repro.crypto.ed25519.verify_batch`
-directly.  It goes through :func:`verify_many`, which
-
-- honors a process-wide feature flag (``REPRO_BATCH_VERIFY`` env var,
-  :func:`set_batch_verification`) so benchmarks can compare the batched
-  and sequential modes on identical workloads;
-- records ``phase.verify_batch`` wall-time histograms plus batch-size
-  and fallback-bisection counters into an optional
-  :class:`~repro.obs.registry.MetricsRegistry` (duck-typed — crypto
-  stays import-free of :mod:`repro.obs`).
+directly.  It goes through :func:`verify_many`, which also records
+``phase.verify_batch`` wall-time histograms plus batch-size and
+fallback-bisection counters into an optional
+:class:`~repro.obs.registry.MetricsRegistry` (duck-typed — crypto stays
+import-free of :mod:`repro.obs`).
 
 Because :func:`~repro.crypto.ed25519.verify_batch` populates the same
 digest-keyed cache as single :func:`~repro.crypto.ed25519.verify`, the
 dominant call-site pattern is *prewarming*: a block validator hands the
 whole block's signature items to :func:`verify_many` once, then runs its
-unchanged per-transaction validation logic, whose individual ``verify``
-calls all hit the cache.  Semantics are byte-for-byte those of the
-sequential path; only the schedule changes.
+per-transaction validation logic, whose individual ``verify`` calls all
+hit the cache.  Verdicts are byte-for-byte those of
+:func:`~repro.crypto.ed25519.verify` per item (the reference the tests
+compare against); only the schedule differs.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.crypto import ed25519
 
-__all__ = [
-    "SignatureItem",
-    "batch_verification_enabled",
-    "set_batch_verification",
-    "batch_verification",
-    "verify_many",
-]
+__all__ = ["SignatureItem", "verify_many"]
 
 #: One verification job: (public_key, message, signature) raw bytes.
 SignatureItem = tuple[bytes, bytes, bytes]
-
-_enabled = os.environ.get("REPRO_BATCH_VERIFY", "1").strip().lower() not in (
-    "0", "false", "no", "off",
-)
-
-
-def batch_verification_enabled() -> bool:
-    """Whether :func:`verify_many` uses the batched path."""
-    return _enabled
-
-
-def set_batch_verification(enabled: bool) -> bool:
-    """Flip the feature flag; returns the previous value."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def batch_verification(enabled: bool) -> Iterator[None]:
-    """Scoped flag override (tests and A/B benchmarks)."""
-    previous = set_batch_verification(enabled)
-    try:
-        yield
-    finally:
-        set_batch_verification(previous)
 
 
 def verify_many(
@@ -73,34 +35,29 @@ def verify_many(
     registry: Any = None,
     **labels: str,
 ) -> list[bool]:
-    """Verify *items*, batched when the feature flag allows.
+    """Verify *items* in one batch.
 
     Returns one bool per item, identical to mapping
     :func:`repro.crypto.ed25519.verify` over them.  When *registry* is
-    given, observes wall time into ``phase.verify_batch`` (labelled
-    ``mode=batch|sequential`` plus any caller labels) and — in batch
-    mode — bumps ``crypto.batch_calls`` / ``crypto.batch_items`` /
+    given, observes wall time into ``phase.verify_batch`` and the batch
+    size into ``crypto.batch_size`` (with any caller labels) and bumps
+    the ``crypto.batch_calls`` / ``crypto.batch_items`` /
     ``crypto.batch_bisections`` counters.
     """
     jobs = list(items)
     if not jobs:
         return []
     start = time.perf_counter()
-    if _enabled:
-        bisections_before = ed25519.batch_stats()["bisections"]
-        results = ed25519.verify_batch(jobs)
-        if registry is not None:
-            registry.counter("crypto.batch_calls", **labels).inc()
-            registry.counter("crypto.batch_items", **labels).inc(len(jobs))
-            registry.counter("crypto.batch_bisections", **labels).inc(
-                ed25519.batch_stats()["bisections"] - bisections_before
-            )
-    else:
-        results = [ed25519.verify(pk, msg, sig) for pk, msg, sig in jobs]
+    bisections_before = ed25519.batch_stats()["bisections"]
+    results = ed25519.verify_batch(jobs)
     if registry is not None:
-        mode = "batch" if _enabled else "sequential"
-        registry.histogram("phase.verify_batch", mode=mode, **labels).observe(
+        registry.counter("crypto.batch_calls", **labels).inc()
+        registry.counter("crypto.batch_items", **labels).inc(len(jobs))
+        registry.counter("crypto.batch_bisections", **labels).inc(
+            ed25519.batch_stats()["bisections"] - bisections_before
+        )
+        registry.histogram("phase.verify_batch", **labels).observe(
             time.perf_counter() - start
         )
-        registry.histogram("crypto.batch_size", mode=mode, **labels).observe(len(jobs))
+        registry.histogram("crypto.batch_size", **labels).observe(len(jobs))
     return results

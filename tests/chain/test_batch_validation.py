@@ -1,11 +1,11 @@
 """Batched verification threaded through the chain layer.
 
-The feature flag must be behavior-neutral: identical committed blocks,
-receipts, and state digests with batching on or off — only the
-verification schedule (and the metrics) differ.  PBFT commit votes are
-now Ed25519-signed whenever the validator-key directory is registered,
-so stored certificates are cryptographically checkable, and forged
-certificates that would pass the legacy name-set check are rejected.
+``verify_many`` must return exactly what per-signature
+``ed25519.verify`` returns — only the verification schedule (and the
+metrics) differ.  PBFT commit votes are Ed25519-signed whenever the
+validator-key directory is registered, so stored certificates are
+cryptographically checkable, and forged certificates that would pass a
+bare name-set check are rejected.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import random
 
 import pytest
 
-from repro.chain import BlockchainNetwork, LocalChain
+from repro.chain import BlockchainNetwork
 from repro.chain.consensus.pbft import PBFTEngine, _vote_message
 from repro.crypto import KeyPair, ed25519
-from repro.crypto.batch import batch_verification, verify_many
+from repro.crypto.batch import verify_many
 from repro.obs import MetricsRegistry
 from repro.simnet import FixedLatency
 from tests.conftest import CounterContract
@@ -47,28 +47,8 @@ def _run_network(n_txs: int = 3, consensus: str = "pbft", seed: int = 21):
     return network, receipts
 
 
-def test_flag_off_and_on_produce_identical_chains():
-    with batch_verification(False):
-        off_net, off_receipts = _run_network()
-    off_hashes = [off_net.peers[0].ledger.block(h).block_hash
-                  for h in range(off_net.peers[0].ledger.height + 1)]
-    off_digest = off_net.peers[0].state.state_digest()
-
-    ed25519.verify_cache_clear()
-    with batch_verification(True):
-        on_net, on_receipts = _run_network()
-    on_hashes = [on_net.peers[0].ledger.block(h).block_hash
-                 for h in range(on_net.peers[0].ledger.height + 1)]
-
-    assert off_hashes == on_hashes
-    assert on_net.peers[0].state.state_digest() == off_digest
-    assert [r.success for r in off_receipts] == [r.success for r in on_receipts]
-    on_net.assert_convergence()
-
-
 def test_batch_mode_populates_phase_and_counters():
-    with batch_verification(True):
-        network, receipts = _run_network(n_txs=2, consensus="poa")
+    network, receipts = _run_network(n_txs=2, consensus="poa")
     # Receipts may legitimately carry MVCC conflicts (hot counter key);
     # what matters here is that blocks committed through the batch path.
     assert all(r.block_height is not None for r in receipts)
@@ -79,23 +59,8 @@ def test_batch_mode_populates_phase_and_counters():
     assert network.obs.total("crypto.batch_bisections") == 0  # honest run
 
 
-def test_localchain_flag_equivalence():
-    def run():
-        chain = LocalChain(seed=9)
-        chain.install_contract(CounterContract())
-        account = chain.new_account()
-        for _ in range(3):
-            chain.invoke(account, "counter", "increment")
-        return chain.state.state_digest(), chain.ledger.height
-
-    with batch_verification(False):
-        off = run()
-    with batch_verification(True):
-        on = run()
-    assert off == on
-
-
 def test_verify_many_modes_agree_and_label():
+    """The batched schedule against the per-signature reference."""
     keypair = KeyPair.generate(random.Random(3))
     items = []
     for i in range(4):
@@ -103,14 +68,13 @@ def test_verify_many_modes_agree_and_label():
         items.append((keypair.public_key, msg, keypair.sign(msg)))
     items.append((keypair.public_key, b"forged", bytes(64)))
     registry = MetricsRegistry()
-    with batch_verification(True):
-        batched = verify_many(items, registry=registry, peer="p0")
+    batched = verify_many(items, registry=registry, peer="p0")
     ed25519.verify_cache_clear()
-    with batch_verification(False):
-        sequential = verify_many(items, registry=registry, peer="p0")
-    assert batched == sequential == [True, True, True, True, False]
-    modes = {h.labels["mode"] for h in registry.histograms("phase.verify_batch")}
-    assert modes == {"batch", "sequential"}
+    assert batched == [ed25519.verify(*item) for item in items]
+    assert batched == [True, True, True, True, False]
+    (histogram,) = registry.histograms("phase.verify_batch")
+    assert histogram.labels == {"peer": "p0"} and histogram.count == 1
+    assert registry.total("crypto.batch_items") == len(items)
 
 
 # -- signed PBFT certificates ------------------------------------------------
@@ -148,15 +112,18 @@ def test_pbft_sync_proof_round_trip():
 
 
 def test_pbft_forged_certificate_rejected():
-    """A name-set that would satisfy the legacy check is worthless
-    without valid vote signatures once keys are registered."""
+    """A name-set is worthless without valid vote signatures once keys
+    are registered."""
     network, _ = _run_network()
     source = max(network.peers, key=lambda p: p.ledger.height)
     verifier = next(p for p in network.peers if p is not source).engine
     block = source.ledger.block(1)
     validators = list(verifier.validators)
-    # Bare name list: every signer has a registered key but no signature.
+    # Bare name list (not a proof), and the same names with no signatures.
     assert not verifier.verify_synced_block(block, validators)
+    assert not verifier.verify_synced_block(
+        block, {"signers": validators, "signatures": {}}
+    )
     # Dict proof with garbage signatures.
     forged = {
         "signers": validators,
@@ -173,18 +140,23 @@ def test_pbft_forged_certificate_rejected():
 
 
 def test_pbft_keyless_engine_keeps_legacy_semantics():
-    """Standalone engines (no key directory) behave exactly as the seed:
-    name-set certificates verify, votes need no signatures."""
+    """Standalone engines (no key directory) count signers by name:
+    certificates with empty ``signatures`` verify, votes need none."""
     engine = PBFTEngine(["v0", "v1", "v2", "v3"])
     from repro.chain.block import Block
 
     block = Block.build(1, "genesis", 0.0, "v0", [])
-    assert engine.verify_synced_block(block, ["v0", "v1", "v2"])
-    assert not engine.verify_synced_block(block, ["v0", "v1"])
-    assert not engine.verify_synced_block(block, ["v0", "ghost-1", "ghost-2"])
-    assert engine.verify_synced_block(
-        block, {"signers": ["v0", "v1", "v2"], "signatures": {}}
-    )
+
+    def proof(*signers):
+        return {"signers": list(signers), "signatures": {}}
+
+    assert engine.verify_synced_block(block, proof("v0", "v1", "v2"))
+    assert not engine.verify_synced_block(block, proof("v0", "v1"))
+    assert not engine.verify_synced_block(block, proof("v0", "ghost-1", "ghost-2"))
+    # One proof format: a bare name list is rejected even without keys.
+    assert not engine.verify_synced_block(block, ["v0", "v1", "v2"])
+    engine.on_synced_block(block, proof("v0", "v1", "v2"))
+    assert engine.sync_proof(1) == proof("v0", "v1", "v2")
 
 
 def test_pbft_bad_vote_signature_rejected():

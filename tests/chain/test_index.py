@@ -163,32 +163,48 @@ def test_verify_against_detects_drift(keypairs):
     assert any("height" in p for p in problems)
 
 
-# -- ledger secondary-index ordering ----------------------------------------
+# -- by-sender / by-contract views vs. the ledger scan -------------------------
 
 
 def test_ledger_by_sender_and_by_contract_are_chain_ordered(keypairs):
+    """The index's views are the only by-sender/by-contract views; the
+    oracle is a filter over the ledger's chain-order scan."""
     ledger = _build(keypairs, 10)
     index = _indexed(ledger)
-    expected_order = [
-        (c.block_height, c.tx_index) for c in ledger.transactions(valid_only=False)
-    ]
-    assert expected_order == sorted(expected_order)
+    scan = list(ledger.transactions(valid_only=False))
+    positions = [(c.block_height, c.tx_index) for c in scan]
+    assert positions == sorted(positions)
+    assert not hasattr(ledger, "transactions_by_sender")
+    assert not hasattr(ledger, "transactions_by_contract")
     for keypair in keypairs:
-        committed = ledger.transactions_by_sender(keypair.address)
-        positions = [(c.block_height, c.tx_index) for c in committed]
-        assert positions == sorted(positions), "by-sender view must be chain-ordered"
-        assert [c.transaction.tx_id for c in committed] == index.transactions_by_sender(
-            keypair.address
-        )
+        assert index.transactions_by_sender(keypair.address) == [
+            c.transaction.tx_id for c in scan if c.transaction.sender == keypair.address
+        ]
     for contract in ("articles", "votes"):
-        committed = ledger.transactions_by_contract(contract)
-        positions = [(c.block_height, c.tx_index) for c in committed]
-        assert positions == sorted(positions), "by-contract view must be chain-ordered"
-        assert [
-            c.transaction.tx_id for c in committed
-        ] == index.transactions_by_contract(contract)
+        assert index.transactions_by_contract(contract) == [
+            c.transaction.tx_id for c in scan if c.transaction.contract == contract
+        ]
     assert index.transactions_by_sender("acct:unknown") == []
     assert index.transactions_by_contract("unknown") == []
+
+
+def test_verify_against_compares_rows_not_ids(keypairs):
+    """A tx id committed twice (valid, then a failed duplicate) is two
+    rows with two verdicts in both the ledger and the index."""
+    ledger = Ledger()
+    tx = _tx(keypairs[0], 0, "articles", "publish")
+    for height, verdict in ((1, True), (2, False)):
+        ledger.append(
+            Block.build(height, ledger.head.block_hash, float(height), "peer-0", [tx]),
+            [verdict],
+        )
+    assert [c.valid for c in ledger.transactions(valid_only=False)] == [True, False]
+    assert ledger.block_validity(1) == [True] and ledger.block_validity(2) == [False]
+    assert len(list(ledger.events())) == 1
+    assert ledger.replay_state().get("articles/0") == 0
+    index = _indexed(ledger)
+    assert index.verify_against(ledger) == []
+    assert index.valid_transactions == 1 and len(index) == 2
 
 
 # -- explorer scan-path regressions -----------------------------------------

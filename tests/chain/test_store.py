@@ -279,6 +279,7 @@ def test_durable_store_recovers_snapshot_plus_tail(keypair, store_cls):
     # The archive window still serves blocks below the snapshot.
     for height in range(0, 11):
         assert recovered.ledger.block(height).block_hash == ledger.block(height).block_hash
+        assert recovered.ledger.block_validity(height) == ledger.block_validity(height)
     recovered.ledger.verify_chain()
 
 
@@ -297,6 +298,27 @@ def test_durable_store_receipts_survive_snapshot_recovery(keypair, store_cls):
     # Invalid receipts keep the recorded error string through the log.
     failed = next(t for t, ok in expected.items() if not ok)
     assert recovered.receipts[failed].error == "MVCC conflict: stale read set"
+
+
+def test_snapshot_indexes_hold_only_the_tx_id_lookup(keypair, store_cls):
+    """By-sender / by-contract views belong to ChainIndex (rebuilt on every
+    restart) and verdicts come with the blocks: snapshots carry only the
+    tx-id locator, and a snapshot object written before the other maps
+    were removed, which has them, still loads."""
+    ledger, commits = _build_chain(keypair, 10)
+    store = store_cls(disk=SimDisk("n0"), snapshot_interval=4)
+    _populate(store, commits, snapshots=True)
+    snap = store._load_snapshot(store._snapshot_candidates()[-1])
+    assert snap["height"] == 8
+    assert set(snap["indexes"]) == {"tx_locator"}
+    tx = commits[7][0].transactions[0]
+    old = dict(snap["indexes"], validity={tx.tx_id: True},
+               by_sender={tx.sender: [tx.tx_id]}, by_contract={tx.contract: [tx.tx_id]})
+    window = [(ledger.block(8), ledger.block_validity(8))]
+    for indexes in (snap["indexes"], old):
+        revived = Ledger.from_recovery(window, base=8, indexes=indexes)
+        assert revived.get_transaction(tx.tx_id).block_height == 8
+        assert revived.total_transactions() == 16
 
 
 def test_torn_tail_truncates_and_reconciles_acked(keypair, store_cls):
