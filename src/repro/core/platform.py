@@ -20,7 +20,7 @@ from the ledger rather than trusted in-memory state.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import networkx as nx
@@ -110,21 +110,25 @@ class TrustingNewsPlatform:
         self._graph_cache: nx.DiGraph | None = None
         self._graph_height = -1
         # Governance bootstrap: the platform operator's own account.
-        self.governance = self._new_account("governance")
-        self.chain.invoke(
-            self.governance, "identity", "register",
-            {"display_name": "governance", "role": "checker"},
-        )
+        self.governance = self._new_account("governance", role="checker")
         self.chain.invoke(
             self.governance, "identity", "verify", {"address": self.governance.address}
         )
 
     # -- accounts ----------------------------------------------------------
 
-    def _new_account(self, name: str) -> KeyPair:
+    def _new_account(self, name: str, role: str) -> KeyPair:
+        """Create a keypair and register its identity on-chain.
+
+        The name is taken only once the register tx has committed, so a
+        rejected registration can be retried under the same name.
+        """
         if name in self.accounts:
             raise IdentityError(f"account name {name!r} already exists")
         keypair = self.chain.new_account()
+        self.chain.invoke(
+            keypair, "identity", "register", {"display_name": name, "role": role}
+        )
         self.accounts[name] = keypair
         return keypair
 
@@ -142,10 +146,7 @@ class TrustingNewsPlatform:
 
         Returns the new ledger address.
         """
-        keypair = self._new_account(name)
-        self.chain.invoke(
-            keypair, "identity", "register", {"display_name": name, "role": role}
-        )
+        keypair = self._new_account(name, role)
         if verified:
             self.chain.invoke(
                 self.governance, "identity", "verify", {"address": keypair.address}
@@ -167,8 +168,12 @@ class TrustingNewsPlatform:
                 "topic": topic,
             },
         )
-        self.index.add(_FACT_PREFIX + fact_id, text)
+        self._index_fact(fact_id, text)
         return receipt
+
+    def _index_fact(self, fact_id: str, text: str) -> None:
+        """Facts share the provenance index with articles, under a reserved prefix."""
+        self.index.add(_FACT_PREFIX + fact_id, text)
 
     def facts(self, topic: str | None = None) -> list[str]:
         return self.chain.query("factualdb", "list_facts", {"topic": topic})
@@ -265,6 +270,70 @@ class TrustingNewsPlatform:
 
     # -- publishing pipeline --------------------------------------------------------------
 
+    def _ingest(
+        self,
+        signer: KeyPair,
+        article_id: str,
+        text: str,
+        topic: str,
+        *,
+        op: str,
+        content_hash: str,
+        room: str,
+        declared_parents: Sequence[str] | None = None,
+        editorial: Sequence[tuple[KeyPair, str, dict[str, Any]]] = (),
+    ) -> PublishedArticle:
+        """The content path every entry channel goes through (§VI, Fig. 1).
+
+        Sketch the text once, find its provenance links (discovered, or
+        the indexed ones among *declared_parents* when the channel names
+        them), measure one degree per edge, commit the *editorial*
+        newsroom txs and then the supply-chain record, and only when that
+        has committed index and score the text.
+        """
+        if article_id.startswith(_FACT_PREFIX):
+            raise PlatformError(f"article id {article_id!r} uses the reserved {_FACT_PREFIX!r} prefix")
+        sketch = self.index.sketch(text)
+        if declared_parents is None:
+            links = [c.article_id for c in self.index.discover_parents(sketch, exclude=article_id)]
+        else:
+            links = [p for p in declared_parents if p in self.index]
+        parents = tuple(p for p in links if not p.startswith(_FACT_PREFIX))
+        fact_roots = tuple(p[len(_FACT_PREFIX):] for p in links if p.startswith(_FACT_PREFIX))
+        parent_degrees = [self.index.degree_between(text, p) for p in parents]
+        fact_degrees = [self.index.degree_between(text, _FACT_PREFIX + f) for f in fact_roots]
+        degree = min(parent_degrees + fact_degrees, default=1.0)
+        for editor, method, args in editorial:
+            self.chain.invoke(editor, "newsroom", method, args)
+        receipt = self.chain.invoke(
+            signer, "supplychain", "record_node",
+            {
+                "article_id": article_id,
+                "content_hash": content_hash,
+                "parents": list(parents),
+                "parent_degrees": parent_degrees,
+                "modification_degree": degree,
+                "topic": topic,
+                "op": op,
+                "fact_roots": list(fact_roots),
+                "fact_degrees": fact_degrees,
+            },
+        )
+        self.index.add(article_id, sketch)
+        ai = self.ai_score(text)
+        if ai is not None:
+            self._ai_scores[article_id] = ai
+        return PublishedArticle(
+            article_id=article_id,
+            author_address=signer.address,
+            room=room,
+            parents=parents,
+            fact_roots=fact_roots,
+            modification_degree=degree,
+            ai_score=ai,
+            receipt=receipt,
+        )
+
     def publish_article(
         self,
         author_name: str,
@@ -277,80 +346,41 @@ class TrustingNewsPlatform:
     ) -> PublishedArticle:
         """Full editorial pipeline: draft -> review -> publish -> record.
 
-        Provenance discovery and AI scoring happen as part of the
-        pipeline; the supply-chain node (with discovered parents, fact
-        roots, and measured modification degree) is committed on-chain.
+        Adds to :meth:`_ingest` the three newsroom txs that precede the
+        supply-chain record and, after it, media fusion.
         """
         author = self.account(author_name)
         owner = self._platform_owner.get(platform_name)
         if owner is None:
             raise PlatformError(f"unknown platform {platform_name!r}")
         content_hash = sha256_hex(text.encode("utf-8"))
-        candidates = self.index.discover_parents(text, exclude=article_id)
-        parents = tuple(
-            c.article_id for c in candidates if not c.article_id.startswith(_FACT_PREFIX)
+        draft = {
+            "article_id": article_id,
+            "platform_name": platform_name,
+            "room_name": room_name,
+            "content_hash": content_hash,
+        }
+        published = self._ingest(
+            author, article_id, text, topic,
+            op="publish", content_hash=content_hash, room=room_name,
+            editorial=[
+                (author, "submit_draft", draft),
+                (author, "start_review", {"article_id": article_id}),
+                (self.account(owner), "publish", {"article_id": article_id}),
+            ],
         )
-        fact_roots = tuple(
-            c.article_id[len(_FACT_PREFIX):]
-            for c in candidates
-            if c.article_id.startswith(_FACT_PREFIX)
-        )
-        parent_degrees = [self.index.degree_between(text, p) for p in parents]
-        fact_degrees = [self.index.degree_between(text, _FACT_PREFIX + f) for f in fact_roots]
-        all_degrees = parent_degrees + fact_degrees
-        degree = min(all_degrees) if all_degrees else 1.0
-        # Editorial workflow on-chain.
-        self.chain.invoke(
-            author, "newsroom", "submit_draft",
-            {
-                "article_id": article_id,
-                "platform_name": platform_name,
-                "room_name": room_name,
-                "content_hash": content_hash,
-            },
-        )
-        self.chain.invoke(author, "newsroom", "start_review", {"article_id": article_id})
-        self.chain.invoke(
-            self.account(owner), "newsroom", "publish", {"article_id": article_id}
-        )
-        receipt = self.chain.invoke(
-            author, "supplychain", "record_node",
-            {
-                "article_id": article_id,
-                "content_hash": content_hash,
-                "parents": list(parents),
-                "parent_degrees": parent_degrees,
-                "modification_degree": degree,
-                "topic": topic,
-                "op": "publish",
-                "fact_roots": list(fact_roots),
-                "fact_degrees": fact_degrees,
-            },
-        )
-        self.index.add(article_id, text)
-        ai = self.ai_score(text)
+        if not media:
+            return published
         # Media fusion (Fig. 1 component 2): any attached asset that fails
         # fingerprint verification drags P(fake) up — a deepfaked clip
         # condemns the article even when its text reads neutrally.
-        if media:
-            tamper_scores = [
-                self.assess_media(media_id, signal, article_id=article_id)
-                for media_id, signal in media
-            ]
-            worst = max(tamper_scores)
-            ai = worst if ai is None else max(ai, worst)
-        if ai is not None:
-            self._ai_scores[article_id] = ai
-        return PublishedArticle(
-            article_id=article_id,
-            author_address=author.address,
-            room=room_name,
-            parents=parents,
-            fact_roots=fact_roots,
-            modification_degree=degree,
-            ai_score=ai,
-            receipt=receipt,
+        worst = max(
+            self.assess_media(media_id, signal, article_id=article_id)
+            for media_id, signal in media
         )
+        ai = worst if published.ai_score is None else max(published.ai_score, worst)
+        self._ai_scores[article_id] = ai
+        return replace(published, ai_score=ai)
 
     def report_external(
         self,
@@ -367,52 +397,15 @@ class TrustingNewsPlatform:
         news rooms for the discussion."  External referrals skip the
         editorial workflow (they are not this platform's publications)
         but go through full provenance discovery and land on the supply
-        chain with ``op="external-report"`` and the claimed source
-        recorded, so they can be ranked and discussed like anything
-        else.
+        chain with ``op="external-report"``, so they can be ranked and
+        discussed like anything else.  The claimed *source* is not stored
+        as a field: it salts ``content_hash``, so the same text referred
+        from two sources commits two distinct hashes.
         """
-        reporter = self.account(reporter_name)
-        content_hash = sha256_hex(f"{source}:{text}".encode("utf-8"))
-        candidates = self.index.discover_parents(text, exclude=article_id)
-        parents = tuple(
-            c.article_id for c in candidates if not c.article_id.startswith(_FACT_PREFIX)
-        )
-        fact_roots = tuple(
-            c.article_id[len(_FACT_PREFIX):]
-            for c in candidates
-            if c.article_id.startswith(_FACT_PREFIX)
-        )
-        parent_degrees = [self.index.degree_between(text, p) for p in parents]
-        fact_degrees = [self.index.degree_between(text, _FACT_PREFIX + f) for f in fact_roots]
-        all_degrees = parent_degrees + fact_degrees
-        degree = min(all_degrees) if all_degrees else 1.0
-        receipt = self.chain.invoke(
-            reporter, "supplychain", "record_node",
-            {
-                "article_id": article_id,
-                "content_hash": content_hash,
-                "parents": list(parents),
-                "parent_degrees": parent_degrees,
-                "modification_degree": degree,
-                "topic": topic,
-                "op": "external-report",
-                "fact_roots": list(fact_roots),
-                "fact_degrees": fact_degrees,
-            },
-        )
-        self.index.add(article_id, text)
-        ai = self.ai_score(text)
-        if ai is not None:
-            self._ai_scores[article_id] = ai
-        return PublishedArticle(
-            article_id=article_id,
-            author_address=reporter.address,
-            room="(external)",
-            parents=parents,
-            fact_roots=fact_roots,
-            modification_degree=degree,
-            ai_score=ai,
-            receipt=receipt,
+        return self._ingest(
+            self.account(reporter_name), article_id, text, topic,
+            op="external-report", room="(external)",
+            content_hash=sha256_hex(f"{source}:{text}".encode("utf-8")),
         )
 
     def ingest_share(self, event: ShareEvent, article: Article, topic: str | None = None) -> None:
@@ -420,35 +413,18 @@ class TrustingNewsPlatform:
 
         The sharer's account is auto-registered (unverified) on first
         sight — the platform admits the public, but every share is
-        signed and attributable from then on.
+        signed and attributable from then on.  A share names its parent,
+        so nothing is discovered: the link is the event's parent when the
+        index knows it, and none otherwise.
         """
         name = event.agent_id
-        if name not in self.accounts:
-            keypair = self._new_account(name)
-            self.chain.invoke(
-                keypair, "identity", "register", {"display_name": name, "role": "consumer"}
-            )
-        sharer = self.account(name)
-        parents = [event.parent_article_id] if event.parent_article_id in self.index else []
-        degrees = [self.index.degree_between(article.text, p) for p in parents]
-        self.chain.invoke(
-            sharer, "supplychain", "record_node",
-            {
-                "article_id": article.article_id,
-                "content_hash": sha256_hex(article.text.encode("utf-8")),
-                "parents": parents,
-                "parent_degrees": degrees,
-                "modification_degree": min(degrees) if degrees else 1.0,
-                "topic": topic or article.topic,
-                "op": event.op,
-                "fact_roots": [],
-                "fact_degrees": [],
-            },
+        sharer = self.accounts.get(name) or self._new_account(name, role="consumer")
+        self._ingest(
+            sharer, article.article_id, article.text, topic or article.topic,
+            op=event.op, room="(share)",
+            content_hash=sha256_hex(article.text.encode("utf-8")),
+            declared_parents=[event.parent_article_id],
         )
-        self.index.add(article.article_id, article.text)
-        ai = self.ai_score(article.text)
-        if ai is not None:
-            self._ai_scores[article.article_id] = ai
 
     # -- crowd votes -----------------------------------------------------------------------
 
@@ -564,7 +540,7 @@ class TrustingNewsPlatform:
             },
         )
         if article_id in self.index:
-            self.index.add(_FACT_PREFIX + fact_id, self.index.text_of(article_id))
+            self._index_fact(fact_id, self.index.text_of(article_id))
         return receipt
 
     # -- topic routing ----------------------------------------------------------------------------------

@@ -8,7 +8,7 @@ candidates.  Three strategies (ablation A1):
 
 - ``exact``   — exact k-shingle Jaccard against every indexed article,
 - ``minhash`` — MinHash sketch comparison (what a production system
-  would index; trades a little recall for sublinear memory per doc),
+  would index; trades a little recall for a fixed-size sketch per doc),
 - ``cosine``  — term-frequency cosine (order-blind).
 
 The measured modification degree between child and discovered parents
@@ -30,7 +30,7 @@ from repro.corpus.similarity import (
 )
 from repro.errors import ReproError
 
-__all__ = ["ParentCandidate", "ProvenanceIndex"]
+__all__ = ["ParentCandidate", "ProvenanceIndex", "TextSketch"]
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,34 @@ class ParentCandidate:
     similarity: float
 
 
+@dataclass(frozen=True)
+class TextSketch:
+    """A text and the one representation of it an index's method compares:
+    its shingle set (``exact``), its MinHash signature (``minhash``) or the
+    text itself (``cosine``).  Built by :meth:`ProvenanceIndex.sketch`."""
+
+    text: str
+    representation: set[str] | MinHashSignature | str
+
+
 class ProvenanceIndex:
-    """Similarity index over all content the platform has ingested."""
+    """Similarity index over all content the platform has ingested.
+
+    Per article it keeps the text (edge degrees are measured on it) and
+    the method's representation of it, nothing else — under ``minhash``
+    that is ``n_hashes`` integers whatever the article's length.
+    """
 
     def __init__(self, method: str = "minhash", shingle_k: int = 3, n_hashes: int = 64):
-        if method not in ("exact", "minhash", "cosine"):
+        measures = {"exact": jaccard, "minhash": estimated_jaccard, "cosine": cosine_similarity}
+        if method not in measures:
             raise ReproError(f"unknown provenance method {method!r}")
         self.method = method
+        self._measure = measures[method]
         self.shingle_k = shingle_k
         self.n_hashes = n_hashes
         self._texts: dict[str, str] = {}
-        self._shingles: dict[str, set[str]] = {}
-        self._signatures: dict[str, MinHashSignature] = {}
+        self._representations: dict[str, set[str] | MinHashSignature | str] = {}
 
     def __len__(self) -> int:
         return len(self._texts)
@@ -60,64 +76,43 @@ class ProvenanceIndex:
     def __contains__(self, article_id: str) -> bool:
         return article_id in self._texts
 
-    def add(self, article_id: str, text: str) -> None:
+    def sketch(self, text: str | TextSketch) -> TextSketch:
+        """Tokenise, shingle and hash *text* once; a sketch passes through."""
+        if isinstance(text, TextSketch):
+            return text
+        representation = text
+        if self.method != "cosine":
+            representation = shingles(text, self.shingle_k)
+            if self.method == "minhash":
+                representation = minhash_signature(representation, self.n_hashes)
+        return TextSketch(text, representation)
+
+    def add(self, article_id: str, text: str | TextSketch) -> None:
         """Index an article (id must be new)."""
         if article_id in self._texts:
             raise ReproError(f"article {article_id} already indexed")
-        self._texts[article_id] = text
-        if self.method in ("exact", "minhash"):
-            sh = shingles(text, self.shingle_k)
-            self._shingles[article_id] = sh
-            if self.method == "minhash":
-                self._signatures[article_id] = minhash_signature(sh, self.n_hashes)
-
-    def _similarity(self, text: str, query_shingles: set[str],
-                    query_signature: MinHashSignature | None, candidate_id: str) -> float:
-        if self.method == "exact":
-            return jaccard(query_shingles, self._shingles[candidate_id])
-        if self.method == "minhash":
-            assert query_signature is not None
-            return estimated_jaccard(query_signature, self._signatures[candidate_id])
-        return cosine_similarity(text, self._texts[candidate_id])
+        sketch = self.sketch(text)
+        self._texts[article_id] = sketch.text
+        self._representations[article_id] = sketch.representation
 
     def discover_parents(
         self,
-        text: str,
+        text: str | TextSketch,
         threshold: float = 0.15,
         max_parents: int = 2,
         exclude: str | None = None,
     ) -> list[ParentCandidate]:
         """Most similar indexed articles above *threshold*, best first."""
-        query_shingles = shingles(text, self.shingle_k) if self.method != "cosine" else set()
-        query_signature = (
-            minhash_signature(query_shingles, self.n_hashes) if self.method == "minhash" else None
-        )
+        query = self.sketch(text).representation
         candidates = []
-        for article_id in self._texts:
+        for article_id, representation in self._representations.items():
             if article_id == exclude:
                 continue
-            similarity = self._similarity(text, query_shingles, query_signature, article_id)
+            similarity = self._measure(query, representation)
             if similarity >= threshold:
                 candidates.append(ParentCandidate(article_id=article_id, similarity=similarity))
         candidates.sort(key=lambda c: (-c.similarity, c.article_id))
         return candidates[:max_parents]
-
-    def modification_degree(self, text: str, parent_ids: list[str]) -> float:
-        """Measured token-level change of *text* versus its parents.
-
-        Taken as the minimum over each single parent and the full parent
-        set: a faithful relay must score ~0 even when discovery also
-        surfaced a looser second candidate (the union would spuriously
-        inflate its degree), while a genuine merge still benefits from
-        being compared against all parents together.
-        """
-        parent_texts = [self._texts[pid] for pid in parent_ids if pid in self._texts]
-        if not parent_texts:
-            return 1.0
-        candidates = [measured_change([pt], text) for pt in parent_texts]
-        if len(parent_texts) > 1:
-            candidates.append(measured_change(parent_texts, text))
-        return min(candidates)
 
     def degree_between(self, text: str, article_id: str) -> float:
         """Measured change of *text* versus one specific indexed article.

@@ -75,13 +75,13 @@ def test_unknown_method_rejected():
         ProvenanceIndex(method="vibes")
 
 
-def test_modification_degree_measured(gen):
+def test_degree_between_measured(gen):
     index = ProvenanceIndex()
     parent = gen.factual()
     index.add(parent.article_id, parent.text)
-    assert index.modification_degree(parent.text, [parent.article_id]) == pytest.approx(0.0)
-    assert index.modification_degree("totally different words", [parent.article_id]) > 0.8
-    assert index.modification_degree("anything", []) == 1.0
+    assert index.degree_between(parent.text, parent.article_id) == pytest.approx(0.0)
+    assert index.degree_between("totally different words", parent.article_id) > 0.8
+    assert index.degree_between("anything", "never-indexed") == 1.0
 
 
 # -- ranking fusion ------------------------------------------------------------
