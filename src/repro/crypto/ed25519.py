@@ -1,24 +1,37 @@
 """Pure-Python Ed25519 (RFC 8032) signatures.
 
 Implemented from scratch on top of ``hashlib.sha512`` so the blockchain
-substrate has no dependency on external crypto packages.  Points are kept
-in extended homogeneous coordinates (X, Y, Z, T) for efficient addition
-and doubling.  Scalar multiplication is *not* naive double-and-add:
+substrate has no dependency on external crypto packages.  Every
+transaction on the chain is signed once and verified a few times, so
+both are built around what is already known at call time:
 
-- **fixed-base** multiplications (signing, key generation) walk a 4-bit
-  windowed table of base-point multiples built once at import, so
-  ``s*G`` is at most 63 point additions with no doublings;
-- **verification** evaluates ``s*G - h*A`` in a single Straus/Shamir
-  interleaved double-scalar pass: one shared doubling ladder with wNAF
-  (width-w non-adjacent form) digit recoding, a precomputed wNAF table
-  of odd base-point multiples, and a per-key table of odd multiples of
-  ``-A`` kept in a bounded cache so repeat signers skip both point
-  decompression and table construction;
-- **batch verification** (:func:`verify_batch`) checks a whole block's
-  signatures at once via Bernstein-style random linear combination — one
-  multi-scalar multiplication with deterministic (hash-derived, odd)
-  128-bit coefficients — and bisects to per-signature verification when
-  the combined check fails, so verdicts always match :func:`verify`.
+- every scalar multiplication is a *schedule* — for each bit position,
+  the precomputed affine points ``(y+x, y-x, 2dxy)`` to add there —
+  which one ladder (:func:`_ladder`) evaluates with mixed additions (7
+  multiplications instead of 9) and compresses;
+- **fixed-base** products (``r*G`` when signing, ``s*G`` when verifying,
+  key generation) come from a table of every signed 8-bit digit at
+  every byte position: at most 32 additions at bit position 0 and no
+  doublings.  :func:`sign` takes the public key its caller already
+  holds, so a signature is one such product and one compression;
+- **verification** computes ``s*G - h*A`` and compares its compressed
+  encoding with the first 32 bytes of the signature, so ``R`` is never
+  decompressed.  ``h`` is split into eight 32-bit pieces
+  (``h = sum(h_j * 2**(32*j))``), piece j walks a wNAF table of odd
+  multiples of ``2**(32*j) * (-A)``, and the pieces share one
+  32-doubling ladder whose last position also takes the ``s*G`` points.
+  A key's tables live in a bounded cache, so repeat signers skip
+  decompression and table building;
+- :func:`verify_batch` runs that check per signature.  (Random linear
+  combination needs every ``R`` as a point, and decompressing one costs
+  more than the doublings a combined ladder would share.)
+
+Comparing encodings gives the verdict that decompressing ``R`` and
+comparing points gave: :func:`_point_compress` only ever produces the
+canonical encoding of a point (``y < p``, sign bit clear when
+``x = 0``), so its output equals ``signature[:32]`` exactly when those
+bytes are a canonical encoding — the only kind
+:func:`_point_decompress` accepts — of the computed point.
 
 This module deliberately exposes only the byte-level API:
 
@@ -32,6 +45,7 @@ Key management lives in :mod:`repro.crypto.keys`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 from repro.errors import CryptoError
@@ -65,7 +79,9 @@ def _sha512(data: bytes) -> bytes:
 
 
 def _inv(x: int) -> int:
-    return pow(x, _P - 2, _P)
+    # Extended Euclid: ~6x cheaper than pow(x, p - 2, p).  Only ever
+    # called on Z coordinates and d*y^2 + 1, which are never 0 mod p.
+    return pow(x, -1, _P)
 
 
 def _recover_x(y: int, sign_bit: int) -> int:
@@ -109,8 +125,7 @@ def _point_add(p: _Point, q: _Point) -> _Point:
 
 def _point_double(p: _Point) -> _Point:
     # dbl-2008-hwcd for a = -1 twisted Edwards: 4M + 4S, cheaper than the
-    # unified addition (9M) — and the verification ladders below are
-    # doubling-dominated, so this is the single hottest function here.
+    # unified addition (9M).
     x1, y1, z1, _ = p
     a = x1 * x1 % _P
     b = y1 * y1 % _P
@@ -128,129 +143,13 @@ def _point_neg(p: _Point) -> _Point:
 
 
 def _point_mul(s: int, p: _Point) -> _Point:
+    """Naive double-and-add; the reference path and the tests use it."""
     q = _IDENTITY
     while s > 0:
         if s & 1:
             q = _point_add(q, p)
         p = _point_add(p, p)
         s >>= 1
-    return q
-
-
-# -- fixed-base acceleration -------------------------------------------------
-#
-# Signing (and half of verification) multiplies the *base point* by a
-# scalar.  With a 4-bit windowed table — table[w][d] = (16**w * d) * G —
-# that multiplication becomes at most 63 point additions instead of
-# ~256 doublings + ~128 additions, a ~4x speedup that the whole
-# blockchain layer inherits.  The table costs ~1000 point additions
-# once, at import.
-
-_WINDOW_BITS = 4
-_N_WINDOWS = 64  # 256 bits / 4
-
-
-def _build_base_table() -> list[list[_Point]]:
-    table: list[list[_Point]] = []
-    power = _G  # (16 ** w) * G
-    for _ in range(_N_WINDOWS):
-        row = [_IDENTITY]
-        for _ in range(15):
-            row.append(_point_add(row[-1], power))
-        table.append(row)
-        power = _point_add(row[-1], power)  # 16 * (16**w) G
-    return table
-
-
-_BASE_TABLE = _build_base_table()
-
-
-def _point_mul_base(s: int) -> _Point:
-    """Scalar multiplication of the base point via the windowed table."""
-    q = _IDENTITY
-    window = 0
-    while s > 0:
-        digit = s & 0xF
-        if digit:
-            q = _point_add(q, _BASE_TABLE[window][digit])
-        s >>= _WINDOW_BITS
-        window += 1
-    return q
-
-
-# -- wNAF double/multi-scalar multiplication ---------------------------------
-#
-# Verification is a *variable-base* problem (``h * A`` for an arbitrary
-# public key ``A``), so the fixed-base table above does not apply.  The
-# classic answer is Straus/Shamir interleaving: recode every scalar in
-# width-w non-adjacent form (wNAF: signed odd digits, at most one nonzero
-# digit per w consecutive bits), then run ONE shared doubling ladder and
-# add the precomputed odd multiple named by each scalar's digit as it
-# goes by.  k scalars cost ~256 shared doublings + k * 256/(w+1)
-# additions instead of k * (256 doublings + 128 additions).
-
-_WNAF_VAR_W = 5   # variable-base window: 16 odd multiples per point
-_WNAF_RLC_W = 4   # 128-bit batch coefficients: 8 odd multiples per point
-_WNAF_BASE_W = 7  # fixed-base window: 64 odd multiples of G, built once
-
-
-def _wnaf_digits(scalar: int, width: int) -> list[int]:
-    """Width-*width* NAF recoding, least-significant digit first.
-
-    Every digit is zero or odd with ``|digit| < 2**(width-1) * 2``; after
-    a nonzero digit the next ``width - 1`` digits are zero, which is what
-    makes the interleaved ladder cheap.
-    """
-    digits: list[int] = []
-    window = 1 << width
-    half = window >> 1
-    while scalar > 0:
-        if scalar & 1:
-            digit = scalar & (window - 1)
-            if digit >= half:
-                digit -= window
-            scalar -= digit
-            digits.append(digit)
-        else:
-            digits.append(0)
-        scalar >>= 1
-    return digits
-
-
-def _odd_multiples(p: _Point, count: int) -> tuple[_Point, ...]:
-    """``(1*p, 3*p, 5*p, ..., (2*count-1)*p)`` — a wNAF digit table."""
-    double = _point_double(p)
-    table = [p]
-    for _ in range(count - 1):
-        table.append(_point_add(table[-1], double))
-    return tuple(table)
-
-
-_G_WNAF = _odd_multiples(_G, 1 << (_WNAF_BASE_W - 1))
-
-
-def _straus(terms: list[tuple[list[int], tuple[_Point, ...]]]) -> _Point:
-    """Interleaved multi-scalar multiplication.
-
-    *terms* pairs a wNAF digit list with a table of odd multiples of its
-    point; returns ``sum(scalar_i * point_i)`` with one shared doubling
-    ladder.  Negative digits use on-the-fly point negation (free in
-    twisted Edwards coordinates).
-    """
-    q = _IDENTITY
-    top = 0
-    for digits, _ in terms:
-        if len(digits) > top:
-            top = len(digits)
-    for i in range(top - 1, -1, -1):
-        q = _point_double(q)
-        for digits, table in terms:
-            if i < len(digits):
-                digit = digits[i]
-                if digit > 0:
-                    q = _point_add(q, table[digit >> 1])
-                elif digit < 0:
-                    q = _point_add(q, _point_neg(table[(-digit) >> 1]))
     return q
 
 
@@ -262,11 +161,14 @@ def _point_equal(p: _Point, q: _Point) -> bool:
     return (y1 * z2 - y2 * z1) % _P == 0
 
 
+def _encode(x: int, y: int) -> bytes:
+    return int.to_bytes(y | ((x & 1) << 255), 32, "little")
+
+
 def _point_compress(p: _Point) -> bytes:
     x, y, z, _ = p
     zinv = _inv(z)
-    x, y = x * zinv % _P, y * zinv % _P
-    return int.to_bytes(y | ((x & 1) << 255), 32, "little")
+    return _encode(x * zinv % _P, y * zinv % _P)
 
 
 def _point_decompress(data: bytes) -> _Point:
@@ -277,6 +179,122 @@ def _point_decompress(data: bytes) -> _Point:
     sign_bit = encoded >> 255
     x = _recover_x(y, sign_bit)
     return (x, y, 1, x * y % _P)
+
+
+# -- schedules of precomputed points -------------------------------------------
+#
+# A table entry is a point in affine "Niels" form (y+x, y-x, 2dxy): adding
+# it to an extended point costs 7 multiplications, and its negation is a
+# swap and a sign.  A *schedule* is a list indexed by bit position whose
+# element i holds the entries to add at weight 2**i; `_ladder` evaluates
+# sum(2**i * sum(schedule[i])) with one doubling per position.  Signing
+# and verifying only decide which entries go where.
+
+_Niels = tuple[int, int, int]
+_Schedule = list[list[_Niels]]
+
+
+def _to_niels(points: list[_Point]) -> list[_Niels]:
+    """Affine Niels forms of *points*, sharing one field inversion
+    (Montgomery's trick) between all the Z coordinates."""
+    prefix: list[int] = []
+    product = 1
+    for point in points:
+        prefix.append(product)
+        product = product * point[2] % _P
+    inverse = _inv(product)
+    out: list[_Niels] = []
+    for (x, y, z, _), before in zip(reversed(points), reversed(prefix)):
+        zinv = inverse * before % _P
+        inverse = inverse * z % _P
+        x, y = x * zinv % _P, y * zinv % _P
+        # The sums stay unreduced: every use multiplies and reduces them.
+        out.append((y + x, y - x, 2 * _D * x * y % _P))
+    out.reverse()
+    return out
+
+
+def _ladder(schedule: _Schedule) -> bytes:
+    """Compressed encoding of ``sum(2**i * sum(schedule[i]))``.
+
+    The hottest loop of the module, so the point formulas are inlined:
+    dbl-2008-hwcd (its T output only when an addition follows) and
+    madd-2008-hwcd-3 against a Niels entry.
+    """
+    p = _P
+    x, y, z, t = _IDENTITY
+    for adds in reversed(schedule):
+        a = x * x % p
+        b = y * y % p
+        h = a + b
+        e = h - (x + y) * (x + y) % p
+        g = a - b
+        f = 2 * z * z % p + g
+        x = e * f % p
+        y = g * h % p
+        z = f * g % p
+        if adds:
+            t = e * h % p
+            for ypx, ymx, xy2d in adds:
+                a = (y - x) * ymx % p
+                b = (y + x) * ypx % p
+                c = t * xy2d % p
+                d = z + z
+                e = b - a
+                f = d - c
+                g = d + c
+                h = b + a
+                x = e * f % p
+                y = g * h % p
+                z = f * g % p
+                t = e * h % p
+    zinv = _inv(z)
+    return _encode(x * zinv % p, y * zinv % p)
+
+
+# -- fixed-base table ----------------------------------------------------------
+#
+# table[j][m - 1] = m * 256**j * G for m = 1..128, so with signed byte
+# digits (-128 < digit <= 128) any scalar below 2**255 times G is at most
+# 32 entries and no doublings.  The 4096 entries (~1 MB) cost one point
+# addition each and one shared inversion, ~35 ms in all — too much for
+# every `import repro`, so the first signature or verification builds
+# them.
+
+_BASE_ROWS = 32
+_BASE_ROW_SIZE = 128
+
+
+@functools.cache
+def _base_table() -> list[list[_Niels]]:
+    points: list[_Point] = []
+    power = _G  # 256**j * G
+    for _ in range(_BASE_ROWS):
+        multiple = power
+        for _ in range(_BASE_ROW_SIZE):
+            points.append(multiple)
+            multiple = _point_add(multiple, power)
+        for _ in range(8):
+            power = _point_double(power)
+    niels = _to_niels(points)
+    return [niels[i:i + _BASE_ROW_SIZE] for i in range(0, len(niels), _BASE_ROW_SIZE)]
+
+
+def _base_points(s: int) -> list[_Niels]:
+    """Table entries that sum to ``s * G``, for ``0 <= s < 2**255``."""
+    points: list[_Niels] = []
+    carry = False
+    for row, byte in zip(_base_table(), s.to_bytes(_BASE_ROWS, "little")):
+        digit = byte + carry
+        carry = digit > _BASE_ROW_SIZE
+        if carry:
+            digit -= 256
+            if digit:
+                ypx, ymx, xy2d = row[-digit - 1]
+                points.append((ymx, ypx, -xy2d))
+        elif digit:
+            points.append(row[digit - 1])
+    return points
 
 
 def _secret_expand(seed: bytes) -> tuple[int, bytes]:
@@ -292,18 +310,25 @@ def _secret_expand(seed: bytes) -> tuple[int, bytes]:
 def generate_public_key(seed: bytes) -> bytes:
     """Derive the 32-byte public key from a 32-byte secret seed."""
     a, _ = _secret_expand(seed)
-    return _point_compress(_point_mul_base(a))
+    return _ladder([_base_points(a)])
 
 
-def sign(seed: bytes, message: bytes) -> bytes:
-    """Produce a 64-byte Ed25519 signature of *message* under *seed*."""
+def sign(seed: bytes, message: bytes, public_key: bytes | None = None) -> bytes:
+    """Produce a 64-byte Ed25519 signature of *message* under *seed*.
+
+    *public_key*, when given, must be ``generate_public_key(seed)`` — it
+    is hashed into the signature as is, which saves re-deriving it (half
+    the work of a signature).  :class:`~repro.crypto.keys.KeyPair` checks
+    that at construction; pass nothing when unsure.
+    """
     a, prefix = _secret_expand(seed)
-    public = _point_compress(_point_mul_base(a))
+    if public_key is None:
+        public_key = _ladder([_base_points(a)])
     r = int.from_bytes(_sha512(prefix + message), "little") % _L
-    r_point = _point_compress(_point_mul_base(r))
-    h = int.from_bytes(_sha512(r_point + public + message), "little") % _L
+    r_bytes = _ladder([_base_points(r)])
+    h = int.from_bytes(_sha512(r_bytes + public_key + message), "little") % _L
     s = (r + h * a) % _L
-    return r_point + int.to_bytes(s, 32, "little")
+    return r_bytes + int.to_bytes(s, 32, "little")
 
 
 # -- memoized verification ---------------------------------------------------
@@ -355,6 +380,12 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     than raising, so callers can treat all bad signatures uniformly.
     Results are memoized on a bounded digest-keyed cache (see above).
     """
+    return _verify_cached(public_key, message, signature)
+
+
+def _verify_cached(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    # Apart from verify() so that verify_batch()'s items are not calls of
+    # the public function to whoever wraps it to count or time calls.
     global _cache_hits, _cache_misses
     if len(public_key) != 32 or len(signature) != SIG_BYTES:
         return False
@@ -382,18 +413,34 @@ def _cache_store(key: bytes, result: bool) -> None:
     _VERIFY_CACHE[key] = result
 
 
-# -- decompressed public-key point cache -------------------------------------
+# -- per-key split tables ------------------------------------------------------
 #
-# Decompressing a public key costs two field exponentiations (~0.65 ms
-# here) and the wNAF table of odd multiples of ``-A`` costs another
-# ~16 point ops — but the simulator's signer population is tiny and
-# every block re-verifies the same few keys.  A bounded FIFO cache of
-# (decompressed A, odd-multiples table) makes repeat signers skip both.
+# ``h * (-A)`` is a variable-base problem, but the simulator's signer
+# population is tiny and every block re-verifies the same few keys, so a
+# key's tables are worth building once.  Splitting h into pieces of
+# _SPLIT_BITS bits, h = sum(h_j * 2**(_SPLIT_BITS * j)), turns one
+# 253-doubling ladder into short ones that share their doublings: piece j
+# is recoded in width-_WNAF_W non-adjacent form and walks the odd
+# multiples of 2**(_SPLIT_BITS * j) * (-A).  A bounded FIFO cache holds
+# the tables, so repeat signers also skip decompressing A.
+#
+# Measured, one warm verification / building one key's tables, at equal
+# table memory (64 entries): 4 pieces of 64 bits at width 6 = 469 us /
+# 1.35 ms, 8 x 32 at width 5 = 372 us / 1.40 ms, 16 x 16 at width 4 =
+# 365 us / 1.52 ms; twice the memory buys 25-35 us.
 
-_POINT_CACHE: dict[bytes, tuple[_Point, tuple[_Point, ...]]] = {}
-#: Entry cap; each entry holds 17 points (~4 KB), so the default bounds
-#: the cache near 16 MB.  Tests may shrink this.
-POINT_CACHE_MAX = 4096
+_SPLIT_BITS = 32
+_SPLIT_MASK = (1 << _SPLIT_BITS) - 1
+_SPLIT_PIECES = 256 // _SPLIT_BITS
+_WNAF_W = 5
+_WNAF_TABLE_SIZE = 1 << (_WNAF_W - 2)  # odd multiples 1, 3, .., 2**(w-1) - 1
+
+_KeyTables = tuple[tuple[_Niels, ...], ...]
+
+_POINT_CACHE: dict[bytes, _KeyTables] = {}
+#: Entry cap; each entry holds 64 Niels points (~16 KB), so the default
+#: bounds the cache near 16 MB.  Tests may shrink this.
+POINT_CACHE_MAX = 1024
 
 _point_hits = 0
 _point_misses = 0
@@ -412,225 +459,154 @@ def point_cache_stats() -> dict[str, int]:
 
 
 def point_cache_clear() -> None:
-    """Reset the decompressed-point cache and its counters."""
+    """Reset the per-key table cache and its counters."""
     global _point_hits, _point_misses, _point_evictions
     _POINT_CACHE.clear()
     _point_hits = _point_misses = _point_evictions = 0
 
 
-def _point_cache_get(public_key: bytes) -> tuple[_Point, tuple[_Point, ...]] | None:
-    """Decompressed ``A`` plus odd multiples of ``-A``, or ``None`` if
-    *public_key* is not a valid point encoding (not cached: the verify
-    cache already memoizes the ``False`` verdict per signature)."""
+def _point_cache_get(public_key: bytes) -> _KeyTables | None:
+    """The split tables of ``-A``, or ``None`` if *public_key* is not a
+    valid point encoding (a miss, but not cached: the verify cache
+    already memoizes the ``False`` verdict per signature)."""
     global _point_hits, _point_misses, _point_evictions
-    entry = _POINT_CACHE.get(public_key)
-    if entry is not None:
+    tables = _POINT_CACHE.get(public_key)
+    if tables is not None:
         _point_hits += 1
-        return entry
+        return tables
+    _point_misses += 1
     try:
-        a_point = _point_decompress(public_key)
+        power = _point_neg(_point_decompress(public_key))
     except CryptoError:
         return None
-    _point_misses += 1
-    table = _odd_multiples(_point_neg(a_point), 1 << (_WNAF_VAR_W - 1))
+    multiples: list[_Point] = []
+    for piece in range(_SPLIT_PIECES):
+        if piece:
+            for _ in range(_SPLIT_BITS):
+                power = _point_double(power)
+        double = _point_double(power)
+        multiples.append(power)
+        for _ in range(_WNAF_TABLE_SIZE - 1):
+            multiples.append(_point_add(multiples[-1], double))
+    niels = _to_niels(multiples)
+    tables = tuple(tuple(niels[i:i + _WNAF_TABLE_SIZE])
+                   for i in range(0, len(niels), _WNAF_TABLE_SIZE))
     if len(_POINT_CACHE) >= POINT_CACHE_MAX:
         oldest = next(iter(_POINT_CACHE))
         del _POINT_CACHE[oldest]
         _point_evictions += 1
-    _POINT_CACHE[public_key] = (a_point, table)
-    return (a_point, table)
+    _POINT_CACHE[public_key] = tables
+    return tables
+
+
+def _wnaf_into(schedule: _Schedule, scalar: int, table: tuple[_Niels, ...]) -> None:
+    """Schedule ``scalar * q`` given *table*, the odd multiples of ``q``.
+
+    Non-adjacent form of width ``_WNAF_W``: digits are odd with
+    ``|digit| < 2**(_WNAF_W - 1)`` and a nonzero digit is followed by at
+    least ``_WNAF_W - 1`` zeros, so a b-bit scalar costs about
+    ``b / (_WNAF_W + 1)`` additions, at positions ``0..b``.
+    """
+    window = 1 << _WNAF_W
+    position = 0
+    while scalar:
+        zeros = (scalar & -scalar).bit_length() - 1
+        scalar >>= zeros
+        position += zeros
+        digit = scalar & (window - 1)
+        if digit & (window >> 1):
+            digit -= window
+            ypx, ymx, xy2d = table[-digit >> 1]
+            schedule[position].append((ymx, ypx, -xy2d))
+        else:
+            schedule[position].append(table[digit >> 1])
+        scalar -= digit
+
+
+def _parse(public_key: bytes, message: bytes, signature: bytes) -> tuple[int, int] | None:
+    """``(s, h)`` of a well-formed signature — lengths right and
+    ``s < L`` — or ``None``.  The point encodings are not looked at."""
+    if len(public_key) != 32 or len(signature) != SIG_BYTES:
+        return None
+    s = int.from_bytes(signature[32:], "little")
+    if s >= _L:
+        return None
+    h = int.from_bytes(_sha512(signature[:32] + public_key + message), "little") % _L
+    return s, h
 
 
 def _verify_uncached(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    """Single-signature fast path: ``s*G - h*A == R`` in one interleaved
-    Straus/Shamir wNAF pass (one shared doubling ladder) instead of two
-    independent scalar multiplications."""
-    entry = _point_cache_get(public_key)
-    if entry is None:
+    """``s*G - h*A`` compresses to ``signature[:32]`` (the module
+    docstring says why that is the verdict of comparing points); one
+    point-cache lookup per call."""
+    tables = _point_cache_get(public_key)
+    parsed = _parse(public_key, message, signature)
+    if tables is None or parsed is None:
         return False
-    try:
-        r_point = _point_decompress(signature[:32])
-    except CryptoError:
-        return False
-    s = int.from_bytes(signature[32:], "little")
-    if s >= _L:
-        return False
-    h = int.from_bytes(_sha512(signature[:32] + public_key + message), "little") % _L
-    combined = _straus([
-        (_wnaf_digits(s, _WNAF_BASE_W), _G_WNAF),
-        (_wnaf_digits(h, _WNAF_VAR_W), entry[1]),
-    ])
-    return _point_equal(combined, r_point)
+    s, h = parsed
+    schedule: _Schedule = [[] for _ in range(_SPLIT_BITS + 1)]
+    for table in tables:
+        _wnaf_into(schedule, h & _SPLIT_MASK, table)
+        h >>= _SPLIT_BITS
+    schedule[0].extend(_base_points(s))
+    return _ladder(schedule) == signature[:32]
 
 
 def _verify_reference(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    """The seed-era verification path (two independent scalar mults,
-    naive double-and-add for ``h*A``).  Kept as the oracle for property
-    tests and as the baseline the micro-benchmark measures speedups
-    against; not used by :func:`verify`."""
-    if len(public_key) != 32 or len(signature) != SIG_BYTES:
+    """The textbook check ``s*G == R + h*A`` by naive double-and-add,
+    with no table and no cache.  Kept as the oracle for property tests
+    and as the baseline the micro-benchmark measures speedups against;
+    not used by :func:`verify`."""
+    parsed = _parse(public_key, message, signature)
+    if parsed is None:
         return False
     try:
         a_point = _point_decompress(public_key)
         r_point = _point_decompress(signature[:32])
     except CryptoError:
         return False
-    s = int.from_bytes(signature[32:], "little")
-    if s >= _L:
-        return False
-    h = int.from_bytes(_sha512(signature[:32] + public_key + message), "little") % _L
-    left = _point_mul_base(s)
-    right = _point_add(r_point, _point_mul(h, a_point))
-    return _point_equal(left, right)
+    s, h = parsed
+    return _point_equal(_point_mul(s, _G), _point_add(r_point, _point_mul(h, a_point)))
 
 
 # -- batch verification ------------------------------------------------------
 #
-# Bernstein-style random-linear-combination batching: instead of n
-# separate ``s_i*G - h_i*A_i - R_i == 0`` checks, verify
-#
-#     sum_i z_i * (s_i*G - h_i*A_i - R_i) == identity
-#
-# as ONE multi-scalar multiplication — all n checks share a single
-# doubling ladder, so the per-signature cost collapses to the wNAF
-# additions.  Correctness notes, because the details are sharp:
-#
-# - The coefficients ``z_i`` are derived deterministically (sha512 over
-#   the whole batch's digest keys — no ``random``, so replays are
-#   reproducible) and forced to be ODD 128-bit values.  Odd z is
-#   invertible mod 8, so a single signature whose defect is a
-#   small-order (torsion) point can never be masked: ``z*T`` has the
-#   same order as ``T``.
-# - The scalar on G may be reduced mod L (G generates the prime-order
-#   subgroup), but scalars on arbitrary points A_i / R_i may only be
-#   reduced mod 8L (the full group exponent): adversarial keys and R
-#   values need not lie in the prime-order subgroup, and reducing mod L
-#   would silently change the check for them.  For the same reason the
-#   combination subtracts by negating the *points* (tables hold odd
-#   multiples of -A and -R), never by negating scalars mod L.
-# - If the combined check fails, divide-and-conquer bisection re-checks
-#   each half, recursing down to single signatures — verdicts therefore
-#   always agree with :func:`verify`.  (A false *accept* would need
-#   either a ~2^-128 scalar collision or multiple adversarial
-#   signatures whose torsion defects cancel each other; no false
-#   rejects are possible since valid signatures contribute exactly the
-#   identity.)
-
-_8L = 8 * _L
+# A batch is verified one signature at a time.  Random linear combination
+# (one check of sum_i z_i * (s_i*G - h_i*A_i - R_i) == identity) would
+# share only 32 doublings and the s*G additions per signature with the
+# check above, and pays for them by decompressing every R — a field
+# exponentiation, the price of ~45 additions — and building a table on
+# it.  Measured per signature on keys with cached tables, one by one /
+# combined: 2 signatures 504 / 740 us, 8: 456 / 534, 32: 423 / 465, 128:
+# 432 / 455.  It only wins on a large batch of keys never seen before
+# (32 new keys: 1.98 / 0.81 ms, a table build per key against one shared
+# 253-doubling ladder), which nothing produces: admission verifies a
+# transaction's two signatures at a time and commit-time batches are
+# verify-cache hits.
 
 _batch_calls = 0
 _batch_items = 0
-_batch_bisections = 0
 
 
 def batch_stats() -> dict[str, int]:
-    """Counters for the obs registry: batch calls, total items, and how
-    many times the combined check failed and had to bisect."""
-    return {
-        "calls": _batch_calls,
-        "items": _batch_items,
-        "bisections": _batch_bisections,
-    }
+    """Counters for the obs registry: batch calls and total items."""
+    return {"calls": _batch_calls, "items": _batch_items}
 
 
 def batch_stats_clear() -> None:
     """Reset the batch-verification counters."""
-    global _batch_calls, _batch_items, _batch_bisections
-    _batch_calls = _batch_items = _batch_bisections = 0
-
-
-# One pending (not-cached, well-formed) signature: the verify-cache
-# digest key, the scalars s and h, the wNAF tables for -A and -R, and
-# the decompressed R for the single-signature base case.
-_BatchEntry = tuple[bytes, int, int, tuple[_Point, ...], tuple[_Point, ...], _Point]
-
-
-def _batch_coefficients(entries: list[_BatchEntry]) -> list[int]:
-    seed = _sha512(b"repro.ed25519.batch-v1" + b"".join(e[0] for e in entries))
-    zs: list[int] = []
-    for i in range(len(entries)):
-        z = int.from_bytes(
-            _sha512(seed + i.to_bytes(4, "little") + entries[i][0]), "little"
-        )
-        zs.append((z & ((1 << 128) - 1)) | 1)
-    return zs
-
-
-def _combined_check(entries: list[_BatchEntry]) -> bool:
-    g_scalar = 0
-    terms: list[tuple[list[int], tuple[_Point, ...]]] = []
-    for (_, s, h, neg_a_table, neg_r_table, _), z in zip(
-        entries, _batch_coefficients(entries)
-    ):
-        g_scalar += z * s
-        terms.append((_wnaf_digits(z * h % _8L, _WNAF_VAR_W), neg_a_table))
-        terms.append((_wnaf_digits(z, _WNAF_RLC_W), neg_r_table))
-    terms.insert(0, (_wnaf_digits(g_scalar % _L, _WNAF_BASE_W), _G_WNAF))
-    return _point_equal(_straus(terms), _IDENTITY)
-
-
-def _batch_verify_exact(entries: list[_BatchEntry]) -> list[bool]:
-    global _batch_bisections
-    if len(entries) == 1:
-        _, s, h, neg_a_table, _, r_point = entries[0]
-        combined = _straus([
-            (_wnaf_digits(s, _WNAF_BASE_W), _G_WNAF),
-            (_wnaf_digits(h, _WNAF_VAR_W), neg_a_table),
-        ])
-        return [_point_equal(combined, r_point)]
-    if _combined_check(entries):
-        return [True] * len(entries)
-    _batch_bisections += 1
-    mid = len(entries) // 2
-    return _batch_verify_exact(entries[:mid]) + _batch_verify_exact(entries[mid:])
+    global _batch_calls, _batch_items
+    _batch_calls = _batch_items = 0
 
 
 def verify_batch(items: list[tuple[bytes, bytes, bytes]]) -> list[bool]:
-    """Verify many ``(public_key, message, signature)`` triples at once.
+    """Verify many ``(public_key, message, signature)`` triples.
 
-    Returns one bool per item, in order, with verdicts identical to
-    calling :func:`verify` on each — but the happy path costs one
-    multi-scalar multiplication for the whole batch instead of n
-    double-scalar ones.  Consults and populates the same bounded
-    digest-keyed cache as :func:`verify`, so a batch-verified block's
+    Returns one bool per item, in order: :func:`verify` of each, through
+    the same bounded digest-keyed cache, so a batch-verified block's
     signatures are cache hits for every later per-transaction check.
     """
-    global _cache_hits, _cache_misses, _batch_calls, _batch_items
+    global _batch_calls, _batch_items
     _batch_calls += 1
     _batch_items += len(items)
-    results: list[bool] = [False] * len(items)
-    pending: list[tuple[int, _BatchEntry]] = []
-    for pos, (public_key, message, signature) in enumerate(items):
-        if len(public_key) != 32 or len(signature) != SIG_BYTES:
-            continue  # malformed lengths bypass the cache, as in verify()
-        key = _sha512(public_key + message + signature)
-        cached = _VERIFY_CACHE.get(key)
-        if cached is not None:
-            _cache_hits += 1
-            results[pos] = cached
-            continue
-        _cache_misses += 1
-        entry = _point_cache_get(public_key)
-        if entry is None:
-            _cache_store(key, False)
-            continue
-        try:
-            r_point = _point_decompress(signature[:32])
-        except CryptoError:
-            _cache_store(key, False)
-            continue
-        s = int.from_bytes(signature[32:], "little")
-        if s >= _L:
-            _cache_store(key, False)
-            continue
-        h = int.from_bytes(
-            _sha512(signature[:32] + public_key + message), "little"
-        ) % _L
-        neg_r_table = _odd_multiples(_point_neg(r_point), 1 << (_WNAF_RLC_W - 1))
-        pending.append((pos, (key, s, h, entry[1], neg_r_table, r_point)))
-    if pending:
-        verdicts = _batch_verify_exact([entry for _, entry in pending])
-        for (pos, entry), verdict in zip(pending, verdicts):
-            _cache_store(entry[0], verdict)
-            results[pos] = verdict
-    return results
+    return [_verify_cached(*item) for item in items]

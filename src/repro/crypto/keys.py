@@ -38,6 +38,13 @@ class KeyPair:
     public_key: bytes
     address: str
 
+    def __post_init__(self) -> None:
+        # sign() hashes public_key into every signature without
+        # re-deriving it, so a pair that does not belong together must
+        # not exist.
+        if ed25519.generate_public_key(self.seed) != self.public_key:
+            raise CryptoError("public key does not belong to the seed")
+
     @classmethod
     def generate(cls, rng: random.Random) -> "KeyPair":
         """Create a fresh key pair from the caller's seeded *rng*.
@@ -65,7 +72,7 @@ class KeyPair:
 
     def sign(self, message: bytes) -> bytes:
         """Sign *message*, returning the 64-byte signature."""
-        return ed25519.sign(self.seed, message)
+        return ed25519.sign(self.seed, message, self.public_key)
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         return ed25519.verify(self.public_key, message, signature)

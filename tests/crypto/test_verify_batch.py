@@ -2,16 +2,15 @@
 
 ``verify_batch`` must agree with per-signature ``verify`` on every
 input — that is the whole contract.  The oracle here is
-``_verify_reference``, the seed-era implementation (two independent
-scalar multiplications), kept in the module precisely so these tests
-and the micro-benchmark can compare against unmodified seed semantics.
+``_verify_reference``, the textbook check by naive double-and-add (no
+table, no cache), kept in the module precisely so these tests and the
+micro-benchmark have something that shares no precomputation with the
+code under test.
 
-Covered: mixed valid/invalid batches, forged-signature bisection,
-malformed encodings, small-order public keys, non-canonical scalars,
-torsion-defective signatures (the case where reducing scalars mod L
-instead of 8L would produce a wrong verdict), determinism, and the
-interplay with the digest-keyed verify cache and the bounded
-decompressed-point cache.
+Covered: mixed valid/invalid batches, a forged signature among valid
+ones, malformed encodings, small-order public keys, non-canonical
+scalars, torsion-defective signatures, determinism, and the interplay
+with the digest-keyed verify cache and the bounded per-key table cache.
 """
 
 from __future__ import annotations
@@ -62,9 +61,7 @@ def test_empty_batch():
 
 def test_all_valid_no_bisection():
     assert _run_batch(_POOL) == [True] * len(_POOL)
-    assert e.batch_stats()["bisections"] == 0
-    assert e.batch_stats()["calls"] == 1
-    assert e.batch_stats()["items"] == len(_POOL)
+    assert e.batch_stats() == {"calls": 1, "items": len(_POOL)}
 
 
 def test_single_item_matches_verify():
@@ -74,7 +71,7 @@ def test_single_item_matches_verify():
     assert _run_batch([forged]) == [False]
 
 
-def test_forged_signature_bisected_out():
+def test_forged_signature_singled_out():
     items = list(_POOL)
     bad = bytearray(items[3][2])
     bad[40] ^= 0xFF
@@ -82,7 +79,6 @@ def test_forged_signature_bisected_out():
     verdicts = _run_batch(items)
     assert verdicts == _oracle(items)
     assert verdicts.count(False) == 1 and not verdicts[3]
-    assert e.batch_stats()["bisections"] > 0
 
 
 def test_mixed_malformed_and_invalid():
@@ -118,9 +114,8 @@ def _small_order_point():
 
 def test_torsion_defective_signature_rejected():
     """R' = R + T with T small-order: the cofactorless check fails, and
-    the batch must agree.  This is the case that breaks if combined
-    scalars on R/A are reduced mod L instead of mod 8L, or if the
-    random coefficients were even."""
+    the batch must agree — ``s*G - h*A`` compresses to R's bytes, not
+    to those of R + T."""
     torsion = _small_order_point()
     pk, msg, sig = _POOL[5]
     r_shifted = e._point_compress(e._point_add(e._point_decompress(sig[:32]), torsion))
@@ -198,8 +193,33 @@ def test_point_cache_hits_on_repeat_signer():
     assert stats["hits"] == 2
 
 
+def test_point_cache_counts_one_lookup_per_uncached_signature():
+    """Hit or miss, decodable key or not: the hit ratio the benchmark
+    reports divides by every uncached signature."""
+    pk, msg, sig = _POOL[0]
+    assert not e.verify(b"\xff" * 32, msg, sig)          # not a point: a miss
+    assert e.verify_batch([(pk, msg, sig), (pk, msg + b"!", sig)]) == [True, False]
+    high_s = sig[:32] + int.to_bytes(e._L, 32, "little")
+    assert not e.verify(pk, msg, high_s)
+    assert e.verify(pk, msg, sig)                         # verdict cached: no lookup
+    stats = e.point_cache_stats()
+    assert (stats["misses"], stats["hits"], stats["size"]) == (2, 2, 1)
+
+
+def test_point_cache_clear_drops_the_key_tables():
+    pk, msg, sig = _POOL[0]
+    assert e.verify(pk, msg, sig)
+    assert e.point_cache_stats()["size"] == 1
+    e.point_cache_clear()
+    assert e.point_cache_stats() == {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
+    assert e._POINT_CACHE == {}
+    e.verify_cache_clear()
+    assert e.verify(pk, msg, sig)
+    assert e.point_cache_stats()["misses"] == 1
+
+
 def test_wnaf_single_verify_matches_reference_vectors():
-    """RFC 8032 vectors through the wNAF fast path (uncached)."""
+    """RFC 8032 vectors through the split wNAF ladder (uncached)."""
     vectors = [
         ("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60", ""),
         ("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb", "72"),
