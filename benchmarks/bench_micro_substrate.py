@@ -49,21 +49,24 @@ def test_micro_ed25519_verify(benchmark):
 def test_micro_ed25519_batch_verify(benchmark):
     """What one signature costs on each path, over the same honest items.
 
-    - ``sign``: ``ed25519.sign`` given the public key, as ``KeyPair.sign``
-      calls it (one fixed-base table product);
+    - ``sign``: ``ed25519.sign`` under a seed that has signed before, as
+      every ``KeyPair`` has (one fixed-base table product);
     - ``reference``: ``_verify_reference``, the textbook check by naive
       double-and-add with no table and no cache;
     - ``wnaf``: ``verify`` on a key seen for the first time (decompress
-      ``A``, build its split tables, then the split wNAF ladder);
-    - ``wnaf-warm``: ``verify`` on a key whose tables are cached — what
-      the chain pays, where a fixed validator set and recurring clients
-      sign repeatedly;
-    - ``batch-N``: ``verify_batch`` at batch sizes 1/8/32/128, cold and
-      warm keys likewise.
+      ``A``, its odd multiples, a 253-doubling wNAF ladder);
+    - ``wnaf-warm``: ``verify`` on a key whose split tables are cached —
+      what the chain pays, where a fixed validator set and recurring
+      clients sign repeatedly (32-doubling ladder);
+    - ``batch-N``: ``verify_batch`` at batch sizes 1/8/32/128: cold (keys
+      never seen, so one random-linear-combination check from 2 up) and
+      warm (the split ladder per signature).
 
     The verify cache is cleared between measurements so every number is
-    curve math, not memoized verdicts.  The gates: warm single
-    verification and warm batch-32 per signature against the reference.
+    curve math, not memoized verdicts.  The gates are per signature
+    against the reference.  The reference lost its fixed-base table in
+    PR 15 (2.35 -> 3.3 ms here), so the cold gate rose from 1.8x to 2.5x
+    to stay the same ~1.3 ms/sig bar.
     """
     sizes = (1, 8) if _SMOKE else (1, 8, 32, 128)
     reps = 1 if _SMOKE else 3
@@ -88,8 +91,8 @@ def test_micro_ed25519_batch_verify(benchmark):
 
     ref_n = min(8, n_items) if _SMOKE else 32
     sign_ms = _time_per_sig(
-        lambda: [ed25519.sign(seed, msg, pk)
-                 for seed, (pk, msg, _) in zip(seeds[:ref_n], items)], ref_n
+        lambda: [ed25519.sign(seed, msg)
+                 for seed, (_, msg, _) in zip(seeds[:ref_n], items)], ref_n
     )
     ref_ms = _time_per_sig(
         lambda: [ed25519._verify_reference(*item) for item in items[:ref_n]], ref_n
@@ -101,7 +104,9 @@ def test_micro_ed25519_batch_verify(benchmark):
         size: _time_per_sig(lambda s=size: ed25519.verify_batch(items[:s]), size)
         for size in sizes
     }
-    ed25519.verify_batch(items)  # warm the point cache for steady-state rows
+    for _ in range(2):  # steady state: a key's split tables come with its second lookup
+        ed25519.verify_cache_clear()
+        ed25519.verify_batch(items)
     warm_ms = _time_per_sig(
         lambda: [ed25519.verify(*item) for item in items[:ref_n]], ref_n,
         warm_points=True,
@@ -111,6 +116,7 @@ def test_micro_ed25519_batch_verify(benchmark):
                             warm_points=True)
         for size in sizes
     }
+    assert ed25519.batch_stats()["bisections"] == 0  # honest items never bisect
 
     rows = [f"{'impl':<16} {'ms/sig':>8} {'speedup':>8}",
             f"{'sign':<16} {sign_ms:>8.3f} {'':>8}",
@@ -135,7 +141,7 @@ def test_micro_ed25519_batch_verify(benchmark):
     if not _SMOKE:
         assert ref_ms / warm_ms >= 4.0  # the chain's case: a cached signer
         assert ref_ms / batch_warm[32] >= 2.5  # PR 4's acceptance bar, kept
-        assert ref_ms / batch_cold[32] >= 1.3  # cold keys pay for their tables
+        assert ref_ms / batch_cold[32] >= 2.5  # cold path still a clear win
     ed25519.verify_cache_clear()
     ed25519.point_cache_clear()
     benchmark(lambda: (ed25519.verify_cache_clear(), ed25519.verify_batch(items[:8])))

@@ -1,7 +1,7 @@
 """DET — determinism hazards.
 
 Every headline claim of this reproduction ("identical ledger output",
-byte-for-byte chaos sweeps) assumes all
+byte-for-byte chaos sweeps, deterministic RLC coefficients) assumes all
 randomness flows through explicitly seeded ``random.Random`` instances.
 These rules reject the ambient escape hatches:
 

@@ -12,19 +12,23 @@ both are built around what is already known at call time:
 - **fixed-base** products (``r*G`` when signing, ``s*G`` when verifying,
   key generation) come from a table of every signed 8-bit digit at
   every byte position: at most 32 additions at bit position 0 and no
-  doublings.  :func:`sign` takes the public key its caller already
-  holds, so a signature is one such product and one compression;
+  doublings.  :func:`sign` remembers what a seed expands to, public key
+  included, so a signature is one such product and one compression;
 - **verification** computes ``s*G - h*A`` and compares its compressed
   encoding with the first 32 bytes of the signature, so ``R`` is never
-  decompressed.  ``h`` is split into eight 32-bit pieces
-  (``h = sum(h_j * 2**(32*j))``), piece j walks a wNAF table of odd
-  multiples of ``2**(32*j) * (-A)``, and the pieces share one
+  decompressed.  For a recurring key ``h`` is split into eight 32-bit
+  pieces (``h = sum(h_j * 2**(32*j))``), piece j walks a wNAF table of
+  odd multiples of ``2**(32*j) * (-A)``, and the pieces share one
   32-doubling ladder whose last position also takes the ``s*G`` points.
-  A key's tables live in a bounded cache, so repeat signers skip
-  decompression and table building;
-- :func:`verify_batch` runs that check per signature.  (Random linear
-  combination needs every ``R`` as a point, and decompressing one costs
-  more than the doublings a combined ladder would share.)
+  A key's tables live in a bounded cache; they cost more than a
+  verification, so a key gets them at its second lookup and its first
+  runs a plain 253-doubling wNAF ladder over the odd multiples of
+  ``-A`` alone;
+- :func:`verify_batch` shares that long ladder between the signatures of
+  keys it has never seen, by random linear combination with bisection
+  on failure, and checks every other signature on its own: with a
+  32-doubling ladder per signature there is less to share than
+  decompressing every ``R``, which a combination needs, costs.
 
 Comparing encodings gives the verdict that decompressing ``R`` and
 comparing points gave: :func:`_point_compress` only ever produces the
@@ -223,7 +227,10 @@ def _ladder(schedule: _Schedule) -> bytes:
     """
     p = _P
     x, y, z, t = _IDENTITY
-    for adds in reversed(schedule):
+    top = len(schedule)
+    while top and not schedule[top - 1]:
+        top -= 1  # doubling the identity
+    for adds in reversed(schedule[:top]):
         a = x * x % p
         b = y * y % p
         h = a + b
@@ -297,33 +304,35 @@ def _base_points(s: int) -> list[_Niels]:
     return points
 
 
-def _secret_expand(seed: bytes) -> tuple[int, bytes]:
+# What a seed expands to — the secret scalar, the nonce prefix and the
+# public key — costs a SHA-512 and a fixed-base product, as much as the
+# rest of a signature, and a signer signs many messages.  Remembering it
+# per seed keeps `sign(seed, message)` self-deriving: the key hashed into
+# ``h`` is always the seed's own.  (Were it an argument, two signatures of
+# one message under different supplied keys would share ``r`` but not
+# ``h`` and reveal the scalar.)  The cache holds what its callers hold
+# anyway, seeds' worth of secrets, and is bounded.
+@functools.lru_cache(maxsize=4096)
+def _secret_expand(seed: bytes) -> tuple[int, bytes, bytes]:
     if len(seed) != SEED_BYTES:
         raise CryptoError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
     h = _sha512(seed)
     a = int.from_bytes(h[:32], "little")
     a &= (1 << 254) - 8
     a |= 1 << 254
-    return a, h[32:]
+    return a, h[32:], _ladder([_base_points(a)])
 
 
 def generate_public_key(seed: bytes) -> bytes:
     """Derive the 32-byte public key from a 32-byte secret seed."""
-    a, _ = _secret_expand(seed)
-    return _ladder([_base_points(a)])
+    return _secret_expand(seed)[2]
 
 
-def sign(seed: bytes, message: bytes, public_key: bytes | None = None) -> bytes:
-    """Produce a 64-byte Ed25519 signature of *message* under *seed*.
-
-    *public_key*, when given, must be ``generate_public_key(seed)`` — it
-    is hashed into the signature as is, which saves re-deriving it (half
-    the work of a signature).  :class:`~repro.crypto.keys.KeyPair` checks
-    that at construction; pass nothing when unsure.
-    """
-    a, prefix = _secret_expand(seed)
-    if public_key is None:
-        public_key = _ladder([_base_points(a)])
+def sign(seed: bytes, message: bytes) -> bytes:
+    """Produce a 64-byte Ed25519 signature of *message* under *seed*:
+    one fixed-base product and one compression once the seed has been
+    expanded."""
+    a, prefix, public_key = _secret_expand(seed)
     r = int.from_bytes(_sha512(prefix + message), "little") % _L
     r_bytes = _ladder([_base_points(r)])
     h = int.from_bytes(_sha512(r_bytes + public_key + message), "little") % _L
@@ -380,12 +389,6 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     than raising, so callers can treat all bad signatures uniformly.
     Results are memoized on a bounded digest-keyed cache (see above).
     """
-    return _verify_cached(public_key, message, signature)
-
-
-def _verify_cached(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    # Apart from verify() so that verify_batch()'s items are not calls of
-    # the public function to whoever wraps it to count or time calls.
     global _cache_hits, _cache_misses
     if len(public_key) != 32 or len(signature) != SIG_BYTES:
         return False
@@ -413,32 +416,39 @@ def _cache_store(key: bytes, result: bool) -> None:
     _VERIFY_CACHE[key] = result
 
 
-# -- per-key split tables ------------------------------------------------------
+# -- per-key tables ------------------------------------------------------------
 #
 # ``h * (-A)`` is a variable-base problem, but the simulator's signer
 # population is tiny and every block re-verifies the same few keys, so a
-# key's tables are worth building once.  Splitting h into pieces of
-# _SPLIT_BITS bits, h = sum(h_j * 2**(_SPLIT_BITS * j)), turns one
-# 253-doubling ladder into short ones that share their doublings: piece j
-# is recoded in width-_WNAF_W non-adjacent form and walks the odd
-# multiples of 2**(_SPLIT_BITS * j) * (-A).  A bounded FIFO cache holds
-# the tables, so repeat signers also skip decompressing A.
+# recurring key is worth tables.  Splitting h into pieces of _SPLIT_BITS
+# bits, h = sum(h_j * 2**(_SPLIT_BITS * j)), turns one 253-doubling
+# ladder into short ones that share their doublings: piece j is recoded
+# in width-_WNAF_W non-adjacent form and walks the odd multiples of
+# 2**(_SPLIT_BITS * j) * (-A).
 #
-# Measured, one warm verification / building one key's tables, at equal
+# The tables of pieces 1.. cost 224 doublings, more than a whole
+# verification, so a key gets them the second time it is looked up.  The
+# first time it gets the table of piece 0 — the odd multiples of -A
+# itself, which a plain 253-doubling wNAF ladder and the combined check
+# of a batch both walk — and a key seen once never pays for more.  A
+# bounded FIFO cache holds a key's tables, so repeat signers also skip
+# decompressing A.
+#
+# Measured, one verification on all tables / building them, at equal
 # table memory (64 entries): 4 pieces of 64 bits at width 6 = 469 us /
 # 1.35 ms, 8 x 32 at width 5 = 372 us / 1.40 ms, 16 x 16 at width 4 =
 # 365 us / 1.52 ms; twice the memory buys 25-35 us.
 
 _SPLIT_BITS = 32
-_SPLIT_MASK = (1 << _SPLIT_BITS) - 1
 _SPLIT_PIECES = 256 // _SPLIT_BITS
 _WNAF_W = 5
 _WNAF_TABLE_SIZE = 1 << (_WNAF_W - 2)  # odd multiples 1, 3, .., 2**(w-1) - 1
+_HALF = (_P + 1) // 2
 
-_KeyTables = tuple[tuple[_Niels, ...], ...]
+_Table = tuple[_Niels, ...]
 
-_POINT_CACHE: dict[bytes, _KeyTables] = {}
-#: Entry cap; each entry holds 64 Niels points (~16 KB), so the default
+_POINT_CACHE: dict[bytes, list[_Table]] = {}
+#: Entry cap; an entry grows to 64 Niels points (~16 KB), so the default
 #: bounds the cache near 16 MB.  Tests may shrink this.
 POINT_CACHE_MAX = 1024
 
@@ -465,41 +475,54 @@ def point_cache_clear() -> None:
     _point_hits = _point_misses = _point_evictions = 0
 
 
-def _point_cache_get(public_key: bytes) -> _KeyTables | None:
-    """The split tables of ``-A``, or ``None`` if *public_key* is not a
-    valid point encoding (a miss, but not cached: the verify cache
-    already memoizes the ``False`` verdict per signature)."""
-    global _point_hits, _point_misses, _point_evictions
-    tables = _POINT_CACHE.get(public_key)
-    if tables is not None:
-        _point_hits += 1
-        return tables
-    _point_misses += 1
-    try:
-        power = _point_neg(_point_decompress(public_key))
-    except CryptoError:
-        return None
+def _odd_multiple_tables(points: list[_Point]) -> list[_Table]:
+    """For each point ``q``, the table ``q, 3q, .., (2**(w-1) - 1) * q``;
+    all the tables share one inversion."""
     multiples: list[_Point] = []
-    for piece in range(_SPLIT_PIECES):
-        if piece:
-            for _ in range(_SPLIT_BITS):
-                power = _point_double(power)
-        double = _point_double(power)
-        multiples.append(power)
+    for point in points:
+        double = _point_double(point)
+        multiples.append(point)
         for _ in range(_WNAF_TABLE_SIZE - 1):
             multiples.append(_point_add(multiples[-1], double))
     niels = _to_niels(multiples)
-    tables = tuple(tuple(niels[i:i + _WNAF_TABLE_SIZE])
-                   for i in range(0, len(niels), _WNAF_TABLE_SIZE))
-    if len(_POINT_CACHE) >= POINT_CACHE_MAX:
-        oldest = next(iter(_POINT_CACHE))
-        del _POINT_CACHE[oldest]
-        _point_evictions += 1
-    _POINT_CACHE[public_key] = tables
+    return [tuple(niels[i:i + _WNAF_TABLE_SIZE])
+            for i in range(0, len(niels), _WNAF_TABLE_SIZE)]
+
+
+def _point_cache_get(public_key: bytes) -> list[_Table] | None:
+    """The tables of ``-A`` — piece 0 alone on the first lookup of a key,
+    every piece from the second on — or ``None`` if *public_key* is not
+    a valid point encoding (a miss, but not cached: the verify cache
+    already memoizes the ``False`` verdict per signature)."""
+    global _point_hits, _point_misses, _point_evictions
+    tables = _POINT_CACHE.get(public_key)
+    if tables is None:
+        _point_misses += 1
+        try:
+            tables = _odd_multiple_tables([_point_neg(_point_decompress(public_key))])
+        except CryptoError:
+            return None
+        if len(_POINT_CACHE) >= POINT_CACHE_MAX:
+            oldest = next(iter(_POINT_CACHE))
+            del _POINT_CACHE[oldest]
+            _point_evictions += 1
+        _POINT_CACHE[public_key] = tables
+        return tables
+    _point_hits += 1
+    if len(tables) == 1:
+        ypx, ymx, _ = tables[0][0]  # -A itself
+        x, y = (ypx - ymx) * _HALF % _P, (ypx + ymx) * _HALF % _P
+        power = (x, y, 1, x * y % _P)
+        powers: list[_Point] = []
+        for _ in range(1, _SPLIT_PIECES):
+            for _ in range(_SPLIT_BITS):
+                power = _point_double(power)
+            powers.append(power)
+        tables.extend(_odd_multiple_tables(powers))
     return tables
 
 
-def _wnaf_into(schedule: _Schedule, scalar: int, table: tuple[_Niels, ...]) -> None:
+def _wnaf_into(schedule: _Schedule, scalar: int, table: _Table) -> None:
     """Schedule ``scalar * q`` given *table*, the odd multiples of ``q``.
 
     Non-adjacent form of width ``_WNAF_W``: digits are odd with
@@ -535,21 +558,26 @@ def _parse(public_key: bytes, message: bytes, signature: bytes) -> tuple[int, in
     return s, h
 
 
+def _check(s: int, h: int, tables: list[_Table], r_bytes: bytes) -> bool:
+    """``s*G - h*A`` compresses to *r_bytes* (the module docstring says
+    why that is the verdict of comparing points).  *h* is cut into as
+    many pieces as there are tables."""
+    bits = _SPLIT_BITS if len(tables) > 1 else 256
+    schedule: _Schedule = [[] for _ in range(bits + 1)]
+    for table in tables:
+        _wnaf_into(schedule, h & ((1 << bits) - 1), table)
+        h >>= bits
+    schedule[0].extend(_base_points(s))
+    return _ladder(schedule) == r_bytes
+
+
 def _verify_uncached(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    """``s*G - h*A`` compresses to ``signature[:32]`` (the module
-    docstring says why that is the verdict of comparing points); one
-    point-cache lookup per call."""
+    """One point-cache lookup, then :func:`_check`."""
     tables = _point_cache_get(public_key)
     parsed = _parse(public_key, message, signature)
     if tables is None or parsed is None:
         return False
-    s, h = parsed
-    schedule: _Schedule = [[] for _ in range(_SPLIT_BITS + 1)]
-    for table in tables:
-        _wnaf_into(schedule, h & _SPLIT_MASK, table)
-        h >>= _SPLIT_BITS
-    schedule[0].extend(_base_points(s))
-    return _ladder(schedule) == signature[:32]
+    return _check(*parsed, tables, signature[:32])
 
 
 def _verify_reference(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -571,42 +599,158 @@ def _verify_reference(public_key: bytes, message: bytes, signature: bytes) -> bo
 
 # -- batch verification ------------------------------------------------------
 #
-# A batch is verified one signature at a time.  Random linear combination
-# (one check of sum_i z_i * (s_i*G - h_i*A_i - R_i) == identity) would
-# share only 32 doublings and the s*G additions per signature with the
-# check above, and pays for them by decompressing every R — a field
-# exponentiation, the price of ~45 additions — and building a table on
-# it.  Measured per signature on keys with cached tables, one by one /
-# combined: 2 signatures 504 / 740 us, 8: 456 / 534, 32: 423 / 465, 128:
-# 432 / 455.  It only wins on a large batch of keys never seen before
-# (32 new keys: 1.98 / 0.81 ms, a table build per key against one shared
-# 253-doubling ladder), which nothing produces: admission verifies a
-# transaction's two signatures at a time and commit-time batches are
-# verify-cache hits.
+# Bernstein-style random-linear-combination batching: instead of n
+# separate ``s_i*G - h_i*A_i - R_i == 0`` checks, verify
+#
+#     sum_i z_i * (s_i*G - h_i*A_i - R_i) == identity
+#
+# on one ladder, so its 253 doublings are paid once.  Against that, every
+# R has to be decompressed (a field exponentiation, the price of ~45
+# additions) and given a table, which :func:`_check` never does.  Whether
+# that wins depends on what the keys have cached; measured per signature,
+# one by one / combined:
+#
+# - keys with all their tables (32-doubling ladder each): 2 signatures
+#   504 / 740 us, 8: 456 / 534, 32: 423 / 465, 128: 432 / 455 — combined
+#   never wins, so those signatures are checked one by one;
+# - keys never seen before (253-doubling ladder each, see the table
+#   cache above): 2 signatures 1272 / 1145 us, 3: 1318 / 995, 4: 1291 /
+#   912, 8: 1278 / 760, 32: 1311 / 692, 64: 1340 / 657 — combined wins
+#   from _RLC_MIN = 2 on, so :func:`verify_batch` combines the
+#   signatures of unseen keys when there are that many, and bisection
+#   stops combining below it.
+#
+# Correctness notes, because the details are sharp:
+#
+# - The coefficients ``z_i`` are derived deterministically (sha512 over
+#   the whole set's digest keys — no ``random``, so replays are
+#   reproducible) and forced to be ODD 128-bit values.  Odd z is
+#   invertible mod 8, so a single signature whose defect is a
+#   small-order (torsion) point can never be masked: ``z*T`` has the
+#   same order as ``T``.
+# - The scalar on G may be reduced mod L (G generates the prime-order
+#   subgroup), but scalars on arbitrary points A_i / R_i may only be
+#   reduced mod 8L (the full group exponent): adversarial keys and R
+#   values need not lie in the prime-order subgroup, and reducing mod L
+#   would silently change the check for them.  For the same reason the
+#   combination subtracts by negating the *points* (tables hold odd
+#   multiples of -A and -R), never by negating scalars mod L.
+# - If the combined check fails, divide-and-conquer bisection re-checks
+#   each half, down to :func:`_check` per signature.  No false rejects
+#   are possible, since valid signatures contribute exactly the
+#   identity.  A false *accept* needs either a ~2^-128 scalar collision
+#   or several adversarial signatures in one set whose torsion defects
+#   cancel each other (two shifted by the point of order 2 always do) —
+#   the known price of combining cofactorless checks, and one more
+#   reason to combine only where it pays.
+
+_RLC_MIN = 2
+_8L = 8 * _L
+_IDENTITY_BYTES = _encode(0, 1)
 
 _batch_calls = 0
 _batch_items = 0
+_batch_bisections = 0
 
 
 def batch_stats() -> dict[str, int]:
-    """Counters for the obs registry: batch calls and total items."""
-    return {"calls": _batch_calls, "items": _batch_items}
+    """Counters for the obs registry: batch calls, total items, and how
+    many times a combined check failed and had to bisect."""
+    return {
+        "calls": _batch_calls,
+        "items": _batch_items,
+        "bisections": _batch_bisections,
+    }
 
 
 def batch_stats_clear() -> None:
     """Reset the batch-verification counters."""
-    global _batch_calls, _batch_items
-    _batch_calls = _batch_items = 0
+    global _batch_calls, _batch_items, _batch_bisections
+    _batch_calls = _batch_items = _batch_bisections = 0
+
+
+# One well-formed signature of a set that may be combined: its
+# verify-cache digest key, the scalars s and h, the key's tables, -R as
+# a point and R's bytes.
+_BatchEntry = tuple[bytes, int, int, list[_Table], _Point, bytes]
+
+
+def _combined_check(entries: list[_BatchEntry]) -> bool:
+    seed = _sha512(b"repro.ed25519.batch-v1" + b"".join(e[0] for e in entries))
+    schedule: _Schedule = [[] for _ in range(_8L.bit_length() + 1)]
+    g_scalar = 0
+    r_tables = _odd_multiple_tables([e[4] for e in entries])
+    for i, ((key, s, h, tables, _, _), r_table) in enumerate(zip(entries, r_tables)):
+        z = int.from_bytes(_sha512(seed + i.to_bytes(4, "little") + key), "little")
+        z = (z & ((1 << 128) - 1)) | 1
+        g_scalar += z * s
+        _wnaf_into(schedule, z * h % _8L, tables[0])
+        _wnaf_into(schedule, z, r_table)
+    schedule[0].extend(_base_points(g_scalar % _L))
+    return _ladder(schedule) == _IDENTITY_BYTES
+
+
+def _batch_verify_exact(entries: list[_BatchEntry]) -> list[bool]:
+    global _batch_bisections
+    if len(entries) < _RLC_MIN:
+        return [_check(s, h, tables, r_bytes) for _, s, h, tables, _, r_bytes in entries]
+    if _combined_check(entries):
+        return [True] * len(entries)
+    _batch_bisections += 1
+    mid = len(entries) // 2
+    return _batch_verify_exact(entries[:mid]) + _batch_verify_exact(entries[mid:])
+
+
+def _verify_combined(items: list[tuple[bytes, bytes, bytes, bytes]]) -> list[bool]:
+    """Verdicts of uncached ``(public_key, message, signature, digest
+    key)`` items, by combined checks; counts and stores them in the
+    verify cache as :func:`verify` would."""
+    global _cache_misses
+    _cache_misses += len(items)
+    verdicts = [False] * len(items)
+    positions: list[int] = []
+    entries: list[_BatchEntry] = []
+    for pos, (public_key, message, signature, key) in enumerate(items):
+        tables = _point_cache_get(public_key)
+        parsed = _parse(public_key, message, signature)
+        if tables is None or parsed is None:
+            continue
+        try:
+            neg_r = _point_neg(_point_decompress(signature[:32]))
+        except CryptoError:
+            continue
+        positions.append(pos)
+        entries.append((key, *parsed, tables, neg_r, signature[:32]))
+    for pos, verdict in zip(positions, _batch_verify_exact(entries)):
+        verdicts[pos] = verdict
+    for (_, _, _, key), verdict in zip(items, verdicts):
+        _cache_store(key, verdict)
+    return verdicts
 
 
 def verify_batch(items: list[tuple[bytes, bytes, bytes]]) -> list[bool]:
     """Verify many ``(public_key, message, signature)`` triples.
 
-    Returns one bool per item, in order: :func:`verify` of each, through
-    the same bounded digest-keyed cache, so a batch-verified block's
-    signatures are cache hits for every later per-transaction check.
+    Returns one bool per item, in order: the verdict :func:`verify`
+    gives it (but for signatures crafted together to cancel in a
+    combined check, see above), through the same bounded digest-keyed
+    cache, so a batch-verified block's signatures are cache hits for
+    every later per-transaction check.  The uncached signatures of keys
+    the point cache has never seen are checked together when there are
+    ``_RLC_MIN`` of them; every other item is a call of :func:`verify`.
     """
     global _batch_calls, _batch_items
     _batch_calls += 1
     _batch_items += len(items)
-    return [_verify_cached(*item) for item in items]
+    unseen: dict[int, tuple[bytes, bytes, bytes, bytes]] = {}
+    for pos, (public_key, message, signature) in enumerate(items):
+        if (public_key not in _POINT_CACHE
+                and len(public_key) == 32 and len(signature) == SIG_BYTES):
+            key = _sha512(public_key + message + signature)
+            if key not in _VERIFY_CACHE:
+                unseen[pos] = (public_key, message, signature, key)
+    combined: dict[int, bool] = {}
+    if len(unseen) >= _RLC_MIN:
+        combined = dict(zip(unseen, _verify_combined(list(unseen.values()))))
+    return [combined[pos] if pos in combined else verify(*item)
+            for pos, item in enumerate(items)]

@@ -39,9 +39,8 @@ class KeyPair:
     address: str
 
     def __post_init__(self) -> None:
-        # sign() hashes public_key into every signature without
-        # re-deriving it, so a pair that does not belong together must
-        # not exist.
+        # sign() goes by the seed alone, so a pair that does not belong
+        # together would sign under one key and advertise another.
         if ed25519.generate_public_key(self.seed) != self.public_key:
             raise CryptoError("public key does not belong to the seed")
 
@@ -72,7 +71,7 @@ class KeyPair:
 
     def sign(self, message: bytes) -> bytes:
         """Sign *message*, returning the 64-byte signature."""
-        return ed25519.sign(self.seed, message, self.public_key)
+        return ed25519.sign(self.seed, message)
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         return ed25519.verify(self.public_key, message, signature)

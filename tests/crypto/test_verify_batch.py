@@ -7,10 +7,14 @@ table, no cache), kept in the module precisely so these tests and the
 micro-benchmark have something that shares no precomputation with the
 code under test.
 
-Covered: mixed valid/invalid batches, a forged signature among valid
-ones, malformed encodings, small-order public keys, non-canonical
-scalars, torsion-defective signatures, determinism, and the interplay
-with the digest-keyed verify cache and the bounded per-key table cache.
+Covered: mixed valid/invalid batches, forged-signature bisection,
+malformed encodings, small-order public keys, non-canonical scalars,
+torsion-defective signatures (the case where reducing scalars mod L
+instead of 8L would produce a wrong verdict), determinism, and the
+interplay with the digest-keyed verify cache and the bounded per-key
+table cache.  The point cache starts empty in every test, so a batch of
+the pool's keys is a batch of unseen keys and goes through the combined
+check.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def test_empty_batch():
 
 def test_all_valid_no_bisection():
     assert _run_batch(_POOL) == [True] * len(_POOL)
-    assert e.batch_stats() == {"calls": 1, "items": len(_POOL)}
+    assert e.batch_stats() == {"calls": 1, "items": len(_POOL), "bisections": 0}
 
 
 def test_single_item_matches_verify():
@@ -71,7 +75,7 @@ def test_single_item_matches_verify():
     assert _run_batch([forged]) == [False]
 
 
-def test_forged_signature_singled_out():
+def test_forged_signature_bisected_out():
     items = list(_POOL)
     bad = bytearray(items[3][2])
     bad[40] ^= 0xFF
@@ -79,6 +83,7 @@ def test_forged_signature_singled_out():
     verdicts = _run_batch(items)
     assert verdicts == _oracle(items)
     assert verdicts.count(False) == 1 and not verdicts[3]
+    assert e.batch_stats()["bisections"] > 0
 
 
 def test_mixed_malformed_and_invalid():
@@ -114,8 +119,9 @@ def _small_order_point():
 
 def test_torsion_defective_signature_rejected():
     """R' = R + T with T small-order: the cofactorless check fails, and
-    the batch must agree — ``s*G - h*A`` compresses to R's bytes, not
-    to those of R + T."""
+    the batch must agree.  This is the case that breaks if combined
+    scalars on R/A are reduced mod L instead of mod 8L, or if the
+    random coefficients were even."""
     torsion = _small_order_point()
     pk, msg, sig = _POOL[5]
     r_shifted = e._point_compress(e._point_add(e._point_decompress(sig[:32]), torsion))
@@ -191,6 +197,29 @@ def test_point_cache_hits_on_repeat_signer():
     stats = e.point_cache_stats()
     assert stats["misses"] == 1
     assert stats["hits"] == 2
+
+
+def test_key_gets_split_tables_at_second_lookup():
+    pk = _POOL[0][0]
+    for i, tables in enumerate((1, e._SPLIT_PIECES, e._SPLIT_PIECES)):
+        msg = f"lookup-{i}".encode()
+        assert e.verify(pk, msg, e.sign(bytes([0]) * 32, msg))
+        assert len(e._POINT_CACHE[pk]) == tables
+
+
+def test_only_unseen_keys_are_combined():
+    items = list(_POOL)
+    bad = bytearray(items[3][2])
+    bad[40] ^= 0xFF
+    items[3] = (items[3][0], items[3][1], bytes(bad))
+    assert _run_batch(items) == _oracle(items)
+    assert e.batch_stats()["bisections"] > 0
+    assert all(len(e._POINT_CACHE[pk]) == 1 for pk, _, _ in items)
+    e.batch_stats_clear()
+    assert _run_batch(items) == _oracle(items)     # every key seen: verify per item
+    assert e.batch_stats()["bisections"] == 0
+    assert all(len(e._POINT_CACHE[pk]) == e._SPLIT_PIECES for pk, _, _ in items)
+    assert e.point_cache_stats()["misses"] == e.point_cache_stats()["hits"] == len(items)
 
 
 def test_point_cache_counts_one_lookup_per_uncached_signature():
