@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-baseline test chaos bench bench-smoke recovery obs-demo sloc
+.PHONY: lint lint-baseline test chaos bench bench-smoke bench-record recovery obs-demo sloc
 
 # Byte-compile (catches syntax errors), then the repo's own AST linter:
 # determinism / sim-time / aliasing / pyflakes-subset / metric-hygiene
@@ -53,6 +53,12 @@ bench-smoke:
 		benchmarks/e2e/test_e2e_smoke.py::test_untraced_smoke_run \
 		"benchmarks/e2e/test_e2e_smoke.py::test_traced_smoke_run[external_screening]" \
 		-q --benchmark-disable
+
+# The perf trajectory (ROADMAP aim 1): `make bench-record PR=<n>` runs the
+# end-to-end benchmark full size, every workload untraced then traced, and
+# writes the record to BENCH_<n>.json at the repo root (~6 min).
+bench-record:
+	$(PYTHON) tools/bench_record.py $(PR)
 
 # Crash-recovery: deep catch-up tests, the storage-engine suites
 # (parametrized over the durable and sqlite backends, including the

@@ -195,7 +195,7 @@ def _populate_store(n_blocks: int, snapshot_interval: int) -> tuple[SimDisk, dic
                 return_value=None, events=(), error=None,
             )
         store.on_commit(block, validity, proof=None)
-        store.maybe_snapshot(ledger, state, receipts)
+        store.maybe_snapshot(ledger, state)
     reference = {
         "height": ledger.height,
         "tip": ledger.head.block_hash,
@@ -222,7 +222,7 @@ def _cold_start(disk: SimDisk, backend: str, n_blocks: int) -> dict:
         "height": recovered.ledger.height,
         "tip": recovered.ledger.head.block_hash,
         "state_digest": recovered.state.state_digest(),
-        "n_receipts": len(recovered.receipts),
+        "n_receipts": len(recovered.ledger.receipts),
         "snapshot_height": report.snapshot_height,
         "tail_records": report.tail_records,
         "log_bytes": disk.size(store.log.name),

@@ -10,6 +10,7 @@ carries them; EXPERIMENTS.md records the reference run.
 
 from __future__ import annotations
 
+import os
 import pathlib
 import time
 
@@ -21,6 +22,7 @@ from repro.obs import append_perf_record
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "latest_results.txt"
 OBS_PATH = pathlib.Path(__file__).parent / "latest_obs.json"
+_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 _session_started = False
 
 
@@ -32,14 +34,24 @@ def emit(benchmark, title: str, rows: list[str], metrics: dict | None = None) ->
     latest_results.txt`` (truncated once per session) so the tables
     survive pytest's output capture, and mirrored as a structured perf
     record into ``benchmarks/latest_obs.json`` — pass *metrics* to attach
-    machine-readable numbers beyond the human-readable rows.
+    machine-readable numbers beyond the human-readable rows.  Under
+    ``REPRO_BENCH_SMOKE=1`` the two files are left alone: they are the
+    committed record of a full run, and smoke-sized rows must not
+    replace it.
     """
     global _session_started
+    lines = [f"== {title} =="] + [f"  {row}" for row in rows] + [""]
+    print("\n" + "\n".join(lines))
+    if benchmark is not None:
+        benchmark.extra_info["experiment"] = title
+        benchmark.extra_info["rows"] = rows
+        if metrics:
+            benchmark.extra_info["obs_metrics"] = metrics
+    if _SMOKE:
+        return
     first = not _session_started
     mode = "w" if first else "a"
     _session_started = True
-    lines = [f"== {title} =="] + [f"  {row}" for row in rows] + [""]
-    print("\n" + "\n".join(lines))
     with RESULTS_PATH.open(mode, encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     record: dict = {
@@ -50,11 +62,6 @@ def emit(benchmark, title: str, rows: list[str], metrics: dict | None = None) ->
     if metrics:
         record["metrics"] = metrics
     append_perf_record(OBS_PATH, record, reset=first)
-    if benchmark is not None:
-        benchmark.extra_info["experiment"] = title
-        benchmark.extra_info["rows"] = rows
-        if metrics:
-            benchmark.extra_info["obs_metrics"] = metrics
 
 
 @pytest.fixture(scope="session")

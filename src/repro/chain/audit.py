@@ -351,7 +351,7 @@ class InvariantAuditor:
         "Pending" covers a peer's mempool *and* its engine's open
         consensus rounds (``pending_txs``): a transaction taken into an
         in-flight proposal is retained state, not a drop.  A tx that
-        appears in none of receipts / mempools / open rounds has been
+        appears in none of ledgers / mempools / open rounds has been
         silently lost — exactly what the seed engine did when a view
         change discarded a deposed primary's round.
 
@@ -370,7 +370,7 @@ class InvariantAuditor:
             (tx_id, admitted_at)
             for tx_id, admitted_at in self.tracked_txs.items()
             if tx_id not in in_flight
-            and not any(tx_id in p.receipts for p in honest)
+            and not any(tx_id in p.ledger for p in honest)
             and not any(tx_id in p.mempool for p in honest)
         ]
         lost = [(t, a) for t, a in missing if t not in self.restart_wiped]

@@ -1,23 +1,26 @@
-"""The commit path: the one place a block becomes state, receipts and index rows.
+"""The commit path: the one place a block becomes state, ledger record and index rows.
 
 Fabric's *validate* phase, once.  Every transaction of a block is judged
 — live: (1) client signature / structure, (2) endorsement policy,
 (3) MVCC read-set freshness against the state the earlier transactions of
 the same block left behind; on replay: the verdict recorded when the
-block was first committed — then its :class:`TxReceipt` is built and
-stored under the never-downgrade rule, its write set is applied if it is
-valid, and finally the block goes to ``Ledger.append`` and
-``ChainIndex.on_commit``.
+block was first committed — its write set is applied if it is valid, and
+finally the block goes, with its verdicts and error strings, to
+``Ledger.append`` and ``ChainIndex.on_commit``.  Receipts are not built
+here: a :class:`~repro.chain.transaction.TxReceipt` is a function of what
+the ledger now records and is read from it (``Ledger.receipt``), and the
+never-downgrade rule for an id committed twice lives where the id is
+bound to a position (``Ledger.append``).
 
 Callers add only what is theirs: :meth:`Peer.commit_block
 <repro.chain.peer.Peer.commit_block>` (signature prewarm, metrics, trace
 span, block store, mempool, listeners) and :meth:`LocalChain._commit
 <repro.chain.local.LocalChain._commit>` commit live through
 :func:`commit_block`; :class:`~repro.chain.store.durable.DurableStore`
-recovery and the in-memory restart (:func:`replay_ledger`) replay through
-:func:`replay_block`.  All peers therefore derive identical state,
-receipts and index rows from the same block sequence, whichever way the
-blocks reached them.
+recovery replays through :func:`replay_block` (an in-memory restart keeps
+its ledger and only rebuilds state, ``Ledger.replay_state``).  All peers
+therefore derive identical state, receipts and index rows from the same
+block sequence, whichever way the blocks reached them.
 """
 
 from __future__ import annotations
@@ -30,15 +33,10 @@ from repro.chain.contracts.endorsement import EndorsementPolicy, check_endorseme
 from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
-from repro.chain.transaction import Transaction, TxReceipt
+from repro.chain.transaction import Transaction
 from repro.errors import EndorsementError, InvalidBlockError, InvalidTransactionError
 
-__all__ = ["REBUILT_ERROR", "CommitResult", "Verdict", "commit_block", "replay_block",
-           "replay_ledger"]
-
-#: Error carried by failure receipts rebuilt from a bare ledger, which
-#: records verdicts but not why a transaction failed.
-REBUILT_ERROR = "invalid (rebuilt from ledger)"
+__all__ = ["CommitResult", "Verdict", "commit_block", "replay_block"]
 
 
 @dataclass(frozen=True)
@@ -60,9 +58,6 @@ class CommitResult:
     """What committing one block decided, in block order."""
 
     verdicts: list[Verdict]
-    #: The receipt built for each transaction *of this block*; the stored
-    #: receipt of a tx id may be an earlier, valid one (never-downgrade).
-    receipts: list[TxReceipt]
     valid_txs: list[Transaction]
 
     @property
@@ -93,46 +88,30 @@ def _apply(
     verdict_of: Callable[[int, Transaction], Verdict],
     ledger: Ledger,
     state: WorldState,
-    receipts: dict[str, TxReceipt],
     index: ChainIndex | None,
 ) -> CommitResult:
     # Every check that can reject the block runs before the first
     # mutation: a block that does not extend this chain must leave state,
-    # receipts, ledger and index exactly as they were.
+    # ledger and index exactly as they were.
     ledger.check_extends(block)
     if index is not None and index.height != ledger.height:
         raise InvalidBlockError(
             f"index at height {index.height} is not at ledger height {ledger.height}"
         )
     verdicts: list[Verdict] = []
-    built: list[TxReceipt] = []
     valid_txs: list[Transaction] = []
     for position, tx in enumerate(block.transactions):
         verdict = verdict_of(position, tx)
         verdicts.append(verdict)
-        receipt = TxReceipt(
-            tx_id=tx.tx_id,
-            block_height=block.height,
-            success=verdict.valid,
-            return_value=tx.return_value if verdict.valid else None,
-            events=tx.events if verdict.valid else (),
-            error=verdict.error,
-        )
-        built.append(receipt)
-        existing = receipts.get(tx.tx_id)
-        if existing is None or verdict.valid or not existing.success:
-            # Never downgrade: if a duplicate copy of an already
-            # committed-valid tx lands in a later block, its MVCC
-            # failure there must not overwrite the valid receipt.
-            receipts[tx.tx_id] = receipt
         if verdict.valid:
             state.apply_write_set(tx.write_set)
             valid_txs.append(tx)
-    validity = [verdict.valid for verdict in verdicts]
-    ledger.append(block, validity)
+    result = CommitResult(verdicts=verdicts, valid_txs=valid_txs)
+    validity = result.validity
+    ledger.append(block, validity, result.errors)
     if index is not None:
         index.on_commit(block, validity)
-    return CommitResult(verdicts=verdicts, receipts=built, valid_txs=valid_txs)
+    return result
 
 
 def commit_block(
@@ -141,7 +120,6 @@ def commit_block(
     *,
     ledger: Ledger,
     state: WorldState,
-    receipts: dict[str, TxReceipt],
     index: ChainIndex,
 ) -> CommitResult:
     """Judge and commit a freshly decided *block*.
@@ -153,7 +131,7 @@ def commit_block(
     return _apply(
         block,
         lambda _, tx: _judge(tx, state, policy_for(tx.contract)),
-        ledger, state, receipts, index,
+        ledger, state, index,
     )
 
 
@@ -164,7 +142,6 @@ def replay_block(
     *,
     ledger: Ledger,
     state: WorldState,
-    receipts: dict[str, TxReceipt],
 ) -> CommitResult:
     """Re-commit *block* under the verdicts recorded at its first commit.
 
@@ -176,22 +153,5 @@ def replay_block(
     return _apply(
         block,
         lambda position, _: Verdict(validity[position], errors[position]),
-        ledger, state, receipts, None,
+        ledger, state, None,
     )
-
-
-def replay_ledger(source: Ledger) -> tuple[Ledger, WorldState, dict[str, TxReceipt]]:
-    """Rebuild ``(ledger, state, receipts)`` from *source*'s blocks and the
-    verdicts it recorded — the restart path of a peer whose only durable
-    artifact is the chain itself."""
-    ledger, state = Ledger(source.block(0)), WorldState()
-    receipts: dict[str, TxReceipt] = {}
-    for height in range(1, source.height + 1):
-        validity = source.block_validity(height)
-        replay_block(
-            source.block(height),
-            validity,
-            [None if valid else REBUILT_ERROR for valid in validity],
-            ledger=ledger, state=state, receipts=receipts,
-        )
-    return ledger, state, receipts

@@ -707,7 +707,7 @@ class PBFTEngine(ConsensusEngine):
         block; if that round dies (view change deposed it, or another
         block won the height) those transactions would otherwise vanish
         silently.  Transactions that did commit are filtered out here by
-        receipt, and any re-queued copy of the *winning* block's own txs
+        ledger lookup, and any re-queued copy of the *winning* block's own txs
         is removed again by ``commit_block``'s ``mempool.remove``.
         """
         assert self.peer is not None
@@ -723,7 +723,7 @@ class PBFTEngine(ConsensusEngine):
         if block.proposer != peer.node_id:
             return
         peer.mempool.requeue(
-            [tx for tx in block.transactions if tx.tx_id not in peer.receipts]
+            [tx for tx in block.transactions if tx.tx_id not in peer.ledger]
         )
 
     # -- view change ----------------------------------------------------------

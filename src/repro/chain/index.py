@@ -147,7 +147,10 @@ class ChainIndex:
             self._contracts.append(contract_id)
             self._methods.append(method_id)
             self._valid.append(valid)
-            self._ordinal_by_tx[tx.tx_id] = ordinal
+            # Never downgrade, as Ledger.append: an id keeps naming its
+            # valid copy when a later copy fails (no held copy: itself).
+            if valid or not self._valid[self._ordinal_by_tx.get(tx.tx_id, ordinal)]:
+                self._ordinal_by_tx[tx.tx_id] = ordinal
             self._by_sender.setdefault(sender_id, []).append(ordinal)
             self._by_contract.setdefault(contract_id, []).append(ordinal)
             self._by_method.setdefault(method_id, []).append(ordinal)
@@ -191,13 +194,6 @@ class ChainIndex:
         if ordinal is None:
             return None
         return self._view(ordinal)
-
-    def locator(self, tx_id: str) -> tuple[int, int] | None:
-        """``(block_height, tx_index)`` for *tx_id*, or ``None``."""
-        ordinal = self._ordinal_by_tx.get(tx_id)
-        if ordinal is None:
-            return None
-        return self._heights[ordinal], self._indexes[ordinal]
 
     def _view(self, ordinal: int) -> TxView:
         return TxView(

@@ -3,22 +3,30 @@
 Beyond storage, the ledger is the platform's *audit substrate*: the
 supply-chain graph (§VI), expert mining, and accountability experiments
 all reconstruct history by scanning committed transactions and events.
-The ledger records each block's verdict vector as committed and indexes
-by transaction id only; the by-sender / by-contract / by-method views
-live in :class:`~repro.chain.index.ChainIndex`.
+The ledger records each position's commit verdict and error string once,
+as committed, and indexes by transaction id only; a
+:class:`~repro.chain.transaction.TxReceipt` is read from that record
+(:meth:`Ledger.receipt`, :attr:`Ledger.receipts`), never stored beside
+it.  The by-sender / by-contract / by-method views live in
+:class:`~repro.chain.index.ChainIndex`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.chain.block import Block, make_genesis_block
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, TxReceipt
 from repro.errors import InvalidBlockError
 
-__all__ = ["Ledger", "CommittedTx"]
+__all__ = ["Ledger", "CommittedTx", "Entry"]
+
+#: One height as the ledger holds it: the block, its verdict vector, and
+#: the error string of each position (``None`` where the verdict is valid).
+Entry = tuple[Block, list[bool], list[str | None]]
 
 #: Archived blocks decoded on demand are cached up to this many entries
 #: (LRU) so repeated explorer/audit reads don't re-decode every time.
@@ -35,6 +43,29 @@ class CommittedTx:
     valid: bool  # False => failed MVCC validation, recorded but not applied
 
 
+class _Receipts(Mapping):
+    """Read-only ``tx id -> TxReceipt`` view of a ledger; every receipt is
+    built from the ledger's own record when it is asked for."""
+
+    def __init__(self, ledger: "Ledger"):
+        self._ledger = ledger
+
+    def __getitem__(self, tx_id: str) -> TxReceipt:
+        receipt = self._ledger.receipt(tx_id)
+        if receipt is None:
+            raise KeyError(tx_id)
+        return receipt
+
+    def __contains__(self, tx_id: object) -> bool:
+        return tx_id in self._ledger
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ledger._tx_locator)
+
+    def __len__(self) -> int:
+        return self._ledger.total_transactions()
+
+
 class Ledger:
     """One peer's copy of the chain.
 
@@ -44,42 +75,49 @@ class Ledger:
     ``archive`` callable (decoding the block log on demand) behind a
     bounded LRU cache — see :meth:`from_recovery`.
 
-    Verdicts are kept per position (one vector per block): a transaction
-    id can occur twice on a chain (a duplicate copy forced into a later
-    block fails MVCC there), and the two copies have different verdicts.
-    ``_tx_locator`` answers lookups by id and names the latest copy.
+    Verdicts and error strings are kept per position (one vector each per
+    block): a transaction id can occur twice on a chain (a duplicate copy
+    forced into a later block fails MVCC there), and the two copies have
+    different verdicts.  ``_tx_locator`` answers lookups by id — and so
+    does everything read through it: :meth:`get_transaction`,
+    :meth:`receipt`, ``explorer.describe_transaction`` — and names the
+    latest copy, except that a valid copy is never given up for a failed
+    one (*never downgrade*, see :meth:`append`).
     """
 
     def __init__(self, genesis: Block | None = None):
         self._blocks: list[Block] = [genesis or make_genesis_block()]
-        #: The verdict vector of each block in ``_blocks`` (parallel list).
+        #: The verdict and error vectors of each block in ``_blocks``
+        #: (parallel lists).
         self._verdicts: list[list[bool]] = [[]]
+        self._errors: list[list[str | None]] = [[]]
         #: Height of ``self._blocks[0]``; anything below is archived.
         self._base = 0
-        self._archive: Callable[[int], tuple[Block, list[bool]]] | None = None
-        self._archive_cache: OrderedDict[int, tuple[Block, list[bool]]] = OrderedDict()
+        self._archive: Callable[[int], Entry] | None = None
+        self._archive_cache: OrderedDict[int, Entry] = OrderedDict()
         self._tx_locator: dict[str, tuple[int, int]] = {}
 
     @classmethod
     def from_recovery(
         cls,
-        window: list[tuple[Block, list[bool]]],
+        window: list[Entry],
         base: int,
         indexes: dict[str, Any],
-        archive: Callable[[int], tuple[Block, list[bool]]] | None = None,
+        archive: Callable[[int], Entry] | None = None,
     ) -> "Ledger":
         """Rebuild a ledger from a recovery snapshot.
 
-        *window* is the in-memory ``(block, verdicts)`` window starting at
-        height *base* (the snapshot anchor); *indexes* is a
+        *window* is the in-memory ``(block, verdicts, errors)`` window
+        starting at height *base* (the snapshot anchor); *indexes* is a
         :meth:`index_dump` mapping covering heights ``<= base`` (keys
         other than ``tx_locator``, which older snapshots carry, are
-        ignored); *archive* serves ``(block, verdicts)`` for heights below
+        ignored); *archive* serves the same triple for heights below
         *base* on demand.
         """
         ledger = cls.__new__(cls)
-        ledger._blocks = [block for block, _ in window]
-        ledger._verdicts = [list(verdicts) for _, verdicts in window]
+        ledger._blocks = [block for block, _, _ in window]
+        ledger._verdicts = [list(verdicts) for _, verdicts, _ in window]
+        ledger._errors = [list(errors) for _, _, errors in window]
         ledger._base = base
         ledger._archive = archive
         ledger._archive_cache = OrderedDict()
@@ -93,7 +131,7 @@ class Ledger:
     def check_extends(self, block: Block) -> None:
         """Raise :class:`InvalidBlockError` unless *block* is internally
         consistent and links onto the current head.  Mutates nothing, so
-        the commit path runs it before touching state or receipts."""
+        the commit path runs it before touching state."""
         head = self.head
         if block.height != head.height + 1:
             raise InvalidBlockError(
@@ -103,24 +141,47 @@ class Ledger:
             raise InvalidBlockError(f"block {block.height} prev_hash mismatch")
         block.verify_structure()
 
-    def append(self, block: Block, validity: list[bool]) -> None:
-        """Append a block whose per-tx validity verdicts are *validity*.
+    def append(
+        self, block: Block, validity: list[bool], errors: list[str | None] | None = None
+    ) -> None:
+        """Append a block whose per-tx verdicts are *validity* and whose
+        per-tx error strings are *errors* (default: none recorded).
+
+        This is the one place a transaction id is bound to a position, so
+        the *never-downgrade* rule lives here: the id is rebound to the
+        new copy unless the copy it already names is valid and the new one
+        is not — a duplicate of a committed-valid transaction that lands
+        in a later block and fails MVCC there must not become what the id
+        means.
 
         Atomic: every check — and every read of the block's transactions
-        — happens before the first mutation, so an exception (bad
-        linkage, a hostile transaction object raising mid-indexing)
-        leaves the ledger exactly as it was.  The seed version appended
-        the block *before* building the indexes; a failure there left a
-        committed block invisible to ``tx_locator`` lookups.
+        or of the copies already held — happens before the first mutation,
+        so an exception (bad linkage, a hostile transaction object raising
+        mid-indexing) leaves the ledger exactly as it was.  The seed
+        version appended the block *before* building the indexes; a
+        failure there left a committed block invisible to ``tx_locator``
+        lookups.
         """
         self.check_extends(block)
-        if len(validity) != len(block.transactions):
+        if errors is None:
+            errors = [None] * len(validity)
+        if not len(validity) == len(errors) == len(block.transactions):
             raise InvalidBlockError("validity vector length mismatch")
-        tx_ids = [tx.tx_id for tx in block.transactions]
+        rebound: dict[str, tuple[int, int]] = {}
+
+        def names_valid_copy(tx_id: str) -> bool:
+            if tx_id in rebound:  # an earlier position of this very block
+                return validity[rebound[tx_id][1]]
+            held = self._tx_locator.get(tx_id)
+            return held is not None and self._entry(held[0])[1][held[1]]
+
+        for index, tx in enumerate(block.transactions):
+            if validity[index] or not names_valid_copy(tx.tx_id):
+                rebound[tx.tx_id] = (block.height, index)
         self._blocks.append(block)
         self._verdicts.append(list(validity))
-        for index, tx_id in enumerate(tx_ids):
-            self._tx_locator[tx_id] = (block.height, index)
+        self._errors.append(list(errors))
+        self._tx_locator.update(rebound)
 
     # -- access ------------------------------------------------------------
 
@@ -132,11 +193,12 @@ class Ledger:
     def height(self) -> int:
         return self.head.height
 
-    def _entry(self, height: int) -> tuple[Block, list[bool]]:
-        """The block at *height* and the verdict vector it committed with."""
+    def _entry(self, height: int) -> Entry:
+        """The block at *height* and the verdict and error vectors it
+        committed with."""
         if height < 0 or height >= self._base:
             offset = height - self._base if height >= 0 else height
-            return self._blocks[offset], self._verdicts[offset]
+            return self._blocks[offset], self._verdicts[offset], self._errors[offset]
         cached = self._archive_cache.get(height)
         if cached is not None:
             self._archive_cache.move_to_end(height)
@@ -168,13 +230,36 @@ class Ledger:
         if locator is None:
             return None
         height, index = locator
-        block, verdicts = self._entry(height)
+        block, verdicts, _ = self._entry(height)
         return CommittedTx(block.transactions[index], height, index, verdicts[index])
+
+    def receipt_at(self, height: int, index: int) -> TxReceipt:
+        """The receipt of the transaction at one chain position."""
+        block, verdicts, errors = self._entry(height)
+        tx, valid = block.transactions[index], verdicts[index]
+        return TxReceipt(
+            tx_id=tx.tx_id,
+            block_height=height,
+            success=valid,
+            return_value=tx.return_value if valid else None,
+            events=tx.events if valid else (),
+            error=errors[index],
+        )
+
+    def receipt(self, tx_id: str) -> TxReceipt | None:
+        """The receipt of the copy *tx_id* names (``None`` if unknown)."""
+        locator = self._tx_locator.get(tx_id)
+        return None if locator is None else self.receipt_at(*locator)
+
+    @property
+    def receipts(self) -> Mapping[str, TxReceipt]:
+        """Every committed id's receipt, as a read-only view."""
+        return _Receipts(self)
 
     def transactions(self, valid_only: bool = True) -> Iterator[CommittedTx]:
         """All committed transactions, in chain order."""
         for height in range(self.height + 1):
-            block, verdicts = self.block(height), self.block_validity(height)
+            block, verdicts, _ = self._entry(height)
             for index, tx in enumerate(block.transactions):
                 valid = verdicts[index]
                 if valid or not valid_only:
@@ -190,7 +275,7 @@ class Ledger:
         ``reversed(list(self.transactions(...)))`` would.
         """
         for height in range(self.height, 0, -1):
-            block, verdicts = self.block(height), self.block_validity(height)
+            block, verdicts, _ = self._entry(height)
             for index in range(len(block.transactions) - 1, -1, -1):
                 tx = block.transactions[index]
                 valid = verdicts[index]

@@ -59,7 +59,8 @@ class LocalChain:
         #: Explorer index, fed at every commit (see repro.chain.index).
         self.index = ChainIndex()
         self.state = WorldState()
-        self.receipts: dict[str, TxReceipt] = {}
+        #: Read-only ``tx id -> TxReceipt`` view of the ledger's record.
+        self.receipts = self.ledger.receipts
         self.sharded_executor = ShardedExecutor(n_shards) if n_shards else None
         self._clock = 0.0
         self._nonces: dict[str, int] = {}
@@ -137,11 +138,11 @@ class LocalChain:
         verify_many(signature_items(txs))
         result = commit_block(
             block, lambda contract: _POLICY,
-            ledger=self.ledger, state=self.state, receipts=self.receipts, index=self.index,
+            ledger=self.ledger, state=self.state, index=self.index,
         )
         if self.sharded_executor is not None and result.valid_txs:
             self.sharded_executor.plan_block(result.valid_txs)
-        return result.receipts
+        return [self.ledger.receipt_at(block.height, position) for position in range(len(txs))]
 
     def query(
         self,

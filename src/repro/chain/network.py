@@ -378,7 +378,7 @@ class BlockchainNetwork:
         deadline = self.sim.now + timeout
         while self.sim.now < deadline:
             for peer in self.peers:
-                receipt = peer.receipts.get(tx_id)
+                receipt = peer.ledger.receipt(tx_id)
                 if receipt is not None:
                     return receipt
             if not self.sim.step():

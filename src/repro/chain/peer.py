@@ -13,8 +13,8 @@ that detects when the peer has fallen behind the network head and
 fetches, verifies, and applies the missing blocks — the recovery path
 for crash windows, partitions, and message loss.  :meth:`Peer.restart`
 models a real process restart: volatile state (mempool, open consensus
-rounds, timers) is wiped and state and receipts are rebuilt from what
-the storage backend kept.
+rounds, timers) is wiped and ledger and state are rebuilt from what the
+storage backend kept.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.chain.sync import SyncManager
 from repro.chain.transaction import (
     Endorsement,
     Transaction,
-    TxReceipt,
     rwset_digest,
     signature_items,
 )
@@ -173,7 +172,6 @@ class Peer(NetworkNode):
         self.index = ChainIndex()
         self.state = WorldState()
         self.mempool = Mempool()
-        self.receipts: dict[str, TxReceipt] = {}
         self.policies: dict[str, EndorsementPolicy] = {}
         self.default_policy = default_policy or EndorsementPolicy(required=1)
         self.sharded_executor = sharded_executor
@@ -198,6 +196,13 @@ class Peer(NetworkNode):
         #: wipes volatile state, so auditors can excuse the injected loss.
         self.restart_listeners: list[Callable[["Peer", set[str]], None]] = []
         engine.attach(self)
+
+    @property
+    def receipts(self):
+        """Read-only ``tx id -> TxReceipt`` mapping over the ledger's
+        record (:attr:`Ledger.receipts <repro.chain.ledger.Ledger.receipts>`);
+        hot loops ask ``ledger.receipt(tx_id)`` / ``tx_id in ledger``."""
+        return self.ledger.receipts
 
     @property
     def disk(self):
@@ -300,7 +305,7 @@ class Peer(NetworkNode):
         verify_many(signature_items(block.transactions), registry=self.obs, peer=self.node_id)
         result = commit.commit_block(
             block, self.policy_for,
-            ledger=self.ledger, state=self.state, receipts=self.receipts, index=self.index,
+            ledger=self.ledger, state=self.state, index=self.index,
         )
         for verdict in result.verdicts:
             if verdict.failed_check is not None:
@@ -323,7 +328,7 @@ class Peer(NetworkNode):
         )
         self.mempool.remove([tx.tx_id for tx in block.transactions])
         self.metrics.record_block_commit(self.sim.now)
-        self.store.maybe_snapshot(self.ledger, self.state, self.receipts)
+        self.store.maybe_snapshot(self.ledger, self.state)
         if self.sharded_executor is not None and valid_txs:
             self.sharded_executor.plan_block(valid_txs)
         for listener in self.commit_listeners:
@@ -341,11 +346,11 @@ class Peer(NetworkNode):
 
         What "durable" means depends on the storage backend.  With the
         in-memory store (seed behaviour) the chain is axiomatically kept
-        and replayed from genesis under its recorded verdicts
-        (:func:`repro.chain.commit.replay_ledger`).
+        and the world state replayed from it under its recorded verdicts
+        (:meth:`Ledger.replay_state <repro.chain.ledger.Ledger.replay_state>`).
         With a :class:`~repro.chain.store.DurableStore`, restart is
-        *recovery*: the backend rebuilds ledger, state, and receipts from
-        its verified snapshot + log tail — and anything it had to give up
+        *recovery*: the backend rebuilds ledger and state from its
+        verified snapshot + log tail — and anything it had to give up
         (torn tail, corrupt snapshot) is reported, counted, and later
         re-fetched from the network by the sync manager.  The mempool,
         the engine's open rounds and timers, and in-flight fetches are
@@ -363,12 +368,11 @@ class Peer(NetworkNode):
         recovered = self.store.recover(engine=self.engine)
         report = None
         if recovered is None:
-            self.ledger, self.state, self.receipts = commit.replay_ledger(self.ledger)
+            self.state = self.ledger.replay_state()
         else:
             report = recovered.report
             self.ledger = recovered.ledger
             self.state = recovered.state
-            self.receipts = recovered.receipts
         # The in-memory index is volatile: rebuild it from whatever chain
         # survived (recovery may have truncated below the pre-crash tip).
         self.index.reindex(self.ledger)

@@ -9,7 +9,7 @@ when a world-state snapshot is due.  ``Peer.restart`` calls
 :meth:`BlockStore.recover`: a backend that can rebuild the chain from
 its own media returns a :class:`RecoveredChain`; the in-memory backend
 returns ``None``, which tells the peer to fall back to the seed
-behaviour (keep the in-memory chain, replay it from genesis).
+behaviour (keep the in-memory chain, replay its state from genesis).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chain.consensus.base import ConsensusEngine
     from repro.chain.ledger import Ledger
     from repro.chain.state import WorldState
-    from repro.chain.transaction import TxReceipt
     from repro.obs import MetricsRegistry
 
 __all__ = ["BlockStore", "Degradation", "RecoveryReport", "RecoveredChain"]
@@ -87,7 +86,6 @@ class RecoveredChain:
 
     ledger: "Ledger"
     state: "WorldState"
-    receipts: dict[str, "TxReceipt"]
     #: height -> consensus proof for records recovery decoded, so the
     #: peer can re-seed its engine's certificate map.
     proofs: dict[int, Any]
@@ -113,9 +111,7 @@ class BlockStore(abc.ABC):
         """Persist one committed block; ``True`` = acknowledged durable."""
 
     @abc.abstractmethod
-    def maybe_snapshot(
-        self, ledger: "Ledger", state: "WorldState", receipts: dict[str, "TxReceipt"]
-    ) -> bool:
+    def maybe_snapshot(self, ledger: "Ledger", state: "WorldState") -> bool:
         """Write a snapshot if policy says one is due; ``True`` if written."""
 
     @abc.abstractmethod

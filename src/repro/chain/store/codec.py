@@ -3,8 +3,8 @@
 One record encodes everything ``Peer.restart`` needs to rebuild the
 block's effect without re-running consensus: the block itself (header +
 full transactions), the per-tx validity verdicts the commit path
-produced, the per-tx error strings (so rebuilt failure receipts are
-byte-equal to the originals, not generic markers), and the consensus
+produced, the per-tx error strings (so the failure receipts a recovered
+ledger serves are byte-equal to the originals), and the consensus
 proof (PBFT commit certificate + vote signatures) so recovery can
 re-verify the tail *before* trusting it.
 
@@ -20,7 +20,7 @@ import json
 from typing import Any
 
 from repro.chain.block import Block
-from repro.chain.transaction import Endorsement, Transaction, TxReceipt
+from repro.chain.transaction import Endorsement, Transaction
 
 __all__ = [
     "encode_record",
@@ -29,8 +29,6 @@ __all__ = [
     "decode_obj",
     "block_to_obj",
     "block_from_obj",
-    "receipt_to_obj",
-    "receipt_from_obj",
 ]
 
 
@@ -109,30 +107,6 @@ def block_from_obj(obj: dict[str, Any]) -> Block:
         proposer=obj["proposer"],
         transactions=tuple(_tx_from_obj(t) for t in obj["transactions"]),
         block_hash=obj["block_hash"],
-    )
-
-
-def receipt_to_obj(receipt: TxReceipt) -> dict[str, Any]:
-    return {
-        "tx_id": receipt.tx_id,
-        "block_height": receipt.block_height,
-        "success": receipt.success,
-        "return_value": receipt.return_value,
-        "events": list(receipt.events),
-        "error": receipt.error,
-        "gas_used": receipt.gas_used,
-    }
-
-
-def receipt_from_obj(obj: dict[str, Any]) -> TxReceipt:
-    return TxReceipt(
-        tx_id=obj["tx_id"],
-        block_height=obj["block_height"],
-        success=obj["success"],
-        return_value=obj["return_value"],
-        events=tuple(obj["events"]),
-        error=obj["error"],
-        gas_used=obj.get("gas_used", 0),
     )
 
 

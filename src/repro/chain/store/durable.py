@@ -6,8 +6,9 @@ into one record, appended to the log, and fsync'd — only then is the
 block *acknowledged durable* and remembered in :attr:`DurableStore.acked`
 (the model's ground truth for the storage-durability invariant; it is
 never used to rebuild state).  Every ``snapshot_interval`` blocks,
-:meth:`maybe_snapshot` persists the world state, receipts, and the
-ledger's tx-id locator.
+:meth:`maybe_snapshot` persists the world state and the ledger's tx-id
+locator — state, not history: a receipt is read from the ledger, which
+recovery rebuilds from the log.
 
 Recovery (:meth:`recover`) is verify-before-trust, and it *degrades*,
 never guesses::
@@ -39,15 +40,10 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.chain.block import Block, make_genesis_block
 from repro.chain.commit import replay_block
-from repro.chain.ledger import Ledger
+from repro.chain.ledger import Entry, Ledger
 from repro.chain.state import WorldState
 from repro.chain.store.base import BlockStore, Degradation, RecoveredChain, RecoveryReport
-from repro.chain.store.codec import (
-    decode_record,
-    encode_record,
-    receipt_from_obj,
-    receipt_to_obj,
-)
+from repro.chain.store.codec import decode_record, encode_record
 from repro.chain.store.log import BlockLog, LogRecord
 from repro.chain.store.snapshots import (
     SnapshotCandidate,
@@ -55,7 +51,6 @@ from repro.chain.store.snapshots import (
     load_snapshot,
     write_snapshot,
 )
-from repro.chain.transaction import TxReceipt
 from repro.errors import InvalidBlockError
 from repro.obs import MetricsRegistry
 from repro.simnet.disk import SimDisk
@@ -134,13 +129,11 @@ class DurableStore(BlockStore):
         self._count("store.log_bytes", len(payload))
         return True
 
-    def maybe_snapshot(
-        self, ledger: Ledger, state: WorldState, receipts: dict[str, TxReceipt]
-    ) -> bool:
+    def maybe_snapshot(self, ledger: Ledger, state: WorldState) -> bool:
         height = ledger.height
         if height == 0 or height - self.last_snapshot_height < self.snapshot_interval:
             return False
-        written = self._write_snapshot(ledger, state, receipts)
+        written = self._write_snapshot(ledger, state)
         self.last_snapshot_height = height
         self._count("store.snapshots_written")
         self._count("store.snapshot_bytes", written)
@@ -148,19 +141,15 @@ class DurableStore(BlockStore):
 
     # -- snapshot media (overridable: SQLiteStore swaps the file format) ---
 
-    def _write_snapshot(
-        self, ledger: Ledger, state: WorldState, receipts: dict[str, TxReceipt]
-    ) -> int:
+    def _write_snapshot(self, ledger: Ledger, state: WorldState) -> int:
         """Persist one snapshot of *ledger*'s current height; returns bytes
         written.  Subclasses may store a different on-disk format as long
         as :meth:`_load_snapshot` returns the canonical snapshot object."""
-        receipt_objs = [receipt_to_obj(receipts[tx_id]) for tx_id in sorted(receipts)]
         return write_snapshot(
             self.disk,
             ledger.height,
             ledger.head.block_hash,
             state.dump(),
-            receipt_objs,
             ledger.index_dump(),
             keep=self.keep_snapshots,
         )
@@ -173,7 +162,7 @@ class DurableStore(BlockStore):
         """Verify-before-trust load of one candidate; ``None`` on any
         failure (the ladder counts it as ``snapshot-corrupt`` and moves
         on).  Must return a dict with ``height``/``block_hash``/``state``/
-        ``receipts``/``indexes`` keys — the shape :meth:`_assemble` eats."""
+        ``indexes`` keys — the shape :meth:`_assemble` eats."""
         return load_snapshot(self.disk, candidate)
 
     def _discard_snapshot(self, candidate: SnapshotCandidate) -> None:
@@ -276,7 +265,7 @@ class DurableStore(BlockStore):
         engine: "ConsensusEngine | None",
         report: RecoveryReport,
     ) -> RecoveredChain:
-        """Build (ledger, state, receipts) from the verified log prefix
+        """Build (ledger, state) from the verified log prefix
         and an optional already-CRC-valid snapshot.  Raises
         :class:`_TailCorruption` if a record above the snapshot fails
         verification, :class:`_SnapshotRejected` if the snapshot itself
@@ -334,12 +323,9 @@ class DurableStore(BlockStore):
         # ladder retry never sees a half-built chain.
         if snap_obj is not None:
             state = WorldState.from_dump(snap_obj["state"])
-            receipts = {
-                obj["tx_id"]: receipt_from_obj(obj) for obj in snap_obj["receipts"]
-            }
             ledger = Ledger.from_recovery(
-                # (block, verdicts) at snap_height, verified above
-                window=[decoded[0][:2]],
+                # (block, verdicts, errors) at snap_height, verified above
+                window=[decoded[0][:3]],
                 base=snap_height,
                 indexes=snap_obj["indexes"],
                 archive=self._archive_fn(records, snap_height),
@@ -347,15 +333,12 @@ class DurableStore(BlockStore):
             to_apply = decoded[1:]
         else:
             state = WorldState()
-            receipts = {}
             ledger = Ledger()
             to_apply = decoded
 
         proofs: dict[int, Any] = {b.height: p for b, _, _, p in decoded}
         for block, validity, errors, _ in to_apply:
-            replay_block(
-                block, validity, errors, ledger=ledger, state=state, receipts=receipts
-            )
+            replay_block(block, validity, errors, ledger=ledger, state=state)
 
         report.mode = (
             "snapshot+tail" if snap_obj is not None
@@ -366,25 +349,23 @@ class DurableStore(BlockStore):
         report.log_records = len(records)
         report.tail_records = len(decoded)
         report.unproven_records = unproven
-        return RecoveredChain(
-            ledger=ledger, state=state, receipts=receipts, proofs=proofs, report=report
-        )
+        return RecoveredChain(ledger=ledger, state=state, proofs=proofs, report=report)
 
     def _archive_fn(
         self, records: list[LogRecord], snap_height: int
-    ) -> Callable[[int], tuple[Block, list[bool]]]:
-        """Lazy loader for blocks (and their verdicts) below the snapshot:
-        served straight from the scan-verified log records, decoded on
-        demand (the recovered ledger keeps a bounded cache on top)."""
+    ) -> Callable[[int], Entry]:
+        """Lazy loader for blocks (with their verdicts and error strings)
+        below the snapshot: served straight from the scan-verified log
+        records, decoded on demand (the recovered ledger keeps a bounded
+        cache on top)."""
         by_height = {r.height: r for r in records if r.height < snap_height}
 
-        def load(height: int) -> tuple[Block, list[bool]]:
+        def load(height: int) -> Entry:
             if height == 0:
-                return make_genesis_block(), []
+                return make_genesis_block(), [], []
             record = by_height[height]
             self._count("store.archive_loads")
-            block, validity, _, _ = decode_record(record.payload)
-            return block, validity
+            return decode_record(record.payload)[:3]
 
         return load
 

@@ -10,34 +10,26 @@ Inspection never mutates anything.
 
 from __future__ import annotations
 
-import struct
-import zlib
 from typing import Any
 
 from repro.chain.store.codec import decode_obj
 from repro.chain.store.log import LOG_NAME, scan_log_bytes
-from repro.chain.store.snapshots import SNAPSHOT_PREFIX
+from repro.chain.store.snapshots import (
+    SNAPSHOT_MAGIC,
+    SNAPSHOT_PREFIX,
+    artifact_height,
+    unframe,
+)
+from repro.chain.store.sqlite import IMAGE_MAGIC, IMAGE_PREFIX, IMAGE_SUFFIX
 
 __all__ = ["inspect_files", "inspect_disk", "render_inspection"]
-
-_SNAP_HEADER = struct.Struct(">2sII")
 
 
 def _inspect_snapshot(name: str, data: bytes) -> dict[str, Any]:
     info: dict[str, Any] = {"file": name, "bytes": len(data), "valid": False}
-    if len(data) < _SNAP_HEADER.size:
-        info["problem"] = "shorter than header"
-        return info
-    magic, length, crc = _SNAP_HEADER.unpack_from(data, 0)
-    if magic != b"RS":
-        info["problem"] = "bad magic"
-        return info
-    payload = data[_SNAP_HEADER.size : _SNAP_HEADER.size + length]
-    if len(payload) < length:
-        info["problem"] = "truncated payload"
-        return info
-    if zlib.crc32(payload) != crc:
-        info["problem"] = "CRC mismatch"
+    payload = unframe(data, SNAPSHOT_MAGIC)
+    if isinstance(payload, str):
+        info["problem"] = payload
         return info
     try:
         obj = decode_obj(payload)
@@ -48,40 +40,25 @@ def _inspect_snapshot(name: str, data: bytes) -> dict[str, Any]:
     info["height"] = obj.get("height")
     info["block_hash"] = obj.get("block_hash", "")[:16]
     info["state_keys"] = len(obj.get("state", {}).get("entries", []))
-    info["receipts"] = len(obj.get("receipts", []))
     return info
 
 
 def _inspect_sqlite_image(name: str, data: bytes) -> dict[str, Any]:
     """Frame-level health of a serialized sqlite3 snapshot image
     (``chain-<height>.sqlite``, see :mod:`repro.chain.store.sqlite`)."""
-    from repro.chain.store.sqlite import _image_height
-
     info: dict[str, Any] = {"file": name, "bytes": len(data), "valid": False}
-    if len(data) < _SNAP_HEADER.size:
-        info["problem"] = "shorter than header"
-        return info
-    magic, length, crc = _SNAP_HEADER.unpack_from(data, 0)
-    if magic != b"RQ":
-        info["problem"] = "bad magic"
-        return info
-    payload = data[_SNAP_HEADER.size : _SNAP_HEADER.size + length]
-    if len(payload) < length:
-        info["problem"] = "truncated payload"
-        return info
-    if zlib.crc32(payload) != crc:
-        info["problem"] = "CRC mismatch"
+    payload = unframe(data, IMAGE_MAGIC)
+    if isinstance(payload, str):
+        info["problem"] = payload
         return info
     info["valid"] = True
-    info["height"] = _image_height(name)
+    info["height"] = artifact_height(name, IMAGE_PREFIX, IMAGE_SUFFIX)
     info["kind"] = "sqlite-image"
     return info
 
 
 def inspect_files(files: dict[str, bytes]) -> dict[str, Any]:
     """Structured health report over ``{file name: durable bytes}``."""
-    from repro.chain.store.sqlite import _image_height
-
     log_data = files.get(LOG_NAME, b"")
     scan = scan_log_bytes(log_data)
     snapshots = [
@@ -92,7 +69,7 @@ def inspect_files(files: dict[str, bytes]) -> dict[str, Any]:
     snapshots += [
         _inspect_sqlite_image(name, data)
         for name, data in sorted(files.items())
-        if _image_height(name) is not None
+        if artifact_height(name, IMAGE_PREFIX, IMAGE_SUFFIX) is not None
     ]
     snapshots.sort(key=lambda s: (s.get("height") is None, s.get("height"), s["file"]))
     valid_snap_heights = [s["height"] for s in snapshots if s["valid"] and s["height"] <= scan.tip]
@@ -148,7 +125,7 @@ def render_inspection(info: dict[str, Any]) -> str:
         else:
             lines.append(
                 f"  {snap['file']}: OK, height {snap['height']}, "
-                f"{snap['state_keys']} state keys, {snap['receipts']} receipts"
+                f"{snap['state_keys']} state keys"
             )
     recovery = info["recovery"]
     lines.append(

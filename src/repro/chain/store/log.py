@@ -121,20 +121,3 @@ class BlockLog:
     def truncate(self, valid_length: int) -> None:
         """Repair: cut everything past the proven-good prefix."""
         self.disk.truncate(self.name, valid_length)
-
-    def read_payload(self, record: LogRecord) -> bytes:
-        """Re-read one record's payload from disk, re-proving its CRC.
-
-        Used by the ledger's archive hook for lazy loads of pre-snapshot
-        blocks: the bytes are re-checked at read time, so latent
-        corruption that appeared *after* recovery still cannot serve a
-        wrong block.
-        """
-        data = self.disk.read(self.name)
-        start = record.offset + _HEADER.size
-        payload = data[start : start + len(record.payload)]
-        if zlib.crc32(payload) != record.crc:
-            raise ValueError(
-                f"block log record at offset {record.offset} failed its CRC on re-read"
-            )
-        return payload

@@ -2,8 +2,8 @@
 
 Nothing is persisted beyond the peer's own ``Ledger`` object (which the
 crash model already treats as durable); recovery returns ``None`` so
-``Peer.restart`` replays that chain from genesis under its recorded
-verdicts (:func:`repro.chain.commit.replay_ledger`).  This is the
+``Peer.restart`` keeps that chain and replays its world state under the
+recorded verdicts (``Ledger.replay_state``).  This is the
 baseline the recovery benchmark compares the durable backend against.
 """
 
@@ -17,7 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chain.consensus.base import ConsensusEngine
     from repro.chain.ledger import Ledger
     from repro.chain.state import WorldState
-    from repro.chain.transaction import TxReceipt
 
 __all__ = ["MemoryStore"]
 
@@ -36,9 +35,7 @@ class MemoryStore(BlockStore):
     ) -> bool:
         return True
 
-    def maybe_snapshot(
-        self, ledger: "Ledger", state: "WorldState", receipts: dict[str, "TxReceipt"]
-    ) -> bool:
+    def maybe_snapshot(self, ledger: "Ledger", state: "WorldState") -> bool:
         return False
 
     def recover(self, engine: "ConsensusEngine | None" = None) -> RecoveredChain | None:

@@ -7,8 +7,9 @@ Layout on the node's :class:`~repro.simnet.disk.SimDisk`:
   recovery trusts the same verified log prefix;
 - **snapshot images** — instead of JSON snapshot files, each snapshot is
   a *real sqlite3 database image* (``chain-<height>.sqlite``): the live
-  in-memory connection is ``serialize()``-d and written CRC-framed to the
-  disk, newest ``keep_snapshots`` generations retained.  ``recover()``
+  in-memory connection is ``serialize()``-d and written to the disk in
+  the envelope of :mod:`repro.chain.store.snapshots`, newest
+  ``keep_snapshots`` generations retained.  ``recover()``
   ``deserialize()``-s an image back into a connection — so the artifact a
   bit-flip fault corrupts, and the ladder degrades past, is a genuine
   SQLite file.
@@ -18,8 +19,12 @@ migrations (:data:`SCHEMA_VERSION`, :data:`MIGRATIONS` — an older image
 is upgraded in place on load; a *newer* one is rejected as untrusted),
 **interned** address/contract/method tables, a ``txs`` table keyed by
 ``(height, tx_index)`` with covering indexes per sender/contract/method,
-and a single-row ``snapshot`` table holding the world-state and receipt
-payloads in the canonical PR 7 codec.
+and a single-row ``snapshot`` table holding the world-state payload in the
+canonical PR 7 codec.  ``txs`` holds one row per tx id and *is* the
+persisted tx-id locator, so it is written under the ledger's
+never-downgrade rule (see ``Ledger.append``): the row of an id committed
+twice names the same copy the ledger, ``ChainIndex.get`` and the receipt
+name.
 
 Recovery reuses :class:`DurableStore`'s entire verify-before-trust
 ladder via the snapshot-media hooks: ``_load_snapshot`` CRC-checks and
@@ -41,18 +46,15 @@ within its in-memory window, never the archive).
 from __future__ import annotations
 
 import sqlite3
-import struct
-import zlib
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Block
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
 from repro.chain.store.base import RecoveredChain
-from repro.chain.store.codec import decode_obj, encode_obj, receipt_to_obj
+from repro.chain.store.codec import decode_obj, encode_obj
 from repro.chain.store.durable import DurableStore
-from repro.chain.store.snapshots import SnapshotCandidate
-from repro.chain.transaction import TxReceipt
+from repro.chain.store.snapshots import SnapshotCandidate, list_candidates, unframe, write_framed
 from repro.simnet.disk import SimDisk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,19 +63,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["SQLiteStore", "SCHEMA_VERSION", "MIGRATIONS", "image_name"]
 
 #: Current schema generation.  v1 stored method names as free text on
-#: ``txs``; v2 interns them into a ``methods`` table (see MIGRATIONS).
-SCHEMA_VERSION = 2
+#: ``txs``; v2 interns them into a ``methods`` table; v3 drops the receipt
+#: blob from ``snapshot`` (receipts are read from the ledger) — see
+#: MIGRATIONS.
+SCHEMA_VERSION = 3
 
 IMAGE_PREFIX = "chain-"
 IMAGE_SUFFIX = ".sqlite"
-_MAGIC = b"RQ"
-_HEADER = struct.Struct(">2sII")  # magic, payload length, crc32
+IMAGE_MAGIC = b"RQ"
 
 _HAS_SERIALIZE = hasattr(sqlite3.Connection, "serialize") and hasattr(
     sqlite3.Connection, "deserialize"
 )
 
-_SCHEMA_V2 = """
+_SCHEMA_V3 = """
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE addresses (id INTEGER PRIMARY KEY, address TEXT UNIQUE NOT NULL);
 CREATE TABLE contracts (id INTEGER PRIMARY KEY, name TEXT UNIQUE NOT NULL);
@@ -99,23 +102,13 @@ CREATE INDEX idx_txs_method ON txs(method_id, height, tx_index);
 CREATE TABLE snapshot (
     height INTEGER PRIMARY KEY,
     block_hash TEXT NOT NULL,
-    state BLOB NOT NULL,
-    receipts BLOB NOT NULL
+    state BLOB NOT NULL
 );
 """
 
 
 def image_name(height: int) -> str:
     return f"{IMAGE_PREFIX}{height:010d}{IMAGE_SUFFIX}"
-
-
-def _image_height(name: str) -> int | None:
-    if not (name.startswith(IMAGE_PREFIX) and name.endswith(IMAGE_SUFFIX)):
-        return None
-    try:
-        return int(name[len(IMAGE_PREFIX):-len(IMAGE_SUFFIX)])
-    except ValueError:
-        return None
 
 
 def _migrate_1_to_2(conn: sqlite3.Connection) -> None:
@@ -145,9 +138,14 @@ def _migrate_1_to_2(conn: sqlite3.Connection) -> None:
     conn.execute("CREATE INDEX idx_txs_method ON txs(method_id, height, tx_index)")
 
 
+def _migrate_2_to_3(conn: sqlite3.Connection) -> None:
+    """v2 -> v3: a snapshot holds state, not history — drop the receipt blob."""
+    conn.execute("ALTER TABLE snapshot DROP COLUMN receipts")
+
+
 #: from-version -> forward migration.  Applied in sequence on load until
 #: the image reaches SCHEMA_VERSION.
-MIGRATIONS = {1: _migrate_1_to_2}
+MIGRATIONS = {1: _migrate_1_to_2, 2: _migrate_2_to_3}
 
 
 class SQLiteStore(DurableStore):
@@ -182,7 +180,7 @@ class SQLiteStore(DurableStore):
 
     def _fresh_conn(self) -> sqlite3.Connection:
         conn = sqlite3.connect(":memory:")
-        conn.executescript(_SCHEMA_V2)
+        conn.executescript(_SCHEMA_V3)
         conn.execute(
             "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
             (str(SCHEMA_VERSION),),
@@ -253,9 +251,13 @@ class SQLiteStore(DurableStore):
             contract_id = self._intern(conn, "contracts", "name", tx.contract)
             method_id = self._intern_method(conn, contract_id, tx.method)
             conn.execute(
-                "INSERT OR REPLACE INTO txs "
+                "INSERT INTO txs "
                 "(tx_id, height, tx_index, sender_id, contract_id, method_id, valid) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                "VALUES (?, ?, ?, ?, ?, ?, ?) "
+                "ON CONFLICT(tx_id) DO UPDATE SET (height, tx_index, sender_id, contract_id, "
+                "method_id, valid) = (excluded.height, excluded.tx_index, excluded.sender_id, "
+                "excluded.contract_id, excluded.method_id, excluded.valid) "
+                "WHERE excluded.valid OR NOT txs.valid",  # never downgrade, as Ledger.append
                 (
                     tx.tx_id,
                     block.height,
@@ -285,50 +287,29 @@ class SQLiteStore(DurableStore):
 
     # -- snapshot media (the DurableStore hook points) ---------------------
 
-    def _write_snapshot(
-        self, ledger: Ledger, state: WorldState, receipts: dict[str, TxReceipt]
-    ) -> int:
+    def _write_snapshot(self, ledger: Ledger, state: WorldState) -> int:
         conn = self.connection()
-        receipt_objs = [receipt_to_obj(receipts[tx_id]) for tx_id in sorted(receipts)]
         conn.execute("DELETE FROM snapshot")
         conn.execute(
-            "INSERT INTO snapshot (height, block_hash, state, receipts) "
-            "VALUES (?, ?, ?, ?)",
-            (
-                ledger.height,
-                ledger.head.block_hash,
-                encode_obj(state.dump()),
-                encode_obj(receipt_objs),
-            ),
+            "INSERT INTO snapshot (height, block_hash, state) VALUES (?, ?, ?)",
+            (ledger.height, ledger.head.block_hash, encode_obj(state.dump())),
         )
         conn.commit()
-        payload = bytes(conn.serialize())
-        name = image_name(ledger.height)
-        self.disk.set_role(name, "snapshot")
-        framed = _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
-        self.disk.append(name, framed)
-        self.disk.fsync(name)
-        for stale in self._snapshot_candidates()[: -self.keep_snapshots]:
-            self.disk.delete(stale.name)
-        return len(framed)
+        return write_framed(
+            self.disk,
+            image_name(ledger.height),
+            IMAGE_MAGIC,
+            bytes(conn.serialize()),
+            self.keep_snapshots,
+            self._snapshot_candidates,
+        )
 
     def _snapshot_candidates(self) -> list[SnapshotCandidate]:
-        out = []
-        for name in self.disk.names():
-            height = _image_height(name)
-            if height is not None:
-                out.append(SnapshotCandidate(name=name, height=height))
-        return sorted(out, key=lambda c: c.height)
+        return list_candidates(self.disk, IMAGE_PREFIX, IMAGE_SUFFIX)
 
     def _load_snapshot(self, candidate: SnapshotCandidate) -> dict[str, Any] | None:
-        data = self.disk.read(candidate.name)
-        if len(data) < _HEADER.size:
-            return None
-        magic, length, crc = _HEADER.unpack_from(data, 0)
-        if magic != _MAGIC or _HEADER.size + length > len(data):
-            return None
-        payload = data[_HEADER.size : _HEADER.size + length]
-        if zlib.crc32(payload) != crc:
+        payload = unframe(self.disk.read(candidate.name), IMAGE_MAGIC)
+        if isinstance(payload, str):
             return None
         conn = sqlite3.connect(":memory:")
         try:
@@ -345,9 +326,7 @@ class SQLiteStore(DurableStore):
                 self._set_meta(conn, "schema_version", version)
                 self._count("store.schema_migrations")
             conn.commit()
-            row = conn.execute(
-                "SELECT height, block_hash, state, receipts FROM snapshot"
-            ).fetchone()
+            row = conn.execute("SELECT height, block_hash, state FROM snapshot").fetchone()
             if row is None or row[0] != candidate.height:
                 conn.close()
                 return None
@@ -355,7 +334,6 @@ class SQLiteStore(DurableStore):
                 "height": row[0],
                 "block_hash": row[1],
                 "state": decode_obj(row[2]),
-                "receipts": decode_obj(row[3]),
                 "indexes": self._indexes_from_tables(conn),
             }
         except (sqlite3.Error, ValueError, KeyError, TypeError):

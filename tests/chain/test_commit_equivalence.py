@@ -11,9 +11,14 @@ a tx with a bad client signature — is pushed through
 (d) a ``MemoryStore`` restart (replay of the in-memory chain),
 
 and all of them must report identical validity vectors, receipts per tx
-id, state digest, and an index that matches a ledger scan.  All four go
-through :mod:`repro.chain.commit`; this test is what notices if one of
-them ever grows its own rules again.
+id (error strings included), state digest, and an index that matches a
+ledger scan.  All four go through :mod:`repro.chain.commit`; this test is
+what notices if one of them ever grows its own rules again.
+
+An id names one copy: for every tx id — the one committed twice included
+— ``Ledger.get_transaction``, ``explorer.describe_transaction``,
+``ChainIndex.get``, the receipt and (sqlite) ``query_transactions`` give
+the same ``(height, valid)``, live and after every kind of restart.
 
 Also pinned here: a block that fails the ledger's linkage check must
 leave the peer exactly as it was.
@@ -24,9 +29,12 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.chain import BlockchainNetwork, LocalChain
 from repro.chain.block import Block
+from repro.chain.explorer import describe_transaction
 from repro.errors import InvalidBlockError
 from tests.conftest import CounterContract
 
@@ -85,14 +93,30 @@ def sequence():
     return blocks, expected, roles
 
 
-def _observe(ledger, state, receipts, index, errors=True):
+def _copy_named(ledger, receipts, index, tx_id):
+    """The ``(height, valid)`` every by-id surface gives for *tx_id* — one answer."""
+    committed, row = ledger.get_transaction(tx_id), index.get(tx_id)
+    described, receipt = describe_transaction(ledger, tx_id), receipts[tx_id]
+    answers = {
+        "ledger": (committed.block_height, committed.valid),
+        "explorer": (described["block_height"], described["valid"]),
+        "index": (row.block_height, row.valid),
+        "receipt": (receipt.block_height, receipt.success),
+    }
+    assert len(set(answers.values())) == 1, (tx_id, answers)
+    return answers["ledger"]
+
+
+def _observe(ledger, state, receipts, index):
     """Everything the paths must agree on."""
     return {
         "validity": [ledger.block_validity(h) for h in range(1, ledger.height + 1)],
         "receipts": {
-            tx_id: (r.success, r.block_height, r.return_value, r.events)
-            + ((r.error,) if errors else ())
+            tx_id: (r.success, r.block_height, r.return_value, r.events, r.error)
             for tx_id, r in sorted(receipts.items())
+        },
+        "copy_named": {
+            tx_id: _copy_named(ledger, receipts, index, tx_id) for tx_id in sorted(receipts)
         },
         "digest": state.state_digest(),
         "replayed_digest": ledger.replay_state().state_digest(),
@@ -100,12 +124,14 @@ def _observe(ledger, state, receipts, index, errors=True):
     }
 
 
-def _observe_peer(peer, errors=True):
-    return _observe(peer.ledger, peer.state, peer.receipts, peer.index, errors)
-
-
-def _without_errors(observed):
-    return {**observed, "receipts": {k: v[:4] for k, v in observed["receipts"].items()}}
+def _observe_peer(peer):
+    observed = _observe(peer.ledger, peer.state, peer.receipts, peer.index)
+    if peer.store.kind == "sqlite":  # one row per id, and it names the same copy
+        rows = peer.store.query_transactions(limit=100)
+        assert {
+            row["tx_id"]: (row["block_height"], row["valid"]) for row in rows
+        } == observed["copy_named"]
+    return observed
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +146,11 @@ def reference(sequence):
     assert observed["index_problems"] == []
     assert observed["replayed_digest"] == observed["digest"]
     by_role = {role: observed["receipts"][tx_id] for role, tx_id in roles.items()}
-    # The duplicate's failure in block 3 did not downgrade the receipt.
+    # The duplicate's failure in block 3 did not downgrade the receipt,
+    # and the id still names the valid copy everywhere it is looked up.
     assert by_role["winner"][:3] == (True, 1, 1)
+    assert observed["copy_named"][roles["winner"]] == (1, True)
+    assert observed["copy_named"][roles["loser"]] == (1, False)
     assert by_role["loser"][4] == "MVCC conflict: stale read set"
     assert "bad endorsement signature" in by_role["forged"][4]
     assert "bad signature" in by_role["unsigned"][4]
@@ -163,11 +192,8 @@ def test_memory_restart_replays_like_the_live_commit(sequence, reference):
     for block in blocks:
         peer.commit_block(block)
     peer.restart()
-    # A bare ledger records verdicts, not reasons: error strings are generic.
-    assert _observe_peer(peer, errors=False) == _without_errors(reference)
-    assert {r.error for r in peer.receipts.values() if not r.success} == {
-        "invalid (rebuilt from ledger)"
-    }
+    # The kept ledger records verdicts and reasons: the restart is exact.
+    assert _observe_peer(peer) == reference
 
 
 def test_rejected_block_leaves_the_peer_untouched(sequence):
@@ -198,3 +224,102 @@ def test_rejected_block_leaves_the_peer_untouched(sequence):
         assert fingerprint() == before
     peer.commit_block(_next_block(peer, [tx]))
     assert peer.receipts[tx.tx_id].success and peer.ledger.height == 2
+
+
+# -- receipts are a view: the ledger's binding rule is the stored-dict rule ----
+
+_KEYS = ("k0", "k1")
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """Signed, endorsed transactions whose verdict depends only on when
+    they are committed: blind writes (always valid, so two copies are both
+    valid) and writes that read one key at a fixed version (a key's
+    version is the count of valid txs when it was last written: stale
+    until the chain gets there, valid then, stale again after the next
+    write — failed→valid and valid→failed duplicates)."""
+    import random
+
+    from repro.chain.transaction import Endorsement, Transaction, rwset_digest
+    from repro.crypto import KeyPair
+
+    client, endorser = (KeyPair.generate(random.Random(seed)) for seed in (1, 2))
+    read_sets = [{}, {}] + [{key: version} for key in _KEYS for version in (1, 2, 3)]
+    txs = []
+    for nonce, read_set in enumerate(read_sets):
+        write_set = {_KEYS[nonce % 2]: nonce}
+        tx = Transaction.create(client, "counter", "increment", {"n": nonce}, nonce=nonce)
+        endorsement = Endorsement.create(
+            endorser, "peer-0", tx.tx_id, rwset_digest(read_set, write_set))
+        txs.append(tx.with_execution(
+            read_set=read_set, write_set=write_set, events=({"kind": "wrote", "n": nonce},),
+            return_value=nonce, endorsements=(endorsement,)))
+    return txs
+
+
+def _stored_receipts(blocks):
+    """What the stored receipt dict held for *blocks* (lists of pool txs,
+    heights 1..n): MVCC modelled on key versions, and the rule the commit
+    path applied to its dict — ``existing is None or verdict or not
+    existing.success``."""
+    from repro.chain.transaction import TxReceipt
+
+    versions, seq, receipts = dict.fromkeys(_KEYS, "never written"), 0, {}
+    for height, txs in enumerate(blocks, start=1):
+        for tx in txs:
+            verdict = all(versions[key] == read for key, read in tx.read_set.items())
+            if verdict:
+                seq += 1
+                versions.update(dict.fromkeys(tx.write_set, seq))
+            existing = receipts.get(tx.tx_id)
+            if existing is None or verdict or not existing.success:
+                receipts[tx.tx_id] = TxReceipt(
+                    tx_id=tx.tx_id, block_height=height, success=verdict,
+                    return_value=tx.return_value if verdict else None,
+                    events=tx.events if verdict else (),
+                    error=None if verdict else "MVCC conflict: stale read set")
+    return receipts
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    picks=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=6),
+    snapshot_interval=st.integers(1, 7),
+)
+# pool[0] blind-writes k0; pool[2] reads k0 at version 1 (and writes it).
+@example(picks=[[0], [2], [2]], snapshot_interval=2)       # valid, then a failed duplicate
+@example(picks=[[2], [0], [2]], snapshot_interval=1)       # failed, then valid
+@example(picks=[[0], [0, 0]], snapshot_interval=1)         # valid blind writes, one block too
+@example(picks=[[2], [0], [2], [2]], snapshot_interval=3)  # three copies: failed, valid, failed
+@example(picks=[[0, 2, 2, 2]], snapshot_interval=1)        # ... within one block
+def test_receipts_view_equals_the_stored_receipt_dict(pool, picks, snapshot_interval):
+    """For any block sequence — ids repeated across and within blocks, in
+    any verdict order — ``dict(receipts)`` on a LocalChain, on a peer of
+    each backend, and after that peer's restart (memory, full replay,
+    snapshot+tail) is the dict the commit path used to keep; the index and
+    the SQL row name the same copy."""
+    blocks = [[pool[pick] for pick in block] for block in picks]
+    want = _stored_receipts(blocks)
+    copy_named = {tx_id: (r.block_height, r.success) for tx_id, r in want.items()}
+
+    chain = LocalChain()
+    for txs in blocks:
+        chain._commit(txs)
+    assert dict(chain.receipts) == want
+
+    for storage in ("memory", "durable", "sqlite"):
+        peer = _network(storage, snapshot_interval).peers[0]
+        for txs in blocks:
+            peer.commit_block(_next_block(peer, txs))
+        for restarted in (False, True):
+            if restarted:
+                peer.restart()
+            assert dict(peer.receipts) == want, (storage, restarted)
+            rows = [peer.index.get(tx_id) for tx_id in want]
+            assert {row.tx_id: (row.block_height, row.valid) for row in rows} == copy_named
+            if storage == "sqlite":
+                assert {
+                    row["tx_id"]: (row["block_height"], row["valid"])
+                    for row in peer.store.query_transactions(limit=100)
+                } == copy_named

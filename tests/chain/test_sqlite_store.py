@@ -6,8 +6,8 @@ the parametrized suites in ``test_store.py``/``test_store_recovery.py``.
 This file covers what is unique to the relational backend: CRC-framed
 serialized sqlite3 images as the snapshot media, generation fallback and
 full-replay degradation when images are damaged, forward schema
-migration (a v1 image is upgraded in place on load, a future-versioned
-one is refused), reconciliation of the tx tables against the recovered
+migration (a v1 or v2 image is upgraded in place on load, a
+future-versioned one is refused), reconciliation of the tx tables against the recovered
 chain, and the SQL query surface answering identically to the explorer
 scan.
 """
@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import random
 import sqlite3
-import zlib
 
 import pytest
 
 from repro.chain.explorer import find_transactions
 from repro.chain.store import SQLiteStore
-from repro.chain.store.codec import encode_obj, receipt_to_obj
-from repro.chain.store.sqlite import _HEADER, _MAGIC, SCHEMA_VERSION, image_name
-from repro.chain.transaction import TxReceipt
+from repro.chain.store.codec import encode_obj
+from repro.chain.store.snapshots import frame
+from repro.chain.store.sqlite import IMAGE_MAGIC, SCHEMA_VERSION, image_name
 from repro.crypto import KeyPair
 from repro.obs import MetricsRegistry
 from repro.simnet.disk import SimDisk
@@ -135,7 +134,11 @@ def test_tx_tables_reconciled_after_log_truncation(keypair):
 
 # -- schema versioning -------------------------------------------------------
 
-_SCHEMA_V1 = """
+#: v1 and v2 as the deployments that wrote them declared them.  v1 keeps
+#: the method name as text on ``txs``; v2 interns it; both carry the
+#: receipt blob that v3 dropped.
+_SCHEMA_OLD = {
+    1: """
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE addresses (id INTEGER PRIMARY KEY, address TEXT UNIQUE NOT NULL);
 CREATE TABLE contracts (id INTEGER PRIMARY KEY, name TEXT UNIQUE NOT NULL);
@@ -155,67 +158,99 @@ CREATE TABLE snapshot (
     state BLOB NOT NULL,
     receipts BLOB NOT NULL
 );
-"""
+""",
+    2: """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE addresses (id INTEGER PRIMARY KEY, address TEXT UNIQUE NOT NULL);
+CREATE TABLE contracts (id INTEGER PRIMARY KEY, name TEXT UNIQUE NOT NULL);
+CREATE TABLE methods (
+    id INTEGER PRIMARY KEY,
+    contract_id INTEGER NOT NULL REFERENCES contracts(id),
+    name TEXT NOT NULL,
+    UNIQUE (contract_id, name)
+);
+CREATE TABLE txs (
+    tx_id TEXT PRIMARY KEY,
+    height INTEGER NOT NULL,
+    tx_index INTEGER NOT NULL,
+    sender_id INTEGER NOT NULL REFERENCES addresses(id),
+    contract_id INTEGER NOT NULL REFERENCES contracts(id),
+    method_id INTEGER NOT NULL REFERENCES methods(id),
+    valid INTEGER NOT NULL
+);
+CREATE UNIQUE INDEX idx_txs_chain ON txs(height, tx_index);
+CREATE INDEX idx_txs_sender ON txs(sender_id, height, tx_index);
+CREATE INDEX idx_txs_contract ON txs(contract_id, height, tx_index);
+CREATE INDEX idx_txs_method ON txs(method_id, height, tx_index);
+CREATE TABLE snapshot (
+    height INTEGER PRIMARY KEY,
+    block_hash TEXT NOT NULL,
+    state BLOB NOT NULL,
+    receipts BLOB NOT NULL
+);
+""",
+}
 
 
-def _receipt_objs(commits):
-    receipts: dict[str, TxReceipt] = {}
-    for block, validity, errors in commits:
-        for index, tx in enumerate(block.transactions):
-            verdict = validity[index]
-            receipt = TxReceipt(
-                tx_id=tx.tx_id, block_height=block.height, success=verdict,
-                return_value=tx.return_value if verdict else None,
-                events=tx.events if verdict else (), error=errors[index],
-            )
-            existing = receipts.get(tx.tx_id)
-            if existing is None or verdict or not existing.success:
-                receipts[tx.tx_id] = receipt
-    return [receipt_to_obj(receipts[tx_id]) for tx_id in sorted(receipts)]
+def _old_receipt_objs(commits):
+    """The receipt list v1/v2 images (and JSON snapshots of that time)
+    carried: one object per tx id, sorted by id."""
+    objs = [
+        {
+            "tx_id": tx.tx_id, "block_height": block.height, "success": validity[index],
+            "return_value": tx.return_value if validity[index] else None,
+            "events": list(tx.events) if validity[index] else [],
+            "error": errors[index], "gas_used": 0,
+        }
+        for block, validity, errors in commits
+        for index, tx in enumerate(block.transactions)
+    ]
+    return sorted(objs, key=lambda obj: obj["tx_id"])
 
 
 def _write_image(disk, height, conn):
-    payload = bytes(conn.serialize())
     name = image_name(height)
     disk.set_role(name, "snapshot")
-    disk.append(name, _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload)
+    disk.append(name, frame(bytes(conn.serialize()), IMAGE_MAGIC))
     disk.fsync(name)
     return name
 
 
-def _build_v1_image(disk, ledger, commits, state):
-    """Hand-write a schema-v1 image at the chain head, as a pre-upgrade
-    deployment would have left it on disk."""
+def _build_old_image(disk, ledger, commits, state, version):
+    """Hand-write a schema-v1 or -v2 image at the chain head, as a
+    pre-upgrade deployment would have left it on disk."""
     height = ledger.height
     conn = sqlite3.connect(":memory:")
-    conn.executescript(_SCHEMA_V1)
-    conn.execute("INSERT INTO meta VALUES ('schema_version', '1')")
+    conn.executescript(_SCHEMA_OLD[version])
+    conn.execute("INSERT INTO meta VALUES ('schema_version', ?)", (str(version),))
     conn.execute("INSERT INTO meta VALUES ('indexed_height', ?)", (str(height),))
-    interned_addr: dict[str, int] = {}
-    interned_contract: dict[str, int] = {}
+    interned: dict[tuple[str, ...], int] = {}
+
+    def intern(table, columns, *values):
+        if (table, *values) not in interned:
+            interned[(table, *values)] = conn.execute(
+                f"INSERT INTO {table} ({columns}) VALUES ({', '.join('?' * len(values))})", values
+            ).lastrowid
+        return interned[(table, *values)]
+
     for block, validity, _ in commits:
         for tx_index, tx in enumerate(block.transactions):
-            if tx.sender not in interned_addr:
-                interned_addr[tx.sender] = conn.execute(
-                    "INSERT INTO addresses (address) VALUES (?)", (tx.sender,)
-                ).lastrowid
-            if tx.contract not in interned_contract:
-                interned_contract[tx.contract] = conn.execute(
-                    "INSERT INTO contracts (name) VALUES (?)", (tx.contract,)
-                ).lastrowid
+            contract_id = intern("contracts", "name", tx.contract)
+            method = tx.method if version == 1 else intern(
+                "methods", "contract_id, name", contract_id, tx.method)
             conn.execute(
                 "INSERT INTO txs VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (
                     tx.tx_id, block.height, tx_index,
-                    interned_addr[tx.sender], interned_contract[tx.contract],
-                    tx.method, 1 if validity[tx_index] else 0,
+                    intern("addresses", "address", tx.sender), contract_id,
+                    method, 1 if validity[tx_index] else 0,
                 ),
             )
     conn.execute(
         "INSERT INTO snapshot VALUES (?, ?, ?, ?)",
         (
             height, ledger.head.block_hash,
-            encode_obj(state.dump()), encode_obj(_receipt_objs(commits)),
+            encode_obj(state.dump()), encode_obj(_old_receipt_objs(commits)),
         ),
     )
     conn.commit()
@@ -224,14 +259,17 @@ def _build_v1_image(disk, ledger, commits, state):
     return name
 
 
-def test_v1_image_is_migrated_forward_on_load(keypair):
+def _check_old_image_migrates(keypair, version):
+    """A v1 or v2 image — both still carrying the receipt blob — recovers
+    to the tip, state and receipts of the chain that wrote it; every
+    schema step taken is counted."""
     ledger, commits = _build_chain(keypair, 6, txs_per_block=3)
     disk = SimDisk("n0")
-    store = SQLiteStore(disk=disk, snapshot_interval=1000)  # no v2 images
+    store = SQLiteStore(disk=disk, snapshot_interval=1000)  # no current-schema images
     registry = MetricsRegistry()
     store.attach(registry, "n0")
     state = _populate(store, commits)
-    _build_v1_image(disk, ledger, commits, state)
+    _build_old_image(disk, ledger, commits, state, version)
 
     recovered = store.recover()
     report = recovered.report
@@ -239,22 +277,36 @@ def test_v1_image_is_migrated_forward_on_load(keypair):
     assert report.snapshot_height == 6
     assert report.degradations == []  # migration is an upgrade, not a loss
     assert recovered.ledger.height == 6
+    assert recovered.ledger.head.block_hash == ledger.head.block_hash
     assert recovered.state.state_digest() == state.state_digest()
-    assert {r.tx_id: r.success for r in recovered.receipts.values()} == {
-        tx.tx_id: validity[i]
-        for block, validity, _ in commits
+    assert dict(recovered.ledger.receipts) == dict(ledger.receipts)
+    assert {r.tx_id: (r.success, r.error) for r in recovered.ledger.receipts.values()} == {
+        tx.tx_id: (validity[i], errors[i])
+        for block, validity, errors in commits
         for i, tx in enumerate(block.transactions)
     }
     # The adopted live database now speaks the current schema: the
-    # methods table exists, is linked, and serves queries.
+    # methods table exists, is linked, and serves queries; the receipt
+    # blob is gone.
     stats = store.sql_stats()
-    assert stats["schema_version"] == SCHEMA_VERSION
+    assert stats["schema_version"] == SCHEMA_VERSION == 3
     assert stats["methods"] == 1
     assert stats["txs"] == 18
     assert store.query_transactions(method="increment", limit=5) == find_transactions(
         recovered.ledger, method="increment", limit=5
     )
-    assert registry.total("store.schema_migrations") == 1
+    columns = [row[1] for row in store.connection().execute("PRAGMA table_info(snapshot)")]
+    assert columns == ["height", "block_hash", "state"]
+    assert registry.total("store.schema_migrations") == SCHEMA_VERSION - version
+
+
+def test_v1_image_is_migrated_forward_on_load(keypair):
+    _check_old_image_migrates(keypair, version=1)
+
+
+def test_v2_image_is_migrated_forward_on_load(keypair):
+    """The parent's format: the one step is dropping the receipt blob."""
+    _check_old_image_migrates(keypair, version=2)
 
 
 def test_future_schema_version_is_refused(keypair):
@@ -266,7 +318,7 @@ def test_future_schema_version_is_refused(keypair):
     store = SQLiteStore(disk=disk, snapshot_interval=1000)
     state = _populate(store, commits)
     conn = sqlite3.connect(":memory:")
-    conn.executescript(_SCHEMA_V1)
+    conn.executescript(_SCHEMA_OLD[1])
     conn.execute(
         "INSERT INTO meta VALUES ('schema_version', ?)", (str(SCHEMA_VERSION + 1),)
     )

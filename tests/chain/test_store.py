@@ -31,8 +31,11 @@ from repro.chain.store import (
     scan_log_bytes,
     write_snapshot,
 )
+from repro.chain.store.codec import encode_obj
 from repro.chain.store.log import BlockLog
-from repro.chain.transaction import Transaction, TxReceipt
+from repro.chain.store.snapshots import SNAPSHOT_MAGIC, frame, snapshot_name, unframe
+from repro.chain.store.sqlite import IMAGE_MAGIC
+from repro.chain.transaction import Transaction
 from repro.crypto import KeyPair
 from repro.obs import MetricsRegistry
 from repro.simnet.disk import SimDisk
@@ -73,7 +76,7 @@ def _build_chain(keypair, n_blocks, txs_per_block=2):
         block = Block.build(height, ledger.head.block_hash, float(height), "peer-0", txs)
         validity = [tx.nonce % 5 != 3 for tx in txs]
         errors = [None if ok else "MVCC conflict: stale read set" for ok in validity]
-        ledger.append(block, validity)
+        ledger.append(block, validity, errors)
         commits.append((block, validity, errors))
     return ledger, commits
 
@@ -83,25 +86,15 @@ def _populate(store, commits, snapshots=False):
     block, apply its writes, and (with *snapshots*) offer the store a
     snapshot after every commit against an incrementally-grown ledger."""
     state = WorldState()
-    receipts = {}
     ledger = Ledger() if snapshots else None
     for block, validity, errors in commits:
         store.on_commit(block, validity, proof=None, errors=errors)
         for index, tx in enumerate(block.transactions):
-            verdict = validity[index]
-            if verdict:
+            if validity[index]:
                 state.apply_write_set(tx.write_set)
-            receipt = TxReceipt(
-                tx_id=tx.tx_id, block_height=block.height, success=verdict,
-                return_value=tx.return_value if verdict else None,
-                events=tx.events if verdict else (), error=errors[index],
-            )
-            existing = receipts.get(tx.tx_id)
-            if existing is None or verdict or not existing.success:
-                receipts[tx.tx_id] = receipt
         if ledger is not None:
-            ledger.append(block, validity)
-            store.maybe_snapshot(ledger, state, receipts)
+            ledger.append(block, validity, errors)
+            store.maybe_snapshot(ledger, state)
     return state
 
 
@@ -293,11 +286,11 @@ def test_durable_store_receipts_survive_snapshot_recovery(keypair, store_cls):
         for block, validity, _ in commits
         for i, tx in enumerate(block.transactions)
     }
-    got = {tx_id: r.success for tx_id, r in recovered.receipts.items()}
+    got = {tx_id: r.success for tx_id, r in recovered.ledger.receipts.items()}
     assert got == expected
     # Invalid receipts keep the recorded error string through the log.
     failed = next(t for t, ok in expected.items() if not ok)
-    assert recovered.receipts[failed].error == "MVCC conflict: stale read set"
+    assert recovered.ledger.receipts[failed].error == "MVCC conflict: stale read set"
 
 
 def test_snapshot_indexes_hold_only_the_tx_id_lookup(keypair, store_cls):
@@ -310,11 +303,12 @@ def test_snapshot_indexes_hold_only_the_tx_id_lookup(keypair, store_cls):
     _populate(store, commits, snapshots=True)
     snap = store._load_snapshot(store._snapshot_candidates()[-1])
     assert snap["height"] == 8
+    assert set(snap) == {"height", "block_hash", "state", "indexes"}  # state, not history
     assert set(snap["indexes"]) == {"tx_locator"}
     tx = commits[7][0].transactions[0]
     old = dict(snap["indexes"], validity={tx.tx_id: True},
                by_sender={tx.sender: [tx.tx_id]}, by_contract={tx.contract: [tx.tx_id]})
-    window = [(ledger.block(8), ledger.block_validity(8))]
+    window = [commits[7]]  # (block, verdicts, errors) at height 8
     for indexes in (snap["indexes"], old):
         revived = Ledger.from_recovery(window, base=8, indexes=indexes)
         assert revived.get_transaction(tx.tx_id).block_height == 8
@@ -410,9 +404,7 @@ def test_write_snapshot_rejects_non_positive_keep(keypair):
     disk = SimDisk("n0")
     for keep in (0, -1):
         with pytest.raises(ValueError, match="keep"):
-            write_snapshot(
-                disk, 1, ledger.head.block_hash, {}, [], {}, keep=keep
-            )
+            write_snapshot(disk, 1, ledger.head.block_hash, {}, {}, keep=keep)
     assert list_snapshots(disk) == []  # nothing was written before the check
 
 
@@ -432,11 +424,67 @@ def test_snapshot_loader_rejects_tampered_payload(keypair):
     assert load_snapshot(disk, candidate) is None
 
 
+@pytest.mark.parametrize("magic", [SNAPSHOT_MAGIC, IMAGE_MAGIC])
+def test_unframe_names_the_first_check_that_fails(magic):
+    """One envelope for both snapshot media: recovery rejects on any of
+    these, ``repro-news store`` prints which."""
+    payload = b"snapshot payload bytes"
+    framed = frame(payload, magic)
+    assert unframe(framed, magic) == payload
+    assert unframe(framed + b"trailing bytes are not part of it", magic) == payload
+    other = IMAGE_MAGIC if magic == SNAPSHOT_MAGIC else SNAPSHOT_MAGIC
+    flipped = framed[:-1] + bytes([framed[-1] ^ 0x01])
+    for data, problem in (
+        (framed[:9], "shorter than header"),  # the header is 2 + 4 + 4 bytes
+        (b"", "shorter than header"),
+        (frame(payload, other), "bad magic"),
+        (framed[:-1], "truncated payload"),
+        (framed[:10], "truncated payload"),
+        (flipped, "CRC mismatch"),
+    ):
+        assert unframe(data, magic) == problem
+
+
+def test_snapshot_with_receipts_key_from_before_they_became_a_view_still_loads(keypair):
+    """Forward compatibility: the parent's JSON snapshots carried the whole
+    receipt map.  Such a file recovers to the same tip, state and receipts
+    as the chain that wrote it; the extra key is ignored."""
+    ledger, commits = _build_chain(keypair, 7, txs_per_block=3)
+    disk = SimDisk("n0")
+    store = DurableStore(disk=disk, snapshot_interval=1000)  # writes no snapshot itself
+    state = _populate(store, commits)
+    at = 5  # snapshot below the tip: blocks 6 and 7 replay on top of it
+    early, _ = _build_chain(keypair, at, txs_per_block=3)  # the same chain, five blocks in
+    early_state = _populate(DurableStore(disk=SimDisk("scratch")), commits[:at])
+    assert early.head.block_hash == commits[at - 1][0].block_hash
+    old_receipts = [
+        {"tx_id": r.tx_id, "block_height": r.block_height, "success": r.success,
+         "return_value": r.return_value, "events": list(r.events), "error": r.error,
+         "gas_used": 0}
+        for _, r in sorted(early.receipts.items())
+    ]
+    name = snapshot_name(at)
+    disk.set_role(name, "snapshot")
+    disk.append(name, frame(encode_obj({
+        "height": at, "block_hash": early.head.block_hash, "state": early_state.dump(),
+        "receipts": old_receipts, "indexes": early.index_dump(),
+    }), SNAPSHOT_MAGIC))
+    disk.fsync(name)
+
+    recovered = store.recover()
+    assert recovered.report.mode == "snapshot+tail"
+    assert recovered.report.snapshot_height == at
+    assert recovered.report.degradations == []
+    assert recovered.ledger.head.block_hash == ledger.head.block_hash
+    assert recovered.state.state_digest() == state.state_digest()
+    assert dict(recovered.ledger.receipts) == dict(ledger.receipts)
+
+
 def test_memory_store_recover_returns_none():
     store = MemoryStore()
     assert store.recover() is None
     assert store.on_commit(make_genesis_block(), []) is True
-    assert store.maybe_snapshot(Ledger(), WorldState(), {}) is False
+    assert store.maybe_snapshot(Ledger(), WorldState()) is False
 
 
 def test_acked_map_tracks_payload_bytes(keypair, store_cls):

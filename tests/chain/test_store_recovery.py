@@ -286,7 +286,7 @@ def test_recovery_equals_uninterrupted_run(store_cls, crash_point,
         block = Block.build(height, ledger.head.block_hash, float(height), "p", txs)
         validity = [tx.nonce % 7 != 3 for tx in txs]
         errors = [None if ok else "MVCC conflict: stale read set" for ok in validity]
-        ledger.append(block, validity)
+        ledger.append(block, validity, errors)
         for index, tx in enumerate(block.transactions):
             if validity[index]:
                 state.apply_write_set(tx.write_set)
@@ -296,7 +296,7 @@ def test_recovery_equals_uninterrupted_run(store_cls, crash_point,
                 events=(), error=errors[index],
             )
         store.on_commit(block, validity, proof=None, errors=errors)
-        store.maybe_snapshot(ledger, state, receipts)
+        store.maybe_snapshot(ledger, state)
         checkpoints[height] = (ledger.head.block_hash, state.dump(), dict(receipts))
 
     if torn:
@@ -310,7 +310,7 @@ def test_recovery_equals_uninterrupted_run(store_cls, crash_point,
     assert recovered.ledger.head.block_hash == expected_tip
     assert recovered.state.dump() == expected_state
     got = {tx_id: (r.success, r.block_height, r.error)
-           for tx_id, r in recovered.receipts.items()}
+           for tx_id, r in recovered.ledger.receipts.items()}
     want = {tx_id: (r.success, r.block_height, r.error)
             for tx_id, r in expected_receipts.items()}
     assert got == want
