@@ -43,9 +43,12 @@ bench:
 # checks that guard the shared commit path.  The traced external_screening
 # run is the one workload the ingest path dominates: it checks that
 # corpus.minhash_calls_per_article and provenance.candidates_scanned_per_call
-# repeat exactly and that at most 10 % of the wall is unattributed.
+# repeat exactly and that at most 10 % of the wall is unattributed.  A1 adds
+# the discovery recall gates and, on a 5k-article index, that the signature
+# matrix answers every query exactly as the per-article scan does.
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_micro_substrate.py \
+		benchmarks/bench_a1_provenance.py \
 		benchmarks/bench_pipeline.py \
 		benchmarks/bench_recovery.py::test_cold_start_recovery \
 		benchmarks/bench_explorer.py \

@@ -5,18 +5,31 @@ Workload: 300 indexed articles; 150 queries that are derivations
 strategy (exact shingle Jaccard, MinHash sketch, term cosine) reports
 recall@1 / recall@2 of the true parent plus per-query latency — the
 cost/recall trade a production deployment would choose from.
+
+Scale row: the platform's default index (MinHash signatures as columns
+of one matrix) at 50 000 indexed articles (5 000 under
+``REPRO_BENCH_SMOKE=1``) against the loop it replaced — one
+``estimated_jaccard`` per indexed article over the same signatures —
+with identical answers asserted for every query.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 from benchmarks.conftest import emit
 from repro.core import ProvenanceIndex
 from repro.corpus import CorpusGenerator
+from repro.corpus.similarity import estimated_jaccard
+
+_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 
 N_INDEXED = 300
 N_QUERIES = 150
+N_SCALE = 5_000 if _SMOKE else 50_000
+N_SCALE_QUERIES = 12
+_SCAN_CHUNK = 5_000  # signatures turned into Python tuples at a time (2.6 kB each)
 
 
 def _dataset():
@@ -67,3 +80,72 @@ def test_a1_provenance_methods(benchmark):
     emit(benchmark, "A1 — parent discovery: exact vs MinHash vs cosine", rows)
     assert results["exact"][1] >= 0.9
     assert results["minhash"][1] >= 0.85  # sketch trades a little recall
+
+
+def _scale_index():
+    """Families of a fact, a relay, a malicious derivation and one fabricated article."""
+    gen = CorpusGenerator(seed=1301)
+    index = ProvenanceIndex()
+    facts = []
+    while len(index) < N_SCALE:
+        fact = gen.factual()
+        facts.append(fact)
+        for article in (fact, gen.relay_derivation(fact, "r", 1.0),
+                        gen.malicious_derivation(fact, "t", 2.0), gen.fabricated()):
+            index.add(f"s-{len(index):06d}", article.text)
+    step = len(facts) // N_SCALE_QUERIES
+    queries = [gen.benign_derivation(fact, "q", 3.0).text
+               for fact in facts[::step][:N_SCALE_QUERIES]]
+    return index, queries + [gen.fabricated().text]
+
+
+def _scan(index, query, threshold=0.15, max_parents=2):
+    """``discover_parents`` as the per-article loop it was; returns (answer, seconds in the loop)."""
+    signature = index.sketch(query).representation
+    scored, elapsed = [], 0.0
+    for start in range(0, len(index), _SCAN_CHUNK):
+        ids = index._ids[start:start + _SCAN_CHUNK]
+        stored = [tuple(column) for column in
+                  index._signatures[:, start:start + len(ids)].T.tolist()]
+        begin = time.perf_counter()
+        for article_id, indexed in zip(ids, stored):
+            similarity = estimated_jaccard(signature, indexed)
+            if similarity >= threshold:
+                scored.append((article_id, similarity))
+        elapsed += time.perf_counter() - begin
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:max_parents], elapsed
+
+
+def test_a1_matrix_vs_scan_at_scale(benchmark):
+    index, queries = _scale_index()
+
+    def run():
+        sketches = [index.sketch(query) for query in queries]
+        begin = time.perf_counter()
+        found = [index.discover_parents(sketch) for sketch in sketches]
+        matrix_s = time.perf_counter() - begin
+        assert any(found)
+        scan_s = 0.0
+        for query, candidates in zip(queries, found):
+            expected, seconds = _scan(index, query)
+            scan_s += seconds
+            assert [(c.article_id, c.similarity) for c in candidates] == expected
+        return 1000 * matrix_s / len(queries), 1000 * scan_s / len(queries)
+
+    matrix_ms, scan_ms = benchmark.pedantic(run, rounds=1, iterations=1)
+    stored = index._signatures[:, : len(index)].nbytes / len(index)
+    allocated = index._signatures.nbytes / len(index)
+    rows = [
+        f"{'indexed':>8} {'matrix ms/query':>16} {'scan ms/query':>14} {'speedup':>8} "
+        f"{'B/article':>10} {'allocated':>10}",
+        f"{len(index):>8} {matrix_ms:>16.2f} {scan_ms:>14.2f} {scan_ms / matrix_ms:>7.1f}x "
+        f"{stored:>10.0f} {allocated:>10.0f}",
+        f"({len(queries)} queries, identical answers; both sides exclude the sketch; "
+        f"B/article is the signature column, allocated includes spare capacity)",
+    ]
+    emit(benchmark, "A1 — MinHash discovery at scale: matrix compare vs per-article scan", rows,
+         metrics={"indexed": len(index), "matrix_ms_per_query": matrix_ms,
+                  "scan_ms_per_query": scan_ms, "signature_bytes_per_article": stored})
+    if not _SMOKE:
+        assert scan_ms >= 10 * matrix_ms

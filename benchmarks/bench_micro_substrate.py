@@ -161,7 +161,7 @@ def test_micro_localchain_invoke(benchmark):
 
 def test_micro_provenance_query(benchmark):
     gen = CorpusGenerator(seed=4)
-    index = ProvenanceIndex(method="exact")
+    index = ProvenanceIndex()  # the platform's default (minhash), sketch + discovery
     for _ in range(200):
         article = gen.factual()
         index.add(article.article_id, article.text)

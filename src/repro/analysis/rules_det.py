@@ -25,6 +25,12 @@ DET005 (error)  NumPy's ambient escape hatches: calls through the
                 ``numpy.random.default_rng(seed)`` with an explicit
                 seed, giving every array-sized draw the same
                 reproducibility contract as ``random.Random(seed)``.
+DET006 (error)  builtin ``hash()`` called in a ``repro.*`` module (the
+                tree under ``src/``) outside a ``__hash__`` method.  It
+                is salted per process (``PYTHONHASHSEED``), so a
+                signature, key or order derived from it differs between
+                peers and between runs; ``hashlib`` is the cheap stable
+                replacement (what ``minhash_signature`` uses per shingle).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from repro.analysis.core import Finding, ImportMap, ModuleInfo, Rule, register
 
 __all__ = [
     "AmbientRandomRule", "UnseededRngRule", "OsEntropyRule",
-    "UnorderedSinkRule", "AmbientNumpyRandomRule",
+    "UnorderedSinkRule", "AmbientNumpyRandomRule", "BuiltinHashRule",
 ]
 
 #: Methods of the process-global RNG exposed at module level.
@@ -167,6 +173,27 @@ class AmbientNumpyRandomRule(Rule):
                 "RNG; thread a numpy.random.default_rng(seed) Generator "
                 "through instead",
             )
+
+
+@register
+class BuiltinHashRule(Rule):
+    rule_id = "DET006"
+    severity = "error"
+    summary = "builtin hash() outside __hash__ in a repro.* module"
+
+    def check_module(self, mod: ModuleInfo) -> Iterator[Finding]:
+        if mod.module.split(".")[0] != "repro":
+            return
+        # Manual stack walk so a `__hash__` body is never descended into.
+        stack: list[ast.AST] = [mod.tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.FunctionDef) and node.name == "__hash__":
+                continue
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hash":
+                yield self.finding(mod, node, "builtin hash() is salted per process "
+                                   "(PYTHONHASHSEED); hash with hashlib so peers and runs agree")
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def _is_unordered_expr(node: ast.AST) -> str | None:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.corpus.mutations import measured_change
 from repro.corpus.similarity import (
     MinHashSignature,
     cosine_similarity,
-    estimated_jaccard,
     jaccard,
     minhash_signature,
     shingles,
@@ -31,6 +32,10 @@ from repro.corpus.similarity import (
 from repro.errors import ReproError
 
 __all__ = ["ParentCandidate", "ProvenanceIndex", "TextSketch"]
+
+_INITIAL_COLUMNS = 64
+# The reference measures, applied per indexed article in a Python scan.
+_SCAN_MEASURES = {"exact": jaccard, "cosine": cosine_similarity}
 
 
 @dataclass(frozen=True)
@@ -55,20 +60,26 @@ class ProvenanceIndex:
     """Similarity index over all content the platform has ingested.
 
     Per article it keeps the text (edge degrees are measured on it) and
-    the method's representation of it, nothing else — under ``minhash``
-    that is ``n_hashes`` integers whatever the article's length.
+    the method's representation of it, nothing else.  Under ``minhash``
+    that is one column of ``n_hashes`` integers in a ``uint64`` matrix,
+    whatever the article's length, and discovery compares the query
+    against every column in a single array pass; ``exact`` and ``cosine``
+    scan with the reference measures A1 cross-checks against.
     """
 
     def __init__(self, method: str = "minhash", shingle_k: int = 3, n_hashes: int = 64):
-        measures = {"exact": jaccard, "minhash": estimated_jaccard, "cosine": cosine_similarity}
-        if method not in measures:
+        if method != "minhash" and method not in _SCAN_MEASURES:
             raise ReproError(f"unknown provenance method {method!r}")
         self.method = method
-        self._measure = measures[method]
+        self._measure = _SCAN_MEASURES.get(method)
         self.shingle_k = shingle_k
         self.n_hashes = n_hashes
         self._texts: dict[str, str] = {}
-        self._representations: dict[str, set[str] | MinHashSignature | str] = {}
+        # exact / cosine: article id -> shingle set / text.
+        self._representations: dict[str, set[str] | str] = {}
+        # minhash: column i is the signature of _ids[i]; columns from len(_ids) on are spare.
+        self._ids: list[str] = []
+        self._signatures = np.empty((n_hashes, _INITIAL_COLUMNS), dtype=np.uint64)
 
     def __len__(self) -> int:
         return len(self._texts)
@@ -92,8 +103,15 @@ class ProvenanceIndex:
         if article_id in self._texts:
             raise ReproError(f"article {article_id} already indexed")
         sketch = self.sketch(text)
+        if self.method == "minhash":
+            if len(self._ids) == self._signatures.shape[1]:
+                self._signatures = np.concatenate(
+                    [self._signatures, np.empty_like(self._signatures)], axis=1)
+            self._signatures[:, len(self._ids)] = np.array(sketch.representation, dtype=np.uint64)
+            self._ids.append(article_id)
+        else:
+            self._representations[article_id] = sketch.representation
         self._texts[article_id] = sketch.text
-        self._representations[article_id] = sketch.representation
 
     def discover_parents(
         self,
@@ -104,13 +122,20 @@ class ProvenanceIndex:
     ) -> list[ParentCandidate]:
         """Most similar indexed articles above *threshold*, best first."""
         query = self.sketch(text).representation
-        candidates = []
-        for article_id, representation in self._representations.items():
-            if article_id == exclude:
-                continue
-            similarity = self._measure(query, representation)
-            if similarity >= threshold:
-                candidates.append(ParentCandidate(article_id=article_id, similarity=similarity))
+        if self.method == "minhash":
+            # estimated_jaccard against every column at once: equal lanes / n_hashes.
+            # Articles lie along the long axis so the lane sum is one vector add per lane.
+            lanes = np.array(query, dtype=np.uint64)[:, None]
+            equal = self._signatures[:, : len(self._ids)] == lanes
+            estimates = equal.sum(axis=0, dtype=np.int32) / self.n_hashes
+            scored = [(self._ids[column], float(estimates[column]))
+                      for column in np.flatnonzero(estimates >= threshold)]
+        else:
+            scored = [(article_id, self._measure(query, representation))
+                      for article_id, representation in self._representations.items()]
+        candidates = [ParentCandidate(article_id=article_id, similarity=similarity)
+                      for article_id, similarity in scored
+                      if similarity >= threshold and article_id != exclude]
         candidates.sort(key=lambda c: (-c.similarity, c.article_id))
         return candidates[:max_parents]
 

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from hashlib import blake2b
+
+import numpy as np
 
 from repro.corpus.lexicon import tokenize
-from repro.crypto.hashing import sha256_bytes
+from repro.mix64 import MASK64, mix64_array
 
 __all__ = [
     "shingles",
@@ -49,23 +52,22 @@ def jaccard(a: set[str], b: set[str]) -> float:
 
 MinHashSignature = tuple[int, ...]
 
-_MAX_HASH = (1 << 61) - 1
-
-
-def _hash_family(value: str, index: int) -> int:
-    """The index-th hash of a shingle (salted SHA-256, truncated)."""
-    digest = sha256_bytes(f"{index}:{value}".encode("utf-8"))
-    return int.from_bytes(digest[:8], "big") & _MAX_HASH
-
 
 def minhash_signature(shingle_set: set[str], n_hashes: int = 64) -> MinHashSignature:
-    """MinHash sketch: the minimum of each hash function over the set."""
+    """MinHash sketch: the minimum of each hash lane over the set.
+
+    Each shingle is hashed once (BLAKE2b, 8 bytes — never builtin
+    ``hash()``, which is salted per process) to ``x``; lane ``i`` remixes
+    it as ``mix64(x + mix64(i))``, so all ``n_hashes × |set|`` lane values
+    are one array expression.  An empty set gets the all-``MASK64``
+    sentinel signature.
+    """
     if not shingle_set:
-        return tuple([_MAX_HASH] * n_hashes)
-    signature = []
-    for index in range(n_hashes):
-        signature.append(min(_hash_family(s, index) for s in shingle_set))
-    return tuple(signature)
+        return (MASK64,) * n_hashes
+    digests = b"".join(blake2b(s.encode("utf-8"), digest_size=8).digest() for s in shingle_set)
+    x = np.frombuffer(digests, dtype="<u8")
+    salts = mix64_array(np.arange(n_hashes, dtype=np.uint64))
+    return tuple(mix64_array(x[None, :] + salts[:, None]).min(axis=1).tolist())
 
 
 def estimated_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:

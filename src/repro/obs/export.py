@@ -205,23 +205,27 @@ def write_perf_record(path: str | pathlib.Path, record: dict[str, Any]) -> None:
 
 
 def append_perf_record(
-    path: str | pathlib.Path, record: dict[str, Any], reset: bool = False
+    path: str | pathlib.Path, record: dict[str, Any], key: str | None = None
 ) -> list[dict[str, Any]]:
     """Append *record* to the JSON array at *path*; returns the array.
 
-    With ``reset`` the file is truncated first (benchmarks reset once
-    per session so the snapshot reflects the latest run only).
+    With *key*, a stored record whose *key* field equals the new one's is
+    replaced in place instead (benchmarks key on the experiment title, so
+    a rerun of one experiment refreshes its record and keeps the rest).
     """
     path = pathlib.Path(path)
     existing: list[dict[str, Any]] = []
-    if not reset and path.exists():
+    if path.exists():
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
             if isinstance(loaded, list):
                 existing = loaded
         except (json.JSONDecodeError, OSError):
             existing = []
-    existing.append(_jsonable(record))
+    record = _jsonable(record)
+    slot = next((i for i, stored in enumerate(existing)
+                 if key is not None and stored.get(key) == record.get(key)), len(existing))
+    existing[slot:slot + 1] = [record]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")

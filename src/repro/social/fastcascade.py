@@ -42,6 +42,7 @@ import networkx as nx
 from repro.corpus.articles import Article
 from repro.corpus.generator import CorpusGenerator
 from repro.errors import SimulationError
+from repro.mix64 import MASK64, mix64, mix64_array
 from repro.social.agents import AgentKind, KIND_PROFILES, SocialAgent
 from repro.social.cascade import (
     DRAW_BENIGN,
@@ -60,10 +61,6 @@ __all__ = [
     "CascadeStats",
 ]
 
-_MASK64 = (1 << 64) - 1
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_MIX_MUL_1 = 0xBF58476D1CE4E5B9
-_MIX_MUL_2 = 0x94D049BB133111EB
 #: Lane separation constants: agent index and purpose land in distinct
 #: high-entropy lanes of the 64-bit counter before mixing.
 _PRIME_AGENT = 0xA24BAED4963EE407
@@ -71,22 +68,6 @@ _PRIME_PURPOSE = 0x9FB21C651E98DF25
 
 _KIND_ORDER = (AgentKind.USER, AgentKind.BOT, AgentKind.CYBORG, AgentKind.JOURNALIST)
 _KIND_CODE = {kind: code for code, kind in enumerate(_KIND_ORDER)}
-
-
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer over Python ints (masked to 64 bits)."""
-    x = (x + _SPLITMIX_GAMMA) & _MASK64
-    x = ((x ^ (x >> 30)) * _MIX_MUL_1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX_MUL_2) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """The same SplitMix64 finalizer over a uint64 array (wrapping)."""
-    x = x + np.uint64(_SPLITMIX_GAMMA)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX_MUL_1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX_MUL_2)
-    return x ^ (x >> np.uint64(31))
 
 
 class KeyedDraws:
@@ -105,7 +86,7 @@ class KeyedDraws:
     """
 
     def __init__(self, seed: int = 0):
-        self.seed = _mix64(seed & _MASK64)
+        self.seed = mix64(seed & MASK64)
 
     def key(self, article_id: str) -> int:
         """Stable 64-bit key for one article id."""
@@ -118,11 +99,11 @@ class KeyedDraws:
             + article_key
             + agent_index * _PRIME_AGENT
             + purpose * _PRIME_PURPOSE
-        ) & _MASK64
+        ) & MASK64
 
     def unit(self, article_key: int, agent_index: int, purpose: int) -> float:
         """One uniform in [0, 1) for a single (article, agent, purpose)."""
-        return (_mix64(self._counter(article_key, agent_index, purpose)) >> 11) * 2.0**-53
+        return (mix64(self._counter(article_key, agent_index, purpose)) >> 11) * 2.0**-53
 
     def unit_array(
         self, article_keys: np.ndarray, agent_indices: np.ndarray, purpose: int
@@ -132,9 +113,9 @@ class KeyedDraws:
             np.uint64(self.seed)
             + article_keys.astype(np.uint64)
             + agent_indices.astype(np.uint64) * np.uint64(_PRIME_AGENT)
-            + np.uint64((purpose * _PRIME_PURPOSE) & _MASK64)
+            + np.uint64((purpose * _PRIME_PURPOSE) & MASK64)
         )
-        return (_mix64_array(counters) >> np.uint64(11)) * 2.0**-53
+        return (mix64_array(counters) >> np.uint64(11)) * 2.0**-53
 
 
 class CompiledCascadeGraph:

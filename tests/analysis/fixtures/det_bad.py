@@ -42,3 +42,15 @@ def unordered_root(digests):
 
 def unordered_payload(tags):
     return hash_json({tag for tag in tags})  # DET004
+
+
+def salted_bucket(shingle: str, buckets: int) -> int:
+    return hash(shingle) % buckets  # DET006 (in a repro.* module)
+
+
+class SaltedKey:
+    def __hash__(self) -> int:
+        return hash(("key", id(self)))
+
+    def lane(self, value: str) -> int:
+        return hash(value) & 0xFFFF  # DET006: a method, but not __hash__

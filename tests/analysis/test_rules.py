@@ -90,6 +90,21 @@ def test_det005_sanctions_seeded_generator():
     assert findings == []
 
 
+def test_det006_flags_builtin_hash_outside_dunder_hash_under_src():
+    findings = [f for f in fixture_findings("det_bad.py", module="repro.corpus.fixture")
+                if f.rule == "DET006"]
+    assert [f.context.split("#")[0].strip() for f in findings] == [
+        "return hash(shingle) % buckets", "return hash(value) & 0xFFFF"]
+    assert all(f.severity == "error" for f in findings)
+    assert fixture_findings("det_clean.py", module="repro.corpus.fixture") == []
+
+
+def test_det006_is_scoped_to_the_repro_package():
+    # tests/, benchmarks/ and loose scripts may bucket by hash() for scratch work.
+    for module in ("", "tests.corpus.fixture", "benchmarks.fixture"):
+        assert "DET006" not in rule_ids(fixture_findings("det_bad.py", module=module))
+
+
 # -- SIM --------------------------------------------------------------------
 
 def test_sim_fires_inside_domain():

@@ -281,3 +281,19 @@ def test_reserved_fact_prefix_is_rejected_on_every_entry_point(platform):
     assert "fact:spoof" not in platform.index
     echoed = platform.report_external("acme", "ext-1", text, "climate", source="s")
     assert echoed.fact_roots == ("f-c",)
+
+
+def test_share_naming_an_indexed_fact_records_a_fact_root_not_a_parent(platform):
+    gen = CorpusGenerator(seed=5)
+    fact = gen.factual(topic="climate")
+    platform.seed_fact("f-c", fact.text, "climate-panel", "climate")
+    altered = gen.insertion_fake(fact, "agent-1", 1.0, n_insertions=2).with_id("s-1")
+    platform.ingest_share(_share("agent-1", altered, "fact:f-c", "insert"), altered)
+    node = platform.chain.query("supplychain", "get_node", {"article_id": "s-1"})
+    degree = platform.index.degree_between(altered.text, "fact:f-c")
+    assert 0.0 < degree < 1.0
+    assert (node["parents"], node["parent_degrees"]) == ([], [])
+    assert (node["fact_roots"], node["fact_degrees"]) == (["f-c"], [degree])
+    assert node["modification_degree"] == degree
+    trace = platform.trace("s-1")
+    assert trace.traceable and trace.cumulative_modification == degree

@@ -1,6 +1,14 @@
 """Shingles, Jaccard, MinHash estimation, cosine similarity."""
 
+import math
+import pathlib
+import subprocess
+import sys
+from hashlib import blake2b
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus import (
     CorpusGenerator,
@@ -11,6 +19,9 @@ from repro.corpus import (
     shingles,
     tokenize,
 )
+from repro.mix64 import mix64
+
+REPO = pathlib.Path(__file__).parents[2]
 
 
 def test_tokenize_normalizes():
@@ -89,3 +100,72 @@ def test_shingle_similarity_order_sensitive():
     # Unlike cosine, shingles notice reordering — why provenance uses them.
     same_words_reordered = jaccard(shingles("a b c d e f"), shingles("f e d c b a"))
     assert same_words_reordered < 0.5
+
+
+# -- the hash family -----------------------------------------------------------
+
+
+def _shingle_hash(shingle: str) -> int:
+    return int.from_bytes(blake2b(shingle.encode("utf-8"), digest_size=8).digest(), "little")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.text(max_size=12), min_size=1, max_size=30), st.integers(1, 70))
+def test_every_lane_is_the_scalar_min_over_the_set(shingle_set, n_hashes):
+    """The array expression against SplitMix64 on Python ints, lane by lane."""
+    hashes = [_shingle_hash(s) for s in shingle_set]
+    expected = tuple(min(mix64(h + mix64(lane)) for h in hashes) for lane in range(n_hashes))
+    signature = minhash_signature(shingle_set, n_hashes)
+    assert signature == expected
+    assert all(type(value) is int for value in signature)
+
+
+_PINNED_TEXT = "the council approved the new budget on monday after a long public debate"
+_PINNED_SHA256 = "6a3d5975887c611dcdd0da86011c32eea4eccc116dbc2f1ef1e9915ac4f86bdf"
+
+_SIGNATURE_SCRIPT = """
+import hashlib, sys
+from repro.corpus.similarity import minhash_signature, shingles
+ordered = sorted(shingles(sys.argv[1]))
+for order in (ordered, ordered[::-1]):
+    inserted = set()
+    for shingle in order:
+        inserted.add(shingle)
+    print(hashlib.sha256(repr(minhash_signature(inserted)).encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_signature_is_the_same_in_every_process_and_insertion_order(hash_seed):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIGNATURE_SCRIPT, _PINNED_TEXT],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(REPO / "src"), "PYTHONHASHSEED": hash_seed},
+    )
+    assert proc.stdout.split() == [_PINNED_SHA256] * 2
+
+
+def test_estimator_is_calibrated_against_exact_jaccard():
+    """Unbiased, and no noisier than 64 independent lanes would be."""
+    gen = CorpusGenerator(seed=2024)
+    pairs = []
+    for index in range(140):
+        parent = gen.factual()
+        derive = (gen.relay_derivation, gen.benign_derivation, gen.malicious_derivation)[index % 3]
+        pairs.append((parent, derive(parent, "x", 1.0)))
+        pairs.append((parent, gen.insertion_fake(parent, "x", 2.0, n_insertions=1 + index % 4)))
+        pairs.append((parent, gen.factual()))
+    assert len(pairs) >= 400
+    errors, z_scores = [], []
+    for left, right in pairs:
+        a, b = shingles(left.text), shingles(right.text)
+        exact = jaccard(a, b)
+        estimate = estimated_jaccard(minhash_signature(a), minhash_signature(b))
+        errors.append(estimate - exact)
+        if 0.0 < exact < 1.0:
+            z_scores.append((estimate - exact) / math.sqrt(exact * (1 - exact) / 64))
+        else:
+            assert estimate == exact
+    assert len(z_scores) >= 200
+    assert abs(sum(errors) / len(errors)) <= 0.01
+    assert math.sqrt(sum(z * z for z in z_scores) / len(z_scores)) <= 1.1

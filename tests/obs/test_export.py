@@ -88,12 +88,15 @@ def test_write_and_append_perf_records(tmp_path):
     assert json.loads(path.read_text()) == {"a": 1}
 
     arr_path = tmp_path / "latest_obs.json"
-    append_perf_record(arr_path, {"run": 1}, reset=True)
+    append_perf_record(arr_path, {"run": 1})
     result = append_perf_record(arr_path, {"run": 2})
     assert [r["run"] for r in result] == [1, 2]
     assert [r["run"] for r in json.loads(arr_path.read_text())] == [1, 2]
-    result = append_perf_record(arr_path, {"run": 3}, reset=True)
-    assert [r["run"] for r in result] == [3]
+    # Keyed: the record with the same "run" is replaced where it stands.
+    append_perf_record(arr_path, {"run": 3, "v": "old"}, key="run")
+    result = append_perf_record(arr_path, {"run": 1, "v": "new"}, key="run")
+    assert result == [{"run": 1, "v": "new"}, {"run": 2}, {"run": 3, "v": "old"}]
+    assert json.loads(arr_path.read_text()) == result
 
 
 def test_jsonable_handles_non_json_values(tmp_path):
