@@ -363,9 +363,7 @@ class InvariantAuditor:
         honest = [p for p in self.network.peers if not p.byzantine]
         in_flight: set[str] = set()
         for peer in honest:
-            pending = getattr(peer.engine, "pending_txs", None)
-            if pending is not None:
-                in_flight |= pending()
+            in_flight |= peer.engine.pending_txs()
         missing = [
             (tx_id, admitted_at)
             for tx_id, admitted_at in self.tracked_txs.items()
@@ -491,10 +489,8 @@ class InvariantAuditor:
         for peer in self.network.peers:
             if peer.byzantine:
                 continue
-            decided = getattr(peer.engine, "decided_heights", None)
-            if decided is None:
-                continue
-            stuck = [h for h in decided() if h <= peer.ledger.height]
+            decided = peer.engine.decided_heights()
+            stuck = [h for h in decided if h <= peer.ledger.height]
             if stuck:
                 self._violate(
                     "pipeline",
@@ -503,7 +499,7 @@ class InvariantAuditor:
                     height=min(stuck),
                     peers=(peer.node_id,),
                     forensics={
-                        "buffered_heights": decided(),
+                        "buffered_heights": decided,
                         "ledger_height": peer.ledger.height,
                     },
                 )

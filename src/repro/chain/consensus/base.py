@@ -91,3 +91,19 @@ class ConsensusEngine(ABC):
         """Wipe volatile engine state after a simulated process restart
         (open rounds, vote tallies, timers) and re-arm from scratch."""
 
+    # -- what the network harness and the auditor ask of every engine ------
+
+    def register_validator_keys(self, keys: dict[str, bytes]) -> None:
+        """Take the validator public-key directory; an engine that signs
+        nothing (PoA) ignores it."""
+
+    def pending_txs(self) -> set[str]:
+        """Tx ids the engine holds outside the mempool (open rounds,
+        decided-but-unapplied blocks); none unless it keeps rounds."""
+        return set()
+
+    def decided_heights(self) -> list[int]:
+        """Heights decided locally but not yet applied; none unless the
+        engine buffers decisions."""
+        return []
+

@@ -12,9 +12,10 @@ turns them into O(log n + k)-class lookups:
   costs a few machine words per transaction instead of a few hundred
   bytes;
 - **materialized views** — tx-by-id, txs-by-sender / -contract /
-  -method (chain order, so newest-first is a reversed walk), valid-tx
-  events-by-kind, and per-contract counts are maintained incrementally
-  as blocks commit;
+  -method (chain order, so newest-first is a reversed walk) and
+  per-contract counts are maintained incrementally as blocks commit
+  (events are not indexed here: :meth:`Ledger.events
+  <repro.chain.ledger.Ledger.events>` is the one events-by-kind view);
 - **incremental feed** — the owning peer calls :meth:`on_commit` with
   exactly the ``(block, validity)`` pair it hands its
   :class:`~repro.chain.store.BlockStore`, so the index is never ahead of
@@ -32,7 +33,7 @@ index that ever drifted is loud, not subtly wrong.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Block
 from repro.errors import InvalidBlockError
@@ -115,8 +116,6 @@ class ChainIndex:
         self._by_sender: dict[int, list[int]] = {}
         self._by_contract: dict[int, list[int]] = {}
         self._by_method: dict[int, list[int]] = {}
-        #: kind -> [(ordinal, event index within the tx)], valid txs only.
-        self._events_by_kind: dict[str, list[tuple[int, int]]] = {}
         self._n_valid = 0
 
     # -- feed --------------------------------------------------------------
@@ -156,11 +155,6 @@ class ChainIndex:
             self._by_method.setdefault(method_id, []).append(ordinal)
             if valid:
                 self._n_valid += 1
-                for event_index, event in enumerate(tx.events):
-                    kind = event.get("kind")
-                    self._events_by_kind.setdefault(kind, []).append(
-                        (ordinal, event_index)
-                    )
         self.height = block.height
 
     def reindex(self, ledger: "Ledger") -> int:
@@ -300,52 +294,6 @@ class ChainIndex:
         }
         return dict(sorted(counts.items()))
 
-    def events(
-        self,
-        ledger: "Ledger",
-        contract: str | None = None,
-        kind: str | None = None,
-    ) -> Iterator[dict[str, Any]]:
-        """Indexed equivalent of :meth:`Ledger.events`: same enriched
-        dicts, same order, but only the matching transactions' blocks are
-        ever touched (event *payloads* live in the transactions, so the
-        index stores ``(ordinal, event index)`` and resolves on demand).
-        """
-        if kind is not None:
-            entries = self._events_by_kind.get(kind, [])
-            for ordinal, event_index in entries:
-                if contract is not None and self.contracts.value(
-                    self._contracts[ordinal]
-                ) != contract:
-                    continue
-                yield self._resolve_event(ledger, ordinal, event_index)
-            return
-        for ordinal in range(len(self._tx_ids)):
-            if not self._valid[ordinal]:
-                continue
-            if contract is not None and self.contracts.value(
-                self._contracts[ordinal]
-            ) != contract:
-                continue
-            tx = ledger.block(self._heights[ordinal]).transactions[self._indexes[ordinal]]
-            for event in tx.events:
-                enriched = dict(event)
-                enriched["_tx_id"] = tx.tx_id
-                enriched["_sender"] = tx.sender
-                enriched["_height"] = self._heights[ordinal]
-                yield enriched
-
-    def _resolve_event(
-        self, ledger: "Ledger", ordinal: int, event_index: int
-    ) -> dict[str, Any]:
-        height = self._heights[ordinal]
-        tx = ledger.block(height).transactions[self._indexes[ordinal]]
-        enriched = dict(tx.events[event_index])
-        enriched["_tx_id"] = tx.tx_id
-        enriched["_sender"] = tx.sender
-        enriched["_height"] = height
-        return enriched
-
     # -- integrity ---------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
@@ -356,7 +304,6 @@ class ChainIndex:
             "addresses": len(self.addresses),
             "contracts": len(self.contracts),
             "methods": len(self.methods),
-            "event_kinds": len(self._events_by_kind),
         }
 
     def verify_against(self, ledger: "Ledger") -> list[str]:

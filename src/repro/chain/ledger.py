@@ -1,8 +1,14 @@
-"""The append-only ledger: the chain of blocks plus a lookup by tx id.
+"""The append-only ledger: the chain of blocks, a lookup by tx id, and
+the events-by-kind view.
 
 Beyond storage, the ledger is the platform's *audit substrate*: the
 supply-chain graph (§VI), expert mining, and accountability experiments
-all reconstruct history by scanning committed transactions and events.
+all reconstruct history from the events of committed transactions, and
+:meth:`Ledger.events` is the one answer to that read.  It is served from
+``(height, tx index, event index)`` position lists — all events, and by
+kind — which the ledger extends over the blocks appended since the
+previous read; :meth:`Ledger.append` does no event work, so a peer that
+is never asked pays nothing.
 The ledger records each position's commit verdict and error string once,
 as committed, and indexes by transaction id only; a
 :class:`~repro.chain.transaction.TxReceipt` is read from that record
@@ -27,6 +33,9 @@ __all__ = ["Ledger", "CommittedTx", "Entry"]
 #: One height as the ledger holds it: the block, its verdict vector, and
 #: the error string of each position (``None`` where the verdict is valid).
 Entry = tuple[Block, list[bool], list[str | None]]
+
+#: Where one event sits on the chain: ``(height, tx index, event index)``.
+Position = tuple[int, int, int]
 
 #: Archived blocks decoded on demand are cached up to this many entries
 #: (LRU) so repeated explorer/audit reads don't re-decode every time.
@@ -96,6 +105,12 @@ class Ledger:
         self._archive: Callable[[int], Entry] | None = None
         self._archive_cache: OrderedDict[int, Entry] = OrderedDict()
         self._tx_locator: dict[str, tuple[int, int]] = {}
+        #: The events view (:meth:`events`): positions of the events of
+        #: valid transactions at heights ``<= _events_through``, in chain
+        #: order — all of them, and per ``kind``.
+        self._events_through = 0
+        self._event_positions: list[Position] = []
+        self._event_positions_by_kind: dict[Any, list[Position]] = {}
 
     @classmethod
     def from_recovery(
@@ -124,6 +139,11 @@ class Ledger:
         ledger._tx_locator = {
             tx_id: (loc[0], loc[1]) for tx_id, loc in indexes.get("tx_locator", {}).items()
         }
+        # The events view starts empty; the first read extends it through
+        # the archive window.
+        ledger._events_through = 0
+        ledger._event_positions = []
+        ledger._event_positions_by_kind = {}
         return ledger
 
     # -- growth ------------------------------------------------------------
@@ -288,22 +308,33 @@ class Ledger:
         return list(self._entry(height)[1])
 
     def events(self, contract: str | None = None, kind: str | None = None) -> Iterator[dict[str, Any]]:
-        """All events emitted by valid transactions, optionally filtered.
+        """All events emitted by valid transactions, in chain order,
+        optionally filtered.
 
-        Each yielded event dict is augmented with ``_tx_id``, ``_sender``
-        and ``_height`` so consumers can attribute it.
+        Each yielded event dict is a copy augmented with ``_tx_id``,
+        ``_sender`` and ``_height`` so consumers can attribute it.  The
+        read first extends the position lists over the blocks appended
+        since the previous read (O(new blocks)), then resolves the
+        positions of the asked kind — O(matching events), not O(chain).
         """
-        for committed in self.transactions(valid_only=True):
-            tx = committed.transaction
-            if contract is not None and tx.contract != contract:
-                continue
-            for event in tx.events:
-                if kind is not None and event.get("kind") != kind:
+        for height in range(self._events_through + 1, self.height + 1):
+            block, verdicts, _ = self._entry(height)
+            for index, tx in enumerate(block.transactions):
+                if not verdicts[index]:
                     continue
-                enriched = dict(event)
+                for event_index, event in enumerate(tx.events):
+                    position = (height, index, event_index)
+                    self._event_positions.append(position)
+                    self._event_positions_by_kind.setdefault(event.get("kind"), []).append(position)
+            self._events_through = height
+        positions = self._event_positions if kind is None else self._event_positions_by_kind.get(kind, ())
+        for height, index, event_index in positions:
+            tx = self._entry(height)[0].transactions[index]
+            if contract is None or tx.contract == contract:
+                enriched = dict(tx.events[event_index])
                 enriched["_tx_id"] = tx.tx_id
                 enriched["_sender"] = tx.sender
-                enriched["_height"] = committed.block_height
+                enriched["_height"] = height
                 yield enriched
 
     def total_transactions(self) -> int:

@@ -19,11 +19,11 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Literal
 
-from repro.chain.consensus import PBFTEngine, RoundRobinOrderer, ShardedExecutor
+from repro.chain.consensus import ConsensusEngine, PBFTEngine, RoundRobinOrderer, ShardedExecutor
 from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy  # noqa: F401 - re-exported
 from repro.chain.peer import Admission, Peer
 from repro.chain.store import BlockStore, DurableStore, MemoryStore, SQLiteStore
-from repro.chain.transaction import Transaction, TxReceipt
+from repro.chain.transaction import Transaction, TxReceipt, rwset_digest
 from repro.crypto.keys import KeyPair
 from repro.errors import ChainError, ContractError, EndorsementError
 from repro.obs import MetricsRegistry, Tracer
@@ -127,25 +127,12 @@ class BlockchainNetwork:
         self._validator_ids = list(peer_ids)
         byzantine_peers = byzantine_peers or set()
         for peer_id in peer_ids:
-            registry = ContractRegistry()
-            if consensus == "poa":
-                engine: Any = RoundRobinOrderer(
-                    peer_ids, block_interval=block_interval, max_block_txs=max_block_txs
-                )
-            else:
-                engine = PBFTEngine(
-                    peer_ids,
-                    block_interval=block_interval,
-                    view_timeout=view_timeout,
-                    max_block_txs=max_block_txs,
-                    pipeline_depth=pipeline_depth,
-                )
             executor = ShardedExecutor(n_shards) if n_shards else None
             peer = Peer(
                 node_id=peer_id,
                 keypair=KeyPair.generate(self.rng),
-                registry=registry,
-                engine=engine,
+                registry=ContractRegistry(),
+                engine=self._make_engine(),
                 sharded_executor=executor,
                 byzantine=peer_id in byzantine_peers,
                 obs=self.obs,
@@ -159,12 +146,24 @@ class BlockchainNetwork:
         #: sync-served certificates are cryptographically verifiable.
         self._validator_keys = {p.node_id: p.keypair.public_key for p in self.peers}
         for peer in self.peers:
-            register = getattr(peer.engine, "register_validator_keys", None)
-            if register is not None:
-                register(self._validator_keys)
+            peer.engine.register_validator_keys(self._validator_keys)
         for peer in self.peers:
             peer.engine.start()
             peer.sync.start()
+
+    def _make_engine(self) -> ConsensusEngine:
+        """One engine per peer, per the network's ``consensus``, over the
+        original validator set (a late joiner's engine observes it)."""
+        if self.consensus == "poa":
+            return RoundRobinOrderer(
+                self._validator_ids, block_interval=self.block_interval,
+                max_block_txs=self.max_block_txs,
+            )
+        return PBFTEngine(
+            self._validator_ids, block_interval=self.block_interval,
+            view_timeout=self.view_timeout, max_block_txs=self.max_block_txs,
+            pipeline_depth=self.pipeline_depth,
+        )
 
     def _make_store(self, peer_id: str) -> BlockStore:
         """One storage backend per peer, per the network's ``storage``."""
@@ -210,23 +209,11 @@ class BlockchainNetwork:
         normal block dissemination keeps it current.
         """
         node_id = node_id or f"peer-{len(self.peers)}"
-        registry = ContractRegistry()
-        if self.consensus == "poa":
-            engine: Any = RoundRobinOrderer(
-                self._validator_ids, block_interval=self.block_interval,
-                max_block_txs=self.max_block_txs,
-            )
-        else:
-            engine = PBFTEngine(
-                self._validator_ids, block_interval=self.block_interval,
-                view_timeout=self.view_timeout, max_block_txs=self.max_block_txs,
-                pipeline_depth=self.pipeline_depth,
-            )
         peer = Peer(
             node_id=node_id,
             keypair=KeyPair.generate(self.rng),
-            registry=registry,
-            engine=engine,
+            registry=ContractRegistry(),
+            engine=self._make_engine(),
             obs=self.obs,
             tracer=self.tracer,
             store=self._make_store(node_id),
@@ -238,9 +225,7 @@ class BlockchainNetwork:
                 peer.set_policy(contract.name, policy)
         self.net.add_node(peer)
         self.peers.append(peer)
-        register = getattr(peer.engine, "register_validator_keys", None)
-        if register is not None:
-            register(self._validator_keys)
+        peer.engine.register_validator_keys(self._validator_keys)
         # State transfer: replay the committed chain from the freshest peer.
         live = [p for p in self.peers if not p.crashed and p is not peer]
         if live:
@@ -302,7 +287,7 @@ class BlockchainNetwork:
                     continue
                 if reference is None:
                     reference = result
-                if endorsement.digest == rw_digest(reference):
+                if endorsement.digest == rwset_digest(reference.read_set, reference.write_set):
                     endorsements.append(endorsement)
                 if len(endorsements) >= policy.required:
                     break
@@ -430,9 +415,3 @@ class BlockchainNetwork:
     def committed_heights(self) -> dict[str, int]:
         return {p.node_id: p.ledger.height for p in self.peers}
 
-
-def rw_digest(result: Any) -> str:
-    """Digest of an ExecutionResult's rw-set (endorsement comparison)."""
-    from repro.chain.transaction import rwset_digest
-
-    return rwset_digest(result.read_set, result.write_set)

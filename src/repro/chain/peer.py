@@ -358,10 +358,7 @@ class Peer(NetworkNode):
         wiped pending tx ids so fault injectors can report (and auditors
         can excuse) the loss.
         """
-        wiped: set[str] = {tx.tx_id for tx in self.mempool.snapshot()}
-        pending = getattr(self.engine, "pending_txs", None)
-        if pending is not None:
-            wiped |= pending()
+        wiped = {tx.tx_id for tx in self.mempool.snapshot()} | self.engine.pending_txs()
         wiped = {tx_id for tx_id in wiped if tx_id not in self.ledger}
         self.crashed = False
         self.mempool = Mempool()

@@ -57,12 +57,17 @@ def rate_distribution_platform(
     ledger: Ledger, graph: nx.DiGraph, platform_name: str
 ) -> SourceRating:
     """Compute a platform's rating from its on-ledger record."""
-    # Articles that went through this platform's rooms.
+    # Articles that went through this platform's rooms (a room name means
+    # the platform of its first ``room-created`` event).
+    platform_of_room: dict[str, str] = {}
+    for event in ledger.events(contract="newsroom", kind="room-created"):
+        platform_of_room.setdefault(event["room"], event["platform"])
     article_ids = [
         event["article_id"]
         for event in ledger.events(contract="newsroom", kind="draft-submitted")
-        if _platform_of_room(ledger, event["room"]) == platform_name
+        if platform_of_room.get(event["room"]) == platform_name
     ]
+    drafted = set(article_ids)
     member_addresses = set()
     verified_addresses = set()
     for event in ledger.events(contract="newsroom", kind="journalist-authenticated"):
@@ -78,11 +83,11 @@ def rate_distribution_platform(
     # Editorial diligence: review + rejection events over drafts.
     reviews = sum(
         1 for event in ledger.events(contract="newsroom", kind="review-started")
-        if event["article_id"] in set(article_ids)
+        if event["article_id"] in drafted
     )
     rejections = sum(
         1 for event in ledger.events(contract="newsroom", kind="article-rejected")
-        if event["article_id"] in set(article_ids)
+        if event["article_id"] in drafted
     )
     diligence = min(1.0, (reviews + rejections) / len(article_ids)) if article_ids else 0.0
     # False-content share from recorded rankings.
@@ -126,9 +131,3 @@ def rate_distribution_platform(
         color=color,
     )
 
-
-def _platform_of_room(ledger: Ledger, room_name: str) -> str | None:
-    for event in ledger.events(contract="newsroom", kind="room-created"):
-        if event["room"] == room_name:
-            return event["platform"]
-    return None

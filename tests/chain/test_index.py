@@ -14,6 +14,12 @@ Three layers:
    hypothesis property over randomized chains assert the two paths are
    answer-identical, which is what lets the index serve reads while the
    scan stays the oracle.
+4. ``Ledger.events`` — the one events-by-kind view, served from position
+   lists the ledger extends on read, against the fold over
+   ``ledger.transactions(valid_only=True)`` it replaced, written here as
+   the reference: every filter shape, reads interleaved with appends, a
+   tx id committed twice, a consumer that scribbles on what it was
+   handed, and a ledger recovered as snapshot + tail from either store.
 """
 
 from __future__ import annotations
@@ -33,9 +39,12 @@ from repro.chain.explorer import (
 )
 from repro.chain.index import ChainIndex, Interner
 from repro.chain.ledger import Ledger
+from repro.chain.state import WorldState
+from repro.chain.store import DurableStore, SQLiteStore
 from repro.chain.transaction import Transaction
 from repro.crypto import KeyPair
 from repro.errors import InvalidBlockError
+from repro.simnet.disk import SimDisk
 
 
 @pytest.fixture(scope="module")
@@ -48,20 +57,28 @@ _CONTRACTS = (("articles", "publish"), ("articles", "endorse"), ("votes", "cast"
 
 
 def _tx(keypair, nonce, contract, method):
+    """A transaction with 0–2 events of its method's kind and, now and
+    then, one event with no ``kind`` at all."""
+    events = [{"kind": f"{method}d", "n": nonce, "part": part} for part in range((nonce + 1) % 3)]
+    if nonce % 5 == 4:
+        events.append({"n": nonce})
     tx = Transaction.create(keypair, contract, method, {"n": nonce}, nonce=nonce)
     return tx.with_execution(
         read_set={}, write_set={f"{contract}/{nonce % 5}": nonce},
-        events=({"kind": f"{method}d", "n": nonce},), return_value=nonce,
+        events=tuple(events), return_value=nonce,
         endorsements=(),
     )
 
 
 def _build(keypairs, n_blocks, txs_per_block=3, seed=0):
     """A chain mixing senders, contracts, methods and invalid txs."""
+    return _extend(Ledger(), keypairs, n_blocks, txs_per_block, seed)
+
+
+def _extend(ledger, keypairs, n_blocks, txs_per_block=3, seed=0):
     rng = random.Random(seed)
-    ledger = Ledger()
-    nonce = 0
-    for height in range(1, n_blocks + 1):
+    nonce = ledger.height * txs_per_block
+    for height in range(ledger.height + 1, ledger.height + n_blocks + 1):
         txs = []
         for _ in range(txs_per_block):
             contract, method = rng.choice(_CONTRACTS)
@@ -312,19 +329,133 @@ def test_index_and_scan_answer_identically(keypairs):
         ), kwargs
 
 
-def test_index_events_match_ledger_events(keypairs):
+# -- Ledger.events: the one events-by-kind view --------------------------------
+
+
+_EVENT_FILTERS = (
+    {},
+    {"kind": "publishd"},
+    {"contract": "articles"},
+    {"contract": "articles", "kind": "endorsed"},
+    {"contract": "votes", "kind": "publishd"},  # both present, never together
+    {"kind": "absent"},
+    {"contract": "absent"},
+    {"contract": "articles", "kind": "absent"},
+)
+
+
+def _fold_events(ledger, contract=None, kind=None):
+    """The reference: the walk over every valid transaction that
+    ``Ledger.events`` was before it read from position lists."""
+    out = []
+    for committed in ledger.transactions(valid_only=True):
+        tx = committed.transaction
+        if contract is not None and tx.contract != contract:
+            continue
+        for event in tx.events:
+            if kind is not None and event.get("kind") != kind:
+                continue
+            out.append({**event, "_tx_id": tx.tx_id, "_sender": tx.sender,
+                        "_height": committed.block_height})
+    return out
+
+
+def _assert_events_match(ledger, reference=None):
+    """*ledger* answers every filter shape as the fold over *reference*
+    (default: itself) does, enrichment keys last and in order."""
+    if reference is None:
+        reference = ledger
+    for filters in _EVENT_FILTERS:
+        got = list(ledger.events(**filters))
+        assert got == _fold_events(reference, **filters), filters
+        assert all(list(event)[-3:] == ["_tx_id", "_sender", "_height"] for event in got)
+
+
+def test_events_match_the_fold_for_every_filter_shape(keypairs):
     ledger = _build(keypairs, 12)
-    index = _indexed(ledger)
-    for kwargs in (
-        {},
-        {"kind": "publishd"},
-        {"contract": "articles"},
-        {"contract": "articles", "kind": "endorsed"},
-        {"kind": "absent"},
-    ):
-        assert list(index.events(ledger, **kwargs)) == list(
-            ledger.events(**kwargs)
-        ), kwargs
+    everything = _fold_events(ledger)
+    # The chain exercises what the view must get right: failed txs that
+    # carry events, txs with none and with two, events without a kind.
+    assert any(not c.valid and c.transaction.events
+               for c in ledger.transactions(valid_only=False))
+    assert {len(c.transaction.events) for c in ledger.transactions()} >= {0, 1, 2}
+    assert any("kind" not in event for event in everything)
+    assert _fold_events(ledger, kind="publishd") and not _fold_events(ledger, kind="absent")
+    _assert_events_match(ledger)
+    assert list(Ledger().events()) == []
+
+
+def test_events_reads_interleave_with_appends(keypairs):
+    ledger = _build(keypairs, 6)
+    first = list(ledger.events(kind="publishd"))
+    _assert_events_match(ledger)
+    _extend(ledger, keypairs, 3, seed=1)
+    # Extended over the three new blocks only, and equal to what a ledger
+    # that is read for the first time at this height answers.
+    fresh = Ledger()
+    for height in range(1, ledger.height + 1):
+        fresh.append(ledger.block(height), ledger.block_validity(height))
+    second = list(ledger.events(kind="publishd"))
+    assert len(second) > len(first) and second[:len(first)] == first
+    for filters in _EVENT_FILTERS:
+        assert list(ledger.events(**filters)) == list(fresh.events(**filters)), filters
+    _assert_events_match(ledger)
+
+
+@pytest.mark.parametrize("verdicts", [(True, False), (False, True)])
+def test_events_of_a_failed_copy_never_appear(keypairs, verdicts):
+    """A tx id committed twice: only the valid position's events are
+    served, whichever copy came first and whenever the view was read."""
+    ledger = Ledger()
+    tx = _tx(keypairs[0], 0, "articles", "publish")
+    for height, verdict in enumerate(verdicts, start=1):
+        ledger.append(
+            Block.build(height, ledger.head.block_hash, float(height), "peer-0", [tx]),
+            [verdict],
+        )
+        _assert_events_match(ledger)
+    events = list(ledger.events(kind="publishd"))
+    assert [e["_height"] for e in events] == [verdicts.index(True) + 1]
+    assert [e["_tx_id"] for e in events] == [tx.tx_id]
+
+
+def test_events_hands_out_copies(keypairs):
+    ledger = _build(keypairs, 5)
+    before = _fold_events(ledger)
+    for event in ledger.events():
+        event["n"] = "scribbled"
+        event.clear()
+    assert list(ledger.events()) == before
+    _assert_events_match(ledger)
+
+
+@pytest.mark.parametrize("store_cls", [DurableStore, SQLiteStore])
+def test_events_of_a_recovered_ledger_come_through_the_archive(keypairs, store_cls):
+    """Snapshot + tail recovery leaves only the blocks above the snapshot
+    in memory and an empty events view; the first read extends it through
+    the archive loader, and later appends extend it like any ledger's."""
+    source = _build(keypairs, 10)
+    store = store_cls(disk=SimDisk("n0", rng=random.Random(42)), snapshot_interval=4)
+    ledger, state = Ledger(), WorldState()
+    for height in range(1, source.height + 1):
+        block, validity = source.block(height), source.block_validity(height)
+        ledger.append(block, validity)
+        for tx, valid in zip(block.transactions, validity):
+            if valid:
+                state.apply_write_set(tx.write_set)
+        store.on_commit(block, validity, proof=None)
+        store.maybe_snapshot(ledger, state)
+    store.disk.on_crash()
+    recovered = store.recover().ledger
+    assert recovered.height == source.height and recovered._base == 8
+    loads, archive = [], recovered._archive
+    recovered._archive = lambda height: loads.append(height) or archive(height)
+    _assert_events_match(recovered, reference=source)
+    assert set(loads) >= set(range(1, 8))  # every height below the snapshot
+    _extend(source, keypairs, 3, seed=2)
+    for height in range(recovered.height + 1, source.height + 1):
+        recovered.append(source.block(height), source.block_validity(height))
+    _assert_events_match(recovered, reference=source)
 
 
 def test_stale_index_is_bypassed(keypairs):

@@ -116,3 +116,33 @@ def test_unrated_platform_is_grey(world):
     rating = rate_distribution_platform(world.chain.ledger, world.graph, "fresh-news")
     assert rating.articles == 0
     assert rating.color == "grey"
+
+
+def test_rating_reads_each_event_kind_once(platform, monkeypatch):
+    """Regression: the room → platform lookup re-read every ``room-created``
+    event once per draft, so a rating cost one ledger read per draft."""
+    fact = CorpusGenerator(seed=71).factual(topic="politics")
+    platform.seed_fact("f-0", fact.text, "record", "politics")
+    platform.register_participant("pub", role="publisher")
+    platform.create_distribution_platform("pub", "news")
+    platform.create_news_room("pub", "news", "desk", "politics")
+    platform.register_participant("journo", role="journalist")
+    platform.authenticate_journalist("news", "journo")
+    for index in range(20):
+        platform.publish_article("journo", "news", "desk", f"a-{index}",
+                                 relay(fact, "g", float(index)).text, "politics")
+    ledger, graph = platform.chain.ledger, platform.graph
+    reads = []
+    events = ledger.events
+
+    def counting(**filters):
+        reads.append(filters["kind"])
+        return events(**filters)
+
+    monkeypatch.setattr(ledger, "events", counting)
+    rating = rate_distribution_platform(ledger, graph, "news")
+    assert rating.articles == 20 and rating.editorial_diligence == 1.0
+    assert sorted(reads) == [
+        "article-ranked", "article-rejected", "draft-submitted", "identity-verified",
+        "journalist-authenticated", "review-started", "room-created",
+    ]
