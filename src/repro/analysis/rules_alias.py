@@ -15,6 +15,12 @@ ALIAS002 (warn)   a method of a boundary class (``Peer``,
                   was initialised to a mutable container in
                   ``__init__``, without a ``dict()/list()/sorted()/
                   .copy()/.snapshot()`` style defensive copy.
+ALIAS003 (error)  ``object.__setattr__`` in a ``repro.*`` module anywhere
+                  but inside a method, on that method's own instance:
+                  its first parameter (``self``), or a local it just
+                  built with ``cls(...)`` / ``replace(self, ...)``.  The
+                  frozen chain objects remember derived values this way;
+                  no other module may plant one on them.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Iterator
 
 from repro.analysis.core import Finding, ModuleInfo, Rule, register
 
-__all__ = ["MutableDefaultRule", "BoundaryReturnRule"]
+__all__ = ["MutableDefaultRule", "BoundaryReturnRule", "ForeignSetattrRule"]
 
 _MUTABLE_FACTORIES = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque", "Counter"}
 
@@ -114,3 +120,67 @@ class BoundaryReturnRule(Rule):
                             "copy/snapshot so callers across the peer boundary "
                             "cannot mutate shared state",
                         )
+
+
+def _is_object_setattr(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+        return False
+    owner = node.func.value
+    return node.func.attr == "__setattr__" and isinstance(owner, ast.Name) and owner.id == "object"
+
+
+def _own_instances(method: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """Names that hold an instance of the method's own class: its first
+    parameter, and locals assigned ``first(...)`` (a classmethod's
+    ``cls(...)``) or ``replace(first, ...)``."""
+    for decorator in method.decorator_list:
+        if isinstance(decorator, ast.Name) and decorator.id == "staticmethod":
+            return set()
+    params = method.args.posonlyargs + method.args.args
+    if not params:
+        return set()
+    first = params[0].arg
+    own = {first}
+    for node in ast.walk(method):
+        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
+            continue
+        call = node.value
+        callee = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", "")
+        built = callee == first or (
+            callee == "replace" and call.args
+            and isinstance(call.args[0], ast.Name) and call.args[0].id == first
+        )
+        if built:
+            own.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return own
+
+
+@register
+class ForeignSetattrRule(Rule):
+    rule_id = "ALIAS003"
+    severity = "error"
+    summary = "object.__setattr__ on an instance the enclosing method does not own"
+
+    def check_module(self, mod: ModuleInfo) -> Iterator[Finding]:
+        if mod.module.split(".")[0] != "repro":
+            return
+        sanctioned: set[int] = set()
+        for class_node in ast.walk(mod.tree):
+            if not isinstance(class_node, ast.ClassDef):
+                continue
+            for method in class_node.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                own = _own_instances(method)
+                for node in ast.walk(method):
+                    if (_is_object_setattr(node) and node.args
+                            and isinstance(node.args[0], ast.Name) and node.args[0].id in own):
+                        sanctioned.add(id(node))
+        for node in ast.walk(mod.tree):
+            if _is_object_setattr(node) and id(node) not in sanctioned:
+                yield self.finding(
+                    mod, node,
+                    "object.__setattr__ outside a method of the instance's own class "
+                    "writes to an object another module froze; let the class remember "
+                    "its own derived values",
+                )

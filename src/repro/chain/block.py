@@ -14,6 +14,7 @@ from repro.chain.transaction import Transaction
 from repro.crypto.hashing import hash_json
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import InvalidBlockError
+from repro.simnet.network import WireSized
 
 __all__ = ["Block", "make_genesis_block", "GENESIS_PREV_HASH"]
 
@@ -21,7 +22,7 @@ GENESIS_PREV_HASH = "0" * 64
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(WireSized):
     """An immutable block. Use :meth:`build` so derived fields stay consistent."""
 
     height: int

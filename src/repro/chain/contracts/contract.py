@@ -48,22 +48,27 @@ class Contract:
 
     name: str = ""
 
+    #: Names of this class's ``@contract_method`` entry points, found
+    #: once when the class is defined (inherited ones included).
+    _method_names: frozenset[str] = frozenset()
+
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         if not cls.name:
             raise TypeError(f"{cls.__name__} must define a non-empty contract name")
+        cls._method_names = frozenset(
+            attr_name
+            for attr_name, member in inspect.getmembers(cls, predicate=inspect.isfunction)
+            if getattr(member, _MARKER, False)
+        )
 
     def invocable_methods(self) -> dict[str, Callable]:
-        methods = {}
-        for attr_name, member in inspect.getmembers(self, predicate=inspect.ismethod):
-            if getattr(member.__func__, _MARKER, False):
-                methods[attr_name] = member
-        return methods
+        return {attr_name: getattr(self, attr_name) for attr_name in sorted(self._method_names)}
 
     def dispatch(self, ctx: ContractContext, method: str, args: dict[str, Any]) -> Any:
-        entry = self.invocable_methods().get(method)
-        if entry is None:
+        if method not in self._method_names:
             raise ContractError(f"contract {self.name!r} has no method {method!r}")
+        entry = getattr(self, method)
         try:
             return entry(ctx, **args)
         except TypeError as exc:

@@ -122,6 +122,7 @@ class LocalChain:
             events=result.events,
             return_value=result.return_value,
             endorsements=(endorsement,),
+            digest=digest,
         )
         return self._commit([endorsed])[0]
 

@@ -23,7 +23,7 @@ from repro.chain.consensus import ConsensusEngine, PBFTEngine, RoundRobinOrderer
 from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy  # noqa: F401 - re-exported
 from repro.chain.peer import Admission, Peer
 from repro.chain.store import BlockStore, DurableStore, MemoryStore, SQLiteStore
-from repro.chain.transaction import Transaction, TxReceipt, rwset_digest
+from repro.chain.transaction import Transaction, TxReceipt
 from repro.crypto.keys import KeyPair
 from repro.errors import ChainError, ContractError, EndorsementError
 from repro.obs import MetricsRegistry, Tracer
@@ -268,6 +268,7 @@ class BlockchainNetwork:
         policy = self._policies.get(contract, EndorsementPolicy(required=1))
         endorsements = []
         reference = None
+        reference_digest: str | None = None
         failure: str | None = None
         # Endorsement is a synchronous RPC outside the simulated network,
         # so the span's sim-time duration is 0 by construction; the wall_ms
@@ -286,8 +287,9 @@ class BlockchainNetwork:
                     failure = result.error
                     continue
                 if reference is None:
-                    reference = result
-                if endorsement.digest == rwset_digest(reference.read_set, reference.write_set):
+                    # The endorser hashed this result's rw-set to sign it.
+                    reference, reference_digest = result, endorsement.digest
+                if endorsement.digest == reference_digest:
                     endorsements.append(endorsement)
                 if len(endorsements) >= policy.required:
                     break
@@ -309,6 +311,7 @@ class BlockchainNetwork:
             events=reference.events,
             return_value=reference.return_value,
             endorsements=tuple(endorsements),
+            digest=reference_digest,
         )
 
     def submit(self, tx: Transaction) -> Admission:

@@ -110,21 +110,52 @@ def block_from_obj(obj: dict[str, Any]) -> Block:
     )
 
 
+#: Canonical bytes of the blocks encoded last, keyed by identity (each
+#: entry holds its block, so an id is never reused while it is a key).
+#: The peers of one process commit the *same* immutable ``Block`` object,
+#: so its bytes are produced for the first peer's WAL and found here by
+#: the others.  Small and bounded on purpose: the bytes of every block of
+#: a long chain, kept on the block for the life of the ledger, are a
+#: second copy of the chain in memory.
+_BLOCK_BYTES_KEPT = 8
+_block_bytes: dict[int, tuple[Block, bytes]] = {}
+
+
+def _encode_block(block: Block) -> bytes:
+    kept = _block_bytes.get(id(block))
+    if kept is not None:
+        return kept[1]
+    data = encode_obj(block_to_obj(block))
+    if len(_block_bytes) >= _BLOCK_BYTES_KEPT:
+        del _block_bytes[next(iter(_block_bytes))]
+    _block_bytes[id(block)] = (block, data)
+    return data
+
+
 def encode_record(
     block: Block,
     validity: list[bool],
     errors: list[str | None] | None = None,
     proof: Any = None,
 ) -> bytes:
-    """One log-record payload: block + commit verdicts + consensus proof."""
-    return encode_obj(
-        {
-            "block": block_to_obj(block),
-            "validity": list(validity),
-            "errors": list(errors) if errors is not None else [None] * len(validity),
-            "proof": proof,
-        }
-    )
+    """One log-record payload: block + commit verdicts + consensus proof.
+
+    Byte for byte ``encode_obj({"block": ..., "errors": ..., "proof": ...,
+    "validity": ...})`` — sorted keys, so that is the order of the splice
+    — with the block's part, by far the largest and the same for every
+    peer that logs this block, taken from :func:`_encode_block`'s memo;
+    verdicts, error strings and proof are each peer's own and are encoded
+    per call.
+    """
+    if errors is None:
+        errors = [None] * len(validity)
+    return b"".join((
+        b'{"block":', _encode_block(block),
+        b',"errors":', encode_obj(list(errors)),
+        b',"proof":', encode_obj(proof),
+        b',"validity":', encode_obj(list(validity)),
+        b"}",
+    ))
 
 
 def decode_record(payload: bytes) -> tuple[Block, list[bool], list[str | None], Any]:

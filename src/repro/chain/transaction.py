@@ -24,6 +24,7 @@ from typing import Any
 from repro.crypto.hashing import hash_json, sha256_hex
 from repro.crypto.keys import KeyPair, address_from_public_key, verify_signature
 from repro.errors import InvalidTransactionError
+from repro.simnet.network import WireSized
 
 __all__ = [
     "Transaction",
@@ -97,8 +98,18 @@ class Endorsement:
 
 
 @dataclass(frozen=True)
-class Transaction:
-    """A signed contract invocation, optionally carrying endorsements."""
+class Transaction(WireSized):
+    """A signed contract invocation, optionally carrying endorsements.
+
+    Immutable, so what is derived from its fields alone — the signing
+    payload (:meth:`signature_item`), :attr:`rwset_digest`, the wire size
+    — is derived once and remembered on the object (DESIGN.md, "What an
+    immutable chain object may remember").  ``dataclasses.replace``, the
+    store codec and direct construction build a new object with nothing
+    remembered, so a tampered copy is always judged on its own fields.
+    ``args`` / ``read_set`` / ``write_set`` are frozen by contract, not by
+    type: nothing may write to them once the transaction exists.
+    """
 
     sender: str
     public_key_hex: str
@@ -128,7 +139,8 @@ class Transaction:
         """Build and sign a proposal (steps before endorsement)."""
         args = args or {}
         payload = _proposal_payload(keypair.address, contract, method, args, nonce, timestamp)
-        return cls(
+        signature = keypair.sign(payload)
+        tx = cls(
             sender=keypair.address,
             public_key_hex=keypair.public_key.hex(),
             contract=contract,
@@ -136,9 +148,11 @@ class Transaction:
             args=args,
             nonce=nonce,
             timestamp=timestamp,
-            signature_hex=keypair.sign(payload).hex(),
+            signature_hex=signature.hex(),
             tx_id=sha256_hex(payload),
         )
+        object.__setattr__(tx, "_signature_item", (keypair.public_key, payload, signature))
+        return tx
 
     def verify_signature(self) -> bool:
         """Check the client signature and that sender matches the key."""
@@ -156,16 +170,21 @@ class Transaction:
         """The client-signature ``(public_key, message, signature)``
         triple, for batch verification; ``None`` if the hex fields don't
         decode.  Address/tx-id binding is NOT checked here — those are
-        cheap equality checks :meth:`verify_signature` still performs."""
-        try:
-            public_key = bytes.fromhex(self.public_key_hex)
-            signature = bytes.fromhex(self.signature_hex)
-        except ValueError:
-            return None
-        payload = _proposal_payload(
-            self.sender, self.contract, self.method, self.args, self.nonce, self.timestamp
-        )
-        return (public_key, payload, signature)
+        cheap equality checks :meth:`verify_signature` still performs.
+        Derived on first use and remembered (see the class docstring)."""
+        item = self.__dict__.get("_signature_item")
+        if item is None:
+            try:
+                public_key = bytes.fromhex(self.public_key_hex)
+                signature = bytes.fromhex(self.signature_hex)
+            except ValueError:
+                return None
+            payload = _proposal_payload(
+                self.sender, self.contract, self.method, self.args, self.nonce, self.timestamp
+            )
+            item = (public_key, payload, signature)
+            object.__setattr__(self, "_signature_item", item)
+        return item
 
     def validate_structure(self) -> None:
         """Raise :class:`InvalidTransactionError` on a malformed tx."""
@@ -181,9 +200,17 @@ class Transaction:
         events: tuple[dict[str, Any], ...],
         return_value: Any,
         endorsements: tuple[Endorsement, ...],
+        digest: str | None = None,
     ) -> "Transaction":
-        """Attach simulated-execution results (endorsement phase)."""
-        return replace(
+        """Attach simulated-execution results (endorsement phase).
+
+        The proposal fields are untouched, so the signing payload this
+        transaction remembers is the endorsed one's too.  *digest*, when
+        the endorsement phase has it in hand, must be
+        ``rwset_digest(read_set, write_set)`` of exactly these sets; the
+        endorsed transaction then starts with it remembered.
+        """
+        endorsed = replace(
             self,
             read_set=dict(read_set),
             write_set=dict(write_set),
@@ -191,10 +218,20 @@ class Transaction:
             return_value=return_value,
             endorsements=endorsements,
         )
+        item = self.__dict__.get("_signature_item")
+        if item is not None:
+            object.__setattr__(endorsed, "_signature_item", item)
+        if digest is not None:
+            object.__setattr__(endorsed, "_rwset_digest", digest)
+        return endorsed
 
     @property
     def rwset_digest(self) -> str:
-        return rwset_digest(self.read_set, self.write_set)
+        digest = self.__dict__.get("_rwset_digest")
+        if digest is None:
+            digest = rwset_digest(self.read_set, self.write_set)
+            object.__setattr__(self, "_rwset_digest", digest)
+        return digest
 
 
 def signature_items(txs: "list[Transaction] | tuple[Transaction, ...]") -> list[tuple[bytes, bytes, bytes]]:

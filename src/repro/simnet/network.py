@@ -21,7 +21,7 @@ from repro.obs import MetricsRegistry, ObsView, metric_attr
 from repro.simnet.events import Simulator
 from repro.simnet.latency import FixedLatency, LatencyModel
 
-__all__ = ["Message", "NetworkNode", "Network", "estimate_payload_size"]
+__all__ = ["Message", "NetworkNode", "Network", "WireSized", "estimate_payload_size"]
 
 #: Fixed per-message framing overhead (addresses, kind, timestamps)
 #: charged on top of the payload estimate.
@@ -40,10 +40,36 @@ def estimate_payload_size(payload: Any) -> int:
     ``_SIZE_VISIT_CAP`` nodes, so the estimate is a lower bound for
     enormous payloads — good enough for the bandwidth numbers the
     scalability benchmarks report, and cheap enough for ``transmit``.
+
+    A dataclass with a ``wire_size()`` method (:class:`WireSized`) is
+    asked for its ``(bytes, nodes visited)`` instead of being walked
+    again, but only while the nodes left under the cap cover it;
+    otherwise it is walked field by field like any other dataclass, so a
+    payload the cap truncates gets the number the plain walk gives it.
     """
+    return _walk([payload], 0)[0]
+
+
+class WireSized:
+    """Mixin for a dataclass that never changes once built and is sent
+    many times (a transaction is gossiped, proposed in a block and
+    re-broadcast with the commit certificate): it is walked field by
+    field once, as :func:`estimate_payload_size` walks it, and remembers
+    the ``(bytes, nodes visited)`` pair, itself counted as one node."""
+
+    def wire_size(self) -> tuple[int, int]:
+        memo = self.__dict__.get("_wire_size")
+        if memo is None:
+            memo = _walk([getattr(self, f.name) for f in dataclasses.fields(self)], 1)
+            object.__setattr__(self, "_wire_size", memo)
+        return memo
+
+
+def _walk(stack: list[Any], visited: int) -> tuple[int, int]:
+    # Depth first, so everything below a popped object is visited before
+    # anything else on the stack: an object that reports `nodes` stands
+    # for exactly the next `nodes` visits of the plain walk.
     total = 0
-    stack = [payload]
-    visited = 0
     while stack and visited < _SIZE_VISIT_CAP:
         obj = stack.pop()
         visited += 1
@@ -62,12 +88,19 @@ def estimate_payload_size(payload: Any) -> int:
         elif isinstance(obj, (list, tuple, set, frozenset)):
             stack.extend(obj)
         elif dataclasses.is_dataclass(obj):
+            wire_size = getattr(obj, "wire_size", None)
+            if wire_size is not None:
+                size, nodes = wire_size()
+                if visited - 1 + nodes <= _SIZE_VISIT_CAP:
+                    total += size
+                    visited += nodes - 1
+                    continue
             stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
         elif hasattr(obj, "__dict__"):
             stack.extend(vars(obj).values())
         else:
             total += 8
-    return total
+    return total, visited
 
 
 @dataclass(frozen=True)

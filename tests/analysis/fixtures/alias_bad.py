@@ -21,3 +21,17 @@ class Peer:
 
     def seen_heights(self):
         return self.heights  # ALIAS002
+
+
+def plant(tx, digest):
+    object.__setattr__(tx, "_rwset_digest", digest)  # ALIAS003: not a method at all
+
+
+class Codec:
+    def decode(self, obj, frozen):
+        object.__setattr__(frozen, "_wire_size", (0, 0))  # ALIAS003: someone else's instance
+        return frozen
+
+    @staticmethod
+    def seed(block, tree):
+        object.__setattr__(block, "_merkle_cache", tree)  # ALIAS003: no instance of its own

@@ -1,4 +1,7 @@
-"""Known-clean ALIAS corpus: None defaults and defensive copies."""
+"""Known-clean ALIAS corpus: None defaults, defensive copies, and frozen
+objects that remember their own derived values."""
+
+from dataclasses import dataclass, replace
 
 
 def collect(item, acc=None):
@@ -27,3 +30,26 @@ class Courier:
 
     def contents(self):
         return self.bag
+
+
+@dataclass(frozen=True)
+class Sealed:
+    body: str
+
+    @classmethod
+    def create(cls, body):
+        sealed = cls(body)
+        object.__setattr__(sealed, "_digest", body.upper())
+        return sealed
+
+    def digest(self):
+        value = self.__dict__.get("_digest")
+        if value is None:
+            value = self.body.upper()
+            object.__setattr__(self, "_digest", value)
+        return value
+
+    def renamed(self, body):
+        copy = replace(self, body=body)
+        object.__setattr__(copy, "_digest", body.upper())
+        return copy

@@ -145,6 +145,24 @@ def test_alias_quiet_on_clean():
     assert fixture_findings("alias_clean.py") == []
 
 
+def test_alias003_flags_setattr_on_an_instance_the_method_does_not_own():
+    findings = [f for f in fixture_findings("alias_bad.py", module="repro.chain.fixture")
+                if f.rule == "ALIAS003"]
+    assert [f.context.split("#")[0].strip() for f in findings] == [
+        'object.__setattr__(tx, "_rwset_digest", digest)',
+        'object.__setattr__(frozen, "_wire_size", (0, 0))',
+        'object.__setattr__(block, "_merkle_cache", tree)',
+    ]
+    assert all(f.severity == "error" for f in findings)
+    # self, a classmethod's cls(...) and replace(self, ...) are the class's own.
+    assert fixture_findings("alias_clean.py", module="repro.chain.fixture") == []
+
+
+def test_alias003_is_scoped_to_the_repro_package():
+    for module in ("", "tests.chain.fixture", "benchmarks.fixture"):
+        assert "ALIAS003" not in rule_ids(fixture_findings("alias_bad.py", module=module))
+
+
 # -- PYF --------------------------------------------------------------------
 
 def test_pyf_fires_on_bad():

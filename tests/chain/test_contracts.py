@@ -86,6 +86,56 @@ def test_bad_arguments_fail_cleanly(registry, state):
     assert not result.success and "bad arguments" in result.error
 
 
+def test_dispatch_errors_keep_their_text(registry, state):
+    assert _execute(registry, state, "withdraw", {}).error == "contract 'bank' has no method 'withdraw'"
+    assert _execute(registry, state, "deposit", {"account": "a", "bogus": 1}).error.startswith(
+        "bad arguments for bank.deposit: ")
+
+
+def test_method_table_is_built_once_per_class(state, monkeypatch):
+    """``dispatch`` used to run ``inspect.getmembers`` over the instance
+    on every invocation and every query."""
+    import inspect
+    import types
+
+    import repro.chain.contracts.contract as contract_module
+
+    scans = []
+
+    def counting_getmembers(*args, **kwargs):
+        scans.append(1)
+        return inspect.getmembers(*args, **kwargs)
+
+    monkeypatch.setattr(contract_module, "inspect", types.SimpleNamespace(
+        getmembers=counting_getmembers, isfunction=inspect.isfunction,
+        signature=inspect.signature))
+
+    class Savings(Bank):
+        name = "savings"
+
+        @contract_method
+        def interest(self, ctx, rate: int):
+            return rate
+
+        def balances(self, ctx):  # overrides an entry point without marking it
+            return {}
+
+    assert sum(scans) == 1
+    savings = Savings()
+    methods = savings.invocable_methods()
+    assert list(methods) == ["deposit", "interest"]  # inherited + own, sorted, override dropped
+    assert methods["deposit"] == savings.deposit
+    registry = ContractRegistry()
+    registry.install(savings)
+    for _ in range(3):
+        result = registry.execute(state, "savings", "interest", {"rate": 2}, caller="a",
+                                  timestamp=0.0, tx_id="t")
+        assert result.success and result.return_value == 2
+    assert not registry.execute(state, "savings", "balances", {}, caller="a",
+                                timestamp=0.0, tx_id="t").success
+    assert sum(scans) == 1
+
+
 def test_unknown_contract_fails(registry, state):
     result = registry.execute(state, "nope", "m", {}, caller="a", timestamp=0.0, tx_id="t")
     assert not result.success
