@@ -8,11 +8,17 @@ checks, cheap) and again at end-of-run (full-ledger forensics):
 - **agreement** — no two honest peers ever commit different blocks at
   the same height, crashed peers included (a commit is permanent, so a
   peer that forked before crashing still violated safety);
-- **certificate validity** — every PBFT commit certificate names at
-  least 2f+1 *distinct validators*, no non-validator signers, and the
-  certified digest matches the block that actually committed (this is
-  the invariant the validator-membership rule in
-  :mod:`repro.chain.consensus.pbft` exists to protect);
+- **certificate validity** — on an engine that decides by quorum, no
+  block is applied on nobody's word.  A consensus-applied block has a
+  commit quorum recorded: at least 2f+1 *distinct validators*, no
+  non-validator name, and the certified digest is the block that
+  actually committed (the invariant the validator-membership rule in
+  :mod:`repro.chain.consensus.pbft` exists to protect).  A sync-applied
+  block lies on the hash chain at or below a tip for which the peer
+  holds statements from 2f+1 distinct validators — or from f+1 that say
+  they applied it — every one of which verifies: signature, membership,
+  and digest equal to the applied block's hash, when the tip is applied
+  and again at end of run;
 - **tx durability** — every admitted transaction is eventually committed
   or still pending in some honest mempool (catches the silent tx-drop
   where a deposed primary's in-flight round was discarded on view
@@ -202,15 +208,26 @@ class InvariantAuditor:
 
     def _check_certificate(self, peer: "Peer", block: Block) -> None:
         engine = peer.engine
-        certificates = getattr(engine, "commit_certificates", None)
-        if certificates is None:
-            return  # engine issues no certificates (e.g. PoA ordering)
-        entry = certificates.get(block.height)
-        if entry is None:
-            # Synchronous state-transfer replay (join_peer bootstrap)
-            # commits without a certificate; the source peer's was audited.
-            return
+        if not engine.quorum:
+            return  # blocks carry their own authority (e.g. PoA ordering)
         self.checks_run += 1
+        entry = engine.commit_certificates.get(block.height)
+        if entry is None:
+            # Applied by sync: certified itself, or chained below a tip
+            # that is.  (A join_peer bootstrap replays before the peer is
+            # watched; its source's records were audited.)
+            proof = engine.synced_proofs.get(block.height)
+            if proof is not None:
+                self._check_statement_set(peer, block, proof)
+            elif block.height > max(engine.synced_proofs, default=0):
+                self._violate(
+                    "certificate",
+                    "block applied with neither a recorded commit quorum "
+                    "nor a certified tip at or above it",
+                    height=block.height, peers=(peer.node_id,),
+                    forensics={"block_digest": block.block_hash, "time": self.network.sim.now},
+                )
+            return
         digest, certificate = entry
         validators = set(engine.validators)
         quorum = engine.quorum
@@ -301,18 +318,34 @@ class InvariantAuditor:
                     break  # deeper heights on this fork add no information
 
     def check_certificates(self) -> None:
-        """Re-validate every recorded commit certificate on honest peers."""
+        """Re-validate every recorded commit quorum and re-verify every
+        stored statement set on honest peers."""
         for peer in self.network.peers:
             if peer.byzantine:
                 continue
-            certificates = getattr(peer.engine, "commit_certificates", None)
-            if not certificates:
-                continue
-            for height, (digest, certificate) in sorted(certificates.items()):
-                if height > peer.ledger.height:
-                    continue
-                block = peer.ledger.block(height)
-                self._check_certificate_entry(peer, height, digest, certificate, block)
+            engine = peer.engine
+            for height, (digest, certificate) in sorted(engine.commit_certificates.items()):
+                if height <= peer.ledger.height:
+                    block = peer.ledger.block(height)
+                    self._check_certificate_entry(peer, height, digest, certificate, block)
+            for height, proof in sorted(engine.synced_proofs.items()):
+                if height <= peer.ledger.height:
+                    self._check_statement_set(peer, peer.ledger.block(height), proof)
+
+    def _check_statement_set(self, peer: "Peer", block: Block, proof: Any) -> None:
+        """The statements kept for a synced tip: validators only, and
+        enough of them verify for exactly the applied block."""
+        self.checks_run += 1
+        signers = set(proof["signers"])
+        if signers - set(peer.engine.validators) or not peer.engine.verify_synced_block(block, proof):
+            self._violate(
+                "certificate",
+                "stored statement set names a non-validator or does not "
+                "verify for the applied block",
+                height=block.height,
+                peers=(peer.node_id,),
+                forensics={"signers": sorted(signers), "block_digest": block.block_hash},
+            )
 
     def _check_certificate_entry(
         self, peer: "Peer", height: int, digest: str,

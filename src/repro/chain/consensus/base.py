@@ -28,6 +28,25 @@ class ConsensusEngine(ABC):
     def __init__(self) -> None:
         self.peer: "Peer | None" = None
         self.stopped = False
+        #: Who may order blocks; engines set it from their constructor.
+        self.validators: list[str] = []
+        #: height -> (block hash, names of the quorum that decided it),
+        #: kept by an engine that applies a block on the strength of
+        #: votes; read by the invariant auditor.
+        self.commit_certificates: dict[int, tuple[str, tuple[str, ...]]] = {}
+        #: height -> the proof that certified a synced tip
+        #: (:meth:`on_synced_block`), for engines whose proofs are worth
+        #: keeping; served back by :meth:`sync_proof`.
+        self.synced_proofs: dict[int, Any] = {}
+
+    @property
+    def quorum(self) -> int:
+        """How many distinct validators it takes to decide a block — and
+        to vouch for one to a peer that did not watch it being decided,
+        unless enough of them have applied it (see
+        :meth:`verify_synced_block`); 0 when a block carries its own
+        authority (PoA's expected leader)."""
+        return 0
 
     def attach(self, peer: "Peer") -> None:
         """Bind the engine to its peer (called by the peer itself)."""
@@ -72,20 +91,35 @@ class ConsensusEngine(ABC):
 
     def verify_synced_block(self, block: "Block", proof: Any) -> bool:
         """May a block fetched by the :class:`~repro.chain.sync.SyncManager`
-        be applied?  Hash-chain linkage and structure are already checked
-        by the manager; engines add their protocol-specific proof here
-        (PBFT: a stored 2f+1 commit certificate; PoA: the expected-leader
-        check).  The default accepts."""
+        — the tip of a batch whose structure and hash-chain linkage onto
+        the local head the manager has already checked — be applied, and
+        the batch below it with it?  Engines add their protocol-specific
+        proof here (PBFT: statements for the tip signed by f+1
+        validators that applied it, or by 2f+1 that applied it or voted
+        for it; PoA: the expected-leader check, which the manager asks
+        for every block of a batch).  The default accepts."""
         return True
 
+    def attested_hash(self, height: int) -> str | None:
+        """The block hash this replica vouches for at *height* when a
+        syncing peer asks (:class:`~repro.chain.sync.SyncManager` signs
+        the statement: "applied" for a height of the ledger, "voted" for
+        one above it), or ``None`` if it cannot yet.  Default: the block
+        it applied there, nothing else."""
+        assert self.peer is not None
+        ledger = self.peer.ledger
+        return ledger.block(height).block_hash if 0 < height <= ledger.height else None
+
     def sync_proof(self, height: int) -> Any:
-        """The proof to attach when *serving* block *height* to a lagging
-        peer (``None`` when the protocol needs none)."""
-        return None
+        """The proof this peer holds for the block at *height* — what is
+        written beside it in the block store and re-verified on recovery
+        (``None`` when it holds none)."""
+        return self.synced_proofs.get(height)
 
     def on_synced_block(self, block: "Block", proof: Any) -> None:
-        """Hook fired just before a sync-fetched block is committed, so
-        engines can record bookkeeping (e.g. PBFT commit certificates)."""
+        """Hook fired once :meth:`verify_synced_block` accepted *proof*
+        for a fetched tip *block*, before the batch is committed, so
+        engines can record it."""
 
     def on_restart(self) -> None:
         """Wipe volatile engine state after a simulated process restart

@@ -6,12 +6,13 @@ n = 3f+1 validators, including an equivocating (byzantine) primary — see
 ``tests/chain/test_pbft.py``.
 
 State transfer for replicas that fall behind — whether by one round or
-by a long crash window — is *not* handled here: the engine hands any
-committed block it cannot apply immediately to the peer's
+by a long crash window — is *not* handled here: a replica that misses a
+decision learns of it from the signed height announcements of the peer's
 :class:`~repro.chain.sync.SyncManager` (buffer-and-fetch with retries,
-backoff, and provider failover), and flags every height-ahead consensus
-message as a lag hint.  Sync-fetched blocks are only applied when they
-carry this replica's stored 2f+1 commit certificate for that height
+backoff, and provider failover), and the engine flags every height-ahead
+consensus message as a lag hint.  A fetched batch is only applied when
+enough validators have signed a statement for its tip — f+1 that applied
+it, or 2f+1 that applied it or voted for it
 (:meth:`PBFTEngine.verify_synced_block`).
 
 **Pipelined ordering.**  Up to ``pipeline_depth`` sequence numbers are
@@ -23,36 +24,72 @@ progress independently; a commit quorum reached *out of order* (h+2
 before h+1) is parked in a decided-block buffer and applied — after a
 parent-linkage check, the same verify-before-apply discipline the sync
 path uses — the moment the gap below closes.  Application is therefore
-always strictly in height order even though agreement is not.  Once a
-height is decided locally, conflicting pre-prepares for it are refused
-until the decided block is either applied or discarded (its parent lost
-the height across a view change), which keeps the elided new-view proof
-from weakening agreement at pipelined heights.  The mempool cooperates
-via reservations: a transaction taken into an in-flight proposal cannot
-be re-admitted by a gossip echo and re-proposed at a second height (a
-double-commit hazard that exists only when more than one block is open
-at a time).
+always strictly in height order even though agreement is not.  The
+mempool cooperates via reservations: a transaction taken into an
+in-flight proposal cannot be re-admitted by a gossip echo and
+re-proposed at a second height (a double-commit hazard that exists only
+when more than one block is open at a time).
+
+**The lock.**  The block a replica votes commit for at height h is a
+lock it keeps — across view changes and restarts, as stable storage,
+exactly as ``view`` is — until h is applied.  While locked it refuses a
+pre-prepare for any other digest at h in any view, and as primary it
+re-proposes exactly that block (same hash), mempool empty or not.  The
+argument: a decision at h needs 2f+1 commit votes, so at least f+1
+honest replicas are locked on the decided digest; every other digest can
+then gather at most 2f prepares, never a prepare quorum, so no honest
+replica votes commit for it and it is decided nowhere — even though the
+view change carries no prepared certificate.  The lock is released when
+h is applied (by consensus or sync) and lapses when the applied block at
+h−1 is not its parent: such a block extends a proposal that lost its
+height, so no honest replica can ever apply it (for the same reason a
+replica casts no commit vote, and so takes no lock, for a block at the
+very next height that does not extend its applied head).  Known limit: two honest
+replicas locked on *different* digests at h (each saw a prepare quorum
+in a different view, neither digest was decided) plus one silent
+validator leave every proposal at h one prepare short, and the height
+stalls until the silent validator returns and a locked primary's turn
+comes round.  Tendermint's unlock-on-newer-quorum, or the full new-view
+certificate, is the cure; both belong to the pure state machine of
+ROADMAP item 2, whose exhaustive explorer is the tool that finds such
+schedules.
 
 Simplifications relative to Castro & Liskov, documented here because
 they matter when reading experiment results:
 
 - Channels are authenticated by the simulator (a message's ``src`` is
-  trusted), so pre-prepare/prepare/view-change signatures and the
-  new-view proof are elided.  **Commit votes, however, are Ed25519
-  signed** when the replica knows the voter's key (the network registers
-  a validator-key directory via :meth:`PBFTEngine.register_validator_keys`):
-  a commit from a known validator is dropped unless its signature over
-  ``pbft-commit|node_id|height|digest`` verifies, and the stored commit
-  certificate keeps the signatures alongside the name set — so
-  sync-served certificates are *cryptographically* checkable
-  (batch-verified in :meth:`verify_synced_block`), not merely name-set
-  checkable.  Votes from senders with no registered key fall back to
-  channel authentication (standalone engines in unit tests run keyless).
+  trusted), so **no consensus message is signed**: pre-prepare, prepare,
+  commit and view-change votes are membership-checked and digest-matched,
+  and the new-view proof is replaced by the lock above.
+- **A certificate is signed when someone needs it.**  What a replica
+  keeps per consensus-applied height is the name set of the 2f+1 commit
+  votes it counted (``commit_certificates``, read by the invariant
+  auditor).  What it can hand to a peer that was not there is a signed
+  statement, in one of two forms.  ``sync-announce|node|height|hash`` —
+  what the sync manager broadcasts for the head every announce interval
+  anyway — says *I applied this block*, and a replica signs it for any
+  height of its ledger.  ``sync-voted|node|height|hash`` says *I voted
+  commit for it and my applied head is its parent*
+  (:meth:`PBFTEngine.attested_hash`): a vote says nothing about what
+  lies below the block, and whoever fetches it takes everything below a
+  certified tip on the strength of the hash chain, so a lock deeper in
+  the pipeline vouches for nothing until the gap under it has closed.
+  :meth:`verify_synced_block` accepts a tip on f+1 "applied" statements
+  (one signer is honest, and an honest replica applies only decided
+  blocks or certified ones) or on 2f+1 statements of either form (f+1
+  honest replicas applied it or are locked on it over a settled chain,
+  so by the argument above no other block can be decided there) — the
+  classical certificates, with the signatures made on request.  They
+  are batch-verified against the validator key directory the network
+  registers (:meth:`PBFTEngine.register_validator_keys`), and the hash
+  chain extends a certified tip to every block below it.  Signers with
+  no registered key fall back to the name-set check, which never counts
+  as "applied" (standalone engines in unit tests run keyless).
 - **Validator membership is enforced on every vote**: prepares, commits,
   and view-change votes are dropped unless ``src`` is in the engine's
   validator set, and a replica that is not itself a validator (a late
   "observer" joined via ``BlockchainNetwork.join_peer``) never votes —
-  it follows the chain through commit certificates only.  Quorums are
+  it decides from the 2f+1 commit votes it observes.  Quorums are
   2f+1 *distinct validators*, never merely 2f+1 distinct senders.
 - **Votes only count for the digest they name.**  A prepare or commit
   that arrives before the pre-prepare is stashed with the digest it
@@ -66,9 +103,13 @@ they matter when reading experiment results:
   grows with ``pipeline_depth``), and rounds for deposed views are
   garbage-collected on view change — a deposed primary's
   taken-but-uncommitted transactions across the *whole* pipeline window
-  are re-queued into its mempool so they are not silently dropped.
-- Checkpointing/garbage collection is replaced by pruning round state
-  once a height commits (the simulator's ledger is the checkpoint).
+  are re-queued into its mempool so they are not silently dropped
+  (those of a block it is locked on stay with the lock).
+- Checkpointing is replaced by the two things it exists for: round state
+  is pruned once a height is applied (the simulator's ledger is the
+  checkpoint), and a transferable proof of the chain up to any height is
+  f+1 "applied" statements for that height, asked for when wanted — no
+  periodic k-block checkpoint is signed because nothing would read it.
 
 The membership rule, the bounded-window rule, and the re-queue rule are
 continuously re-verified under fault injection by
@@ -86,23 +127,17 @@ from typing import Any
 
 from repro.chain.block import Block
 from repro.chain.consensus.base import ConsensusEngine
+from repro.chain.sync import statement_message
 from repro.crypto.batch import verify_many
-from repro.crypto.keys import verify_signature
 from repro.obs.trace import Span
 from repro.simnet.network import Message
 
 __all__ = ["PBFTEngine"]
 
-
-def _vote_message(node_id: str, height: int, digest: str) -> bytes:
-    """Canonical byte string a signed commit vote covers."""
-    return f"pbft-commit|{node_id}|{height}|{digest}".encode()
-
 _PRE_PREPARE = "pbft-pre-prepare"
 _PREPARE = "pbft-prepare"
 _COMMIT = "pbft-commit"
 _VIEW_CHANGE = "pbft-view-change"
-_COMMITTED = "pbft-committed"
 
 
 @dataclass
@@ -113,9 +148,6 @@ class _Round:
     block: Block | None = None
     prepares: set[str] = field(default_factory=set)
     commits: set[str] = field(default_factory=set)
-    #: signer -> verified commit-vote signature (only for voters whose
-    #: key is registered; keyless votes appear in ``commits`` alone).
-    commit_sigs: dict[str, bytes] = field(default_factory=dict)
     #: Votes that arrived before the pre-prepare, keyed by voter and
     #: remembering *which* digest each voted for.  They are reconciled —
     #: matching digests promoted, the rest dropped — when the
@@ -123,7 +155,7 @@ class _Round:
     #: toward nothing.  Bounded by validator-set size (membership is
     #: checked before stashing).
     early_prepares: dict[str, str] = field(default_factory=dict)
-    early_commits: dict[str, tuple[str, bytes | None]] = field(default_factory=dict)
+    early_commits: dict[str, str] = field(default_factory=dict)
     sent_prepare: bool = False
     sent_commit: bool = False
     #: Sim time this replica first saw the pre-prepare, for the
@@ -138,14 +170,13 @@ class _Decided:
     """A commit-quorum block waiting for the gap below it to close.
 
     Everything needed to apply later without the round state: the block,
-    its certificate (names + vote signatures), and the observability
-    carried over from the round.
+    the names of the commit quorum, and the observability carried over
+    from the round.
     """
 
     block: Block
     digest: str
     certificate: list[str]
-    signatures: dict[str, str]
     started_at: float | None = None
     span: Span | None = None
     buffered_at: float | None = None
@@ -192,6 +223,10 @@ class PBFTEngine(ConsensusEngine):
         self.height_window = max(self.HEIGHT_WINDOW, 2 * pipeline_depth)
         self.view = 0
         self._rounds: dict[tuple[int, int], _Round] = {}
+        #: height -> the block this replica voted commit for, for every
+        #: height not yet applied (the lock of the module docstring).
+        #: Stable storage: survives view changes and :meth:`on_restart`.
+        self._locks: dict[int, Block] = {}
         #: height -> decided-but-unapplied block (commit quorum reached
         #: out of order); drained strictly in height order by
         #: :meth:`on_block_applied`.
@@ -206,24 +241,16 @@ class PBFTEngine(ConsensusEngine):
         self._timer_event = None
         self.view_changes_completed = 0
         self.votes_rejected_nonvalidator = 0
-        self.votes_rejected_bad_signature = 0
         #: validator id -> Ed25519 public key.  Registered by
-        #: :class:`~repro.chain.network.BlockchainNetwork`; when a
-        #: voter's key is here its commit votes MUST carry a valid
-        #: signature.  Empty for standalone engines (unit tests), which
-        #: then run on channel authentication alone, as the seed did.
+        #: :class:`~repro.chain.network.BlockchainNetwork`; a statement
+        #: from a validator whose key is here only counts toward a synced
+        #: tip's certificate if its signature verifies.  Empty for
+        #: standalone engines (unit tests), which count signers by name.
         self.validator_keys: dict[str, bytes] = {}
-        #: height -> (digest, sorted certificate) for every block this
-        #: replica committed, read by the invariant auditor.
-        self.commit_certificates: dict[int, tuple[str, tuple[str, ...]]] = {}
-        #: height -> {signer: vote signature hex}, parallel to
-        #: ``commit_certificates`` (kept separate so the auditor's
-        #: certificate shape is unchanged); pruned together with it.
-        self.commit_signatures: dict[int, dict[str, str]] = {}
 
     def register_validator_keys(self, keys: dict[str, bytes]) -> None:
-        """Install the validator public-key directory (enables signed
-        commit votes and cryptographic certificate verification)."""
+        """Install the validator public-key directory (makes a synced
+        tip's statement set cryptographically checkable)."""
         self.validator_keys.update(keys)
 
     # -- helpers -----------------------------------------------------------
@@ -255,31 +282,13 @@ class PBFTEngine(ConsensusEngine):
         """Is *src* allowed to vote?  Quorums count validators only."""
         return src in self._validator_set
 
+    def _count(self, metric: str) -> None:
+        if self.peer is not None:
+            self.peer.obs.counter(metric, peer=self.peer.node_id).inc()
+
     def _reject_nonvalidator(self) -> None:
         self.votes_rejected_nonvalidator += 1
-        if self.peer is not None:
-            self.peer.obs.counter(
-                "pbft.votes_rejected_nonvalidator", peer=self.peer.node_id
-            ).inc()
-
-    def _reject_bad_signature(self) -> None:
-        self.votes_rejected_bad_signature += 1
-        if self.peer is not None:
-            self.peer.obs.counter(
-                "pbft.votes_rejected_bad_signature", peer=self.peer.node_id
-            ).inc()
-
-    def _check_vote_signature(
-        self, src: str, height: int, digest: str, signature: Any
-    ) -> bool:
-        """Valid iff *src* has no registered key (channel auth) or the
-        signature over the canonical vote message verifies."""
-        key = self.validator_keys.get(src)
-        if key is None:
-            return True
-        if not isinstance(signature, (bytes, bytearray)):
-            return False
-        return verify_signature(key, _vote_message(src, height, digest), bytes(signature))
+        self._count("pbft.votes_rejected_nonvalidator")
 
     def _is_validator(self) -> bool:
         """Does *this* replica vote?  Observer peers follow, silently."""
@@ -334,7 +343,9 @@ class PBFTEngine(ConsensusEngine):
         if (
             self.is_primary()
             and not peer.crashed
-            and len(peer.mempool) > 0
+            # A locked height is re-proposed whether or not anything new
+            # is waiting: the block may be decided elsewhere already.
+            and (len(peer.mempool) > 0 or self._locks)
             # A primary that knows it is behind must sync before it
             # proposes: a stale-height pre-prepare can never gather
             # quorum and only wastes the round.
@@ -342,7 +353,7 @@ class PBFTEngine(ConsensusEngine):
         ):
             base = peer.ledger.height
             for height in range(base + 1, base + self.pipeline_depth + 1):
-                if len(peer.mempool) == 0:
+                if len(peer.mempool) == 0 and height not in self._locks:
                     break
                 if height in self._commit_buffer:
                     continue  # decided here; waiting on the gap below
@@ -376,23 +387,28 @@ class PBFTEngine(ConsensusEngine):
     def _propose(self, height: int) -> bool:
         peer = self.peer
         assert peer is not None
-        prev_hash = self._parent_digest(height)
-        if prev_hash is None:
-            return False
-        batch = peer.mempool.take(self.max_block_txs)
-        if not batch:
-            return False
-        self._observe_order_wait(batch)
-        if getattr(peer, "byzantine", False):
-            self._propose_equivocating(height, prev_hash, batch)
-            return True
-        block = Block.build(
-            height=height,
-            prev_hash=prev_hash,
-            timestamp=peer.sim.now,
-            proposer=peer.node_id,
-            transactions=batch,
-        )
+        block = self._locks.get(height)
+        if block is not None:
+            # Locked: this exact block (same hash) or nothing.
+            self._count("pbft.lock_reproposals")
+        else:
+            prev_hash = self._parent_digest(height)
+            if prev_hash is None:
+                return False
+            batch = peer.mempool.take(self.max_block_txs)
+            if not batch:
+                return False
+            self._observe_order_wait(batch)
+            if getattr(peer, "byzantine", False):
+                self._propose_equivocating(height, prev_hash, batch)
+                return True
+            block = Block.build(
+                height=height,
+                prev_hash=prev_hash,
+                timestamp=peer.sim.now,
+                proposer=peer.node_id,
+                transactions=batch,
+            )
         payload = {"view": self.view, "height": height, "block": block}
         peer.broadcast(_PRE_PREPARE, payload)
         self._accept_pre_prepare(self.view, height, block, peer.node_id)
@@ -420,7 +436,7 @@ class PBFTEngine(ConsensusEngine):
             state.started_at = peer.sim.now
         # The equivocator never votes for either digest itself; leaving
         # ``digest`` unset keeps _maybe_advance inert for this round (it
-        # follows the winning block through commit certificates instead).
+        # learns the winning block through sync instead).
         state.sent_prepare = True
         state.sent_commit = True
         others = [v for v in self.validators if v != peer.node_id]
@@ -442,12 +458,14 @@ class PBFTEngine(ConsensusEngine):
             # we missed blocks or it is misbehaving; treat as a lag hint.
             peer.sync.note_remote_height(src, height - 1)
             return
-        decided = self._commit_buffer.get(height)
-        if decided is not None:
-            # This height is already decided locally (quorum seen); a
-            # conflicting re-proposal must not gather our vote while the
-            # decided block is still applicable.
+        lock = self._locks.get(height)
+        if lock is not None and lock.block_hash != block.block_hash:
+            # We voted commit for another block here, in whatever view:
+            # it may be decided elsewhere, so nothing else gets our vote.
+            self._count("pbft.lock_refusals")
             return
+        if height in self._commit_buffer:
+            return  # already decided locally (quorum seen); nothing to add
         state = self._round(view, height)
         if state.digest is not None and state.digest != block.block_hash:
             return  # primary equivocated to us; keep the first
@@ -471,20 +489,21 @@ class PBFTEngine(ConsensusEngine):
         """Promote stashed votes whose digest matches the just-installed
         pre-prepare; votes for any other digest are discarded — they
         must never count toward this round's quorum."""
-        digest = state.digest
-        for src, voted in state.early_prepares.items():
-            if voted == digest:
-                state.prepares.add(src)
-        state.early_prepares.clear()
-        for src, (voted, signature) in state.early_commits.items():
-            if voted != digest:
-                continue
-            state.commits.add(src)
-            if signature is not None and src in self.validator_keys:
-                state.commit_sigs[src] = signature
-        state.early_commits.clear()
+        for votes, early in (
+            (state.prepares, state.early_prepares), (state.commits, state.early_commits)
+        ):
+            votes.update(src for src, voted in early.items() if voted == state.digest)
+            early.clear()
 
     def _on_prepare(self, view: int, height: int, digest: str, src: str) -> None:
+        self._on_vote(view, height, digest, src, commit=False)
+
+    def _on_commit(self, view: int, height: int, digest: str, src: str) -> None:
+        self._on_vote(view, height, digest, src, commit=True)
+
+    def _on_vote(self, view: int, height: int, digest: str, src: str, commit: bool) -> None:
+        """A prepare or commit vote: channel-authenticated, counted only
+        for a validator and only toward the digest it names."""
         assert self.peer is not None
         if not self._member(src):
             self._reject_nonvalidator()
@@ -495,46 +514,17 @@ class PBFTEngine(ConsensusEngine):
         if height in self._commit_buffer:
             return  # already decided at this height
         state = self._round(view, height)
+        votes, early = (
+            (state.commits, state.early_commits) if commit
+            else (state.prepares, state.early_prepares)
+        )
         if state.digest is None:
             # Pre-prepare not seen yet: stash the vote with the digest it
             # names; it is counted (or dropped) at reconcile time.
-            state.early_prepares[src] = digest
-            return
-        if digest != state.digest:
-            return
-        state.prepares.add(src)
-        self._maybe_advance(view, height)
-
-    def _on_commit(
-        self, view: int, height: int, digest: str, src: str, signature: Any = None
-    ) -> None:
-        assert self.peer is not None
-        if not self._member(src):
-            self._reject_nonvalidator()
-            return  # only validators vote toward quorums
-        if not self._check_vote_signature(src, height, digest, signature):
-            self._reject_bad_signature()
-            return  # known validator, bad/absent signature: forged vote
-        self._note_lag_hint(src, height)
-        if not self._in_window(view, height):
-            return  # stale or far-future; don't allocate round state
-        if height in self._commit_buffer:
-            return  # already decided at this height
-        state = self._round(view, height)
-        verified_sig = (
-            bytes(signature)
-            if isinstance(signature, (bytes, bytearray)) and src in self.validator_keys
-            else None
-        )
-        if state.digest is None:
-            state.early_commits[src] = (digest, verified_sig)
-            return
-        if digest != state.digest:
-            return
-        state.commits.add(src)
-        if verified_sig is not None:
-            state.commit_sigs[src] = verified_sig
-        self._maybe_advance(view, height)
+            early[src] = digest
+        elif digest == state.digest:
+            votes.add(src)
+            self._maybe_advance(view, height)
 
     def _maybe_advance(self, view: int, height: int) -> None:
         peer = self.peer
@@ -542,23 +532,24 @@ class PBFTEngine(ConsensusEngine):
         state = self._rounds.get((view, height))
         if state is None or state.digest is None:
             return
+        head = peer.ledger.head
         if (
             not state.sent_commit
             and len(state.prepares) >= self.quorum
             and self._is_validator()
+            # No vote, hence no lock, for a block that can never extend
+            # this chain: the lock would hold the height against every
+            # other block and nothing would ever release it.
+            and (height != head.height + 1 or state.block.prev_hash == head.block_hash)
         ):
             state.sent_commit = True
             state.commits.add(peer.node_id)
-            vote = {"view": view, "height": height, "digest": state.digest}
-            if peer.node_id in self.validator_keys:
-                signature = peer.keypair.sign(
-                    _vote_message(peer.node_id, height, state.digest)
-                )
-                state.commit_sigs[peer.node_id] = signature
-                vote["signature"] = signature
-            peer.broadcast(_COMMIT, vote)
+            self._locks[height] = state.block
+            peer.broadcast(_COMMIT, {"view": view, "height": height, "digest": state.digest})
         if (
-            state.sent_commit
+            # An observer casts no vote of its own; the quorum it hears
+            # decides for it.
+            (state.sent_commit or not self._is_validator())
             and state.block is not None
             and len(state.commits) >= self.quorum
         ):
@@ -571,16 +562,10 @@ class PBFTEngine(ConsensusEngine):
         pipelining, but they always *apply* in order)."""
         peer = self.peer
         assert peer is not None
-        signatures = {
-            signer: sig.hex()
-            for signer, sig in state.commit_sigs.items()
-            if signer in state.commits
-        }
         decided = _Decided(
             block=state.block,
             digest=state.digest,
             certificate=sorted(state.commits),
-            signatures=signatures,
             started_at=state.started_at,
             span=state.span,
         )
@@ -617,23 +602,18 @@ class PBFTEngine(ConsensusEngine):
             )
         if decided.span is not None:
             peer.tracer.finish(decided.span, outcome="committed")
-        self._record_certificate(height, decided.digest, decided.certificate, decided.signatures)
-        self._cleanup_height(height)
+        self._record_certificate(height, decided.digest, decided.certificate)
         peer.commit_block(decided.block)
-        peer.broadcast(
-            _COMMITTED,
-            {
-                "block": decided.block,
-                "certificate": decided.certificate,
-                "signatures": decided.signatures,
-            },
-        )
         self._timer_height = peer.ledger.height
 
     def on_block_applied(self, block: Block) -> None:
         """Hook from :meth:`Peer.commit_block`: *any* applied block —
-        consensus-committed here, sync-fetched, or offered — may close
-        the gap below buffered decided blocks; drain them in order."""
+        consensus-committed here or sync-fetched — settles the rounds
+        and locks at its height and may close the gap below buffered
+        decided blocks; drain them in order."""
+        for key in [k for k in self._rounds if k[1] <= block.height]:
+            self._requeue_stale_round(self._rounds.pop(key))
+        self._settle_locks()
         if self._applying:
             return  # a drain is already running above us on the stack
         self._applying = True
@@ -641,6 +621,21 @@ class PBFTEngine(ConsensusEngine):
             self._drain_commit_buffer()
         finally:
             self._applying = False
+
+    def _settle_locks(self) -> None:
+        """Let go of what the applied head has settled: a lock at or
+        below it (that height is applied), and a lock just above it whose
+        parent is not the head — it extends a block that lost its height,
+        so it was applied nowhere and never can be."""
+        assert self.peer is not None
+        head = self.peer.ledger.head
+        for height in sorted(self._locks):
+            lock = self._locks[height]
+            if height <= head.height or (
+                height == head.height + 1 and lock.prev_hash != head.block_hash
+            ):
+                del self._locks[height]
+                self._requeue_block_txs(lock)
 
     def _drain_commit_buffer(self) -> None:
         peer = self.peer
@@ -680,25 +675,13 @@ class PBFTEngine(ConsensusEngine):
         """Heights decided locally but not yet applied (auditor probe)."""
         return sorted(self._commit_buffer)
 
-    def _record_certificate(
-        self,
-        height: int,
-        digest: str,
-        certificate: list[str],
-        signatures: dict[str, str] | None = None,
-    ) -> None:
+    def _record_certificate(self, height: int, digest: str, certificate: list[str]) -> None:
         self.commit_certificates[height] = (digest, tuple(certificate))
-        if signatures:
-            self.commit_signatures[height] = dict(signatures)
         floor = height - self.CERTIFICATE_HISTORY
         if floor > 0 and (height % 1000) == 0:
-            for old in [h for h in self.commit_certificates if h < floor]:
-                del self.commit_certificates[old]
-                self.commit_signatures.pop(old, None)
-
-    def _cleanup_height(self, height: int) -> None:
-        for key in [k for k in self._rounds if k[1] <= height]:
-            self._requeue_stale_round(self._rounds.pop(key))
+            for record in (self.commit_certificates, self.synced_proofs):
+                for old in [h for h in record if h < floor]:
+                    del record[old]
 
     def _requeue_stale_round(self, state: _Round) -> None:
         """Return a discarded round's taken transactions to the mempool.
@@ -707,8 +690,7 @@ class PBFTEngine(ConsensusEngine):
         block; if that round dies (view change deposed it, or another
         block won the height) those transactions would otherwise vanish
         silently.  Transactions that did commit are filtered out here by
-        ledger lookup, and any re-queued copy of the *winning* block's own txs
-        is removed again by ``commit_block``'s ``mempool.remove``.
+        ledger lookup.
         """
         assert self.peer is not None
         if state.span is not None:
@@ -722,6 +704,9 @@ class PBFTEngine(ConsensusEngine):
         assert peer is not None
         if block.proposer != peer.node_id:
             return
+        lock = self._locks.get(block.height)
+        if lock is not None and lock.block_hash == block.block_hash:
+            return  # still ours to re-propose; returned when the lock goes
         peer.mempool.requeue(
             [tx for tx in block.transactions if tx.tx_id not in peer.ledger]
         )
@@ -764,7 +749,12 @@ class PBFTEngine(ConsensusEngine):
         peer = self.peer
         assert peer is not None
         has_work = (
-            len(peer.mempool) > 0 or bool(self._rounds) or bool(self._commit_buffer)
+            len(peer.mempool) > 0
+            or bool(self._rounds)
+            or bool(self._commit_buffer)
+            # A lock is unfinished business even with nothing else in
+            # hand: the views must turn until a locked primary's comes.
+            or bool(self._locks)
         )
         stalled = has_work and self._progress_token() == expected
         if stalled and not peer.crashed and self._is_validator():
@@ -784,8 +774,7 @@ class PBFTEngine(ConsensusEngine):
         if len(votes) >= self.quorum:
             self.view = new_view
             self.view_changes_completed += 1
-            if self.peer is not None:
-                self.peer.obs.counter("pbft.view_changes", peer=self.peer.node_id).inc()
+            self._count("pbft.view_changes")
             # Re-queue across the whole pipeline window: every deposed
             # round at every in-flight height returns its transactions.
             for key in [k for k in self._rounds if k[0] < new_view]:
@@ -799,14 +788,12 @@ class PBFTEngine(ConsensusEngine):
         A buffered block at height ``h`` links (by ``prev_hash``) to an
         uncommitted block at ``h - 1``.  Once deposed rounds have been
         requeued, that parent can only still materialise from the
-        applied head, a surviving round, or another buffered entry; any
-        other linkage means the gap below can never close from here —
-        yet the entry would keep refusing pre-prepares at its height and
-        holding its transactions out of the mempool, stalling the chain
-        through repeated view changes.  Discard such entries so their
-        transactions requeue for the new primary.  (If the parent did
-        commit elsewhere it re-arrives via sync, and ``commit_block``'s
-        ``mempool.remove`` dedupes the requeued copies.)
+        applied head, a surviving round, a lock, or another buffered
+        entry; any other linkage means the gap below can never close
+        from here — yet the entry would keep refusing pre-prepares at
+        its height, stalling the chain through repeated view changes.
+        Discard such entries.  (If the parent did commit elsewhere it
+        re-arrives via sync.)
         """
         peer = self.peer
         if peer is None or not self._commit_buffer:
@@ -815,6 +802,7 @@ class PBFTEngine(ConsensusEngine):
         producible.update(
             state.digest for state in self._rounds.values() if state.digest is not None
         )
+        producible.update(lock.block_hash for lock in self._locks.values())
         for height in sorted(self._commit_buffer):
             decided = self._commit_buffer[height]
             if decided.block.prev_hash in producible:
@@ -824,76 +812,59 @@ class PBFTEngine(ConsensusEngine):
         self._observe_commit_buffer()
 
     def pending_txs(self) -> set[str]:
-        """Tx ids held in open (uncommitted) rounds and in the decided
-        buffer.
+        """Tx ids held in open (uncommitted) rounds, in the decided
+        buffer and in locked blocks.
 
         The durability auditor counts these as pending: a replica cut
         off from a view change it never saw keeps its in-flight round
         alive, and the transactions in it are retained, not dropped —
         they re-enter the mempool the moment the round is superseded
-        (see ``_requeue_stale_round``).  Decided-but-unapplied blocks
-        likewise hold their transactions until they apply or are
-        discarded (and re-queued).
+        (see ``_requeue_stale_round``).  Decided-but-unapplied and
+        locked blocks likewise hold their transactions until they apply
+        or are let go (and re-queued).
         """
-        held: set[str] = set()
-        for state in self._rounds.values():
-            if state.block is not None:
-                held.update(tx.tx_id for tx in state.block.transactions)
-        for decided in self._commit_buffer.values():
-            held.update(tx.tx_id for tx in decided.block.transactions)
-        return held
+        blocks = [state.block for state in self._rounds.values() if state.block is not None]
+        blocks += [decided.block for decided in self._commit_buffer.values()]
+        blocks += self._locks.values()
+        return {tx.tx_id for block in blocks for tx in block.transactions}
 
     # -- sync -------------------------------------------------------------------
 
-    def _on_committed(
-        self,
-        block: Block,
-        certificate: list[str],
-        src: str,
-        signatures: dict[str, str] | None = None,
-    ) -> None:
-        """A peer announced a committed block with its certificate.
-
-        Everything beyond the quick quorum pre-filter is delegated to the
-        peer's :class:`~repro.chain.sync.SyncManager`: next-in-line blocks
-        verify (via :meth:`verify_synced_block`) and apply immediately,
-        height-ahead blocks are buffered and the gap is fetched — the
-        seed engine silently dropped those, stranding any replica that
-        missed more than one block.
-        """
-        peer = self.peer
-        assert peer is not None
-        valid_signers = {signer for signer in certificate if signer in self._validator_set}
-        if len(valid_signers) < self.quorum:
-            return
-        proof = {"signers": list(certificate), "signatures": dict(signatures or {})}
-        peer.sync.offer_block(block, proof, src=src)
-
-    @staticmethod
-    def _proof_parts(proof: Any) -> tuple[list[str], dict[str, str]] | None:
-        """Unpack a certificate proof ``{"signers": [...], "signatures":
-        {name: hex}}``; anything else is rejected (``None``)."""
-        if not isinstance(proof, dict):
-            return None
-        signers = proof.get("signers")
-        signatures = proof.get("signatures")
-        if not isinstance(signers, (list, tuple)) or not isinstance(signatures, dict):
-            return None
-        return list(signers), dict(signatures)
+    def attested_hash(self, height: int) -> str | None:
+        """Applied — or voted commit for, on top of the applied head.
+        Only then: a commit vote says nothing about what lies below the
+        block, and whoever fetches it takes everything below a certified
+        tip on the strength of the hash chain."""
+        assert self.peer is not None
+        head = self.peer.ledger.head
+        lock = self._locks.get(height)
+        if lock is not None and (height, lock.prev_hash) == (head.height + 1, head.block_hash):
+            return lock.block_hash
+        return super().attested_hash(height)
 
     def verify_synced_block(self, block: Block, proof: Any) -> bool:
-        """A fetched block needs a 2f+1-distinct-validator certificate.
+        """A fetched tip needs statements from 2f+1 distinct validators —
+        or from f+1 that say they *applied* it, one of whom is honest.
 
-        Signers whose key is registered only count when their Ed25519
-        vote signature over this block's (height, hash) verifies — all
+        *proof* is ``{"signers": [...], "signatures": {name: hex},
+        "voted": [...]}`` (the last may be absent); anything else is
+        refused.  Signers whose key is registered only count when their
+        Ed25519 signature over the statement for this block's (height,
+        hash), in the form the proof says they signed, verifies — all
         such signatures are checked in ONE batched call.  Signers with no
         registered key fall back to the name-set check (keyless unit-test
-        engines).
+        engines), and a name alone never says "applied".
         """
-        parts = self._proof_parts(proof)
-        if parts is None:
+        if not isinstance(proof, dict):
             return False
-        signers, signatures = parts
+        signers, signatures = proof.get("signers"), proof.get("signatures")
+        voted = proof.get("voted", ())
+        if not (
+            isinstance(signers, (list, tuple))
+            and isinstance(signatures, dict)
+            and isinstance(voted, (list, tuple))
+        ):
+            return False
         counted: set[str] = set()
         items: list[tuple[bytes, bytes, bytes]] = []
         item_signers: list[str] = []
@@ -909,41 +880,27 @@ class PBFTEngine(ConsensusEngine):
                 sig = None
             if sig is None:
                 continue  # known validator, no usable signature: not counted
-            items.append((key, _vote_message(signer, block.height, block.block_hash), sig))
+            message = statement_message(signer, block.height, block.block_hash, signer in voted)
+            items.append((key, message, sig))
             item_signers.append(signer)
+        verified: set[str] = set()
         if items:
             labels = {"peer": self.peer.node_id} if self.peer is not None else {}
             registry = self.peer.obs if self.peer is not None else None
             verdicts = verify_many(items, registry=registry, **labels)
-            counted.update(s for s, ok in zip(item_signers, verdicts) if ok)
-        return len(counted) >= self.quorum
-
-    def sync_proof(self, height: int) -> Any:
-        """Serve the stored commit certificate alongside the block
-        (``signatures`` is empty on a keyless engine)."""
-        entry = self.commit_certificates.get(height)
-        if entry is None:
-            return None
-        return {
-            "signers": list(entry[1]),
-            "signatures": dict(self.commit_signatures.get(height, {})),
-        }
+            verified = {s for s, ok in zip(item_signers, verdicts) if ok}
+        return len(counted | verified) >= self.quorum or len(verified - set(voted)) > self.f
 
     def on_synced_block(self, block: Block, proof: Any) -> None:
-        parts = self._proof_parts(proof)
-        if parts is None:
-            return
-        signers, signatures = parts
-        self._record_certificate(
-            block.height, block.block_hash, sorted(signers), signatures
-        )
-        self._cleanup_height(block.height)
+        self.synced_proofs[block.height] = proof
 
     def on_restart(self) -> None:
         """Crash-restart: open rounds, vote tallies, the decided-block
         buffer, and timers are volatile and do not survive; the view
-        number is recovered from stable storage (Castro–Liskov §4.3
-        persists it for exactly this reason), so it is kept."""
+        number and the locks are recovered from stable storage
+        (Castro–Liskov §4.3 persists the view for exactly this reason),
+        so they are kept.  Records above the recovered head go: their
+        blocks did not survive the disk."""
         for event in (self._tick_event, self._timer_event):
             if event is not None:
                 event.cancel()
@@ -955,6 +912,10 @@ class PBFTEngine(ConsensusEngine):
             for decided in self._commit_buffer.values():
                 if decided.span is not None:
                     self.peer.tracer.finish(decided.span, outcome="restart")
+            head = self.peer.ledger.height
+            for record in (self.commit_certificates, self.synced_proofs):
+                for height in [h for h in record if h > head]:
+                    del record[height]
         self._rounds.clear()
         self._commit_buffer.clear()
         self._observe_commit_buffer()
@@ -963,6 +924,7 @@ class PBFTEngine(ConsensusEngine):
         self._timer_scheduled = False
         self._timer_height = -1
         self._applying = False
+        self._settle_locks()
         self.start()
 
     # -- dispatch ----------------------------------------------------------------
@@ -974,17 +936,9 @@ class PBFTEngine(ConsensusEngine):
         elif message.kind == _PREPARE:
             self._on_prepare(payload["view"], payload["height"], payload["digest"], message.src)
         elif message.kind == _COMMIT:
-            self._on_commit(
-                payload["view"], payload["height"], payload["digest"], message.src,
-                payload.get("signature"),
-            )
+            self._on_commit(payload["view"], payload["height"], payload["digest"], message.src)
         elif message.kind == _VIEW_CHANGE:
             self._vote_view_change(payload["new_view"], message.src)
-        elif message.kind == _COMMITTED:
-            self._on_committed(
-                payload["block"], payload["certificate"], message.src,
-                payload.get("signatures"),
-            )
         else:
             return False
         return True

@@ -130,5 +130,5 @@ class RoundRobinOrderer(ConsensusEngine):
         # The SyncManager owns the apply path: it enforces the leader
         # check (via verify_synced_block), buffers height-ahead blocks,
         # and fetches any gap from the sender or another live validator.
-        peer.sync.offer_block(message.payload, None, src=message.src)
+        peer.sync.offer_block(message.payload, src=message.src)
         return True

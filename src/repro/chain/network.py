@@ -141,9 +141,9 @@ class BlockchainNetwork:
             )
             self.net.add_node(peer)
             self.peers.append(peer)
-        #: validator id -> Ed25519 public key; engines that support
-        #: signed votes (PBFT) get the directory so commit votes and
-        #: sync-served certificates are cryptographically verifiable.
+        #: validator id -> Ed25519 public key; engines that count signed
+        #: statements (PBFT) get the directory so the certificate of a
+        #: synced tip is cryptographically verifiable.
         self._validator_keys = {p.node_id: p.keypair.public_key for p in self.peers}
         for peer in self.peers:
             peer.engine.register_validator_keys(self._validator_keys)
@@ -232,15 +232,6 @@ class BlockchainNetwork:
             source = max(live, key=lambda p: p.ledger.height)
             for height in range(1, source.ledger.height + 1):
                 peer.commit_block(source.ledger.block(height))
-            # Carry over the source's commit certificates (and their vote
-            # signatures) so the new peer can serve — and later
-            # re-verify — the bootstrapped range.
-            source_certs = getattr(source.engine, "commit_certificates", None)
-            if source_certs is not None and hasattr(peer.engine, "commit_certificates"):
-                peer.engine.commit_certificates.update(source_certs)
-            source_sigs = getattr(source.engine, "commit_signatures", None)
-            if source_sigs is not None and hasattr(peer.engine, "commit_signatures"):
-                peer.engine.commit_signatures.update(source_sigs)
         peer.engine.start()
         peer.sync.start()
         for auditor in self.auditors:

@@ -316,10 +316,11 @@ class Peer(NetworkNode):
         for tx in valid_txs:
             self.metrics.record_tx_commit_latency(self.sim.now - tx.timestamp)
         # Write-ahead durability: the record (block + verdicts + error
-        # strings + consensus proof) is logged and fsync'd-in-model before
-        # this commit is acknowledged durable; recovery re-verifies the
-        # proof before trusting the record.  PBFT records its certificate
-        # before calling commit_block, so sync_proof is available here.
+        # strings + the proof that certified it, if it came in as a synced
+        # tip) is logged and fsync'd-in-model before this commit is
+        # acknowledged durable; recovery re-verifies a proof it finds
+        # before trusting the record.  Sync records a tip's proof before
+        # calling commit_block, so sync_proof is available here.
         self.store.on_commit(
             block,
             result.validity,
@@ -383,22 +384,11 @@ class Peer(NetworkNode):
         return wiped
 
     def _reseed_engine_proofs(self, proofs: dict[int, "object"]) -> None:
-        """Re-seed the engine's certificate map from recovered proofs and
-        drop certificates above the recovered head (their blocks did not
-        survive the disk; keeping them would let sync serve proofs for
-        blocks this peer no longer holds)."""
-        head = self.ledger.height
-        for height in sorted(proofs):
-            proof = proofs[height]
-            if proof is not None and height <= head:
+        """Hand the engine back the proofs recovery found (and verified)
+        beside the blocks that survived."""
+        for height, proof in sorted(proofs.items()):
+            if proof is not None and height <= self.ledger.height:
                 self.engine.on_synced_block(self.ledger.block(height), proof)
-        certificates = getattr(self.engine, "commit_certificates", None)
-        if certificates is not None:
-            for height in [h for h in certificates if h > head]:
-                del certificates[height]
-                signatures = getattr(self.engine, "commit_signatures", None)
-                if signatures is not None:
-                    signatures.pop(height, None)
 
     # -- network ------------------------------------------------------------------------
 

@@ -58,9 +58,9 @@ class RecoveryReport:
     #: NOT produce, with the reason — the loss is injected-fault damage
     #: and must line up with ``degradations`` (audited).
     missing_acked: dict[int, str] = field(default_factory=dict)
-    #: tail records carried no consensus proof (e.g. PoA, or a
-    #: join_peer-bootstrapped range) and were accepted on checksum +
-    #: linkage alone.
+    #: tail records carried no consensus proof (PoA; under PBFT every
+    #: block this peer decided itself or fetched below a certified tip)
+    #: and were accepted on checksum + linkage alone.
     unproven_records: int = 0
 
     def summary(self) -> dict[str, Any]:
@@ -87,7 +87,7 @@ class RecoveredChain:
     ledger: "Ledger"
     state: "WorldState"
     #: height -> consensus proof for records recovery decoded, so the
-    #: peer can re-seed its engine's certificate map.
+    #: peer can hand its engine back the proofs of synced tips.
     proofs: dict[int, Any]
     report: RecoveryReport
 

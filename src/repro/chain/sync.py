@@ -3,42 +3,72 @@
 Every :class:`~repro.chain.peer.Peer` owns a :class:`SyncManager`.  It is
 the one place a peer learns that it has fallen behind — a crash window,
 a partition, or plain message loss — and the one place missed blocks are
-fetched, verified, and applied.  Both consensus engines delegate to it:
-PBFT hands over any committed block it cannot apply immediately, and the
-PoA orderer's old ad-hoc anti-entropy probe is replaced wholesale.
+fetched, verified, and applied.  Both consensus engines rely on it: a
+PBFT replica that missed a decision has no other way to learn the block,
+and the PoA orderer's old ad-hoc anti-entropy probe is replaced
+wholesale.
 
 Lag detection has two inputs:
 
-- **signed height announcements** — every ``announce_interval`` each
-  live peer broadcasts ``(node_id, height, head_hash)`` signed with its
-  Ed25519 key.  Announcements claiming a height above our own are
-  verified (and the announcer's public key is pinned first-use) before
-  they may trigger a fetch, so an unsigned outsider cannot talk a peer
-  into a sync spiral — at worst it can offer itself as a provider that
-  never answers, which the retry machinery shrugs off;
+- **signed statements** — every ``announce_interval`` each live peer
+  broadcasts ``(node_id, height, head_hash)`` signed with its Ed25519 key
+  (:func:`statement_message`).  A statement claiming a height above our
+  own is verified (and the announcer's public key is pinned first-use)
+  before it may trigger a fetch, so an unsigned outsider cannot talk a
+  peer into a sync spiral — at worst it can offer itself as a provider
+  that never answers, which the retry machinery shrugs off.  A
+  validator's verified statement is also kept — it is one signature of
+  the certificate a fetched batch will need — and replaces whatever
+  height its votes had let us guess for it;
 - **height-ahead consensus traffic** — engines call
   :meth:`SyncManager.note_remote_height` when a validator's message
   implies a chain longer than ours (a pre-prepare, prepare, or commit
-  for a height we cannot reach, or a committed-block broadcast beyond
-  our head).  Under pipelined PBFT, consensus messages up to
-  ``pipeline_depth`` heights ahead are *routine* — the engine only
-  forwards hints for heights beyond its pipeline window, so the fetch
-  machinery is not spun up for blocks that are not committed anywhere
-  yet.
+  for a height we cannot reach).  Under pipelined PBFT, consensus
+  messages up to ``pipeline_depth`` heights ahead are *routine* — the
+  engine only forwards hints for heights beyond its pipeline window, so
+  the fetch machinery is not spun up for blocks that are not committed
+  anywhere yet.
 
 Fetching is a single in-flight ranged request at a time with a
 per-request timeout, bounded per-provider retries, exponential backoff
 with deterministic jitter, and failover to alternate providers.  A
 provider that repeatedly times out has its claimed height forgotten
 (it will re-announce when it is alive again), which also defuses
-phantom-height claims from byzantine nodes.  Every fetched block is
-verified before apply: structural integrity and hash-chain linkage
-always, plus the engine's own proof check
-(:meth:`~repro.chain.consensus.base.ConsensusEngine.verify_synced_block`
-— a stored 2f+1 commit certificate for PBFT, the expected-leader check
-for PoA).  Blocks that arrive from consensus ahead of the gap are
-buffered in :attr:`SyncManager._future` and drained in order once the
-gap closes.
+phantom-height claims from byzantine nodes.
+
+**Verify before apply.**  A response carries blocks and nothing else.
+The whole batch is checked for structure and hash-chain linkage onto the
+local head — and, where a block carries its own authority (PoA's
+expected leader), each block against the engine — and then held until
+the engine accepts a proof for its *tip*
+(:meth:`~repro.chain.consensus.base.ConsensusEngine.verify_synced_block`;
+for PBFT statements for exactly that ``(height, hash)``: f+1 validators
+that applied it, or 2f+1 that applied it or voted commit for it, the
+hash chain covering every block below).  A statement has two forms,
+told apart under the signature (:func:`statement_message`): *applied* —
+the periodic announcement is one, for the head — and *voted*, which a
+validator gives only for the block right above its applied head
+(:meth:`~repro.chain.consensus.base.ConsensusEngine.attested_hash`).
+The statements come from the announcements already verified — on an idle
+chain everyone announces the same head and no further message is needed
+— and otherwise from the validators themselves: ``sync-attest-request
+{height}`` is answered with the signed statement, or not at all by a
+validator that can vouch for nothing there yet.  The request stays in
+flight, under the same timer, until the batch is applied: missing
+statements are re-asked every ``backoff_base``, those already received
+are kept across retries, and a provider whose tip enough validators
+contradict (so that it can never reach the quorum) is dropped at once.
+A tip still short at the first re-ask may be one that only its provider
+holds: the held batch is then cut down to what f+1 validators are known
+to hold — or to a single block, the only one a vote can cover — and the
+rest is fetched again later.  A validator signs a given statement at
+most once, however often it is asked.  The cost of signing on request:
+a block that one replica decided alone (its own commit votes reached
+nobody) can be fetched by the others only with 2f+1 validators up, the
+voters among them having caught up to its parent; every block that f+1
+validators hold is available with f down.  Blocks that PoA broadcasts
+ahead of the gap are buffered in :attr:`SyncManager._future` and drained
+in order once the gap closes.
 
 All timing and jitter come from the shared simulator and a
 ``random.Random`` seeded from the node id, so runs remain a pure
@@ -48,7 +78,7 @@ function of their seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Block
@@ -63,16 +93,29 @@ from repro.simnet.network import Message
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chain.peer import Peer
 
-__all__ = ["SyncManager", "SyncMetrics", "KIND_ANNOUNCE", "KIND_REQUEST", "KIND_RESPONSE"]
+__all__ = [
+    "SyncManager", "SyncMetrics", "statement_message",
+    "KIND_ANNOUNCE", "KIND_REQUEST", "KIND_RESPONSE", "KIND_ATTEST_REQUEST", "KIND_ATTEST",
+]
 
 KIND_ANNOUNCE = "sync-announce"
 KIND_REQUEST = "sync-request"
 KIND_RESPONSE = "sync-response"
+KIND_ATTEST_REQUEST = "sync-attest-request"
+KIND_ATTEST = "sync-attest"
+
+#: A verified statement as kept: (height, block hash, signature hex,
+#: voted for rather than applied).
+_Statement = tuple[int, str, str, bool]
 
 
-def _announce_message(node_id: str, height: int, head_hash: str) -> bytes:
-    """Canonical byte string covered by an announcement signature."""
-    return f"sync-announce|{node_id}|{height}|{head_hash}".encode()
+def statement_message(node_id: str, height: int, block_hash: str, voted: bool = False) -> bytes:
+    """Canonical byte string of the statement a peer signs: *node_id*
+    applied *block_hash* at *height* — its head when announced, any height
+    of its ledger when asked — or, the *voted* form, has not applied it
+    yet but voted commit for it on top of its applied head."""
+    kind = "sync-voted" if voted else "sync-announce"
+    return f"{kind}|{node_id}|{height}|{block_hash}".encode()
 
 
 class SyncMetrics(ObsView):
@@ -87,6 +130,8 @@ class SyncMetrics(ObsView):
     announcements_verified = metric_attr("sync.announcements_verified")
     announcements_rejected = metric_attr("sync.announcements_rejected")
     requests_sent = metric_attr("sync.requests_sent")
+    attest_requests_sent = metric_attr("sync.attest_requests_sent")
+    statements_verified = metric_attr("sync.statements_verified")
     responses_served = metric_attr("sync.responses_served")
     retries = metric_attr("sync.retries")
     timeouts = metric_attr("sync.timeouts")
@@ -127,6 +172,11 @@ class _InFlight:
     end: int
     timer: Event
     span: Span | None = None
+    #: The fetched blocks, structure- and linkage-checked, held until
+    #: their tip is certified (empty while the response is awaited).
+    batch: list[Block] = field(default_factory=list)
+    #: The pending re-ask for statements still missing.
+    reask: Event | None = None
 
 
 class SyncManager:
@@ -138,6 +188,8 @@ class SyncManager:
     FUTURE_WINDOW = 256
     #: Consecutive timeouts against one provider before failing over.
     PROVIDER_PATIENCE = 2
+    #: Statements of its own a peer remembers having signed.
+    SIGNED_MEMO = 16
 
     def __init__(
         self,
@@ -163,8 +215,8 @@ class SyncManager:
         self.known_heights: dict[str, int] = {}
         #: node id -> pinned announcement public key (trust on first use).
         self._announced_keys: dict[str, bytes] = {}
-        #: height -> (block, proof) buffered until the gap below closes.
-        self._future: dict[int, tuple[Block, Any]] = {}
+        #: height -> offered block, buffered until the gap below closes.
+        self._future: dict[int, Block] = {}
         self._inflight: _InFlight | None = None
         self._announce_event: Event | None = None
         self._retry_event: Event | None = None
@@ -173,9 +225,14 @@ class SyncManager:
         self._provider_timeouts: dict[str, int] = {}
         self._lag_since: float | None = None
         self._lag_from_height: int | None = None
-        #: cache: (height, head_hash) -> signature, so steady-state
-        #: announcements cost no repeated Ed25519 signing.
-        self._signature_cache: tuple[tuple[int, str], bytes] | None = None
+        #: (height, hash, voted) -> own signature, oldest dropped first: an
+        #: idle head is signed once, and a flood of attest requests costs
+        #: lookups, not signatures.
+        self._signed: dict[tuple[int, str, bool], bytes] = {}
+        #: validator -> its latest verified statement above our head, as
+        #: announced and as answered to an attest request.
+        self._announced: dict[str, _Statement] = {}
+        self._attested: dict[str, _Statement] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -205,6 +262,8 @@ class SyncManager:
         self._cancel_inflight()
         self._future.clear()
         self.known_heights.clear()
+        self._announced.clear()
+        self._attested.clear()
         self._provider_timeouts.clear()
         self._round_failures = 0
         self._lag_since = None
@@ -224,10 +283,7 @@ class SyncManager:
 
     def _cancel_inflight(self) -> None:
         if self._inflight is not None:
-            self._inflight.timer.cancel()
-            if self._inflight.span is not None:
-                self.peer.tracer.finish(self._inflight.span, outcome="cancelled")
-            self._inflight = None
+            self._finish_inflight("cancelled")
         if self._retry_event is not None:
             self._retry_event.cancel()
             self._retry_event = None
@@ -246,55 +302,124 @@ class SyncManager:
             return
         peer = self.peer
         if not peer.crashed:
-            height = peer.ledger.height
-            head_hash = peer.ledger.head.block_hash
-            key = (height, head_hash)
-            if self._signature_cache is None or self._signature_cache[0] != key:
-                signature = peer.keypair.sign(
-                    _announce_message(peer.node_id, height, head_hash)
-                )
-                self._signature_cache = (key, signature)
             peer.broadcast(
                 KIND_ANNOUNCE,
-                {
-                    "node_id": peer.node_id,
-                    "height": height,
-                    "head_hash": head_hash,
-                    "public_key": peer.keypair.public_key,
-                    "signature": self._signature_cache[1],
-                },
+                self._statement(peer.ledger.height, peer.ledger.head.block_hash),
             )
             self.metrics.announcements_sent += 1
         self._schedule_announce()
+
+    def _statement(self, height: int, block_hash: str) -> dict[str, Any]:
+        """This peer's signed statement for ``(height, block_hash)`` — in
+        the voted form while *height* lies above its ledger — signed the
+        first time it is wanted."""
+        peer = self.peer
+        voted = height > peer.ledger.height
+        signature = self._signed.get((height, block_hash, voted))
+        if signature is None:
+            if len(self._signed) >= self.SIGNED_MEMO:
+                del self._signed[next(iter(self._signed))]
+            signature = self._signed[(height, block_hash, voted)] = peer.keypair.sign(
+                statement_message(peer.node_id, height, block_hash, voted)
+            )
+        return {
+            "node_id": peer.node_id,
+            "height": height,
+            "head_hash": block_hash,
+            "voted": voted,
+            "public_key": peer.keypair.public_key,
+            "signature": signature,
+        }
+
+    def _verify_statement(self, message: Message, voted: bool = False) -> _Statement | None:
+        """The statement in *message* if it is its sender's own, signed
+        in the given form with the key pinned for that sender; otherwise
+        ``None``."""
+        payload = message.payload
+        src = message.src
+        height = payload.get("height")
+        block_hash = payload.get("head_hash")
+        public_key = payload.get("public_key")
+        signature = payload.get("signature")
+        if (
+            payload.get("node_id") != src
+            or not isinstance(height, int)
+            or not isinstance(block_hash, str)
+            or not isinstance(public_key, bytes)
+            or not isinstance(signature, bytes)
+            or self._announced_keys.get(src, public_key) != public_key
+            or not verify_signature(
+                public_key, statement_message(src, height, block_hash, voted), signature
+            )
+        ):
+            return None
+        self._announced_keys.setdefault(src, public_key)
+        return height, block_hash, signature.hex(), voted
 
     def _on_announce(self, message: Message) -> None:
         payload = message.payload
         src = message.src
         height = payload.get("height")
-        if not isinstance(height, int) or payload.get("node_id") != src:
-            self.metrics.announcements_rejected += 1
-            return
-        if height <= self.peer.ledger.height:
+        if (
+            isinstance(height, int)
+            and payload.get("node_id") == src
+            and height <= self.peer.ledger.height
+        ):
             # Nothing to fetch from this node; remember it only so the
             # provider chooser can skip it.  No signature check needed —
             # a lie here can never trigger a fetch.
             self.known_heights[src] = height
             return
-        public_key = payload.get("public_key")
-        pinned = self._announced_keys.get(src)
-        if pinned is not None and pinned != public_key:
+        statement = self._verify_statement(message)
+        if statement is None:
             self.metrics.announcements_rejected += 1
             return
-        if not isinstance(public_key, bytes) or not verify_signature(
-            public_key,
-            _announce_message(src, height, payload.get("head_hash", "")),
-            payload.get("signature", b""),
-        ):
-            self.metrics.announcements_rejected += 1
-            return
-        self._announced_keys.setdefault(src, public_key)
         self.metrics.announcements_verified += 1
-        self.note_remote_height(src, height)
+        if src in self.peer.engine.validators:
+            self._announced[src] = statement
+            self.metrics.statements_verified += 1
+        # Its own word replaces whatever its votes let us guess.
+        self.known_heights[src] = height
+        self.maybe_sync()
+        self._complete_batch()
+
+    # -- statements on request ---------------------------------------------
+
+    def _on_attest_request(self, message: Message) -> None:
+        """Vouch for the block we applied at the asked height, or voted
+        commit for on top of our head; say nothing while we can do
+        neither (whoever needs the answer asks again)."""
+        height = message.payload.get("height")
+        block_hash = self.peer.engine.attested_hash(height) if isinstance(height, int) else None
+        if block_hash is not None:
+            self.peer.send(message.src, KIND_ATTEST, self._statement(height, block_hash))
+
+    def _on_attest(self, message: Message) -> None:
+        """A validator's answer: kept if it is genuine, whether it is for
+        the held tip, against it, or for a retry to find."""
+        src = message.src
+        if src not in self.peer.engine.validators:
+            self._reject_statement("non-validator")
+            return
+        statement = self._verify_statement(message, message.payload.get("voted") is True)
+        if statement is None:
+            self._reject_statement("bad-signature")
+            return
+        height, block_hash = statement[:2]
+        if height <= self.peer.ledger.height:
+            return  # answered a question we no longer have
+        self._attested[src] = statement
+        held = self._inflight.batch if self._inflight is not None else ()
+        if held and height == held[-1].height and block_hash != held[-1].block_hash:
+            self._reject_statement("wrong-hash")
+        else:
+            self.metrics.statements_verified += 1
+        self._complete_batch()
+
+    def _reject_statement(self, reason: str) -> None:
+        self.peer.obs.counter(
+            "sync.statements_rejected", peer=self.peer.node_id, reason=reason
+        ).inc()
 
     def note_remote_height(self, src: str, height: int) -> None:
         """A node credibly holds chain up to *height*; sync if we lag."""
@@ -316,8 +441,9 @@ class SyncManager:
 
     # -- block intake ------------------------------------------------------
 
-    def offer_block(self, block: Block, proof: Any, src: str) -> None:
-        """A consensus-committed block arrived from *src* (possibly ahead).
+    def offer_block(self, block: Block, src: str) -> None:
+        """A block that carries its own authority (a PoA leader's
+        broadcast) arrived from *src*, possibly ahead.
 
         Next-in-line blocks are verified and applied immediately; blocks
         beyond the gap are buffered and a ranged fetch is kicked off for
@@ -326,14 +452,10 @@ class SyncManager:
         height = block.height
         if height <= self.peer.ledger.height:
             return
-        if src != self.peer.node_id and height > self.known_heights.get(src, -1):
-            # Never count ourselves as a provider: a self-offer (possible
-            # under pipelining, where decided blocks sit ahead of the
-            # applied head) must not make is_lagging() true against our
-            # own claim and stall the proposer.
+        if height > self.known_heights.get(src, -1):
             self.known_heights[src] = height
         if height == self.peer.ledger.height + 1:
-            if self._verify_and_apply(block, proof):
+            if self._verify_and_apply(block):
                 self._drain_future()
             self._check_caught_up()
             return
@@ -342,24 +464,28 @@ class SyncManager:
                 del self._future[max(self._future)]
             if height not in self._future:
                 self.metrics.buffered_future += 1
-            self._future[height] = (block, proof)
+            self._future[height] = block
             self._observe_future()
         self.maybe_sync()
 
-    def _verify_and_apply(self, block: Block, proof: Any) -> bool:
-        peer = self.peer
+    @staticmethod
+    def _extends(block: Block, parent: Block) -> bool:
+        """Is *block* internally consistent and the next link after
+        *parent*?  (It came from outside: anything may be wrong with it.)"""
         try:
             block.verify_structure()
         except Exception:
+            return False
+        return (block.height, block.prev_hash) == (parent.height + 1, parent.block_hash)
+
+    def _verify_and_apply(self, block: Block) -> bool:
+        peer = self.peer
+        if not (
+            self._extends(block, peer.ledger.head)
+            and peer.engine.verify_synced_block(block, None)
+        ):
             self.metrics.invalid_blocks += 1
             return False
-        if block.prev_hash != peer.ledger.head.block_hash:
-            self.metrics.invalid_blocks += 1
-            return False
-        if not peer.engine.verify_synced_block(block, proof):
-            self.metrics.invalid_blocks += 1
-            return False
-        peer.engine.on_synced_block(block, proof)
         peer.commit_block(block)
         self.metrics.blocks_synced += 1
         return True
@@ -367,8 +493,7 @@ class SyncManager:
     def _drain_future(self) -> None:
         peer = self.peer
         while peer.ledger.height + 1 in self._future:
-            block, proof = self._future.pop(peer.ledger.height + 1)
-            if not self._verify_and_apply(block, proof):
+            if not self._verify_and_apply(self._future.pop(peer.ledger.height + 1)):
                 break
         for height in [h for h in self._future if h <= peer.ledger.height]:
             del self._future[height]
@@ -438,18 +563,25 @@ class SyncManager:
             self.metrics.retries += 1
         self.peer.send(provider, KIND_REQUEST, {"req_id": req_id, "start": start, "end": end})
 
-    def _on_timeout(self, req_id: str) -> None:
+    def _finish_inflight(self, outcome: str, **attrs: Any) -> _InFlight:
         inflight = self._inflight
-        if inflight is None or inflight.req_id != req_id:
-            return
+        assert inflight is not None
         self._inflight = None
+        inflight.timer.cancel()
+        if inflight.reask is not None:
+            inflight.reask.cancel()
         if inflight.span is not None:
-            self.peer.tracer.finish(inflight.span, outcome="timeout")
+            self.peer.tracer.finish(inflight.span, outcome=outcome, **attrs)
+        return inflight
+
+    def _on_timeout(self, req_id: str) -> None:
+        if self._inflight is None or self._inflight.req_id != req_id:
+            return
+        provider = self._finish_inflight("timeout").provider
         if self.stopped or self.peer.crashed:
             return
         self.metrics.timeouts += 1
         self._round_failures += 1
-        provider = inflight.provider
         strikes = self._provider_timeouts.get(provider, 0) + 1
         self._provider_timeouts[provider] = strikes
         if strikes >= self.PROVIDER_PATIENCE:
@@ -478,70 +610,176 @@ class SyncManager:
         peer = self.peer
         start = max(1, int(payload["start"]))
         end = min(int(payload["end"]), peer.ledger.height, start + self.MAX_BATCH - 1)
-        blocks = [
-            {"block": peer.ledger.block(h), "proof": peer.engine.sync_proof(h)}
-            for h in range(start, end + 1)
-        ]
         self.metrics.responses_served += 1
         peer.send(
             message.src,
             KIND_RESPONSE,
-            {"req_id": payload["req_id"], "height": peer.ledger.height, "blocks": blocks},
+            {
+                "req_id": payload["req_id"],
+                "height": peer.ledger.height,
+                "blocks": [peer.ledger.block(h) for h in range(start, end + 1)],
+            },
         )
 
     def _on_response(self, message: Message) -> None:
         inflight = self._inflight
         payload = message.payload
-        if inflight is None or inflight.req_id != payload.get("req_id"):
+        if inflight is None or inflight.req_id != payload.get("req_id") or inflight.batch:
             self.metrics.stale_responses += 1
             return
-        inflight.timer.cancel()
-        self._inflight = None
-        if inflight.span is not None:
-            self.peer.tracer.finish(
-                inflight.span, outcome="response",
-                n_blocks=len(payload.get("blocks", ())),
-            )
         provider = message.src
         self._provider_timeouts.pop(provider, None)
-        self._round_failures = 0
         reported = payload.get("height")
         if isinstance(reported, int):
             # The provider's actual height replaces whatever it (or a
             # height-ahead message) previously claimed.
             self.known_heights[provider] = reported
-        pending = [
-            entry["block"]
-            for entry in payload.get("blocks", ())
-            if isinstance(entry, dict)
-            and isinstance(entry.get("block"), Block)
-            and entry["block"].height > self.peer.ledger.height
+        head = self.peer.ledger.head
+        batch = [
+            block for block in payload.get("blocks", ())
+            if isinstance(block, Block) and block.height > head.height
         ]
+        if not batch:
+            self._finish_inflight("response", n_blocks=0)
+            self._round_failures = 0
+            self._drain_future()
+            self.maybe_sync()
+            return
+        engine = self.peer.engine
+        for block in batch:
+            # Where a block carries its own authority (no quorum to ask),
+            # a proof for the tip covers nothing below it: check each.
+            if not self._extends(block, head) or not (
+                engine.quorum or engine.verify_synced_block(block, None)
+            ):
+                self._reject_batch()
+                return
+            head = block
+        inflight.batch = batch
+        self._complete_batch()
+        if self._inflight is inflight:
+            self._ask_statements()
+
+    def _tip_statements(self, tip: Block) -> tuple[dict[str, Any], set[str]]:
+        """The proof *tip* has so far — who vouches for it, and who of
+        them has only voted for it (we ourselves, if we did) — and which
+        validators vouch for another block at its height."""
+        kept: dict[str, tuple[str, bool]] = {}
+        contradicting: set[str] = set()
+        # An announcement says "applied": it replaces an earlier "voted".
+        for statements in (self._attested, self._announced):
+            for node, (height, block_hash, signature, voted) in statements.items():
+                if height != tip.height:
+                    continue
+                if block_hash == tip.block_hash:
+                    kept[node] = (signature, voted)
+                else:
+                    contradicting.add(node)
+        peer = self.peer
+        if (
+            peer.node_id in peer.engine.validators
+            and peer.engine.attested_hash(tip.height) == tip.block_hash
+        ):
+            own = self._statement(tip.height, tip.block_hash)
+            kept[peer.node_id] = (own["signature"].hex(), own["voted"])
+        proof = {
+            "signers": sorted(kept),
+            "signatures": {node: signature for node, (signature, _) in kept.items()},
+            "voted": sorted(node for node, (_, voted) in kept.items() if voted),
+        }
+        return proof, contradicting
+
+    def _complete_batch(self) -> None:
+        """Apply the held batch if its tip is certified by now; drop its
+        provider if it never can be."""
+        inflight = self._inflight
+        if inflight is None or not inflight.batch:
+            return
+        peer = self.peer
+        engine = peer.engine
+        # Consensus may have moved the head while the batch was held.
+        batch = inflight.batch = [b for b in inflight.batch if b.height > peer.ledger.height]
+        if not batch:
+            self._finish_inflight("overtaken")
+            self.maybe_sync()
+            return
+        tip = batch[-1]
+        proof, contradicting = self._tip_statements(tip)
+        linked = batch[0].prev_hash == peer.ledger.head.block_hash
+        if not (linked and engine.verify_synced_block(tip, proof)):
+            # No statement can help a batch that fell off the chain, a
+            # tip the engine asks none for, or one that too many
+            # validators contradict for it ever to reach the quorum.
+            if (
+                not linked
+                or not engine.quorum
+                or len(engine.validators) - len(contradicting) < engine.quorum
+            ):
+                self._reject_batch()
+            return
+        self._finish_inflight("applied", n_blocks=len(batch))
+        self._round_failures = 0
+        engine.on_synced_block(tip, proof)
         # One batched pass over every signature in the fetched range; the
-        # per-block verify/commit path below hits the warmed cache.
+        # per-block commit path below hits the warmed cache.
         verify_many(
-            [item for block in pending for item in signature_items(block.transactions)],
-            registry=self.peer.obs,
-            peer=self.peer.node_id,
+            [item for block in batch for item in signature_items(block.transactions)],
+            registry=peer.obs,
+            peer=peer.node_id,
         )
-        clean = True
-        for entry in payload.get("blocks", ()):
-            block = entry["block"]
-            if block.height <= self.peer.ledger.height:
-                continue
-            if block.height != self.peer.ledger.height + 1:
-                clean = False
-                break
-            if not self._verify_and_apply(block, entry.get("proof")):
-                clean = False
-                break
-        if not clean:
-            # Bad or gapped response: drop the provider's claim so the
-            # next round fails over to someone else.
-            self.known_heights.pop(provider, None)
-            self.metrics.provider_failovers += 1
+        for block in batch:
+            # Applying one block may let the engine drain decided blocks
+            # it held above the gap; those heights are then done.
+            if block.height > peer.ledger.height:
+                peer.commit_block(block)
+                self.metrics.blocks_synced += 1
+        for statements in (self._announced, self._attested):
+            for node in [n for n, st in statements.items() if st[0] <= peer.ledger.height]:
+                del statements[node]
         self._drain_future()
         self.maybe_sync()
+
+    def _reject_batch(self) -> None:
+        """Bad, gapped or refuted response: nothing of it is applied, and
+        the provider's claim is dropped so the next round fails over to
+        someone else."""
+        provider = self._finish_inflight("rejected").provider
+        self.metrics.invalid_blocks += 1
+        self.known_heights.pop(provider, None)
+        self.metrics.provider_failovers += 1
+        self._drain_future()
+        self.maybe_sync()
+
+    def _ask_statements(self) -> None:
+        """Ask every validator whose word on the held tip is missing;
+        again every ``backoff_base`` until the batch is settled — from
+        the second time on, for a tip that can be vouched for."""
+        inflight = self._inflight
+        if inflight is None or not inflight.batch:
+            return
+        peer = self.peer
+        validators = peer.engine.validators
+        if inflight.reask is not None:
+            # Still short: keep what f+1 validators are known to hold, and
+            # so can call applied.  Above that only votes can certify a
+            # tip, and a vote counts only right above the voter's head —
+            # one block, then.
+            held = sorted(self.known_heights.get(v, 0) for v in validators if v != peer.node_id)
+            keep = max(held[-1 - peer.engine.quorum // 2], peer.ledger.height + 1)
+            inflight.batch = [block for block in inflight.batch if block.height <= keep]
+            self._complete_batch()
+            if self._inflight is not inflight:
+                return
+        tip = inflight.batch[-1]
+        proof, contradicting = self._tip_statements(tip)
+        heard = {peer.node_id, *proof["signers"], *contradicting}
+        for validator in validators:
+            if validator not in heard:
+                peer.send(validator, KIND_ATTEST_REQUEST, {"height": tip.height})
+                self.metrics.attest_requests_sent += 1
+        inflight.reask = peer.sim.schedule(
+            self.backoff_base, self._ask_statements, label=f"sync-attest:{peer.node_id}"
+        )
 
     def _check_caught_up(self) -> None:
         if self._lag_since is None:
@@ -563,6 +801,10 @@ class SyncManager:
             self._on_request(message)
         elif message.kind == KIND_RESPONSE:
             self._on_response(message)
+        elif message.kind == KIND_ATTEST_REQUEST:
+            self._on_attest_request(message)
+        elif message.kind == KIND_ATTEST:
+            self._on_attest(message)
         else:
             return False
         return True

@@ -53,7 +53,7 @@ def estimate_payload_size(payload: Any) -> int:
 class WireSized:
     """Mixin for a dataclass that never changes once built and is sent
     many times (a transaction is gossiped, proposed in a block and
-    re-broadcast with the commit certificate): it is walked field by
+    served again to every peer that syncs): it is walked field by
     field once, as :func:`estimate_payload_size` walks it, and remembers
     the ``(bytes, nodes visited)`` pair, itself counted as one node."""
 

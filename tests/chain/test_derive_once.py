@@ -299,15 +299,21 @@ def test_sync_batch_truncated_by_the_cap_keeps_its_number(plain_size, bulky_txs)
 
 
 def _pbft_proof():
+    """A peer that fetched block 1 after a crash, and the statement set
+    that certified it — the one kind of proof a WAL record carries."""
     net = BlockchainNetwork(n_peers=4, consensus="pbft", block_interval=0.2,
                             latency=UniformLatency(0.01, 0.03), seed=5, storage="durable")
     net.install_contract(CounterContract)
+    peer = net.peers[3]
+    peer.crashed = True
     net.client().invoke("counter", "increment", {"amount": 1})
-    net.run_for(2.0)
+    net.run_for(1.0)
+    peer.crashed = False
+    net.run_for(3.0)
     net.stop()
-    peer = net.peers[0]
     proof = peer.engine.sync_proof(1)
-    assert proof["signers"] and proof["signatures"]
+    assert len(proof["signers"]) >= 3 and set(proof["signatures"]) == set(proof["signers"])
+    assert net.peers[0].engine.sync_proof(1) is None  # decided there: nothing stored
     return peer, proof
 
 

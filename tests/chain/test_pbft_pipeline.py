@@ -257,7 +257,7 @@ def test_view_change_discards_orphaned_buffered_decisions():
     # producible across the view change and must not be swept.
     keeper = Block.build(1, head.block_hash, 0.2, "peer-0", [])
     engine._commit_buffer[1] = _Decided(
-        block=keeper, digest=keeper.block_hash, certificate=[], signatures={}
+        block=keeper, digest=keeper.block_hash, certificate=[]
     )
     # The view change deposes b1's round: nothing left can fill b2's gap.
     for voter in ("peer-1", "peer-2", "peer-3"):
@@ -357,7 +357,7 @@ def test_stall_check_counts_buffered_decisions_as_progress():
     head = replica.ledger.head
     block = Block.build(2, "parent-digest", 0.0, "peer-0", [])
     engine._commit_buffer[2] = _Decided(
-        block=block, digest=block.block_hash, certificate=[], signatures={}
+        block=block, digest=block.block_hash, certificate=[]
     )
     engine._view_timer_fired(token)
     assert engine._view_votes.get(1) is None, (

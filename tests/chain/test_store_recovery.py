@@ -136,6 +136,58 @@ def test_disk_fault_recovery_reconverges(fault, storage):
     assert counted == len(report.degradations)
 
 
+@pytest.mark.parametrize("storage", BACKENDS)
+def test_synced_tip_proof_is_logged_recovered_and_checked(storage):
+    """The statement set that certified a synced tip is the one proof a
+    WAL record carries: it comes back verified on restart, and a record
+    whose stored proof no longer verifies — bytes intact, CRC right —
+    takes the ``certificate-invalid`` rung instead of being trusted."""
+    from repro.chain.store.codec import decode_record, encode_record
+    from repro.chain.store.log import LOG_NAME, BlockLog, scan_log_bytes
+
+    network, _, schedule = _build(seed=5, snapshot_interval=64, storage=storage)
+    victim = _peer(network, "peer-2")
+    schedule.crash_at(1.0, victim.node_id)
+    _drive(network, n_txs=8)
+    network.run_for(3.0)
+    schedule.recover_at(network.sim.now + 0.2, victim.node_id)
+    network.run_for(6.0)
+    (tip,) = victim.engine.synced_proofs  # idle chain: one batch, one tip
+    proof = victim.engine.sync_proof(tip)
+    head = victim.ledger.height
+    assert tip == head >= 8
+
+    # Clean restart: every record below the tip is unproven, the tip's
+    # proof is re-verified and handed back to the engine.
+    victim.engine.synced_proofs.clear()
+    victim.restart()
+    report = victim.store.last_recovery
+    assert report.degradations == [] and report.recovered_height == head
+    assert report.unproven_records == head - 1
+    assert victim.engine.synced_proofs == {tip: proof}
+
+    # Same bytes, but every statement is the first validator's: only f
+    # of them verify now.
+    disk = victim.store.disk
+    records = scan_log_bytes(disk.read(LOG_NAME)).records
+    target = records[tip - 1]
+    block, validity, errors, stored = decode_record(target.payload)
+    assert stored == proof
+    first = min(stored["signatures"])
+    stored["signatures"] = dict.fromkeys(stored["signatures"], stored["signatures"][first])
+    disk.truncate(LOG_NAME, target.offset)
+    BlockLog(disk).append(tip, encode_record(block, validity, errors, stored))
+    victim.restart()
+    report = victim.store.last_recovery
+    assert [d.kind for d in report.degradations][0] == "certificate-invalid"
+    assert report.recovered_height == tip - 1 and victim.ledger.height == tip - 1
+    assert tip not in victim.engine.synced_proofs
+    network.run_for(6.0)  # the block is fetched and certified afresh
+    network.stop()
+    _assert_converged(network)
+    assert victim.engine.verify_synced_block(victim.ledger.block(tip), victim.engine.sync_proof(tip))
+
+
 def test_disk_events_logged_for_forensics():
     network, _, schedule = _build(seed=5)
     schedule.torn_write_at(5.9, "peer-1")

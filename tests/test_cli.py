@@ -97,3 +97,5 @@ def test_report_demo_writes_trace_and_phases(tmp_path, capsys):
     for phase in ("endorse", "gossip", "order_wait", "consensus_round",
                   "commit_latency"):
         assert f"| {phase} |" in stdout, phase
+    # The straggler's catch-up is certified by statements, and says so.
+    assert "| sync.statements_verified |" in stdout
