@@ -5,7 +5,9 @@ LocalChain interface (``invoke`` / ``query`` / ``ledger`` / clock).
 This adapter provides the same interface on top of a
 :class:`~repro.chain.network.BlockchainNetwork`, so the identical
 platform code runs over real consensus: every ``invoke`` endorses,
-submits, and advances simulated time until the transaction commits.
+submits, and advances simulated time until the transaction commits, and
+``invoke_group`` does the same for a list of steps that commit as one
+unit, in one block.
 
 This is the deployment the paper actually describes; LocalChain exists
 so experiments that aren't *about* consensus don't pay for it.
@@ -13,7 +15,7 @@ so experiments that aren't *about* consensus don't pay for it.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.chain.contracts import Contract, EndorsementPolicy
 from repro.chain.ledger import Ledger
@@ -94,7 +96,10 @@ class NetworkedChain:
 
         Matches LocalChain semantics: contract aborts surface as
         :class:`ContractError` (at endorsement time), and a receipt is
-        only returned once the transaction is final on some peer.
+        only returned once the transaction is final on some peer.  One
+        call is one consensus round, and nothing ties two calls together:
+        steps that must all take effect or none — a publish — go through
+        :meth:`invoke_group`, not through a sequence of these.
         """
         client = self._client_for(keypair)
         tx = self.network.endorse_transaction(client, contract, method, args or {})
@@ -105,13 +110,45 @@ class NetworkedChain:
         self._barrier(receipt.block_height)
         return receipt
 
+    def invoke_group(
+        self, steps: Sequence[tuple[KeyPair, str, str, dict[str, Any] | None]]
+    ) -> list[TxReceipt]:
+        """Commit ``(keypair, contract, method, args)`` *steps* as one
+        unit and return their receipts: endorsed once over one
+        speculative state (a later step sees an earlier one's writes; an
+        abort in any step raises :class:`ContractError` with nothing
+        submitted), ordered as one mempool entry into one block, and
+        valid there all together or not at all — in which case this
+        raises as :meth:`invoke` does and no step took effect.  A single
+        step is :meth:`invoke`.
+        """
+        if len(steps) == 1:
+            return [self.invoke(*steps[0])]
+        txs = self.network.endorse_group(
+            [(self._client_for(keypair), contract, method, args)
+             for keypair, contract, method, args in steps]
+        )
+        self.network.submit_group(txs)
+        receipts = [
+            self.network.wait_for_receipt(tx.tx_id, timeout=self.receipt_timeout) for tx in txs
+        ]
+        if not receipts[0].success:
+            raise ContractError(receipts[0].error or "group failed at commit")
+        self._barrier(receipts[0].block_height)
+        return receipts
+
     def _barrier(self, height: int) -> None:
         """Advance time until every live peer applied block *height*.
 
-        The platform issues dependent transactions back-to-back; without
-        the barrier the next proposal may be endorsed on a peer that has
-        not applied this commit yet, and fail MVCC validation — correct
-        Fabric behaviour, but pointless churn for a sequential client.
+        The platform issues dependent *calls* back-to-back (a vote on the
+        article just published); without the barrier the next proposal
+        may be endorsed on a peer that has not applied this commit yet,
+        and fail MVCC validation — correct Fabric behaviour, but
+        pointless churn for a sequential client.  It orders one call
+        after another and does nothing for atomicity: the steps *inside*
+        one :meth:`invoke_group` need no barrier between them (they are
+        simulated over each other's writes and commit in one block), and
+        the group pays for one barrier, after its block.
         """
         deadline = self.now + self.receipt_timeout
         while self.now < deadline:

@@ -44,7 +44,12 @@ checks, cheap) and again at end-of-run (full-ledger forensics):
   degradation (torn tail, partial flush, corruption) — a silent loss of
   an acknowledged write is the one failure a durable store may never
   exhibit.  Recovered peers still re-converge via the existing catch-up
-  and convergence checks.
+  and convergence checks;
+- **group atomicity** — no honest ledger holds a valid member of a group
+  (:func:`~repro.chain.transaction.create_group`) without all of its
+  siblings valid, consecutive and in order in the same block: a publish
+  whose draft committed but whose supply-chain record did not is the
+  accountability hole the group exists to close.
 
 Crash-*restart* faults (see :meth:`~repro.simnet.failure.
 FailureSchedule.restart_at`) legitimately wipe a peer's mempool; the
@@ -63,6 +68,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Block
+from repro.chain.transaction import group_run
 from repro.errors import ChainError
 from repro.obs import MetricsRegistry, metric_attr
 
@@ -96,7 +102,7 @@ class AuditViolation(ChainError):
         peers: tuple[str, ...] = (),
         forensics: dict[str, Any] | None = None,
     ):
-        self.invariant = invariant  # "agreement" | "certificate" | "durability" | "convergence" | "catchup" | "pipeline" | "storage"
+        self.invariant = invariant  # "agreement" | "certificate" | "durability" | "convergence" | "catchup" | "pipeline" | "storage" | "group"
         self.detail = detail
         self.height = height
         self.peers = tuple(peers)
@@ -283,6 +289,7 @@ class InvariantAuditor:
         self.check_catchup(failures=failures, sync_window=sync_window)
         self.check_pipeline()
         self.check_storage(failures=failures)
+        self.check_groups()
         return list(self.violations)
 
     def check_agreement(self) -> None:
@@ -536,6 +543,34 @@ class InvariantAuditor:
                         "ledger_height": peer.ledger.height,
                     },
                 )
+
+    def check_groups(self) -> None:
+        """Group atomicity on every honest ledger: a valid tagged
+        transaction sits at its tag's position in a run of its whole
+        group — every sibling present, in order, valid — in one block."""
+        self.checks_run += 1
+        for peer in self.network.peers:
+            if peer.byzantine:
+                continue
+            for height in range(1, peer.ledger.height + 1):
+                txs = peer.ledger.block(height).transactions
+                validity = peer.ledger.block_validity(height)
+                judged = 0  # positions below this sit in a run already looked at
+                for index, tx in enumerate(txs):
+                    if tx.group is None or index < judged:
+                        continue
+                    run = group_run(txs, index)
+                    judged = index + (len(run) if run else 1)
+                    verdicts = validity[index:judged]
+                    if any(verdicts) and not (run and all(verdicts)):
+                        self._violate(
+                            "group",
+                            f"tx {tx.tx_id[:12]} is valid outside a complete, in-order, "
+                            "all-valid run of its group",
+                            height=height, peers=(peer.node_id,),
+                            forensics={"group": tx.group, "index": index,
+                                       "validity": validity},
+                        )
 
     def check_storage(self, failures: list["FailureEvent"] | None = None) -> None:
         """Storage durability on peers with a durable store.

@@ -12,6 +12,12 @@ the ledger now records and is read from it (``Ledger.receipt``), and the
 never-downgrade rule for an id committed twice lives where the id is
 bound to a position (``Ledger.append``).
 
+A *group* (:func:`~repro.chain.transaction.create_group`) is judged as
+one unit: its members — a complete run, consecutive and in order, that
+hashes to the root each of them signed — get one verdict, reached before
+any of them is applied, so they are all valid or all invalid with the
+failing member named; a tagged transaction anywhere else is invalid.
+
 Callers add only what is theirs: :meth:`Peer.commit_block
 <repro.chain.peer.Peer.commit_block>` (signature prewarm, metrics, trace
 span, block store, mempool, listeners) and :meth:`LocalChain._commit
@@ -33,7 +39,7 @@ from repro.chain.contracts.endorsement import EndorsementPolicy, check_endorseme
 from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, group_digest, group_run
 from repro.errors import EndorsementError, InvalidBlockError, InvalidTransactionError
 
 __all__ = ["CommitResult", "Verdict", "commit_block", "replay_block"]
@@ -45,8 +51,9 @@ class Verdict:
 
     valid: bool
     error: str | None = None
-    #: The live check that failed: ``"signature"``, ``"endorsement"`` or
-    #: ``"mvcc"``.  ``None`` for a valid transaction and on replay.
+    #: The live check that failed: ``"signature"``, ``"endorsement"``,
+    #: ``"mvcc"`` or — a group member outside its complete group —
+    #: ``"incomplete"``.  ``None`` for a valid transaction and on replay.
     failed_check: str | None = None
 
 
@@ -59,6 +66,9 @@ class CommitResult:
 
     verdicts: list[Verdict]
     valid_txs: list[Transaction]
+    #: One entry per group the block held, in block order: the check it
+    #: failed as a whole, ``None`` if it committed (empty on replay).
+    group_outcomes: list[str | None]
 
     @property
     def validity(self) -> list[bool]:
@@ -83,13 +93,46 @@ def _judge(tx: Transaction, state: WorldState, policy: EndorsementPolicy) -> Ver
     return _VALID
 
 
+def _judge_group(
+    members: tuple[Transaction, ...],
+    state: WorldState,
+    policy_for: Callable[[str], EndorsementPolicy],
+) -> Verdict:
+    """One verdict for a complete group, reached before any member is
+    applied: every client signature, the one endorsement against every
+    member's contract policy, and every read set — all of them reads of
+    what lay outside the group — against the state before its first member."""
+    root = members[0].group[0]
+
+    def failed(position: int, error: object, check: str) -> Verdict:
+        return Verdict(False, f"group {root[:12]} member {position}: {error}", check)
+
+    for position, tx in enumerate(members):
+        try:
+            tx.validate_structure()
+        except InvalidTransactionError as exc:
+            return failed(position, exc, "signature")
+    digest = group_digest(tx.rwset_digest for tx in members)
+    for position, tx in enumerate(members):
+        try:
+            check_endorsements(members[0], policy_for(tx.contract), digest)
+        except EndorsementError as exc:
+            return failed(position, exc, "endorsement")
+    for position, tx in enumerate(members):
+        if not state.validate_read_set(tx.read_set):
+            return failed(position, "MVCC conflict: stale read set", "mvcc")
+    return _VALID
+
+
 def _apply(
     block: Block,
-    verdict_of: Callable[[int, Transaction], Verdict],
+    judge: Callable[[int], list[Verdict]],
     ledger: Ledger,
     state: WorldState,
     index: ChainIndex | None,
 ) -> CommitResult:
+    """*judge* answers for the unit that starts at a position — one
+    transaction, or every member of a group — before any of it is applied."""
     # Every check that can reject the block runs before the first
     # mutation: a block that does not extend this chain must leave state,
     # ledger and index exactly as they were.
@@ -98,15 +141,20 @@ def _apply(
         raise InvalidBlockError(
             f"index at height {index.height} is not at ledger height {ledger.height}"
         )
-    verdicts: list[Verdict] = []
-    valid_txs: list[Transaction] = []
-    for position, tx in enumerate(block.transactions):
-        verdict = verdict_of(position, tx)
-        verdicts.append(verdict)
-        if verdict.valid:
-            state.apply_write_set(tx.write_set)
-            valid_txs.append(tx)
-    result = CommitResult(verdicts=verdicts, valid_txs=valid_txs)
+    txs = block.transactions
+    result = CommitResult(verdicts=[], valid_txs=[], group_outcomes=[])
+    while len(result.verdicts) < len(txs):
+        start = len(result.verdicts)
+        unit = judge(start)
+        result.verdicts.extend(unit)
+        # A live verdict over a whole run, or over a tagged transaction
+        # that begins none; a replayed verdict is neither.
+        if len(unit) > 1 or unit[0].failed_check == "incomplete":
+            result.group_outcomes.append(unit[0].failed_check)
+        for tx, verdict in zip(txs[start:], unit):
+            if verdict.valid:
+                state.apply_write_set(tx.write_set)
+                result.valid_txs.append(tx)
     validity = result.validity
     ledger.append(block, validity, result.errors)
     if index is not None:
@@ -128,11 +176,18 @@ def commit_block(
     :class:`~repro.errors.InvalidBlockError`, having changed nothing, if
     the block is malformed or does not extend *ledger*'s head.
     """
-    return _apply(
-        block,
-        lambda _, tx: _judge(tx, state, policy_for(tx.contract)),
-        ledger, state, index,
-    )
+    txs = block.transactions
+
+    def judge(start: int) -> list[Verdict]:
+        tx = txs[start]
+        if tx.group is None:
+            return [_judge(tx, state, policy_for(tx.contract))]
+        members = group_run(txs, start)
+        if members is None:
+            return [Verdict(False, "group member outside its complete group", "incomplete")]
+        return [_judge_group(members, state, policy_for)] * len(members)
+
+    return _apply(block, judge, ledger, state, index)
 
 
 def replay_block(
@@ -152,6 +207,6 @@ def replay_block(
         raise InvalidBlockError("recorded verdicts do not match the block's transactions")
     return _apply(
         block,
-        lambda position, _: Verdict(validity[position], errors[position]),
+        lambda position: [Verdict(validity[position], errors[position])],
         ledger, state, None,
     )

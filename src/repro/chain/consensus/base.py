@@ -28,8 +28,10 @@ class ConsensusEngine(ABC):
     def __init__(self) -> None:
         self.peer: "Peer | None" = None
         self.stopped = False
-        #: Who may order blocks; engines set it from their constructor.
+        #: Who may order blocks, and how many transactions one block
+        #: holds; engines set both from their constructor.
         self.validators: list[str] = []
+        self.max_block_txs = 500
         #: height -> (block hash, names of the quorum that decided it),
         #: kept by an engine that applies a block on the strength of
         #: votes; read by the invariant auditor.
@@ -66,6 +68,10 @@ class ConsensusEngine(ABC):
         now = peer.sim.now
         for tx in batch:
             hist.observe(max(0.0, now - tx.timestamp))
+        if len(batch) < self.max_block_txs and len(peer.mempool):
+            # Room in the block and work in the pool: the entry at its
+            # head is a group that did not fit and waits for the next one.
+            peer.obs.counter("mempool.group_deferrals", peer=peer.node_id).inc()
 
     @abstractmethod
     def start(self) -> None:

@@ -14,7 +14,7 @@ outcomes into an :class:`ExecutionResult`.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.chain.contracts.runtime import ContractContext, ExecutionResult, GasSchedule
 from repro.chain.state import WorldState
@@ -115,15 +115,17 @@ class ContractRegistry:
         timestamp: float,
         tx_id: str,
         gas_limit: int = 10_000_000,
+        earlier: dict[str, Any] | None = None,
     ) -> ExecutionResult:
-        """Simulate one invocation against *state* (state is not mutated).
+        """Simulate one invocation against *state* (state is not mutated),
+        over the writes *earlier* members of its group made, if any.
 
         Contract aborts (:class:`ContractError`, :class:`OutOfGasError`)
         come back as failed results; anything else propagates, because an
         unexpected exception in a system contract is a bug in this
         library, not a user error.
         """
-        snapshot = state.snapshot()
+        snapshot = state.snapshot(earlier)
         ctx = ContractContext(
             snapshot,
             caller=caller,
@@ -151,3 +153,20 @@ class ContractRegistry:
             write_set=dict(snapshot.write_buffer),
             events=ctx.events,
         )
+
+    def execute_group(self, state: WorldState, txs: Sequence[Any]) -> list[ExecutionResult]:
+        """Simulate the members of a group in order over one speculative
+        state: each sees the writes of those before it.  Stops at the
+        first abort, whose failed result is then the last one returned."""
+        earlier: dict[str, Any] = {}
+        results: list[ExecutionResult] = []
+        for tx in txs:
+            result = self.execute(
+                state, tx.contract, tx.method, tx.args, caller=tx.sender,
+                timestamp=tx.timestamp, tx_id=tx.tx_id, earlier=earlier,
+            )
+            results.append(result)
+            if not result.success:
+                break
+            earlier.update(result.write_set)
+        return results

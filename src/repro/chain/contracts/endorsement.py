@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chain.transaction import Transaction
+from typing import Any, Sequence
+
+from repro.chain.transaction import Endorsement, Transaction, group_digest, rwset_digest
+from repro.crypto.keys import KeyPair
 from repro.errors import EndorsementError
 
-__all__ = ["EndorsementPolicy", "check_endorsements"]
+__all__ = ["EndorsementPolicy", "check_endorsements", "endorse_group"]
 
 
 @dataclass(frozen=True)
@@ -41,16 +44,33 @@ class EndorsementPolicy:
         return not self.endorsers or peer_id in self.endorsers
 
 
-def check_endorsements(tx: Transaction, policy: EndorsementPolicy) -> None:
+def endorse_group(
+    keypair: KeyPair, peer_id: str, txs: Sequence[Transaction], results: Sequence[Any]
+) -> Endorsement:
+    """One peer's one signature for a whole group: over the group's root
+    and the rw-set digests of its members' simulated executions
+    (*results*, ``ExecutionResult`` per member), in order.  A member's
+    rw-set means nothing without the writes of the members before it, so
+    there is nothing smaller for an endorser to vouch for."""
+    digest = group_digest(rwset_digest(r.read_set, r.write_set) for r in results)
+    return Endorsement.create(keypair, peer_id, txs[0].endorsed_id, digest)
+
+
+def check_endorsements(
+    tx: Transaction, policy: EndorsementPolicy, digest: str | None = None
+) -> None:
     """Validate a transaction's endorsements against *policy*.
 
     Checks: enough endorsements, each from an eligible distinct peer,
     each signature valid, and every endorsement committing to the same
     read/write-set digest the transaction carries (a divergent digest
     means endorsers simulated different outcomes — the transaction must
-    not commit).
+    not commit).  A group is endorsed once: *tx* is then its first
+    member, which carries the endorsements, and *digest* the group's
+    (:func:`~repro.chain.transaction.group_digest`).
     """
-    digest = tx.rwset_digest
+    if digest is None:
+        digest = tx.rwset_digest
     seen: set[str] = set()
     valid = 0
     for endorsement in tx.endorsements:
@@ -63,7 +83,7 @@ def check_endorsements(tx: Transaction, policy: EndorsementPolicy) -> None:
                 f"tx {tx.tx_id[:12]}: endorser {endorsement.peer_id} signed a "
                 "different rw-set (non-deterministic execution?)"
             )
-        if not endorsement.verify(tx.tx_id):
+        if not endorsement.verify(tx.endorsed_id):
             raise EndorsementError(
                 f"tx {tx.tx_id[:12]}: bad endorsement signature from {endorsement.peer_id}"
             )

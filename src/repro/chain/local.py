@@ -19,11 +19,12 @@ it uses the networked harness.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.chain.block import Block
 from repro.chain.commit import commit_block
 from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy
+from repro.chain.contracts.endorsement import endorse_group
 from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
@@ -31,8 +32,10 @@ from repro.chain.transaction import (
     Endorsement,
     Transaction,
     TxReceipt,
+    create_group,
     rwset_digest,
     signature_items,
+    with_group_execution,
 )
 from repro.crypto.batch import verify_many
 from repro.crypto.keys import KeyPair
@@ -103,10 +106,9 @@ class LocalChain:
         a networked client sees at endorsement time.
         """
         args = args or {}
-        nonce = self._nonces.get(keypair.address, 0) + 1
-        self._nonces[keypair.address] = nonce
         tx = Transaction.create(
-            keypair, contract, method, args, nonce=nonce, timestamp=self._clock
+            keypair, contract, method, args, nonce=self._next_nonce(keypair),
+            timestamp=self._clock,
         )
         result = self.registry.execute(
             self.state, contract, method, args,
@@ -125,6 +127,34 @@ class LocalChain:
             digest=digest,
         )
         return self._commit([endorsed])[0]
+
+    def invoke_group(
+        self, steps: Sequence[tuple[KeyPair, str, str, dict[str, Any] | None]]
+    ) -> list[TxReceipt]:
+        """Commit ``(keypair, contract, method, args)`` *steps* as one
+        unit (one block) and return their receipts; the semantics of
+        :meth:`NetworkedChain.invoke_group
+        <repro.chain.adapter.NetworkedChain.invoke_group>`.
+        """
+        if len(steps) == 1:
+            return [self.invoke(*steps[0])]
+        txs = create_group(
+            [(keypair, contract, method, args, self._next_nonce(keypair))
+             for keypair, contract, method, args in steps],
+            self._clock,
+        )
+        results = self.registry.execute_group(self.state, txs)
+        if not results[-1].success:
+            raise ContractError(results[-1].error or "group failed")
+        endorsement = endorse_group(self.keypair, self.node_id, txs, results)
+        receipts = self._commit(list(with_group_execution(txs, results, (endorsement,))))
+        if not receipts[0].success:
+            raise ContractError(receipts[0].error or "group failed at commit")
+        return receipts
+
+    def _next_nonce(self, keypair: KeyPair) -> int:
+        nonce = self._nonces[keypair.address] = self._nonces.get(keypair.address, 0) + 1
+        return nonce
 
     def _commit(self, txs: list[Transaction]) -> list[TxReceipt]:
         block = Block.build(

@@ -2,7 +2,9 @@
 
 FIFO with dedup by transaction id.  The pool also enforces a capacity so
 scalability experiments can observe back-pressure instead of unbounded
-memory growth.
+memory growth.  The members of a group
+(:func:`~repro.chain.transaction.create_group`) are one entry: admitted
+together or not at all, and never split across two batches.
 
 Transactions removed by :meth:`Mempool.take` stay *reserved* until they
 either commit (``remove``) or are explicitly returned (``requeue`` /
@@ -17,9 +19,10 @@ pipeline depth > 1.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Iterable
 
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, group_run
 from repro.errors import ChainError
 
 __all__ = ["Mempool"]
@@ -37,34 +40,51 @@ class Mempool:
         self.rejected_full = 0
         self.rejected_duplicate = 0
 
-    def add(self, tx: Transaction) -> bool:
-        """Admit a transaction; False if duplicate or pool is full.
+    def add(self, tx: Transaction, *siblings: Transaction) -> bool:
+        """Admit a transaction — or, as one entry, the members of a group
+        in order; False (nothing admitted) if any is a duplicate or the
+        pool has no room for all of them.
 
         A transaction currently reserved by an in-flight proposal is a
         duplicate — re-admitting it would let it be proposed twice.
         """
-        if tx.tx_id in self._pending or tx.tx_id in self._reserved:
+        entry = (tx, *siblings)
+        if any(t.tx_id in self for t in entry):
             self.rejected_duplicate += 1
             return False
-        if len(self._pending) >= self.capacity:
+        if len(self._pending) + len(entry) > self.capacity:
             self.rejected_full += 1
             return False
-        self._pending[tx.tx_id] = tx
+        for member in entry:
+            self._pending[member.tx_id] = member
         return True
 
     def take(self, max_count: int) -> list[Transaction]:
         """Remove and return up to *max_count* transactions, FIFO.
 
         Taken transactions stay reserved until ``remove`` (committed) or
-        ``requeue``/``release`` (proposal died) settles them.
+        ``requeue``/``release`` (proposal died) settles them.  A group is
+        one entry: when its members do not all fit in what is left of
+        *max_count* the batch ends before it, and it leads the next one.
         """
         if max_count <= 0:
             raise ChainError("max_count must be positive")
         batch: list[Transaction] = []
         while self._pending and len(batch) < max_count:
-            tx_id, tx = self._pending.popitem(last=False)
-            self._reserved.add(tx_id)
-            batch.append(tx)
+            head = next(iter(self._pending.values()))
+            entry = 1
+            if head.group is not None:
+                # Members were admitted together and so sit side by side;
+                # what a stray commit left of a group goes out one by one.
+                size = head.group[2]
+                if group_run(list(islice(self._pending.values(), size)), 0) is not None:
+                    if len(batch) + size > max_count:
+                        break
+                    entry = size
+            for _ in range(entry):
+                tx_id, tx = self._pending.popitem(last=False)
+                self._reserved.add(tx_id)
+                batch.append(tx)
         return batch
 
     def requeue(self, txs: Iterable[Transaction]) -> None:

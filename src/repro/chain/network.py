@@ -17,13 +17,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Literal
+from typing import Any, Callable, Literal, Sequence
 
 from repro.chain.consensus import ConsensusEngine, PBFTEngine, RoundRobinOrderer, ShardedExecutor
 from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy  # noqa: F401 - re-exported
+from repro.chain.contracts.runtime import ExecutionResult
 from repro.chain.peer import Admission, Peer
 from repro.chain.store import BlockStore, DurableStore, MemoryStore, SQLiteStore
-from repro.chain.transaction import Transaction, TxReceipt
+from repro.chain.transaction import (
+    Endorsement,
+    Transaction,
+    TxReceipt,
+    create_group,
+    with_group_execution,
+)
 from repro.crypto.keys import KeyPair
 from repro.errors import ChainError, ContractError, EndorsementError
 from repro.obs import MetricsRegistry, Tracer
@@ -256,33 +263,84 @@ class BlockchainNetwork:
             nonce=client._nonce,
             timestamp=self.sim.now,
         )
-        policy = self._policies.get(contract, EndorsementPolicy(required=1))
-        endorsements = []
+
+        def endorse(peer: Peer) -> "tuple[Endorsement, list[ExecutionResult]] | None":
+            outcome = peer.endorse(tx)
+            return outcome and (outcome[0], [outcome[1]])
+
+        (reference,), endorsements = self._gather_endorsements(
+            endorse, self._policy_of(contract).required, f"{contract}.{method}",
+            tx_id=tx.tx_id[:12], contract=contract, method=method,
+        )
+        return tx.with_execution(
+            read_set=reference.read_set,
+            write_set=reference.write_set,
+            events=reference.events,
+            return_value=reference.return_value,
+            endorsements=endorsements,
+            # The endorser hashed the reference result's rw-set to sign it.
+            digest=endorsements[0].digest,
+        )
+
+    def endorse_group(
+        self, steps: Sequence[tuple[ChainClient, str, str, dict[str, Any] | None]]
+    ) -> tuple[Transaction, ...]:
+        """Build the ``(client, contract, method, args)`` *steps* as one
+        group (:func:`~repro.chain.transaction.create_group`): every step
+        signed by its own client, all of them simulated in order by each
+        endorsing peer, which signs the group once.  A step that aborts
+        raises :class:`ContractError` here, before anything is submitted."""
+        proposals = []
+        for client, contract, method, args in steps:
+            client._nonce += 1
+            proposals.append((client.keypair, contract, method, args, client._nonce))
+        txs = create_group(proposals, self.sim.now)
+        what = "+".join(f"{tx.contract}.{tx.method}" for tx in txs)
+        results, endorsements = self._gather_endorsements(
+            lambda peer: peer.endorse_group(txs),
+            max(self._policy_of(tx.contract).required for tx in txs), what,
+            tx_id=txs[0].endorsed_id[:12], contract="(group)", method=what,
+        )
+        return with_group_execution(txs, results, endorsements)
+
+    def _policy_of(self, contract: str) -> EndorsementPolicy:
+        return self._policies.get(contract, EndorsementPolicy(required=1))
+
+    def _gather_endorsements(
+        self,
+        endorse: Callable[[Peer], "tuple[Endorsement | None, list[ExecutionResult]] | None"],
+        required: int,
+        what: str,
+        **span_attrs: Any,
+    ) -> tuple[list[ExecutionResult], tuple[Endorsement, ...]]:
+        """Ask the peers in turn until *required* of them signed the same
+        digest; returns the first successful execution's results and the
+        endorsements that agree with it.  *endorse* answers ``None`` (peer
+        down or ineligible) or ``(endorsement, results)``, a failed
+        execution's result last."""
+        endorsements: list[Endorsement] = []
         reference = None
-        reference_digest: str | None = None
         failure: str | None = None
         # Endorsement is a synchronous RPC outside the simulated network,
         # so the span's sim-time duration is 0 by construction; the wall_ms
         # attribute is the meaningful cost, and phase.endorse records it
         # in seconds so the report can show an endorse row per lifecycle.
-        span = self.tracer.start(
-            "endorse", tx_id=tx.tx_id[:12], contract=contract, method=method
-        )
+        span = self.tracer.start("endorse", **span_attrs)
         try:
             for peer in self.peers:
-                outcome = peer.endorse(tx)
+                outcome = endorse(peer)
                 if outcome is None:
                     continue
-                endorsement, result = outcome
-                if not result.success:
-                    failure = result.error
+                endorsement, results = outcome
+                if not results[-1].success:
+                    failure = results[-1].error
                     continue
                 if reference is None:
-                    # The endorser hashed this result's rw-set to sign it.
-                    reference, reference_digest = result, endorsement.digest
-                if endorsement.digest == reference_digest:
+                    reference = results
                     endorsements.append(endorsement)
-                if len(endorsements) >= policy.required:
+                elif endorsement.digest == endorsements[0].digest:
+                    endorsements.append(endorsement)
+                if len(endorsements) >= required:
                     break
         finally:
             self.tracer.finish(span, n_endorsements=len(endorsements))
@@ -290,20 +348,13 @@ class BlockchainNetwork:
                 span.attrs.get("wall_ms", 0.0) / 1000.0
             )
         if reference is None:
-            raise ContractError(failure or f"no peer could endorse {contract}.{method}")
-        if len(endorsements) < policy.required:
+            raise ContractError(failure or f"no peer could endorse {what}")
+        if len(endorsements) < required:
             raise EndorsementError(
-                f"only {len(endorsements)} endorsements for {contract}.{method}, "
-                f"policy requires {policy.required}"
+                f"only {len(endorsements)} endorsements for {what}, "
+                f"policy requires {required}"
             )
-        return tx.with_execution(
-            read_set=reference.read_set,
-            write_set=reference.write_set,
-            events=reference.events,
-            return_value=reference.return_value,
-            endorsements=tuple(endorsements),
-            digest=reference_digest,
-        )
+        return reference, tuple(endorsements)
 
     def submit(self, tx: Transaction) -> Admission:
         """Hand an endorsed transaction to a random peer for gossip.
@@ -316,22 +367,27 @@ class BlockchainNetwork:
         rejections (``FULL``/``CRASHED``/``INVALID``) fall through to the
         other peers, and only if every peer rejects does this raise.
         """
+        return self._hand_in((tx,), lambda peer: peer.submit(tx))
+
+    def submit_group(self, txs: tuple[Transaction, ...]) -> Admission:
+        """:meth:`submit` for the members of one group, handed in (and
+        gossiped, ordered and judged) as one entry."""
+        return self._hand_in(txs, lambda peer: peer.submit_group(txs))
+
+    def _hand_in(
+        self, txs: tuple[Transaction, ...], submit: Callable[[Peer], Admission]
+    ) -> Admission:
         entry = self.rng.choice(self.peers)
-        outcome = entry.submit(tx)
-        if outcome.accepted:
-            self._notify_admitted(tx)
-            return outcome
-        outcomes = {entry.node_id: outcome}
-        for peer in self.peers:
-            if peer is entry:
-                continue
-            outcome = peer.submit(tx)
+        outcomes = {}
+        for peer in [entry, *(p for p in self.peers if p is not entry)]:
+            outcome = submit(peer)
             if outcome.accepted:
-                self._notify_admitted(tx)
+                for tx in txs:
+                    self._notify_admitted(tx)
                 return outcome
             outcomes[peer.node_id] = outcome
         detail = ", ".join(f"{node}: {out.value}" for node, out in outcomes.items())
-        raise ChainError(f"no peer admitted tx {tx.tx_id[:12]} ({detail})")
+        raise ChainError(f"no peer admitted tx {txs[0].tx_id[:12]} ({detail})")
 
     def _notify_admitted(self, tx: Transaction) -> None:
         for auditor in self.auditors:

@@ -26,6 +26,7 @@ from repro.chain import commit
 from repro.chain.consensus.base import ConsensusEngine
 from repro.chain.consensus.sharded import ShardedExecutor
 from repro.chain.contracts import ContractRegistry, EndorsementPolicy
+from repro.chain.contracts.endorsement import endorse_group
 from repro.chain.contracts.runtime import ExecutionResult
 from repro.chain.block import Block
 from repro.chain.index import ChainIndex
@@ -37,6 +38,7 @@ from repro.chain.sync import SyncManager
 from repro.chain.transaction import (
     Endorsement,
     Transaction,
+    group_run,
     rwset_digest,
     signature_items,
 )
@@ -49,6 +51,7 @@ from repro.simnet.network import Message, NetworkNode
 __all__ = ["Admission", "Peer", "PeerMetrics"]
 
 _KIND_TX = "tx-gossip"
+_KIND_GROUP = "tx-group-gossip"
 _KIND_SYNC_PREFIX = "sync-"
 
 
@@ -57,11 +60,11 @@ class Admission(enum.Enum):
 
     The distinction matters for retry logic: a ``DUPLICATE`` or
     ``COMMITTED`` transaction is *safe* (pending or final somewhere — a
-    gossip echo, not a failure), while ``FULL``, ``CRASHED``, and
-    ``INVALID`` mean this peer genuinely did not take it and another
-    entry point should be tried.  The seed code conflated all of these
-    into one ``False``, so a duplicate submission could walk every peer
-    and then raise for a transaction that was happily pending.
+    gossip echo, not a failure), while ``FULL``, ``CRASHED``,
+    ``INVALID`` and ``OVERSIZED`` mean this peer genuinely did not take
+    it and another entry point should be tried.  The seed code conflated
+    all of these into one ``False``, so a duplicate submission could walk
+    every peer and then raise for a transaction that was happily pending.
     """
 
     ADMITTED = "admitted"    #: entered this peer's mempool just now
@@ -69,6 +72,7 @@ class Admission(enum.Enum):
     COMMITTED = "committed"  #: already committed on this peer's chain
     FULL = "full"            #: mempool at capacity (back-pressure)
     INVALID = "invalid"      #: failed structural/signature validation
+    OVERSIZED = "oversized"  #: a group with more members than a block holds
     CRASHED = "crashed"      #: peer is down; a real RPC would not connect
 
     def __bool__(self) -> bool:
@@ -85,6 +89,7 @@ _REJECTION_METRICS = {
     "signature": "peer.signature_failures",
     "endorsement": "peer.endorsement_failures",
     "mvcc": "peer.mvcc_conflicts",
+    "incomplete": "peer.group_incomplete",
 }
 
 
@@ -244,6 +249,25 @@ class Peer(NetworkNode):
         endorsement = Endorsement.create(self.keypair, self.node_id, tx.tx_id, digest)
         return endorsement, result
 
+    def endorse_group(
+        self, txs: tuple[Transaction, ...]
+    ) -> tuple[Endorsement | None, list[ExecutionResult]] | None:
+        """Simulate the members of a group in order over one speculative
+        state and sign once: the group's root and its rw-set digests.
+
+        ``None`` if this peer is crashed or not eligible under every
+        member's policy; a member that aborts ends the simulation, and
+        its failed result comes back last, beside no endorsement.
+        """
+        if self.crashed or not all(
+            self.policy_for(tx.contract).eligible(self.node_id) for tx in txs
+        ):
+            return None
+        results = self.registry.execute_group(self.state, txs)
+        if not results[-1].success:
+            return None, results
+        return endorse_group(self.keypair, self.node_id, txs, results), results
+
     # -- transaction admission ---------------------------------------------------
 
     def submit(self, tx: Transaction, gossip: bool = True) -> Admission:
@@ -253,37 +277,54 @@ class Peer(NetworkNode):
         was newly admitted, so seed-era ``if peer.submit(tx):`` call
         sites keep their meaning.
         """
+        return self._admit((tx,), gossip)
+
+    def submit_group(self, txs: tuple[Transaction, ...], gossip: bool = True) -> Admission:
+        """Admit the members of one group as one mempool entry (and
+        gossip them as one message), or none of them."""
+        return self._admit(tuple(txs), gossip)
+
+    def _admit(self, entry: tuple[Transaction, ...], gossip: bool) -> Admission:
         if self.crashed:
             return Admission.CRASHED
         # Prewarm the verify cache with the client + endorsement
         # signatures in one batch; validate_structure and the later
         # commit-time endorsement checks then hit the cache.
-        verify_many(signature_items([tx]), registry=self.obs, peer=self.node_id)
+        verify_many(signature_items(entry), registry=self.obs, peer=self.node_id)
         try:
-            tx.validate_structure()
+            for tx in entry:
+                tx.validate_structure()
         except InvalidTransactionError:
             self.metrics.signature_failures += 1
             return Admission.INVALID
-        if tx.tx_id in self.ledger:
+        if entry[0].group is not None or len(entry) > 1:
+            # A tagged transaction is admitted only as its whole group.
+            if group_run(entry, 0) != entry:
+                return Admission.INVALID
+            if len(entry) > self.engine.max_block_txs:
+                return Admission.OVERSIZED
+        if any(tx.tx_id in self.ledger for tx in entry):
             # Already committed here (a gossip echo arriving after
             # ``mempool.remove``).  Re-admitting would let the copy land
             # in a later block, fail MVCC, and clobber the original valid
             # receipt.
             return Admission.COMMITTED
-        if tx.tx_id in self.mempool:
+        if any(tx.tx_id in self.mempool for tx in entry):
             return Admission.DUPLICATE
-        if not self.mempool.add(tx):
+        if not self.mempool.add(*entry):
             return Admission.FULL
         if self.network is not None:
             # Submit/gossip phase: creation → admission into *this*
             # mempool.  ~0 at the entry peer (endorsement is synchronous),
             # one network hop at gossip recipients.
             self.obs.histogram("phase.gossip", peer=self.node_id).observe(
-                max(0.0, self.sim.now - tx.timestamp)
+                max(0.0, self.sim.now - entry[0].timestamp)
             )
         self.engine.on_transaction_admitted()
-        if gossip:
-            self.broadcast(_KIND_TX, tx)
+        if gossip and len(entry) > 1:
+            self.broadcast(_KIND_GROUP, entry)
+        elif gossip:
+            self.broadcast(_KIND_TX, entry[0])
         return Admission.ADMITTED
 
     # -- commit path ----------------------------------------------------------------
@@ -310,6 +351,13 @@ class Peer(NetworkNode):
         for verdict in result.verdicts:
             if verdict.failed_check is not None:
                 self.metrics.record_rejection(verdict.failed_check)
+        for failed_check in result.group_outcomes:
+            if failed_check is None:
+                self.obs.counter("chain.groups_committed", peer=self.node_id).inc()
+            else:
+                self.obs.counter(
+                    "chain.groups_aborted", peer=self.node_id, reason=failed_check
+                ).inc()
         valid_txs = result.valid_txs
         self.metrics.txs_committed_valid += len(valid_txs)
         self.metrics.txs_committed_invalid += len(block) - len(valid_txs)
@@ -395,6 +443,9 @@ class Peer(NetworkNode):
     def on_message(self, message: Message) -> None:
         if message.kind == _KIND_TX:
             self.submit(message.payload, gossip=False)
+            return
+        if message.kind == _KIND_GROUP:
+            self.submit_group(message.payload, gossip=False)
             return
         if message.kind.startswith(_KIND_SYNC_PREFIX):
             self.sync.on_message(message)

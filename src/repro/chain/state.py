@@ -105,9 +105,10 @@ class WorldState:
                 self._store[key] = VersionedValue(value=_isolate(value), version=self._commit_seq)
         return self._commit_seq
 
-    def snapshot(self) -> "StateSnapshot":
-        """Open a read-your-writes view for simulated execution."""
-        return StateSnapshot(self)
+    def snapshot(self, earlier: WriteSet | None = None) -> "StateSnapshot":
+        """Open a read-your-writes view for simulated execution — for a
+        group member, over the writes of the members before it."""
+        return StateSnapshot(self, earlier)
 
     # -- persistence -------------------------------------------------------
 
@@ -159,20 +160,27 @@ class StateSnapshot:
 
     Reads hit the buffered writes first (read-your-writes within one
     transaction), then committed state, recording the committed version
-    so MVCC validation can detect staleness later.
+    so MVCC validation can detect staleness later.  *earlier* holds what
+    the preceding members of a group wrote: it is read like the buffer
+    and, like the buffer, never enters the read set — the group commits
+    as one, so only what it read from outside itself can go stale.
     """
 
-    def __init__(self, base: WorldState):
+    def __init__(self, base: WorldState, earlier: WriteSet | None = None):
         self._base = base
+        self._earlier: WriteSet = earlier or {}
         self.read_set: ReadSet = {}
         self.write_buffer: WriteSet = {}
 
     def get(self, key: str) -> Any:
         if key in self.write_buffer:
             value = self.write_buffer[key]
-            return _isolate(value) if value is not None else None
-        self.read_set.setdefault(key, self._base.version(key))
-        return self._base.get(key)
+        elif key in self._earlier:
+            value = self._earlier[key]
+        else:
+            self.read_set.setdefault(key, self._base.version(key))
+            return self._base.get(key)
+        return _isolate(value) if value is not None else None
 
     def put(self, key: str, value: Any) -> None:
         if value is None:
@@ -194,10 +202,11 @@ class StateSnapshot:
         for key in committed:
             self.read_set.setdefault(key, self._base.version(key))
         merged = set(committed)
-        for key, value in self.write_buffer.items():
-            if key.startswith(prefix):
-                if value is None:
-                    merged.discard(key)
-                else:
-                    merged.add(key)
+        for written in (self._earlier, self.write_buffer):
+            for key, value in written.items():
+                if key.startswith(prefix):
+                    if value is None:
+                        merged.discard(key)
+                    else:
+                        merged.add(key)
         return sorted(merged)

@@ -41,7 +41,7 @@ def decode_obj(data: bytes) -> Any:
 
 
 def _tx_to_obj(tx: Transaction) -> dict[str, Any]:
-    return {
+    obj = {
         "sender": tx.sender,
         "public_key_hex": tx.public_key_hex,
         "contract": tx.contract,
@@ -65,6 +65,9 @@ def _tx_to_obj(tx: Transaction) -> dict[str, Any]:
         "events": list(tx.events),
         "return_value": tx.return_value,
     }
+    if tx.group is not None:  # a transaction on its own encodes as it always did
+        obj["group"] = tx.group
+    return obj
 
 
 def _tx_from_obj(obj: dict[str, Any]) -> Transaction:
@@ -83,6 +86,7 @@ def _tx_from_obj(obj: dict[str, Any]) -> Transaction:
         endorsements=tuple(Endorsement(**e) for e in obj["endorsements"]),
         events=tuple(obj["events"]),
         return_value=obj["return_value"],
+        group=tuple(obj["group"]) if "group" in obj else None,
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from repro.crypto.hashing import hash_json, sha256_hex
 from repro.crypto.keys import KeyPair, address_from_public_key, verify_signature
@@ -33,16 +33,25 @@ __all__ = [
     "WriteSet",
     "TxReceipt",
     "signature_items",
+    "create_group",
+    "group_digest",
+    "group_run",
+    "with_group_execution",
 ]
 
 # A read set maps key -> version observed during simulated execution.
 ReadSet = dict[str, int]
 # A write set maps key -> new value (None encodes deletion).
 WriteSet = dict[str, Any]
+# What a member of a group signs beside its proposal: the group's root
+# (the digest of every member's untagged proposal, in order), the
+# member's position and the group's size.
+GroupTag = tuple[str, int, int]
 
 
 def _proposal_payload(
-    sender: str, contract: str, method: str, args: dict[str, Any], nonce: int, timestamp: float
+    sender: str, contract: str, method: str, args: dict[str, Any], nonce: int, timestamp: float,
+    group: "GroupTag | None" = None,
 ) -> bytes:
     body = {
         "sender": sender,
@@ -52,6 +61,8 @@ def _proposal_payload(
         "nonce": nonce,
         "timestamp": timestamp,
     }
+    if group is not None:
+        body["group"] = group
     return json.dumps(body, sort_keys=True, separators=(",", ":"), default=str).encode("utf-8")
 
 
@@ -62,7 +73,8 @@ def rwset_digest(read_set: ReadSet, write_set: WriteSet) -> str:
 
 @dataclass(frozen=True)
 class Endorsement:
-    """One endorsing peer's signature over (tx_id, rw-set digest)."""
+    """One endorsing peer's signature over (tx_id, rw-set digest) — for a
+    group, over (root, digest of its members' rw-set digests)."""
 
     peer_id: str
     public_key_hex: str
@@ -125,6 +137,10 @@ class Transaction(WireSized):
     endorsements: tuple[Endorsement, ...] = ()
     events: tuple[dict[str, Any], ...] = ()
     return_value: Any = None
+    #: ``(root, position, size)`` for a member of a group (see
+    #: :func:`create_group`), part of what the sender signs; ``None`` for
+    #: a transaction on its own, whose bytes do not mention it.
+    group: GroupTag | None = field(default=None, metadata={"wire_omit_none": True})
 
     @classmethod
     def create(
@@ -135,10 +151,13 @@ class Transaction(WireSized):
         args: dict[str, Any] | None = None,
         nonce: int = 0,
         timestamp: float = 0.0,
+        group: GroupTag | None = None,
     ) -> "Transaction":
         """Build and sign a proposal (steps before endorsement)."""
         args = args or {}
-        payload = _proposal_payload(keypair.address, contract, method, args, nonce, timestamp)
+        payload = _proposal_payload(
+            keypair.address, contract, method, args, nonce, timestamp, group
+        )
         signature = keypair.sign(payload)
         tx = cls(
             sender=keypair.address,
@@ -150,6 +169,7 @@ class Transaction(WireSized):
             timestamp=timestamp,
             signature_hex=signature.hex(),
             tx_id=sha256_hex(payload),
+            group=group,
         )
         object.__setattr__(tx, "_signature_item", (keypair.public_key, payload, signature))
         return tx
@@ -180,7 +200,8 @@ class Transaction(WireSized):
             except ValueError:
                 return None
             payload = _proposal_payload(
-                self.sender, self.contract, self.method, self.args, self.nonce, self.timestamp
+                self.sender, self.contract, self.method, self.args, self.nonce,
+                self.timestamp, self.group,
             )
             item = (public_key, payload, signature)
             object.__setattr__(self, "_signature_item", item)
@@ -233,6 +254,74 @@ class Transaction(WireSized):
             object.__setattr__(self, "_rwset_digest", digest)
         return digest
 
+    @property
+    def endorsed_id(self) -> str:
+        """What this transaction's endorsements sign beside a digest:
+        its own id, or for a group member the group's root."""
+        tag = self.group
+        return tag[0] if isinstance(tag, tuple) and tag else self.tx_id
+
+
+def _group_root(untagged_payloads: Iterable[bytes]) -> str:
+    return sha256_hex(b"\n".join(untagged_payloads))
+
+
+def create_group(
+    steps: Sequence[tuple[KeyPair, str, str, dict[str, Any] | None, int]], timestamp: float
+) -> tuple[Transaction, ...]:
+    """Sign ``(keypair, contract, method, args, nonce)`` *steps* as the
+    members of one group: each its own transaction under its own key,
+    each signing the tag that binds it to its siblings and its place."""
+    steps = [(keypair, contract, method, args or {}, nonce)
+             for keypair, contract, method, args, nonce in steps]
+    root = _group_root(
+        _proposal_payload(keypair.address, contract, method, args, nonce, timestamp)
+        for keypair, contract, method, args, nonce in steps
+    )
+    return tuple(
+        Transaction.create(keypair, contract, method, args, nonce, timestamp,
+                           group=(root, position, len(steps)))
+        for position, (keypair, contract, method, args, nonce) in enumerate(steps)
+    )
+
+
+def group_run(txs: Sequence[Transaction], start: int) -> tuple[Transaction, ...] | None:
+    """The complete group whose first member sits at ``txs[start]``: all
+    of its members, consecutive, in order, hashing to the root they
+    signed.  ``None`` when ``txs[start]`` does not begin such a run — a
+    tag is whatever its sender chose to sign, so its shape is checked."""
+    tag = txs[start].group
+    if not (isinstance(tag, tuple) and len(tag) == 3 and isinstance(tag[2], int) and tag[2] > 1):
+        return None
+    root, _, size = tag
+    members = tuple(txs[start:start + size])
+    if [tx.group for tx in members] != [(root, k, size) for k in range(size)]:
+        return None
+    untagged = (
+        _proposal_payload(tx.sender, tx.contract, tx.method, tx.args, tx.nonce, tx.timestamp)
+        for tx in members
+    )
+    return members if _group_root(untagged) == root else None
+
+
+def group_digest(digests: Iterable[str]) -> str:
+    """What a group's endorsement signs: its members' rw-set digests, in order."""
+    return hash_json(list(digests))
+
+
+def with_group_execution(
+    txs: Sequence[Transaction], results: Sequence[Any], endorsements: tuple[Endorsement, ...]
+) -> tuple[Transaction, ...]:
+    """Attach each member's simulated execution (an ``ExecutionResult``);
+    the first member carries the group's endorsements, the rest none."""
+    return tuple(
+        tx.with_execution(
+            result.read_set, result.write_set, result.events, result.return_value,
+            endorsements if position == 0 else (),
+        )
+        for position, (tx, result) in enumerate(zip(txs, results))
+    )
+
 
 def signature_items(txs: "list[Transaction] | tuple[Transaction, ...]") -> list[tuple[bytes, bytes, bytes]]:
     """Every signature a validator will check across *txs* — each client
@@ -247,7 +336,7 @@ def signature_items(txs: "list[Transaction] | tuple[Transaction, ...]") -> list[
         if item is not None:
             items.append(item)
         for endorsement in tx.endorsements:
-            item = endorsement.signature_item(tx.tx_id)
+            item = endorsement.signature_item(tx.endorsed_id)
             if item is not None:
                 items.append(item)
     return items

@@ -328,6 +328,12 @@ def _run_report_demo(
             wait=False,
         )
         net.run_for(0.1)
+    # Two registrations as one group, so the unit's counters show up too.
+    net.submit_group(net.endorse_group([
+        (net.client(), "identity", "register",
+         {"display_name": f"demo-pair-{k}", "role": "consumer"})
+        for k in range(2)
+    ]))
     net.run_for(20.0)
     snapshot_crypto_cache(net.obs)
     written = export_jsonl(

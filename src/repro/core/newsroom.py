@@ -145,7 +145,10 @@ class NewsRoomContract(Contract):
             "published_at": None,
         }
         ctx.put(key, record)
-        ctx.emit("draft-submitted", article_id=article_id, room=room_name, author=ctx.caller)
+        ctx.emit(
+            "draft-submitted", article_id=article_id, platform=platform_name,
+            room=room_name, author=ctx.caller,
+        )
         return record
 
     @contract_method

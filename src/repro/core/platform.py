@@ -281,14 +281,15 @@ class TrustingNewsPlatform:
         content_hash: str,
         room: str,
         declared_parents: Sequence[str] | None = None,
-        editorial: Sequence[tuple[KeyPair, str, dict[str, Any]]] = (),
+        editorial: Sequence[tuple[KeyPair, str, str, dict[str, Any]]] = (),
     ) -> PublishedArticle:
         """The content path every entry channel goes through (§VI, Fig. 1).
 
         Sketch the text once, find its provenance links (discovered, or
         the indexed ones among *declared_parents* when the channel names
-        them), measure one degree per edge, commit the *editorial*
-        newsroom txs and then the supply-chain record, and only when that
+        them), measure one degree per edge, commit the *editorial* steps
+        and the supply-chain record as one unit (``invoke_group``: all of
+        them in one block, or none of them anywhere), and only when that
         has committed index and score the text.
         """
         if article_id.startswith(_FACT_PREFIX):
@@ -303,22 +304,20 @@ class TrustingNewsPlatform:
         parent_degrees = [self.index.degree_between(text, p) for p in parents]
         fact_degrees = [self.index.degree_between(text, _FACT_PREFIX + f) for f in fact_roots]
         degree = min(parent_degrees + fact_degrees, default=1.0)
-        for editor, method, args in editorial:
-            self.chain.invoke(editor, "newsroom", method, args)
-        receipt = self.chain.invoke(
-            signer, "supplychain", "record_node",
-            {
-                "article_id": article_id,
-                "content_hash": content_hash,
-                "parents": list(parents),
-                "parent_degrees": parent_degrees,
-                "modification_degree": degree,
-                "topic": topic,
-                "op": op,
-                "fact_roots": list(fact_roots),
-                "fact_degrees": fact_degrees,
-            },
-        )
+        record = {
+            "article_id": article_id,
+            "content_hash": content_hash,
+            "parents": list(parents),
+            "parent_degrees": parent_degrees,
+            "modification_degree": degree,
+            "topic": topic,
+            "op": op,
+            "fact_roots": list(fact_roots),
+            "fact_degrees": fact_degrees,
+        }
+        receipt = self.chain.invoke_group(
+            [*editorial, (signer, "supplychain", "record_node", record)]
+        )[-1]
         self.index.add(article_id, sketch)
         ai = self.ai_score(text)
         if ai is not None:
@@ -346,8 +345,8 @@ class TrustingNewsPlatform:
     ) -> PublishedArticle:
         """Full editorial pipeline: draft -> review -> publish -> record.
 
-        Adds to :meth:`_ingest` the three newsroom txs that precede the
-        supply-chain record and, after it, media fusion.
+        Adds to :meth:`_ingest` the three newsroom steps that commit
+        with the supply-chain record and, after them, media fusion.
         """
         author = self.account(author_name)
         owner = self._platform_owner.get(platform_name)
@@ -364,9 +363,9 @@ class TrustingNewsPlatform:
             author, article_id, text, topic,
             op="publish", content_hash=content_hash, room=room_name,
             editorial=[
-                (author, "submit_draft", draft),
-                (author, "start_review", {"article_id": article_id}),
-                (self.account(owner), "publish", {"article_id": article_id}),
+                (author, "newsroom", "submit_draft", draft),
+                (author, "newsroom", "start_review", {"article_id": article_id}),
+                (self.account(owner), "newsroom", "publish", {"article_id": article_id}),
             ],
         )
         if not media:

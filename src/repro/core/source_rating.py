@@ -57,15 +57,12 @@ def rate_distribution_platform(
     ledger: Ledger, graph: nx.DiGraph, platform_name: str
 ) -> SourceRating:
     """Compute a platform's rating from its on-ledger record."""
-    # Articles that went through this platform's rooms (a room name means
-    # the platform of its first ``room-created`` event).
-    platform_of_room: dict[str, str] = {}
-    for event in ledger.events(contract="newsroom", kind="room-created"):
-        platform_of_room.setdefault(event["room"], event["platform"])
+    # Articles that went through this platform's rooms: a draft names its
+    # (platform, room), so a same-named room elsewhere is somebody else's.
     article_ids = [
         event["article_id"]
         for event in ledger.events(contract="newsroom", kind="draft-submitted")
-        if platform_of_room.get(event["room"]) == platform_name
+        if event["platform"] == platform_name
     ]
     drafted = set(article_ids)
     member_addresses = set()

@@ -60,9 +60,21 @@ class WireSized:
     def wire_size(self) -> tuple[int, int]:
         memo = self.__dict__.get("_wire_size")
         if memo is None:
-            memo = _walk([getattr(self, f.name) for f in dataclasses.fields(self)], 1)
+            memo = _walk(_field_values(self), 1)
             object.__setattr__(self, "_wire_size", memo)
         return memo
+
+
+def _field_values(obj: Any) -> list[Any]:
+    """What the walk visits of a dataclass: its field values, less any
+    field declared ``metadata={"wire_omit_none": True}`` that is ``None``
+    (an optional part that is not on the wire when absent)."""
+    values = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None or not f.metadata.get("wire_omit_none"):
+            values.append(value)
+    return values
 
 
 def _walk(stack: list[Any], visited: int) -> tuple[int, int]:
@@ -95,7 +107,7 @@ def _walk(stack: list[Any], visited: int) -> tuple[int, int]:
                     total += size
                     visited += nodes - 1
                     continue
-            stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+            stack.extend(_field_values(obj))
         elif hasattr(obj, "__dict__"):
             stack.extend(vars(obj).values())
         else:

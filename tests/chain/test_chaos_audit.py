@@ -127,3 +127,92 @@ def test_chaos_audit_pbft_extended(seed):
     assert auditor.violations == []
     assert auditor.blocks_audited > 0
     assert chaos.log
+
+
+# -- the platform publishing through chaos ----------------------------------
+
+
+def run_platform_chaos(seed: int, n_articles: int = 8):
+    """Publish through ``TrustingNewsPlatform`` over a ``NetworkedChain``
+    while a validator crashes (and restarts from its store) and another is
+    partitioned away; returns ``(network, platform, acknowledged, refused)``."""
+    from repro.chain import NetworkedChain
+    from repro.core import TrustingNewsPlatform, build_supply_chain_graph
+    from repro.corpus import CorpusGenerator
+    from repro.errors import ReproError
+    from repro.simnet import FailureSchedule
+
+    rng = random.Random(seed)
+    network = BlockchainNetwork(
+        n_peers=4, consensus="pbft", block_interval=0.25,
+        latency=UniformLatency(0.01, 0.06), seed=seed, view_timeout=4.0,
+        storage="durable", snapshot_interval=8,
+    )
+    auditor = InvariantAuditor(network)
+    platform = TrustingNewsPlatform(
+        seed=seed, chain=NetworkedChain(network, receipt_timeout=30.0))
+    gen = CorpusGenerator(seed=seed)
+    fact = gen.factual(topic="politics")
+    platform.seed_fact("f-0", fact.text, "public-record", "politics")
+    platform.register_participant("wire", role="publisher")
+    platform.create_distribution_platform("wire", "wire-platform")
+    platform.create_news_room("wire", "wire-platform", "room", "politics")
+    platform.register_participant("author", role="journalist")
+    platform.authenticate_journalist("wire-platform", "author")
+
+    start = network.sim.now
+    schedule = FailureSchedule(network.sim, network.net)
+    crashed, isolated = rng.sample([p.node_id for p in network.peers], 2)
+    down_at = start + rng.uniform(0.5, 2.0)
+    schedule.torn_write_at(down_at - 1e-3, crashed)
+    schedule.crash_at(down_at, crashed)
+    back_at = down_at + rng.uniform(2.0, 5.0)
+    schedule.restart_at(back_at, crashed)
+    cut_at = back_at + rng.uniform(1.0, 3.0)
+    schedule.partition_at(cut_at, {isolated})
+    schedule.heal_at(cut_at + rng.uniform(2.0, 5.0))
+
+    acknowledged, refused = [], []
+    for index in range(n_articles):
+        article_id = f"a-{index}"
+        try:
+            platform.publish_article("author", "wire-platform", "room", article_id,
+                                     gen.relay_derivation(fact, "author", 0.0).text, "politics")
+            acknowledged.append(article_id)
+        except ReproError:
+            refused.append(article_id)
+        network.run_for(rng.uniform(0.2, 1.2))
+    network.run_for(40.0)
+    network.stop()
+    auditor.final_check(failures=schedule.log, sync_window=60.0)
+    assert auditor.violations == [] and schedule.log
+
+    # Whatever happened to a publish happened to all of it, on every peer:
+    # its four steps are valid in one block, or none of them is valid.
+    for peer in network.peers:
+        events = {
+            kind: {e["article_id"] for e in peer.ledger.events(kind=kind)}
+            for kind in ("draft-submitted", "review-started", "article-published",
+                         "supply-node-recorded")
+        }
+        assert len({frozenset(ids) for ids in events.values()}) == 1, events
+        assert events["article-published"] >= set(acknowledged)
+        graph = build_supply_chain_graph(peer.ledger)
+        assert all(article_id in graph for article_id in acknowledged)
+    listed = {ranked.article_id for ranked in platform.rank_room("wire-platform", "room")}
+    assert set(acknowledged) <= listed and all(a in platform.index for a in acknowledged)
+    return network, platform, acknowledged, refused
+
+
+def test_platform_publishes_through_crash_and_partition():
+    network, _, acknowledged, _ = run_platform_chaos(seed=1)
+    assert len(acknowledged) >= 4
+    assert network.obs.total("chain.groups_committed") >= 4 * len(acknowledged) - 8
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("seed", range(10, 22))
+def test_platform_publishes_through_crash_and_partition_extended(seed):
+    """The platform schedule behind ``make chaos``: more seeds, more articles."""
+    _, _, acknowledged, refused = run_platform_chaos(seed, n_articles=12)
+    assert len(acknowledged) + len(refused) == 12 and acknowledged

@@ -1,8 +1,9 @@
 """One commit path: every way a block becomes state gives the same answer.
 
 A fixed sequence of endorsed blocks — holding an MVCC loser, a duplicate
-of an already-valid tx in a later block, a tx with a bad endorsement and
-a tx with a bad client signature — is pushed through
+of an already-valid tx in a later block, a tx with a bad endorsement, a
+tx with a bad client signature, and a block of groups (one that commits,
+one that loses MVCC as a whole, one member on its own) — is pushed through
 
 (a) ``Peer.commit_block``,
 (b) ``LocalChain._commit``,
@@ -87,9 +88,20 @@ def sequence():
     blocks.append(_next_block(peer, [winner, last]))  # winner again: a duplicate
     peer.commit_block(blocks[-1])
 
-    expected = [[True, False], [True, False, False], [False, True]]
+    def endorsed_group():
+        return network.endorse_group([(client, "counter", "increment", {"amount": 1})] * 2)
+
+    # Both groups read count at the same version; the third loses a member.
+    group, stale_group, (stray, _) = endorsed_group(), endorsed_group(), endorsed_group()
+    blocks.append(_next_block(peer, [*group, *stale_group, stray]))
+    peer.commit_block(blocks[-1])
+
+    expected = [[True, False], [True, False, False], [False, True],
+                [True, True, False, False, False]]
     roles = {"winner": winner.tx_id, "loser": loser.tx_id, "forged": forged.tx_id,
-             "unsigned": unsigned.tx_id, "last": last.tx_id}
+             "unsigned": unsigned.tx_id, "last": last.tx_id,
+             "group": group[1].tx_id, "stale_group": stale_group[0].tx_id,
+             "stray": stray.tx_id}
     return blocks, expected, roles
 
 
@@ -155,9 +167,16 @@ def reference(sequence):
     assert "bad endorsement signature" in by_role["forged"][4]
     assert "bad signature" in by_role["unsigned"][4]
     assert by_role["last"][:3] == (True, 3, 3)
+    # The second member of the group that committed read the first one's write.
+    assert by_role["group"][:3] == (True, 4, 5)
+    assert by_role["stale_group"][4].endswith("member 0: MVCC conflict: stale read set")
+    assert by_role["stray"][4] == "group member outside its complete group"
     assert (peer.metrics.mvcc_conflicts, peer.metrics.endorsement_failures,
-            peer.metrics.signature_failures) == (2, 1, 1)
-    assert (peer.metrics.txs_committed_valid, peer.metrics.txs_committed_invalid) == (3, 4)
+            peer.metrics.signature_failures) == (4, 1, 1)
+    assert (peer.metrics.txs_committed_valid, peer.metrics.txs_committed_invalid) == (5, 7)
+    groups = {c.labels.get("reason"): c.value for name in (
+        "chain.groups_committed", "chain.groups_aborted") for c in peer.obs.counters(name)}
+    assert groups == {None: 1, "mvcc": 1, "incomplete": 1}
     return observed
 
 

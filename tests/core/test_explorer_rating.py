@@ -119,8 +119,9 @@ def test_unrated_platform_is_grey(world):
 
 
 def test_rating_reads_each_event_kind_once(platform, monkeypatch):
-    """Regression: the room → platform lookup re-read every ``room-created``
-    event once per draft, so a rating cost one ledger read per draft."""
+    """Regression: a room → platform lookup once re-read every
+    ``room-created`` event per draft; a draft now names its platform and
+    the rating makes one ledger read per kind, none of them per draft."""
     fact = CorpusGenerator(seed=71).factual(topic="politics")
     platform.seed_fact("f-0", fact.text, "record", "politics")
     platform.register_participant("pub", role="publisher")
@@ -144,5 +145,28 @@ def test_rating_reads_each_event_kind_once(platform, monkeypatch):
     assert rating.articles == 20 and rating.editorial_diligence == 1.0
     assert sorted(reads) == [
         "article-ranked", "article-rejected", "draft-submitted", "identity-verified",
-        "journalist-authenticated", "review-started", "room-created",
+        "journalist-authenticated", "review-started",
     ]
+
+
+def test_same_named_rooms_on_two_platforms_keep_their_own_drafts(platform):
+    """A draft names its platform: two platforms that each own a room
+    called "room" are rated on their own articles (the event used to carry
+    the room name only, and the first platform to open it got them all)."""
+    fact = CorpusGenerator(seed=71).factual(topic="politics")
+    platform.seed_fact("f-0", fact.text, "record", "politics")
+    for owner, name in (("pub-a", "news-a"), ("pub-b", "news-b")):
+        platform.register_participant(owner, role="publisher")
+        platform.create_distribution_platform(owner, name)
+        platform.create_news_room(owner, name, "room", "politics")
+    platform.publish_article("pub-a", "news-a", "room", "a-0", relay(fact, "a", 0.0).text,
+                             "politics")
+    for index in range(2):
+        platform.publish_article("pub-b", "news-b", "room", f"b-{index}",
+                                 relay(fact, "b", float(index)).text, "politics")
+    ledger, graph = platform.chain.ledger, platform.graph
+    assert rate_distribution_platform(ledger, graph, "news-a").articles == 1
+    assert rate_distribution_platform(ledger, graph, "news-b").articles == 2
+    drafts = list(ledger.events(contract="newsroom", kind="draft-submitted"))
+    assert [(e["platform"], e["room"]) for e in drafts] == [
+        ("news-a", "room"), ("news-b", "room"), ("news-b", "room")]

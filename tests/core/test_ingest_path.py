@@ -10,9 +10,10 @@ the reference similarity functions, and the two bugs fixed on the way.
 import numpy as np
 import pytest
 
-from repro.chain import BlockchainNetwork, LocalChain, NetworkedChain
+from repro.chain import BlockchainNetwork, Contract, LocalChain, NetworkedChain, contract_method
 from repro.core import ProvenanceIndex, TrustingNewsPlatform, build_supply_chain_graph
 from repro.core import provenance as provenance_module
+from repro.core.identity import identity_key
 from repro.corpus import CorpusGenerator
 from repro.corpus.mutations import relay
 from repro.corpus.similarity import (
@@ -97,8 +98,12 @@ def article_tuples(platform):
     return out
 
 
-# Computed on the parent commit (68a3b7a), where the path existed three times.
-HEAD_HASH = "0220e581cad05b521de26675dec202c44afe0e44b2b88f599f2e8d15a35134fa"
+# Per-article tuples and counters computed on commit 68a3b7a, where the path
+# existed three times.  The head hash and the block count were re-pinned
+# when a publish became one group (two publishes: 2 x 3 fewer blocks, and
+# their members sign a group tag, so their tx ids moved); every other
+# transaction of the scenario has the id it had on 68a3b7a.
+HEAD_HASH = "75955436e6510596b4a709f21bc113a2e5ce7c3a91a0d1f71a431100f9e315bb"
 ARTICLES = {  # article id -> (parents, fact_roots, modification_degree, ai_score)
     "a-1": ((), ("f-0",), 0.0, 0.24),
     "a-2": (("a-1",), ("a-1-fact",), 0.1282051282051282, 0.40625),
@@ -108,7 +113,7 @@ ARTICLES = {  # article id -> (parents, fact_roots, modification_degree, ai_scor
     "s-2": (("s-1",), (), 0.19780219780219777, 0.66),
     "s-3": ((), (), 1.0, 0.16),
 }
-STATS = {"blocks": 35, "transactions": 35, "accounts": 7, "articles": 7, "facts": 3,
+STATS = {"blocks": 29, "transactions": 35, "accounts": 7, "articles": 7, "facts": 3,
          "supply_chain_edges": 6}
 
 
@@ -227,6 +232,125 @@ def test_aborted_record_leaves_index_and_scores_untouched(platform):
     assert len(platform.index) == indexed
     assert platform._ai_scores == scores
     assert platform.index.text_of("ext-1") == "the council approved the budget on monday"
+
+
+# -- a publish is one unit: all of its steps commit, or none is visible anywhere --
+
+
+class _Rewrite(Contract):
+    """Writes a key back unchanged: a new version, the same value — the
+    smallest transaction that makes somebody's read of that key stale."""
+
+    name = "rewrite"
+
+    @contract_method
+    def touch(self, ctx, key: str):
+        ctx.put(key, ctx.get(key))
+
+
+@pytest.fixture(params=["local", "networked"])
+def newsroom(request):
+    """A platform with one room, a journalist and a reader — on a
+    LocalChain, and on a 4-peer PBFT network."""
+    chain = LocalChain(seed=0)
+    if request.param == "networked":
+        chain = NetworkedChain(BlockchainNetwork(
+            n_peers=4, consensus="pbft", block_interval=0.2, latency=FixedLatency(0.01), seed=0))
+    platform = TrustingNewsPlatform(seed=0, chain=chain, scorer=_LengthScorer())
+    platform.register_participant("acme", role="publisher")
+    platform.create_distribution_platform("acme", "acme-news")
+    platform.create_news_room("acme", "acme-news", "desk", "politics")
+    platform.register_participant("jane", role="journalist")
+    platform.authenticate_journalist("acme-news", "jane")
+    platform.register_participant("reader", role="consumer")
+    return platform
+
+
+def _ledgers(chain):
+    network = getattr(chain, "network", None)
+    if network is None:
+        return [chain.ledger]
+    network.run_for(2.0)
+    return [peer.ledger for peer in network.peers]
+
+
+def _visible(platform, article_id):
+    """Everything a reader, an auditor or the next publish can see."""
+    ledgers = _ledgers(platform.chain)
+    return {
+        "heights": [ledger.height for ledger in ledgers],
+        "newsroom events": [list(ledger.events(contract="newsroom")) for ledger in ledgers],
+        "supply-chain events": [
+            list(ledger.events(contract="supplychain", kind="supply-node-recorded"))
+            for ledger in ledgers],
+        "room": [r.article_id for r in platform.rank_room("acme-news", "desk")],
+        "author": platform.accountable_author(article_id),
+        "indexed": len(platform.index),
+        "scores": dict(platform._ai_scores),
+    }
+
+
+def test_publish_over_a_reported_id_is_refused_whole(newsroom):
+    """ROADMAP item 3's reproduction: the duplicate ``record_node`` used to
+    abort *after* the three editorial transactions had committed, leaving
+    an article the room lists under the journalist and the supply chain
+    under the reporter."""
+    platform = newsroom
+    platform.report_external("reader", "a1", "the council approved the budget on monday",
+                             "politics", source="https://o.example")
+    before = _visible(platform, "a1")
+    with pytest.raises(ContractError, match="article a1 already recorded"):
+        platform.publish_article("jane", "acme-news", "desk", "a1",
+                                 "an entirely different text about the weather", "politics")
+    assert _visible(platform, "a1") == before
+    assert before["room"] == [] and before["author"] == platform.address_of("reader")
+    assert platform.index.text_of("a1") == "the council approved the budget on monday"
+
+
+def test_commit_time_abort_takes_every_member_with_it(newsroom, monkeypatch):
+    """A conflicting write ordered between the group's endorsement and its
+    block: every member is invalid on every peer, nothing of the publish
+    is visible, the call raises as ``invoke`` does, and a retry commits."""
+    platform, chain = newsroom, newsroom.chain
+    chain.install_contract(_Rewrite())
+    stale_read = identity_key(platform.address_of("jane"))  # record_node reads its caller
+    conflicts = iter([lambda: chain.invoke(
+        platform.governance, "rewrite", "touch", {"key": stale_read})])
+    # The hop between endorsement and ordering: LocalChain commits what it
+    # endorsed at once, a network hands the endorsed group to a peer.
+    owner, hop = (chain, "_commit") if isinstance(chain, LocalChain) else (
+        chain.network, "submit_group")
+    after_endorsement = getattr(owner, hop)
+
+    def conflict_first(txs):
+        for conflict in conflicts:
+            conflict()
+        return after_endorsement(txs)
+
+    monkeypatch.setattr(owner, hop, conflict_first)
+    before = _visible(platform, "a1")
+    with pytest.raises(ContractError, match="member 3: MVCC conflict"):
+        platform.publish_article("jane", "acme-news", "desk", "a1",
+                                 "the council approved the budget on monday", "politics")
+    after = _visible(platform, "a1")
+    for ledger in _ledgers(chain):
+        members = [c for c in ledger.transactions(valid_only=False)
+                   if c.transaction.group is not None]
+        assert [c.transaction.method for c in members] == [
+            "submit_draft", "start_review", "publish", "record_node"]
+        assert not any(c.valid for c in members)
+        assert len({c.block_height for c in members}) == 1
+        assert all("member 3" in ledger.receipt(c.transaction.tx_id).error for c in members)
+    # Two blocks went by (the conflict, the aborted group); nothing else moved.
+    assert after["heights"] == [height + 2 for height in before["heights"]]
+    assert {key: after[key] for key in after if key != "heights"} == {
+        key: before[key] for key in before if key != "heights"}
+    assert after["room"] == [] and after["author"] is None and "a1" not in platform.index
+    published = platform.publish_article("jane", "acme-news", "desk", "a1",
+                                         "the council approved the budget on monday", "politics")
+    assert published.receipt.success
+    assert _visible(platform, "a1")["room"] == ["a1"]
+    assert platform.accountable_author("a1") == platform.address_of("jane")
 
 
 # -- bugs fixed with the merge --------------------------------------------------

@@ -86,7 +86,7 @@ def test_prove_article_over_consensus_and_after_snapshot_recovery():
     platform.register_participant("espn", role="publisher")
     platform.create_distribution_platform("espn", "espn-wire")
     platform.create_news_room("espn", "espn-wire", "scores", "sports")
-    for article_id in ("n-1", "n-2"):
+    for article_id in ("n-1", "n-2", "n-3", "n-4", "n-5"):  # one block each: past a snapshot
         platform.publish_article("espn", "espn-wire", "scores", article_id,
                                  relay(fact, "espn", 1.0).text, "sports")
     before = platform.prove_article("n-1")

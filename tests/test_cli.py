@@ -99,3 +99,39 @@ def test_report_demo_writes_trace_and_phases(tmp_path, capsys):
         assert f"| {phase} |" in stdout, phase
     # The straggler's catch-up is certified by statements, and says so.
     assert "| sync.statements_verified |" in stdout
+    assert "| chain.groups_committed | 4 |" in stdout  # the demo's one group, on 4 peers
+
+
+def test_report_shows_the_group_counters(tmp_path, capsys):
+    """Committed, aborted (by reason) and deferred groups are registry
+    counters, so the report lists them."""
+    from repro.chain import BlockchainNetwork
+    from repro.obs import export_jsonl
+    from repro.simnet import FixedLatency
+    from tests.conftest import CounterContract
+
+    net = BlockchainNetwork(n_peers=4, consensus="pbft", block_interval=0.25,
+                            latency=FixedLatency(0.02), seed=7, max_block_txs=3)
+    net.install_contract(CounterContract)
+    client = net.client()
+    steps = [(client, "counter", "increment", {"amount": 1})] * 2
+    single = net.endorse_transaction(client, "counter", "read", {})
+    # Both groups read the count at one version: the second to be ordered
+    # aborts (mvcc); behind two singles neither fits the first block (deferred).
+    groups = [net.endorse_group(steps), net.endorse_group(steps)]
+    primary = net.peers[0]
+    assert primary.submit(single)
+    assert primary.submit(net.endorse_transaction(client, "counter", "read", {}))
+    for txs in groups:
+        assert primary.submit_group(txs)
+    net.run_for(5.0)
+    net.stop()
+    assert net.obs.total("chain.groups_aborted") == 4
+    assert {c.labels["reason"] for c in net.obs.counters("chain.groups_aborted")} == {"mvcc"}
+    trace = tmp_path / "groups.jsonl"
+    export_jsonl(trace, net.obs, net.tracer, meta={"run": "groups"})
+    assert main(["report", "--trace", str(trace)]) == 0
+    stdout = capsys.readouterr().out
+    for row in ("| chain.groups_committed | 4 |", "| chain.groups_aborted | 4 |",
+                "| mempool.group_deferrals | 2 |"):
+        assert row in stdout, row
