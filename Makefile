@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-baseline test chaos bench bench-smoke bench-record recovery obs-demo sloc
+.PHONY: lint lint-baseline test chaos bench bench-smoke bench-record recovery obs-demo sloc sloc-diff
 
 # Byte-compile (catches syntax errors), then the repo's own AST linter:
 # determinism / sim-time / aliasing / pyflakes-subset / metric-hygiene
@@ -85,3 +85,9 @@ obs-demo:
 # docstring): the count ROADMAP aim 2's "less code" gate compares.
 sloc:
 	$(PYTHON) tools/sloc.py src
+
+# The same count against a git ref, per package: `make sloc-diff BASE=<ref>`
+# (old files are read with `git show`; the delta a `simplicity` review asks for).
+BASE ?= HEAD
+sloc-diff:
+	$(PYTHON) tools/sloc.py src --against $(BASE)

@@ -4,10 +4,10 @@
 LocalChain interface (``invoke`` / ``query`` / ``ledger`` / clock).
 This adapter provides the same interface on top of a
 :class:`~repro.chain.network.BlockchainNetwork`, so the identical
-platform code runs over real consensus: every ``invoke`` endorses,
-submits, and advances simulated time until the transaction commits, and
-``invoke_group`` does the same for a list of steps that commit as one
-unit, in one block.
+platform code runs over real consensus: ``invoke_group`` endorses a list
+of steps once, submits them as one unit and advances simulated time until
+their one block commits, and ``invoke`` is that for a list of one step —
+there is one write path, and a transaction on its own is a unit of one.
 
 This is the deployment the paper actually describes; LocalChain exists
 so experiments that aren't *about* consensus don't pay for it.
@@ -92,23 +92,14 @@ class NetworkedChain:
         method: str,
         args: dict[str, Any] | None = None,
     ) -> TxReceipt:
-        """Endorse, order, and commit one invocation; raise on failure.
+        """Endorse, order, and commit one invocation; raise on failure:
+        the one-step form of :meth:`invoke_group`.
 
-        Matches LocalChain semantics: contract aborts surface as
-        :class:`ContractError` (at endorsement time), and a receipt is
-        only returned once the transaction is final on some peer.  One
-        call is one consensus round, and nothing ties two calls together:
-        steps that must all take effect or none — a publish — go through
-        :meth:`invoke_group`, not through a sequence of these.
+        One call is one consensus round, and nothing ties two calls
+        together: steps that must all take effect or none — a publish —
+        go through one :meth:`invoke_group`, not a sequence of these.
         """
-        client = self._client_for(keypair)
-        tx = self.network.endorse_transaction(client, contract, method, args or {})
-        self.network.submit(tx)
-        receipt = self.network.wait_for_receipt(tx.tx_id, timeout=self.receipt_timeout)
-        if not receipt.success:
-            raise ContractError(receipt.error or f"{contract}.{method} failed at commit")
-        self._barrier(receipt.block_height)
-        return receipt
+        return self.invoke_group([(keypair, contract, method, args)])[0]
 
     def invoke_group(
         self, steps: Sequence[tuple[KeyPair, str, str, dict[str, Any] | None]]
@@ -117,23 +108,23 @@ class NetworkedChain:
         unit and return their receipts: endorsed once over one
         speculative state (a later step sees an earlier one's writes; an
         abort in any step raises :class:`ContractError` with nothing
-        submitted), ordered as one mempool entry into one block, and
-        valid there all together or not at all — in which case this
-        raises as :meth:`invoke` does and no step took effect.  A single
-        step is :meth:`invoke`.
+        submitted — LocalChain semantics), ordered as one mempool entry
+        into one block, and valid there all together or not at all — in
+        which case this raises too and no step took effect.  Receipts are
+        only returned once the unit is final on some peer.
         """
-        if len(steps) == 1:
-            return [self.invoke(*steps[0])]
         txs = self.network.endorse_group(
             [(self._client_for(keypair), contract, method, args)
              for keypair, contract, method, args in steps]
         )
-        self.network.submit_group(txs)
+        self.network.submit(*txs)
         receipts = [
             self.network.wait_for_receipt(tx.tx_id, timeout=self.receipt_timeout) for tx in txs
         ]
         if not receipts[0].success:
-            raise ContractError(receipts[0].error or "group failed at commit")
+            raise ContractError(
+                receipts[0].error or f"{txs[0].contract}.{txs[0].method} failed at commit"
+            )
         self._barrier(receipts[0].block_height)
         return receipts
 
@@ -165,16 +156,5 @@ class NetworkedChain:
         args: dict[str, Any] | None = None,
         caller: str = "query",
     ) -> Any:
-        for peer in sorted(
-            (p for p in self.network.peers if not p.crashed),
-            key=lambda p: p.ledger.height,
-            reverse=True,
-        ):
-            result = peer.registry.execute(
-                peer.state, contract, method, args or {},
-                caller=caller, timestamp=self.now, tx_id="query",
-            )
-            if not result.success:
-                raise ContractError(result.error or "query failed")
-            return result.return_value
-        raise ContractError("no live peer to query")
+        """Read-only execution on the freshest live peer."""
+        return self.network.read(contract, method, args or {}, caller)

@@ -12,11 +12,13 @@ the ledger now records and is read from it (``Ledger.receipt``), and the
 never-downgrade rule for an id committed twice lives where the id is
 bound to a position (``Ledger.append``).
 
-A *group* (:func:`~repro.chain.transaction.create_group`) is judged as
-one unit: its members — a complete run, consecutive and in order, that
-hashes to the root each of them signed — get one verdict, reached before
-any of them is applied, so they are all valid or all invalid with the
-failing member named; a tagged transaction anywhere else is invalid.
+What is judged is a *unit* (:func:`~repro.chain.transaction.group_run`):
+an untagged transaction on its own, or the members of a group — a
+complete run, consecutive and in order, that hashes to the root each of
+them signed.  A unit gets one verdict from one ``_judge``, reached before
+any of it is applied, so a group's members are all valid or all invalid
+with the failing member named; a tagged transaction anywhere else is
+invalid.
 
 Callers add only what is theirs: :meth:`Peer.commit_block
 <repro.chain.peer.Peer.commit_block>` (signature prewarm, metrics, trace
@@ -79,46 +81,35 @@ class CommitResult:
         return [verdict.error for verdict in self.verdicts]
 
 
-def _judge(tx: Transaction, state: WorldState, policy: EndorsementPolicy) -> Verdict:
-    try:
-        tx.validate_structure()
-    except InvalidTransactionError as exc:
-        return Verdict(False, str(exc), "signature")
-    try:
-        check_endorsements(tx, policy)
-    except EndorsementError as exc:
-        return Verdict(False, str(exc), "endorsement")
-    if not state.validate_read_set(tx.read_set):
-        return Verdict(False, "MVCC conflict: stale read set", "mvcc")
-    return _VALID
-
-
-def _judge_group(
-    members: tuple[Transaction, ...],
+def _judge(
+    unit: tuple[Transaction, ...],
     state: WorldState,
     policy_for: Callable[[str], EndorsementPolicy],
 ) -> Verdict:
-    """One verdict for a complete group, reached before any member is
-    applied: every client signature, the one endorsement against every
-    member's contract policy, and every read set — all of them reads of
-    what lay outside the group — against the state before its first member."""
-    root = members[0].group[0]
+    """One verdict for a unit — a transaction on its own or a complete
+    group — reached before any member is applied: every client signature,
+    the one endorsement against every member's contract policy, and every
+    read set — all of them reads of what lay outside the unit — against
+    the state before its first member.  A tagged member's error names its
+    group and its place; an untagged transaction's is the bare message."""
+    tag = unit[0].group
 
     def failed(position: int, error: object, check: str) -> Verdict:
-        return Verdict(False, f"group {root[:12]} member {position}: {error}", check)
+        where = f"group {tag[0][:12]} member {position}: " if tag else ""
+        return Verdict(False, f"{where}{error}", check)
 
-    for position, tx in enumerate(members):
+    for position, tx in enumerate(unit):
         try:
             tx.validate_structure()
         except InvalidTransactionError as exc:
             return failed(position, exc, "signature")
-    digest = group_digest(tx.rwset_digest for tx in members)
-    for position, tx in enumerate(members):
+    digest = group_digest([tx.rwset_digest for tx in unit])
+    for position, tx in enumerate(unit):
         try:
-            check_endorsements(members[0], policy_for(tx.contract), digest)
+            check_endorsements(unit[0], policy_for(tx.contract), digest)
         except EndorsementError as exc:
             return failed(position, exc, "endorsement")
-    for position, tx in enumerate(members):
+    for position, tx in enumerate(unit):
         if not state.validate_read_set(tx.read_set):
             return failed(position, "MVCC conflict: stale read set", "mvcc")
     return _VALID
@@ -179,13 +170,10 @@ def commit_block(
     txs = block.transactions
 
     def judge(start: int) -> list[Verdict]:
-        tx = txs[start]
-        if tx.group is None:
-            return [_judge(tx, state, policy_for(tx.contract))]
-        members = group_run(txs, start)
-        if members is None:
+        unit = group_run(txs, start)
+        if unit is None:
             return [Verdict(False, "group member outside its complete group", "incomplete")]
-        return [_judge_group(members, state, policy_for)] * len(members)
+        return [_judge(unit, state, policy_for)] * len(unit)
 
     return _apply(block, judge, ledger, state, index)
 

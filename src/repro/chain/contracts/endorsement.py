@@ -11,13 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.chain.transaction import Endorsement, Transaction, group_digest, rwset_digest
-from repro.crypto.keys import KeyPair
-from repro.errors import EndorsementError
+from repro.chain.transaction import Endorsement, Transaction
+from repro.errors import ContractError, EndorsementError
 
-__all__ = ["EndorsementPolicy", "check_endorsements", "endorse_group"]
+__all__ = ["EndorsementPolicy", "Endorsed", "check_endorsements", "gather_endorsements"]
+
+#: One endorser's answer for a unit: its signature (``None`` when the
+#: simulation aborted — an abort is not signed), the ``ExecutionResult``
+#: of every member it ran (an aborted one last) and the rw-set digests it
+#: hashed to sign, in member order.
+Endorsed = tuple[Endorsement | None, list[Any], list[str]]
 
 
 @dataclass(frozen=True)
@@ -44,16 +49,52 @@ class EndorsementPolicy:
         return not self.endorsers or peer_id in self.endorsers
 
 
-def endorse_group(
-    keypair: KeyPair, peer_id: str, txs: Sequence[Transaction], results: Sequence[Any]
-) -> Endorsement:
-    """One peer's one signature for a whole group: over the group's root
-    and the rw-set digests of its members' simulated executions
-    (*results*, ``ExecutionResult`` per member), in order.  A member's
-    rw-set means nothing without the writes of the members before it, so
-    there is nothing smaller for an endorser to vouch for."""
-    digest = group_digest(rwset_digest(r.read_set, r.write_set) for r in results)
-    return Endorsement.create(keypair, peer_id, txs[0].endorsed_id, digest)
+def gather_endorsements(
+    txs: Sequence[Transaction], outcomes: Iterable[Endorsed | None], required: int
+) -> tuple[Transaction, ...]:
+    """Take the endorsers' *outcomes* in turn — ``None`` from one that is
+    down or ineligible — until *required* of them signed the same digest,
+    and attach the first successful execution to *txs*: every member gets
+    its rw-set, events, return value and the digest the endorser hashed;
+    the first carries the unit's endorsements, the rest none.  *outcomes*
+    may be lazy: nobody is asked once enough have signed.
+
+    Raises :class:`ContractError` with the abort's message when no
+    endorser ran the unit to its end, :class:`EndorsementError` when too
+    few agreed.
+    """
+    endorsements: list[Endorsement] = []
+    reference = None
+    failure: str | None = None
+    for outcome in outcomes:
+        if outcome is None:
+            continue
+        endorsement, results, digests = outcome
+        if endorsement is None:
+            failure = results[-1].error
+            continue
+        if reference is None:
+            reference = results, digests
+            endorsements.append(endorsement)
+        elif endorsement.digest == endorsements[0].digest:
+            endorsements.append(endorsement)
+        if len(endorsements) >= required:
+            break
+    if reference is None or len(endorsements) < required:
+        what = "+".join(f"{tx.contract}.{tx.method}" for tx in txs)
+        if reference is None:
+            raise ContractError(failure or f"no peer could endorse {what}")
+        raise EndorsementError(
+            f"only {len(endorsements)} endorsements for {what}, "
+            f"policy requires {required}"
+        )
+    return tuple(
+        tx.with_execution(
+            result.read_set, result.write_set, result.events, result.return_value,
+            tuple(endorsements) if position == 0 else (), digest=digest,
+        )
+        for position, (tx, result, digest) in enumerate(zip(txs, *reference))
+    )
 
 
 def check_endorsements(
@@ -65,9 +106,10 @@ def check_endorsements(
     each signature valid, and every endorsement committing to the same
     read/write-set digest the transaction carries (a divergent digest
     means endorsers simulated different outcomes — the transaction must
-    not commit).  A group is endorsed once: *tx* is then its first
-    member, which carries the endorsements, and *digest* the group's
-    (:func:`~repro.chain.transaction.group_digest`).
+    not commit).  A unit is endorsed once: *tx* is its first member,
+    which carries the endorsements, and *digest* the unit's
+    (:func:`~repro.chain.transaction.group_digest`; for a transaction on
+    its own, its rw-set digest, the default).
     """
     if digest is None:
         digest = tx.rwset_digest

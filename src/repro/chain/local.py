@@ -5,8 +5,13 @@ signed immutable transactions, contracts, events, auditability — but
 most experiments don't need to pay full consensus simulation for every
 article share.  ``LocalChain`` runs the identical transaction pipeline
 (sign → execute → endorse → validate → block commit) on one in-process
-peer, committing one block per invocation batch through the same
-:func:`repro.chain.commit.commit_block` every networked peer uses.
+peer, with the pieces every networked peer uses: ``invoke_group`` signs a
+unit of steps (:func:`~repro.chain.transaction.create_group`), simulates
+and signs it as the one endorser (:func:`~repro.chain.peer.simulate_and_sign`),
+attaches the execution (:func:`~repro.chain.contracts.endorsement.gather_endorsements`)
+and commits one block per unit through
+:func:`repro.chain.commit.commit_block`; ``invoke`` is ``invoke_group`` of
+one step.
 
 Everything that reads the ledger (supply-chain graph construction,
 expert mining, accountability tracing) works identically against a
@@ -24,19 +29,12 @@ from typing import Any, Sequence
 from repro.chain.block import Block
 from repro.chain.commit import commit_block
 from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy
-from repro.chain.contracts.endorsement import endorse_group
+from repro.chain.contracts.endorsement import gather_endorsements
 from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
+from repro.chain.peer import simulate_and_sign
 from repro.chain.state import WorldState
-from repro.chain.transaction import (
-    Endorsement,
-    Transaction,
-    TxReceipt,
-    create_group,
-    rwset_digest,
-    signature_items,
-    with_group_execution,
-)
+from repro.chain.transaction import Transaction, TxReceipt, create_group, signature_items
 from repro.crypto.batch import verify_many
 from repro.crypto.keys import KeyPair
 from repro.errors import ContractError
@@ -100,33 +98,9 @@ class LocalChain:
         method: str,
         args: dict[str, Any] | None = None,
     ) -> TxReceipt:
-        """Sign, execute, endorse, and commit one transaction (one block).
-
-        Contract aborts surface as :class:`ContractError`, mirroring what
-        a networked client sees at endorsement time.
-        """
-        args = args or {}
-        tx = Transaction.create(
-            keypair, contract, method, args, nonce=self._next_nonce(keypair),
-            timestamp=self._clock,
-        )
-        result = self.registry.execute(
-            self.state, contract, method, args,
-            caller=keypair.address, timestamp=self._clock, tx_id=tx.tx_id,
-        )
-        if not result.success:
-            raise ContractError(result.error or f"{contract}.{method} failed")
-        digest = rwset_digest(result.read_set, result.write_set)
-        endorsement = Endorsement.create(self.keypair, self.node_id, tx.tx_id, digest)
-        endorsed = tx.with_execution(
-            read_set=result.read_set,
-            write_set=result.write_set,
-            events=result.events,
-            return_value=result.return_value,
-            endorsements=(endorsement,),
-            digest=digest,
-        )
-        return self._commit([endorsed])[0]
+        """Sign, execute, endorse, and commit one transaction (one
+        block): the one-step form of :meth:`invoke_group`."""
+        return self.invoke_group([(keypair, contract, method, args)])[0]
 
     def invoke_group(
         self, steps: Sequence[tuple[KeyPair, str, str, dict[str, Any] | None]]
@@ -134,22 +108,27 @@ class LocalChain:
         """Commit ``(keypair, contract, method, args)`` *steps* as one
         unit (one block) and return their receipts; the semantics of
         :meth:`NetworkedChain.invoke_group
-        <repro.chain.adapter.NetworkedChain.invoke_group>`.
+        <repro.chain.adapter.NetworkedChain.invoke_group>`: a contract
+        abort surfaces as :class:`ContractError`, as a networked client
+        sees it at endorsement time, and so does a unit judged invalid at
+        commit.
         """
-        if len(steps) == 1:
-            return [self.invoke(*steps[0])]
         txs = create_group(
             [(keypair, contract, method, args, self._next_nonce(keypair))
              for keypair, contract, method, args in steps],
             self._clock,
         )
-        results = self.registry.execute_group(self.state, txs)
-        if not results[-1].success:
-            raise ContractError(results[-1].error or "group failed")
-        endorsement = endorse_group(self.keypair, self.node_id, txs, results)
-        receipts = self._commit(list(with_group_execution(txs, results, (endorsement,))))
+        # The one local peer is the one endorser asked.
+        endorsed = gather_endorsements(
+            txs,
+            [simulate_and_sign(self.registry, self.state, self.keypair, self.node_id, txs)],
+            _POLICY.required,
+        )
+        receipts = self._commit(list(endorsed))
         if not receipts[0].success:
-            raise ContractError(receipts[0].error or "group failed at commit")
+            raise ContractError(
+                receipts[0].error or f"{txs[0].contract}.{txs[0].method} failed at commit"
+            )
         return receipts
 
     def _next_nonce(self, keypair: KeyPair) -> int:

@@ -5,6 +5,12 @@ chosen consensus engine; :class:`ChainClient` is the application-facing
 handle that signs, endorses, and submits transactions and waits for
 receipts by advancing simulated time.
 
+What travels the write path is a *unit*: one transaction, or the
+members of a group.  ``endorse_group(steps)`` signs and endorses one
+(``endorse_transaction`` is its one-step form) and ``submit(tx,
+*siblings)`` hands it to a peer; there is no second path for a
+transaction on its own.
+
 Endorsement is modelled as a synchronous RPC to endorsing peers (the
 client calls ``peer.endorse`` directly).  This matches Fabric, where
 proposal simulation happens on a request/response channel outside
@@ -21,18 +27,12 @@ from typing import Any, Callable, Literal, Sequence
 
 from repro.chain.consensus import ConsensusEngine, PBFTEngine, RoundRobinOrderer, ShardedExecutor
 from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy  # noqa: F401 - re-exported
-from repro.chain.contracts.runtime import ExecutionResult
+from repro.chain.contracts.endorsement import gather_endorsements
 from repro.chain.peer import Admission, Peer
 from repro.chain.store import BlockStore, DurableStore, MemoryStore, SQLiteStore
-from repro.chain.transaction import (
-    Endorsement,
-    Transaction,
-    TxReceipt,
-    create_group,
-    with_group_execution,
-)
+from repro.chain.transaction import Transaction, TxReceipt, create_group
 from repro.crypto.keys import KeyPair
-from repro.errors import ChainError, ContractError, EndorsementError
+from repro.errors import ChainError, ContractError
 from repro.obs import MetricsRegistry, Tracer
 from repro.simnet import LatencyModel, Network, SimDisk, Simulator
 
@@ -253,158 +253,94 @@ class BlockchainNetwork:
     def endorse_transaction(
         self, client: ChainClient, contract: str, method: str, args: dict[str, Any]
     ) -> Transaction:
-        """Build, sign, and gather endorsements for a proposal."""
-        client._nonce += 1
-        tx = Transaction.create(
-            client.keypair,
-            contract,
-            method,
-            args,
-            nonce=client._nonce,
-            timestamp=self.sim.now,
-        )
-
-        def endorse(peer: Peer) -> "tuple[Endorsement, list[ExecutionResult]] | None":
-            outcome = peer.endorse(tx)
-            return outcome and (outcome[0], [outcome[1]])
-
-        (reference,), endorsements = self._gather_endorsements(
-            endorse, self._policy_of(contract).required, f"{contract}.{method}",
-            tx_id=tx.tx_id[:12], contract=contract, method=method,
-        )
-        return tx.with_execution(
-            read_set=reference.read_set,
-            write_set=reference.write_set,
-            events=reference.events,
-            return_value=reference.return_value,
-            endorsements=endorsements,
-            # The endorser hashed the reference result's rw-set to sign it.
-            digest=endorsements[0].digest,
-        )
+        """Build, sign, and gather endorsements for one proposal: the
+        one-step form of :meth:`endorse_group`."""
+        return self.endorse_group([(client, contract, method, args)])[0]
 
     def endorse_group(
         self, steps: Sequence[tuple[ChainClient, str, str, dict[str, Any] | None]]
     ) -> tuple[Transaction, ...]:
         """Build the ``(client, contract, method, args)`` *steps* as one
-        group (:func:`~repro.chain.transaction.create_group`): every step
+        unit (:func:`~repro.chain.transaction.create_group`): every step
         signed by its own client, all of them simulated in order by each
-        endorsing peer, which signs the group once.  A step that aborts
+        endorsing peer, which signs the unit once.  A step that aborts
         raises :class:`ContractError` here, before anything is submitted."""
         proposals = []
         for client, contract, method, args in steps:
             client._nonce += 1
             proposals.append((client.keypair, contract, method, args, client._nonce))
         txs = create_group(proposals, self.sim.now)
-        what = "+".join(f"{tx.contract}.{tx.method}" for tx in txs)
-        results, endorsements = self._gather_endorsements(
-            lambda peer: peer.endorse_group(txs),
-            max(self._policy_of(tx.contract).required for tx in txs), what,
-            tx_id=txs[0].endorsed_id[:12], contract="(group)", method=what,
-        )
-        return with_group_execution(txs, results, endorsements)
-
-    def _policy_of(self, contract: str) -> EndorsementPolicy:
-        return self._policies.get(contract, EndorsementPolicy(required=1))
-
-    def _gather_endorsements(
-        self,
-        endorse: Callable[[Peer], "tuple[Endorsement | None, list[ExecutionResult]] | None"],
-        required: int,
-        what: str,
-        **span_attrs: Any,
-    ) -> tuple[list[ExecutionResult], tuple[Endorsement, ...]]:
-        """Ask the peers in turn until *required* of them signed the same
-        digest; returns the first successful execution's results and the
-        endorsements that agree with it.  *endorse* answers ``None`` (peer
-        down or ineligible) or ``(endorsement, results)``, a failed
-        execution's result last."""
-        endorsements: list[Endorsement] = []
-        reference = None
-        failure: str | None = None
         # Endorsement is a synchronous RPC outside the simulated network,
         # so the span's sim-time duration is 0 by construction; the wall_ms
         # attribute is the meaningful cost, and phase.endorse records it
         # in seconds so the report can show an endorse row per lifecycle.
-        span = self.tracer.start("endorse", **span_attrs)
+        span = self.tracer.start(
+            "endorse", tx_id=txs[0].endorsed_id[:12], contract=txs[0].contract,
+            method=txs[0].method, n_txs=len(txs),
+        )
+        endorsed: tuple[Transaction, ...] = ()
         try:
-            for peer in self.peers:
-                outcome = endorse(peer)
-                if outcome is None:
-                    continue
-                endorsement, results = outcome
-                if not results[-1].success:
-                    failure = results[-1].error
-                    continue
-                if reference is None:
-                    reference = results
-                    endorsements.append(endorsement)
-                elif endorsement.digest == endorsements[0].digest:
-                    endorsements.append(endorsement)
-                if len(endorsements) >= required:
-                    break
+            endorsed = gather_endorsements(
+                txs, (peer.endorse(txs) for peer in self.peers),
+                max(self._policy_of(tx.contract).required for tx in txs),
+            )
         finally:
-            self.tracer.finish(span, n_endorsements=len(endorsements))
+            self.tracer.finish(
+                span, n_endorsements=len(endorsed[0].endorsements) if endorsed else 0
+            )
             self.obs.histogram("phase.endorse").observe(
                 span.attrs.get("wall_ms", 0.0) / 1000.0
             )
-        if reference is None:
-            raise ContractError(failure or f"no peer could endorse {what}")
-        if len(endorsements) < required:
-            raise EndorsementError(
-                f"only {len(endorsements)} endorsements for {what}, "
-                f"policy requires {required}"
-            )
-        return reference, tuple(endorsements)
+        return endorsed
 
-    def submit(self, tx: Transaction) -> Admission:
-        """Hand an endorsed transaction to a random peer for gossip.
+    def _policy_of(self, contract: str) -> EndorsementPolicy:
+        return self._policies.get(contract, EndorsementPolicy(required=1))
+
+    def submit(self, tx: Transaction, *siblings: Transaction) -> Admission:
+        """Hand an endorsed unit — a transaction, or with its *siblings*
+        the members of one group — to a random peer for gossip.
 
         Returns the effective :class:`~repro.chain.peer.Admission`.  A
-        ``DUPLICATE``/``COMMITTED`` outcome is success — the transaction
-        is already pending or final — and must *not* trigger the
+        ``DUPLICATE``/``COMMITTED`` outcome is success — the unit is
+        already pending or final — and must *not* trigger the
         try-every-peer fallback (the seed code did, and could raise for
         a transaction that was happily in flight).  Only genuine
-        rejections (``FULL``/``CRASHED``/``INVALID``) fall through to the
-        other peers, and only if every peer rejects does this raise.
+        rejections (``FULL``/``CRASHED``/``INVALID``/``OVERSIZED``) fall
+        through to the other peers, and only if every peer rejects does
+        this raise.
         """
-        return self._hand_in((tx,), lambda peer: peer.submit(tx))
-
-    def submit_group(self, txs: tuple[Transaction, ...]) -> Admission:
-        """:meth:`submit` for the members of one group, handed in (and
-        gossiped, ordered and judged) as one entry."""
-        return self._hand_in(txs, lambda peer: peer.submit_group(txs))
-
-    def _hand_in(
-        self, txs: tuple[Transaction, ...], submit: Callable[[Peer], Admission]
-    ) -> Admission:
         entry = self.rng.choice(self.peers)
         outcomes = {}
         for peer in [entry, *(p for p in self.peers if p is not entry)]:
-            outcome = submit(peer)
+            outcome = peer.submit(tx, *siblings)
             if outcome.accepted:
-                for tx in txs:
-                    self._notify_admitted(tx)
+                for member in (tx, *siblings):
+                    for auditor in self.auditors:
+                        auditor.on_tx_admitted(member)
                 return outcome
             outcomes[peer.node_id] = outcome
         detail = ", ".join(f"{node}: {out.value}" for node, out in outcomes.items())
-        raise ChainError(f"no peer admitted tx {txs[0].tx_id[:12]} ({detail})")
-
-    def _notify_admitted(self, tx: Transaction) -> None:
-        for auditor in self.auditors:
-            auditor.on_tx_admitted(tx)
+        raise ChainError(f"no peer admitted tx {tx.tx_id[:12]} ({detail})")
 
     def query(self, client: ChainClient, contract: str, method: str, args: dict[str, Any]) -> Any:
         """Execute read-only against the freshest live peer, discard writes."""
+        return self.read(contract, method, args, caller=client.address)
+
+    def read(self, contract: str, method: str, args: dict[str, Any], caller: str) -> Any:
+        """The one query body (:meth:`query` and :meth:`NetworkedChain.query
+        <repro.chain.adapter.NetworkedChain.query>` are its two call
+        shapes): run *method* as *caller* on the freshest live peer."""
         live = [p for p in self.peers if not p.crashed]
-        for peer in sorted(live, key=lambda p: p.ledger.height, reverse=True):
-            result = peer.registry.execute(
-                peer.state, contract, method, args, caller=client.address,
-                timestamp=self.sim.now, tx_id="query",
-            )
-            if not result.success:
-                raise ContractError(result.error or "query failed")
-            return result.return_value
-        raise ChainError("no live peer to query")
+        if not live:
+            raise ChainError("no live peer to query")
+        peer = max(live, key=lambda p: p.ledger.height)
+        result = peer.registry.execute(
+            peer.state, contract, method, args, caller=caller,
+            timestamp=self.sim.now, tx_id="query",
+        )
+        if not result.success:
+            raise ContractError(result.error or "query failed")
+        return result.return_value
 
     # -- progress ---------------------------------------------------------------
 

@@ -1,9 +1,12 @@
 """A validating peer: mempool + ledger + world state + contracts + consensus.
 
-The peer runs Fabric's *validate* phase at commit time through
-:mod:`repro.chain.commit`: every transaction in a decided block is
-checked for (1) client signature, (2) endorsement policy, (3) MVCC
-read-set freshness; only then is its write set applied.  All peers run
+The peer handles *units* — a transaction on its own or the members of
+a group, in order — at every station: :meth:`Peer.endorse` simulates and
+signs one, :meth:`Peer.submit` admits one as one mempool entry and
+gossips it as one message, and at commit time Fabric's *validate* phase
+runs through :mod:`repro.chain.commit`: every unit in a decided block is
+checked for (1) client signatures, (2) endorsement policy, (3) MVCC
+read-set freshness; only then are its write sets applied.  All peers run
 the same deterministic checks over the same block sequence, so their
 world states stay identical — asserted by
 ``BlockchainNetwork.assert_convergence`` in tests.
@@ -20,14 +23,13 @@ storage backend kept.
 from __future__ import annotations
 
 import enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.chain import commit
 from repro.chain.consensus.base import ConsensusEngine
 from repro.chain.consensus.sharded import ShardedExecutor
 from repro.chain.contracts import ContractRegistry, EndorsementPolicy
-from repro.chain.contracts.endorsement import endorse_group
-from repro.chain.contracts.runtime import ExecutionResult
+from repro.chain.contracts.endorsement import Endorsed
 from repro.chain.block import Block
 from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
@@ -38,6 +40,7 @@ from repro.chain.sync import SyncManager
 from repro.chain.transaction import (
     Endorsement,
     Transaction,
+    group_digest,
     group_run,
     rwset_digest,
     signature_items,
@@ -48,11 +51,34 @@ from repro.errors import InvalidTransactionError
 from repro.obs import MetricsRegistry, ObsView, Tracer, metric_attr
 from repro.simnet.network import Message, NetworkNode
 
-__all__ = ["Admission", "Peer", "PeerMetrics"]
+__all__ = ["Admission", "Peer", "PeerMetrics", "simulate_and_sign"]
 
-_KIND_TX = "tx-gossip"
-_KIND_GROUP = "tx-group-gossip"
+_KIND_TX = "tx-gossip"  # carries one unit: a tuple of one transaction or of a whole group
 _KIND_SYNC_PREFIX = "sync-"
+
+
+def simulate_and_sign(
+    registry: ContractRegistry,
+    state: WorldState,
+    keypair: KeyPair,
+    node_id: str,
+    txs: Sequence[Transaction],
+) -> Endorsed:
+    """What an endorser does with a unit: simulate its members in order
+    over one speculative state and sign once — the unit's endorsed id and
+    the digest of its members' rw-set digests.  A member's rw-set means
+    nothing without the writes of the members before it, so there is
+    nothing smaller to vouch for.  A member that aborts ends the
+    simulation: its failed result comes back last and nothing is signed.
+    """
+    results = registry.execute_group(state, txs)
+    if not results[-1].success:
+        return None, results, []
+    digests = [rwset_digest(result.read_set, result.write_set) for result in results]
+    endorsement = Endorsement.create(
+        keypair, node_id, txs[0].endorsed_id, group_digest(digests)
+    )
+    return endorsement, results, digests
 
 
 class Admission(enum.Enum):
@@ -226,90 +252,58 @@ class Peer(NetworkNode):
 
     # -- endorsement (executed on behalf of clients) ----------------------------
 
-    def endorse(self, tx: Transaction) -> tuple[Endorsement, ExecutionResult] | None:
-        """Simulate *tx* against current state and sign the rw-set.
-
-        Returns ``(endorsement, execution_result)``, or ``None`` if this
-        peer is crashed or not eligible under the contract's policy.
-        Failed executions still come back (with ``success=False`` and no
-        endorsement use) so clients can surface the contract error.
-        """
-        if self.crashed or not self.policy_for(tx.contract).eligible(self.node_id):
-            return None
-        result = self.registry.execute(
-            self.state,
-            tx.contract,
-            tx.method,
-            tx.args,
-            caller=tx.sender,
-            timestamp=tx.timestamp,
-            tx_id=tx.tx_id,
-        )
-        digest = rwset_digest(result.read_set, result.write_set)
-        endorsement = Endorsement.create(self.keypair, self.node_id, tx.tx_id, digest)
-        return endorsement, result
-
-    def endorse_group(
-        self, txs: tuple[Transaction, ...]
-    ) -> tuple[Endorsement | None, list[ExecutionResult]] | None:
-        """Simulate the members of a group in order over one speculative
-        state and sign once: the group's root and its rw-set digests.
+    def endorse(self, txs: Sequence[Transaction]) -> Endorsed | None:
+        """Simulate the unit *txs* against current state and sign it once
+        (:func:`simulate_and_sign`).
 
         ``None`` if this peer is crashed or not eligible under every
-        member's policy; a member that aborts ends the simulation, and
-        its failed result comes back last, beside no endorsement.
+        member's policy.  An aborted simulation still comes back — failed
+        result last, no signature — so clients can surface the contract
+        error.
         """
         if self.crashed or not all(
             self.policy_for(tx.contract).eligible(self.node_id) for tx in txs
         ):
             return None
-        results = self.registry.execute_group(self.state, txs)
-        if not results[-1].success:
-            return None, results
-        return endorse_group(self.keypair, self.node_id, txs, results), results
+        return simulate_and_sign(self.registry, self.state, self.keypair, self.node_id, txs)
 
     # -- transaction admission ---------------------------------------------------
 
-    def submit(self, tx: Transaction, gossip: bool = True) -> Admission:
-        """Admit an endorsed transaction into the mempool (and gossip it).
+    def submit(self, tx: Transaction, *siblings: Transaction, gossip: bool = True) -> Admission:
+        """Admit an endorsed unit — a transaction, or with its *siblings*
+        the members of one group, in order — as one mempool entry (and
+        gossip it as one message), or none of it.
 
-        The returned :class:`Admission` is truthy iff the transaction
-        was newly admitted, so seed-era ``if peer.submit(tx):`` call
-        sites keep their meaning.
+        The returned :class:`Admission` is truthy iff the unit was newly
+        admitted, so seed-era ``if peer.submit(tx):`` call sites keep
+        their meaning.
         """
-        return self._admit((tx,), gossip)
-
-    def submit_group(self, txs: tuple[Transaction, ...], gossip: bool = True) -> Admission:
-        """Admit the members of one group as one mempool entry (and
-        gossip them as one message), or none of them."""
-        return self._admit(tuple(txs), gossip)
-
-    def _admit(self, entry: tuple[Transaction, ...], gossip: bool) -> Admission:
         if self.crashed:
             return Admission.CRASHED
+        entry = (tx, *siblings)
         # Prewarm the verify cache with the client + endorsement
         # signatures in one batch; validate_structure and the later
         # commit-time endorsement checks then hit the cache.
         verify_many(signature_items(entry), registry=self.obs, peer=self.node_id)
         try:
-            for tx in entry:
-                tx.validate_structure()
+            for member in entry:
+                member.validate_structure()
         except InvalidTransactionError:
             self.metrics.signature_failures += 1
             return Admission.INVALID
-        if entry[0].group is not None or len(entry) > 1:
-            # A tagged transaction is admitted only as its whole group.
-            if group_run(entry, 0) != entry:
-                return Admission.INVALID
-            if len(entry) > self.engine.max_block_txs:
-                return Admission.OVERSIZED
-        if any(tx.tx_id in self.ledger for tx in entry):
+        # A tagged transaction is admitted only as its whole group, an
+        # untagged one only on its own.
+        if group_run(entry, 0) != entry:
+            return Admission.INVALID
+        if len(entry) > self.engine.max_block_txs:
+            return Admission.OVERSIZED
+        if any(member.tx_id in self.ledger for member in entry):
             # Already committed here (a gossip echo arriving after
             # ``mempool.remove``).  Re-admitting would let the copy land
             # in a later block, fail MVCC, and clobber the original valid
             # receipt.
             return Admission.COMMITTED
-        if any(tx.tx_id in self.mempool for tx in entry):
+        if any(member.tx_id in self.mempool for member in entry):
             return Admission.DUPLICATE
         if not self.mempool.add(*entry):
             return Admission.FULL
@@ -318,13 +312,11 @@ class Peer(NetworkNode):
             # mempool.  ~0 at the entry peer (endorsement is synchronous),
             # one network hop at gossip recipients.
             self.obs.histogram("phase.gossip", peer=self.node_id).observe(
-                max(0.0, self.sim.now - entry[0].timestamp)
+                max(0.0, self.sim.now - tx.timestamp)
             )
         self.engine.on_transaction_admitted()
-        if gossip and len(entry) > 1:
-            self.broadcast(_KIND_GROUP, entry)
-        elif gossip:
-            self.broadcast(_KIND_TX, entry[0])
+        if gossip:
+            self.broadcast(_KIND_TX, entry)
         return Admission.ADMITTED
 
     # -- commit path ----------------------------------------------------------------
@@ -442,10 +434,7 @@ class Peer(NetworkNode):
 
     def on_message(self, message: Message) -> None:
         if message.kind == _KIND_TX:
-            self.submit(message.payload, gossip=False)
-            return
-        if message.kind == _KIND_GROUP:
-            self.submit_group(message.payload, gossip=False)
+            self.submit(*message.payload, gossip=False)
             return
         if message.kind.startswith(_KIND_SYNC_PREFIX):
             self.sync.on_message(message)

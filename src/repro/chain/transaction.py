@@ -36,7 +36,6 @@ __all__ = [
     "create_group",
     "group_digest",
     "group_run",
-    "with_group_execution",
 ]
 
 # A read set maps key -> version observed during simulated execution.
@@ -45,7 +44,7 @@ ReadSet = dict[str, int]
 WriteSet = dict[str, Any]
 # What a member of a group signs beside its proposal: the group's root
 # (the digest of every member's untagged proposal, in order), the
-# member's position and the group's size.
+# member's position and the group's size.  A unit of one has no tag.
 GroupTag = tuple[str, int, int]
 
 
@@ -269,28 +268,35 @@ def _group_root(untagged_payloads: Iterable[bytes]) -> str:
 def create_group(
     steps: Sequence[tuple[KeyPair, str, str, dict[str, Any] | None, int]], timestamp: float
 ) -> tuple[Transaction, ...]:
-    """Sign ``(keypair, contract, method, args, nonce)`` *steps* as the
-    members of one group: each its own transaction under its own key,
-    each signing the tag that binds it to its siblings and its place."""
+    """Sign ``(keypair, contract, method, args, nonce)`` *steps* as one
+    unit: each its own transaction under its own key.  The members of a
+    group (two steps or more) each sign the tag that binds them to their
+    siblings and their place; a unit of one is a transaction on its own,
+    untagged, with the bytes it has always had."""
     steps = [(keypair, contract, method, args or {}, nonce)
              for keypair, contract, method, args, nonce in steps]
-    root = _group_root(
-        _proposal_payload(keypair.address, contract, method, args, nonce, timestamp)
-        for keypair, contract, method, args, nonce in steps
-    )
+    tags: list[GroupTag | None] = [None]
+    if len(steps) > 1:
+        root = _group_root(
+            _proposal_payload(keypair.address, contract, method, args, nonce, timestamp)
+            for keypair, contract, method, args, nonce in steps
+        )
+        tags = [(root, position, len(steps)) for position in range(len(steps))]
     return tuple(
-        Transaction.create(keypair, contract, method, args, nonce, timestamp,
-                           group=(root, position, len(steps)))
-        for position, (keypair, contract, method, args, nonce) in enumerate(steps)
+        Transaction.create(keypair, contract, method, args, nonce, timestamp, group=tag)
+        for tag, (keypair, contract, method, args, nonce) in zip(tags, steps)
     )
 
 
 def group_run(txs: Sequence[Transaction], start: int) -> tuple[Transaction, ...] | None:
-    """The complete group whose first member sits at ``txs[start]``: all
-    of its members, consecutive, in order, hashing to the root they
-    signed.  ``None`` when ``txs[start]`` does not begin such a run — a
-    tag is whatever its sender chose to sign, so its shape is checked."""
+    """The unit that begins at ``txs[start]``: an untagged transaction on
+    its own, or a complete group — all of its members, consecutive, in
+    order, hashing to the root they signed.  ``None`` when a tagged
+    ``txs[start]`` does not begin such a run — a tag is whatever its
+    sender chose to sign, so its shape is checked."""
     tag = txs[start].group
+    if tag is None:
+        return (txs[start],)
     if not (isinstance(tag, tuple) and len(tag) == 3 and isinstance(tag[2], int) and tag[2] > 1):
         return None
     root, _, size = tag
@@ -304,23 +310,11 @@ def group_run(txs: Sequence[Transaction], start: int) -> tuple[Transaction, ...]
     return members if _group_root(untagged) == root else None
 
 
-def group_digest(digests: Iterable[str]) -> str:
-    """What a group's endorsement signs: its members' rw-set digests, in order."""
-    return hash_json(list(digests))
-
-
-def with_group_execution(
-    txs: Sequence[Transaction], results: Sequence[Any], endorsements: tuple[Endorsement, ...]
-) -> tuple[Transaction, ...]:
-    """Attach each member's simulated execution (an ``ExecutionResult``);
-    the first member carries the group's endorsements, the rest none."""
-    return tuple(
-        tx.with_execution(
-            result.read_set, result.write_set, result.events, result.return_value,
-            endorsements if position == 0 else (),
-        )
-        for position, (tx, result) in enumerate(zip(txs, results))
-    )
+def group_digest(digests: Sequence[str]) -> str:
+    """What a unit's endorsement signs beside :attr:`Transaction.endorsed_id`:
+    its members' rw-set digests, in order — for a unit of one, the
+    member's own digest as it stands."""
+    return digests[0] if len(digests) == 1 else hash_json(list(digests))
 
 
 def signature_items(txs: "list[Transaction] | tuple[Transaction, ...]") -> list[tuple[bytes, bytes, bytes]]:

@@ -329,7 +329,7 @@ def _run_report_demo(
         )
         net.run_for(0.1)
     # Two registrations as one group, so the unit's counters show up too.
-    net.submit_group(net.endorse_group([
+    net.submit(*net.endorse_group([
         (net.client(), "identity", "register",
          {"display_name": f"demo-pair-{k}", "role": "consumer"})
         for k in range(2)

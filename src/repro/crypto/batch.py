@@ -2,8 +2,8 @@
 
 The chain layer never calls :func:`repro.crypto.ed25519.verify_batch`
 directly.  It goes through :func:`verify_many`, which also records
-``phase.verify_batch`` wall-time histograms plus batch-size and
-fallback-bisection counters into an optional
+``phase.verify_batch`` wall-time histograms plus batch-size counters
+into an optional
 :class:`~repro.obs.registry.MetricsRegistry` (duck-typed — crypto stays
 import-free of :mod:`repro.obs`).
 
@@ -12,9 +12,9 @@ digest-keyed cache as single :func:`~repro.crypto.ed25519.verify`, the
 dominant call-site pattern is *prewarming*: a block validator hands the
 whole block's signature items to :func:`verify_many` once, then runs its
 per-transaction validation logic, whose individual ``verify`` calls all
-hit the cache.  Verdicts are byte-for-byte those of
-:func:`~repro.crypto.ed25519.verify` per item (the reference the tests
-compare against); only the schedule differs.
+hit the cache.  Verdicts are those of
+:func:`~repro.crypto.ed25519.verify` per item, because that is what a
+batch is.
 """
 
 from __future__ import annotations
@@ -41,21 +41,16 @@ def verify_many(
     :func:`repro.crypto.ed25519.verify` over them.  When *registry* is
     given, observes wall time into ``phase.verify_batch`` and the batch
     size into ``crypto.batch_size`` (with any caller labels) and bumps
-    the ``crypto.batch_calls`` / ``crypto.batch_items`` /
-    ``crypto.batch_bisections`` counters.
+    the ``crypto.batch_calls`` / ``crypto.batch_items`` counters.
     """
     jobs = list(items)
     if not jobs:
         return []
     start = time.perf_counter()
-    bisections_before = ed25519.batch_stats()["bisections"]
     results = ed25519.verify_batch(jobs)
     if registry is not None:
         registry.counter("crypto.batch_calls", **labels).inc()
         registry.counter("crypto.batch_items", **labels).inc(len(jobs))
-        registry.counter("crypto.batch_bisections", **labels).inc(
-            ed25519.batch_stats()["bisections"] - bisections_before
-        )
         registry.histogram("phase.verify_batch", **labels).observe(
             time.perf_counter() - start
         )

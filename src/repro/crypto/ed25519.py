@@ -24,11 +24,10 @@ both are built around what is already known at call time:
   verification, so a key gets them at its second lookup and its first
   runs a plain 253-doubling wNAF ladder over the odd multiples of
   ``-A`` alone;
-- :func:`verify_batch` shares that long ladder between the signatures of
-  keys it has never seen, by random linear combination with bisection
-  on failure, and checks every other signature on its own: with a
-  32-doubling ladder per signature there is less to share than
-  decompressing every ``R``, which a combination needs, costs.
+- :func:`verify_batch` is :func:`verify` item by item: with a
+  32-doubling ladder per signature there is less for a combined check to
+  share than decompressing every ``R``, which it needs, costs — and a
+  signature keeps one verdict.
 
 Comparing encodings gives the verdict that decompressing ``R`` and
 comparing points gave: :func:`_point_compress` only ever produces the
@@ -429,8 +428,8 @@ def _cache_store(key: bytes, result: bool) -> None:
 # The tables of pieces 1.. cost 224 doublings, more than a whole
 # verification, so a key gets them the second time it is looked up.  The
 # first time it gets the table of piece 0 — the odd multiples of -A
-# itself, which a plain 253-doubling wNAF ladder and the combined check
-# of a batch both walk — and a key seen once never pays for more.  A
+# itself, which a plain 253-doubling wNAF ladder walks — and a key seen
+# once never pays for more.  A
 # bounded FIFO cache holds a key's tables, so repeat signers also skip
 # decompressing A.
 #
@@ -599,158 +598,37 @@ def _verify_reference(public_key: bytes, message: bytes, signature: bytes) -> bo
 
 # -- batch verification ------------------------------------------------------
 #
-# Bernstein-style random-linear-combination batching: instead of n
-# separate ``s_i*G - h_i*A_i - R_i == 0`` checks, verify
-#
-#     sum_i z_i * (s_i*G - h_i*A_i - R_i) == identity
-#
-# on one ladder, so its 253 doublings are paid once.  Against that, every
-# R has to be decompressed (a field exponentiation, the price of ~45
-# additions) and given a table, which :func:`_check` never does.  Whether
-# that wins depends on what the keys have cached; measured per signature,
-# one by one / combined:
-#
-# - keys with all their tables (32-doubling ladder each): 2 signatures
-#   504 / 740 us, 8: 456 / 534, 32: 423 / 465, 128: 432 / 455 — combined
-#   never wins, so those signatures are checked one by one;
-# - keys never seen before (253-doubling ladder each, see the table
-#   cache above): 2 signatures 1272 / 1145 us, 3: 1318 / 995, 4: 1291 /
-#   912, 8: 1278 / 760, 32: 1311 / 692, 64: 1340 / 657 — combined wins
-#   from _RLC_MIN = 2 on, so :func:`verify_batch` combines the
-#   signatures of unseen keys when there are that many, and bisection
-#   stops combining below it.
-#
-# Correctness notes, because the details are sharp:
-#
-# - The coefficients ``z_i`` are derived deterministically (sha512 over
-#   the whole set's digest keys — no ``random``, so replays are
-#   reproducible) and forced to be ODD 128-bit values.  Odd z is
-#   invertible mod 8, so a single signature whose defect is a
-#   small-order (torsion) point can never be masked: ``z*T`` has the
-#   same order as ``T``.
-# - The scalar on G may be reduced mod L (G generates the prime-order
-#   subgroup), but scalars on arbitrary points A_i / R_i may only be
-#   reduced mod 8L (the full group exponent): adversarial keys and R
-#   values need not lie in the prime-order subgroup, and reducing mod L
-#   would silently change the check for them.  For the same reason the
-#   combination subtracts by negating the *points* (tables hold odd
-#   multiples of -A and -R), never by negating scalars mod L.
-# - If the combined check fails, divide-and-conquer bisection re-checks
-#   each half, down to :func:`_check` per signature.  No false rejects
-#   are possible, since valid signatures contribute exactly the
-#   identity.  A false *accept* needs either a ~2^-128 scalar collision
-#   or several adversarial signatures in one set whose torsion defects
-#   cancel each other (two shifted by the point of order 2 always do) —
-#   the known price of combining cofactorless checks, and one more
-#   reason to combine only where it pays.
-
-_RLC_MIN = 2
-_8L = 8 * _L
-_IDENTITY_BYTES = _encode(0, 1)
+# A batch is its signatures one by one, because a signature has one
+# verdict: the one :func:`verify` gives it.  A random-linear-combination
+# check would share a ladder between signatures, but it is a different
+# predicate — it accepts signatures crafted together so that their
+# small-order defects cancel (two made with ``R`` shifted by the point of
+# order 2 always do), each of which :func:`verify` rejects — and where a
+# client picks its own keys, that is a verdict honest peers can disagree on.
 
 _batch_calls = 0
 _batch_items = 0
-_batch_bisections = 0
 
 
 def batch_stats() -> dict[str, int]:
-    """Counters for the obs registry: batch calls, total items, and how
-    many times a combined check failed and had to bisect."""
-    return {
-        "calls": _batch_calls,
-        "items": _batch_items,
-        "bisections": _batch_bisections,
-    }
+    """Counters for the obs registry: batch calls and total items."""
+    return {"calls": _batch_calls, "items": _batch_items}
 
 
 def batch_stats_clear() -> None:
     """Reset the batch-verification counters."""
-    global _batch_calls, _batch_items, _batch_bisections
-    _batch_calls = _batch_items = _batch_bisections = 0
-
-
-# One well-formed signature of a set that may be combined: its
-# verify-cache digest key, the scalars s and h, the key's tables, -R as
-# a point and R's bytes.
-_BatchEntry = tuple[bytes, int, int, list[_Table], _Point, bytes]
-
-
-def _combined_check(entries: list[_BatchEntry]) -> bool:
-    seed = _sha512(b"repro.ed25519.batch-v1" + b"".join(e[0] for e in entries))
-    schedule: _Schedule = [[] for _ in range(_8L.bit_length() + 1)]
-    g_scalar = 0
-    r_tables = _odd_multiple_tables([e[4] for e in entries])
-    for i, ((key, s, h, tables, _, _), r_table) in enumerate(zip(entries, r_tables)):
-        z = int.from_bytes(_sha512(seed + i.to_bytes(4, "little") + key), "little")
-        z = (z & ((1 << 128) - 1)) | 1
-        g_scalar += z * s
-        _wnaf_into(schedule, z * h % _8L, tables[0])
-        _wnaf_into(schedule, z, r_table)
-    schedule[0].extend(_base_points(g_scalar % _L))
-    return _ladder(schedule) == _IDENTITY_BYTES
-
-
-def _batch_verify_exact(entries: list[_BatchEntry]) -> list[bool]:
-    global _batch_bisections
-    if len(entries) < _RLC_MIN:
-        return [_check(s, h, tables, r_bytes) for _, s, h, tables, _, r_bytes in entries]
-    if _combined_check(entries):
-        return [True] * len(entries)
-    _batch_bisections += 1
-    mid = len(entries) // 2
-    return _batch_verify_exact(entries[:mid]) + _batch_verify_exact(entries[mid:])
-
-
-def _verify_combined(items: list[tuple[bytes, bytes, bytes, bytes]]) -> list[bool]:
-    """Verdicts of uncached ``(public_key, message, signature, digest
-    key)`` items, by combined checks; counts and stores them in the
-    verify cache as :func:`verify` would."""
-    global _cache_misses
-    _cache_misses += len(items)
-    verdicts = [False] * len(items)
-    positions: list[int] = []
-    entries: list[_BatchEntry] = []
-    for pos, (public_key, message, signature, key) in enumerate(items):
-        tables = _point_cache_get(public_key)
-        parsed = _parse(public_key, message, signature)
-        if tables is None or parsed is None:
-            continue
-        try:
-            neg_r = _point_neg(_point_decompress(signature[:32]))
-        except CryptoError:
-            continue
-        positions.append(pos)
-        entries.append((key, *parsed, tables, neg_r, signature[:32]))
-    for pos, verdict in zip(positions, _batch_verify_exact(entries)):
-        verdicts[pos] = verdict
-    for (_, _, _, key), verdict in zip(items, verdicts):
-        _cache_store(key, verdict)
-    return verdicts
+    global _batch_calls, _batch_items
+    _batch_calls = _batch_items = 0
 
 
 def verify_batch(items: list[tuple[bytes, bytes, bytes]]) -> list[bool]:
     """Verify many ``(public_key, message, signature)`` triples.
 
-    Returns one bool per item, in order: the verdict :func:`verify`
-    gives it (but for signatures crafted together to cancel in a
-    combined check, see above), through the same bounded digest-keyed
-    cache, so a batch-verified block's signatures are cache hits for
-    every later per-transaction check.  The uncached signatures of keys
-    the point cache has never seen are checked together when there are
-    ``_RLC_MIN`` of them; every other item is a call of :func:`verify`.
+    Returns one bool per item, in order: :func:`verify` of each, through
+    the same bounded digest-keyed cache, so a batch-verified block's
+    signatures are cache hits for every later per-transaction check.
     """
     global _batch_calls, _batch_items
     _batch_calls += 1
     _batch_items += len(items)
-    unseen: dict[int, tuple[bytes, bytes, bytes, bytes]] = {}
-    for pos, (public_key, message, signature) in enumerate(items):
-        if (public_key not in _POINT_CACHE
-                and len(public_key) == 32 and len(signature) == SIG_BYTES):
-            key = _sha512(public_key + message + signature)
-            if key not in _VERIFY_CACHE:
-                unseen[pos] = (public_key, message, signature, key)
-    combined: dict[int, bool] = {}
-    if len(unseen) >= _RLC_MIN:
-        combined = dict(zip(unseen, _verify_combined(list(unseen.values()))))
-    return [combined[pos] if pos in combined else verify(*item)
-            for pos, item in enumerate(items)]
+    return [verify(*item) for item in items]

@@ -58,7 +58,6 @@ def test_batch_mode_populates_phase_and_counters():
     assert merged.count > 0
     assert network.obs.total("crypto.batch_calls") > 0
     assert network.obs.total("crypto.batch_items") >= network.obs.total("crypto.batch_calls")
-    assert network.obs.total("crypto.batch_bisections") == 0  # honest run
 
 
 def test_verify_many_modes_agree_and_label():

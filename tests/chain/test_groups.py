@@ -74,15 +74,20 @@ def _counter_group(network, client, size: int = 2):
     return network.endorse_group([(client, "counter", "increment", {"amount": 1})] * size)
 
 
+def _unit_key(txs) -> str:
+    """What names a unit on the ledger: its root, or for a unit of one its id."""
+    return txs[0].endorsed_id
+
+
 def _group_verdicts(ledger) -> dict[str, list[tuple[int, int, int, bool, str | None]]]:
-    """root -> [(height, tx index, tag position, valid, error)] in chain order."""
+    """unit key -> [(height, tx index, position in the unit, valid, error)] in
+    chain order (an untagged transaction is position 0 of a unit of one)."""
     out: dict[str, list] = {}
     for committed in ledger.transactions(valid_only=False):
-        tag = committed.transaction.group
-        if tag is not None:
-            error = ledger.receipt_at(committed.block_height, committed.tx_index).error
-            out.setdefault(tag[0], []).append(
-                (committed.block_height, committed.tx_index, tag[1], committed.valid, error))
+        tag = committed.transaction.group or (committed.transaction.tx_id, 0, 1)
+        error = ledger.receipt_at(committed.block_height, committed.tx_index).error
+        out.setdefault(tag[0], []).append(
+            (committed.block_height, committed.tx_index, tag[1], committed.valid, error))
     return out
 
 
@@ -141,7 +146,7 @@ def test_a_policy_requiring_two_endorsers_gets_two_signatures_over_the_group():
         (client, "counter", "increment", {"amount": 1}),         # needs 2
     ])
     assert len(txs[0].endorsements) == 2 and txs[1].endorsements == ()
-    network.submit_group(txs)
+    network.submit(*txs)
     assert all(network.wait_for_receipt(tx.tx_id).success for tx in txs)
     network.run_for(1.0)  # every endorser applies the block before the next proposal
     # One signature short of the stricter member's policy: the whole group fails.
@@ -150,7 +155,7 @@ def test_a_policy_requiring_two_endorsers_gets_two_signatures_over_the_group():
         (client, "counter", "increment", {"amount": 1}),
     ])
     short = (dataclasses.replace(short[0], endorsements=short[0].endorsements[:1]), short[1])
-    network.submit_group(short)
+    network.submit(*short)
     receipts = [network.wait_for_receipt(tx.tx_id) for tx in short]
     assert [r.success for r in receipts] == [False, False]
     assert all("member 1" in r.error and "policy requires 2" in r.error for r in receipts)
@@ -212,7 +217,7 @@ def test_interleaved_gossip_never_splits_a_group():
     for wave in range(4):
         for lane, client in enumerate(clients):
             txs = _kv_group(network, client, f"w{wave}-l{lane}", size=2 + lane)
-            network.submit_group(txs)
+            network.submit(*txs)
             groups.append(txs)
             network.submit(network.endorse_transaction(
                 client, "kv", "put", {"key": f"single-{wave}-{lane}", "value": "v"}))
@@ -241,7 +246,7 @@ def test_a_group_waits_for_a_block_with_room_and_an_oversized_one_is_refused():
     follower = _kv_group(network, client, "h", size=2)
     for tx in singles:
         assert primary.submit(tx)
-    assert primary.submit_group(group) and primary.submit_group(follower)
+    assert primary.submit(*group) and primary.submit(*follower)
     network.run_for(6.0)
     heights = {tx.tx_id: primary.ledger.get_transaction(tx.tx_id).block_height
                for tx in [*singles, *group, *follower]}
@@ -253,10 +258,10 @@ def test_a_group_waits_for_a_block_with_room_and_an_oversized_one_is_refused():
     assert network.obs.total("mempool.group_deferrals") == 2
 
     too_big = _kv_group(network, client, "big", size=6)
-    assert primary.submit_group(too_big) is Admission.OVERSIZED
+    assert primary.submit(*too_big) is Admission.OVERSIZED
     assert not Admission.OVERSIZED and not Admission.OVERSIZED.accepted
     with pytest.raises(ChainError, match="oversized"):
-        network.submit_group(too_big)
+        network.submit(*too_big)
     assert all(tx.tx_id not in peer.mempool for peer in network.peers for tx in too_big)
     network.stop()
 
@@ -266,15 +271,15 @@ def test_a_tagged_transaction_is_admitted_only_as_its_whole_group():
     peer = network.peers[1]
     group = _kv_group(network, network.client(), "g", size=3)
     assert peer.submit(group[1]) is Admission.INVALID                    # a member alone
-    assert peer.submit_group(group[:2]) is Admission.INVALID             # one dropped
-    assert peer.submit_group((group[1], group[0], group[2])) is Admission.INVALID
+    assert peer.submit(*group[:2]) is Admission.INVALID             # one dropped
+    assert peer.submit(group[1], group[0], group[2]) is Admission.INVALID
     retagged = dataclasses.replace(group[2], group=(group[2].group[0], 1, 3))
-    assert peer.submit_group((group[0], group[1], retagged)) is Admission.INVALID
+    assert peer.submit(group[0], group[1], retagged) is Admission.INVALID
     assert len(peer.mempool) == 0
-    assert peer.submit_group(group) is Admission.ADMITTED
-    assert peer.submit_group(group) is Admission.DUPLICATE
+    assert peer.submit(*group) is Admission.ADMITTED
+    assert peer.submit(*group) is Admission.DUPLICATE
     network.run_for(3.0)
-    assert peer.submit_group(group) is Admission.COMMITTED
+    assert peer.submit(*group) is Admission.COMMITTED
     network.stop()
 
 
@@ -284,14 +289,14 @@ def test_a_deposed_primary_requeues_the_group_whole():
     client = network.client()
     primary = network.peers[0]
     # One entry every replica holds, so all of them notice the stall.
-    network.submit_group(_kv_group(network, client, "everywhere", size=2))
+    network.submit(*_kv_group(network, client, "everywhere", size=2))
     network.run_for(0.3)
     # 2|2 split: the primary proposes, nothing reaches a quorum, it is
     # deposed; its half of the network is all that hears of the groups.
     network.net.partition({"peer-0", "peer-1"})
     groups = [_kv_group(network, client, f"g{i}", size=3) for i in range(2)]
     for txs in groups:
-        assert primary.submit_group(txs)
+        assert primary.submit(*txs)
         for tx in txs:
             auditor.track_tx(tx.tx_id)
     network.run_for(8.0)
@@ -332,7 +337,7 @@ def test_torn_tail_sync_and_image_restart_replay_the_same_verdicts(storage):
         # MVCC as a whole.
         pair = [_counter_group(network, client, size=2 + round_index % 2) for _ in range(2)]
         for txs in pair:
-            network.submit_group(txs)
+            network.submit(*txs)
             groups.append(txs)
         network.run_for(1.0)
     network.run_for(20.0)
@@ -444,7 +449,7 @@ def test_an_equivocating_primary_decides_the_group_all_or_nothing():
     client = network.client()
     groups = [_kv_group(network, client, f"g{i}", size=3) for i in range(2)]
     for txs in groups:
-        assert network.peers[0].submit_group(txs)
+        assert network.peers[0].submit(*txs)
     network.run_for(30.0)
     network.stop()
     honest = network.peers[1:]
@@ -459,9 +464,11 @@ def test_an_equivocating_primary_decides_the_group_all_or_nothing():
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_verdicts_are_all_or_nothing_per_group_and_equal_across_peers(data):
-    """Random interleavings of group endorsements, a conflicting writer's
-    endorsements and blocks — ordered honestly (entries shuffled, groups
-    whole) or by a primary that permutes transactions at will."""
+    """Random interleavings of unit endorsements (one to four steps: a
+    unit of one is an untagged transaction and takes the same path), a
+    conflicting writer's endorsements and blocks — ordered honestly
+    (entries shuffled, groups whole) or by a primary that permutes
+    transactions at will."""
     network = _network(consensus="poa")
     auditor = InvariantAuditor(network)
     client, writer = network.client(), network.client()
@@ -469,7 +476,8 @@ def test_verdicts_are_all_or_nothing_per_group_and_equal_across_peers(data):
     groups: list[tuple[Transaction, ...]] = []
     for step in data.draw(st.lists(st.sampled_from("GGWC"), min_size=3, max_size=10)) + ["C"]:
         if step == "G":
-            txs = _counter_group(network, client, size=data.draw(st.integers(2, 4)))
+            txs = _counter_group(network, client, size=data.draw(st.integers(1, 4)))
+            assert (txs[0].group is None) == (len(txs) == 1)
             pending.append(txs)
             groups.append(txs)
         elif step == "W":  # the conflicting writer: one increment on its own
@@ -488,11 +496,13 @@ def test_verdicts_are_all_or_nothing_per_group_and_equal_across_peers(data):
     reference = _group_verdicts(network.peers[0].ledger)
     assert all(_group_verdicts(peer.ledger) == reference for peer in network.peers)
     for txs in groups:
-        members = reference[txs[0].group[0]]
+        members = reference[_unit_key(txs)]
         assert len(members) == len(txs)
         assert len({m[3] for m in members}) == 1, members
         if members[0][3]:
-            _assert_whole(reference, txs[0].group[0], len(txs))
+            _assert_whole(reference, _unit_key(txs), len(txs))
+        elif len(txs) == 1:  # a unit of one fails with the bare message
+            assert not members[0][4].startswith("group ")
     assert len({peer.state.state_digest() for peer in network.peers}) == 1
     auditor.check_groups()
     assert auditor.violations == []

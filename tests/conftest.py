@@ -14,6 +14,8 @@ import pytest
 
 from repro.chain import Contract, LocalChain, contract_method
 from repro.corpus import CorpusGenerator
+from repro.crypto import KeyPair
+from repro.crypto import ed25519
 from repro.core import TrustingNewsPlatform
 from repro.ml import FakeNewsScorer
 
@@ -57,6 +59,23 @@ class CounterContract(Contract):
     def burn_gas(self, ctx, keys: int = 100000):
         for index in range(keys):
             ctx.put(f"k{index}", "x" * 100)
+
+
+class OrderTwoKeyPair(KeyPair):
+    """A signer that shifts ``R`` by the point of order 2: ``R' = r*G +
+    (0, -1)``, ``s = r + H(R' | A | m) * a``.  Each such signature fails
+    ``s*G == R' + h*A`` by exactly that point, so ``verify`` rejects it; two
+    of them cancel in a random-linear-combination check with odd
+    coefficients, which is why a batch is ``verify`` item by item."""
+
+    def sign(self, message: bytes) -> bytes:
+        a, prefix, public = ed25519._secret_expand(self.seed)
+        r = int.from_bytes(ed25519._sha512(prefix + message), "little") % ed25519._L
+        shifted = ed25519._point_add(
+            ed25519._point_mul(r, ed25519._G), (0, ed25519._P - 1, 1, 0))
+        r_bytes = ed25519._point_compress(shifted)
+        h = int.from_bytes(ed25519._sha512(r_bytes + public + message), "little") % ed25519._L
+        return r_bytes + int.to_bytes((r + h * a) % ed25519._L, 32, "little")
 
 
 @pytest.fixture

@@ -319,13 +319,13 @@ def test_commit_time_abort_takes_every_member_with_it(newsroom, monkeypatch):
     # The hop between endorsement and ordering: LocalChain commits what it
     # endorsed at once, a network hands the endorsed group to a peer.
     owner, hop = (chain, "_commit") if isinstance(chain, LocalChain) else (
-        chain.network, "submit_group")
+        chain.network, "submit")
     after_endorsement = getattr(owner, hop)
 
-    def conflict_first(txs):
+    def conflict_first(*txs):
         for conflict in conflicts:
             conflict()
-        return after_endorsement(txs)
+        return after_endorsement(*txs)
 
     monkeypatch.setattr(owner, hop, conflict_first)
     before = _visible(platform, "a1")

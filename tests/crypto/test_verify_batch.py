@@ -7,14 +7,13 @@ table, no cache), kept in the module precisely so these tests and the
 micro-benchmark have something that shares no precomputation with the
 code under test.
 
-Covered: mixed valid/invalid batches, forged-signature bisection,
-malformed encodings, small-order public keys, non-canonical scalars,
-torsion-defective signatures (the case where reducing scalars mod L
-instead of 8L would produce a wrong verdict), determinism, and the
+Covered: mixed valid/invalid batches, a forged member, malformed
+encodings, small-order public keys, non-canonical scalars,
+torsion-defective signatures — alone, and the pair crafted to cancel in a
+combined check, which is why there is none — determinism, and the
 interplay with the digest-keyed verify cache and the bounded per-key
 table cache.  The point cache starts empty in every test, so a batch of
-the pool's keys is a batch of unseen keys and goes through the combined
-check.
+the pool's keys is a batch of keys never seen before.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import ed25519 as e
+from tests.conftest import OrderTwoKeyPair
 
 
 @pytest.fixture(autouse=True)
@@ -63,9 +63,9 @@ def test_empty_batch():
     assert e.verify_batch([]) == []
 
 
-def test_all_valid_no_bisection():
+def test_all_valid_counts_one_call_and_its_items():
     assert _run_batch(_POOL) == [True] * len(_POOL)
-    assert e.batch_stats() == {"calls": 1, "items": len(_POOL), "bisections": 0}
+    assert e.batch_stats() == {"calls": 1, "items": len(_POOL)}
 
 
 def test_single_item_matches_verify():
@@ -75,15 +75,19 @@ def test_single_item_matches_verify():
     assert _run_batch([forged]) == [False]
 
 
-def test_forged_signature_bisected_out():
+def _pool_with_one_forged():
     items = list(_POOL)
     bad = bytearray(items[3][2])
     bad[40] ^= 0xFF
     items[3] = (items[3][0], items[3][1], bytes(bad))
+    return items
+
+
+def test_forged_signature_is_the_one_false_verdict():
+    items = _pool_with_one_forged()
     verdicts = _run_batch(items)
     assert verdicts == _oracle(items)
     assert verdicts.count(False) == 1 and not verdicts[3]
-    assert e.batch_stats()["bisections"] > 0
 
 
 def test_mixed_malformed_and_invalid():
@@ -119,9 +123,7 @@ def _small_order_point():
 
 def test_torsion_defective_signature_rejected():
     """R' = R + T with T small-order: the cofactorless check fails, and
-    the batch must agree.  This is the case that breaks if combined
-    scalars on R/A are reduced mod L instead of mod 8L, or if the
-    random coefficients were even."""
+    the batch must agree."""
     torsion = _small_order_point()
     pk, msg, sig = _POOL[5]
     r_shifted = e._point_compress(e._point_add(e._point_decompress(sig[:32]), torsion))
@@ -131,6 +133,24 @@ def test_torsion_defective_signature_rejected():
     assert _run_batch(items) == [True, False, True]
     # And alone, so the defect cannot hide behind batch-mates:
     assert _run_batch([forged]) == [False]
+
+
+@pytest.mark.parametrize("seen", [False, True], ids=["cold", "seen"])
+def test_two_signatures_crafted_to_cancel_get_the_verdict_of_verify(seen):
+    """Two signatures made together, each off by the point of order 2:
+    whatever the caches hold, the batch says what ``verify`` and the
+    reference say of each — a combined check said ``[True, True]`` of
+    them on keys it had never seen."""
+    signers = [OrderTwoKeyPair.generate(random.Random(tag)) for tag in ("f1", "f2")]
+    items = [(signer.public_key, b"m%d" % i, signer.sign(b"m%d" % i))
+             for i, signer in enumerate(signers)]
+    assert _oracle(items) == [False, False]
+    if seen:
+        assert [e.verify(*item) for item in items] == [False, False]
+    assert _run_batch(items) == [False, False]
+    assert _run_batch([_POOL[0], items[0], _POOL[1], items[1]]) == [True, False, True, False]
+    e.verify_cache_clear()
+    assert [e.verify(*item) for item in items] == [False, False]
 
 
 def test_small_order_public_key_agrees():
@@ -207,17 +227,11 @@ def test_key_gets_split_tables_at_second_lookup():
         assert len(e._POINT_CACHE[pk]) == tables
 
 
-def test_only_unseen_keys_are_combined():
-    items = list(_POOL)
-    bad = bytearray(items[3][2])
-    bad[40] ^= 0xFF
-    items[3] = (items[3][0], items[3][1], bytes(bad))
-    assert _run_batch(items) == _oracle(items)
-    assert e.batch_stats()["bisections"] > 0
+def test_unseen_then_seen_keys_equal_verify_item_by_item():
+    items = _pool_with_one_forged()
+    assert _run_batch(items) == _oracle(items)     # every key's first lookup
     assert all(len(e._POINT_CACHE[pk]) == 1 for pk, _, _ in items)
-    e.batch_stats_clear()
-    assert _run_batch(items) == _oracle(items)     # every key seen: verify per item
-    assert e.batch_stats()["bisections"] == 0
+    assert _run_batch(items) == _oracle(items)     # every key seen
     assert all(len(e._POINT_CACHE[pk]) == e._SPLIT_PIECES for pk, _, _ in items)
     assert e.point_cache_stats()["misses"] == e.point_cache_stats()["hits"] == len(items)
 

@@ -123,7 +123,7 @@ def test_report_shows_the_group_counters(tmp_path, capsys):
     assert primary.submit(single)
     assert primary.submit(net.endorse_transaction(client, "counter", "read", {}))
     for txs in groups:
-        assert primary.submit_group(txs)
+        assert primary.submit(*txs)
     net.run_for(5.0)
     net.stop()
     assert net.obs.total("chain.groups_aborted") == 4
