@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-baseline test chaos bench bench-smoke bench-record recovery obs-demo sloc sloc-diff
+.PHONY: lint lint-baseline test chaos bench bench-smoke bench-record bench-ab recovery obs-demo sloc sloc-diff
 
 # Byte-compile (catches syntax errors), then the repo's own AST linter:
 # determinism / sim-time / aliasing / pyflakes-subset / metric-hygiene
@@ -65,6 +65,18 @@ bench-smoke:
 # writes the record to BENCH_<n>.json at the repo root (~6 min).
 bench-record:
 	$(PYTHON) tools/bench_record.py $(PR)
+
+# The pairs behind a claim: `make bench-ab PARENT=<ref> W=<workload> PAIRS=<n>`
+# runs that workload untraced, alternately in a `git archive` of PARENT
+# (unpacked under $TMPDIR) and in this tree, prints every pair, then each
+# side's median and quartiles and the pairs the change won, per end-to-end
+# metric.  SEED=<s> picks the seed (default 0); PR=<n> also writes the
+# result under the `ab` key of BENCH_<n>.json (about 12 s a pair).
+PAIRS ?= 10
+SEED ?= 0
+bench-ab:
+	$(PYTHON) tools/bench_ab.py --parent $(PARENT) --workload $(W) --pairs $(PAIRS) \
+		--seed $(SEED) $(if $(PR),--pr $(PR))
 
 # Crash-recovery: deep catch-up tests, the storage-engine suites
 # (parametrized over the durable and sqlite backends, including the

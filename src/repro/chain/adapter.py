@@ -73,8 +73,7 @@ class NetworkedChain:
     @property
     def ledger(self) -> Ledger:
         """The freshest live peer's ledger (they agree on the prefix)."""
-        live = [p for p in self.network.peers if not p.crashed]
-        return max(live, key=lambda p: p.ledger.height).ledger
+        return self.network.freshest_peer().ledger
 
     # -- transaction path -------------------------------------------------------------
 

@@ -19,6 +19,7 @@ it.  The by-sender / by-contract / by-method views live in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -307,15 +308,20 @@ class Ledger:
         (the same vector :meth:`append` recorded for it)."""
         return list(self._entry(height)[1])
 
-    def events(self, contract: str | None = None, kind: str | None = None) -> Iterator[dict[str, Any]]:
+    def events(
+        self, contract: str | None = None, kind: str | None = None, above: int = 0
+    ) -> Iterator[dict[str, Any]]:
         """All events emitted by valid transactions, in chain order,
-        optionally filtered.
+        optionally filtered, from the blocks at heights ``> above``.
 
         Each yielded event dict is a copy augmented with ``_tx_id``,
         ``_sender`` and ``_height`` so consumers can attribute it.  The
         read first extends the position lists over the blocks appended
         since the previous read (O(new blocks)), then resolves the
         positions of the asked kind — O(matching events), not O(chain).
+        *above* is where a reader that has consumed the chain through
+        that height resumes: the position lists are sorted, so the
+        resume point is a bisection and what lies below costs nothing.
         """
         for height in range(self._events_through + 1, self.height + 1):
             block, verdicts, _ = self._entry(height)
@@ -328,7 +334,7 @@ class Ledger:
                     self._event_positions_by_kind.setdefault(event.get("kind"), []).append(position)
             self._events_through = height
         positions = self._event_positions if kind is None else self._event_positions_by_kind.get(kind, ())
-        for height, index, event_index in positions:
+        for height, index, event_index in positions[bisect_left(positions, (above + 1,)):]:
             tx = self._entry(height)[0].transactions[index]
             if contract is None or tx.contract == contract:
                 enriched = dict(tx.events[event_index])

@@ -233,12 +233,11 @@ class BlockchainNetwork:
         self.net.add_node(peer)
         self.peers.append(peer)
         peer.engine.register_validator_keys(self._validator_keys)
-        # State transfer: replay the committed chain from the freshest peer.
-        live = [p for p in self.peers if not p.crashed and p is not peer]
-        if live:
-            source = max(live, key=lambda p: p.ledger.height)
-            for height in range(1, source.ledger.height + 1):
-                peer.commit_block(source.ledger.block(height))
+        # State transfer: replay the committed chain from the freshest peer
+        # (the newcomer itself, at height 0, when nobody else is up).
+        source = self.freshest_peer()
+        for height in range(1, source.ledger.height + 1):
+            peer.commit_block(source.ledger.block(height))
         peer.engine.start()
         peer.sync.start()
         for auditor in self.auditors:
@@ -326,14 +325,22 @@ class BlockchainNetwork:
         """Execute read-only against the freshest live peer, discard writes."""
         return self.read(contract, method, args, caller=client.address)
 
+    def freshest_peer(self) -> Peer:
+        """The live peer a read goes to: the one with the longest chain
+        (the first of them in peer order)."""
+        best, best_height = None, -1
+        for peer in self.peers:
+            if not peer.crashed and peer.ledger.height > best_height:
+                best, best_height = peer, peer.ledger.height
+        if best is None:
+            raise ChainError("no live peer to read from")
+        return best
+
     def read(self, contract: str, method: str, args: dict[str, Any], caller: str) -> Any:
         """The one query body (:meth:`query` and :meth:`NetworkedChain.query
         <repro.chain.adapter.NetworkedChain.query>` are its two call
         shapes): run *method* as *caller* on the freshest live peer."""
-        live = [p for p in self.peers if not p.crashed]
-        if not live:
-            raise ChainError("no live peer to query")
-        peer = max(live, key=lambda p: p.ledger.height)
+        peer = self.freshest_peer()
         result = peer.registry.execute(
             peer.state, contract, method, args, caller=caller,
             timestamp=self.sim.now, tx_id="query",

@@ -30,9 +30,21 @@ _SCALARS = (str, int, float, bool, type(None))
 
 
 def _isolate(value: Any) -> Any:
-    """Deep-copy *value* unless it is an immutable JSON scalar."""
+    """A copy of *value* that shares nothing mutable with it.
+
+    World-state values are JSON by construction (they go through the WAL
+    codec), so the copy is structural: scalars as they are, exact
+    ``dict`` and ``list`` rebuilt by recursion (keys are hashable and
+    stay shared).  Any other type — a tuple, a set, a dict subclass —
+    takes ``copy.deepcopy``, as every value used to.
+    """
     if isinstance(value, _SCALARS):
         return value
+    kind = type(value)
+    if kind is dict:
+        return {key: _isolate(item) for key, item in value.items()}
+    if kind is list:
+        return [_isolate(item) for item in value]
     return copy.deepcopy(value)
 
 

@@ -14,7 +14,9 @@ The facade that wires every component together over one blockchain:
 
 Examples and experiments program against this class; everything it does
 lands on the chain, so *all* platform analytics are reconstructions
-from the ledger rather than trusted in-memory state.
+from the ledger rather than trusted in-memory state: reads are answered
+from a :class:`LedgerView`, the fold of the ledger's events, brought up
+to the ledger's head at every read.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Any, Sequence
 
 import networkx as nx
 
+from repro.chain.ledger import Ledger
 from repro.chain.local import LocalChain
 from repro.chain.transaction import TxReceipt
 from repro.corpus.articles import Article
@@ -45,7 +48,7 @@ from repro.core.ranking import ArticleSignals, FactualnessRanker, RankedArticle,
 from repro.core.supplychain import (
     SupplyChainContract,
     TraceResult,
-    build_supply_chain_graph,
+    add_supply_node,
     find_original_author,
     trace_to_factual_root,
 )
@@ -53,7 +56,7 @@ from repro.errors import IdentityError, PlatformError
 from repro.ml.ensemble import FakeNewsScorer
 from repro.social.cascade import ShareEvent
 
-__all__ = ["TrustingNewsPlatform", "PublishedArticle"]
+__all__ = ["TrustingNewsPlatform", "PublishedArticle", "LedgerView"]
 
 _FACT_PREFIX = "fact:"
 
@@ -70,6 +73,64 @@ class PublishedArticle:
     modification_degree: float
     ai_score: float | None
     receipt: TxReceipt
+
+
+class LedgerView:
+    """What the platform's reads are answered from: a fold of
+    ``Ledger.events`` that follows the ledger.
+
+    The view remembers the height it has folded through and that block's
+    hash; :meth:`follow` resolves only the events above it.  Three
+    structures come out of the fold — the supply-chain :attr:`graph`
+    (the same nodes and edges, in the same order, as
+    :func:`~repro.core.supplychain.build_supply_chain_graph` of the same
+    ledger), :attr:`votes` by article and published article ids by
+    ``(platform, room)`` in :attr:`rooms`.  They hold committed facts
+    only; answers (a trace, a ranking, an audit) are computed from them
+    per call.  Nothing is told to the view at commit time: it is a pure
+    function of the ledger it is shown, so any honest peer's ledger will
+    do, and a ledger that does not extend what was folded — shorter, or
+    another block at the remembered height — makes it start over from
+    genesis.
+    """
+
+    def __init__(self) -> None:
+        self._forget()
+
+    def _forget(self) -> None:
+        self.height = 0
+        self.head_hash: str | None = None  # None: nothing folded yet
+        self.graph = nx.DiGraph()
+        self.votes: dict[str, list[dict[str, Any]]] = {}
+        self.rooms: dict[tuple[str, str], list[str]] = {}
+        self._draft_rooms: dict[str, tuple[str, str]] = {}  # drafts not yet published
+
+    def follow(self, ledger: Ledger) -> "LedgerView":
+        """Fold the blocks *ledger* holds above the remembered height."""
+        head = ledger.head
+        if head.height == self.height and head.block_hash == self.head_hash:
+            return self
+        if self.head_hash is not None and (
+            head.height < self.height
+            or ledger.block(self.height).block_hash != self.head_hash
+        ):
+            self._forget()
+        above = self.height
+        for event in ledger.events("supplychain", "supply-node-recorded", above):
+            add_supply_node(self.graph, event)
+        for event in ledger.events("votes", "vote-cast", above):
+            self.votes.setdefault(event["article_id"], []).append(
+                {"voter": event["_sender"], "verdict": event["verdict"], "weight": event["weight"]}
+            )
+        # An article-published event names its room only; the draft it
+        # publishes (always earlier on the chain) names platform and room.
+        for event in ledger.events("newsroom", "draft-submitted", above):
+            self._draft_rooms[event["article_id"]] = (event["platform"], event["room"])
+        for event in ledger.events("newsroom", "article-published", above):
+            room = self._draft_rooms.pop(event["article_id"])
+            self.rooms.setdefault(room, []).append(event["article_id"])
+        self.height, self.head_hash = head.height, head.block_hash
+        return self
 
 
 class TrustingNewsPlatform:
@@ -107,8 +168,7 @@ class TrustingNewsPlatform:
         self.accounts: dict[str, KeyPair] = {}
         self._platform_owner: dict[str, str] = {}  # platform name -> owner account name
         self._ai_scores: dict[str, float] = {}
-        self._graph_cache: nx.DiGraph | None = None
-        self._graph_height = -1
+        self._view = LedgerView()
         # Governance bootstrap: the platform operator's own account.
         self.governance = self._new_account("governance", role="checker")
         self.chain.invoke(
@@ -441,11 +501,13 @@ class TrustingNewsPlatform:
 
     @property
     def graph(self) -> nx.DiGraph:
-        """The supply-chain graph, rebuilt from the ledger when stale."""
-        if self._graph_cache is None or self.chain.ledger.height != self._graph_height:
-            self._graph_cache = build_supply_chain_graph(self.chain.ledger)
-            self._graph_height = self.chain.ledger.height
-        return self._graph_cache
+        """The supply-chain graph as of the ledger's head.
+
+        The same object from read to read while the ledger only grows
+        (newly committed nodes are added to it); a new one when the view
+        had to start over.
+        """
+        return self._view.follow(self.chain.ledger).graph
 
     def trace(self, article_id: str) -> TraceResult:
         return trace_to_factual_root(self.graph, article_id)
@@ -502,14 +564,16 @@ class TrustingNewsPlatform:
 
         §V: "All articles in the newsroom will be evaluated and ranked by
         crowd sourcing trust check mechanisms within the AI blockchain
-        platform."  Articles are found from ledger events, so the view is
-        an audit-grade reconstruction, not a cached feed.
+        platform."  The room is the articles whose committed draft named
+        *platform_name* and *room_name* and whose publication committed,
+        in chain order — found from ledger events, so the view is an
+        audit-grade reconstruction, not a cached feed: the list is the
+        fold of those events up to the ledger's head (only the blocks
+        since the last read are looked at), and every article's trace,
+        tally and score are computed now, from committed state.
         """
-        article_ids = [
-            event["article_id"]
-            for event in self.chain.ledger.events(contract="newsroom", kind="article-published")
-            if event["room"] == room_name
-        ]
+        view = self._view.follow(self.chain.ledger)
+        article_ids = view.rooms.get((platform_name, room_name), ())
         signals = [self.article_signals(article_id) for article_id in article_ids]
         return self.ranker.rank(signals, mode=mode)
 
@@ -567,7 +631,7 @@ class TrustingNewsPlatform:
         object, and its verification result against the block's root.
         """
         ledger = self.chain.ledger
-        tx_id = self.graph.nodes.get(article_id, {}).get("tx_id")
+        tx_id = self._view.follow(ledger).graph.nodes.get(article_id, {}).get("tx_id")
         committed = ledger.get_transaction(tx_id) if tx_id else None
         if committed is None:
             raise PlatformError(f"no supply-chain record for {article_id}")
@@ -598,11 +662,8 @@ class TrustingNewsPlatform:
         if node is None:
             raise PlatformError(f"article {article_id} is not on the ledger")
         trace = self.trace(article_id)
-        votes = [
-            {"voter": event["_sender"], "verdict": event["verdict"], "weight": event["weight"]}
-            for event in self.chain.ledger.events(contract="votes", kind="vote-cast")
-            if event["article_id"] == article_id
-        ]
+        view = self._view.follow(self.chain.ledger)
+        votes = [dict(vote) for vote in view.votes.get(article_id, ())]
         comments = self.chain.query("newsroom", "list_comments", {"article_id": article_id})
         return {
             "article_id": article_id,
@@ -626,7 +687,7 @@ class TrustingNewsPlatform:
     def stats(self) -> dict[str, int]:
         """Headline platform counters, reconstructed from the ledger."""
         ledger = self.chain.ledger
-        graph = self.graph
+        graph = self._view.follow(ledger).graph
         return {
             "blocks": ledger.height,
             "transactions": ledger.total_transactions(),

@@ -3,7 +3,7 @@
 Every piece of news entering the platform becomes a node recorded by a
 blockchain transaction whose second end point is its discovered parent
 reference(s) (§VI).  The committed ledger then *is* the supply chain:
-this module rebuilds the graph from ledger events and answers the
+this module builds the graph from ledger events and answers the
 paper's central queries —
 
 - can this article be traced back to the factual database?
@@ -25,6 +25,7 @@ from repro.core.identity import identity_key
 
 __all__ = [
     "SupplyChainContract",
+    "add_supply_node",
     "build_supply_chain_graph",
     "TraceResult",
     "trace_to_factual_root",
@@ -161,6 +162,42 @@ class SupplyChainContract(Contract):
         return ctx.get(f"scrank:{article_id}")
 
 
+def add_supply_node(graph: nx.DiGraph, event: dict) -> None:
+    """Add one ``supply-node-recorded`` event's node and provenance edges
+    to *graph* — the only place that does.
+
+    Insertion order is part of the result: Dijkstra's tie-break in
+    :func:`trace_to_factual_root` and the ``min`` in
+    :func:`find_original_author` walk successors in the order the edges
+    went in, so events must be applied in chain order.
+    """
+    article_id = event["article_id"]
+    graph.add_node(
+        article_id,
+        author=event["_sender"],
+        op=event["op"],
+        topic=event["topic"],
+        modification_degree=event["modification_degree"],
+        recorded_at=event["_height"],
+        tx_id=event["_tx_id"],
+        is_fact_root=False,
+    )
+    parent_degrees = event.get("parent_degrees") or [event["modification_degree"]] * len(
+        event["parents"]
+    )
+    for parent, degree in zip(event["parents"], parent_degrees):
+        graph.add_edge(article_id, parent, weight=degree)
+    fact_degrees = event.get("fact_degrees") or [event["modification_degree"]] * len(
+        event["fact_roots"]
+    )
+    for fact_id, degree in zip(event["fact_roots"], fact_degrees):
+        fact_node = f"fact:{fact_id}"
+        if fact_node not in graph:
+            graph.add_node(fact_node, is_fact_root=True, op="fact", author="factualdb",
+                           topic=event["topic"], modification_degree=0.0)
+        graph.add_edge(article_id, fact_node, weight=degree)
+
+
 def build_supply_chain_graph(ledger: Ledger) -> nx.DiGraph:
     """Reconstruct the Fig. 4 graph from committed ledger events.
 
@@ -170,34 +207,17 @@ def build_supply_chain_graph(ledger: Ledger) -> nx.DiGraph:
     recording time, and the id of the recording transaction, so every
     downstream analysis (ranking, experts, accountability, inclusion
     proofs) works from the same reconstruction.
+
+    This is the fold from genesis: :func:`add_supply_node` over every
+    ``supply-node-recorded`` event into an empty graph.  The platform's
+    :class:`~repro.core.platform.LedgerView` runs the same body over the
+    events above the height it has already folded, so the graph a reader
+    follows and the one an auditor builds from any honest peer's ledger
+    are equal node for node, edge for edge, in the same order.
     """
     graph = nx.DiGraph()
     for event in ledger.events(contract="supplychain", kind="supply-node-recorded"):
-        article_id = event["article_id"]
-        graph.add_node(
-            article_id,
-            author=event["_sender"],
-            op=event["op"],
-            topic=event["topic"],
-            modification_degree=event["modification_degree"],
-            recorded_at=event["_height"],
-            tx_id=event["_tx_id"],
-            is_fact_root=False,
-        )
-        parent_degrees = event.get("parent_degrees") or [event["modification_degree"]] * len(
-            event["parents"]
-        )
-        for parent, degree in zip(event["parents"], parent_degrees):
-            graph.add_edge(article_id, parent, weight=degree)
-        fact_degrees = event.get("fact_degrees") or [event["modification_degree"]] * len(
-            event["fact_roots"]
-        )
-        for fact_id, degree in zip(event["fact_roots"], fact_degrees):
-            fact_node = f"fact:{fact_id}"
-            if fact_node not in graph:
-                graph.add_node(fact_node, is_fact_root=True, op="fact", author="factualdb",
-                               topic=event["topic"], modification_degree=0.0)
-            graph.add_edge(article_id, fact_node, weight=degree)
+        add_supply_node(graph, event)
     return graph
 
 

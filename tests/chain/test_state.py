@@ -109,3 +109,64 @@ def test_prefix_scan_records_reads_for_mvcc(state):
 
 def test_len_counts_keys(state):
     assert len(state) == 2
+
+
+# -- values are copied structurally (dict / list), deep-copied otherwise -------
+
+
+def _nested():
+    return [{"rows": [1, {"tags": ["a", "b"]}]}, "tail"]
+
+
+def _tamper(value):
+    value[0]["rows"][1]["tags"].append("TAMPERED")
+    value[0]["rows"].append("TAMPERED")
+    value.append("TAMPERED")
+
+
+def test_nested_value_is_isolated_on_get_put_apply_and_dump():
+    state = WorldState()
+    handed_in = _nested()
+    state.apply_write_set({"k": handed_in})
+    digest = state.state_digest()
+    _tamper(handed_in)                       # what apply_write_set was given
+    _tamper(state.get("k"))                  # what get handed out
+    assert state.get("k") == _nested() and state.state_digest() == digest
+
+    snapshot = state.snapshot()
+    put = _nested()
+    snapshot.put("k2", put)
+    _tamper(put)                             # what put was given
+    _tamper(snapshot.get("k2"))              # read-your-writes hands out a copy
+    _tamper(snapshot.get("k"))               # and so does a read through to the base
+    assert snapshot.get("k2") == _nested() and snapshot.write_buffer["k2"] == _nested()
+    assert state.get("k") == _nested() and state.state_digest() == digest
+
+    dumped = state.dump()
+    restored = WorldState.from_dump(dumped)
+    _tamper(dumped["entries"][0][1])         # the dump aliases the source by design ...
+    assert restored.get("k") == _nested()    # ... the restored state does not
+    assert restored.state_digest() == digest
+
+
+class _Record(dict):
+    """Not an exact dict: takes the deepcopy branch."""
+
+
+@pytest.mark.parametrize("value, inner", [
+    ((1, [2, 3]), lambda v: v[1]),
+    ({"x", "y"}, None),
+    (_Record(a=[1, 2]), lambda v: v["a"]),
+    ({"outer": (1, [2])}, lambda v: v["outer"][1]),
+])
+def test_non_json_values_come_back_equal_and_unshared(value, inner):
+    state = WorldState()
+    state.apply_write_set({"k": value})
+    first, second = state.get("k"), state.get("k")
+    assert first == value and type(first) is type(value)
+    assert first is not value and first is not second
+    if inner is not None:
+        assert inner(first) is not inner(value) and inner(first) is not inner(second)
+        inner(first).append("TAMPERED")
+        inner(value).append("TAMPERED")
+        assert state.get("k") == second

@@ -161,8 +161,10 @@ def test_unknown_account_raises(platform):
 
 def test_graph_cache_invalidates(world):
     platform, gen, facts = world
-    graph_before = platform.graph
+    # The graph follows the ledger: the same object grows in place, so
+    # the count is taken before the write, not read off a held graph.
+    nodes_before = platform.graph.number_of_nodes()
     platform.publish_article("jane", "acme-news", "desk", "a-1",
                              relay(facts[0], "jane", 1.0).text, "politics")
-    graph_after = platform.graph
-    assert graph_after.number_of_nodes() > graph_before.number_of_nodes()
+    assert platform.graph.number_of_nodes() > nodes_before
+    assert "a-1" in platform.graph
