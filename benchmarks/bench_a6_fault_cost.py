@@ -57,9 +57,12 @@ def _run(label: str, crash: str | None = None, byzantine: set[str] | None = None
     reference = max(live, key=lambda p: p.ledger.height)
     committed = sum(1 for tx_id in submitted if tx_id in reference.receipts)
     latency = reference.metrics.mean_commit_latency
-    view_changes = max(
-        getattr(p.engine, "view_changes_completed", 0) for p in live
-    )
+    live_ids = {p.node_id for p in live}
+    view_changes = int(max(
+        (c.value for c in network.obs.counters("pbft.view_changes")
+         if c.labels["peer"] in live_ids),
+        default=0,
+    ))
     messages = network.net.stats.sent / max(1, reference.metrics.txs_committed_valid)
     return label, committed, latency, view_changes, messages
 

@@ -47,9 +47,7 @@ def _run(seed: int):
     network.run_for(max(DURATION + 45.0 - network.sim.now, 1.0))
     auditor.final_check()
     network.stop()
-    rejected = sum(
-        getattr(p.engine, "votes_rejected_nonvalidator", 0) for p in network.peers
-    )
+    rejected = int(network.obs.total("pbft.votes_rejected_nonvalidator"))
     recoveries = [
         latency for _, latency in recovery_latencies(network, chaos.log)
         if latency is not None

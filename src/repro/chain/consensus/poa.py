@@ -127,6 +127,9 @@ class RoundRobinOrderer(ConsensusEngine):
         assert peer is not None
         if message.kind != _KIND_BLOCK:
             return False
+        if not isinstance(message.payload, Block):
+            peer.drop_malformed(message)
+            return True
         # The SyncManager owns the apply path: it enforces the leader
         # check (via verify_synced_block), buffers height-ahead blocks,
         # and fetches any gap from the sender or another live validator.

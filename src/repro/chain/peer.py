@@ -432,9 +432,20 @@ class Peer(NetworkNode):
 
     # -- network ------------------------------------------------------------------------
 
+    def drop_malformed(self, message: Message) -> None:
+        """Count a message whose payload failed its kind's boundary check
+        (a field missing or of the wrong type); nothing else happens to it."""
+        self.obs.counter("peer.messages_malformed", peer=self.node_id, kind=message.kind).inc()
+
     def on_message(self, message: Message) -> None:
         if message.kind == _KIND_TX:
-            self.submit(*message.payload, gossip=False)
+            entry = message.payload
+            if isinstance(entry, (tuple, list)) and entry and all(
+                isinstance(member, Transaction) for member in entry
+            ):
+                self.submit(*entry, gossip=False)
+            else:
+                self.drop_malformed(message)
             return
         if message.kind.startswith(_KIND_SYNC_PREFIX):
             self.sync.on_message(message)

@@ -104,6 +104,21 @@ KIND_RESPONSE = "sync-response"
 KIND_ATTEST_REQUEST = "sync-attest-request"
 KIND_ATTEST = "sync-attest"
 
+_KINDS = frozenset({KIND_ANNOUNCE, KIND_REQUEST, KIND_RESPONSE, KIND_ATTEST_REQUEST, KIND_ATTEST})
+
+
+def _well_formed(kind: str, payload: Any) -> bool:
+    """The boundary check: every sync payload is a dict, and the fields a
+    handler uses without looking at their type have the type it assumes
+    (the handlers check the rest where they read it)."""
+    if not isinstance(payload, dict):
+        return False
+    if kind == KIND_REQUEST:
+        return (isinstance(payload.get("req_id"), str)
+                and isinstance(payload.get("start"), int) and isinstance(payload.get("end"), int))
+    return kind != KIND_RESPONSE or isinstance(payload.get("blocks", ()), (list, tuple))
+
+
 #: A verified statement as kept: (height, block hash, signature hex,
 #: voted for rather than applied).
 _Statement = tuple[int, str, str, bool]
@@ -608,8 +623,8 @@ class SyncManager:
         """Serve a ranged fetch from our committed chain."""
         payload = message.payload
         peer = self.peer
-        start = max(1, int(payload["start"]))
-        end = min(int(payload["end"]), peer.ledger.height, start + self.MAX_BATCH - 1)
+        start = max(1, payload["start"])
+        end = min(payload["end"], peer.ledger.height, start + self.MAX_BATCH - 1)
         self.metrics.responses_served += 1
         peer.send(
             message.src,
@@ -795,6 +810,9 @@ class SyncManager:
     # -- dispatch ----------------------------------------------------------
 
     def on_message(self, message: Message) -> bool:
+        if message.kind in _KINDS and not _well_formed(message.kind, message.payload):
+            self.peer.drop_malformed(message)
+            return True
         if message.kind == KIND_ANNOUNCE:
             self._on_announce(message)
         elif message.kind == KIND_REQUEST:

@@ -17,11 +17,13 @@ import pytest
 
 from repro.chain import BlockchainNetwork
 from repro.chain.consensus.pbft import PBFTEngine
+from repro.chain.consensus.pbft_core import Commit
 from repro.chain.sync import statement_message
 from repro.crypto import KeyPair, ed25519
 from repro.crypto.batch import verify_many
 from repro.obs import MetricsRegistry
 from repro.simnet import FixedLatency
+from repro.simnet.network import Message
 from tests.conftest import CounterContract
 
 
@@ -247,15 +249,16 @@ def test_pbft_commit_vote_needs_membership_and_digest_only():
     """Commit votes are counted like prepares: from a validator, toward
     the digest they name, with no signature to carry or check."""
     network, _ = _run_network(n_txs=1)
-    engine = network.peers[0].engine
-    height = network.peers[0].ledger.height + 1
-    rejected = engine.votes_rejected_nonvalidator
-    engine._on_commit(engine.view, height, "some-digest", "peer-1")
-    assert engine._rounds[(engine.view, height)].early_commits == {"peer-1": "some-digest"}
-    engine._on_commit(engine.view, height, "some-digest", "rogue-0")
-    assert engine.votes_rejected_nonvalidator == rejected + 1
-    assert "rogue-0" not in engine._rounds[(engine.view, height)].early_commits
-    assert not hasattr(engine, "votes_rejected_bad_signature")
+    peer = network.peers[0]
+    core = peer.engine.core
+    height = peer.ledger.height + 1
+    rejected = network.obs.total("pbft.votes_rejected_nonvalidator")
+    payload = {"view": core.view, "height": height, "digest": "some-digest"}
+    for src in ("peer-1", "rogue-0"):
+        peer.on_message(Message(src, peer.node_id, Commit.kind, payload, network.sim.now))
+    assert core.rounds[core.view, height].early == {("peer-1", True): "some-digest"}
+    assert network.obs.total("pbft.votes_rejected_nonvalidator") == rejected + 1
+    assert not hasattr(peer.engine, "votes_rejected_bad_signature")
     assert network.obs.total("pbft.votes_rejected_bad_signature") == 0
 
 

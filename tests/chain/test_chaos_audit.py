@@ -21,6 +21,7 @@ import pytest
 
 from repro.chain import BlockchainNetwork, InvariantAuditor
 from repro.simnet import ChaosSchedule, UniformLatency
+from tests.chain.test_pbft_golden import CHAOS_GOLDEN, fingerprint
 
 DEFAULT_SEEDS = range(10)
 EXTENDED_SEEDS = range(10, 40)
@@ -74,6 +75,7 @@ def run_chaos_audited(
 def test_chaos_audit_pbft(seed):
     network, auditor, chaos = run_chaos_audited(seed)
     assert auditor.violations == []
+    assert fingerprint(network) == CHAOS_GOLDEN[seed]
     assert auditor.blocks_audited > 0, "chaos plan starved the run entirely"
     assert auditor.tracked_txs, "no transactions were tracked"
     # The plan actually injected faults (the schedule logs what fired).
@@ -81,7 +83,7 @@ def test_chaos_audit_pbft(seed):
     # Rogue flooders (if the plan spawned any) were rejected wholesale.
     if chaos.flooders:
         assert sum(f.messages_flooded for f in chaos.flooders) > 0
-        assert sum(p.engine.votes_rejected_nonvalidator for p in network.peers) > 0
+        assert network.obs.total("pbft.votes_rejected_nonvalidator") > 0
     # Every peer that came back (pause or restart) caught up in finite time.
     for event, latency in auditor.catchup_latencies(chaos.log):
         assert latency is not None, f"{event.target} never caught up after {event.action}"
@@ -113,9 +115,9 @@ def test_rounds_bounded_after_chaos():
     """Chaos (incl. garbage-coordinate floods) must not leak round state."""
     network, _, _ = run_chaos_audited(2)
     for peer in network.peers:
-        engine = peer.engine
-        assert len(engine._rounds) <= engine.height_window * (engine.VIEW_WINDOW + 1)
-        assert len(engine._view_votes) <= engine.VIEW_WINDOW + 1
+        core = peer.engine.core
+        assert len(core.rounds) <= core.height_window * (core.VIEW_WINDOW + 1)
+        assert len(core.view_votes) <= core.VIEW_WINDOW + 1
 
 
 @pytest.mark.chaos

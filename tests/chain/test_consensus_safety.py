@@ -17,7 +17,20 @@ import random
 import pytest
 
 from repro.chain import BlockchainNetwork, InvariantAuditor
+from repro.chain.block import Block, make_genesis_block
+from repro.chain.consensus.pbft_core import (
+    Broadcast,
+    Commit,
+    Count,
+    PBFTCore,
+    Prepare,
+    PrePrepare,
+    Requeue,
+    RoundEvent,
+    ViewChange,
+)
 from repro.simnet import FailureSchedule, UniformLatency
+from repro.simnet.network import Message
 
 
 def _run_chaos(seed: int, consensus: str) -> tuple[BlockchainNetwork, InvariantAuditor]:
@@ -141,13 +154,59 @@ def test_commit_vote_is_a_lock_across_views():
     network.stop()
     assert auditor.final_check() == []
     assert set(network.committed_heights().values()) == {3}
-    assert not any(p.engine._locks for p in network.peers)
+    assert not any(p.engine.core.locks for p in network.peers)
+
+
+VALIDATORS = ["peer-0", "peer-1", "peer-2", "peer-3"]
+GENESIS = make_genesis_block()
+
+
+def _core(**stable) -> PBFTCore:
+    """peer-1's protocol state on a fresh chain (*stable*: view, locks)."""
+    return PBFTCore(VALIDATORS, "peer-1", pipeline_depth=4, head=GENESIS, **stable)
+
+
+def _wire(src: str, dst: str, message) -> Message:
+    """*message* as the network carries it: its kind and its fields by name."""
+    payload = {name: getattr(message, name) for name in message.__match_args__}
+    return Message(src, dst, message.kind, payload, 0.0)
 
 
 def _locked_replica():
-    """peer-1 of a quiet 4-peer network, having voted commit for ``b1`` at
-    height 1 in view 0 (two more prepares made its prepare quorum)."""
-    from repro.chain.block import Block
+    """peer-1, having voted commit for ``b1`` at height 1 in view 0 (two
+    more prepares made its prepare quorum), then moved to view 1 — whose
+    primary it is."""
+    core = _core()
+    b1 = Block.build(1, GENESIS.block_hash, 0.0, "peer-0", [])
+    digest = b1.block_hash
+    assert core.receive("peer-0", PrePrepare(0, 1, b1)) == [
+        RoundEvent(0, 1, "opened"), Broadcast(Prepare(0, 1, digest))]
+    assert core.receive("peer-2", Prepare(0, 1, digest)) == []
+    assert core.receive("peer-3", Prepare(0, 1, digest)) == [Broadcast(Commit(0, 1, digest))]
+    assert core.locks == {1: b1} and core.voted(1) == digest
+    for voter in ("peer-1", "peer-2"):
+        assert core.receive(voter, ViewChange(1)) == []
+    assert core.receive("peer-3", ViewChange(1)) == [
+        Count("pbft.view_changes"), RoundEvent(0, 1, "superseded")]
+    assert core.view == 1 and not core.rounds and core.locks == {1: b1}
+    return core, b1, Block.build(1, GENESIS.block_hash, 1.0, "peer-1", [])
+
+
+def test_lock_refuses_another_digest_and_survives_restart():
+    core, b1, other = _locked_replica()
+    # Even the primary of view 1, this very replica, may only re-propose.
+    assert core.receive("peer-1", PrePrepare(1, 1, other)) == [Count("pbft.lock_refusals")]
+    assert (1, 1) not in core.rounds
+    # The locked block itself is welcome in any view: as primary it
+    # proposes exactly it, and votes for it.  Height 2 waits for a
+    # proposal at 1 to chain onto.
+    assert list(core.open_heights()) == [(1, None)]
+    assert core.propose(1) == [
+        Count("pbft.lock_reproposals"), Broadcast(PrePrepare(1, 1, b1)),
+        RoundEvent(1, 1, "opened"), Broadcast(Prepare(1, 1, b1.block_hash))]
+    assert list(core.open_heights()) == [(2, b1.block_hash)]
+
+    # The engine keeps the view and the lock through a restart.
     from repro.simnet import FixedLatency
     from tests.conftest import CounterContract
 
@@ -157,57 +216,40 @@ def _locked_replica():
     )
     network.install_contract(CounterContract)
     replica = network.peers[1]
-    engine = replica.engine
-    genesis = replica.ledger.head.block_hash
-    b1 = Block.build(1, genesis, 0.0, "peer-0", [])
-    engine._accept_pre_prepare(0, 1, b1, "peer-0")
-    for voter in ("peer-2", "peer-3"):
-        engine._on_prepare(0, 1, b1.block_hash, voter)
-    assert engine._locks == {1: b1}
-    assert engine.attested_hash(1) == b1.block_hash
-    for voter in ("peer-1", "peer-2", "peer-3"):
-        engine._vote_view_change(1, voter)
-    assert engine.view == 1 and not engine._rounds
-    return network, replica, b1, Block.build(1, genesis, 1.0, "peer-1", [])
-
-
-def test_lock_refuses_another_digest_and_survives_restart():
-    network, replica, b1, other = _locked_replica()
-    engine = replica.engine
-    # View 1's primary is this very replica: even it may only re-propose.
-    engine._accept_pre_prepare(1, 1, other, "peer-1")
-    assert (1, 1) not in engine._rounds
-    assert network.obs.total("pbft.lock_refusals") == 1
+    script = [("peer-0", PrePrepare(0, 1, b1)), ("peer-2", Prepare(0, 1, b1.block_hash)),
+              ("peer-3", Prepare(0, 1, b1.block_hash)),
+              *((voter, ViewChange(1)) for voter in ("peer-0", "peer-2", "peer-3"))]
+    for src, message in script:
+        replica.on_message(_wire(src, "peer-1", message))
+    assert replica.engine.core.locks == {1: b1} and replica.engine.view == 1
     replica.restart()
-    assert engine._locks == {1: b1} and engine.view == 1
-    engine._accept_pre_prepare(1, 1, other, "peer-1")
-    assert network.obs.total("pbft.lock_refusals") == 2
-    assert {tx_id for tx_id in engine.pending_txs()} == {tx.tx_id for tx in b1.transactions}
-    # The locked block itself is welcome in any view, and with an empty
-    # mempool the locked primary's tick proposes exactly it.
-    engine._tick()
-    state = engine._rounds[(1, 1)]
-    assert state.digest == b1.block_hash and state.sent_prepare
+    assert replica.engine.core.locks == {1: b1} and replica.engine.view == 1
+    replica.on_message(_wire("peer-1", "peer-1", PrePrepare(1, 1, other)))
+    assert network.obs.total("pbft.lock_refusals") == 1
+    assert replica.engine.pending_txs() == {tx.tx_id for tx in b1.transactions}
+    # With an empty mempool the locked primary's next tick proposes it.
+    network.run_for(0.6)
     assert network.obs.total("pbft.lock_reproposals") == 1
+    assert replica.engine.core.rounds[1, 1].digest == b1.block_hash
     network.stop()
 
 
 def test_lock_released_on_apply_and_lapses_off_chain():
-    from repro.chain.block import Block
-
-    network, replica, b1, other = _locked_replica()
-    engine = replica.engine
-    # Also locked one height up, on a child of b1 (pipelining).
-    b2 = Block.build(2, b1.block_hash, 0.1, "peer-0", [])
-    engine._locks[2] = b2
-    # Height 1 is applied with the *other* block (it came in by sync):
-    # the lock at 1 is released, and the one at 2 — whose parent lost its
-    # height, so it can be applied nowhere — lapses with it.
-    replica.engine.commit_certificates[1] = (other.block_hash, ("peer-0", "peer-2", "peer-3"))
-    replica.commit_block(other)
-    assert engine._locks == {}
-    assert engine.attested_hash(1) == other.block_hash and engine.attested_hash(2) is None
-    network.stop()
+    core, b1, other = _locked_replica()
+    # Also locked one height up, on its own proposal, a child of b1.
+    b2 = Block.build(2, b1.block_hash, 0.1, "peer-1", [])
+    core.propose(2, b2)
+    core.receive("peer-2", Prepare(1, 2, b2.block_hash))
+    assert core.receive("peer-3", Prepare(1, 2, b2.block_hash)) == [
+        Broadcast(Commit(1, 2, b2.block_hash))]
+    assert core.locks == {1: b1, 2: b2}
+    assert core.voted(1) == b1.block_hash and core.voted(2) is None  # gap below it
+    # Height 1 is applied with the *other* block (it came in by sync): the
+    # lock at 1 is released, and the one at 2 — whose parent lost its
+    # height, so it can be applied nowhere — lapses with it and returns
+    # its transactions.
+    assert core.applied(other) == [Requeue(b2)]
+    assert core.locks == {} and core.voted(1) is None and core.voted(2) is None
 
 
 def test_byzantine_primary_cannot_certify_a_fabricated_parent():
@@ -218,7 +260,6 @@ def test_byzantine_primary_cannot_certify_a_fabricated_parent():
     the hash chain would carry a certified tip's authority down to the
     fabrication: so a replica vouches for a block it voted for only once
     that block's parent is its own applied head."""
-    from repro.chain.block import Block
     from repro.chain.sync import KIND_ANNOUNCE, KIND_RESPONSE, statement_message
     from repro.simnet import FixedLatency
     from tests.conftest import CounterContract
@@ -244,7 +285,7 @@ def test_byzantine_primary_cannot_certify_a_fabricated_parent():
                   {"view": 0, "height": 3, "digest": child.block_hash})
     network.run_for(0.2)
     for peer in accomplices:
-        assert peer.engine._locks == {3: child}
+        assert peer.engine.core.locks == {3: child}
         assert peer.engine.attested_hash(3) is None  # its parent is unsettled
 
     liar.sync._on_request = lambda message: liar.send(
@@ -269,7 +310,7 @@ def test_byzantine_primary_cannot_certify_a_fabricated_parent():
     assert auditor.final_check() == []
     assert set(network.committed_heights().values()) == {2}
     assert fabricated.block_hash not in applied
-    assert not any(p.engine._locks for p in network.peers)
+    assert not any(p.engine.core.locks for p in network.peers)
 
 
 def test_no_commit_vote_for_a_block_off_the_applied_head():
@@ -278,21 +319,11 @@ def test_no_commit_vote_for_a_block_off_the_applied_head():
     height against every other block for good, so it gets no commit vote
     however many prepares it gathers — and the view change that follows
     finds the replica free."""
-    from repro.chain.block import Block
-    from repro.simnet import FixedLatency
-    from tests.conftest import CounterContract
-
-    network = BlockchainNetwork(
-        n_peers=4, consensus="pbft", latency=FixedLatency(0.02),
-        block_interval=0.5, view_timeout=30.0,
-    )
-    network.install_contract(CounterContract)
-    engine = network.peers[1].engine
+    core = _core()
     orphan = Block.build(1, "no-such-parent", 0.0, "peer-0", [])
-    engine._accept_pre_prepare(0, 1, orphan, "peer-0")
+    core.receive("peer-0", PrePrepare(0, 1, orphan))
     for voter in ("peer-2", "peer-3"):
-        engine._on_prepare(0, 1, orphan.block_hash, voter)
-    state = engine._rounds[(0, 1)]
-    assert len(state.prepares) == 3 and not state.sent_commit
-    assert engine._locks == {} and engine.attested_hash(1) is None
-    network.stop()
+        assert core.receive(voter, Prepare(0, 1, orphan.block_hash)) == []
+    rnd = core.rounds[0, 1]
+    assert len(rnd.prepares) == 3 and "peer-1" not in rnd.commits
+    assert core.locks == {} and core.voted(1) is None

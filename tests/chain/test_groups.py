@@ -300,7 +300,7 @@ def test_a_deposed_primary_requeues_the_group_whole():
         for tx in txs:
             auditor.track_tx(tx.tx_id)
     network.run_for(8.0)
-    taken = [state.block for state in primary.engine._rounds.values() if state.block]
+    taken = [state.block for state in primary.engine.core.rounds.values() if state.block]
     assert any(tx.group for block in taken for tx in block.transactions)
     assert all(tx.tx_id in primary.mempool for txs in groups for tx in txs)
     network.net.heal()

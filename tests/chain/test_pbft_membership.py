@@ -1,10 +1,11 @@
 """Regression tests: PBFT quorums must count validators only.
 
-The seed engine's ``_on_prepare`` / ``_on_commit`` / ``_vote_view_change``
-added *any* message ``src`` to quorum sets, so a non-validator on the
-same network could forge commit certificates or depose a healthy
-primary.  The ``old_code_path`` tests re-open that hole (by stubbing the
-membership check back to the seed's always-true behavior) and
+The seed engine added *any* message ``src`` to prepare, commit and
+view-change quorum sets, so a non-validator on the same network could
+forge commit certificates or depose a healthy primary.  The
+``old_code_path`` tests re-open that hole (by stubbing the core's
+membership check, ``PBFTCore._member``, back to the seed's always-true
+behavior) and
 demonstrate both exploits; the rest assert the fixed engine shrugs the
 same attacks off.
 """
@@ -14,12 +15,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.chain import BlockchainNetwork, InvariantAuditor
-from repro.chain.consensus.pbft import (
-    _COMMIT,
-    _PREPARE,
-    _VIEW_CHANGE,
-    PBFTEngine,
-)
+from repro.chain.block import make_genesis_block
+from repro.chain.consensus.pbft_core import Commit, Count, PBFTCore, Prepare, ViewChange
 from repro.simnet import FixedLatency, VoteFlooder
 from repro.simnet.chaos import _PBFT_COMMIT, _PBFT_PREPARE, _PBFT_VIEW_CHANGE
 
@@ -27,9 +24,9 @@ from repro.simnet.chaos import _PBFT_COMMIT, _PBFT_PREPARE, _PBFT_VIEW_CHANGE
 def test_chaos_kind_literals_match_engine():
     """chaos.py mirrors the PBFT wire kinds without importing them (the
     simnet layer sits below chain); pin them together here."""
-    assert _PBFT_PREPARE == _PREPARE
-    assert _PBFT_COMMIT == _COMMIT
-    assert _PBFT_VIEW_CHANGE == _VIEW_CHANGE
+    assert _PBFT_PREPARE == Prepare.kind
+    assert _PBFT_COMMIT == Commit.kind
+    assert _PBFT_VIEW_CHANGE == ViewChange.kind
 
 
 def _flooded_network(
@@ -71,7 +68,7 @@ def _drive(network, flooders, n_txs: int = 4, rounds: int = 12) -> list[str]:
 def test_exploit_view_change_forgery_on_old_code_path(monkeypatch):
     """Seed behavior: three rogue view-change votes reach 'quorum' and
     depose a healthy primary no honest replica voted against."""
-    monkeypatch.setattr(PBFTEngine, "_member", lambda self, src: True)
+    monkeypatch.setattr(PBFTCore, "_member", lambda self, src: True)
     network, flooders = _flooded_network(modes=("view-change",))
     for _ in range(3):
         for flooder in flooders:
@@ -88,7 +85,7 @@ def test_exploit_forged_certificate_on_old_code_path(monkeypatch):
     unreachable — the network *must* stall), echo flooders stand in for
     the missing validators and blocks commit on certificates that name
     non-validators."""
-    monkeypatch.setattr(PBFTEngine, "_member", lambda self, src: True)
+    monkeypatch.setattr(PBFTCore, "_member", lambda self, src: True)
     network, flooders = _flooded_network(modes=("echo",))
     auditor = InvariantAuditor(network, strict=False)
     network.net.node("peer-2").crashed = True
@@ -125,8 +122,8 @@ def test_membership_check_defeats_the_flood():
 
     honest = network.peers
     assert all(p.engine.view == 0 for p in honest), "flooders forced a view change"
-    assert all(p.engine.view_changes_completed == 0 for p in honest)
-    assert sum(p.engine.votes_rejected_nonvalidator for p in honest) > 0
+    assert network.obs.total("pbft.view_changes") == 0
+    assert network.obs.total("pbft.votes_rejected_nonvalidator") > 0
     rogue_ids = {f.node_id for f in flooders}
     for peer in honest:
         for digest, certificate in peer.engine.commit_certificates.values():
@@ -171,10 +168,10 @@ def test_rounds_stay_bounded_under_garbage_flood():
     _drive(network, flooders, rounds=20)
     network.stop()
     for peer in network.peers:
-        engine = peer.engine
-        assert len(engine._rounds) <= engine.height_window * (engine.VIEW_WINDOW + 1)
-        assert len(engine._rounds) < 20  # and in practice: a handful
-        assert len(engine._view_votes) <= engine.VIEW_WINDOW + 1
+        core = peer.engine.core
+        assert len(core.rounds) <= core.height_window * (core.VIEW_WINDOW + 1)
+        assert len(core.rounds) < 20  # and in practice: a handful
+        assert len(core.view_votes) <= core.VIEW_WINDOW + 1
 
 
 def test_observer_peer_never_votes():
@@ -247,16 +244,14 @@ def test_deposed_primary_requeues_inflight_txs():
 
 
 def test_view_change_votes_require_membership():
-    """Directly inject view-change votes from unknown ids: quorum must
-    never assemble from them."""
-    network, _ = _flooded_network(n_flooders=0)
-    engine = network.peers[0].engine
+    """View-change votes from unknown ids: each is counted as rejected,
+    and no quorum ever assembles from them."""
+    core = PBFTCore(["peer-0", "peer-1", "peer-2", "peer-3"], "peer-0", 4, make_genesis_block())
     for fake in ("ghost-1", "ghost-2", "ghost-3", "ghost-4"):
-        engine._vote_view_change(1, fake)
-    assert engine.view == 0
-    assert engine.votes_rejected_nonvalidator == 4
+        assert core.receive(fake, ViewChange(1)) == [Count("pbft.votes_rejected_nonvalidator")]
+    assert core.view == 0 and not core.view_votes
     # Real validators still can change the view.
-    for validator in ("peer-1", "peer-2", "peer-3"):
-        engine._vote_view_change(1, validator)
-    assert engine.view == 1
-    network.stop()
+    for validator in ("peer-1", "peer-2"):
+        assert core.receive(validator, ViewChange(1)) == []
+    assert core.receive("peer-3", ViewChange(1)) == [Count("pbft.view_changes")]
+    assert core.view == 1

@@ -3,11 +3,11 @@ digest-blind / equivocation-leak regressions.
 
 Three seed bugs are pinned here:
 
-- **digest-blind votes** — ``_on_prepare``/``_on_commit`` counted votes
-  that arrived before the pre-prepare without recording which digest
-  they were for, so forged early votes for digest X were tallied toward
-  whatever digest Y the pre-prepare later installed;
-- **byzantine primary leaks txs** — ``_propose_equivocating`` never
+- **digest-blind votes** — prepares and commits that arrived before the
+  pre-prepare were counted without recording which digest they were
+  for, so forged early votes for digest X were tallied toward whatever
+  digest Y the pre-prepare later installed;
+- **byzantine primary leaks txs** — the equivocating primary never
   installed local round state, so a deposed equivocator's taken
   transactions vanished (durability violation), and with a 1-tx batch
   its two "conflicting" blocks were byte-identical;
@@ -17,7 +17,9 @@ Three seed bugs are pinned here:
 
 The rest covers the pipeline mechanics: out-of-order commit buffering,
 view change mid-pipeline with full re-queue, and a hypothesis property
-that pipelining never changes *what* commits — only how fast.
+that pipelining never changes *what* commits — only how fast.  Protocol
+rules are scripted as :class:`PBFTCore` inputs and the effects they must
+return; what needs a mempool, a tick or a network runs on one.
 """
 
 from __future__ import annotations
@@ -26,9 +28,42 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chain import BlockchainNetwork, Contract, InvariantAuditor, contract_method
-from repro.chain.block import Block
-from repro.chain.consensus.pbft import _Decided
+from repro.chain.block import Block, make_genesis_block
+from repro.chain.consensus.pbft_core import (
+    Apply,
+    Broadcast,
+    Commit,
+    Count,
+    PBFTCore,
+    Prepare,
+    PrePrepare,
+    RoundEvent,
+    ViewChange,
+)
 from repro.simnet import FixedLatency
+
+GENESIS = make_genesis_block()
+QUORUM = ("peer-1", "peer-2", "peer-3")
+
+
+def _core() -> PBFTCore:
+    """peer-1's protocol state on a fresh chain, pipeline depth 4."""
+    return PBFTCore(["peer-0", "peer-1", "peer-2", "peer-3"], "peer-1", 4, GENESIS)
+
+
+def _chain(*timestamps: float) -> list[Block]:
+    """Blocks at heights 1, 2, ... each on the one before, by peer-0."""
+    blocks, parent = [], GENESIS.block_hash
+    for height, timestamp in enumerate(timestamps, start=1):
+        blocks.append(Block.build(height, parent, timestamp, "peer-0", []))
+        parent = blocks[-1].block_hash
+    return blocks
+
+
+def _vote(core: PBFTCore, message_type, view: int, height: int, digest: str) -> list:
+    """peer-2's and peer-3's votes; the effects of the second."""
+    core.receive("peer-2", message_type(view, height, digest))
+    return core.receive("peer-3", message_type(view, height, digest))
 
 
 class KVContract(Contract):
@@ -63,50 +98,36 @@ def test_early_votes_for_other_digest_never_count():
     blindly and committed the primary's later (honest) block without an
     honest quorum.  Post-fix they are stashed per-digest and discarded
     at reconcile time."""
-    network = _network()
-    replica = network.peers[1]
-    engine = replica.engine
-    engine.validator_keys.clear()  # keyless: channel-auth fallback
-    head = replica.ledger.head
+    core = _core()
     # Votes arrive BEFORE the pre-prepare, naming a digest the
     # pre-prepare will not carry.
-    engine._on_prepare(0, 1, "evil-digest", "peer-2")
-    engine._on_prepare(0, 1, "evil-digest", "peer-3")
-    engine._on_commit(0, 1, "evil-digest", "peer-0")
-    engine._on_commit(0, 1, "evil-digest", "peer-2")
-    engine._on_commit(0, 1, "evil-digest", "peer-3")
-    block = Block.build(1, head.block_hash, 0.0, "peer-0", [])
-    engine._accept_pre_prepare(0, 1, block, "peer-0")
-    state = engine._rounds[(0, 1)]
+    assert _vote(core, Prepare, 0, 1, "evil-digest") == []
+    assert core.receive("peer-0", Commit(0, 1, "evil-digest")) == []
+    assert _vote(core, Commit, 0, 1, "evil-digest") == []
+    (block,) = _chain(0.0)
+    assert core.receive("peer-0", PrePrepare(0, 1, block)) == [
+        RoundEvent(0, 1, "opened"), Broadcast(Prepare(0, 1, block.block_hash))]
     # Only the replica's own prepare counts; the forged votes are gone.
-    assert state.prepares == {"peer-1"}
-    assert not state.commits
-    assert not state.sent_commit
-    assert replica.ledger.height == 0, "forged early votes committed a block"
-    network.stop()
+    rnd = core.rounds[0, 1]
+    assert rnd.prepares == {"peer-1"} and not rnd.commits and not rnd.early
+    assert core.locks == {} and core.head is GENESIS
 
 
 def test_early_votes_for_matching_digest_do_count():
     """The reconcile path is not vote suppression: early votes that
     named the digest the pre-prepare actually carries are promoted and
     complete the quorum."""
-    network = _network()
-    replica = network.peers[1]
-    engine = replica.engine
-    engine.validator_keys.clear()
-    head = replica.ledger.head
-    block = Block.build(1, head.block_hash, 0.0, "peer-0", [])
+    core = _core()
+    (block,) = _chain(0.0)
     digest = block.block_hash
-    engine._on_prepare(0, 1, digest, "peer-2")
-    engine._on_prepare(0, 1, digest, "peer-3")
-    engine._on_commit(0, 1, digest, "peer-2")
-    engine._on_commit(0, 1, digest, "peer-3")
-    engine._accept_pre_prepare(0, 1, block, "peer-0")
+    _vote(core, Prepare, 0, 1, digest)
+    _vote(core, Commit, 0, 1, digest)
     # prepares: peer-2, peer-3 (promoted) + self = quorum -> commit sent;
     # commits: peer-2, peer-3 (promoted) + self = quorum -> applied.
-    assert replica.ledger.height == 1
-    assert replica.ledger.head.block_hash == digest
-    network.stop()
+    assert core.receive("peer-0", PrePrepare(0, 1, block)) == [
+        RoundEvent(0, 1, "opened"), Broadcast(Prepare(0, 1, digest)),
+        Broadcast(Commit(0, 1, digest)), Apply(0, block, QUORUM)]
+    assert core.applied(block) == [] and core.head is block and not core.locks
 
 
 # -- byzantine equivocation regressions ------------------------------------
@@ -123,9 +144,9 @@ def test_equivocating_primary_sends_distinct_blocks_for_single_tx():
     assert primary.submit(tx, gossip=False)
     network.run_for(2.0)  # one proposal, well inside the view timeout
     digests = {
-        peer.engine._rounds[(0, 1)].digest
+        peer.engine.core.rounds[0, 1].digest
         for peer in network.peers[1:]
-        if (0, 1) in peer.engine._rounds
+        if (0, 1) in peer.engine.core.rounds
     }
     digests.discard(None)
     assert len(digests) == 2, "equivocating primary sent one block to everybody"
@@ -170,104 +191,75 @@ def test_deposed_equivocator_requeues_taken_txs():
 def test_out_of_order_quorum_buffers_until_gap_closes():
     """A commit quorum at h+2 before h+1 must park in the decided-block
     buffer (never apply out of order) and drain the moment h+1 lands."""
-    network = _network()
-    replica = network.peers[1]
-    engine = replica.engine
-    engine.validator_keys.clear()
-    head = replica.ledger.head
-    b1 = Block.build(1, head.block_hash, 0.0, "peer-0", [])
-    b2 = Block.build(2, b1.block_hash, 0.0, "peer-0", [])
-    engine._accept_pre_prepare(0, 1, b1, "peer-0")
-    engine._accept_pre_prepare(0, 2, b2, "peer-0")
+    core = _core()
+    b1, b2 = _chain(0.0, 0.0)
+    core.receive("peer-0", PrePrepare(0, 1, b1))
+    core.receive("peer-0", PrePrepare(0, 2, b2))
     # Quorum for height 2 completes first.
-    for voter in ("peer-2", "peer-3"):
-        engine._on_prepare(0, 2, b2.block_hash, voter)
-    for voter in ("peer-2", "peer-3"):
-        engine._on_commit(0, 2, b2.block_hash, voter)
-    assert replica.ledger.height == 0, "height 2 applied before height 1"
-    assert engine.decided_heights() == [2]
-    # Now height 1 reaches quorum: both apply, strictly in order.
-    for voter in ("peer-2", "peer-3"):
-        engine._on_prepare(0, 1, b1.block_hash, voter)
-    for voter in ("peer-2", "peer-3"):
-        engine._on_commit(0, 1, b1.block_hash, voter)
-    assert replica.ledger.height == 2
-    assert replica.ledger.block(1).block_hash == b1.block_hash
-    assert replica.ledger.block(2).block_hash == b2.block_hash
-    assert engine.decided_heights() == []
-    network.stop()
+    assert _vote(core, Prepare, 0, 2, b2.block_hash) == [Broadcast(Commit(0, 2, b2.block_hash))]
+    assert _vote(core, Commit, 0, 2, b2.block_hash) == [RoundEvent(0, 2, "decided")]
+    assert list(core.decided) == [2] and core.progress() == (0, 1, 2)
+    # Now height 1 reaches quorum: it applies, and applying it releases
+    # height 2, strictly in order.
+    _vote(core, Prepare, 0, 1, b1.block_hash)
+    assert _vote(core, Commit, 0, 1, b1.block_hash) == [Apply(0, b1, QUORUM)]
+    assert core.applied(b1) == [Apply(0, b2, QUORUM)]
+    assert core.applied(b2) == []
+    assert core.decided == {} and core.locks == {} and not core.rounds
 
 
 def test_late_quorum_on_orphaned_height_is_discarded_not_applied():
     """Commit quorum for h+2 that lands *after* sync filled the gap with
-    a different h+1 block: the immediate-apply branch of ``_decide``
-    must run the same parent-linkage check as the drain path and
-    discard.  Pre-fix it applied blindly — ``commit_block`` mutated
-    receipts and world state before ``Ledger.append`` rejected the
-    linkage, so the ``InvalidBlockError`` escaped with state already
-    diverged from the chain."""
-    network = _network()
-    replica = network.peers[1]
-    engine = replica.engine
-    engine.validator_keys.clear()
-    head = replica.ledger.head
-    b1 = Block.build(1, head.block_hash, 0.0, "peer-0", [])
-    b2 = Block.build(2, b1.block_hash, 0.0, "peer-0", [])
-    engine._accept_pre_prepare(0, 1, b1, "peer-0")
-    engine._accept_pre_prepare(0, 2, b2, "peer-0")
+    a different h+1 block: the decided block is next in line but its
+    parent lost the height, so it is discarded, not applied.  Pre-fix it
+    was applied blindly — ``commit_block`` mutated receipts and world
+    state before ``Ledger.append`` rejected the linkage, so the
+    ``InvalidBlockError`` escaped with state already diverged from the
+    chain."""
+    core = _core()
+    b1, b2 = _chain(0.0, 0.0)
+    core.receive("peer-0", PrePrepare(0, 1, b1))
+    core.receive("peer-0", PrePrepare(0, 2, b2))
+    assert _vote(core, Prepare, 0, 2, b2.block_hash) == [Broadcast(Commit(0, 2, b2.block_hash))]
+    assert core.locks == {2: b2}
     # The view changed elsewhere: sync applies a *different* height-1
-    # block, orphaning the b1 -> b2 chain this replica voted on.
-    b1_alt = Block.build(1, head.block_hash, 0.1, "peer-2", [])
-    replica.commit_block(b1_alt)
-    assert replica.ledger.height == 1
+    # block, orphaning the b1 -> b2 chain this replica voted on.  The lock
+    # on b2 lapses with it.
+    b1_alt = Block.build(1, GENESIS.block_hash, 0.1, "peer-2", [])
+    assert core.applied(b1_alt) == [RoundEvent(0, 1, "superseded")]
+    assert core.locks == {}
     # Now the quorum-completing commit votes for (0, 2) arrive: height
-    # 2 == ledger head + 1, but b2 is parented on the losing b1.
-    for voter in ("peer-2", "peer-3"):
-        engine._on_prepare(0, 2, b2.block_hash, voter)
-    for voter in ("peer-2", "peer-3"):
-        engine._on_commit(0, 2, b2.block_hash, voter)
-    assert replica.ledger.height == 1
-    assert replica.ledger.head.block_hash == b1_alt.block_hash
-    assert engine.decided_heights() == []
-    network.stop()
+    # 2 is next in line, but b2 is parented on the losing b1.
+    assert _vote(core, Commit, 0, 2, b2.block_hash) == [RoundEvent(0, 2, "discarded")]
+    assert core.decided == {} and core.head is b1_alt
 
 
 def test_view_change_discards_orphaned_buffered_decisions():
     """A decided-but-unapplied block whose parent round is deposed by a
     view change can never apply — pre-fix it sat in the buffer forever,
     refusing every pre-prepare at its height and holding its txs out of
-    the mempool.  The view change must discard it, while entries still
-    chained to the applied head survive the prune."""
-    network = _network()
-    replica = network.peers[1]
-    engine = replica.engine
-    engine.validator_keys.clear()
-    head = replica.ledger.head
-    b1 = Block.build(1, head.block_hash, 0.0, "peer-0", [])
-    b2 = Block.build(2, b1.block_hash, 0.0, "peer-0", [])
-    engine._accept_pre_prepare(0, 1, b1, "peer-0")
-    engine._accept_pre_prepare(0, 2, b2, "peer-0")
-    # Height 2 decides out of order and parks on the gap at height 1.
-    for voter in ("peer-2", "peer-3"):
-        engine._on_prepare(0, 2, b2.block_hash, voter)
-    for voter in ("peer-2", "peer-3"):
-        engine._on_commit(0, 2, b2.block_hash, voter)
-    assert engine.decided_heights() == [2]
-    # Control entry: parented directly on the applied head, so it stays
-    # producible across the view change and must not be swept.
-    keeper = Block.build(1, head.block_hash, 0.2, "peer-0", [])
-    engine._commit_buffer[1] = _Decided(
-        block=keeper, digest=keeper.block_hash, certificate=[]
-    )
-    # The view change deposes b1's round: nothing left can fill b2's gap.
-    for voter in ("peer-1", "peer-2", "peer-3"):
-        engine._vote_view_change(1, voter)
-    assert engine.view == 1
-    assert engine.decided_heights() == [1], (
-        "expected the orphaned height-2 decision discarded and the "
-        "head-chained height-1 entry kept"
-    )
-    network.stop()
+    the mempool.  The view change must discard it, while a decision whose
+    parent can still be applied (here: a block this replica is locked
+    on) survives the prune."""
+    core = _core()
+    blocks = _chain(0.0, 0.0, 0.0, 0.0)
+    for block in blocks:
+        core.receive("peer-0", PrePrepare(0, block.height, block))
+    b1, b2, b3, b4 = blocks
+    _vote(core, Prepare, 0, 1, b1.block_hash)  # locked on b1, undecided
+    for block in (b2, b4):  # decided out of order, parked on the gaps
+        _vote(core, Prepare, 0, block.height, block.block_hash)
+        decided = _vote(core, Commit, 0, block.height, block.block_hash)
+        assert decided == [RoundEvent(0, block.height, "decided")]
+    assert core.locks == {1: b1, 2: b2, 4: b4} and sorted(core.decided) == [2, 4]
+    # The view change deposes the rounds at 1 and 3: b2 still chains onto
+    # the lock at 1, nothing left can fill the gap under b4.
+    for voter in ("peer-1", "peer-2"):
+        core.receive(voter, ViewChange(1))
+    assert core.receive("peer-3", ViewChange(1)) == [
+        Count("pbft.view_changes"), RoundEvent(0, 1, "superseded"),
+        RoundEvent(0, 3, "superseded"), RoundEvent(0, 4, "discarded")]
+    assert core.view == 1 and list(core.decided) == [2]
 
 
 def test_primary_pipelines_up_to_depth_heights():
@@ -287,7 +279,7 @@ def test_primary_pipelines_up_to_depth_heights():
     network.run_for(3.0)
     open_rounds = {
         height: state
-        for (view, height), state in primary.engine._rounds.items()
+        for (view, height), state in primary.engine.core.rounds.items()
         if view == 0 and state.digest is not None
     }
     assert sorted(open_rounds) == [1, 2, 3, 4]
@@ -327,7 +319,7 @@ def test_view_change_mid_pipeline_requeues_whole_window():
     network.net.partition({"peer-0", "peer-1"})
     network.run_for(8.0)
     in_flight = [
-        height for (view, height), state in primary.engine._rounds.items()
+        height for (view, height), state in primary.engine.core.rounds.items()
         if state.digest is not None
     ]
     assert len(in_flight) >= 3, (
@@ -348,27 +340,21 @@ def test_view_change_mid_pipeline_requeues_whole_window():
 def test_stall_check_counts_buffered_decisions_as_progress():
     """A replica whose decided-block buffer moved since the timer was
     armed is making pipelined progress — it must not vote a view change
-    even though its ledger height is unchanged."""
-    network = _network()
-    replica = network.peers[1]
-    engine = replica.engine
-    token = engine._progress_token()
-    engine._round(0, 1)  # open work exists, so a true stall would fire
-    head = replica.ledger.head
-    block = Block.build(2, "parent-digest", 0.0, "peer-0", [])
-    engine._commit_buffer[2] = _Decided(
-        block=block, digest=block.block_hash, certificate=[]
-    )
-    engine._view_timer_fired(token)
-    assert engine._view_votes.get(1) is None, (
+    even though its applied head is unchanged."""
+    core = _core()
+    token = core.progress()
+    b1, b2 = _chain(0.0, 0.0)
+    core.receive("peer-0", PrePrepare(0, 1, b1))  # open work: a true stall would fire
+    core.receive("peer-0", PrePrepare(0, 2, b2))
+    _vote(core, Prepare, 0, 2, b2.block_hash)
+    assert _vote(core, Commit, 0, 2, b2.block_hash) == [RoundEvent(0, 2, "decided")]
+    assert core.timeout(token, waiting=True) == [], (
         "buffered decided block was treated as a stall"
     )
+    assert not core.view_votes
     # Control: with the token genuinely unchanged, the same fire votes.
-    engine._commit_buffer.clear()
-    engine._view_timer_fired(engine._progress_token())
-    assert "peer-1" in engine._view_votes.get(1, set())
-    assert head is replica.ledger.head  # nothing applied throughout
-    network.stop()
+    assert core.timeout(core.progress(), waiting=False) == [Broadcast(ViewChange(1))]
+    assert core.view_votes == {1: {"peer-1"}} and core.head is GENESIS
 
 
 def test_depth_one_matches_seed_behaviour():
@@ -382,7 +368,7 @@ def test_depth_one_matches_seed_behaviour():
         nonlocal max_open
         for peer in network.peers:
             open_heights = {
-                height for (view, height), state in peer.engine._rounds.items()
+                height for (view, height), state in peer.engine.core.rounds.items()
                 if state.block is not None and state.block.proposer == peer.node_id
             }
             max_open = max(max_open, len(open_heights))
@@ -399,7 +385,7 @@ def test_depth_one_matches_seed_behaviour():
     reference = max(network.peers, key=lambda p: p.ledger.height)
     assert all(tx_id in reference.receipts for tx_id in tx_ids)
     assert max_open <= 1
-    assert all(not p.engine._commit_buffer for p in network.peers)
+    assert all(not p.engine.core.decided for p in network.peers)
 
 
 # -- schedule equivalence (hypothesis) -------------------------------------

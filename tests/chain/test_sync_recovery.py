@@ -70,7 +70,7 @@ def test_pbft_replica_catches_up_beyond_height_window(mode):
     _drive(network, n_txs=26)
     head = max(p.ledger.height for p in network.peers)
     assert head - victim.ledger.height >= 20, "scenario failed to open a deep gap"
-    assert head - victim.ledger.height > victim.engine.HEIGHT_WINDOW
+    assert head - victim.ledger.height > victim.engine.core.HEIGHT_WINDOW
     comeback = network.sim.now + 0.5
     if mode == "restart":
         schedule.restart_at(comeback, victim.node_id)
@@ -289,7 +289,7 @@ def test_one_peer_ahead_by_a_pipeline_is_followed_block_by_block():
     assert network.committed_heights() == {
         "peer-0": base, "peer-1": base + 3, "peer-2": base, "peer-3": base}
     for index in (0, 2):
-        assert sorted(network.peers[index].engine._locks) == [base + 1, base + 2, base + 3]
+        assert sorted(network.peers[index].engine.core.locks) == [base + 1, base + 2, base + 3]
     network.net.transmit = transmit
     network.run_for(6.0)
     network.stop()
