@@ -56,14 +56,15 @@ def _run(label: str, crash: str | None = None, byzantine: set[str] | None = None
     live = [p for p in network.peers if not p.crashed and not p.byzantine]
     reference = max(live, key=lambda p: p.ledger.height)
     committed = sum(1 for tx_id in submitted if tx_id in reference.receipts)
-    latency = reference.metrics.mean_commit_latency
+    latency = network.obs.histogram("phase.commit_latency", peer=reference.node_id).mean
     live_ids = {p.node_id for p in live}
     view_changes = int(max(
         (c.value for c in network.obs.counters("pbft.view_changes")
          if c.labels["peer"] in live_ids),
         default=0,
     ))
-    messages = network.net.stats.sent / max(1, reference.metrics.txs_committed_valid)
+    valid = network.obs.counter("peer.txs_committed_valid", peer=reference.node_id).value
+    messages = network.obs.total("net.sent") / max(1, valid)
     return label, committed, latency, view_changes, messages
 
 

@@ -55,11 +55,11 @@ def _run_config(n_peers: int, consensus: str, trace: bool = False):
     network.run_for(5.0)
     network.assert_convergence()
     peer = network.peers[0]
-    committed = peer.metrics.txs_committed_valid
+    committed = network.obs.counter("peer.txs_committed_valid", peer=peer.node_id).value
     elapsed = network.sim.now
     throughput = committed / elapsed
-    latency = peer.metrics.mean_commit_latency
-    messages_per_tx = network.net.stats.sent / max(1, committed)
+    latency = network.obs.histogram("phase.commit_latency", peer=peer.node_id).mean
+    messages_per_tx = network.obs.total("net.sent") / max(1, committed)
     speedup = peer.sharded_executor.cumulative_speedup if peer.sharded_executor else 1.0
     if trace:
         # Durable timeline for `repro-news report`: the full per-phase

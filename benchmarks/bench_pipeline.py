@@ -75,8 +75,7 @@ def _run_depth(depth: int) -> dict:
         tx_id in reference.receipts and reference.receipts[tx_id].success
         for tx_id in tx_ids
     ), "workload did not fully commit"
-    commit_times = reference.metrics.commit_times
-    elapsed = max(commit_times)
+    elapsed = network.obs.histogram("peer.commit_time", peer=reference.node_id).max
     latency = network.obs.histogram("phase.commit_latency", peer=reference.node_id)
     return {
         "depth": depth,
@@ -95,9 +94,9 @@ def _chaos_at_depth_4() -> dict:
     violations = 0
     blocks = 0
     for seed in CHAOS_SEEDS:
-        _, auditor, _ = run_chaos_audited(seed, pipeline_depth=4)
+        network, auditor, _ = run_chaos_audited(seed, pipeline_depth=4)
         violations += len(auditor.violations)
-        blocks += auditor.blocks_audited
+        blocks += network.obs.total("audit.blocks_audited")
     return {
         "seeds": len(list(CHAOS_SEEDS)),
         "violations": violations,

@@ -96,9 +96,13 @@ def _run(mode: str, seed: int) -> dict:
     auditor.final_check(failures=schedule.log, sync_window=90.0)
 
     latencies = [lat for _, lat in auditor.catchup_latencies(schedule.log)]
-    metrics = victim.sync.metrics
-    synced_blocks = sum(blocks for blocks, _ in metrics.sync_durations)
-    synced_time = sum(seconds for _, seconds in metrics.sync_durations)
+    obs, node = network.obs, victim.node_id
+
+    def count(name: str) -> float:
+        return obs.counter(name, peer=node).value
+
+    synced_blocks = count("sync.lag_blocks")
+    synced_time = obs.histogram("phase.sync_fetch", peer=node).total
     return {
         "mode": mode,
         "seed": seed,
@@ -106,12 +110,12 @@ def _run(mode: str, seed: int) -> dict:
         "drop_probability": RECOVERY_DROP,
         "catchup_latency_s": latencies[0] if latencies else None,
         "sync_blocks_per_s": (synced_blocks / synced_time) if synced_time else None,
-        "blocks_synced": metrics.blocks_synced,
-        "requests": metrics.requests_sent,
-        "timeouts": metrics.timeouts,
-        "retries": metrics.retries,
-        "provider_failovers": metrics.provider_failovers,
-        "restarts": victim.metrics.restarts,
+        "blocks_synced": count("sync.blocks_synced"),
+        "requests": count("sync.requests_sent"),
+        "timeouts": count("sync.timeouts"),
+        "retries": count("sync.retries"),
+        "provider_failovers": count("sync.provider_failovers"),
+        "restarts": count("peer.restarts"),
         "final_height": victim.ledger.height,
         "violations": len(auditor.violations),
     }

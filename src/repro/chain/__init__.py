@@ -42,7 +42,7 @@ from repro.chain.store import (
     RecoveryReport,
     SQLiteStore,
 )
-from repro.chain.sync import SyncManager, SyncMetrics
+from repro.chain.sync import SyncManager
 from repro.chain.transaction import Endorsement, Transaction, TxReceipt
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "Admission",
     "Peer",
     "SyncManager",
-    "SyncMetrics",
     "StateSnapshot",
     "WorldState",
     "BlockStore",

@@ -70,7 +70,6 @@ from typing import TYPE_CHECKING, Any
 from repro.chain.block import Block
 from repro.chain.transaction import group_run
 from repro.errors import ChainError
-from repro.obs import MetricsRegistry, metric_attr
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chain.network import BlockchainNetwork
@@ -122,17 +121,14 @@ class InvariantAuditor:
     so chaos benchmarks can count rather than abort.
     """
 
-    #: Audit counters live in the network's shared metrics registry so
-    #: the exporters report them alongside peer/sync/consensus numbers;
-    #: the attribute API is unchanged (see :class:`repro.obs.views.metric_attr`).
-    blocks_audited = metric_attr("audit.blocks_audited")
-    checks_run = metric_attr("audit.checks_run")
-
     def __init__(self, network: "BlockchainNetwork", strict: bool = True):
         self.network = network
         self.strict = strict
-        self._obs = getattr(network, "obs", None) or MetricsRegistry()
-        self._counter_cache: dict[str, Any] = {}
+        #: Audit counters live in the network's shared metrics registry so
+        #: the exporters report them alongside peer/sync/consensus numbers.
+        self._obs = network.obs
+        self._blocks_audited = self._obs.counter("audit.blocks_audited")
+        self._checks_run = self._obs.counter("audit.checks_run")
         self.violations: list[AuditViolation] = []
         #: tx_id -> simulated admission time, for the durability check.
         self.tracked_txs: dict[str, float] = {}
@@ -148,15 +144,6 @@ class InvariantAuditor:
         network.auditors.append(self)
         for peer in network.peers:
             self.watch_peer(peer)
-
-    def _obs_counter(self, metric: str) -> Any:
-        """Resolve (and cache) a registry counter — the protocol
-        :class:`repro.obs.views.metric_attr` descriptors require."""
-        counter = self._counter_cache.get(metric)
-        if counter is None:
-            counter = self._obs.counter(metric)
-            self._counter_cache[metric] = counter
-        return counter
 
     # -- hook registration -------------------------------------------------
 
@@ -185,7 +172,7 @@ class InvariantAuditor:
     # -- incremental checks (after every committed block) ------------------
 
     def _on_block_committed(self, peer: "Peer", block: Block) -> None:
-        self.blocks_audited += 1
+        self._blocks_audited.inc()
         self._commit_history.setdefault(peer.node_id, []).append(
             (self.network.sim.now, block.height)
         )
@@ -195,7 +182,7 @@ class InvariantAuditor:
         self._check_certificate(peer, block)
 
     def _check_agreement_incremental(self, peer: "Peer", block: Block) -> None:
-        self.checks_run += 1
+        self._checks_run.inc()
         digests = self._height_digests.setdefault(block.height, {})
         digests.setdefault(block.block_hash, peer.node_id)
         if len(digests) > 1:
@@ -216,7 +203,7 @@ class InvariantAuditor:
         engine = peer.engine
         if not engine.quorum:
             return  # blocks carry their own authority (e.g. PoA ordering)
-        self.checks_run += 1
+        self._checks_run.inc()
         entry = engine.commit_certificates.get(block.height)
         if entry is None:
             # Applied by sync: certified itself, or chained below a tip
@@ -299,7 +286,7 @@ class InvariantAuditor:
         (prefix-of-reference implies pairwise agreement on common
         prefixes, so one reference suffices).
         """
-        self.checks_run += 1
+        self._checks_run.inc()
         honest = [p for p in self.network.peers if not p.byzantine]
         if not honest:
             return
@@ -342,7 +329,7 @@ class InvariantAuditor:
     def _check_statement_set(self, peer: "Peer", block: Block, proof: Any) -> None:
         """The statements kept for a synced tip: validators only, and
         enough of them verify for exactly the applied block."""
-        self.checks_run += 1
+        self._checks_run.inc()
         signers = set(proof["signers"])
         if signers - set(peer.engine.validators) or not peer.engine.verify_synced_block(block, proof):
             self._violate(
@@ -358,7 +345,7 @@ class InvariantAuditor:
         self, peer: "Peer", height: int, digest: str,
         certificate: tuple[str, ...], block: Block,
     ) -> None:
-        self.checks_run += 1
+        self._checks_run.inc()
         engine = peer.engine
         validators = set(engine.validators)
         distinct = set(certificate)
@@ -399,7 +386,7 @@ class InvariantAuditor:
         a restarted node's mempool is the fault being modeled, not a
         protocol bug (the excused count is reported in forensics).
         """
-        self.checks_run += 1
+        self._checks_run.inc()
         honest = [p for p in self.network.peers if not p.byzantine]
         in_flight: set[str] = set()
         for peer in honest:
@@ -431,7 +418,7 @@ class InvariantAuditor:
 
     def check_convergence(self) -> None:
         """State convergence (prefix + app-hash), as a structured violation."""
-        self.checks_run += 1
+        self._checks_run.inc()
         try:
             self.network.assert_convergence()
         except AuditViolation:
@@ -460,7 +447,7 @@ class InvariantAuditor:
         that existed at *t*.  With *sync_window* set, it must have done
         so within that many simulated seconds.
         """
-        self.checks_run += 1
+        self._checks_run.inc()
         honest = [p for p in self.network.peers if not p.byzantine]
         live = [p for p in honest if not p.crashed]
         if live:
@@ -525,7 +512,7 @@ class InvariantAuditor:
         out of order.  Engines without a buffer (PoA, depth-1 PBFT with
         nothing in flight) trivially pass.
         """
-        self.checks_run += 1
+        self._checks_run.inc()
         for peer in self.network.peers:
             if peer.byzantine:
                 continue
@@ -548,7 +535,7 @@ class InvariantAuditor:
         """Group atomicity on every honest ledger: a valid tagged
         transaction sits at its tag's position in a run of its whole
         group — every sibling present, in order, valid — in one block."""
-        self.checks_run += 1
+        self._checks_run.inc()
         for peer in self.network.peers:
             if peer.byzantine:
                 continue
@@ -593,7 +580,7 @@ class InvariantAuditor:
         against the recovery reports so the observability path cannot
         drift from the forensics path.
         """
-        self.checks_run += 1
+        self._checks_run.inc()
         disk_faulted = {
             e.target for e in (failures or []) if e.action.startswith("disk-")
         }
@@ -644,7 +631,7 @@ class InvariantAuditor:
         report = getattr(store, "last_recovery", None)
         if report is None:
             return  # in-memory backend, or the store has never recovered
-        self.checks_run += 1
+        self._checks_run.inc()
         self._check_acked_in_ledger(peer, store.acked)
         if report.missing_acked and not report.degradations:
             self._violate(
@@ -732,8 +719,8 @@ class InvariantAuditor:
         for violation in self.violations:
             by_invariant[violation.invariant] = by_invariant.get(violation.invariant, 0) + 1
         return {
-            "blocks_audited": self.blocks_audited,
-            "checks_run": self.checks_run,
+            "blocks_audited": self._blocks_audited.value,
+            "checks_run": self._checks_run.value,
             "txs_tracked": len(self.tracked_txs),
             "restart_wiped": len(self.restart_wiped),
             "violations": len(self.violations),
@@ -773,7 +760,7 @@ def recovery_latencies(
         t
         for peer in network.peers
         if not peer.byzantine
-        for t in peer.metrics.commit_times
+        for t in network.obs.histogram("peer.commit_time", peer=peer.node_id).values
     )
     out: list[tuple[FailureEvent, float | None]] = []
     for event in failures:

@@ -53,6 +53,8 @@ class ConsensusEngine(ABC):
     def attach(self, peer: "Peer") -> None:
         """Bind the engine to its peer (called by the peer itself)."""
         self.peer = peer
+        self._order_wait = peer.obs.histogram("phase.order_wait", peer=peer.node_id)
+        self._group_deferrals = peer.obs.counter("mempool.group_deferrals", peer=peer.node_id)
 
     # -- observability (see repro.obs) -------------------------------------
 
@@ -64,14 +66,13 @@ class ConsensusEngine(ABC):
         peer = self.peer
         if peer is None or not batch:
             return
-        hist = peer.obs.histogram("phase.order_wait", peer=peer.node_id)
         now = peer.sim.now
         for tx in batch:
-            hist.observe(max(0.0, now - tx.timestamp))
+            self._order_wait.observe(max(0.0, now - tx.timestamp))
         if len(batch) < self.max_block_txs and len(peer.mempool):
             # Room in the block and work in the pool: the entry at its
             # head is a group that did not fit and waits for the next one.
-            peer.obs.counter("mempool.group_deferrals", peer=peer.node_id).inc()
+            self._group_deferrals.inc()
 
     @abstractmethod
     def start(self) -> None:

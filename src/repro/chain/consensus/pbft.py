@@ -160,6 +160,11 @@ class PBFTEngine(ConsensusEngine):
     def attach(self, peer: Any) -> None:
         super().attach(peer)
         self.core = self._new_core(peer.ledger.head)
+        node = peer.node_id
+        peer.obs.gauge("pbft.pipeline_depth", peer=node).set(self.pipeline_depth)
+        self._round_hist = peer.obs.histogram("pbft.round", peer=node)
+        self._buffer_wait = peer.obs.histogram("pbft.commit_buffer_wait", peer=node)
+        self._buffer_gauge = peer.obs.gauge("pbft.commit_buffer", peer=node)
 
     def _new_core(self, head: Block, view: int = 0, locks: dict | None = None) -> PBFTCore:
         return PBFTCore(self.validators, self.peer.node_id, self.pipeline_depth, head, view, locks)
@@ -167,7 +172,6 @@ class PBFTEngine(ConsensusEngine):
     # -- time -----------------------------------------------------------------
 
     def start(self) -> None:
-        self.peer.obs.gauge("pbft.pipeline_depth", peer=self.peer.node_id).set(self.pipeline_depth)
         self._schedule_tick()
         self._arm_view_timer()
 
@@ -262,7 +266,7 @@ class PBFTEngine(ConsensusEngine):
                     )
                 case RoundEvent(view, height, "decided"):
                     self._waiting[view, height] = peer.sim.now
-                    self._observe_commit_buffer()
+                    self._buffer_gauge.set(len(self.core.decided))
                 case RoundEvent(view, height, outcome):
                     self._close(view, height, outcome)
                 case Requeue(block):
@@ -282,20 +286,13 @@ class PBFTEngine(ConsensusEngine):
         waited = self._waiting.pop((view, height), None)
         if outcome == "committed" and span is not None:
             # Local pre-prepare -> quorum-commit duration for this round.
-            peer.obs.histogram("pbft.round", peer=peer.node_id).observe(peer.sim.now - span.start)
+            self._round_hist.observe(peer.sim.now - span.start)
         if waited is not None:
             if outcome == "committed":
-                peer.obs.histogram("pbft.commit_buffer_wait", peer=peer.node_id).observe(
-                    peer.sim.now - waited
-                )
-            self._observe_commit_buffer()
+                self._buffer_wait.observe(peer.sim.now - waited)
+            self._buffer_gauge.set(len(self.core.decided))
         if span is not None:
             peer.tracer.finish(span, outcome=outcome)
-
-    def _observe_commit_buffer(self) -> None:
-        self.peer.obs.gauge("pbft.commit_buffer", peer=self.peer.node_id).set(
-            len(self.core.decided)
-        )
 
     def _record_certificate(self, height: int, digest: str, certificate: tuple[str, ...]) -> None:
         self.commit_certificates[height] = (digest, certificate)
@@ -350,7 +347,7 @@ class PBFTEngine(ConsensusEngine):
             for height in [h for h in record if h > head.height]:
                 del record[height]
         self.core = self._new_core(head, self.core.view, self.core.locks)
-        self._observe_commit_buffer()
+        self._buffer_gauge.set(len(self.core.decided))
         self._tick_scheduled = self._timer_scheduled = False
         self._run(self.core.applied(head))
         self.start()
@@ -418,9 +415,8 @@ class PBFTEngine(ConsensusEngine):
             item_signers.append(signer)
         verified: set[str] = set()
         if items:
-            labels = {"peer": self.peer.node_id} if self.peer is not None else {}
-            registry = self.peer.obs if self.peer is not None else None
-            verdicts = verify_many(items, registry=registry, **labels)
+            meter = self.peer.verify_meter if self.peer is not None else None
+            verdicts = verify_many(items, meter)
             verified = {s for s, ok in zip(item_signers, verdicts) if ok}
         return len(counted | verified) >= self.quorum or len(verified - set(voted)) > self.f
 

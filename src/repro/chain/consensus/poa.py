@@ -58,6 +58,11 @@ class RoundRobinOrderer(ConsensusEngine):
     def leader_for(self, height: int) -> str:
         return self.validators[height % len(self.validators)]
 
+    def attach(self, peer: Any) -> None:
+        super().attach(peer)
+        self._leader_turns = peer.obs.counter("poa.leader_turns", peer=peer.node_id)
+        self._blocks_proposed = peer.obs.counter("poa.blocks_proposed", peer=peer.node_id)
+
     def start(self) -> None:
         self._schedule_tick()
 
@@ -88,7 +93,7 @@ class RoundRobinOrderer(ConsensusEngine):
             and not peer.sync.is_lagging()
         ):
             # Rotation reached this validator: its turn to order a block.
-            peer.obs.counter("poa.leader_turns", peer=peer.node_id).inc()
+            self._leader_turns.inc()
             self._propose(next_height)
         self._schedule_tick()
 
@@ -99,7 +104,7 @@ class RoundRobinOrderer(ConsensusEngine):
         if not batch:
             return
         self._observe_order_wait(batch)
-        peer.obs.counter("poa.blocks_proposed", peer=peer.node_id).inc()
+        self._blocks_proposed.inc()
         block = Block.build(
             height=height,
             prev_hash=peer.ledger.head.block_hash,

@@ -45,13 +45,13 @@ from repro.chain.transaction import (
     rwset_digest,
     signature_items,
 )
-from repro.crypto.batch import verify_many
+from repro.crypto.batch import batch_meter, verify_many
 from repro.crypto.keys import KeyPair
 from repro.errors import InvalidTransactionError
-from repro.obs import MetricsRegistry, ObsView, Tracer, metric_attr
+from repro.obs import MetricsRegistry, Tracer
 from repro.simnet.network import Message, NetworkNode
 
-__all__ = ["Admission", "Peer", "PeerMetrics", "simulate_and_sign"]
+__all__ = ["Admission", "Peer", "simulate_and_sign"]
 
 _KIND_TX = "tx-gossip"  # carries one unit: a tuple of one transaction or of a whole group
 _KIND_SYNC_PREFIX = "sync-"
@@ -101,10 +101,6 @@ class Admission(enum.Enum):
     OVERSIZED = "oversized"  #: a group with more members than a block holds
     CRASHED = "crashed"      #: peer is down; a real RPC would not connect
 
-    def __bool__(self) -> bool:
-        # Truthiness preserves the seed API: True iff newly admitted.
-        return self is Admission.ADMITTED
-
     @property
     def accepted(self) -> bool:
         """The transaction is pending or final — no retry needed."""
@@ -117,59 +113,6 @@ _REJECTION_METRICS = {
     "mvcc": "peer.mvcc_conflicts",
     "incomplete": "peer.group_incomplete",
 }
-
-
-class PeerMetrics(ObsView):
-    """Per-peer counters the experiments read.
-
-    The seed-era attribute API (``metrics.txs_committed_valid += 1``) is
-    preserved, but every value now lives in a shared
-    :class:`~repro.obs.registry.MetricsRegistry` under a
-    ``peer=<node_id>`` label, so the exporters and ``repro-news report``
-    see the same numbers the experiments do.  ``commit_times`` — an
-    unbounded list in the seed, a leak on long chaos runs — is now a
-    bounded reservoir (:class:`~repro.obs.registry.Histogram`).
-    """
-
-    txs_committed_valid = metric_attr("peer.txs_committed_valid")
-    txs_committed_invalid = metric_attr("peer.txs_committed_invalid")
-    mvcc_conflicts = metric_attr("peer.mvcc_conflicts")
-    endorsement_failures = metric_attr("peer.endorsement_failures")
-    signature_failures = metric_attr("peer.signature_failures")
-    commit_latency_total = metric_attr("peer.commit_latency_total")
-    commit_latency_count = metric_attr("peer.commit_latency_count")
-    blocks_committed = metric_attr("peer.blocks_committed")
-    restarts = metric_attr("peer.restarts")
-
-    def __init__(self, registry: MetricsRegistry | None = None, peer: str = ""):
-        super().__init__(registry, peer=peer)
-        self._commit_times = self.registry.histogram("peer.commit_time", **self.labels)
-        self._commit_latency = self.registry.histogram("phase.commit_latency", **self.labels)
-
-    @property
-    def commit_times(self) -> list[float]:
-        """Bounded sample of block-commit timestamps (observation order)."""
-        return self._commit_times.values
-
-    def record_block_commit(self, now: float) -> None:
-        self.blocks_committed += 1
-        self._commit_times.observe(now)
-
-    def record_rejection(self, failed_check: str) -> None:
-        """Count one commit-time rejection by the check that failed
-        (:attr:`repro.chain.commit.Verdict.failed_check`)."""
-        self._obs_counter(_REJECTION_METRICS[failed_check]).inc()
-
-    def record_tx_commit_latency(self, latency: float) -> None:
-        self.commit_latency_total += latency
-        self.commit_latency_count += 1
-        self._commit_latency.observe(latency)
-
-    @property
-    def mean_commit_latency(self) -> float:
-        if not self.commit_latency_count:
-            return 0.0
-        return self.commit_latency_total / self.commit_latency_count
 
 
 class Peer(NetworkNode):
@@ -217,7 +160,24 @@ class Peer(NetworkNode):
             clock=lambda: self.network.sim.now if self.network is not None else 0.0,
             registry=self.obs,
         )
-        self.metrics = PeerMetrics(registry=self.obs, peer=node_id)
+        self._txs_valid = self.obs.counter("peer.txs_committed_valid", peer=node_id)
+        self._txs_invalid = self.obs.counter("peer.txs_committed_invalid", peer=node_id)
+        self._blocks_committed = self.obs.counter("peer.blocks_committed", peer=node_id)
+        self._restarts = self.obs.counter("peer.restarts", peer=node_id)
+        self._groups_committed = self.obs.counter("chain.groups_committed", peer=node_id)
+        #: Commit-time rejections by the check that failed
+        #: (:attr:`repro.chain.commit.Verdict.failed_check`).
+        self._rejections = {
+            check: self.obs.counter(name, peer=node_id)
+            for check, name in _REJECTION_METRICS.items()
+        }
+        self._gossip = self.obs.histogram("phase.gossip", peer=node_id)
+        self._consensus_round = self.obs.histogram("phase.consensus_round", peer=node_id)
+        self._commit_latency = self.obs.histogram("phase.commit_latency", peer=node_id)
+        #: Block-commit sim times, kept as a bounded reservoir.
+        self._commit_times = self.obs.histogram("peer.commit_time", peer=node_id)
+        #: Told every batch of signatures this peer checks in one pass.
+        self.verify_meter = batch_meter(self.obs, peer=node_id)
         self.store.attach(self.obs, node_id)
         self.sync = SyncManager(self)
         #: Called as ``listener(peer, block)`` after every committed
@@ -273,10 +233,6 @@ class Peer(NetworkNode):
         """Admit an endorsed unit — a transaction, or with its *siblings*
         the members of one group, in order — as one mempool entry (and
         gossip it as one message), or none of it.
-
-        The returned :class:`Admission` is truthy iff the unit was newly
-        admitted, so seed-era ``if peer.submit(tx):`` call sites keep
-        their meaning.
         """
         if self.crashed:
             return Admission.CRASHED
@@ -284,12 +240,12 @@ class Peer(NetworkNode):
         # Prewarm the verify cache with the client + endorsement
         # signatures in one batch; validate_structure and the later
         # commit-time endorsement checks then hit the cache.
-        verify_many(signature_items(entry), registry=self.obs, peer=self.node_id)
+        verify_many(signature_items(entry), self.verify_meter)
         try:
             for member in entry:
                 member.validate_structure()
         except InvalidTransactionError:
-            self.metrics.signature_failures += 1
+            self._rejections["signature"].inc()
             return Admission.INVALID
         # A tagged transaction is admitted only as its whole group, an
         # untagged one only on its own.
@@ -311,9 +267,7 @@ class Peer(NetworkNode):
             # Submit/gossip phase: creation → admission into *this*
             # mempool.  ~0 at the entry peer (endorsement is synchronous),
             # one network hop at gossip recipients.
-            self.obs.histogram("phase.gossip", peer=self.node_id).observe(
-                max(0.0, self.sim.now - tx.timestamp)
-            )
+            self._gossip.observe(max(0.0, self.sim.now - tx.timestamp))
         self.engine.on_transaction_admitted()
         if gossip:
             self.broadcast(_KIND_TX, entry)
@@ -328,33 +282,31 @@ class Peer(NetworkNode):
         )
         # Consensus + propagation cost for this peer: proposal timestamp
         # to local commit (0 for a PoA leader committing its own block).
-        self.obs.histogram("phase.consensus_round", peer=self.node_id).observe(
-            max(0.0, self.sim.now - block.timestamp)
-        )
+        self._consensus_round.observe(max(0.0, self.sim.now - block.timestamp))
         # One batched pass over every signature in the block (client +
         # endorsements); the per-transaction checks then hit the warmed
         # cache, so verdicts — and the order failures are attributed in —
         # are those of checking one signature at a time.
-        verify_many(signature_items(block.transactions), registry=self.obs, peer=self.node_id)
+        verify_many(signature_items(block.transactions), self.verify_meter)
         result = commit.commit_block(
             block, self.policy_for,
             ledger=self.ledger, state=self.state, index=self.index,
         )
         for verdict in result.verdicts:
             if verdict.failed_check is not None:
-                self.metrics.record_rejection(verdict.failed_check)
+                self._rejections[verdict.failed_check].inc()
         for failed_check in result.group_outcomes:
             if failed_check is None:
-                self.obs.counter("chain.groups_committed", peer=self.node_id).inc()
+                self._groups_committed.inc()
             else:
                 self.obs.counter(
                     "chain.groups_aborted", peer=self.node_id, reason=failed_check
                 ).inc()
         valid_txs = result.valid_txs
-        self.metrics.txs_committed_valid += len(valid_txs)
-        self.metrics.txs_committed_invalid += len(block) - len(valid_txs)
+        self._txs_valid.inc(len(valid_txs))
+        self._txs_invalid.inc(len(block) - len(valid_txs))
         for tx in valid_txs:
-            self.metrics.record_tx_commit_latency(self.sim.now - tx.timestamp)
+            self._commit_latency.observe(self.sim.now - tx.timestamp)
         # Write-ahead durability: the record (block + verdicts + error
         # strings + the proof that certified it, if it came in as a synced
         # tip) is logged and fsync'd-in-model before this commit is
@@ -368,7 +320,8 @@ class Peer(NetworkNode):
             errors=result.errors,
         )
         self.mempool.remove([tx.tx_id for tx in block.transactions])
-        self.metrics.record_block_commit(self.sim.now)
+        self._blocks_committed.inc()
+        self._commit_times.observe(self.sim.now)
         self.store.maybe_snapshot(self.ledger, self.state)
         if self.sharded_executor is not None and valid_txs:
             self.sharded_executor.plan_block(valid_txs)
@@ -418,7 +371,7 @@ class Peer(NetworkNode):
         if recovered is not None:
             self._reseed_engine_proofs(recovered.proofs)
         self.sync.on_restart(report=report)
-        self.metrics.restarts += 1
+        self._restarts.inc()
         for listener in self.restart_listeners:
             listener(self, wiped)
         return wiped

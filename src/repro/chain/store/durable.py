@@ -103,14 +103,16 @@ class DurableStore(BlockStore):
         self.last_snapshot_height = 0
         self.last_recovery: RecoveryReport | None = None
         self.reports: list[RecoveryReport] = []
-        self._obs = MetricsRegistry()
-        self._labels: dict[str, str] = {}
+        self.attach(MetricsRegistry(), node_id)
 
     def attach(self, registry: MetricsRegistry, node_id: str) -> None:
         self._obs = registry
         self._labels = {"peer": node_id}
+        self._blocks_logged = registry.counter("store.blocks_logged", peer=node_id)
+        self._log_bytes = registry.counter("store.log_bytes", peer=node_id)
 
     def _count(self, name: str, n: float = 1, **extra: str) -> None:
+        """Count off the commit path (snapshots, recovery)."""
         self._obs.counter(name, **self._labels, **extra).inc(n)
 
     # -- commit path -------------------------------------------------------
@@ -125,8 +127,8 @@ class DurableStore(BlockStore):
         payload = encode_record(block, validity, errors, proof)
         self.log.append(block.height, payload)
         self.acked[block.height] = (block.block_hash, zlib.crc32(payload))
-        self._count("store.blocks_logged")
-        self._count("store.log_bytes", len(payload))
+        self._blocks_logged.inc()
+        self._log_bytes.inc(len(payload))
         return True
 
     def maybe_snapshot(self, ledger: Ledger, state: WorldState) -> bool:

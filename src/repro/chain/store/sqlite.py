@@ -59,6 +59,7 @@ from repro.simnet.disk import SimDisk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chain.consensus.base import ConsensusEngine
+    from repro.obs import MetricsRegistry
 
 __all__ = ["SQLiteStore", "SCHEMA_VERSION", "MIGRATIONS", "image_name"]
 
@@ -176,6 +177,10 @@ class SQLiteStore(DurableStore):
         #: call — adopted after recovery iff that candidate won the ladder.
         self._pending: tuple[int, sqlite3.Connection] | None = None
 
+    def attach(self, registry: "MetricsRegistry", node_id: str) -> None:
+        super().attach(registry, node_id)
+        self._rows_indexed = registry.counter("store.sqlite_rows_indexed", peer=node_id)
+
     # -- live connection ---------------------------------------------------
 
     def _fresh_conn(self) -> sqlite3.Connection:
@@ -282,7 +287,7 @@ class SQLiteStore(DurableStore):
     ) -> bool:
         acked = super().on_commit(block, validity, proof=proof, errors=errors)
         self._index_block(block, validity)
-        self._count("store.sqlite_rows_indexed", len(block.transactions))
+        self._rows_indexed.inc(len(block.transactions))
         return acked
 
     # -- snapshot media (the DurableStore hook points) ---------------------

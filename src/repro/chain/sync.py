@@ -85,7 +85,6 @@ from repro.chain.block import Block
 from repro.chain.transaction import signature_items
 from repro.crypto.batch import verify_many
 from repro.crypto.keys import verify_signature
-from repro.obs import MetricsRegistry, ObsView, metric_attr
 from repro.obs.trace import Span
 from repro.simnet.events import Event
 from repro.simnet.network import Message
@@ -94,7 +93,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chain.peer import Peer
 
 __all__ = [
-    "SyncManager", "SyncMetrics", "statement_message",
+    "SyncManager", "statement_message",
     "KIND_ANNOUNCE", "KIND_REQUEST", "KIND_RESPONSE", "KIND_ATTEST_REQUEST", "KIND_ATTEST",
 ]
 
@@ -131,50 +130,6 @@ def statement_message(node_id: str, height: int, block_hash: str, voted: bool = 
     yet but voted commit for it on top of its applied head."""
     kind = "sync-voted" if voted else "sync-announce"
     return f"{kind}|{node_id}|{height}|{block_hash}".encode()
-
-
-class SyncMetrics(ObsView):
-    """Counters the recovery benchmarks and chaos tests read.
-
-    Attribute API unchanged from the seed dataclass; values live in the
-    peer's shared :class:`~repro.obs.registry.MetricsRegistry` under a
-    ``peer=<node_id>`` label (see :class:`repro.obs.views.ObsView`).
-    """
-
-    announcements_sent = metric_attr("sync.announcements_sent")
-    announcements_verified = metric_attr("sync.announcements_verified")
-    announcements_rejected = metric_attr("sync.announcements_rejected")
-    requests_sent = metric_attr("sync.requests_sent")
-    attest_requests_sent = metric_attr("sync.attest_requests_sent")
-    statements_verified = metric_attr("sync.statements_verified")
-    responses_served = metric_attr("sync.responses_served")
-    retries = metric_attr("sync.retries")
-    timeouts = metric_attr("sync.timeouts")
-    provider_failovers = metric_attr("sync.provider_failovers")
-    stale_responses = metric_attr("sync.stale_responses")
-    blocks_synced = metric_attr("sync.blocks_synced")
-    invalid_blocks = metric_attr("sync.invalid_blocks")
-    buffered_future = metric_attr("sync.buffered_future")
-    syncs_completed = metric_attr("sync.syncs_completed")
-    lag_time_total = metric_attr("sync.lag_time_total")
-    max_lag_blocks = metric_attr("sync.max_lag_blocks")
-    #: Blocks the durable store acknowledged but could not recover after
-    #: a crash (torn/corrupt records) — re-fetched through this manager.
-    store_truncated_blocks = metric_attr("sync.store_truncated_blocks")
-
-    def __init__(self, registry: MetricsRegistry | None = None, peer: str = ""):
-        super().__init__(registry, peer=peer)
-        #: (lag_blocks, seconds) per completed catch-up, for latency
-        #: tables; the same durations also feed the ``phase.sync_fetch``
-        #: histogram for the percentile report.
-        self.sync_durations: list[tuple[int, float]] = []
-        self._catchup = self.registry.histogram("phase.sync_fetch", **self.labels)
-
-    def record_catchup(self, lag_blocks: int, duration: float) -> None:
-        self.syncs_completed += 1
-        self.lag_time_total += duration
-        self.sync_durations.append((lag_blocks, duration))
-        self._catchup.observe(duration)
 
 
 @dataclass
@@ -223,7 +178,31 @@ class SyncManager:
         self.backoff_factor = backoff_factor
         self.backoff_cap = backoff_cap
         self.jitter = jitter
-        self.metrics = SyncMetrics(registry=peer.obs, peer=peer.node_id)
+        obs, node = peer.obs, peer.node_id
+        self._announcements_sent = obs.counter("sync.announcements_sent", peer=node)
+        self._announcements_verified = obs.counter("sync.announcements_verified", peer=node)
+        self._announcements_rejected = obs.counter("sync.announcements_rejected", peer=node)
+        self._requests_sent = obs.counter("sync.requests_sent", peer=node)
+        self._attest_requests_sent = obs.counter("sync.attest_requests_sent", peer=node)
+        self._statements_verified = obs.counter("sync.statements_verified", peer=node)
+        self._responses_served = obs.counter("sync.responses_served", peer=node)
+        self._retries = obs.counter("sync.retries", peer=node)
+        self._timeouts = obs.counter("sync.timeouts", peer=node)
+        self._provider_failovers = obs.counter("sync.provider_failovers", peer=node)
+        self._stale_responses = obs.counter("sync.stale_responses", peer=node)
+        self._blocks_synced = obs.counter("sync.blocks_synced", peer=node)
+        self._invalid_blocks = obs.counter("sync.invalid_blocks", peer=node)
+        self._buffered_future = obs.counter("sync.buffered_future", peer=node)
+        #: Blocks the durable store acknowledged but could not recover after
+        #: a crash (torn/corrupt records) — re-fetched through this manager.
+        self._store_truncated_blocks = obs.counter("sync.store_truncated_blocks", peer=node)
+        #: Blocks and sim seconds of every completed catch-up: the blocks
+        #: here, the seconds (and their count) in ``phase.sync_fetch``.
+        self._lag_blocks = obs.counter("sync.lag_blocks", peer=node)
+        self._catchup = obs.histogram("phase.sync_fetch", peer=node)
+        #: The largest lag a catch-up started from (a high-water mark).
+        self._max_lag_blocks = obs.gauge("sync.max_lag_blocks", peer=node)
+        self._future_buffer = obs.gauge("sync.future_buffer", peer=node)
         self.rng = random.Random(f"sync:{peer.node_id}")
         self.stopped = False
         #: node id -> highest height it has credibly claimed to hold.
@@ -286,7 +265,7 @@ class SyncManager:
         if report is not None:
             lost = len(getattr(report, "missing_acked", {}) or {})
             if lost:
-                self.metrics.store_truncated_blocks += lost
+                self._store_truncated_blocks.inc(lost)
                 # Treat the truncation like detected lag from the moment
                 # of restart: the catch-up duration metrics then cover
                 # re-fetching what the disk lost.
@@ -321,7 +300,7 @@ class SyncManager:
                 KIND_ANNOUNCE,
                 self._statement(peer.ledger.height, peer.ledger.head.block_hash),
             )
-            self.metrics.announcements_sent += 1
+            self._announcements_sent.inc()
         self._schedule_announce()
 
     def _statement(self, height: int, block_hash: str) -> dict[str, Any]:
@@ -387,12 +366,12 @@ class SyncManager:
             return
         statement = self._verify_statement(message)
         if statement is None:
-            self.metrics.announcements_rejected += 1
+            self._announcements_rejected.inc()
             return
-        self.metrics.announcements_verified += 1
+        self._announcements_verified.inc()
         if src in self.peer.engine.validators:
             self._announced[src] = statement
-            self.metrics.statements_verified += 1
+            self._statements_verified.inc()
         # Its own word replaces whatever its votes let us guess.
         self.known_heights[src] = height
         self.maybe_sync()
@@ -428,7 +407,7 @@ class SyncManager:
         if held and height == held[-1].height and block_hash != held[-1].block_hash:
             self._reject_statement("wrong-hash")
         else:
-            self.metrics.statements_verified += 1
+            self._statements_verified.inc()
         self._complete_batch()
 
     def _reject_statement(self, reason: str) -> None:
@@ -478,9 +457,9 @@ class SyncManager:
             if len(self._future) >= self.FUTURE_WINDOW:
                 del self._future[max(self._future)]
             if height not in self._future:
-                self.metrics.buffered_future += 1
+                self._buffered_future.inc()
             self._future[height] = block
-            self._observe_future()
+            self._future_buffer.set(len(self._future))
         self.maybe_sync()
 
     @staticmethod
@@ -499,10 +478,10 @@ class SyncManager:
             self._extends(block, peer.ledger.head)
             and peer.engine.verify_synced_block(block, None)
         ):
-            self.metrics.invalid_blocks += 1
+            self._invalid_blocks.inc()
             return False
         peer.commit_block(block)
-        self.metrics.blocks_synced += 1
+        self._blocks_synced.inc()
         return True
 
     def _drain_future(self) -> None:
@@ -512,12 +491,7 @@ class SyncManager:
                 break
         for height in [h for h in self._future if h <= peer.ledger.height]:
             del self._future[height]
-        self._observe_future()
-
-    def _observe_future(self) -> None:
-        self.peer.obs.gauge("sync.future_buffer", peer=self.peer.node_id).set(
-            len(self._future)
-        )
+        self._future_buffer.set(len(self._future))
 
     # -- fetch machinery ---------------------------------------------------
 
@@ -535,9 +509,7 @@ class SyncManager:
         if self._lag_since is None:
             self._lag_since = self.peer.sim.now
             self._lag_from_height = height
-            self.metrics.max_lag_blocks = max(
-                self.metrics.max_lag_blocks, target - height
-            )
+            self._max_lag_blocks.set(max(self._max_lag_blocks.value, target - height))
         provider = self._choose_provider(height)
         if provider is None:
             return
@@ -573,9 +545,9 @@ class SyncManager:
         self._inflight = _InFlight(
             req_id=req_id, provider=provider, start=start, end=end, timer=timer, span=span
         )
-        self.metrics.requests_sent += 1
+        self._requests_sent.inc()
         if self._round_failures:
-            self.metrics.retries += 1
+            self._retries.inc()
         self.peer.send(provider, KIND_REQUEST, {"req_id": req_id, "start": start, "end": end})
 
     def _finish_inflight(self, outcome: str, **attrs: Any) -> _InFlight:
@@ -595,7 +567,7 @@ class SyncManager:
         provider = self._finish_inflight("timeout").provider
         if self.stopped or self.peer.crashed:
             return
-        self.metrics.timeouts += 1
+        self._timeouts.inc()
         self._round_failures += 1
         strikes = self._provider_timeouts.get(provider, 0) + 1
         self._provider_timeouts[provider] = strikes
@@ -605,7 +577,7 @@ class SyncManager:
             # un-wedges us from phantom heights a byzantine node claimed.
             self.known_heights.pop(provider, None)
             self._provider_timeouts.pop(provider, None)
-            self.metrics.provider_failovers += 1
+            self._provider_failovers.inc()
         delay = min(
             self.backoff_base * self.backoff_factor ** min(self._round_failures - 1, 6),
             self.backoff_cap,
@@ -625,7 +597,7 @@ class SyncManager:
         peer = self.peer
         start = max(1, payload["start"])
         end = min(payload["end"], peer.ledger.height, start + self.MAX_BATCH - 1)
-        self.metrics.responses_served += 1
+        self._responses_served.inc()
         peer.send(
             message.src,
             KIND_RESPONSE,
@@ -640,7 +612,7 @@ class SyncManager:
         inflight = self._inflight
         payload = message.payload
         if inflight is None or inflight.req_id != payload.get("req_id") or inflight.batch:
-            self.metrics.stale_responses += 1
+            self._stale_responses.inc()
             return
         provider = message.src
         self._provider_timeouts.pop(provider, None)
@@ -739,15 +711,14 @@ class SyncManager:
         # per-block commit path below hits the warmed cache.
         verify_many(
             [item for block in batch for item in signature_items(block.transactions)],
-            registry=peer.obs,
-            peer=peer.node_id,
+            peer.verify_meter,
         )
         for block in batch:
             # Applying one block may let the engine drain decided blocks
             # it held above the gap; those heights are then done.
             if block.height > peer.ledger.height:
                 peer.commit_block(block)
-                self.metrics.blocks_synced += 1
+                self._blocks_synced.inc()
         for statements in (self._announced, self._attested):
             for node in [n for n, st in statements.items() if st[0] <= peer.ledger.height]:
                 del statements[node]
@@ -759,9 +730,9 @@ class SyncManager:
         the provider's claim is dropped so the next round fails over to
         someone else."""
         provider = self._finish_inflight("rejected").provider
-        self.metrics.invalid_blocks += 1
+        self._invalid_blocks.inc()
         self.known_heights.pop(provider, None)
-        self.metrics.provider_failovers += 1
+        self._provider_failovers.inc()
         self._drain_future()
         self.maybe_sync()
 
@@ -791,7 +762,7 @@ class SyncManager:
         for validator in validators:
             if validator not in heard:
                 peer.send(validator, KIND_ATTEST_REQUEST, {"height": tip.height})
-                self.metrics.attest_requests_sent += 1
+                self._attest_requests_sent.inc()
         inflight.reask = peer.sim.schedule(
             self.backoff_base, self._ask_statements, label=f"sync-attest:{peer.node_id}"
         )
@@ -801,9 +772,8 @@ class SyncManager:
             return
         if self._sync_target() > self.peer.ledger.height or self._future:
             return
-        duration = self.peer.sim.now - self._lag_since
-        lag_blocks = self.peer.ledger.height - (self._lag_from_height or 0)
-        self.metrics.record_catchup(lag_blocks, duration)
+        self._lag_blocks.inc(self.peer.ledger.height - (self._lag_from_height or 0))
+        self._catchup.observe(self.peer.sim.now - self._lag_since)
         self._lag_since = None
         self._lag_from_height = None
 

@@ -131,16 +131,3 @@ class ToolMarketContract(Contract):
     @contract_method
     def get_tool(self, ctx: ContractContext, tool_id: str):
         return ctx.get(tool_key(tool_id))
-
-    @contract_method
-    def list_tools(self, ctx: ContractContext, listed_only: bool = True):
-        """Tool ids ranked by accuracy (warm-up tools last)."""
-        tools = []
-        for key in ctx.keys_with_prefix("tool:"):
-            record = ctx.get(key)
-            if listed_only and not record["listed"]:
-                continue
-            accuracy = record["correct"] / record["calls"] if record["calls"] else -1.0
-            tools.append((accuracy, record["tool_id"]))
-        tools.sort(key=lambda pair: (-pair[0], pair[1]))
-        return [tool_id for _, tool_id in tools]

@@ -42,20 +42,19 @@ class Counter:
     def inc(self, amount: float = 1) -> None:
         self.value += amount
 
-    def set(self, value: float) -> None:
-        """Direct assignment — exists so attribute views can mirror
-        seed-era ``metrics.field = 0`` / ``+=`` call sites exactly."""
-        self.value = value
-
     def as_record(self) -> dict[str, Any]:
         return {"type": "metric", "kind": "counter", "name": self.name,
                 "labels": dict(self.labels), "value": self.value}
 
 
 class Gauge(Counter):
-    """A counter that is allowed to go down (current sizes, depths)."""
+    """A value that is written, not only added to (current sizes,
+    depths, high-water marks)."""
 
     __slots__ = ()
+
+    def set(self, value: float) -> None:
+        self.value = value
 
     def dec(self, amount: float = 1) -> None:
         self.value -= amount

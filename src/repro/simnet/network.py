@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import SimulationError
-from repro.obs import MetricsRegistry, ObsView, metric_attr
+from repro.obs import MetricsRegistry
 from repro.simnet.events import Simulator
 from repro.simnet.latency import FixedLatency, LatencyModel
 
@@ -165,27 +165,6 @@ class NetworkNode(ABC):
                 self.network.transmit(self.node_id, dst, kind, payload, _size=size)
 
 
-class NetworkStats(ObsView):
-    """Counters the scalability benchmarks read out.
-
-    The attribute API (``stats.sent``, ``stats.delivered += 1``, …) is
-    unchanged from the seed dataclass, but the values now live in a
-    :class:`~repro.obs.MetricsRegistry` (the network's, when given one)
-    so exports report transport counters next to chain metrics."""
-
-    sent = metric_attr("net.sent")
-    delivered = metric_attr("net.delivered")
-    dropped_partition = metric_attr("net.dropped_partition")
-    dropped_random = metric_attr("net.dropped_random")
-    dropped_crashed = metric_attr("net.dropped_crashed")
-    total_latency = metric_attr("net.total_latency")
-    bytes_estimate = metric_attr("net.bytes_estimate")
-
-    @property
-    def mean_latency(self) -> float:
-        return self.total_latency / self.delivered if self.delivered else 0.0
-
-
 class Network:
     """The message fabric: nodes, latency, partitions, and drops."""
 
@@ -203,7 +182,16 @@ class Network:
         self.latency = latency or FixedLatency()
         self.drop_probability = drop_probability
         self.rng = random.Random(seed)
-        self.stats = NetworkStats(registry=obs)
+        #: Transport counters (``net.*``), read by name; private when the
+        #: network is built standalone.
+        self.obs = obs if obs is not None else MetricsRegistry()
+        self._sent = self.obs.counter("net.sent")
+        self._delivered = self.obs.counter("net.delivered")
+        self._dropped_partition = self.obs.counter("net.dropped_partition")
+        self._dropped_random = self.obs.counter("net.dropped_random")
+        self._dropped_crashed = self.obs.counter("net.dropped_crashed")
+        #: Bytes charged at send time, dropped messages included.
+        self._bytes = self.obs.counter("net.bytes_estimate")
         self._nodes: dict[str, NetworkNode] = {}
         self._partition: list[frozenset[str]] | None = None
         self._node_id_cache: tuple[str, ...] = ()
@@ -282,22 +270,22 @@ class Network:
         """
         if dst not in self._nodes:
             raise SimulationError(f"unknown destination node {dst!r}")
-        self.stats.sent += 1
+        self._sent.inc()
         if not self._same_side(src, dst):
             if _size is None:
                 _size = estimate_payload_size(payload)
-            self.stats.bytes_estimate += _WIRE_OVERHEAD + len(kind) + _size
-            self.stats.dropped_partition += 1
+            self._bytes.inc(_WIRE_OVERHEAD + len(kind) + _size)
+            self._dropped_partition.inc()
             return
         if self.drop_probability and self.rng.random() < self.drop_probability:
             if _size is None:
                 _size = estimate_payload_size(payload)
-            self.stats.bytes_estimate += _WIRE_OVERHEAD + len(kind) + _size
-            self.stats.dropped_random += 1
+            self._bytes.inc(_WIRE_OVERHEAD + len(kind) + _size)
+            self._dropped_random.inc()
             return
         if _size is None:
             _size = estimate_payload_size(payload)
-        self.stats.bytes_estimate += _WIRE_OVERHEAD + len(kind) + _size
+        self._bytes.inc(_WIRE_OVERHEAD + len(kind) + _size)
         delay = self.latency.sample(src, dst, self.rng)
         message = Message(src=src, dst=dst, kind=kind, payload=payload, sent_at=self.sim.now)
         self.sim.schedule(
@@ -307,8 +295,7 @@ class Network:
     def _deliver(self, message: Message) -> None:
         node = self._nodes.get(message.dst)
         if node is None or node.crashed:
-            self.stats.dropped_crashed += 1
+            self._dropped_crashed.inc()
             return
-        self.stats.delivered += 1
-        self.stats.total_latency += self.sim.now - message.sent_at
+        self._delivered.inc()
         node.on_message(message)

@@ -44,13 +44,6 @@ class RaceOutcome:
         """Final fake reach / factual reach (> 1 means fake won)."""
         return self.final_fake / max(1, self.final_factual)
 
-    def crossover_round(self) -> int | None:
-        """First round where factual reach overtakes fake, if ever."""
-        for index, (factual, fake) in enumerate(zip(self.factual_reach, self.fake_reach)):
-            if factual > fake:
-                return index
-        return None
-
 
 def build_social_world(
     n_agents: int = 500,

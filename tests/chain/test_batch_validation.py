@@ -20,7 +20,7 @@ from repro.chain.consensus.pbft import PBFTEngine
 from repro.chain.consensus.pbft_core import Commit
 from repro.chain.sync import statement_message
 from repro.crypto import KeyPair, ed25519
-from repro.crypto.batch import verify_many
+from repro.crypto.batch import batch_meter, verify_many
 from repro.obs import MetricsRegistry
 from repro.simnet import FixedLatency
 from repro.simnet.network import Message
@@ -71,7 +71,7 @@ def test_verify_many_modes_agree_and_label():
         items.append((keypair.public_key, msg, keypair.sign(msg)))
     items.append((keypair.public_key, b"forged", bytes(64)))
     registry = MetricsRegistry()
-    batched = verify_many(items, registry=registry, peer="p0")
+    batched = verify_many(items, batch_meter(registry, peer="p0"))
     ed25519.verify_cache_clear()
     assert batched == [ed25519.verify(*item) for item in items]
     assert batched == [True, True, True, True, False]

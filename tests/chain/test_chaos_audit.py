@@ -76,7 +76,7 @@ def test_chaos_audit_pbft(seed):
     network, auditor, chaos = run_chaos_audited(seed)
     assert auditor.violations == []
     assert fingerprint(network) == CHAOS_GOLDEN[seed]
-    assert auditor.blocks_audited > 0, "chaos plan starved the run entirely"
+    assert network.obs.total("audit.blocks_audited") > 0, "chaos plan starved the run entirely"
     assert auditor.tracked_txs, "no transactions were tracked"
     # The plan actually injected faults (the schedule logs what fired).
     assert chaos.log, "chaos plan injected nothing"
@@ -95,7 +95,7 @@ def test_chaos_audit_poa(seed):
     hold for the PoA orderer too (certificates are PBFT-only)."""
     network, auditor, chaos = run_chaos_audited(seed, consensus="poa")
     assert auditor.violations == []
-    assert auditor.blocks_audited > 0
+    assert network.obs.total("audit.blocks_audited") > 0
 
 
 def test_determinism_same_seed_same_run():
@@ -127,7 +127,7 @@ def test_chaos_audit_pbft_extended(seed):
     and the schedules that are there for a reason."""
     network, auditor, chaos = run_chaos_audited(seed, duration=40.0, settle=50.0, n_txs=20)
     assert auditor.violations == []
-    assert auditor.blocks_audited > 0
+    assert network.obs.total("audit.blocks_audited") > 0
     assert chaos.log
 
 

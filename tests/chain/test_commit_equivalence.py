@@ -38,6 +38,7 @@ from repro.chain.block import Block
 from repro.chain.explorer import describe_transaction
 from repro.errors import InvalidBlockError
 from tests.conftest import CounterContract
+from tests.conftest import peer_count
 
 _ZERO_SIG = "00" * 64
 
@@ -171,9 +172,9 @@ def reference(sequence):
     assert by_role["group"][:3] == (True, 4, 5)
     assert by_role["stale_group"][4].endswith("member 0: MVCC conflict: stale read set")
     assert by_role["stray"][4] == "group member outside its complete group"
-    assert (peer.metrics.mvcc_conflicts, peer.metrics.endorsement_failures,
-            peer.metrics.signature_failures) == (4, 1, 1)
-    assert (peer.metrics.txs_committed_valid, peer.metrics.txs_committed_invalid) == (5, 7)
+    assert [peer_count(peer, f"peer.{name}") for name in (
+        "mvcc_conflicts", "endorsement_failures", "signature_failures",
+        "txs_committed_valid", "txs_committed_invalid")] == [4, 1, 1, 5, 7]
     groups = {c.labels.get("reason"): c.value for name in (
         "chain.groups_committed", "chain.groups_aborted") for c in peer.obs.counters(name)}
     assert groups == {None: 1, "mvcc": 1, "incomplete": 1}
@@ -223,12 +224,13 @@ def test_rejected_block_leaves_the_peer_untouched(sequence):
     peer.commit_block(blocks[0])
 
     def fingerprint():
-        counters = ("txs_committed_valid", "txs_committed_invalid", "mvcc_conflicts",
-                    "blocks_committed", "commit_latency_count")
+        counters = ("peer.txs_committed_valid", "peer.txs_committed_invalid",
+                    "peer.mvcc_conflicts", "peer.blocks_committed")
         return (
             peer.state.state_digest(), dict(peer.receipts), peer.ledger.height,
             peer.index.height, len(peer.index),
-            {name: getattr(peer.metrics, name) for name in counters},
+            {name: peer_count(peer, name) for name in counters},
+            peer.obs.histogram("phase.commit_latency", peer=peer.node_id).count,
         )
 
     before = fingerprint()

@@ -3,9 +3,11 @@ phase histograms from a real run, metrics surviving crash-restarts."""
 
 import pytest
 
+from benchmarks.e2e.layers import _OBS_COUNTERS
 from repro.chain import BlockchainNetwork, Contract, contract_method
-from repro.obs import export_jsonl, read_jsonl, report_from_records
-from repro.simnet import FixedLatency
+from repro.obs import Counter, export_jsonl, read_jsonl, report_from_records
+from repro.simnet import FailureSchedule, FixedLatency
+from tests.conftest import peer_count
 
 
 class KVContract(Contract):
@@ -35,8 +37,7 @@ def test_one_registry_shared_by_all_components(ran_network):
     net = ran_network
     assert all(peer.obs is net.obs for peer in net.peers)
     assert all(peer.tracer is net.tracer for peer in net.peers)
-    assert all(peer.sync.metrics.registry is net.obs for peer in net.peers)
-    assert net.net.stats.registry is net.obs
+    assert net.net.obs is net.obs
 
 
 def test_lifecycle_phases_recorded(ran_network):
@@ -44,11 +45,8 @@ def test_lifecycle_phases_recorded(ran_network):
     for phase in ("phase.endorse", "phase.gossip", "phase.order_wait",
                   "phase.consensus_round", "phase.commit_latency"):
         assert obs.merged_histogram(phase).count > 0, phase
-    # Seed-era experiment APIs still read the same numbers.
-    peer = ran_network.peers[0]
-    assert peer.metrics.txs_committed_valid == 8
-    assert obs.counter("peer.txs_committed_valid", peer=peer.node_id).value == 8
-    assert ran_network.net.stats.sent == obs.counter("net.sent").value > 0
+    assert peer_count(ran_network.peers[0], "peer.txs_committed_valid") == 8
+    assert obs.total("net.sent") > 0
 
 
 def test_endorse_and_commit_spans_traced(ran_network):
@@ -89,8 +87,8 @@ def test_peer_metrics_survive_restart():
     for i in range(4):
         client.invoke("kv", "put", {"key": f"k{i}", "value": "v"})
     peer = network.peers[0]
-    committed_before = peer.metrics.txs_committed_valid
-    blocks_before = peer.metrics.blocks_committed
+    committed_before = peer_count(peer, "peer.txs_committed_valid")
+    blocks_before = peer_count(peer, "peer.blocks_committed")
     assert committed_before > 0
 
     peer.crashed = True
@@ -99,23 +97,25 @@ def test_peer_metrics_survive_restart():
     network.run_for(2.0)
 
     # Counters live in the network registry, not in wiped volatile state.
-    assert peer.metrics.restarts == 1
-    assert peer.metrics.txs_committed_valid >= committed_before
-    assert peer.metrics.blocks_committed >= blocks_before
-    assert network.obs.counter("peer.restarts", peer=peer.node_id).value == 1
+    assert peer_count(peer, "peer.restarts") == 1
+    assert peer_count(peer, "peer.txs_committed_valid") >= committed_before
+    assert peer_count(peer, "peer.blocks_committed") >= blocks_before
 
 
 def test_commit_times_bounded_by_reservoir():
-    from repro.chain.peer import PeerMetrics
-
-    metrics = PeerMetrics(peer="p0")
+    """Block-commit times are a histogram: exact count, bounded sample."""
+    network = BlockchainNetwork(n_peers=4, consensus="poa", block_interval=0.25, seed=46)
+    network.install_contract(KVContract)
+    client = network.client()
+    for i in range(3):
+        client.invoke("kv", "put", {"key": f"k{i}", "value": "v"})
+    for peer in network.peers:
+        times = network.obs.histogram("peer.commit_time", peer=peer.node_id)
+        assert times.count == peer_count(peer, "peer.blocks_committed") > 0
+        assert times.values == sorted(times.values)
     for i in range(3000):
-        metrics.record_block_commit(float(i))
-    # The seed kept an unbounded list here; the reservoir caps memory
-    # while blocks_committed stays exact.
-    assert metrics.blocks_committed == 3000
-    assert len(metrics.commit_times) <= 1024
-    assert metrics.commit_times  # still a usable sample
+        times.observe(float(i))
+    assert len(times.values) == 1024 and times.max == 2999.0
 
 
 def test_audit_counters_in_shared_registry(ran_network):
@@ -127,5 +127,53 @@ def test_audit_counters_in_shared_registry(ran_network):
     client = network.client()
     client.invoke("kv", "put", {"key": "a", "value": "v"})
     network.run_for(1.0)
-    assert auditor.blocks_audited > 0
-    assert network.obs.counter("audit.blocks_audited").value == auditor.blocks_audited
+    assert auditor.summary()["blocks_audited"] == network.obs.total("audit.blocks_audited") > 0
+
+
+#: Label keys of every counter the end-to-end benchmark reads by name.
+_HARNESS_LABELS = {
+    name: {"peer", "kind"} if name == "store.degradations"
+    else set() if name.startswith("net.") else {"peer"}
+    for name in _OBS_COUNTERS
+}
+
+
+def test_counters_the_benchmark_reads_keep_name_kind_and_labels():
+    """The end-to-end benchmark reads these names from the registry and
+    reports 0 for a name it does not find, so a rename or a kind change
+    must fail here rather than zero a benchmark metric."""
+    network = BlockchainNetwork(
+        n_peers=4, consensus="pbft", block_interval=0.25, latency=FixedLatency(0.02),
+        seed=45, view_timeout=1.0, storage="durable", snapshot_interval=2,
+    )
+    network.install_contract(KVContract)
+    client = network.client()
+    for i in range(6):
+        client.invoke("kv", "put", {"key": f"k{i}", "value": "v"})
+    # Crash the view-0 primary with a flipped bit in its newest snapshot:
+    # a view change while it is down, a degraded recovery, then a catch-up.
+    schedule = FailureSchedule(network.sim, network.net)
+    now = network.sim.now
+    schedule.bitflip_at(now + 0.1, "peer-0", artifact="snapshot")
+    schedule.crash_at(now + 0.2, "peer-0")
+    schedule.restart_at(now + 6.0, "peer-0")
+    network.run_for(0.5)
+    for i in range(6, 10):
+        client.invoke("kv", "put", {"key": f"k{i}", "value": "v"})
+    network.run_for(10.0)
+
+    obs = network.obs
+    for name, keys in _HARNESS_LABELS.items():
+        assert not obs.histograms(name), name
+        series = obs.counters(name)
+        assert series, f"{name} is not registered"
+        assert all(type(c) is Counter and set(c.labels) == keys for c in series), name
+    for name in ("pbft.view_changes", "store.degradations", "sync.blocks_synced"):
+        assert obs.total(name) > 0, name
+    for name in ("phase.sync_fetch", "phase.commit_latency", "peer.commit_time",
+                 "pbft.commit_buffer_wait"):
+        assert obs.histograms(name) and not obs.counters(name), name
+    network.assert_convergence()
+    committed = sum(1 for _ in network.peers[1].ledger.transactions())
+    assert committed == 10
+    assert obs.total("peer.txs_committed_valid") == committed * len(network.peers)

@@ -19,6 +19,7 @@ from repro.chain.block import make_genesis_block
 from repro.chain.consensus.pbft_core import Commit, Count, PBFTCore, Prepare, ViewChange
 from repro.simnet import FixedLatency, VoteFlooder
 from repro.simnet.chaos import _PBFT_COMMIT, _PBFT_PREPARE, _PBFT_VIEW_CHANGE
+from repro.chain.peer import Admission
 
 
 def test_chaos_kind_literals_match_engine():
@@ -221,7 +222,7 @@ def test_deposed_primary_requeues_inflight_txs():
     network.submit(tx_a)
     auditor.track_tx(tx_b.tx_id)
     network.run_for(0.3)  # let tx_a's gossip land before the partition
-    assert primary.submit(tx_b, gossip=False)
+    assert primary.submit(tx_b, gossip=False) is Admission.ADMITTED
     # Split 2|2: the primary proposes a block (taking tx_a and tx_b) that
     # can never gather quorum on either side, so every replica stalls.
     # After the heal, the joint view change deposes the primary — which

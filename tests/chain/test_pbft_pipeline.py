@@ -41,6 +41,7 @@ from repro.chain.consensus.pbft_core import (
     ViewChange,
 )
 from repro.simnet import FixedLatency
+from repro.chain.peer import Admission
 
 GENESIS = make_genesis_block()
 QUORUM = ("peer-1", "peer-2", "peer-3")
@@ -141,7 +142,7 @@ def test_equivocating_primary_sends_distinct_blocks_for_single_tx():
     client = network.client()
     tx = network.endorse_transaction(client, "counter", "increment", {"amount": 1})
     primary = network.peers[0]
-    assert primary.submit(tx, gossip=False)
+    assert primary.submit(tx, gossip=False) is Admission.ADMITTED
     network.run_for(2.0)  # one proposal, well inside the view timeout
     digests = {
         peer.engine.core.rounds[0, 1].digest
@@ -169,7 +170,7 @@ def test_deposed_equivocator_requeues_taken_txs():
         for a in (1, 2)
     ]
     for tx in txs:
-        assert primary.submit(tx, gossip=False)
+        assert primary.submit(tx, gossip=False) is Admission.ADMITTED
         auditor.track_tx(tx.tx_id)
     # The split pre-prepares can't reach quorum on either digest, so the
     # honest replicas time out and depose the equivocator — which must
@@ -275,7 +276,7 @@ def test_primary_pipelines_up_to_depth_heights():
         for _ in range(8)
     ]
     for tx in txs:
-        assert primary.submit(tx, gossip=False)
+        assert primary.submit(tx, gossip=False) is Admission.ADMITTED
     network.run_for(3.0)
     open_rounds = {
         height: state
@@ -311,7 +312,7 @@ def test_view_change_mid_pipeline_requeues_whole_window():
         tx = network.endorse_transaction(
             client, "counter", "increment", {"amount": 2 + index}
         )
-        assert primary.submit(tx, gossip=False)
+        assert primary.submit(tx, gossip=False) is Admission.ADMITTED
         auditor.track_tx(tx.tx_id)
         tracked.append(tx)
     # 2|2 split: the primary pipelines several heights none of which can

@@ -24,6 +24,8 @@ import pytest
 
 from repro.chain import BlockchainNetwork, InvariantAuditor
 from repro.simnet import FailureSchedule, UniformLatency
+from repro.chain.peer import Admission
+from tests.conftest import peer_count
 
 
 def _build(consensus: str, seed: int, drop: float = 0.0) -> tuple[BlockchainNetwork, InvariantAuditor, FailureSchedule]:
@@ -80,10 +82,10 @@ def test_pbft_replica_catches_up_beyond_height_window(mode):
     network.stop()
 
     _assert_all_caught_up(network)
-    assert victim.sync.metrics.blocks_synced >= 20
-    assert victim.sync.metrics.syncs_completed >= 1
+    assert peer_count(victim, "sync.blocks_synced") >= 20
+    assert victim.obs.histogram("phase.sync_fetch", peer=victim.node_id).count >= 1
     if mode == "restart":
-        assert victim.metrics.restarts == 1
+        assert peer_count(victim, "peer.restarts") == 1
     # The auditor's catch-up invariant (not min-height prefix) signs off.
     violations = auditor.final_check(failures=schedule.log, sync_window=25.0)
     assert violations == []
@@ -112,7 +114,7 @@ def test_pbft_synced_blocks_carry_valid_certificates():
     _assert_all_caught_up(network)
     engine = victim.engine
     tips = sorted(engine.synced_proofs)
-    assert len(tips) >= 4 and victim.sync.metrics.attest_requests_sent > 0
+    assert len(tips) >= 4 and peer_count(victim, "sync.attest_requests_sent") > 0
     other = network.peers[0].engine
     for tip in tips:
         proof = engine.sync_proof(tip)
@@ -146,9 +148,9 @@ def test_idle_chain_catchup_needs_no_attest_request():
     network.stop()
 
     _assert_all_caught_up(network)
-    metrics = victim.sync.metrics
-    assert metrics.attest_requests_sent == 0
-    assert metrics.requests_sent == 1 and metrics.timeouts == 0
+    assert peer_count(victim, "sync.attest_requests_sent") == 0
+    assert peer_count(victim, "sync.requests_sent") == 1
+    assert peer_count(victim, "sync.timeouts") == 0
     assert list(victim.engine.synced_proofs) == [head]
     assert sorted(victim.engine.sync_proof(head)["signers"]) == ["peer-0", "peer-1", "peer-2"]
     assert auditor.final_check(failures=schedule.log, sync_window=6.0) == []
@@ -186,9 +188,9 @@ def test_fabricated_fork_is_refuted_before_the_timeout():
     network.run_for(10.0)
     network.stop()
 
-    metrics = victim.sync.metrics
-    assert metrics.provider_failovers >= 1 and metrics.invalid_blocks >= 1
-    assert metrics.timeouts == 0, "the refutation waited for the request timeout"
+    assert peer_count(victim, "sync.provider_failovers") >= 1
+    assert peer_count(victim, "sync.invalid_blocks") >= 1
+    assert peer_count(victim, "sync.timeouts") == 0, "the refutation waited for the request timeout"
     assert network.obs.total("sync.statements_rejected") >= 2  # f + 1, labelled wrong-hash
     assert not {block.block_hash for block in fork} & set(applied)
     _assert_all_caught_up(network)
@@ -298,7 +300,8 @@ def test_one_peer_ahead_by_a_pipeline_is_followed_block_by_block():
         assert peer.ledger.height == base + 3 and peer.engine.view == 0
         assert sorted(peer.engine.synced_proofs) == [base + 1, base + 2, base + 3]
         assert all(peer.node_id in proof["voted"] for proof in peer.engine.synced_proofs.values())
-        assert peer.sync.metrics.timeouts == 0 and peer.sync.metrics.requests_sent == 3
+        assert peer_count(peer, "sync.timeouts") == 0
+        assert peer_count(peer, "sync.requests_sent") == 3
     assert auditor.final_check() == []
 
 
@@ -329,8 +332,9 @@ def test_block_decided_by_one_replica_alone_waits_for_its_voters():
     assert network.committed_heights() == {
         "peer-0": base, "peer-1": base + 1, "peer-2": base, "peer-3": base}
     for index in (0, 3):
-        metrics = network.peers[index].sync.metrics
-        assert metrics.attest_requests_sent > 0 and metrics.blocks_synced == 0
+        peer = network.peers[index]
+        assert peer_count(peer, "sync.attest_requests_sent") > 0
+        assert peer_count(peer, "sync.blocks_synced") == 0
     network.peers[2].crashed = False
     network.run_for(10.0)
     assert set(network.committed_heights().values()) == {base + 1}
@@ -374,7 +378,7 @@ def test_missed_decision_is_fetched_with_f_validators_down():
     assert laggard.ledger.height == base + 1
     proof = laggard.engine.sync_proof(base + 1)
     assert proof["signers"] == ["peer-0", "peer-1"] and proof["voted"] == []
-    assert laggard.sync.metrics.attest_requests_sent == 0
+    assert peer_count(laggard, "sync.attest_requests_sent") == 0
     _drive(network, n_txs=2)
     network.stop()
     assert [p.ledger.height for p in network.peers] == [base + 3, base + 3, base + 1, base + 3]
@@ -403,7 +407,7 @@ def test_observer_follows_live_without_committed_broadcasts():
     _assert_all_caught_up(network)
     assert observer.ledger.height >= joined_at + 5
     assert "pbft-committed" not in kinds and "pbft-commit" in kinds
-    assert observer.sync.metrics.blocks_synced == 0
+    assert peer_count(observer, "sync.blocks_synced") == 0
     for height in range(joined_at + 1, observer.ledger.height + 1):
         digest, certificate = observer.engine.commit_certificates[height]
         assert digest == observer.ledger.block(height).block_hash
@@ -436,7 +440,7 @@ def test_poa_idle_network_catchup_regression():
     network.stop()
 
     _assert_all_caught_up(network)
-    assert victim.sync.metrics.blocks_synced >= gap
+    assert peer_count(victim, "sync.blocks_synced") >= gap
     assert auditor.final_check(failures=schedule.log, sync_window=15.0) == []
 
 
@@ -468,8 +472,8 @@ def test_poa_fetched_batch_is_leader_checked_block_by_block():
     network.run_for(10.0)
     network.stop()
 
-    assert victim.sync.metrics.invalid_blocks >= 1
-    assert victim.sync.metrics.provider_failovers >= 1
+    assert peer_count(victim, "sync.invalid_blocks") >= 1
+    assert peer_count(victim, "sync.provider_failovers") >= 1
     assert not {inside.block_hash, tip.block_hash} & set(applied)
     _assert_all_caught_up(network)
     assert auditor.final_check() == []
@@ -497,9 +501,8 @@ def test_sync_retries_under_message_loss():
     network.run_for(90.0)
     network.stop()
 
-    metrics = victim.sync.metrics
-    assert metrics.requests_sent >= gap // 2
-    assert metrics.timeouts + metrics.retries > 0, (
+    assert peer_count(victim, "sync.requests_sent") >= gap // 2
+    assert peer_count(victim, "sync.timeouts") + peer_count(victim, "sync.retries") > 0, (
         "25% drop never exercised the retry path — scenario is miscalibrated"
     )
     _assert_all_caught_up(network)
@@ -524,9 +527,8 @@ def test_provider_failover_on_phantom_height():
     network.run_for(20.0)
     network.stop()
 
-    metrics = chaser.sync.metrics
-    assert metrics.timeouts >= chaser.sync.PROVIDER_PATIENCE
-    assert metrics.provider_failovers >= 1
+    assert peer_count(chaser, "sync.timeouts") >= chaser.sync.PROVIDER_PATIENCE
+    assert peer_count(chaser, "sync.provider_failovers") >= 1
     assert dead.node_id not in chaser.sync.known_heights
     # With the phantom forgotten the chaser is not stuck "lagging".
     assert not chaser.sync.is_lagging()
@@ -542,7 +544,7 @@ def test_restart_wipes_volatile_state_and_rebuilds_from_ledger():
     victim = network.peers[2]  # a replica: submitting here won't propose
     client = network.client()
     pending = network.endorse_transaction(client, "counter", "increment", {"amount": 1})
-    assert victim.submit(pending, gossip=False)
+    assert victim.submit(pending, gossip=False) is Admission.ADMITTED
     auditor.track_tx(pending.tx_id)
     pre_height = victim.ledger.height
     pre_state = victim.state.state_digest()
@@ -556,7 +558,7 @@ def test_restart_wipes_volatile_state_and_rebuilds_from_ledger():
     assert victim.ledger.height == pre_height
     assert victim.state.state_digest() == pre_state
     assert {t: (r.block_height, r.success) for t, r in victim.receipts.items()} == pre_receipts
-    assert victim.metrics.restarts == 1
+    assert peer_count(victim, "peer.restarts") == 1
     assert pending.tx_id in auditor.restart_wiped
     network.run_for(5.0)
     network.stop()

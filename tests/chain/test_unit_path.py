@@ -110,9 +110,9 @@ def test_units_of_one_and_three_gossip_under_one_kind_at_the_old_price(monkeypat
     for size in (1, 3):
         txs = network.endorse_group(
             [(client, "kv", "put", {"key": f"k{size}-{i}", "value": "v"}) for i in range(size)])
-        before = network.net.stats.bytes_estimate
+        before = network.obs.total("net.bytes_estimate")
         assert entry.submit(*txs) is Admission.ADMITTED
-        charged = network.net.stats.bytes_estimate - before
+        charged = network.obs.total("net.bytes_estimate") - before
         # What a bare transaction cost at 5ed0c33: overhead + "tx-gossip" + its
         # own wire size, to each of the three other peers; a tuple adds nothing.
         assert charged == 3 * (_WIRE_OVERHEAD + len("tx-gossip")

@@ -35,6 +35,11 @@ def local_chain() -> LocalChain:
     return LocalChain(seed=11)
 
 
+def peer_count(peer, name: str) -> float:
+    """*peer*'s value of the registry counter *name*."""
+    return peer.obs.counter(name, peer=peer.node_id).value
+
+
 class CounterContract(Contract):
     """Tiny contract used across chain-layer tests."""
 

@@ -160,17 +160,3 @@ def test_slash_respects_warmup(world):
     with pytest.raises(ContractError, match="warm-up"):
         world.chain.invoke(world.governance, "toolmarket", "slash_if_unreliable",
                            {"tool_id": "fresh"})
-
-
-def test_list_tools_ranked_by_accuracy(world):
-    for tool_id, accuracy_pattern in (("hi", True), ("lo", False)):
-        _register_tool(world, tool_id=tool_id)
-        for index in range(4):
-            world.chain.invoke(world.governance, "toolmarket", "record_invocation",
-                               {"tool_id": tool_id, "article_id": f"{tool_id}-{index}",
-                                "score": 0.9})
-            world.chain.invoke(world.governance, "toolmarket", "record_outcome",
-                               {"tool_id": tool_id, "article_id": f"{tool_id}-{index}",
-                                "final_fake": accuracy_pattern})
-    ranked = world.chain.query("toolmarket", "list_tools", {})
-    assert ranked.index("hi") < ranked.index("lo")

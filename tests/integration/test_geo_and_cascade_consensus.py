@@ -24,7 +24,7 @@ def _mean_commit_latency(latency_model, seed=91):
         network.run_for(1.5)
     network.run_for(10)
     network.assert_convergence()
-    return network.peers[0].metrics.mean_commit_latency
+    return network.obs.histogram("phase.commit_latency", peer="peer-0").mean
 
 
 def test_geo_distribution_raises_commit_latency():

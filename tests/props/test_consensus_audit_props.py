@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.chain import BlockchainNetwork, InvariantAuditor
 from repro.simnet import FixedLatency, UniformLatency
+from repro.chain.peer import Admission
 
 
 @given(
@@ -45,7 +46,7 @@ def test_agreement_and_certificates_hold_with_f_crash_and_byzantine_primary(
     for index in range(n_txs):
         tx = network.endorse_transaction(client, "counter", "increment", {"amount": 1})
         entry = network.peers[1 + (index % 3)]
-        if entry.submit(tx):
+        if entry.submit(tx) is Admission.ADMITTED:
             auditor.track_tx(tx.tx_id)
         network.run_for(2.0)
         if not victim.crashed and network.sim.now >= crash_after:

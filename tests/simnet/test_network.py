@@ -61,7 +61,7 @@ def test_partition_blocks_cross_group_traffic():
     sim.run()
     assert len(nodes[1].received) == 1
     assert len(nodes[2].received) == 0
-    assert net.stats.dropped_partition == 1
+    assert net.obs.total("net.dropped_partition") == 1
 
 
 def test_heal_restores_traffic():
@@ -88,7 +88,7 @@ def test_crashed_node_drops_messages():
     nodes[0].send("n1", "lost", None)
     sim.run()
     assert nodes[1].received == []
-    assert net.stats.dropped_crashed == 1
+    assert net.obs.total("net.dropped_crashed") == 1
 
 
 def test_random_drops_are_seeded():
@@ -126,8 +126,8 @@ def test_stats_track_latency():
     for _ in range(10):
         nodes[0].send("n1", "m", None)
     sim.run()
-    assert net.stats.delivered == 10
-    assert net.stats.mean_latency == pytest.approx(0.1)
+    assert net.obs.total("net.delivered") == 10
+    assert sim.now == pytest.approx(0.1)  # every message took the model's latency
 
 
 def test_uniform_latency_in_bounds():
@@ -164,12 +164,12 @@ def test_bytes_estimate_counts_traffic():
     sim, net, nodes = build(2)
     nodes[0].send("n1", "ping", {"key": "value", "n": 7})
     sim.run()
-    assert net.stats.bytes_estimate > 0
-    before = net.stats.bytes_estimate
+    assert net.obs.total("net.bytes_estimate") > 0
+    before = net.obs.total("net.bytes_estimate")
     nodes[0].send("n1", "ping", {"key": "value" * 100, "n": 7})
     sim.run()
     # A 100x larger payload costs visibly more estimated bandwidth.
-    assert net.stats.bytes_estimate - before > before
+    assert net.obs.total("net.bytes_estimate") - before > before
 
 
 def test_bytes_estimate_charged_even_for_drops():
@@ -178,8 +178,8 @@ def test_bytes_estimate_charged_even_for_drops():
     net.partition({"n0"})
     nodes[0].send("n1", "lost", {"data": "x" * 50})
     sim.run()
-    assert net.stats.dropped_partition == 1
-    assert net.stats.bytes_estimate > 50
+    assert net.obs.total("net.dropped_partition") == 1
+    assert net.obs.total("net.bytes_estimate") > 50
 
 
 def test_broadcast_iterates_cached_id_tuple():
@@ -217,11 +217,11 @@ def test_transmit_drop_paths_schedule_nothing():
 
 def test_transmit_random_drop_charges_bytes_without_scheduling():
     sim, net, nodes = build(2, drop_probability=0.999999, seed=3)
-    before = net.stats.bytes_estimate
+    before = net.obs.total("net.bytes_estimate")
     for _ in range(20):
         nodes[0].send("n1", "m", {"data": "y" * 30})
-    assert net.stats.dropped_random == 20
-    assert net.stats.bytes_estimate - before > 20 * 30  # bandwidth still spent
+    assert net.obs.total("net.dropped_random") == 20
+    assert net.obs.total("net.bytes_estimate") - before > 20 * 30  # bandwidth still spent
     assert sim.pending == 0
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.chain.peer import Admission
 
 
 def test_parser_requires_command():
@@ -120,10 +121,11 @@ def test_report_shows_the_group_counters(tmp_path, capsys):
     # aborts (mvcc); behind two singles neither fits the first block (deferred).
     groups = [net.endorse_group(steps), net.endorse_group(steps)]
     primary = net.peers[0]
-    assert primary.submit(single)
-    assert primary.submit(net.endorse_transaction(client, "counter", "read", {}))
+    assert primary.submit(single) is Admission.ADMITTED
+    read = net.endorse_transaction(client, "counter", "read", {})
+    assert primary.submit(read) is Admission.ADMITTED
     for txs in groups:
-        assert primary.submit(*txs)
+        assert primary.submit(*txs) is Admission.ADMITTED
     net.run_for(5.0)
     net.stop()
     assert net.obs.total("chain.groups_aborted") == 4
