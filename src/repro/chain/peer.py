@@ -328,6 +328,7 @@ class Peer(NetworkNode):
         for listener in self.commit_listeners:
             listener(self, block)
         self.tracer.finish(span, valid=len(valid_txs), invalid=len(block) - len(valid_txs))
+        self.sync.on_block_applied(block)
         # After the listeners: a pipelined engine may apply buffered
         # decided blocks here, and each re-enters commit_block — the
         # auditor must have seen *this* block first.

@@ -1,74 +1,48 @@
-"""Consensus-agnostic block synchronization and crash recovery.
+"""Consensus-agnostic block sync over the simulated network: the driver
+around :mod:`.sync_core`.
 
 Every :class:`~repro.chain.peer.Peer` owns a :class:`SyncManager`.  It is
 the one place a peer learns that it has fallen behind — a crash window,
 a partition, or plain message loss — and the one place missed blocks are
 fetched, verified, and applied.  Both consensus engines rely on it: a
 PBFT replica that missed a decision has no other way to learn the block,
-and the PoA orderer's old ad-hoc anti-entropy probe is replaced
-wholesale.
+and the PoA orderer hands it every block it receives.  The rules — when
+to fetch and from whom, the strikes and the backoff, when a held batch is
+certified, refuted or cut, the future buffer — live in
+:class:`~repro.chain.sync_core.SyncCore`, a transition function with no
+transport (its docstring has the protocol argument).
+:class:`SyncManager` is everything around it:
 
-Lag detection has two inputs:
-
-- **signed statements** — every ``announce_interval`` each live peer
-  broadcasts ``(node_id, height, head_hash)`` signed with its Ed25519 key
-  (:func:`statement_message`).  A statement claiming a height above our
-  own is verified (and the announcer's public key is pinned first-use)
-  before it may trigger a fetch, so an unsigned outsider cannot talk a
-  peer into a sync spiral — at worst it can offer itself as a provider
-  that never answers, which the retry machinery shrugs off.  A
-  validator's verified statement is also kept — it is one signature of
-  the certificate a fetched batch will need — and replaces whatever
-  height its votes had let us guess for it;
-- **height-ahead consensus traffic** — engines call
-  :meth:`SyncManager.note_remote_height` when a validator's message
-  implies a chain longer than ours (a pre-prepare, prepare, or commit
-  for a height we cannot reach).  Under pipelined PBFT, consensus
-  messages up to ``pipeline_depth`` heights ahead are *routine* — the
-  engine only forwards hints for heights beyond its pipeline window, so
-  the fetch machinery is not spun up for blocks that are not committed
-  anywhere yet.
-
-Fetching is a single in-flight ranged request at a time with a
-per-request timeout, bounded per-provider retries, exponential backoff
-with deterministic jitter, and failover to alternate providers.  A
-provider that repeatedly times out has its claimed height forgotten
-(it will re-announce when it is alive again), which also defuses
-phantom-height claims from byzantine nodes.
-
-**Verify before apply.**  A response carries blocks and nothing else.
-The whole batch is checked for structure and hash-chain linkage onto the
-local head — and, where a block carries its own authority (PoA's
-expected leader), each block against the engine — and then held until
-the engine accepts a proof for its *tip*
-(:meth:`~repro.chain.consensus.base.ConsensusEngine.verify_synced_block`;
-for PBFT statements for exactly that ``(height, hash)``: f+1 validators
-that applied it, or 2f+1 that applied it or voted commit for it, the
-hash chain covering every block below).  A statement has two forms,
-told apart under the signature (:func:`statement_message`): *applied* —
-the periodic announcement is one, for the head — and *voted*, which a
-validator gives only for the block right above its applied head
-(:meth:`~repro.chain.consensus.base.ConsensusEngine.attested_hash`).
-The statements come from the announcements already verified — on an idle
-chain everyone announces the same head and no further message is needed
-— and otherwise from the validators themselves: ``sync-attest-request
-{height}`` is answered with the signed statement, or not at all by a
-validator that can vouch for nothing there yet.  The request stays in
-flight, under the same timer, until the batch is applied: missing
-statements are re-asked every ``backoff_base``, those already received
-are kept across retries, and a provider whose tip enough validators
-contradict (so that it can never reach the quorum) is dropped at once.
-A tip still short at the first re-ask may be one that only its provider
-holds: the held batch is then cut down to what f+1 validators are known
-to hold — or to a single block, the only one a vote can cover — and the
-rest is fetched again later.  A validator signs a given statement at
-most once, however often it is asked.  The cost of signing on request:
-a block that one replica decided alone (its own commit votes reached
-nobody) can be fetched by the others only with 2f+1 validators up, the
-voters among them having caught up to its parent; every block that f+1
-validators hold is available with f down.  Blocks that PoA broadcasts
-ahead of the gap are buffered in :attr:`SyncManager._future` and drained
-in order once the gap closes.
+- **Signatures.**  Every ``ANNOUNCE_INTERVAL`` each live peer broadcasts
+  its head as a signed statement (:func:`statement_message`), and a
+  validator answers ``sync-attest-request {height}`` with the statement
+  for the block it applied there — or voted commit for on top of its head
+  (:meth:`~repro.chain.consensus.base.ConsensusEngine.attested_hash`) — or
+  not at all.  A statement is signed the first time it is wanted and
+  remembered (``SIGNED_MEMO`` of them), so a flood of attest requests
+  costs lookups, not signatures.  A statement is checked against the key
+  pinned for its sender on first use before it reaches the core; an
+  announcement at or below our head is taken unverified — a lie there can
+  never trigger a fetch.
+- **The boundary.**  A sync payload is input from another process:
+  :meth:`SyncManager.on_message` checks its shape (a dict; a request's
+  ``req_id``, ``start`` and ``end``; a response's ``blocks`` list) or
+  counts it under ``peer.messages_malformed{kind}`` and drops it, and a
+  response's items that are not blocks never reach the core.
+- **Serving.**  A ranged fetch is answered from the committed chain, at
+  most ``MAX_BATCH`` blocks — the same bound a request asks for.
+- **Effects.**  The core's effects are carried out in the order it
+  returned them: requests and attest requests become messages, a schedule
+  a simulator timer whose firing goes back to the core with its token, a
+  closed request cancels its timers and finishes its ``sync.fetch`` span,
+  an apply records a tip's proof with the engine (``on_synced_block``),
+  checks every signature of the batch in one pass and commits the blocks,
+  and the lag clock feeds ``sync.lag_blocks``, ``phase.sync_fetch`` and the
+  ``sync.max_lag_blocks`` gauge.  Counters are registry handles, taken once.
+- **Restart.**  A process restart drops every timer and the in-flight
+  fetch; blocks the durable store acknowledged but could not recover are
+  counted (``sync.store_truncated_blocks``) and re-fetched, the lag clock
+  running from the restart.
 
 All timing and jitter come from the shared simulator and a
 ``random.Random`` seeded from the node id, so runs remain a pure
@@ -77,25 +51,22 @@ function of their seed.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Block
+from repro.chain.sync_core import (Apply, AttestRequest, CaughtUp, Closed, Count, Forget, LagStart,
+                                   Request, Schedule, Statement, SyncCore, Token)
 from repro.chain.transaction import signature_items
 from repro.crypto.batch import verify_many
 from repro.crypto.keys import verify_signature
-from repro.obs.trace import Span
 from repro.simnet.events import Event
 from repro.simnet.network import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chain.peer import Peer
 
-__all__ = [
-    "SyncManager", "statement_message",
-    "KIND_ANNOUNCE", "KIND_REQUEST", "KIND_RESPONSE", "KIND_ATTEST_REQUEST", "KIND_ATTEST",
-]
+__all__ = ["SyncManager", "statement_message", "KIND_ANNOUNCE", "KIND_REQUEST", "KIND_RESPONSE",
+           "KIND_ATTEST_REQUEST", "KIND_ATTEST"]
 
 KIND_ANNOUNCE = "sync-announce"
 KIND_REQUEST = "sync-request"
@@ -103,7 +74,18 @@ KIND_RESPONSE = "sync-response"
 KIND_ATTEST_REQUEST = "sync-attest-request"
 KIND_ATTEST = "sync-attest"
 
-_KINDS = frozenset({KIND_ANNOUNCE, KIND_REQUEST, KIND_RESPONSE, KIND_ATTEST_REQUEST, KIND_ATTEST})
+#: wire kind -> its handler, looked up on the instance (a test may replace one).
+_HANDLERS = {KIND_ANNOUNCE: "_on_announce", KIND_REQUEST: "_on_request",
+             KIND_RESPONSE: "_on_response", KIND_ATTEST_REQUEST: "_on_attest_request",
+             KIND_ATTEST: "_on_attest"}
+
+#: Per-peer counters, registered up front so that a report lists them at 0.
+_COUNTERS = ("sync.announcements_sent", "sync.announcements_verified",
+             "sync.announcements_rejected", "sync.requests_sent", "sync.attest_requests_sent",
+             "sync.statements_verified", "sync.responses_served", "sync.retries", "sync.timeouts",
+             "sync.provider_failovers", "sync.stale_responses", "sync.blocks_synced",
+             "sync.invalid_blocks", "sync.buffered_future", "sync.store_truncated_blocks",
+             "sync.lag_blocks")
 
 
 def _well_formed(kind: str, payload: Any) -> bool:
@@ -118,11 +100,6 @@ def _well_formed(kind: str, payload: Any) -> bool:
     return kind != KIND_RESPONSE or isinstance(payload.get("blocks", ()), (list, tuple))
 
 
-#: A verified statement as kept: (height, block hash, signature hex,
-#: voted for rather than applied).
-_Statement = tuple[int, str, str, bool]
-
-
 def statement_message(node_id: str, height: int, block_hash: str, voted: bool = False) -> bytes:
     """Canonical byte string of the statement a peer signs: *node_id*
     applied *block_hash* at *height* — its head when announced, any height
@@ -132,115 +109,61 @@ def statement_message(node_id: str, height: int, block_hash: str, voted: bool = 
     return f"{kind}|{node_id}|{height}|{block_hash}".encode()
 
 
-@dataclass
-class _InFlight:
-    """The single outstanding ranged fetch."""
-
-    req_id: str
-    provider: str
-    start: int
-    end: int
-    timer: Event
-    span: Span | None = None
-    #: The fetched blocks, structure- and linkage-checked, held until
-    #: their tip is certified (empty while the response is awaited).
-    batch: list[Block] = field(default_factory=list)
-    #: The pending re-ask for statements still missing.
-    reask: Event | None = None
-
-
 class SyncManager:
-    """Detects lag, fetches verified block ranges, applies them in order."""
+    """Sync for one peer: a :class:`SyncCore` and the effects it asks for."""
 
-    #: At most this many blocks per sync-response (bounds message size).
+    #: At most this many blocks per sync-response (bounds message size),
+    #: and so per request.
     MAX_BATCH = 64
-    #: Buffered future blocks beyond the gap (bounds memory under floods).
-    FUTURE_WINDOW = 256
-    #: Consecutive timeouts against one provider before failing over.
-    PROVIDER_PATIENCE = 2
+    #: Simulated seconds between two announcements of the head.
+    ANNOUNCE_INTERVAL = 2.0
     #: Statements of its own a peer remembers having signed.
     SIGNED_MEMO = 16
+    #: The core's failover rule, for whoever asks the manager.
+    PROVIDER_PATIENCE = SyncCore.PROVIDER_PATIENCE
 
-    def __init__(
-        self,
-        peer: "Peer",
-        announce_interval: float = 2.0,
-        request_timeout: float = 1.5,
-        backoff_base: float = 0.5,
-        backoff_factor: float = 2.0,
-        backoff_cap: float = 8.0,
-        jitter: float = 0.25,
-    ):
+    def __init__(self, peer: "Peer"):
         self.peer = peer
-        self.announce_interval = announce_interval
-        self.request_timeout = request_timeout
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_cap = backoff_cap
-        self.jitter = jitter
         obs, node = peer.obs, peer.node_id
-        self._announcements_sent = obs.counter("sync.announcements_sent", peer=node)
-        self._announcements_verified = obs.counter("sync.announcements_verified", peer=node)
-        self._announcements_rejected = obs.counter("sync.announcements_rejected", peer=node)
-        self._requests_sent = obs.counter("sync.requests_sent", peer=node)
-        self._attest_requests_sent = obs.counter("sync.attest_requests_sent", peer=node)
-        self._statements_verified = obs.counter("sync.statements_verified", peer=node)
-        self._responses_served = obs.counter("sync.responses_served", peer=node)
-        self._retries = obs.counter("sync.retries", peer=node)
-        self._timeouts = obs.counter("sync.timeouts", peer=node)
-        self._provider_failovers = obs.counter("sync.provider_failovers", peer=node)
-        self._stale_responses = obs.counter("sync.stale_responses", peer=node)
-        self._blocks_synced = obs.counter("sync.blocks_synced", peer=node)
-        self._invalid_blocks = obs.counter("sync.invalid_blocks", peer=node)
-        self._buffered_future = obs.counter("sync.buffered_future", peer=node)
-        #: Blocks the durable store acknowledged but could not recover after
-        #: a crash (torn/corrupt records) — re-fetched through this manager.
-        self._store_truncated_blocks = obs.counter("sync.store_truncated_blocks", peer=node)
-        #: Blocks and sim seconds of every completed catch-up: the blocks
-        #: here, the seconds (and their count) in ``phase.sync_fetch``.
-        self._lag_blocks = obs.counter("sync.lag_blocks", peer=node)
+        self._counters = {name: obs.counter(name, peer=node) for name in _COUNTERS}
+        #: The sim seconds of every completed catch-up (its blocks:
+        #: ``sync.lag_blocks``), and the largest lag one started from.
         self._catchup = obs.histogram("phase.sync_fetch", peer=node)
-        #: The largest lag a catch-up started from (a high-water mark).
         self._max_lag_blocks = obs.gauge("sync.max_lag_blocks", peer=node)
         self._future_buffer = obs.gauge("sync.future_buffer", peer=node)
-        self.rng = random.Random(f"sync:{peer.node_id}")
         self.stopped = False
-        #: node id -> highest height it has credibly claimed to hold.
-        self.known_heights: dict[str, int] = {}
+        self.core = SyncCore(
+            node, peer.engine.validators, peer.engine.quorum, peer.ledger.head,
+            certified=lambda block, proof: peer.engine.verify_synced_block(block, proof),
+            vouch=self._vouch, down=lambda: self.stopped or peer.crashed,
+        )
+        #: node id -> highest height it has credibly claimed (the core's).
+        self.known_heights = self.core.known_heights
         #: node id -> pinned announcement public key (trust on first use).
         self._announced_keys: dict[str, bytes] = {}
-        #: height -> offered block, buffered until the gap below closes.
-        self._future: dict[int, Block] = {}
-        self._inflight: _InFlight | None = None
-        self._announce_event: Event | None = None
-        self._retry_event: Event | None = None
-        self._req_counter = 0
-        self._round_failures = 0
-        self._provider_timeouts: dict[str, int] = {}
-        self._lag_since: float | None = None
-        self._lag_from_height: int | None = None
-        #: (height, hash, voted) -> own signature, oldest dropped first: an
-        #: idle head is signed once, and a flood of attest requests costs
-        #: lookups, not signatures.
+        #: (height, hash, voted) -> own signature, oldest dropped first.
         self._signed: dict[tuple[int, str, bool], bytes] = {}
-        #: validator -> its latest verified statement above our head, as
-        #: announced and as answered to an attest request.
-        self._announced: dict[str, _Statement] = {}
-        self._attested: dict[str, _Statement] = {}
+        self._announce_event: Event | None = None
+        #: timer kind -> its pending event (there is at most one of each).
+        self._timers: dict[str, Event] = {}
+        self._span = None
+        self._lag_since = 0.0
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         """Begin the periodic announcement loop (idempotent)."""
         if self._announce_event is None and not self.stopped:
-            self._schedule_announce()
+            self._announce_event = self.peer.sim.schedule(
+                self.ANNOUNCE_INTERVAL, self._announce_tick,
+                label=f"sync-announce:{self.peer.node_id}")
 
     def stop(self) -> None:
         self.stopped = True
         if self._announce_event is not None:
             self._announce_event.cancel()
             self._announce_event = None
-        self._cancel_inflight()
+        self._run(self.core.halt())
 
     def on_restart(self, report: Any = None) -> None:
         """Drop volatile sync state after a simulated process restart.
@@ -253,55 +176,27 @@ class SyncManager:
         manager's job to re-fetch them, so the loss is surfaced as sync
         lag metrics rather than silently absorbed.
         """
-        self._cancel_inflight()
-        self._future.clear()
-        self.known_heights.clear()
-        self._announced.clear()
-        self._attested.clear()
-        self._provider_timeouts.clear()
-        self._round_failures = 0
-        self._lag_since = None
-        self._lag_from_height = None
-        if report is not None:
-            lost = len(getattr(report, "missing_acked", {}) or {})
-            if lost:
-                self._store_truncated_blocks.inc(lost)
-                # Treat the truncation like detected lag from the moment
-                # of restart: the catch-up duration metrics then cover
-                # re-fetching what the disk lost.
-                self._lag_since = self.peer.sim.now
-                self._lag_from_height = self.peer.ledger.height
+        lost = len(getattr(report, "missing_acked", {}) or {})
+        self._counters["sync.store_truncated_blocks"].inc(lost)
+        self._run(self.core.restart(self.peer.ledger.head, lost))
         # The announce loop keeps its schedule: a restarted process would
         # re-arm the same timer on boot.
         self.start()
 
-    def _cancel_inflight(self) -> None:
-        if self._inflight is not None:
-            self._finish_inflight("cancelled")
-        if self._retry_event is not None:
-            self._retry_event.cancel()
-            self._retry_event = None
+    def on_block_applied(self, block: Block) -> None:
+        """Hook from :meth:`Peer.commit_block`: every block the ledger takes."""
+        self.core.applied(block)
 
-    # -- lag detection -----------------------------------------------------
-
-    def _schedule_announce(self) -> None:
-        self._announce_event = self.peer.sim.schedule(
-            self.announce_interval, self._announce_tick,
-            label=f"sync-announce:{self.peer.node_id}",
-        )
+    # -- statements ----------------------------------------------------------
 
     def _announce_tick(self) -> None:
         self._announce_event = None
-        if self.stopped:
-            return
-        peer = self.peer
-        if not peer.crashed:
-            peer.broadcast(
-                KIND_ANNOUNCE,
-                self._statement(peer.ledger.height, peer.ledger.head.block_hash),
-            )
-            self._announcements_sent.inc()
-        self._schedule_announce()
+        ledger = self.peer.ledger
+        if not (self.stopped or self.peer.crashed):
+            self.peer.broadcast(KIND_ANNOUNCE,
+                                self._statement(ledger.height, ledger.head.block_hash))
+            self._counters["sync.announcements_sent"].inc()
+        self.start()
 
     def _statement(self, height: int, block_hash: str) -> dict[str, Any]:
         """This peer's signed statement for ``(height, block_hash)`` — in
@@ -314,70 +209,50 @@ class SyncManager:
             if len(self._signed) >= self.SIGNED_MEMO:
                 del self._signed[next(iter(self._signed))]
             signature = self._signed[(height, block_hash, voted)] = peer.keypair.sign(
-                statement_message(peer.node_id, height, block_hash, voted)
-            )
-        return {
-            "node_id": peer.node_id,
-            "height": height,
-            "head_hash": block_hash,
-            "voted": voted,
-            "public_key": peer.keypair.public_key,
-            "signature": signature,
-        }
+                statement_message(peer.node_id, height, block_hash, voted))
+        return {"node_id": peer.node_id, "height": height, "head_hash": block_hash, "voted": voted,
+                "public_key": peer.keypair.public_key, "signature": signature}
 
-    def _verify_statement(self, message: Message, voted: bool = False) -> _Statement | None:
+    def _vouch(self, tip: Block) -> tuple[str, bool] | None:
+        """Our own word on a fetched tip (the core asks a validator only),
+        if we applied it or voted commit for it."""
+        if self.peer.engine.attested_hash(tip.height) == tip.block_hash:
+            own = self._statement(tip.height, tip.block_hash)
+            return own["signature"].hex(), own["voted"]
+        return None
+
+    def _verify_statement(self, message: Message, voted: bool = False) -> Statement | None:
         """The statement in *message* if it is its sender's own, signed
         in the given form with the key pinned for that sender; otherwise
         ``None``."""
-        payload = message.payload
-        src = message.src
-        height = payload.get("height")
-        block_hash = payload.get("head_hash")
-        public_key = payload.get("public_key")
-        signature = payload.get("signature")
-        if (
-            payload.get("node_id") != src
-            or not isinstance(height, int)
-            or not isinstance(block_hash, str)
-            or not isinstance(public_key, bytes)
-            or not isinstance(signature, bytes)
-            or self._announced_keys.get(src, public_key) != public_key
-            or not verify_signature(
-                public_key, statement_message(src, height, block_hash, voted), signature
-            )
+        payload, src = message.payload, message.src
+        height, block_hash = payload.get("height"), payload.get("head_hash")
+        public_key, signature = payload.get("public_key"), payload.get("signature")
+        if not (
+            payload.get("node_id") == src and isinstance(height, int)
+            and isinstance(block_hash, str) and isinstance(public_key, bytes)
+            and isinstance(signature, bytes)
+            and self._announced_keys.get(src, public_key) == public_key
+            and verify_signature(
+                public_key, statement_message(src, height, block_hash, voted), signature)
         ):
             return None
         self._announced_keys.setdefault(src, public_key)
-        return height, block_hash, signature.hex(), voted
+        return Statement(height, block_hash, signature.hex(), voted)
 
     def _on_announce(self, message: Message) -> None:
-        payload = message.payload
-        src = message.src
+        payload, src = message.payload, message.src
         height = payload.get("height")
-        if (
-            isinstance(height, int)
-            and payload.get("node_id") == src
-            and height <= self.peer.ledger.height
-        ):
-            # Nothing to fetch from this node; remember it only so the
-            # provider chooser can skip it.  No signature check needed —
-            # a lie here can never trigger a fetch.
-            self.known_heights[src] = height
+        if (isinstance(height, int) and payload.get("node_id") == src
+                and height <= self.peer.ledger.height):
+            self._run(self.core.claim(src, height, own_word=True))
             return
         statement = self._verify_statement(message)
         if statement is None:
-            self._announcements_rejected.inc()
+            self._counters["sync.announcements_rejected"].inc()
             return
-        self._announcements_verified.inc()
-        if src in self.peer.engine.validators:
-            self._announced[src] = statement
-            self._statements_verified.inc()
-        # Its own word replaces whatever its votes let us guess.
-        self.known_heights[src] = height
-        self.maybe_sync()
-        self._complete_batch()
-
-    # -- statements on request ---------------------------------------------
+        self._counters["sync.announcements_verified"].inc()
+        self._run(self.core.statement(src, statement, announced=True))
 
     def _on_attest_request(self, message: Message) -> None:
         """Vouch for the block we applied at the asked height, or voted
@@ -389,410 +264,117 @@ class SyncManager:
             self.peer.send(message.src, KIND_ATTEST, self._statement(height, block_hash))
 
     def _on_attest(self, message: Message) -> None:
-        """A validator's answer: kept if it is genuine, whether it is for
-        the held tip, against it, or for a retry to find."""
+        """A validator's answer: checked here, kept by the core."""
         src = message.src
-        if src not in self.peer.engine.validators:
-            self._reject_statement("non-validator")
+        if src not in self.core.validators:
+            self._run([Count("sync.statements_rejected", "non-validator")])
             return
         statement = self._verify_statement(message, message.payload.get("voted") is True)
         if statement is None:
-            self._reject_statement("bad-signature")
+            self._run([Count("sync.statements_rejected", "bad-signature")])
             return
-        height, block_hash = statement[:2]
-        if height <= self.peer.ledger.height:
-            return  # answered a question we no longer have
-        self._attested[src] = statement
-        held = self._inflight.batch if self._inflight is not None else ()
-        if held and height == held[-1].height and block_hash != held[-1].block_hash:
-            self._reject_statement("wrong-hash")
-        else:
-            self._statements_verified.inc()
-        self._complete_batch()
+        self._run(self.core.statement(src, statement, announced=False))
 
-    def _reject_statement(self, reason: str) -> None:
-        self.peer.obs.counter(
-            "sync.statements_rejected", peer=self.peer.node_id, reason=reason
-        ).inc()
+    # -- blocks ----------------------------------------------------------------
 
     def note_remote_height(self, src: str, height: int) -> None:
         """A node credibly holds chain up to *height*; sync if we lag."""
-        if src == self.peer.node_id:
-            return
-        if height > self.known_heights.get(src, -1):
-            self.known_heights[src] = height
-        self.maybe_sync()
+        self._run(self.core.claim(src, height))
 
     def is_lagging(self) -> bool:
         """Does any known node hold a longer chain than ours?"""
-        return self._sync_target() > self.peer.ledger.height
-
-    def _sync_target(self) -> int:
-        target = max(self.known_heights.values(), default=0)
-        if self._future:
-            target = max(target, max(self._future))
-        return target
-
-    # -- block intake ------------------------------------------------------
+        return self.core.lagging()
 
     def offer_block(self, block: Block, src: str) -> None:
         """A block that carries its own authority (a PoA leader's
-        broadcast) arrived from *src*, possibly ahead.
-
-        Next-in-line blocks are verified and applied immediately; blocks
-        beyond the gap are buffered and a ranged fetch is kicked off for
-        the missing prefix.
-        """
-        height = block.height
-        if height <= self.peer.ledger.height:
-            return
-        if height > self.known_heights.get(src, -1):
-            self.known_heights[src] = height
-        if height == self.peer.ledger.height + 1:
-            if self._verify_and_apply(block):
-                self._drain_future()
-            self._check_caught_up()
-            return
-        if len(self._future) < self.FUTURE_WINDOW or height < max(self._future):
-            if len(self._future) >= self.FUTURE_WINDOW:
-                del self._future[max(self._future)]
-            if height not in self._future:
-                self._buffered_future.inc()
-            self._future[height] = block
-            self._future_buffer.set(len(self._future))
-        self.maybe_sync()
-
-    @staticmethod
-    def _extends(block: Block, parent: Block) -> bool:
-        """Is *block* internally consistent and the next link after
-        *parent*?  (It came from outside: anything may be wrong with it.)"""
-        try:
-            block.verify_structure()
-        except Exception:
-            return False
-        return (block.height, block.prev_hash) == (parent.height + 1, parent.block_hash)
-
-    def _verify_and_apply(self, block: Block) -> bool:
-        peer = self.peer
-        if not (
-            self._extends(block, peer.ledger.head)
-            and peer.engine.verify_synced_block(block, None)
-        ):
-            self._invalid_blocks.inc()
-            return False
-        peer.commit_block(block)
-        self._blocks_synced.inc()
-        return True
-
-    def _drain_future(self) -> None:
-        peer = self.peer
-        while peer.ledger.height + 1 in self._future:
-            if not self._verify_and_apply(self._future.pop(peer.ledger.height + 1)):
-                break
-        for height in [h for h in self._future if h <= peer.ledger.height]:
-            del self._future[height]
-        self._future_buffer.set(len(self._future))
-
-    # -- fetch machinery ---------------------------------------------------
-
-    def maybe_sync(self) -> None:
-        """Start (or continue) a ranged fetch if we are behind."""
-        if self.stopped or self.peer.crashed or self._inflight is not None:
-            return
-        if self._retry_event is not None:
-            return  # a backoff wait is in progress; don't defeat it
-        target = self._sync_target()
-        height = self.peer.ledger.height
-        if target <= height:
-            self._check_caught_up()
-            return
-        if self._lag_since is None:
-            self._lag_since = self.peer.sim.now
-            self._lag_from_height = height
-            self._max_lag_blocks.set(max(self._max_lag_blocks.value, target - height))
-        provider = self._choose_provider(height)
-        if provider is None:
-            return
-        self._send_request(provider, height + 1, min(target, height + self.MAX_BATCH))
-
-    def _choose_provider(self, height: int) -> str | None:
-        """Deterministically pick the live-looking node with the most chain."""
-        candidates = [
-            (claimed, node)
-            for node, claimed in self.known_heights.items()
-            if claimed > height
-        ]
-        if not candidates:
-            return None
-        best_height = max(claimed for claimed, _ in candidates)
-        best = sorted(node for claimed, node in candidates if claimed == best_height)
-        # Rotate among equally-tall providers as failures accumulate so a
-        # silent best provider does not absorb every retry.
-        return best[self._round_failures % len(best)]
-
-    def _send_request(self, provider: str, start: int, end: int) -> None:
-        self._req_counter += 1
-        req_id = f"{self.peer.node_id}#{self._req_counter}"
-        timer = self.peer.sim.schedule(
-            self.request_timeout,
-            lambda: self._on_timeout(req_id),
-            label=f"sync-timeout:{self.peer.node_id}",
-        )
-        span = self.peer.tracer.start(
-            "sync.fetch", peer=self.peer.node_id, provider=provider,
-            start=start, end=end, req_id=req_id,
-        )
-        self._inflight = _InFlight(
-            req_id=req_id, provider=provider, start=start, end=end, timer=timer, span=span
-        )
-        self._requests_sent.inc()
-        if self._round_failures:
-            self._retries.inc()
-        self.peer.send(provider, KIND_REQUEST, {"req_id": req_id, "start": start, "end": end})
-
-    def _finish_inflight(self, outcome: str, **attrs: Any) -> _InFlight:
-        inflight = self._inflight
-        assert inflight is not None
-        self._inflight = None
-        inflight.timer.cancel()
-        if inflight.reask is not None:
-            inflight.reask.cancel()
-        if inflight.span is not None:
-            self.peer.tracer.finish(inflight.span, outcome=outcome, **attrs)
-        return inflight
-
-    def _on_timeout(self, req_id: str) -> None:
-        if self._inflight is None or self._inflight.req_id != req_id:
-            return
-        provider = self._finish_inflight("timeout").provider
-        if self.stopped or self.peer.crashed:
-            return
-        self._timeouts.inc()
-        self._round_failures += 1
-        strikes = self._provider_timeouts.get(provider, 0) + 1
-        self._provider_timeouts[provider] = strikes
-        if strikes >= self.PROVIDER_PATIENCE:
-            # Forget this provider's claim; it must re-announce to be
-            # chosen again.  This is the failover path, and it also
-            # un-wedges us from phantom heights a byzantine node claimed.
-            self.known_heights.pop(provider, None)
-            self._provider_timeouts.pop(provider, None)
-            self._provider_failovers.inc()
-        delay = min(
-            self.backoff_base * self.backoff_factor ** min(self._round_failures - 1, 6),
-            self.backoff_cap,
-        )
-        delay *= 1.0 + self.jitter * self.rng.random()
-        self._retry_event = self.peer.sim.schedule(
-            delay, self._retry_fire, label=f"sync-retry:{self.peer.node_id}"
-        )
-
-    def _retry_fire(self) -> None:
-        self._retry_event = None
-        self.maybe_sync()
+        broadcast) arrived from *src*, possibly ahead."""
+        self._run(self.core.offer(src, block))
 
     def _on_request(self, message: Message) -> None:
         """Serve a ranged fetch from our committed chain."""
-        payload = message.payload
-        peer = self.peer
+        payload, ledger = message.payload, self.peer.ledger
         start = max(1, payload["start"])
-        end = min(payload["end"], peer.ledger.height, start + self.MAX_BATCH - 1)
-        self._responses_served.inc()
-        peer.send(
-            message.src,
-            KIND_RESPONSE,
-            {
-                "req_id": payload["req_id"],
-                "height": peer.ledger.height,
-                "blocks": [peer.ledger.block(h) for h in range(start, end + 1)],
-            },
-        )
+        end = min(payload["end"], ledger.height, start + self.MAX_BATCH - 1)
+        self._counters["sync.responses_served"].inc()
+        self.peer.send(message.src, KIND_RESPONSE, {
+            "req_id": payload["req_id"], "height": ledger.height,
+            "blocks": [ledger.block(h) for h in range(start, end + 1)]})
 
     def _on_response(self, message: Message) -> None:
-        inflight = self._inflight
-        payload = message.payload
-        if inflight is None or inflight.req_id != payload.get("req_id") or inflight.batch:
-            self._stale_responses.inc()
-            return
-        provider = message.src
-        self._provider_timeouts.pop(provider, None)
-        reported = payload.get("height")
-        if isinstance(reported, int):
-            # The provider's actual height replaces whatever it (or a
-            # height-ahead message) previously claimed.
-            self.known_heights[provider] = reported
-        head = self.peer.ledger.head
-        batch = [
-            block for block in payload.get("blocks", ())
-            if isinstance(block, Block) and block.height > head.height
-        ]
-        if not batch:
-            self._finish_inflight("response", n_blocks=0)
-            self._round_failures = 0
-            self._drain_future()
-            self.maybe_sync()
-            return
-        engine = self.peer.engine
-        for block in batch:
-            # Where a block carries its own authority (no quorum to ask),
-            # a proof for the tip covers nothing below it: check each.
-            if not self._extends(block, head) or not (
-                engine.quorum or engine.verify_synced_block(block, None)
-            ):
-                self._reject_batch()
-                return
-            head = block
-        inflight.batch = batch
-        self._complete_batch()
-        if self._inflight is inflight:
-            self._ask_statements()
+        payload, height = message.payload, message.payload.get("height")
+        self._run(self.core.response(
+            message.src, payload.get("req_id"), height if isinstance(height, int) else None,
+            [block for block in payload.get("blocks", ()) if isinstance(block, Block)]))
 
-    def _tip_statements(self, tip: Block) -> tuple[dict[str, Any], set[str]]:
-        """The proof *tip* has so far — who vouches for it, and who of
-        them has only voted for it (we ourselves, if we did) — and which
-        validators vouch for another block at its height."""
-        kept: dict[str, tuple[str, bool]] = {}
-        contradicting: set[str] = set()
-        # An announcement says "applied": it replaces an earlier "voted".
-        for statements in (self._attested, self._announced):
-            for node, (height, block_hash, signature, voted) in statements.items():
-                if height != tip.height:
-                    continue
-                if block_hash == tip.block_hash:
-                    kept[node] = (signature, voted)
-                else:
-                    contradicting.add(node)
-        peer = self.peer
-        if (
-            peer.node_id in peer.engine.validators
-            and peer.engine.attested_hash(tip.height) == tip.block_hash
-        ):
-            own = self._statement(tip.height, tip.block_hash)
-            kept[peer.node_id] = (own["signature"].hex(), own["voted"])
-        proof = {
-            "signers": sorted(kept),
-            "signatures": {node: signature for node, (signature, _) in kept.items()},
-            "voted": sorted(node for node, (_, voted) in kept.items() if voted),
-        }
-        return proof, contradicting
+    # -- effects -----------------------------------------------------------------
 
-    def _complete_batch(self) -> None:
-        """Apply the held batch if its tip is certified by now; drop its
-        provider if it never can be."""
-        inflight = self._inflight
-        if inflight is None or not inflight.batch:
-            return
-        peer = self.peer
-        engine = peer.engine
-        # Consensus may have moved the head while the batch was held.
-        batch = inflight.batch = [b for b in inflight.batch if b.height > peer.ledger.height]
-        if not batch:
-            self._finish_inflight("overtaken")
-            self.maybe_sync()
-            return
-        tip = batch[-1]
-        proof, contradicting = self._tip_statements(tip)
-        linked = batch[0].prev_hash == peer.ledger.head.block_hash
-        if not (linked and engine.verify_synced_block(tip, proof)):
-            # No statement can help a batch that fell off the chain, a
-            # tip the engine asks none for, or one that too many
-            # validators contradict for it ever to reach the quorum.
-            if (
-                not linked
-                or not engine.quorum
-                or len(engine.validators) - len(contradicting) < engine.quorum
-            ):
-                self._reject_batch()
-            return
-        self._finish_inflight("applied", n_blocks=len(batch))
-        self._round_failures = 0
-        engine.on_synced_block(tip, proof)
-        # One batched pass over every signature in the fetched range; the
-        # per-block commit path below hits the warmed cache.
-        verify_many(
-            [item for block in batch for item in signature_items(block.transactions)],
-            peer.verify_meter,
-        )
-        for block in batch:
-            # Applying one block may let the engine drain decided blocks
-            # it held above the gap; those heights are then done.
-            if block.height > peer.ledger.height:
-                peer.commit_block(block)
-                self._blocks_synced.inc()
-        for statements in (self._announced, self._attested):
-            for node in [n for n, st in statements.items() if st[0] <= peer.ledger.height]:
-                del statements[node]
-        self._drain_future()
-        self.maybe_sync()
+    def _fire(self, token: Token) -> None:
+        self._timers.pop(token[0], None)
+        self._run(self.core.fire(token))
 
-    def _reject_batch(self) -> None:
-        """Bad, gapped or refuted response: nothing of it is applied, and
-        the provider's claim is dropped so the next round fails over to
-        someone else."""
-        provider = self._finish_inflight("rejected").provider
-        self._invalid_blocks.inc()
-        self.known_heights.pop(provider, None)
-        self._provider_failovers.inc()
-        self._drain_future()
-        self.maybe_sync()
-
-    def _ask_statements(self) -> None:
-        """Ask every validator whose word on the held tip is missing;
-        again every ``backoff_base`` until the batch is settled — from
-        the second time on, for a tip that can be vouched for."""
-        inflight = self._inflight
-        if inflight is None or not inflight.batch:
-            return
-        peer = self.peer
-        validators = peer.engine.validators
-        if inflight.reask is not None:
-            # Still short: keep what f+1 validators are known to hold, and
-            # so can call applied.  Above that only votes can certify a
-            # tip, and a vote counts only right above the voter's head —
-            # one block, then.
-            held = sorted(self.known_heights.get(v, 0) for v in validators if v != peer.node_id)
-            keep = max(held[-1 - peer.engine.quorum // 2], peer.ledger.height + 1)
-            inflight.batch = [block for block in inflight.batch if block.height <= keep]
-            self._complete_batch()
-            if self._inflight is not inflight:
-                return
-        tip = inflight.batch[-1]
-        proof, contradicting = self._tip_statements(tip)
-        heard = {peer.node_id, *proof["signers"], *contradicting}
-        for validator in validators:
-            if validator not in heard:
-                peer.send(validator, KIND_ATTEST_REQUEST, {"height": tip.height})
-                self._attest_requests_sent.inc()
-        inflight.reask = peer.sim.schedule(
-            self.backoff_base, self._ask_statements, label=f"sync-attest:{peer.node_id}"
-        )
-
-    def _check_caught_up(self) -> None:
-        if self._lag_since is None:
-            return
-        if self._sync_target() > self.peer.ledger.height or self._future:
-            return
-        self._lag_blocks.inc(self.peer.ledger.height - (self._lag_from_height or 0))
-        self._catchup.observe(self.peer.sim.now - self._lag_since)
-        self._lag_since = None
-        self._lag_from_height = None
-
-    # -- dispatch ----------------------------------------------------------
+    def _run(self, effects: list) -> None:
+        """Carry out the core's effects in the order it returned them; an
+        apply — always the last of its input — is followed by whatever the
+        core does next from the head the ledger reached."""
+        peer, node = self.peer, self.peer.node_id
+        while effects:
+            for effect in effects:
+                match effect:
+                    case Request(req_id, provider, start, end):
+                        end = min(end, start + self.MAX_BATCH - 1)
+                        self._span = peer.tracer.start("sync.fetch", peer=node, provider=provider,
+                                                       start=start, end=end, req_id=req_id)
+                        self._counters["sync.requests_sent"].inc()
+                        peer.send(provider, KIND_REQUEST,
+                                  {"req_id": req_id, "start": start, "end": end})
+                    case AttestRequest(validator, height):
+                        peer.send(validator, KIND_ATTEST_REQUEST, {"height": height})
+                        self._counters["sync.attest_requests_sent"].inc()
+                    case Schedule(token, delay):
+                        self._timers[token[0]] = peer.sim.schedule(
+                            delay, self._fire, label=f"sync-{token[0]}:{node}", args=(token,))
+                    case Closed(outcome):
+                        for event in self._timers.values():
+                            event.cancel()
+                        self._timers.clear()
+                        if self._span is not None:
+                            peer.tracer.finish(self._span, outcome=outcome)
+                            self._span = None
+                    case Forget():
+                        self._counters["sync.provider_failovers"].inc()
+                    case Count(metric, None):
+                        self._counters[metric].inc()
+                    case Count(metric, reason):
+                        peer.obs.counter(metric, peer=node, reason=reason).inc()
+                    case LagStart(behind):
+                        self._lag_since = peer.sim.now
+                        self._max_lag_blocks.set(max(self._max_lag_blocks.value, behind))
+                    case CaughtUp(blocks):
+                        self._counters["sync.lag_blocks"].inc(blocks)
+                        self._catchup.observe(peer.sim.now - self._lag_since)
+                    case Apply(batch, proof):
+                        if proof is not None:
+                            peer.engine.on_synced_block(batch[-1], proof)
+                            # One batched pass over every signature in the
+                            # range; the commits below hit the warmed cache.
+                            verify_many([item for block in batch
+                                         for item in signature_items(block.transactions)],
+                                        peer.verify_meter)
+                        for block in batch:
+                            # Applying one block may let the engine apply
+                            # decided blocks it held above the gap.
+                            if block.height > peer.ledger.height:
+                                peer.commit_block(block)
+                                self._counters["sync.blocks_synced"].inc()
+            effects = self.core.settled() if type(effects[-1]) is Apply else []
+        self._future_buffer.set(len(self.core.future))
 
     def on_message(self, message: Message) -> bool:
-        if message.kind in _KINDS and not _well_formed(message.kind, message.payload):
-            self.peer.drop_malformed(message)
-            return True
-        if message.kind == KIND_ANNOUNCE:
-            self._on_announce(message)
-        elif message.kind == KIND_REQUEST:
-            self._on_request(message)
-        elif message.kind == KIND_RESPONSE:
-            self._on_response(message)
-        elif message.kind == KIND_ATTEST_REQUEST:
-            self._on_attest_request(message)
-        elif message.kind == KIND_ATTEST:
-            self._on_attest(message)
-        else:
+        handler = _HANDLERS.get(message.kind)
+        if handler is None:
             return False
+        if _well_formed(message.kind, message.payload):
+            getattr(self, handler)(message)
+        else:
+            self.peer.drop_malformed(message)
         return True
