@@ -70,13 +70,15 @@ bench-record:
 # runs that workload untraced, alternately in a `git archive` of PARENT
 # (unpacked under $TMPDIR) and in this tree, prints every pair, then each
 # side's median and quartiles and the pairs the change won, per end-to-end
-# metric.  SEED=<s> picks the seed (default 0); PR=<n> also writes the
-# result under the `ab` key of BENCH_<n>.json (about 12 s a pair).
+# metric.  Without W it does so for every workload BENCHMARK.json names,
+# against the one archive.  SEED=<s> picks the seed (default 0); PR=<n>
+# also writes each result under the `ab` key of BENCH_<n>.json (about 12 s
+# a pair).
 PAIRS ?= 10
 SEED ?= 0
 bench-ab:
-	$(PYTHON) tools/bench_ab.py --parent $(PARENT) --workload $(W) --pairs $(PAIRS) \
-		--seed $(SEED) $(if $(PR),--pr $(PR))
+	$(PYTHON) tools/bench_ab.py --parent $(PARENT) $(if $(W),--workload $(W)) \
+		--pairs $(PAIRS) --seed $(SEED) $(if $(PR),--pr $(PR))
 
 # Crash-recovery: deep catch-up tests, the storage-engine suites
 # (parametrized over the durable and sqlite backends, including the

@@ -24,11 +24,28 @@ from dataclasses import dataclass, field
 from repro.chain.contracts import Contract, ContractContext, contract_method
 from repro.core.identity import identity_key
 
-__all__ = ["VoteContract", "Validator", "Vote", "ValidatorPool", "vote_key"]
+__all__ = ["VoteContract", "Validator", "Vote", "ValidatorPool", "vote_key", "factual_share"]
 
 
 def vote_key(article_id: str, address: str) -> str:
     return f"vote:{article_id}:{address}"
+
+
+def factual_share(votes: list[dict]) -> float:
+    """Weighted factual share of one article's ``{"voter", "verdict",
+    "weight"}`` records — 0.5 when no weight was cast.
+
+    The sums run in voter-address order, the order of the article's
+    :func:`vote_key` range, so :meth:`VoteContract.tally` over world state
+    and the platform's fold over ``vote-cast`` events (which holds them in
+    chain order) add the same floats in the same order.
+    """
+    total = factual = 0.0
+    for vote in sorted(votes, key=lambda vote: vote["voter"]):
+        total += vote["weight"]
+        if vote["verdict"]:
+            factual += vote["weight"]
+    return factual / total if total > 0 else 0.5
 
 
 class VoteContract(Contract):
@@ -58,17 +75,8 @@ class VoteContract(Contract):
     @contract_method
     def tally(self, ctx: ContractContext, article_id: str):
         """Weighted tally: (weighted factual share, vote count)."""
-        total = 0.0
-        factual = 0.0
-        count = 0
-        for key in ctx.keys_with_prefix(f"vote:{article_id}:"):
-            record = ctx.get(key)
-            total += record["weight"]
-            if record["verdict"]:
-                factual += record["weight"]
-            count += 1
-        share = factual / total if total > 0 else 0.5
-        return {"factual_share": share, "votes": count}
+        votes = [ctx.get(key) for key in ctx.keys_with_prefix(f"vote:{article_id}:")]
+        return {"factual_share": factual_share(votes), "votes": len(votes)}
 
 
 @dataclass

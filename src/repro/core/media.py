@@ -9,11 +9,13 @@ blockchain answer implemented here:
    fingerprint (per-block signal statistics, :mod:`repro.ml.deepfake`)
    on-chain — an immutable, timestamped commitment;
 2. when an article attaches media, the platform re-derives the suspect
-   fingerprint, compares it against the registered one, and records the
-   tamper score with the supply-chain node;
+   fingerprint and compares it against the registered one — a read —
+   and records each registered asset's tamper score in the same unit as
+   the article's publication;
 3. the article's AI signal becomes a fusion of text P(fake) and media
-   tamper score, so a deepfaked clip drags the article's ranking down
-   even when the text reads neutrally.
+   tamper score, committed as the supply-chain record's ``ai_score``, so
+   a deepfaked clip drags the article's ranking down even when the text
+   reads neutrally, on every peer's ledger.
 """
 
 from __future__ import annotations

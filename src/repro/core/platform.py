@@ -16,12 +16,18 @@ Examples and experiments program against this class; everything it does
 lands on the chain, so *all* platform analytics are reconstructions
 from the ledger rather than trusted in-memory state: reads are answered
 from a :class:`LedgerView`, the fold of the ledger's events, brought up
-to the ledger's head at every read.
+to the ledger's head at every read.  A room's ranking is a function of
+one ledger — provenance, the committed AI score and the crowd share all
+come out of the fold — so any honest peer's ledger ranks it the same.
+
+What the process keeps that no ledger gives back: the private keys in
+:attr:`~TrustingNewsPlatform.accounts`, the provenance index (it needs
+article texts, which are not on the chain), and the models — text
+scorer, ranker, media verifier, topic classifier.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
@@ -34,13 +40,13 @@ from repro.corpus.articles import Article
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.keys import KeyPair
 from repro.core.conduct import ConductContract
-from repro.core.crowdsourcing import VoteContract
+from repro.core.crowdsourcing import VoteContract, factual_share
 from repro.core.ecosystem import TokenContract
 from repro.core.experts import ExpertFinder
 from repro.core.factualdb import PROMOTION_THRESHOLD, FactualDatabaseContract
 from repro.core.governance import PlatformGovernanceContract
 from repro.core.identity import IdentityContract
-from repro.core.media import MediaRegistryContract, MediaVerifier
+from repro.core.media import MediaAssessment, MediaRegistryContract, MediaVerifier
 from repro.core.newsroom import NewsRoomContract
 from repro.core.toolmarket import ToolMarketContract
 from repro.core.provenance import ProvenanceIndex
@@ -80,14 +86,16 @@ class LedgerView:
     ``Ledger.events`` that follows the ledger.
 
     The view remembers the height it has folded through and that block's
-    hash; :meth:`follow` resolves only the events above it.  Three
+    hash; :meth:`follow` resolves only the events above it.  Four
     structures come out of the fold — the supply-chain :attr:`graph`
     (the same nodes and edges, in the same order, as
     :func:`~repro.core.supplychain.build_supply_chain_graph` of the same
-    ledger), :attr:`votes` by article and published article ids by
-    ``(platform, room)`` in :attr:`rooms`.  They hold committed facts
-    only; answers (a trace, a ranking, an audit) are computed from them
-    per call.  Nothing is told to the view at commit time: it is a pure
+    ledger; a node carries its committed ``ai_score``), :attr:`votes` by
+    article, published article ids by ``(platform, room)`` in
+    :attr:`rooms` and each platform's owner address in :attr:`owners`.
+    They hold committed facts only; answers (a trace, an article's
+    ranking :meth:`signals`, an audit) are computed from them per call.
+    Nothing is told to the view at commit time: it is a pure
     function of the ledger it is shown, so any honest peer's ledger will
     do, and a ledger that does not extend what was folded — shorter, or
     another block at the remembered height — makes it start over from
@@ -103,6 +111,7 @@ class LedgerView:
         self.graph = nx.DiGraph()
         self.votes: dict[str, list[dict[str, Any]]] = {}
         self.rooms: dict[tuple[str, str], list[str]] = {}
+        self.owners: dict[str, str] = {}  # platform name -> owner address
         self._draft_rooms: dict[str, tuple[str, str]] = {}  # drafts not yet published
 
     def follow(self, ledger: Ledger) -> "LedgerView":
@@ -129,8 +138,28 @@ class LedgerView:
         for event in ledger.events("newsroom", "article-published", above):
             room = self._draft_rooms.pop(event["article_id"])
             self.rooms.setdefault(room, []).append(event["article_id"])
+        for event in ledger.events("newsroom", "platform-created", above):
+            self.owners[event["platform"]] = event["owner"]
         self.height, self.head_hash = head.height, head.block_hash
         return self
+
+    def crowd_score(self, article_id: str) -> float | None:
+        """The article's weighted factual share, None before its first vote
+        (the value ``votes.tally`` gives on the same ledger's state)."""
+        votes = self.votes.get(article_id)
+        return factual_share(votes) if votes else None
+
+    def signals(self, article_id: str) -> ArticleSignals:
+        """An article's three ranking signals, out of the fold alone: the
+        provenance score of its trace, 1 − the committed P(fake), and the
+        crowd share."""
+        p_fake = self.graph.nodes.get(article_id, {}).get("ai_score")
+        return ArticleSignals(
+            article_id=article_id,
+            provenance_score=trace_to_factual_root(self.graph, article_id).provenance_score,
+            ai_score=None if p_fake is None else 1.0 - p_fake,
+            crowd_score=self.crowd_score(article_id),
+        )
 
 
 class TrustingNewsPlatform:
@@ -147,7 +176,6 @@ class TrustingNewsPlatform:
         # Any LocalChain-compatible backend works; pass a
         # repro.chain.NetworkedChain to run over real consensus.
         self.chain = chain or LocalChain(seed=seed)
-        self.rng = random.Random(seed + 1000)
         for contract in (
             IdentityContract(),
             FactualDatabaseContract(),
@@ -166,8 +194,6 @@ class TrustingNewsPlatform:
         self.ranker = FactualnessRanker(ranking_weights)
         self.scorer = scorer
         self.accounts: dict[str, KeyPair] = {}
-        self._platform_owner: dict[str, str] = {}  # platform name -> owner account name
-        self._ai_scores: dict[str, float] = {}
         self._view = LedgerView()
         # Governance bootstrap: the platform operator's own account.
         self.governance = self._new_account("governance", role="checker")
@@ -241,12 +267,20 @@ class TrustingNewsPlatform:
     # -- platforms & rooms ---------------------------------------------------------
 
     def create_distribution_platform(self, owner_name: str, platform_name: str) -> TxReceipt:
-        receipt = self.chain.invoke(
+        return self.chain.invoke(
             self.account(owner_name), "newsroom", "create_platform",
             {"platform_name": platform_name},
         )
-        self._platform_owner[platform_name] = owner_name
-        return receipt
+
+    def _owner_key(self, platform_name: str) -> KeyPair:
+        """The key, among :attr:`accounts`, of the address the ledger names
+        as *platform_name*'s owner; a platform the ledger does not know, or
+        whose owner's key is not held here, is unknown."""
+        owner = self._view.follow(self.chain.ledger).owners.get(platform_name)
+        keypair = next((k for k in self.accounts.values() if k.address == owner), None)
+        if keypair is None:
+            raise PlatformError(f"unknown platform {platform_name!r}")
+        return keypair
 
     def create_news_room(
         self, owner_name: str, platform_name: str, room_name: str, topic: str
@@ -257,11 +291,8 @@ class TrustingNewsPlatform:
         )
 
     def authenticate_journalist(self, platform_name: str, journalist_name: str) -> TxReceipt:
-        owner = self._platform_owner.get(platform_name)
-        if owner is None:
-            raise PlatformError(f"unknown platform {platform_name!r}")
         return self.chain.invoke(
-            self.account(owner), "newsroom", "authenticate_journalist",
+            self._owner_key(platform_name), "newsroom", "authenticate_journalist",
             {"platform_name": platform_name, "address": self.address_of(journalist_name)},
         )
 
@@ -288,21 +319,15 @@ class TrustingNewsPlatform:
             {"media_id": media_id, "fingerprint": fingerprint, "description": description},
         )
 
-    def assess_media(self, media_id: str, suspect_signal, article_id: str | None = None) -> float:
-        """Tamper-score a suspect signal against its registration.
+    def assess_media(self, media_id: str, suspect_signal) -> float:
+        """Tamper-score a suspect signal against its registration — a read:
+        :meth:`publish_article` commits its assets' assessments with the
+        article."""
+        return self._assess(media_id, suspect_signal).tamper_score
 
-        With *article_id* set, the assessment is also recorded on-chain
-        (governance-signed) so the ranking verdict is auditable.
-        """
+    def _assess(self, media_id: str, suspect_signal) -> MediaAssessment:
         registered = self.chain.query("media", "get_media", {"media_id": media_id})
-        assessment = self.media_verifier.assess(registered, suspect_signal, media_id)
-        if article_id is not None and assessment.registered:
-            self.chain.invoke(
-                self.governance, "media", "record_assessment",
-                {"media_id": media_id, "article_id": article_id,
-                 "tamper_score": assessment.tamper_score},
-            )
-        return assessment.tamper_score
+        return self.media_verifier.assess(registered, suspect_signal, media_id)
 
     # -- platform governance (crowd-reviewed charters) ------------------------------
 
@@ -342,15 +367,18 @@ class TrustingNewsPlatform:
         room: str,
         declared_parents: Sequence[str] | None = None,
         editorial: Sequence[tuple[KeyPair, str, str, dict[str, Any]]] = (),
+        tamper_scores: Sequence[float] = (),
     ) -> PublishedArticle:
         """The content path every entry channel goes through (§VI, Fig. 1).
 
         Sketch the text once, find its provenance links (discovered, or
         the indexed ones among *declared_parents* when the channel names
-        them), measure one degree per edge, commit the *editorial* steps
-        and the supply-chain record as one unit (``invoke_group``: all of
-        them in one block, or none of them anywhere), and only when that
-        has committed index and score the text.
+        them), measure one degree per edge, score the text — P(fake), or
+        the worst of *tamper_scores* if that is higher — commit the
+        *editorial* steps and the supply-chain record carrying that score
+        as one unit (``invoke_group``: all of them in one block, or none
+        of them anywhere), and only when that has committed index the
+        text.
         """
         if article_id.startswith(_FACT_PREFIX):
             raise PlatformError(f"article id {article_id!r} uses the reserved {_FACT_PREFIX!r} prefix")
@@ -375,13 +403,13 @@ class TrustingNewsPlatform:
             "fact_roots": list(fact_roots),
             "fact_degrees": fact_degrees,
         }
+        ai = max((s for s in (self.ai_score(text), *tamper_scores) if s is not None), default=None)
+        if ai is not None:
+            record["ai_score"] = ai
         receipt = self.chain.invoke_group(
             [*editorial, (signer, "supplychain", "record_node", record)]
         )[-1]
         self.index.add(article_id, sketch)
-        ai = self.ai_score(text)
-        if ai is not None:
-            self._ai_scores[article_id] = ai
         return PublishedArticle(
             article_id=article_id,
             author_address=signer.address,
@@ -405,13 +433,17 @@ class TrustingNewsPlatform:
     ) -> PublishedArticle:
         """Full editorial pipeline: draft -> review -> publish -> record.
 
-        Adds to :meth:`_ingest` the three newsroom steps that commit
-        with the supply-chain record and, after them, media fusion.
+        Adds to :meth:`_ingest` the three newsroom steps and media fusion
+        (Fig. 1 component 2): each attached asset is assessed first (a
+        read), each registered one's assessment is a governance-signed
+        step of the same unit, and the worst tamper score — 1.0 for an
+        unregistered asset — drags the committed P(fake) up, so a
+        deepfaked clip condemns the article even when its text reads
+        neutrally.
         """
         author = self.account(author_name)
-        owner = self._platform_owner.get(platform_name)
-        if owner is None:
-            raise PlatformError(f"unknown platform {platform_name!r}")
+        owner = self._owner_key(platform_name)
+        assessments = [self._assess(media_id, signal) for media_id, signal in media or ()]
         content_hash = sha256_hex(text.encode("utf-8"))
         draft = {
             "article_id": article_id,
@@ -419,27 +451,20 @@ class TrustingNewsPlatform:
             "room_name": room_name,
             "content_hash": content_hash,
         }
-        published = self._ingest(
+        return self._ingest(
             author, article_id, text, topic,
             op="publish", content_hash=content_hash, room=room_name,
             editorial=[
                 (author, "newsroom", "submit_draft", draft),
                 (author, "newsroom", "start_review", {"article_id": article_id}),
-                (self.account(owner), "newsroom", "publish", {"article_id": article_id}),
+                (owner, "newsroom", "publish", {"article_id": article_id}),
+                *[(self.governance, "media", "record_assessment",
+                   {"media_id": a.media_id, "article_id": article_id,
+                    "tamper_score": a.tamper_score})
+                  for a in assessments if a.registered],
             ],
+            tamper_scores=[a.tamper_score for a in assessments],
         )
-        if not media:
-            return published
-        # Media fusion (Fig. 1 component 2): any attached asset that fails
-        # fingerprint verification drags P(fake) up — a deepfaked clip
-        # condemns the article even when its text reads neutrally.
-        worst = max(
-            self.assess_media(media_id, signal, article_id=article_id)
-            for media_id, signal in media
-        )
-        ai = worst if published.ai_score is None else max(published.ai_score, worst)
-        self._ai_scores[article_id] = ai
-        return replace(published, ai_score=ai)
 
     def report_external(
         self,
@@ -494,8 +519,7 @@ class TrustingNewsPlatform:
         )
 
     def crowd_score(self, article_id: str) -> float | None:
-        tally = self.chain.query("votes", "tally", {"article_id": article_id})
-        return tally["factual_share"] if tally["votes"] > 0 else None
+        return self._view.follow(self.chain.ledger).crowd_score(article_id)
 
     # -- supply-chain analytics ---------------------------------------------------------------
 
@@ -522,13 +546,10 @@ class TrustingNewsPlatform:
     # -- ranking -----------------------------------------------------------------------------------
 
     def article_signals(self, article_id: str, crowd_score: float | None = None) -> ArticleSignals:
-        trace = self.trace(article_id)
-        return ArticleSignals(
-            article_id=article_id,
-            provenance_score=trace.provenance_score,
-            ai_score=(1.0 - self._ai_scores[article_id]) if article_id in self._ai_scores else None,
-            crowd_score=crowd_score if crowd_score is not None else self.crowd_score(article_id),
-        )
+        """:meth:`LedgerView.signals` at the ledger's head, with the crowd
+        share replaced by *crowd_score* when one is given."""
+        signals = self._view.follow(self.chain.ledger).signals(article_id)
+        return signals if crowd_score is None else replace(signals, crowd_score=crowd_score)
 
     def rank_article(
         self,
@@ -570,12 +591,13 @@ class TrustingNewsPlatform:
         audit-grade reconstruction, not a cached feed: the list is the
         fold of those events up to the ledger's head (only the blocks
         since the last read are looked at), and every article's trace,
-        tally and score are computed now, from committed state.
+        crowd share and committed AI score are read out of that fold now.
+        Nothing else is read, so ``LedgerView().follow(peer.ledger)`` of
+        any honest peer ranks the room the same.
         """
         view = self._view.follow(self.chain.ledger)
         article_ids = view.rooms.get((platform_name, room_name), ())
-        signals = [self.article_signals(article_id) for article_id in article_ids]
-        return self.ranker.rank(signals, mode=mode)
+        return self.ranker.rank([view.signals(article_id) for article_id in article_ids], mode=mode)
 
     def promote_to_factual(self, article_id: str, fact_id: str | None = None) -> TxReceipt:
         """Promote a highly ranked article into the factual database.

@@ -56,6 +56,7 @@ class SupplyChainContract(Contract):
         fact_roots: list[str] | None = None,
         parent_degrees: list[float] | None = None,
         fact_degrees: list[float] | None = None,
+        ai_score: float | None = None,
     ):
         """Record one news item and its propagation end points.
 
@@ -68,6 +69,11 @@ class SupplyChainContract(Contract):
         Per-edge degrees matter: a faithful relay of a distortion is
         0 from its parent but far from the grandparent, and collapsing
         those into one number mis-attributes accountability.
+
+        ``ai_score`` is the AI component's verdict, P(fake), when the
+        recorder had one (Fig. 1: the verdict becomes the transaction).
+        It enters the record and the event only when given, so an
+        unscored record keeps the bytes it has always had.
         """
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(caller is not None, "unregistered identities cannot record news")
@@ -85,6 +91,7 @@ class SupplyChainContract(Contract):
             all(0.0 <= d <= 1.0 for d in parent_degrees + fact_degrees),
             "edge degrees must be in [0, 1]",
         )
+        ctx.require(ai_score is None or 0.0 <= ai_score <= 1.0, "ai_score must be in [0, 1]")
         key = supply_node_key(article_id)
         ctx.require(ctx.get(key) is None, f"article {article_id} already recorded")
         for parent in parents:
@@ -92,6 +99,7 @@ class SupplyChainContract(Contract):
                 ctx.get(supply_node_key(parent)) is not None,
                 f"parent {parent} is not recorded in the supply chain",
             )
+        scored = {} if ai_score is None else {"ai_score": ai_score}
         record = {
             "article_id": article_id,
             "author": ctx.caller,
@@ -104,6 +112,7 @@ class SupplyChainContract(Contract):
             "fact_roots": fact_roots,
             "fact_degrees": fact_degrees,
             "recorded_at": ctx.timestamp,
+            **scored,
         }
         ctx.put(key, record)
         ctx.emit(
@@ -116,6 +125,7 @@ class SupplyChainContract(Contract):
             op=op,
             fact_roots=fact_roots,
             fact_degrees=fact_degrees,
+            **scored,
         )
         return record
 
@@ -180,6 +190,7 @@ def add_supply_node(graph: nx.DiGraph, event: dict) -> None:
         modification_degree=event["modification_degree"],
         recorded_at=event["_height"],
         tx_id=event["_tx_id"],
+        ai_score=event.get("ai_score"),
         is_fact_root=False,
     )
     parent_degrees = event.get("parent_degrees") or [event["modification_degree"]] * len(
@@ -204,7 +215,8 @@ def build_supply_chain_graph(ledger: Ledger) -> nx.DiGraph:
     Nodes are article ids (plus ``fact:<id>`` nodes for factual-database
     roots); a directed edge child -> parent points *toward provenance*.
     Node attributes carry author, op, modification degree, topic,
-    recording time, and the id of the recording transaction, so every
+    recording time, the committed AI score (None when the record has
+    none), and the id of the recording transaction, so every
     downstream analysis (ranking, experts, accountability, inclusion
     proofs) works from the same reconstruction.
 

@@ -22,6 +22,7 @@ import pytest
 from repro.chain import BlockchainNetwork, InvariantAuditor
 from repro.simnet import ChaosSchedule, UniformLatency
 from tests.chain.test_pbft_golden import CHAOS_GOLDEN, fingerprint
+from tests.conftest import LengthScorer
 
 DEFAULT_SEEDS = range(10)
 EXTENDED_SEEDS = range(10, 40)
@@ -135,11 +136,13 @@ def test_chaos_audit_pbft_extended(seed):
 
 
 def run_platform_chaos(seed: int, n_articles: int = 8):
-    """Publish through ``TrustingNewsPlatform`` over a ``NetworkedChain``
-    while a validator crashes (and restarts from its store) and another is
-    partitioned away; returns ``(network, platform, acknowledged, refused)``."""
+    """Publish and vote through ``TrustingNewsPlatform`` over a
+    ``NetworkedChain`` while a validator crashes (and restarts from its
+    store) and another is partitioned away; returns ``(network, platform,
+    acknowledged, refused)``."""
     from repro.chain import NetworkedChain
     from repro.core import TrustingNewsPlatform, build_supply_chain_graph
+    from repro.core.platform import LedgerView
     from repro.corpus import CorpusGenerator
     from repro.errors import ReproError
     from repro.simnet import FailureSchedule
@@ -152,7 +155,7 @@ def run_platform_chaos(seed: int, n_articles: int = 8):
     )
     auditor = InvariantAuditor(network)
     platform = TrustingNewsPlatform(
-        seed=seed, chain=NetworkedChain(network, receipt_timeout=30.0))
+        seed=seed, chain=NetworkedChain(network, receipt_timeout=30.0), scorer=LengthScorer())
     gen = CorpusGenerator(seed=seed)
     fact = gen.factual(topic="politics")
     platform.seed_fact("f-0", fact.text, "public-record", "politics")
@@ -161,6 +164,9 @@ def run_platform_chaos(seed: int, n_articles: int = 8):
     platform.create_news_room("wire", "wire-platform", "room", "politics")
     platform.register_participant("author", role="journalist")
     platform.authenticate_journalist("wire-platform", "author")
+    checkers = [f"checker-{index}" for index in range(3)]
+    for checker in checkers:
+        platform.register_participant(checker, role="checker")
 
     start = network.sim.now
     schedule = FailureSchedule(network.sim, network.net)
@@ -183,6 +189,12 @@ def run_platform_chaos(seed: int, n_articles: int = 8):
             acknowledged.append(article_id)
         except ReproError:
             refused.append(article_id)
+        if acknowledged:
+            try:  # a checker may meet the same article twice: that vote is refused
+                platform.cast_vote(checkers[index % 3], acknowledged[-1],
+                                   verdict=index % 2 == 0, weight=0.3 + 0.1 * (index % 5))
+            except ReproError:
+                pass
         network.run_for(rng.uniform(0.2, 1.2))
     network.run_for(40.0)
     network.stop()
@@ -201,8 +213,19 @@ def run_platform_chaos(seed: int, n_articles: int = 8):
         assert events["article-published"] >= set(acknowledged)
         graph = build_supply_chain_graph(peer.ledger)
         assert all(article_id in graph for article_id in acknowledged)
-    listed = {ranked.article_id for ranked in platform.rank_room("wire-platform", "room")}
+    ranking = platform.rank_room("wire-platform", "room")
+    listed = {ranked.article_id for ranked in ranking}
     assert set(acknowledged) <= listed and all(a in platform.index for a in acknowledged)
+    assert all(ranked.ai_score is not None for ranked in ranking)
+    assert any(ranked.crowd_score is not None for ranked in ranking)
+    # A ranking is a function of one ledger: every live peer's, folded from
+    # genesis by a view of its own, ranks the room exactly as the platform.
+    for peer in network.peers:
+        if not peer.crashed:
+            view = LedgerView().follow(peer.ledger)
+            article_ids = view.rooms.get(("wire-platform", "room"), ())
+            assert platform.ranker.rank([view.signals(a) for a in article_ids]) == ranking, \
+                peer.node_id
     return network, platform, acknowledged, refused
 
 

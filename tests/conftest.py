@@ -83,6 +83,13 @@ class OrderTwoKeyPair(KeyPair):
         return r_bytes + int.to_bytes((r + h * a) % ed25519._L, 32, "little")
 
 
+class LengthScorer:
+    """P(fake) from the text length: exact on every machine, no training."""
+
+    def score_one(self, text: str) -> float:
+        return (len(text) % 89) / 100
+
+
 @pytest.fixture
 def counter_contract_cls():
     return CounterContract

@@ -27,13 +27,7 @@ from repro.errors import ContractError, PlatformError
 from repro.ml import capture_signal, tamper_signal
 from repro.simnet import FixedLatency
 from repro.social.cascade import ShareEvent
-
-
-class _LengthScorer:
-    """P(fake) from the text length: exact on every machine, no training."""
-
-    def score_one(self, text: str) -> float:
-        return (len(text) % 89) / 100
+from tests.conftest import LengthScorer
 
 
 def _share(agent: str, article, parent_id: str, op: str) -> ShareEvent:
@@ -44,7 +38,7 @@ def _share(agent: str, article, parent_id: str, op: str) -> ShareEvent:
 def run_scenario(chain):
     """Two facts, two publishes (one with media), a rank + promotion, two
     external reports, three shares (one naming an unknown parent)."""
-    platform = TrustingNewsPlatform(seed=0, chain=chain, scorer=_LengthScorer())
+    platform = TrustingNewsPlatform(seed=0, chain=chain, scorer=LengthScorer())
     gen = CorpusGenerator(seed=5)
     rng = np.random.default_rng(5)
     facts = [gen.factual(topic="politics"), gen.factual(topic="climate")]
@@ -94,16 +88,20 @@ def article_tuples(platform):
     for article_id in ("a-1", "a-2", "ext-1", "ext-2", "s-1", "s-2", "s-3"):
         node = platform.chain.query("supplychain", "get_node", {"article_id": article_id})
         out[article_id] = (tuple(node["parents"]), tuple(node["fact_roots"]),
-                          node["modification_degree"], platform._ai_scores[article_id])
+                          node["modification_degree"], node["ai_score"])
     return out
 
 
 # Per-article tuples and counters computed on commit 68a3b7a, where the path
-# existed three times.  The head hash and the block count were re-pinned
-# when a publish became one group (two publishes: 2 x 3 fewer blocks, and
-# their members sign a group tag, so their tx ids moved); every other
-# transaction of the scenario has the id it had on 68a3b7a.
-HEAD_HASH = "75955436e6510596b4a709f21bc113a2e5ce7c3a91a0d1f71a431100f9e315bb"
+# existed three times.  The ai_score column was process memory there; it is
+# read from the supply-chain record now and holds the same values.  The head
+# hash and the block count were re-pinned twice:
+# - a publish became one group: two publishes, 2 x 3 fewer blocks, and the
+#   members sign a group tag, so their tx ids moved;
+# - the score went on the chain: every scored record carries ``ai_score``,
+#   so its bytes moved, and a-2's media assessment joined its publish unit,
+#   one block fewer.
+HEAD_HASH = "839313b162707e670407b0d904880b10b3c510e89479e74d6fa738b17e7760d3"
 ARTICLES = {  # article id -> (parents, fact_roots, modification_degree, ai_score)
     "a-1": ((), ("f-0",), 0.0, 0.24),
     "a-2": (("a-1",), ("a-1-fact",), 0.1282051282051282, 0.40625),
@@ -113,7 +111,7 @@ ARTICLES = {  # article id -> (parents, fact_roots, modification_degree, ai_scor
     "s-2": (("s-1",), (), 0.19780219780219777, 0.66),
     "s-3": ((), (), 1.0, 0.16),
 }
-STATS = {"blocks": 29, "transactions": 35, "accounts": 7, "articles": 7, "facts": 3,
+STATS = {"blocks": 28, "transactions": 35, "accounts": 7, "articles": 7, "facts": 3,
          "supply_chain_edges": 6}
 
 
@@ -221,16 +219,18 @@ def test_discovery_equals_brute_force_ranking(method):
 
 
 def test_aborted_record_leaves_index_and_scores_untouched(platform):
-    platform.scorer = _LengthScorer()
+    platform.scorer = LengthScorer()
     platform.register_participant("reader", role="consumer")
     platform.report_external("reader", "ext-1", "the council approved the budget on monday",
                              "politics", source="https://o.example")
-    indexed, scores = len(platform.index), dict(platform._ai_scores)
+    indexed, signals = len(platform.index), platform.article_signals("ext-1")
     with pytest.raises(ContractError, match="already recorded"):
         platform.report_external("reader", "ext-1", "an entirely different text about weather",
                                  "climate", source="https://p.example")
     assert len(platform.index) == indexed
-    assert platform._ai_scores == scores
+    assert platform.article_signals("ext-1") == signals
+    assert signals.ai_score == 1.0 - LengthScorer().score_one(
+        "the council approved the budget on monday")
     assert platform.index.text_of("ext-1") == "the council approved the budget on monday"
 
 
@@ -256,7 +256,7 @@ def newsroom(request):
     if request.param == "networked":
         chain = NetworkedChain(BlockchainNetwork(
             n_peers=4, consensus="pbft", block_interval=0.2, latency=FixedLatency(0.01), seed=0))
-    platform = TrustingNewsPlatform(seed=0, chain=chain, scorer=_LengthScorer())
+    platform = TrustingNewsPlatform(seed=0, chain=chain, scorer=LengthScorer())
     platform.register_participant("acme", role="publisher")
     platform.create_distribution_platform("acme", "acme-news")
     platform.create_news_room("acme", "acme-news", "desk", "politics")
@@ -286,7 +286,7 @@ def _visible(platform, article_id):
         "room": [r.article_id for r in platform.rank_room("acme-news", "desk")],
         "author": platform.accountable_author(article_id),
         "indexed": len(platform.index),
-        "scores": dict(platform._ai_scores),
+        "signals": platform.article_signals(article_id),
     }
 
 

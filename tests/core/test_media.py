@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.chain import BlockchainNetwork, LocalChain, NetworkedChain
+from repro.core import TrustingNewsPlatform
 from repro.corpus import CorpusGenerator
 from repro.corpus.mutations import relay
 from repro.errors import ContractError
 from repro.ml import capture_signal, tamper_signal
+from repro.simnet import FixedLatency
 
 
 @pytest.fixture
@@ -14,8 +17,7 @@ def rng():
     return np.random.default_rng(21)
 
 
-@pytest.fixture
-def newsroom_platform(platform):
+def open_newsroom(platform):
     gen = CorpusGenerator(seed=90)
     fact = gen.factual(topic="politics")
     platform.seed_fact("f-1", fact.text, "record", "politics")
@@ -25,6 +27,11 @@ def newsroom_platform(platform):
     platform.register_participant("cam", role="journalist")
     platform.authenticate_journalist("acme-news", "cam")
     return platform, fact
+
+
+@pytest.fixture
+def newsroom_platform(platform):
+    return open_newsroom(platform)
 
 
 def test_register_and_assess_authentic(newsroom_platform, rng):
@@ -81,9 +88,14 @@ def test_publish_with_deepfaked_media_condemns_article(newsroom_platform, rng, t
         media=[("clip-1", tampered)],
     )
     assert published.ai_score > 0.2
-    # The assessment itself landed on the ledger.
+    # The assessment and the fused score landed on the ledger, in the
+    # publish's block.
     events = list(platform.chain.ledger.events(contract="media", kind="media-assessed"))
     assert events and events[-1]["article_id"] == "a-2"
+    assert events[-1]["_height"] == published.receipt.block_height
+    node = platform.chain.query("supplychain", "get_node", {"article_id": "a-2"})
+    assert node["ai_score"] == published.ai_score == max(
+        trained_scorer.score_one(report.text), events[-1]["tamper_score"])
     # And the ranking feels it.
     clean = platform.publish_article(
         "cam", "acme-news", "desk", "a-3", relay(fact, "cam", 2.0).text, "politics",
@@ -92,6 +104,62 @@ def test_publish_with_deepfaked_media_condemns_article(newsroom_platform, rng, t
     fake_rank = platform.rank_article("a-2")
     clean_rank = platform.rank_article("a-3")
     assert fake_rank.score < clean_rank.score
+
+
+def test_unregistered_clip_score_is_committed_with_the_article(newsroom_platform, rng):
+    """An unverifiable clip has no registration to check against, so no
+    assessment is recorded, but its 1.0 is the committed P(fake)."""
+    platform, fact = newsroom_platform
+    published = platform.publish_article(
+        "cam", "acme-news", "desk", "a-1", relay(fact, "cam", 1.0).text, "politics",
+        media=[("ghost-clip", capture_signal(rng))],
+    )
+    assert published.ai_score == 1.0
+    assert platform.chain.query("supplychain", "get_node", {"article_id": "a-1"})["ai_score"] == 1.0
+    assert not list(platform.chain.ledger.events(contract="media", kind="media-assessed"))
+    assert platform.rank_article("a-1", record=False).ai_score == 0.0
+
+
+@pytest.mark.parametrize("networked", [False, True], ids=["local", "networked"])
+def test_publish_whose_media_assessment_aborts_is_refused_whole(networked, rng):
+    """The same clip attached twice: its second assessment aborts.  That
+    used to happen after the article had committed, so the call raised
+    over a published, listed article and one committed assessment."""
+    chain = LocalChain(seed=0)
+    if networked:
+        chain = NetworkedChain(BlockchainNetwork(
+            n_peers=4, consensus="pbft", block_interval=0.2, latency=FixedLatency(0.01), seed=0))
+    platform, fact = open_newsroom(TrustingNewsPlatform(seed=0, chain=chain))
+    signal = capture_signal(rng)
+    platform.register_media("cam", "clip-1", signal)
+
+    def visible():
+        network = getattr(chain, "network", None)
+        if network is not None:
+            network.run_for(2.0)
+        ledgers = [peer.ledger for peer in network.peers] if network else [chain.ledger]
+        return {
+            "heights": [ledger.height for ledger in ledgers],
+            "media events": [list(ledger.events(contract="media")) for ledger in ledgers],
+            "newsroom events": [list(ledger.events(contract="newsroom")) for ledger in ledgers],
+            "room": platform.rank_room("acme-news", "desk"),
+            "node": platform.chain.query("supplychain", "get_node", {"article_id": "a-1"}),
+        }
+
+    before = visible()
+    with pytest.raises(ContractError, match="assessment already recorded"):
+        platform.publish_article(
+            "cam", "acme-news", "desk", "a-1", relay(fact, "cam", 1.0).text, "politics",
+            media=[("clip-1", signal), ("clip-1", signal)],
+        )
+    assert visible() == before
+    assert before["room"] == [] and before["node"] is None
+    published = platform.publish_article(
+        "cam", "acme-news", "desk", "a-1", relay(fact, "cam", 1.0).text, "politics",
+        media=[("clip-1", signal)],
+    )
+    assert [r.article_id for r in platform.rank_room("acme-news", "desk")] == ["a-1"]
+    assert published.ai_score == 0.0
 
 
 def test_assessment_requires_registered_media(newsroom_platform, rng):

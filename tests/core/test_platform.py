@@ -112,7 +112,7 @@ def test_promoted_fact_becomes_provenance_root(world):
     assert any(c.article_id == "fact:new-fact" for c in candidates)
 
 
-def test_ai_scores_attached_when_trained(world, trained_scorer):
+def test_ai_verdict_committed_when_trained(world, trained_scorer):
     platform, gen, facts = world
     platform.scorer = trained_scorer
     fake = gen.malicious_derivation(relay(facts[2], "x", 0.0), "troll", 1.0)
@@ -122,6 +122,58 @@ def test_ai_scores_attached_when_trained(world, trained_scorer):
                                               relay(facts[2], "jane", 4.0).text, "politics")
     assert published_fake.ai_score is not None
     assert published_fake.ai_score > published_real.ai_score
+    # The verdict is the supply-chain record's, and the ranking reads it there.
+    for published in (published_fake, published_real):
+        node = platform.chain.query("supplychain", "get_node", {"article_id": published.article_id})
+        assert node["ai_score"] == published.ai_score == trained_scorer.score_one(
+            fake.text if published is published_fake else relay(facts[2], "jane", 4.0).text)
+        assert platform.article_signals(published.article_id).ai_score == 1.0 - node["ai_score"]
+
+
+def test_unscored_record_carries_no_score(world):
+    platform, gen, facts = world
+    published = platform.publish_article("jane", "acme-news", "desk", "a-1",
+                                         relay(facts[0], "jane", 1.0).text, "politics")
+    assert published.ai_score is None
+    assert "ai_score" not in platform.chain.query("supplychain", "get_node", {"article_id": "a-1"})
+    assert "ai_score" not in next(platform.chain.ledger.events(kind="supply-node-recorded"))
+    assert platform.article_signals("a-1").ai_score is None
+
+
+def test_owner_of_a_platform_comes_from_the_ledger(world):
+    """The owner of a platform is the address its ``platform-created``
+    event names; a platform the ledger does not know is refused."""
+    platform, gen, facts = world
+    owner = platform.account("acme")
+    platform.chain.invoke(owner, "newsroom", "create_platform", {"platform_name": "side-desk"})
+    platform.chain.invoke(owner, "newsroom", "create_room",
+                          {"platform_name": "side-desk", "room_name": "r", "topic": "politics"})
+    platform.authenticate_journalist("side-desk", "jane")
+    published = platform.publish_article("jane", "side-desk", "r", "a-1",
+                                         relay(facts[0], "jane", 1.0).text, "politics")
+    assert published.receipt.success
+    assert [r.article_id for r in platform.rank_room("side-desk", "r")] == ["a-1"]
+    with pytest.raises(PlatformError, match="unknown platform"):
+        platform.authenticate_journalist("nowhere", "jane")
+    with pytest.raises(PlatformError, match="unknown platform"):
+        platform.publish_article("jane", "nowhere", "r", "a-2", "text", "politics")
+
+
+def test_ranking_reads_the_ledger_fold_only(world, trained_scorer, monkeypatch):
+    platform, gen, facts = world
+    platform.scorer = trained_scorer
+    platform.publish_article("jane", "acme-news", "desk", "a-1",
+                             relay(facts[0], "jane", 1.0).text, "politics")
+    platform.register_participant("checker", role="checker")
+    platform.cast_vote("checker", "a-1", verdict=True, weight=0.5)
+
+    def no_query(*args, **kwargs):
+        raise AssertionError("a ranking read asked a contract")
+
+    monkeypatch.setattr(platform.chain, "query", no_query)
+    [ranked] = platform.rank_room("acme-news", "desk")
+    assert ranked.ai_score is not None and ranked.crowd_score == platform.crowd_score("a-1") == 1.0
+    assert platform.article_signals("a-1").ai_score == ranked.ai_score
 
 
 def test_accountability_via_platform(world):

@@ -181,8 +181,12 @@ def test_whole_ledger_audits_clean(grand):
     platform, *_ = grand
     assert platform.chain.ledger.verify_chain()
     stats = platform.stats()
-    # LocalChain: one block per invocation, the four steps of a publish in one.
+    # LocalChain: one block per invocation, the four steps of a publish and
+    # its media assessments in one.
     published = sum(1 for _ in platform.chain.ledger.events(
         contract="newsroom", kind="article-published"))
-    assert published >= 2 and stats["transactions"] == stats["blocks"] + 3 * published
+    assessed = sum(1 for _ in platform.chain.ledger.events(
+        contract="media", kind="media-assessed"))
+    assert published >= 2 and assessed == 2
+    assert stats["transactions"] == stats["blocks"] + 3 * published + assessed
     assert stats["articles"] >= 3

@@ -1,11 +1,13 @@
-"""`make bench-ab PARENT=<ref> W=<workload> PAIRS=<n>`: the pairs behind a claim.
+"""`make bench-ab PARENT=<ref> [W=<workload>] PAIRS=<n>`: the pairs behind a claim.
 
-Unpacks *PARENT* (``git archive``, into a temporary directory — set
+Unpacks *PARENT* once (``git archive``, into a temporary directory — set
 ``TMPDIR`` to choose where; nothing is left in ``.git``) and runs the
-benchmark BENCHMARK.json declares, one workload, untraced —
+benchmark BENCHMARK.json declares, untraced —
 ``python3 benchmarks/e2e/run.py --workload W --seed S --trace 0`` —
 alternately in the parent's tree and in this one, the side that goes
-first alternating from pair to pair.  Prints every pair as it finishes,
+first alternating from pair to pair; for workload *W*, or without one
+for every workload BENCHMARK.json names, one after another.  Prints
+every pair as it finishes,
 then per end-to-end metric each side's median and quartiles and how many
 pairs the change won (ties count for neither; "better" is the direction
 BENCHMARK.json gives the metric).  With ``PR=<n>`` the summary and the
@@ -98,7 +100,7 @@ def record(path: Path, entry: dict) -> None:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", help="one workload (default: every one BENCHMARK.json names)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pr", type=int, help="also write the result into BENCH_<pr>.json")
@@ -109,36 +111,40 @@ def main(argv: list[str]) -> int:
         raise SystemExit(f"{target.name} does not exist: run `make bench-record PR={args.pr}` first")
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
     sha = subprocess.run(["git", "rev-parse", args.parent], cwd=root, capture_output=True,
                          text=True, check=True).stdout.strip()
-    failed = dict.fromkeys(SIDES, 0)
+    failed_change = 0
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as scratch:
         archive = subprocess.run(["git", "archive", sha], cwd=root, capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", scratch], input=archive.stdout, check=True)
         trees = {"parent": Path(scratch), "change": root}
+        for workload in workloads:
+            failed = dict.fromkeys(SIDES, 0)
 
-        def run_side(side: str) -> Metrics:
-            done = subprocess.run(
-                [sys.executable, "benchmarks/e2e/run.py", "--workload", args.workload,
-                 "--seed", str(args.seed), "--trace", "0"],
-                cwd=trees[side], capture_output=True, text=True, check=False)
-            if not done.stdout.strip():
-                raise SystemExit(f"{side}: run.py printed nothing (exit {done.returncode})\n"
-                                 + done.stderr)
-            metrics, failures = parse_result(done.stdout)
-            failed[side] += failures
-            return metrics
+            def run_side(side: str) -> Metrics:
+                done = subprocess.run(
+                    [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+                     "--seed", str(args.seed), "--trace", "0"],
+                    cwd=trees[side], capture_output=True, text=True, check=False)
+                if not done.stdout.strip():
+                    raise SystemExit(f"{side}: run.py printed nothing (exit {done.returncode})\n"
+                                     + done.stderr)
+                metrics, failures = parse_result(done.stdout)
+                failed[side] += failures
+                return metrics
 
-        pairs = run_pairs(args.pairs, run_side)
-    summary = summarise(pairs, better)
-    print(f"# {args.workload} seed {args.seed}: {args.pairs} pairs against {sha[:7]}; "
-          f"failed operations: parent {failed['parent']}, change {failed['change']}")
-    print(report(summary))
-    if args.pr is not None:
-        record(target, {"workload": args.workload, "seed": args.seed, "parent_sha": sha,
-                        "failed": failed, "summary": summary, "pairs": pairs})
-        print(f"# wrote the pairs under 'ab' in {target.name}")
-    return 1 if failed["change"] else 0
+            pairs = run_pairs(args.pairs, run_side)
+            summary = summarise(pairs, better)
+            print(f"# {workload} seed {args.seed}: {args.pairs} pairs against {sha[:7]}; "
+                  f"failed operations: parent {failed['parent']}, change {failed['change']}")
+            print(report(summary), flush=True)
+            if args.pr is not None:
+                record(target, {"workload": workload, "seed": args.seed, "parent_sha": sha,
+                                "failed": failed, "summary": summary, "pairs": pairs})
+                print(f"# wrote the pairs under 'ab' in {target.name}")
+            failed_change += failed["change"]
+    return 1 if failed_change else 0
 
 
 if __name__ == "__main__":
