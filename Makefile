@@ -81,9 +81,10 @@ bench-ab:
 		--pairs $(PAIRS) --seed $(SEED) $(if $(PR),--pr $(PR))
 
 # Crash-recovery: deep catch-up tests, the storage-engine suites
-# (parametrized over the durable and sqlite backends, including the
-# seeded disk-fault chaos sweep over both), and the recovery benchmarks
-# (write benchmarks/latest_recovery.json).
+# (parametrized over the durable and sqlite backends, which share one
+# disk format, including the seeded disk-fault chaos sweep over both), and
+# the recovery benchmarks (write benchmarks/latest_recovery.json; the
+# cold start also times the sqlite backend rebuilding its tables).
 recovery:
 	$(PYTHON) -m pytest tests/chain/test_sync_recovery.py tests/chain/test_store.py \
 		tests/chain/test_sqlite_store.py tests/chain/test_store_recovery.py \

@@ -31,7 +31,7 @@ __all__ = ["Report", "analyze_paths", "analyze_source", "main"]
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 DEFAULT_BASELINE = "analysis_baseline.json"
-JSON_SCHEMA_VERSION = 1
+REPORT_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -60,7 +60,7 @@ class Report:
         for finding in self.findings:
             counts[finding.rule] = counts.get(finding.rule, 0) + 1
         return {
-            "version": JSON_SCHEMA_VERSION,
+            "version": REPORT_FORMAT_VERSION,
             "findings": [f.as_record() for f in self.findings],
             "summary": {
                 "files_checked": self.files_checked,

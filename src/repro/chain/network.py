@@ -126,8 +126,8 @@ class BlockchainNetwork:
         #: ``"memory"`` keeps the seed in-memory ledger; ``"durable"``
         #: gives every peer a fault-injectable SimDisk + DurableStore so
         #: restart is snapshot+tail recovery, not full replay; ``"sqlite"``
-        #: swaps the snapshot files for serialized sqlite3 images with
-        #: interned tx tables (same WAL, same recovery ladder).
+        #: is the same storage plus in-memory SQL tx tables, rebuilt from
+        #: the recovered ledger at restart.
         self.storage = storage
         self.snapshot_interval = snapshot_interval
         peer_ids = [f"peer-{i}" for i in range(n_peers)]

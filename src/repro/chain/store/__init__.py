@@ -2,8 +2,9 @@
 
 See :mod:`repro.chain.store.base` for the interface,
 :mod:`repro.chain.store.durable` for the write-ahead-log + snapshot
-backend, :mod:`repro.chain.store.sqlite` for the relational backend
-(same WAL, serialized sqlite3 snapshot images, schema migrations), and
+backend, :mod:`repro.chain.store.snapshots` for the one snapshot format,
+:mod:`repro.chain.store.sqlite` for the relational backend (the durable
+backend's storage plus SQL tables rebuilt from the recovered ledger), and
 ``docs/API.md`` for the record format and the recovery degradation
 ladder.
 """

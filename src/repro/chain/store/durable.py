@@ -23,6 +23,11 @@ never guesses::
                        proof was stored) checked against the engine's
                        commit-certificate rule; a failure truncates the
                        log there and restarts the ladder
+    discard         -> snapshot files above the recovered tip describe
+                       blocks the log no longer holds: they are deleted
+                       (``store.snapshots_discarded``), so a re-committed
+                       height gets a fresh file instead of a second frame
+                       behind the stale one
     reconcile       -> every block acked durable before the crash must
                        come back; ones that cannot are reported in
                        ``missing_acked`` with a matching degradation
@@ -30,7 +35,11 @@ never guesses::
 Every step down the ladder increments ``store.degradations`` (labelled
 by kind) and is listed in the :class:`~repro.chain.store.base.
 RecoveryReport` that ``repro-news store`` renders and the invariant
-auditor cross-checks.
+auditor cross-checks.  A discarded stale snapshot is not a step down:
+nothing acknowledged is lost with it.
+
+Snapshots have one format, defined in :mod:`repro.chain.store.snapshots`;
+``SQLiteStore`` inherits this class's storage and recovery unchanged.
 """
 
 from __future__ import annotations
@@ -45,12 +54,7 @@ from repro.chain.state import WorldState
 from repro.chain.store.base import BlockStore, Degradation, RecoveredChain, RecoveryReport
 from repro.chain.store.codec import decode_record, encode_record
 from repro.chain.store.log import BlockLog, LogRecord
-from repro.chain.store.snapshots import (
-    SnapshotCandidate,
-    list_snapshots,
-    load_snapshot,
-    write_snapshot,
-)
+from repro.chain.store.snapshots import list_snapshots, load_snapshot, write_snapshot
 from repro.errors import InvalidBlockError
 from repro.obs import MetricsRegistry
 from repro.simnet.disk import SimDisk
@@ -79,23 +83,19 @@ class DurableStore(BlockStore):
     """Append-only log + snapshots over a fault-injectable SimDisk."""
 
     kind = "durable"
+    #: Snapshot generations kept on disk: a corrupt newest one degrades
+    #: to the one before it.
+    KEEP_SNAPSHOTS = 2
 
     def __init__(
         self,
         disk: SimDisk | None = None,
         node_id: str = "",
         snapshot_interval: int = 64,
-        keep_snapshots: int = 2,
     ):
-        if keep_snapshots < 1:
-            # keep=0 used to slip through to write_snapshot's [:-keep]
-            # prune slice, which is empty for keep <= 0: "keep none"
-            # silently became "keep everything".
-            raise ValueError(f"keep_snapshots must be >= 1, got {keep_snapshots}")
         self.disk = disk if disk is not None else SimDisk(node_id)
         self.log = BlockLog(self.disk)
         self.snapshot_interval = snapshot_interval
-        self.keep_snapshots = keep_snapshots
         #: height -> (block_hash, payload crc32): what this store promised
         #: to keep.  Ground truth for the durability audit, never an input
         #: to recovery.
@@ -135,46 +135,19 @@ class DurableStore(BlockStore):
         height = ledger.height
         if height == 0 or height - self.last_snapshot_height < self.snapshot_interval:
             return False
-        written = self._write_snapshot(ledger, state)
+        written = write_snapshot(
+            self.disk, height, ledger.head.block_hash, state.dump(), ledger.index_dump()
+        )
+        for stale in list_snapshots(self.disk)[: -self.KEEP_SNAPSHOTS]:
+            self.disk.delete(stale.name)
         self.last_snapshot_height = height
         self._count("store.snapshots_written")
         self._count("store.snapshot_bytes", written)
         return True
 
-    # -- snapshot media (overridable: SQLiteStore swaps the file format) ---
-
-    def _write_snapshot(self, ledger: Ledger, state: WorldState) -> int:
-        """Persist one snapshot of *ledger*'s current height; returns bytes
-        written.  Subclasses may store a different on-disk format as long
-        as :meth:`_load_snapshot` returns the canonical snapshot object."""
-        return write_snapshot(
-            self.disk,
-            ledger.height,
-            ledger.head.block_hash,
-            state.dump(),
-            ledger.index_dump(),
-            keep=self.keep_snapshots,
-        )
-
-    def _snapshot_candidates(self) -> list[SnapshotCandidate]:
-        """Durable snapshot artifacts, oldest first (unverified)."""
-        return list_snapshots(self.disk)
-
-    def _load_snapshot(self, candidate: SnapshotCandidate) -> dict[str, Any] | None:
-        """Verify-before-trust load of one candidate; ``None`` on any
-        failure (the ladder counts it as ``snapshot-corrupt`` and moves
-        on).  Must return a dict with ``height``/``block_hash``/``state``/
-        ``indexes`` keys — the shape :meth:`_assemble` eats."""
-        return load_snapshot(self.disk, candidate)
-
-    def _discard_snapshot(self, candidate: SnapshotCandidate) -> None:
-        """Drop a candidate that failed verification or contradicted the
-        log, so the next recovery doesn't retry it."""
-        self.disk.delete(candidate.name)
-
     # -- recovery ----------------------------------------------------------
 
-    def recover(self, engine: "ConsensusEngine | None" = None) -> RecoveredChain | None:
+    def recover(self, engine: "ConsensusEngine | None" = None) -> RecoveredChain:
         report = RecoveryReport()
         self._count("store.recoveries")
 
@@ -193,20 +166,20 @@ class DurableStore(BlockStore):
         recovered: RecoveredChain | None = None
         while recovered is None:
             tip = records[-1].height if records else 0
-            candidates = [c for c in self._snapshot_candidates() if 1 <= c.height <= tip]
+            candidates = [c for c in list_snapshots(self.disk) if 1 <= c.height <= tip]
             plans: list[Any] = list(reversed(candidates)) + [None]
             corruption: _TailCorruption | None = None
             for candidate in plans:
                 snap_obj = None
                 if candidate is not None:
-                    snap_obj = self._load_snapshot(candidate)
+                    snap_obj = load_snapshot(self.disk, candidate)
                     if snap_obj is None:
                         degrade(
                             "snapshot-corrupt",
                             f"snapshot at height {candidate.height} failed verification",
                             candidate.height,
                         )
-                        self._discard_snapshot(candidate)
+                        self.disk.delete(candidate.name)
                         continue
                 try:
                     recovered = self._assemble(records, snap_obj, engine, report)
@@ -217,7 +190,7 @@ class DurableStore(BlockStore):
                         f"snapshot at height {candidate.height} disagrees with the log",
                         candidate.height,
                     )
-                    self._discard_snapshot(candidate)
+                    self.disk.delete(candidate.name)
                     continue
                 except _TailCorruption as exc:
                     corruption = exc
@@ -237,6 +210,10 @@ class DurableStore(BlockStore):
             self.log.truncate(bad.offset)
             records = [r for r in records if r.height < corruption.height]
 
+        for stale in list_snapshots(self.disk):
+            if stale.height > report.recovered_height:
+                self.disk.delete(stale.name)
+                self._count("store.snapshots_discarded")
         self._reconcile_acked(records, report)
         if report.missing_acked:
             # A lying drive (partial flush) shortens the log *cleanly*,

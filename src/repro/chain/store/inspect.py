@@ -14,20 +14,14 @@ from typing import Any
 
 from repro.chain.store.codec import decode_obj
 from repro.chain.store.log import LOG_NAME, scan_log_bytes
-from repro.chain.store.snapshots import (
-    SNAPSHOT_MAGIC,
-    SNAPSHOT_PREFIX,
-    artifact_height,
-    unframe,
-)
-from repro.chain.store.sqlite import IMAGE_MAGIC, IMAGE_PREFIX, IMAGE_SUFFIX
+from repro.chain.store.snapshots import SNAPSHOT_PREFIX, unframe
 
 __all__ = ["inspect_files", "inspect_disk", "render_inspection"]
 
 
 def _inspect_snapshot(name: str, data: bytes) -> dict[str, Any]:
     info: dict[str, Any] = {"file": name, "bytes": len(data), "valid": False}
-    payload = unframe(data, SNAPSHOT_MAGIC)
+    payload = unframe(data)
     if isinstance(payload, str):
         info["problem"] = payload
         return info
@@ -43,20 +37,6 @@ def _inspect_snapshot(name: str, data: bytes) -> dict[str, Any]:
     return info
 
 
-def _inspect_sqlite_image(name: str, data: bytes) -> dict[str, Any]:
-    """Frame-level health of a serialized sqlite3 snapshot image
-    (``chain-<height>.sqlite``, see :mod:`repro.chain.store.sqlite`)."""
-    info: dict[str, Any] = {"file": name, "bytes": len(data), "valid": False}
-    payload = unframe(data, IMAGE_MAGIC)
-    if isinstance(payload, str):
-        info["problem"] = payload
-        return info
-    info["valid"] = True
-    info["height"] = artifact_height(name, IMAGE_PREFIX, IMAGE_SUFFIX)
-    info["kind"] = "sqlite-image"
-    return info
-
-
 def inspect_files(files: dict[str, bytes]) -> dict[str, Any]:
     """Structured health report over ``{file name: durable bytes}``."""
     log_data = files.get(LOG_NAME, b"")
@@ -66,12 +46,6 @@ def inspect_files(files: dict[str, bytes]) -> dict[str, Any]:
         for name, data in sorted(files.items())
         if name.startswith(SNAPSHOT_PREFIX)
     ]
-    snapshots += [
-        _inspect_sqlite_image(name, data)
-        for name, data in sorted(files.items())
-        if artifact_height(name, IMAGE_PREFIX, IMAGE_SUFFIX) is not None
-    ]
-    snapshots.sort(key=lambda s: (s.get("height") is None, s.get("height"), s["file"]))
     valid_snap_heights = [s["height"] for s in snapshots if s["valid"] and s["height"] <= scan.tip]
     recovery_snapshot = max(valid_snap_heights, default=0)
     return {
@@ -117,11 +91,6 @@ def render_inspection(info: dict[str, Any]) -> str:
     for snap in info["snapshots"]:
         if not snap["valid"]:
             lines.append(f"  {snap['file']}: INVALID ({snap['problem']})")
-        elif snap.get("kind") == "sqlite-image":
-            lines.append(
-                f"  {snap['file']}: OK, height {snap['height']}, "
-                f"sqlite image ({snap['bytes']}B)"
-            )
         else:
             lines.append(
                 f"  {snap['file']}: OK, height {snap['height']}, "

@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument("--seed", type=int, default=7)
     store.add_argument(
         "--backend", choices=("durable", "sqlite"), default="durable",
-        help="--demo storage backend: CRC-framed snapshot files (durable) "
-        "or serialized sqlite3 images with interned tx tables (sqlite)",
+        help="--demo storage backend: block log + snapshot files (durable), "
+        "or the same plus SQL tx tables rebuilt at restart (sqlite)",
     )
     store.add_argument(
         "--dump", default=None, metavar="DIR",

@@ -11,11 +11,13 @@ auditor's storage-durability invariant.
 from __future__ import annotations
 
 import random
+import struct
 import zlib
 
 import pytest
 
 from repro.chain.block import Block, make_genesis_block
+from repro.chain.commit import replay_block
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
 from repro.chain.store import (
@@ -29,12 +31,10 @@ from repro.chain.store import (
     load_snapshot,
     render_inspection,
     scan_log_bytes,
-    write_snapshot,
 )
 from repro.chain.store.codec import encode_obj
 from repro.chain.store.log import BlockLog
-from repro.chain.store.snapshots import SNAPSHOT_MAGIC, frame, snapshot_name, unframe
-from repro.chain.store.sqlite import IMAGE_MAGIC
+from repro.chain.store.snapshots import SnapshotCandidate, frame, snapshot_name, unframe
 from repro.chain.transaction import Transaction
 from repro.crypto import KeyPair
 from repro.obs import MetricsRegistry
@@ -48,7 +48,7 @@ def keypair():
 
 #: Backend-agnostic contract tests run against both durable backends —
 #: SQLiteStore must honour every recovery-ladder promise DurableStore
-#: makes (same log, different snapshot media).
+#: makes (same log, same snapshot files, plus its SQL tables).
 @pytest.fixture(params=["durable", "sqlite"])
 def store_cls(request):
     return {"durable": DurableStore, "sqlite": SQLiteStore}[request.param]
@@ -301,7 +301,7 @@ def test_snapshot_indexes_hold_only_the_tx_id_lookup(keypair, store_cls):
     ledger, commits = _build_chain(keypair, 10)
     store = store_cls(disk=SimDisk("n0"), snapshot_interval=4)
     _populate(store, commits, snapshots=True)
-    snap = store._load_snapshot(store._snapshot_candidates()[-1])
+    snap = load_snapshot(store.disk, list_snapshots(store.disk)[-1])
     assert snap["height"] == 8
     assert set(snap) == {"height", "block_hash", "state", "indexes"}  # state, not history
     assert set(snap["indexes"]) == {"tx_locator"}
@@ -358,7 +358,7 @@ def test_partial_flush_loss_is_counted_not_silent(keypair, store_cls):
 def test_corrupt_snapshot_falls_back_to_previous(keypair):
     ledger, commits = _build_chain(keypair, 12)
     disk = SimDisk("n0", rng=random.Random(9))
-    store = DurableStore(disk=disk, snapshot_interval=4, keep_snapshots=2)
+    store = DurableStore(disk=disk, snapshot_interval=4)
     state = _populate(store, commits, snapshots=True)
     snapshots = list_snapshots(disk)
     assert [s.height for s in snapshots] == [8, 12]
@@ -377,7 +377,7 @@ def test_corrupt_snapshot_falls_back_to_previous(keypair):
 def test_all_snapshots_corrupt_falls_back_to_full_replay(keypair):
     ledger, commits = _build_chain(keypair, 9)
     disk = SimDisk("n0", rng=random.Random(11))
-    store = DurableStore(disk=disk, snapshot_interval=4, keep_snapshots=2)
+    store = DurableStore(disk=disk, snapshot_interval=4)
     state = _populate(store, commits, snapshots=True)
     for snapshot in list_snapshots(disk):
         assert disk.corrupt(offset=10, name=snapshot.name) is not None
@@ -389,28 +389,43 @@ def test_all_snapshots_corrupt_falls_back_to_full_replay(keypair):
     assert recovered.state.state_digest() == state.state_digest()
 
 
+def test_recovery_discards_snapshots_above_the_recovered_tip(keypair, store_cls):
+    """A torn tail below the newest snapshot leaves that file describing a
+    block the log lost.  Recovery deletes it, so committing that height
+    again writes one fresh frame, not a second one behind the stale frame
+    every later load would read."""
+    _, commits = _build_chain(keypair, 8)
+    disk = SimDisk("n0", rng=random.Random(7))
+    store = store_cls(disk=disk, snapshot_interval=4)
+    registry = MetricsRegistry()
+    store.attach(registry, "n0")
+    _populate(store, commits, snapshots=True)
+    disk.arm_torn_write()
+    disk.on_crash()
+    recovered = store.recover()
+    assert recovered.report.recovered_height == 7
+    assert recovered.report.snapshot_height == 4
+    assert registry.total("store.snapshots_discarded") == 1
+    assert registry.total("store.degradations") == len(recovered.report.degradations)
+    # Regrow to 8: the snapshot at 8 is written again.
+    block, validity, errors = commits[7]
+    replay_block(block, validity, errors, ledger=recovered.ledger, state=recovered.state)
+    store.on_commit(block, validity, errors=errors)
+    assert store.maybe_snapshot(recovered.ledger, recovered.state)
+    files = disk.names_with_role("snapshot")
+    assert len(files) == 2
+    for name in files:
+        data = disk.read(name)
+        _, length, _ = struct.unpack_from(">2sII", data)
+        assert len(data) == struct.calcsize(">2sII") + length, f"{name} holds more than one frame"
+
+
 def test_snapshot_pruning_keeps_bounded_history(keypair):
     ledger, commits = _build_chain(keypair, 20)
     disk = SimDisk("n0")
-    store = DurableStore(disk=disk, snapshot_interval=4, keep_snapshots=2)
+    store = DurableStore(disk=disk, snapshot_interval=4)
     _populate(store, commits, snapshots=True)
     assert [s.height for s in list_snapshots(disk)] == [16, 20]
-
-
-def test_write_snapshot_rejects_non_positive_keep(keypair):
-    """keep <= 0 used to make the prune slice ``[:-keep]`` empty — a
-    silent no-op that retained every snapshot forever."""
-    ledger, commits = _build_chain(keypair, 1)
-    disk = SimDisk("n0")
-    for keep in (0, -1):
-        with pytest.raises(ValueError, match="keep"):
-            write_snapshot(disk, 1, ledger.head.block_hash, {}, {}, keep=keep)
-    assert list_snapshots(disk) == []  # nothing was written before the check
-
-
-def test_store_rejects_non_positive_keep_snapshots(store_cls):
-    with pytest.raises(ValueError, match="keep_snapshots"):
-        store_cls(disk=SimDisk("n0"), keep_snapshots=0)
 
 
 def test_snapshot_loader_rejects_tampered_payload(keypair):
@@ -420,29 +435,30 @@ def test_snapshot_loader_rejects_tampered_payload(keypair):
     _populate(store, commits, snapshots=True)
     candidate = list_snapshots(disk)[0]
     assert load_snapshot(disk, candidate) is not None
+    # A file whose recorded height disagrees with its name (renamed or
+    # cross-wired) is refused as well.
+    assert load_snapshot(disk, SnapshotCandidate(name=candidate.name, height=3)) is None
     disk.corrupt(role="snapshot")
     assert load_snapshot(disk, candidate) is None
 
 
-@pytest.mark.parametrize("magic", [SNAPSHOT_MAGIC, IMAGE_MAGIC])
-def test_unframe_names_the_first_check_that_fails(magic):
-    """One envelope for both snapshot media: recovery rejects on any of
-    these, ``repro-news store`` prints which."""
+def test_unframe_names_the_first_check_that_fails():
+    """Recovery rejects a snapshot file on any of these, ``repro-news
+    store`` prints which."""
     payload = b"snapshot payload bytes"
-    framed = frame(payload, magic)
-    assert unframe(framed, magic) == payload
-    assert unframe(framed + b"trailing bytes are not part of it", magic) == payload
-    other = IMAGE_MAGIC if magic == SNAPSHOT_MAGIC else SNAPSHOT_MAGIC
+    framed = frame(payload)
+    assert unframe(framed) == payload
+    assert unframe(framed + b"trailing bytes are not part of it") == payload
     flipped = framed[:-1] + bytes([framed[-1] ^ 0x01])
     for data, problem in (
         (framed[:9], "shorter than header"),  # the header is 2 + 4 + 4 bytes
         (b"", "shorter than header"),
-        (frame(payload, other), "bad magic"),
+        (b"XX" + framed[2:], "bad magic"),
         (framed[:-1], "truncated payload"),
         (framed[:10], "truncated payload"),
         (flipped, "CRC mismatch"),
     ):
-        assert unframe(data, magic) == problem
+        assert unframe(data) == problem
 
 
 def test_snapshot_with_receipts_key_from_before_they_became_a_view_still_loads(keypair):
@@ -468,7 +484,7 @@ def test_snapshot_with_receipts_key_from_before_they_became_a_view_still_loads(k
     disk.append(name, frame(encode_obj({
         "height": at, "block_hash": early.head.block_hash, "state": early_state.dump(),
         "receipts": old_receipts, "indexes": early.index_dump(),
-    }), SNAPSHOT_MAGIC))
+    })))
     disk.fsync(name)
 
     recovered = store.recover()
