@@ -45,7 +45,9 @@ bench:
 # corpus.minhash_calls_per_article and provenance.candidates_scanned_per_call
 # repeat exactly and that at most 10 % of the wall is unattributed; the
 # traced newsroom_publish run asks the same of the grouped publish path
-# (txs per block, messages and signatures per tx repeat exactly).  A1 adds
+# (txs per block, messages and signatures per tx repeat exactly), and the
+# traced reader_follow run of the read path (core.graph_rebuilds,
+# index.scan_fallbacks and bench.spans_recorded repeat exactly).  A1 adds
 # the discovery recall gates and, on a 5k-article index, that the signature
 # matrix answers every query exactly as the per-article scan does.
 bench-smoke:
@@ -58,6 +60,7 @@ bench-smoke:
 		benchmarks/e2e/test_e2e_smoke.py::test_untraced_smoke_run \
 		"benchmarks/e2e/test_e2e_smoke.py::test_traced_smoke_run[external_screening]" \
 		"benchmarks/e2e/test_e2e_smoke.py::test_traced_smoke_run[newsroom_publish]" \
+		"benchmarks/e2e/test_e2e_smoke.py::test_traced_smoke_run[reader_follow]" \
 		-q --benchmark-disable
 
 # The perf trajectory (ROADMAP aim 1): `make bench-record PR=<n>` runs the

@@ -98,13 +98,18 @@ class Block(WireSized):
         if expected_hash != self.block_hash:
             raise InvalidBlockError(f"block {self.height}: header hash mismatch")
 
-    def prove_inclusion(self, tx_id: str) -> MerkleProof:
-        """Merkle inclusion proof for one of this block's transactions."""
-        tx_ids = [tx.tx_id for tx in self.transactions]
-        try:
-            index = tx_ids.index(tx_id)
-        except ValueError:
-            raise InvalidBlockError(f"tx {tx_id[:12]} not in block {self.height}") from None
+    def prove_inclusion(self, tx_id: str, index: int | None = None) -> MerkleProof:
+        """Merkle inclusion proof for one of this block's transactions.
+
+        A caller that already holds the transaction's position (a ledger
+        locator's ``tx_index``) passes it as *index*: the block's ids are
+        then not scanned, only the id at that position is checked.
+        """
+        transactions = self.transactions
+        if index is None:
+            index = next((i for i, tx in enumerate(transactions) if tx.tx_id == tx_id), -1)
+        if not 0 <= index < len(transactions) or transactions[index].tx_id != tx_id:
+            raise InvalidBlockError(f"tx {tx_id[:12]} not in block {self.height}")
         return self._merkle_tree().prove(index)
 
     def __len__(self) -> int:

@@ -103,6 +103,7 @@ class ChainIndex:
         self.addresses = Interner()
         self.contracts = Interner()
         self.methods = Interner()  # interns "contract.method" pairs
+        self._method_names: list[str] = []  # method id -> the method part alone
         # Parallel per-ordinal columns (ints except the tx id).
         self._tx_ids: list[str] = []
         self._heights: list[int] = []
@@ -138,6 +139,8 @@ class ChainIndex:
             sender_id = self.addresses.intern(tx.sender)
             contract_id = self.contracts.intern(tx.contract)
             method_id = self.methods.intern(f"{tx.contract}.{tx.method}")
+            if method_id == len(self._method_names):
+                self._method_names.append(tx.method)
             valid = validity[tx_index]
             self._tx_ids.append(tx.tx_id)
             self._heights.append(block.height)
@@ -191,13 +194,10 @@ class ChainIndex:
 
     def _view(self, ordinal: int) -> TxView:
         return TxView(
-            tx_id=self._tx_ids[ordinal],
-            block_height=self._heights[ordinal],
-            tx_index=self._indexes[ordinal],
-            sender=self.addresses.value(self._senders[ordinal]),
-            contract=self.contracts.value(self._contracts[ordinal]),
-            method=self.methods.value(self._methods[ordinal]).split(".", 1)[1],
-            valid=self._valid[ordinal],
+            self._tx_ids[ordinal], self._heights[ordinal], self._indexes[ordinal],
+            self.addresses.value(self._senders[ordinal]),
+            self.contracts.value(self._contracts[ordinal]),
+            self._method_names[self._methods[ordinal]], self._valid[ordinal],
         )
 
     def _candidate_ordinals(
@@ -240,7 +240,8 @@ class ChainIndex:
         Picks the most selective view for the given filters, walks it
         backwards, post-filters the remaining predicates on interned ids
         (no block or transaction objects are touched), and stops at
-        *limit* — O(view tail + k), not O(chain).
+        *limit* — O(view tail + k), not O(chain).  Each row is built from
+        the columns, bound once per query, by position.
         """
         ordinals = self._candidate_ordinals(contract, method, sender)
         if ordinals is None:
@@ -252,23 +253,29 @@ class ChainIndex:
             if contract is not None and method is not None
             else None
         )
+        tx_ids, heights, indexes, valid = self._tx_ids, self._heights, self._indexes, self._valid
+        senders, contracts, methods = self._senders, self._contracts, self._methods
+        sender_names, contract_names = self.addresses._values, self.contracts._values
+        method_names = self._method_names
         # ``method`` without ``contract`` has no dedicated view: fall back
-        # to comparing the resolved method-name suffix per candidate.
+        # to comparing the method name per candidate.
         out: list[TxView] = []
         for ordinal in reversed(ordinals):
-            if sender_id is not None and self._senders[ordinal] != sender_id:
+            if sender_id is not None and senders[ordinal] != sender_id:
                 continue
             if method_id is not None:
-                if self._methods[ordinal] != method_id:
+                if methods[ordinal] != method_id:
                     continue
             else:
-                if contract_id is not None and self._contracts[ordinal] != contract_id:
+                if contract_id is not None and contracts[ordinal] != contract_id:
                     continue
-                if method is not None and not self.methods.value(
-                    self._methods[ordinal]
-                ).endswith(f".{method}"):
+                if method is not None and method_names[methods[ordinal]] != method:
                     continue
-            out.append(self._view(ordinal))
+            out.append(TxView(
+                tx_ids[ordinal], heights[ordinal], indexes[ordinal],
+                sender_names[senders[ordinal]], contract_names[contracts[ordinal]],
+                method_names[methods[ordinal]], valid[ordinal],
+            ))
             if len(out) >= limit:
                 break
         return out

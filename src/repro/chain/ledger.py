@@ -97,6 +97,9 @@ class Ledger:
 
     def __init__(self, genesis: Block | None = None):
         self._blocks: list[Block] = [genesis or make_genesis_block()]
+        #: The head's height: a plain attribute, set wherever ``_blocks``
+        #: grows, because every read that picks the freshest peer asks it.
+        self.height = self._blocks[-1].height
         #: The verdict and error vectors of each block in ``_blocks``
         #: (parallel lists).
         self._verdicts: list[list[bool]] = [[]]
@@ -132,6 +135,7 @@ class Ledger:
         """
         ledger = cls.__new__(cls)
         ledger._blocks = [block for block, _, _ in window]
+        ledger.height = ledger._blocks[-1].height
         ledger._verdicts = [list(verdicts) for _, verdicts, _ in window]
         ledger._errors = [list(errors) for _, _, errors in window]
         ledger._base = base
@@ -200,6 +204,7 @@ class Ledger:
             if validity[index] or not names_valid_copy(tx.tx_id):
                 rebound[tx.tx_id] = (block.height, index)
         self._blocks.append(block)
+        self.height = block.height
         self._verdicts.append(list(validity))
         self._errors.append(list(errors))
         self._tx_locator.update(rebound)
@@ -209,10 +214,6 @@ class Ledger:
     @property
     def head(self) -> Block:
         return self._blocks[-1]
-
-    @property
-    def height(self) -> int:
-        return self.head.height
 
     def _entry(self, height: int) -> Entry:
         """The block at *height* and the verdict and error vectors it

@@ -330,8 +330,10 @@ class BlockchainNetwork:
         (the first of them in peer order)."""
         best, best_height = None, -1
         for peer in self.peers:
-            if not peer.crashed and peer.ledger.height > best_height:
-                best, best_height = peer, peer.ledger.height
+            if not peer.crashed:
+                height = peer.ledger.height
+                if height > best_height:
+                    best, best_height = peer, height
         if best is None:
             raise ChainError("no live peer to read from")
         return best

@@ -52,6 +52,7 @@ from repro.core.toolmarket import ToolMarketContract
 from repro.core.provenance import ProvenanceIndex
 from repro.core.ranking import ArticleSignals, FactualnessRanker, RankedArticle, RankingWeights
 from repro.core.supplychain import (
+    FACT_PREFIX,
     SupplyChainContract,
     TraceResult,
     add_supply_node,
@@ -63,8 +64,6 @@ from repro.ml.ensemble import FakeNewsScorer
 from repro.social.cascade import ShareEvent
 
 __all__ = ["TrustingNewsPlatform", "PublishedArticle", "LedgerView"]
-
-_FACT_PREFIX = "fact:"
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,18 @@ class LedgerView:
     ledger; a node carries its committed ``ai_score``), :attr:`votes` by
     article, published article ids by ``(platform, room)`` in
     :attr:`rooms` and each platform's owner address in :attr:`owners`.
-    They hold committed facts only; answers (a trace, an article's
-    ranking :meth:`signals`, an audit) are computed from them per call.
-    Nothing is told to the view at commit time: it is a pure
-    function of the ledger it is shown, so any honest peer's ledger will
-    do, and a ledger that does not extend what was folded — shorter, or
-    another block at the remembered height — makes it start over from
-    genesis.
+    They hold committed facts only.  Nothing is told to the view at
+    commit time: it is a pure function of the ledger it is shown, so any
+    honest peer's ledger will do, and a ledger that does not extend what
+    was folded — shorter, or another block at the remembered height —
+    makes it start over from genesis.
+
+    A recorded node's :meth:`trace` and :meth:`author` are computed once
+    and kept for the life of the fold: an event adds edges out of its own
+    new node only, and the contract refuses an article id in the
+    factual-root namespace, so nothing folded later can change a
+    recorded node's ancestry.  Starting over is the one thing that drops
+    them.
     """
 
     def __init__(self) -> None:
@@ -113,6 +117,9 @@ class LedgerView:
         self.rooms: dict[tuple[str, str], list[str]] = {}
         self.owners: dict[str, str] = {}  # platform name -> owner address
         self._draft_rooms: dict[str, tuple[str, str]] = {}  # drafts not yet published
+        # Answers about nodes already in ``graph``, by node id.
+        self._traces: dict[str, TraceResult] = {}
+        self._authors: dict[str, str | None] = {}
 
     def follow(self, ledger: Ledger) -> "LedgerView":
         """Fold the blocks *ledger* holds above the remembered height."""
@@ -143,6 +150,29 @@ class LedgerView:
         self.height, self.head_hash = head.height, head.block_hash
         return self
 
+    def trace(self, article_id: str) -> TraceResult:
+        """:func:`~repro.core.supplychain.trace_to_factual_root` of
+        :attr:`graph`, computed once per recorded node (an id not in the
+        graph yet is answered, not kept); every call returns its own
+        :class:`TraceResult` and ``path`` list."""
+        kept = self._traces.get(article_id)
+        if kept is None:
+            kept = trace_to_factual_root(self.graph, article_id)
+            if article_id in self.graph:
+                self._traces[article_id] = kept
+        return TraceResult(kept.article_id, kept.traceable, kept.root, list(kept.path),
+                           kept.hops, kept.cumulative_modification)
+
+    def author(self, article_id: str) -> str | None:
+        """:func:`~repro.core.supplychain.find_original_author` of
+        :attr:`graph`, computed once per recorded node, as :meth:`trace`."""
+        if article_id in self._authors:
+            return self._authors[article_id]
+        author = find_original_author(self.graph, article_id)
+        if article_id in self.graph:
+            self._authors[article_id] = author
+        return author
+
     def crowd_score(self, article_id: str) -> float | None:
         """The article's weighted factual share, None before its first vote
         (the value ``votes.tally`` gives on the same ledger's state)."""
@@ -151,12 +181,12 @@ class LedgerView:
 
     def signals(self, article_id: str) -> ArticleSignals:
         """An article's three ranking signals, out of the fold alone: the
-        provenance score of its trace, 1 − the committed P(fake), and the
-        crowd share."""
+        provenance score of its :meth:`trace`, 1 − the committed P(fake),
+        and the crowd share."""
         p_fake = self.graph.nodes.get(article_id, {}).get("ai_score")
         return ArticleSignals(
             article_id=article_id,
-            provenance_score=trace_to_factual_root(self.graph, article_id).provenance_score,
+            provenance_score=self.trace(article_id).provenance_score,
             ai_score=None if p_fake is None else 1.0 - p_fake,
             crowd_score=self.crowd_score(article_id),
         )
@@ -259,7 +289,7 @@ class TrustingNewsPlatform:
 
     def _index_fact(self, fact_id: str, text: str) -> None:
         """Facts share the provenance index with articles, under a reserved prefix."""
-        self.index.add(_FACT_PREFIX + fact_id, text)
+        self.index.add(FACT_PREFIX + fact_id, text)
 
     def facts(self, topic: str | None = None) -> list[str]:
         return self.chain.query("factualdb", "list_facts", {"topic": topic})
@@ -380,17 +410,17 @@ class TrustingNewsPlatform:
         of them anywhere), and only when that has committed index the
         text.
         """
-        if article_id.startswith(_FACT_PREFIX):
-            raise PlatformError(f"article id {article_id!r} uses the reserved {_FACT_PREFIX!r} prefix")
+        if article_id.startswith(FACT_PREFIX):
+            raise PlatformError(f"article id {article_id!r} uses the reserved {FACT_PREFIX!r} prefix")
         sketch = self.index.sketch(text)
         if declared_parents is None:
             links = [c.article_id for c in self.index.discover_parents(sketch, exclude=article_id)]
         else:
             links = [p for p in declared_parents if p in self.index]
-        parents = tuple(p for p in links if not p.startswith(_FACT_PREFIX))
-        fact_roots = tuple(p[len(_FACT_PREFIX):] for p in links if p.startswith(_FACT_PREFIX))
+        parents = tuple(p for p in links if not p.startswith(FACT_PREFIX))
+        fact_roots = tuple(p[len(FACT_PREFIX):] for p in links if p.startswith(FACT_PREFIX))
         parent_degrees = [self.index.degree_between(text, p) for p in parents]
-        fact_degrees = [self.index.degree_between(text, _FACT_PREFIX + f) for f in fact_roots]
+        fact_degrees = [self.index.degree_between(text, FACT_PREFIX + f) for f in fact_roots]
         degree = min(parent_degrees + fact_degrees, default=1.0)
         record = {
             "article_id": article_id,
@@ -534,11 +564,11 @@ class TrustingNewsPlatform:
         return self._view.follow(self.chain.ledger).graph
 
     def trace(self, article_id: str) -> TraceResult:
-        return trace_to_factual_root(self.graph, article_id)
+        return self._view.follow(self.chain.ledger).trace(article_id)
 
     def accountable_author(self, article_id: str) -> str | None:
         """The address answerable for this article's content (§IV)."""
-        return find_original_author(self.graph, article_id)
+        return self._view.follow(self.chain.ledger).author(article_id)
 
     def expert_panel(self, topic: str, k: int = 5) -> list[str]:
         return ExpertFinder(self.graph).suggest_panel(topic, k=k)
@@ -658,7 +688,7 @@ class TrustingNewsPlatform:
         if committed is None:
             raise PlatformError(f"no supply-chain record for {article_id}")
         block = ledger.block(committed.block_height)
-        proof = block.prove_inclusion(tx_id)
+        proof = block.prove_inclusion(tx_id, committed.tx_index)
         return {
             "article_id": article_id,
             "tx_id": tx_id,
@@ -678,13 +708,14 @@ class TrustingNewsPlatform:
         supply-chain record, trace to the factual root, recorded ranking
         with component signals, every vote, every comment, and the
         accountable author.  All fields are reconstructions from
-        committed state — nothing here is platform say-so.
+        committed state — nothing here is platform say-so.  The view is
+        followed once; trace, author and votes come out of it.
         """
         node = self.chain.query("supplychain", "get_node", {"article_id": article_id})
         if node is None:
             raise PlatformError(f"article {article_id} is not on the ledger")
-        trace = self.trace(article_id)
         view = self._view.follow(self.chain.ledger)
+        trace = view.trace(article_id)
         votes = [dict(vote) for vote in view.votes.get(article_id, ())]
         comments = self.chain.query("newsroom", "list_comments", {"article_id": article_id})
         return {
@@ -701,7 +732,7 @@ class TrustingNewsPlatform:
             "ranking": self.chain.query("supplychain", "get_ranking", {"article_id": article_id}),
             "votes": votes,
             "comments": comments,
-            "accountable_author": self.accountable_author(article_id),
+            "accountable_author": view.author(article_id),
         }
 
     # -- stats ---------------------------------------------------------------------------------------

@@ -31,7 +31,12 @@ __all__ = [
     "trace_to_factual_root",
     "find_original_author",
     "supply_node_key",
+    "FACT_PREFIX",
 ]
+
+#: The namespace of factual-root nodes in the supply-chain graph:
+#: ``fact:<fact id>``.  No recorded article may take an id in it.
+FACT_PREFIX = "fact:"
 
 
 def supply_node_key(article_id: str) -> str:
@@ -74,9 +79,17 @@ class SupplyChainContract(Contract):
         recorder had one (Fig. 1: the verdict becomes the transaction).
         It enters the record and the event only when given, so an
         unscored record keeps the bytes it has always had.
+
+        An ``article_id`` in the :data:`FACT_PREFIX` namespace is refused:
+        the graph names factual roots that way, and a record there would
+        take over the root every honest relay of that fact traces to.
         """
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(caller is not None, "unregistered identities cannot record news")
+        ctx.require(
+            not article_id.startswith(FACT_PREFIX),
+            f"article id {article_id!r} is in the reserved {FACT_PREFIX!r} namespace",
+        )
         ctx.require(0.0 <= modification_degree <= 1.0, "modification_degree must be in [0, 1]")
         fact_roots = list(fact_roots or [])
         parent_degrees = list(parent_degrees) if parent_degrees is not None else [
@@ -202,7 +215,7 @@ def add_supply_node(graph: nx.DiGraph, event: dict) -> None:
         event["fact_roots"]
     )
     for fact_id, degree in zip(event["fact_roots"], fact_degrees):
-        fact_node = f"fact:{fact_id}"
+        fact_node = FACT_PREFIX + fact_id
         if fact_node not in graph:
             graph.add_node(fact_node, is_fact_root=True, op="fact", author="factualdb",
                            topic=event["topic"], modification_degree=0.0)

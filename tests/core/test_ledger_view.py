@@ -3,8 +3,10 @@
 into the supply-chain graph, the votes by article and the room lists.
 
 The oracle everywhere is the from-genesis answer: ``events`` filtered by
-height, ``build_supply_chain_graph`` of the same ledger, and the scan
-expressions ``export_audit`` / ``rank_room`` used to run on every call.
+height, ``build_supply_chain_graph`` of the same ledger (and its
+``trace_to_factual_root`` / ``find_original_author`` for the answers the
+view keeps per node), and the scan expressions ``export_audit`` /
+``rank_room`` used to run on every call.
 """
 
 from dataclasses import replace
@@ -12,8 +14,15 @@ from dataclasses import replace
 import pytest
 
 from repro.chain import BlockchainNetwork, NetworkedChain
+from repro.chain.block import Block
 from repro.chain.ledger import Ledger
-from repro.core import TrustingNewsPlatform, build_supply_chain_graph
+from repro.core import (
+    TrustingNewsPlatform,
+    build_supply_chain_graph,
+    find_original_author,
+    trace_to_factual_root,
+)
+from repro.core.platform import LedgerView
 from repro.corpus import CorpusGenerator
 from repro.corpus.mutations import relay
 from repro.simnet import FixedLatency
@@ -254,3 +263,97 @@ def test_a_draft_joins_its_room_when_it_is_published_not_before(platform):
     assert platform.rank_room("wire-news", "politics") == []
     platform.chain.invoke(wire, "newsroom", "publish", {"article_id": "slow"})
     assert [r.article_id for r in platform.rank_room("wire-news", "politics")] == ["slow"]
+
+
+# -- kept answers: a recorded node's trace and author ----------------------------
+
+
+def assert_kept_answers_are_the_oracle(view, ledger):
+    """Every node's trace and author, asked twice (the second answer is the
+    kept one), equal the from-genesis build's."""
+    oracle = build_supply_chain_graph(ledger)
+    assert list(view.graph.nodes) == list(oracle.nodes)
+    for node in oracle.nodes:
+        for _ in range(2):
+            assert view.trace(node) == trace_to_factual_root(oracle, node), node
+            assert view.author(node) == find_original_author(oracle, node), node
+
+
+def ledger_through(ledger, height, replace_last=False):
+    """A second peer's copy of *ledger* through *height*; with
+    *replace_last*, an empty block of its own at *height* (a fork)."""
+    copy = Ledger()
+    for h in range(1, height + (not replace_last)):
+        copy.append(ledger.block(h), ledger.block_validity(h))
+    if replace_last:
+        copy.append(Block.build(height=height, prev_hash=copy.head.block_hash,
+                                timestamp=-1.0, proposer="fork", transactions=[]), [])
+    return copy
+
+
+def share(platform, article, share_id, parent_id, sharer="checker-1"):
+    platform.ingest_share(
+        ShareEvent(time=0.0, round_index=0, agent_id=sharer, source_agent_id="wire",
+                   article_id=share_id, parent_article_id=parent_id, op="share"),
+        replace(relay(article, sharer, 3.0), article_id=share_id),
+    )
+
+
+def test_kept_answers_equal_the_from_genesis_oracle_as_the_ledger_grows(platform):
+    ledger = platform.chain.ledger
+    view = LedgerView().follow(ledger)
+    # Asked before it is recorded: answered, not kept.
+    assert not view.trace("late").traceable and view.author("late") is None
+    articles = populate(platform, CorpusGenerator(seed=10))
+    assert_kept_answers_are_the_oracle(view.follow(ledger), ledger)
+    for index in range(3):
+        share(platform, articles[index], f"s-{index + 1}", f"a-{index}")
+        assert_kept_answers_are_the_oracle(view.follow(ledger), ledger)
+    platform.publish_article("wire", "wire-news", "politics", "late",
+                             relay(articles[1], "wire", 4.0).text, "politics")
+    share(platform, articles[1], "s-late", "late")
+    view.follow(ledger)
+    assert view.trace("late").traceable and view.author("late") is not None
+    assert_kept_answers_are_the_oracle(view, ledger)
+
+
+def test_kept_answers_start_over_with_a_shorter_or_forked_ledger(platform):
+    articles = populate(platform, CorpusGenerator(seed=11))
+    share(platform, articles[1], "s-1", "a-1")
+    ledger = platform.chain.ledger
+    recorded_at = platform.graph.nodes["s-1"]["recorded_at"]
+    view = LedgerView().follow(ledger)
+    assert view.trace("s-1").traceable and view.author("s-1") is not None
+
+    # Another peer's ledger, behind the record: the kept answers go.
+    shorter = ledger_through(ledger, recorded_at - 1)
+    assert_kept_answers_are_the_oracle(view.follow(shorter), shorter)
+    assert "s-1" not in view.graph
+    assert not view.trace("s-1").traceable and view.author("s-1") is None
+
+    # At the record's height, then a fork there: the block is another one.
+    assert_kept_answers_are_the_oracle(view.follow(ledger_through(ledger, recorded_at)),
+                                       ledger_through(ledger, recorded_at))
+    assert view.trace("s-1").traceable
+    forked = ledger_through(ledger, recorded_at, replace_last=True)
+    assert forked.height == view.height and forked.head.block_hash != view.head_hash
+    assert_kept_answers_are_the_oracle(view.follow(forked), forked)
+    assert not view.trace("s-1").traceable and view.author("s-1") is None
+
+    assert_kept_answers_are_the_oracle(view.follow(ledger), ledger)
+
+
+def test_a_returned_trace_is_the_caller_s_own(platform):
+    populate(platform, CorpusGenerator(seed=12))
+    view = LedgerView().follow(platform.chain.ledger)
+    oracle = trace_to_factual_root(build_supply_chain_graph(platform.chain.ledger), "s-0")
+    first = view.trace("s-0")
+    assert first == oracle and first.traceable and len(first.path) > 1
+    first.path.append("tampered")
+    first.path.reverse()
+    first.root = "tampered"
+    assert view.trace("s-0") == oracle
+    assert view.trace("s-0").path is not view.trace("s-0").path
+    assert platform.trace("s-0") == oracle
+    platform.trace("s-0").path.clear()
+    assert platform.export_audit("s-0")["trace"]["path"] == oracle.path

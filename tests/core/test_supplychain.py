@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.chain import LocalChain
+from repro.corpus import CorpusGenerator
 from repro.core import (
     IdentityContract,
     SupplyChainContract,
@@ -178,3 +179,29 @@ def test_record_ranking_roundtrip(lineage):
     )
     ranking = chain.query("supplychain", "get_ranking", {"article_id": "a-1"})
     assert ranking["final_score"] == 0.95
+
+
+def test_a_record_cannot_take_over_a_factual_root(platform):
+    """A record named ``fact:<id>`` would overwrite that factual root in
+    every peer's graph: the honest relay would become untraceable and its
+    provenance fall from 1.0 to 0.0.  The contract refuses the namespace."""
+    fact = CorpusGenerator(seed=3).factual(topic="politics")
+    platform.seed_fact("f-0", fact.text, "public-record", "politics")
+    platform.register_participant("wire", role="publisher")
+    platform.create_distribution_platform("wire", "wire-news")
+    platform.create_news_room("wire", "wire-news", "politics", "politics")
+    platform.publish_article("wire", "wire-news", "politics", "relay", fact.text, "politics")
+    assert platform.trace("relay").root == "fact:f-0"
+    assert platform.trace("relay").provenance_score == 1.0
+
+    platform.register_participant("mallory", role="consumer", verified=False)
+    with pytest.raises(ContractError, match="reserved"):
+        platform.chain.invoke(
+            platform.account("mallory"), "supplychain", "record_node",
+            {"article_id": "fact:f-0", "content_hash": "0" * 64, "parents": [],
+             "modification_degree": 1.0, "topic": "politics", "op": "publish"},
+        )
+    assert platform.graph.nodes["fact:f-0"]["is_fact_root"]
+    trace = platform.trace("relay")
+    assert trace.root == "fact:f-0" and trace.provenance_score == 1.0
+    assert platform.accountable_author("relay") == platform.address_of("wire")

@@ -13,6 +13,7 @@ bench_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_ab)
 
 BETTER = {"ops_per_s": "higher", "op_wall_ms_p50": "lower", "peak_rss_mb": "lower"}
+BOUNDS = {"ops_per_s": 0.25, "op_wall_ms_p50": 0.25, "peak_rss_mb": 0.15}
 
 
 def result_line(ops, p50, rss=80.0, failed=0):
@@ -47,7 +48,7 @@ def test_pairs_alternate_which_side_runs_first(capsys):
     assert [p["change"]["ops_per_s"] for p in pairs] == canned["change"]
     assert capsys.readouterr().out.count("# pair ") == 4
 
-    summary = bench_ab.summarise(pairs, BETTER)
+    summary = bench_ab.summarise(pairs, BETTER, BOUNDS)
     ops = summary["ops_per_s"]
     assert (ops["wins"], ops["losses"], ops["ties"]) == (2, 1, 1)
     assert ops["parent"] == {"median": 16100.0, "q1": 15950.0, "q3": 16275.0}
@@ -62,8 +63,31 @@ def test_pairs_alternate_which_side_runs_first(capsys):
 
 def test_one_pair_has_a_degenerate_spread():
     pairs = [{"parent": {"ops_per_s": 10.0}, "change": {"ops_per_s": 12.0}}]
-    row = bench_ab.summarise(pairs, {"ops_per_s": "higher"})["ops_per_s"]
+    row = bench_ab.summarise(pairs, {"ops_per_s": "higher"}, BOUNDS)["ops_per_s"]
     assert row["parent"] == {"median": 10.0, "q1": 10.0, "q3": 10.0} and row["wins"] == 1
+
+
+def test_the_verdict_is_compare_py_s_under_the_bound():
+    """Ten pairs that all move ``ops_per_s`` x1.12 win 10/10 and still read
+    ``same``: the bound is 0.25.  x1.40 is ``better``, x0.70 ``worse``, and
+    a change inside the bound whose runs spread wider than it is
+    ``unresolved``."""
+    def pairs_of(parent, change):
+        return [{"parent": {"ops_per_s": p}, "change": {"ops_per_s": c}}
+                for p, c in zip(parent, change)]
+
+    parent = [1000.0 + 10 * i for i in range(10)]
+    rows = {factor: bench_ab.summarise(pairs_of(parent, [v * factor for v in parent]),
+                                       {"ops_per_s": "higher"}, BOUNDS)["ops_per_s"]
+            for factor in (1.12, 1.40, 0.70)}
+    assert rows[1.12]["wins"] == 10 and rows[1.12]["verdict"] == "same"
+    assert rows[1.40]["verdict"] == "better" and rows[0.70]["verdict"] == "worse"
+    wide = [500.0, 1500.0] * 5
+    row = bench_ab.summarise(pairs_of(wide, wide[::-1]), {"ops_per_s": "higher"},
+                             BOUNDS)["ops_per_s"]
+    assert row["verdict"] == "unresolved"
+    assert bench_ab.verdict is bench_ab._compare.verdict
+    assert "verdict: same" in bench_ab.report({"ops_per_s": rows[1.12]})
 
 
 def test_record_replaces_the_entry_of_the_same_workload_and_seed(tmp_path):

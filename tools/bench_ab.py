@@ -8,15 +8,19 @@ alternately in the parent's tree and in this one, the side that goes
 first alternating from pair to pair; for workload *W*, or without one
 for every workload BENCHMARK.json names, one after another.  Prints
 every pair as it finishes,
-then per end-to-end metric each side's median and quartiles and how many
+then per end-to-end metric each side's median and quartiles, how many
 pairs the change won (ties count for neither; "better" is the direction
-BENCHMARK.json gives the metric).  With ``PR=<n>`` the summary and the
+BENCHMARK.json gives the metric) and the verdict
+``benchmarks/e2e/compare.py`` gives the two sides' runs under the metric's
+BENCHMARK.json bound: ``better`` / ``same`` / ``worse`` / ``unresolved``
+(``better`` only for a gain past the bound).  With ``PR=<n>`` the summary and the
 pairs are also written under the ``ab`` key of ``BENCH_<n>.json`` (made by
 ``make bench-record PR=<n>``), one entry per ``(workload, seed)``; a
 second run of the same pair of names replaces its entry.  Nothing under
 ``benchmarks/e2e/`` is edited or needs to know.
 """
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -27,6 +31,13 @@ from typing import Callable
 
 Metrics = dict[str, float]
 SIDES = ("parent", "change")
+
+# The verdict rule is compare.py's; it is imported from there, not restated.
+_compare_spec = importlib.util.spec_from_file_location(
+    "compare", Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "compare.py")
+_compare = importlib.util.module_from_spec(_compare_spec)
+_compare_spec.loader.exec_module(_compare)
+verdict = _compare.verdict
 
 
 def parse_result(stdout: str) -> tuple[Metrics, int]:
@@ -57,19 +68,22 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(pairs: list[dict[str, Metrics]], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric: each side's median and quartiles, and the pairs the
-    change won, lost and tied."""
+def summarise(pairs: list[dict[str, Metrics]], better: dict[str, str],
+              bounds: dict[str, float]) -> dict[str, dict]:
+    """Per metric: each side's median and quartiles, the pairs the change
+    won, lost and tied, and compare.py's verdict under the metric's bound."""
     summary = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "higher" else -1.0
         gains = [sign * (pair["change"][name] - pair["parent"][name]) for pair in pairs]
+        runs = {side: [pair[side][name] for pair in pairs] for side in SIDES}
         summary[name] = {
             "better": direction,
-            **{side: spread([pair[side][name] for pair in pairs]) for side in SIDES},
+            **{side: spread(runs[side]) for side in SIDES},
             "wins": sum(g > 0 for g in gains),
             "losses": sum(g < 0 for g in gains),
             "ties": sum(g == 0 for g in gains),
+            "verdict": verdict(runs["parent"], runs["change"], direction, bounds[name])[1],
         }
     return summary
 
@@ -83,7 +97,7 @@ def report(summary: dict[str, dict]) -> str:
             f"change {change['median']:.6g} [{change['q1']:.6g}, {change['q3']:.6g}]  "
             f"x{change['median'] / parent['median']:.3f}  "
             f"change ahead in {row['wins']}/{row['wins'] + row['losses'] + row['ties']} "
-            f"({row['better']} is better)")
+            f"({row['better']} is better)  verdict: {row['verdict']}")
     return "\n".join(lines)
 
 
@@ -111,6 +125,7 @@ def main(argv: list[str]) -> int:
         raise SystemExit(f"{target.name} does not exist: run `make bench-record PR={args.pr}` first")
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
     sha = subprocess.run(["git", "rev-parse", args.parent], cwd=root, capture_output=True,
                          text=True, check=True).stdout.strip()
@@ -135,7 +150,7 @@ def main(argv: list[str]) -> int:
                 return metrics
 
             pairs = run_pairs(args.pairs, run_side)
-            summary = summarise(pairs, better)
+            summary = summarise(pairs, better, bounds)
             print(f"# {workload} seed {args.seed}: {args.pairs} pairs against {sha[:7]}; "
                   f"failed operations: parent {failed['parent']}, change {failed['change']}")
             print(report(summary), flush=True)
