@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-baseline test chaos bench bench-smoke bench-record bench-ab recovery obs-demo sloc sloc-diff
+.PHONY: lint lint-baseline test chaos bench bench-smoke bench-record bench-ab bench-table recovery obs-demo sloc sloc-diff
 
 # Byte-compile (catches syntax errors), then the repo's own AST linter:
 # determinism / sim-time / aliasing / pyflakes-subset / metric-hygiene
@@ -82,6 +82,13 @@ SEED ?= 0
 bench-ab:
 	$(PYTHON) tools/bench_ab.py --parent $(PARENT) $(if $(W),--workload $(W)) \
 		--pairs $(PAIRS) --seed $(SEED) $(if $(PR),--pr $(PR))
+
+# Where the wall goes: `make bench-table PR=<n> [AGAINST=<m>]` prints the
+# traced seed-0 busy_share of every layer (rows) on every workload
+# (columns) from BENCH_<n>.json as a Markdown table, each cell with its
+# ratio to BENCH_<m>.json when AGAINST is given.  Reads the records only.
+bench-table:
+	$(PYTHON) tools/bench_table.py $(PR) $(if $(AGAINST),--against $(AGAINST))
 
 # Crash-recovery: deep catch-up tests, the storage-engine suites
 # (parametrized over the durable and sqlite backends, which share one

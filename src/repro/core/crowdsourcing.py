@@ -74,8 +74,13 @@ class VoteContract(Contract):
 
     @contract_method
     def tally(self, ctx: ContractContext, article_id: str):
-        """Weighted tally: (weighted factual share, vote count)."""
-        votes = [ctx.get(key) for key in ctx.keys_with_prefix(f"vote:{article_id}:")]
+        """Weighted tally: (weighted factual share, vote count).
+
+        The key range ``vote:<id>:`` also holds the votes on an article
+        ``<id>:...``; only the records that name *article_id* count — the
+        rule the platform's fold of ``vote-cast`` events keys by."""
+        records = (ctx.get(key) for key in ctx.keys_with_prefix(f"vote:{article_id}:"))
+        votes = [vote for vote in records if vote["article_id"] == article_id]
         return {"factual_share": factual_share(votes), "votes": len(votes)}
 
 

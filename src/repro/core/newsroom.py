@@ -194,7 +194,13 @@ class NewsRoomContract(Contract):
 
     @contract_method
     def comment(self, ctx: ContractContext, article_id: str, comment_id: str, content_hash: str):
-        """Attach a signed comment to a *published* article."""
+        """Attach a signed comment to a *published* article.
+
+        A ``comment_id`` holding ``:`` is refused: the key
+        ``comment:<article>:<comment>`` would otherwise name a comment on
+        another article (``b:c`` on ``a`` and ``c`` on ``a:b`` are one key).
+        """
+        ctx.require(":" not in comment_id, f"comment id {comment_id!r} may not contain ':'")
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(
             caller is not None and caller["verified"],
@@ -218,8 +224,11 @@ class NewsRoomContract(Contract):
 
     @contract_method
     def list_comments(self, ctx: ContractContext, article_id: str):
-        """Comment records for an article, in key order."""
-        return [ctx.get(key) for key in ctx.keys_with_prefix(f"comment:{article_id}:")]
+        """Comment records for an article, in key order: those of the key
+        range ``comment:<id>:`` that name *article_id* (the range also holds
+        an article ``<id>:...``'s comments)."""
+        records = (ctx.get(key) for key in ctx.keys_with_prefix(f"comment:{article_id}:"))
+        return [comment for comment in records if comment["article_id"] == article_id]
 
     # -- internals --------------------------------------------------------------------
 

@@ -19,6 +19,11 @@ from a :class:`LedgerView`, the fold of the ledger's events, brought up
 to the ledger's head at every read.  A room's ranking is a function of
 one ledger — provenance, the committed AI score and the crowd share all
 come out of the fold — so any honest peer's ledger ranks it the same.
+So is an article's audit bundle: the record, ranking and comments are
+the values the recording transactions' write sets committed, folded
+beside the graph and the votes, and the Merkle proof of the record is
+built once when it is folded — no read about a recorded article runs a
+contract.
 
 What the process keeps that no ledger gives back: the private keys in
 :attr:`~TrustingNewsPlatform.accounts`, the provenance index (it needs
@@ -28,17 +33,21 @@ scorer, ranker, media verifier, topic classifier.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Any, Sequence
 
 import networkx as nx
 
 from repro.chain.ledger import Ledger
 from repro.chain.local import LocalChain
+from repro.chain.state import _isolate
 from repro.chain.transaction import TxReceipt
 from repro.corpus.articles import Article
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.keys import KeyPair
+from repro.crypto.merkle import MerkleProof
 from repro.core.conduct import ConductContract
 from repro.core.crowdsourcing import VoteContract, factual_share
 from repro.core.ecosystem import TokenContract
@@ -57,6 +66,7 @@ from repro.core.supplychain import (
     TraceResult,
     add_supply_node,
     find_original_author,
+    supply_node_key,
     trace_to_factual_root,
 )
 from repro.errors import IdentityError, PlatformError
@@ -85,25 +95,31 @@ class LedgerView:
     ``Ledger.events`` that follows the ledger.
 
     The view remembers the height it has folded through and that block's
-    hash; :meth:`follow` resolves only the events above it.  Four
-    structures come out of the fold — the supply-chain :attr:`graph`
-    (the same nodes and edges, in the same order, as
+    hash; :meth:`follow` resolves only the events above it.  Out of the
+    fold come the supply-chain :attr:`graph` (the same nodes and edges, in
+    the same order, as
     :func:`~repro.core.supplychain.build_supply_chain_graph` of the same
     ledger; a node carries its committed ``ai_score``), :attr:`votes` by
     article, published article ids by ``(platform, room)`` in
-    :attr:`rooms` and each platform's owner address in :attr:`owners`.
-    They hold committed facts only.  Nothing is told to the view at
-    commit time: it is a pure function of the ledger it is shown, so any
-    honest peer's ledger will do, and a ledger that does not extend what
-    was folded — shorter, or another block at the remembered height —
-    makes it start over from genesis.
+    :attr:`rooms`, each platform's owner address in :attr:`owners`, and
+    by article the committed values the contract queries read back:
+    :attr:`records` (``scnode:<id>``), :attr:`rankings` (the latest
+    ``scrank:<id>``) and :attr:`comments` (the ``comment:<id>:<cid>``
+    values in key order), each taken from the write set of the
+    transaction that emitted the event.  They hold committed facts only.
+    Nothing is told to the view at commit time: it is a pure function of
+    the ledger it is shown, so any honest peer's ledger will do, and a
+    ledger that does not extend what was folded — shorter, or another
+    block at the remembered height — makes it start over from genesis.
 
     A recorded node's :meth:`trace` and :meth:`author` are computed once
     and kept for the life of the fold: an event adds edges out of its own
     new node only, and the contract refuses an article id in the
     factual-root namespace, so nothing folded later can change a
-    recorded node's ancestry.  Starting over is the one thing that drops
-    them.
+    recorded node's ancestry.  So is the Merkle proof of its recording
+    transaction at its committed position (:meth:`proof`): a committed
+    transaction never moves.  Starting over is the one thing that drops
+    them.  What the view hands out is the caller's own copy.
     """
 
     def __init__(self) -> None:
@@ -116,10 +132,15 @@ class LedgerView:
         self.votes: dict[str, list[dict[str, Any]]] = {}
         self.rooms: dict[tuple[str, str], list[str]] = {}
         self.owners: dict[str, str] = {}  # platform name -> owner address
+        self.records: dict[str, dict[str, Any]] = {}
+        self.rankings: dict[str, dict[str, Any]] = {}
+        self.comments: dict[str, list[dict[str, Any]]] = {}
         self._draft_rooms: dict[str, tuple[str, str]] = {}  # drafts not yet published
         # Answers about nodes already in ``graph``, by node id.
         self._traces: dict[str, TraceResult] = {}
         self._authors: dict[str, str | None] = {}
+        # (tx id, height, block hash, Merkle root, proof) by recorded article.
+        self._proofs: dict[str, tuple[str, int, str, str, MerkleProof]] = {}
 
     def follow(self, ledger: Ledger) -> "LedgerView":
         """Fold the blocks *ledger* holds above the remembered height."""
@@ -134,6 +155,20 @@ class LedgerView:
         above = self.height
         for event in ledger.events("supplychain", "supply-node-recorded", above):
             add_supply_node(self.graph, event)
+            article_id, tx_id = event["article_id"], event["_tx_id"]
+            committed = ledger.get_transaction(tx_id)
+            block = ledger.block(committed.block_height)
+            self.records[article_id] = committed.transaction.write_set[supply_node_key(article_id)]
+            self._proofs[article_id] = (tx_id, block.height, block.block_hash, block.merkle_root,
+                                        block.prove_inclusion(tx_id, committed.tx_index))
+        for event in ledger.events("supplychain", "article-ranked", above):
+            article_id = event["article_id"]
+            self.rankings[article_id] = _written(ledger, event, f"scrank:{article_id}")
+        for event in ledger.events("newsroom", "comment-posted", above):
+            article_id = event["article_id"]
+            insort(self.comments.setdefault(article_id, []),
+                   _written(ledger, event, f"comment:{article_id}:{event['comment_id']}"),
+                   key=itemgetter("comment_id"))
         for event in ledger.events("votes", "vote-cast", above):
             self.votes.setdefault(event["article_id"], []).append(
                 {"voter": event["_sender"], "verdict": event["verdict"], "weight": event["weight"]}
@@ -173,6 +208,15 @@ class LedgerView:
             self._authors[article_id] = author
         return author
 
+    def proof(self, article_id: str) -> tuple[str, int, str, str, MerkleProof]:
+        """``(tx_id, height, block_hash, merkle_root, proof)`` of the
+        article's recording transaction, built when the record was folded;
+        an id with no record raises :class:`PlatformError`."""
+        kept = self._proofs.get(article_id)
+        if kept is None:
+            raise PlatformError(f"no supply-chain record for {article_id}")
+        return kept
+
     def crowd_score(self, article_id: str) -> float | None:
         """The article's weighted factual share, None before its first vote
         (the value ``votes.tally`` gives on the same ledger's state)."""
@@ -190,6 +234,41 @@ class LedgerView:
             ai_score=None if p_fake is None else 1.0 - p_fake,
             crowd_score=self.crowd_score(article_id),
         )
+
+    def audit(self, article_id: str) -> dict[str, Any]:
+        """Everything the fold says about one recorded article: the record,
+        the trace to a factual root, the latest ranking, the votes, the
+        comments and the accountable author — what the ``get_node``,
+        ``get_ranking`` and ``list_comments`` queries and the trace and
+        author oracles answer on the same ledger.  Every value is a fresh
+        copy; an id with no record raises :class:`PlatformError`."""
+        record = self.records.get(article_id)
+        if record is None:
+            raise PlatformError(f"article {article_id} is not on the ledger")
+        trace = self.trace(article_id)
+        return {
+            "article_id": article_id,
+            "node": _isolate(record),
+            "trace": {
+                "traceable": trace.traceable,
+                "root": trace.root,
+                "path": trace.path,
+                "hops": trace.hops,
+                "cumulative_modification": trace.cumulative_modification,
+                "provenance_score": trace.provenance_score,
+            },
+            "ranking": _isolate(self.rankings.get(article_id)),
+            # The view builds each vote from event scalars: one level to copy.
+            "votes": [dict(vote) for vote in self.votes.get(article_id, ())],
+            "comments": _isolate(self.comments.get(article_id, [])),
+            "accountable_author": self.author(article_id),
+        }
+
+
+def _written(ledger: Ledger, event: dict[str, Any], key: str) -> Any:
+    """The value *event*'s transaction committed at *key*: a valid
+    transaction's write set is the state change it made."""
+    return ledger.get_transaction(event["_tx_id"]).transaction.write_set[key]
 
 
 class TrustingNewsPlatform:
@@ -635,14 +714,15 @@ class TrustingNewsPlatform:
         The promotion threshold is enforced on-chain; this helper reads
         the recorded ranking, so an article must have been ranked first.
         """
-        ranking = self.chain.query("supplychain", "get_ranking", {"article_id": article_id})
+        view = self._view.follow(self.chain.ledger)
+        ranking = view.rankings.get(article_id)
         if ranking is None:
             raise PlatformError(f"article {article_id} has no recorded ranking")
         if ranking["final_score"] < PROMOTION_THRESHOLD:
             raise PlatformError(
                 f"score {ranking['final_score']:.3f} below promotion threshold {PROMOTION_THRESHOLD}"
             )
-        node = self.chain.query("supplychain", "get_node", {"article_id": article_id})
+        node = view.records[article_id]  # a ranking is refused for an unrecorded id
         fact_id = fact_id or f"promoted-{article_id}"
         receipt = self.chain.invoke(
             self.governance, "factualdb", "promote",
@@ -681,22 +761,19 @@ class TrustingNewsPlatform:
 
         Returns the block height/hash, the transaction id, the proof
         object, and its verification result against the block's root.
+        The proof is the one :class:`LedgerView` built when it folded the
+        record; the verification runs on every call.
         """
-        ledger = self.chain.ledger
-        tx_id = self._view.follow(ledger).graph.nodes.get(article_id, {}).get("tx_id")
-        committed = ledger.get_transaction(tx_id) if tx_id else None
-        if committed is None:
-            raise PlatformError(f"no supply-chain record for {article_id}")
-        block = ledger.block(committed.block_height)
-        proof = block.prove_inclusion(tx_id, committed.tx_index)
+        tx_id, height, block_hash, merkle_root, proof = (
+            self._view.follow(self.chain.ledger).proof(article_id))
         return {
             "article_id": article_id,
             "tx_id": tx_id,
-            "block_height": block.height,
-            "block_hash": block.block_hash,
-            "merkle_root": block.merkle_root,
+            "block_height": height,
+            "block_hash": block_hash,
+            "merkle_root": merkle_root,
             "proof": proof,
-            "verified": proof.verify(block.merkle_root),
+            "verified": proof.verify(merkle_root),
         }
 
     # -- audit ----------------------------------------------------------------------------------------
@@ -708,32 +785,11 @@ class TrustingNewsPlatform:
         supply-chain record, trace to the factual root, recorded ranking
         with component signals, every vote, every comment, and the
         accountable author.  All fields are reconstructions from
-        committed state — nothing here is platform say-so.  The view is
-        followed once; trace, author and votes come out of it.
+        committed state — nothing here is platform say-so: the view is
+        followed once and :meth:`LedgerView.audit` answers, with no
+        contract run.
         """
-        node = self.chain.query("supplychain", "get_node", {"article_id": article_id})
-        if node is None:
-            raise PlatformError(f"article {article_id} is not on the ledger")
-        view = self._view.follow(self.chain.ledger)
-        trace = view.trace(article_id)
-        votes = [dict(vote) for vote in view.votes.get(article_id, ())]
-        comments = self.chain.query("newsroom", "list_comments", {"article_id": article_id})
-        return {
-            "article_id": article_id,
-            "node": node,
-            "trace": {
-                "traceable": trace.traceable,
-                "root": trace.root,
-                "path": trace.path,
-                "hops": trace.hops,
-                "cumulative_modification": trace.cumulative_modification,
-                "provenance_score": trace.provenance_score,
-            },
-            "ranking": self.chain.query("supplychain", "get_ranking", {"article_id": article_id}),
-            "votes": votes,
-            "comments": comments,
-            "accountable_author": view.author(article_id),
-        }
+        return self._view.follow(self.chain.ledger).audit(article_id)
 
     # -- stats ---------------------------------------------------------------------------------------
 

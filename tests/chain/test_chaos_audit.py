@@ -219,13 +219,16 @@ def run_platform_chaos(seed: int, n_articles: int = 8):
     assert all(ranked.ai_score is not None for ranked in ranking)
     assert any(ranked.crowd_score is not None for ranked in ranking)
     # A ranking is a function of one ledger: every live peer's, folded from
-    # genesis by a view of its own, ranks the room exactly as the platform.
+    # genesis by a view of its own, ranks the room exactly as the platform,
+    # and gives every published article's audit bundle as the platform does.
     for peer in network.peers:
         if not peer.crashed:
             view = LedgerView().follow(peer.ledger)
             article_ids = view.rooms.get(("wire-platform", "room"), ())
             assert platform.ranker.rank([view.signals(a) for a in article_ids]) == ranking, \
                 peer.node_id
+            assert [view.audit(a) for a in article_ids] == [
+                platform.export_audit(a) for a in article_ids], peer.node_id
     return network, platform, acknowledged, refused
 
 

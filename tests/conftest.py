@@ -66,6 +66,17 @@ class CounterContract(Contract):
             ctx.put(f"k{index}", "x" * 100)
 
 
+class RewriteContract(Contract):
+    """Writes a key back unchanged: a new version, the same value — the
+    smallest transaction that makes somebody's read of that key stale."""
+
+    name = "rewrite"
+
+    @contract_method
+    def touch(self, ctx, key: str):
+        ctx.put(key, ctx.get(key))
+
+
 class OrderTwoKeyPair(KeyPair):
     """A signer that shifts ``R`` by the point of order 2: ``R' = r*G +
     (0, -1)``, ``s = r + H(R' | A | m) * a``.  Each such signature fails
@@ -88,6 +99,39 @@ class LengthScorer:
 
     def score_one(self, text: str) -> float:
         return (len(text) % 89) / 100
+
+
+def audit_oracle(query, ledger, article_id: str) -> dict:
+    """``export_audit``'s bundle as the contract queries answer it —
+    ``get_node``, ``get_ranking`` and ``list_comments`` through
+    ``query(contract, method, args)`` — with the trace and author of the
+    from-genesis graph of *ledger* and its ``vote-cast`` events in chain
+    order."""
+    from repro.core import build_supply_chain_graph, find_original_author, trace_to_factual_root
+
+    args = {"article_id": article_id}
+    graph = build_supply_chain_graph(ledger)
+    trace = trace_to_factual_root(graph, article_id)
+    return {
+        "article_id": article_id,
+        "node": query("supplychain", "get_node", args),
+        "trace": {
+            "traceable": trace.traceable,
+            "root": trace.root,
+            "path": trace.path,
+            "hops": trace.hops,
+            "cumulative_modification": trace.cumulative_modification,
+            "provenance_score": trace.provenance_score,
+        },
+        "ranking": query("supplychain", "get_ranking", args),
+        "votes": [
+            {"voter": event["_sender"], "verdict": event["verdict"], "weight": event["weight"]}
+            for event in ledger.events(contract="votes", kind="vote-cast")
+            if event["article_id"] == article_id
+        ],
+        "comments": query("newsroom", "list_comments", args),
+        "accountable_author": find_original_author(graph, article_id),
+    }
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ the reference similarity functions, and the two bugs fixed on the way.
 import numpy as np
 import pytest
 
-from repro.chain import BlockchainNetwork, Contract, LocalChain, NetworkedChain, contract_method
+from repro.chain import BlockchainNetwork, LocalChain, NetworkedChain
 from repro.core import ProvenanceIndex, TrustingNewsPlatform, build_supply_chain_graph
 from repro.core import provenance as provenance_module
 from repro.core.identity import identity_key
@@ -27,7 +27,7 @@ from repro.errors import ContractError, PlatformError
 from repro.ml import capture_signal, tamper_signal
 from repro.simnet import FixedLatency
 from repro.social.cascade import ShareEvent
-from tests.conftest import LengthScorer
+from tests.conftest import LengthScorer, RewriteContract
 
 
 def _share(agent: str, article, parent_id: str, op: str) -> ShareEvent:
@@ -237,17 +237,6 @@ def test_aborted_record_leaves_index_and_scores_untouched(platform):
 # -- a publish is one unit: all of its steps commit, or none is visible anywhere --
 
 
-class _Rewrite(Contract):
-    """Writes a key back unchanged: a new version, the same value — the
-    smallest transaction that makes somebody's read of that key stale."""
-
-    name = "rewrite"
-
-    @contract_method
-    def touch(self, ctx, key: str):
-        ctx.put(key, ctx.get(key))
-
-
 @pytest.fixture(params=["local", "networked"])
 def newsroom(request):
     """A platform with one room, a journalist and a reader — on a
@@ -312,7 +301,7 @@ def test_commit_time_abort_takes_every_member_with_it(newsroom, monkeypatch):
     block: every member is invalid on every peer, nothing of the publish
     is visible, the call raises as ``invoke`` does, and a retry commits."""
     platform, chain = newsroom, newsroom.chain
-    chain.install_contract(_Rewrite())
+    chain.install_contract(RewriteContract())
     stale_read = identity_key(platform.address_of("jane"))  # record_node reads its caller
     conflicts = iter([lambda: chain.invoke(
         platform.governance, "rewrite", "touch", {"key": stale_read})])

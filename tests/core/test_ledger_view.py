@@ -1,14 +1,17 @@
 """Reads follow the ledger: ``Ledger.events(above=)`` and the platform's
 ``LedgerView`` — the fold of the blocks committed since the last read
-into the supply-chain graph, the votes by article and the room lists.
+into the supply-chain graph, the votes by article, the room lists and the
+records, rankings and comments the audit bundle reads.
 
 The oracle everywhere is the from-genesis answer: ``events`` filtered by
 height, ``build_supply_chain_graph`` of the same ledger (and its
 ``trace_to_factual_root`` / ``find_original_author`` for the answers the
-view keeps per node), and the scan expressions ``export_audit`` /
-``rank_room`` used to run on every call.
+view keeps per node), the scan expressions ``export_audit`` /
+``rank_room`` used to run on every call, and the contract queries
+(``get_node``, ``get_ranking``, ``list_comments``) the bundle used to run.
 """
 
+import copy
 from dataclasses import replace
 
 import pytest
@@ -25,8 +28,11 @@ from repro.core import (
 from repro.core.platform import LedgerView
 from repro.corpus import CorpusGenerator
 from repro.corpus.mutations import relay
+from repro.crypto.merkle import MerkleProof
+from repro.errors import ContractError, PlatformError
 from repro.simnet import FixedLatency
 from repro.social.cascade import ShareEvent
+from tests.conftest import RewriteContract, audit_oracle
 
 #: Every ``(contract, kind)`` filter ``ledger.events(`` is called with under src/.
 FILTERS = [
@@ -357,3 +363,215 @@ def test_a_returned_trace_is_the_caller_s_own(platform):
     assert platform.trace("s-0") == oracle
     platform.trace("s-0").path.clear()
     assert platform.export_audit("s-0")["trace"]["path"] == oracle.path
+
+
+# -- the audit bundle: a fold of the recording transactions' write sets ----------
+
+
+def recorded(ledger):
+    return [e["article_id"] for e in ledger.events(contract="supplychain",
+                                                   kind="supply-node-recorded")]
+
+
+def assert_audits_are_the_oracle(platform, view):
+    """After a follow, every recorded article's bundle — from the view and
+    from ``export_audit`` — is the contract queries' on the live state."""
+    ledger = platform.chain.ledger
+    view.follow(ledger)
+    for article_id in recorded(ledger):
+        want = audit_oracle(platform.chain.query, ledger, article_id)
+        assert view.audit(article_id) == want, article_id
+        assert platform.export_audit(article_id) == want, article_id
+
+
+def comment(platform, article_id, comment_id, name="checker-0"):
+    return platform.chain.invoke(platform.account(name), "newsroom", "comment", {
+        "article_id": article_id, "comment_id": comment_id, "content_hash": "ab" * 32})
+
+
+def test_folded_audit_equals_the_contract_oracle_after_every_follow(platform, monkeypatch):
+    ledger = platform.chain.ledger
+    view = LedgerView()
+    articles = populate(platform, CorpusGenerator(seed=13))   # groups, votes, a share, a ranking
+    assert_audits_are_the_oracle(platform, view)
+    platform.rank_article("a-0")                              # re-recorded
+    platform.rank_article("a-1")
+    assert_audits_are_the_oracle(platform, view)
+    comment(platform, "a-1", "c-2")
+    comment(platform, "a-1", "c-1", name="checker-1")          # key order, not chain order
+    comment(platform, "a-0", "c-1")
+    assert_audits_are_the_oracle(platform, view)
+    assert [c["comment_id"] for c in view.audit("a-1")["comments"]] == ["c-1", "c-2"]
+
+    # A record_ranking endorsed, then made stale before its block: it
+    # commits invalid, and its write set is not folded.
+    chain = platform.chain
+    chain.install_contract(RewriteContract())
+    ranked_before = view.audit("a-1")["ranking"]
+    commit = chain._commit
+
+    def conflict_first(txs):
+        monkeypatch.setattr(chain, "_commit", commit)
+        chain.invoke(platform.governance, "rewrite", "touch", {"key": "scnode:a-1"})
+        return commit(txs)
+
+    monkeypatch.setattr(chain, "_commit", conflict_first)
+    with pytest.raises(ContractError, match="MVCC conflict"):
+        chain.invoke(platform.governance, "supplychain", "record_ranking", {
+            "article_id": "a-1", "provenance_score": 0.0, "ai_score": None,
+            "crowd_score": None, "final_score": 0.987})
+    stale = ledger.head.transactions[-1]
+    assert not ledger.get_transaction(stale.tx_id).valid
+    assert stale.write_set["scrank:a-1"]["final_score"] == 0.987
+    assert_audits_are_the_oracle(platform, view)
+    assert view.audit("a-1")["ranking"] == ranked_before
+
+    platform.publish_article("wire", "wire-news", "politics", "late",
+                             relay(articles[2], "wire", 6.0).text, "politics")
+    share(platform, articles[2], "s-late", "late")
+    comment(platform, "late", "first")
+    platform.cast_vote("checker-2", "late", False)
+    platform.rank_article("late")
+    assert_audits_are_the_oracle(platform, view)
+    with pytest.raises(PlatformError, match="not on the ledger"):
+        view.audit("ghost")
+
+
+def test_folded_audit_starts_over_with_a_shorter_or_forked_ledger(platform):
+    articles = populate(platform, CorpusGenerator(seed=14))
+    comment(platform, "a-0", "c-0")
+    ranked_at = platform.chain.ledger.height
+    platform.rank_article("a-1")
+    comment(platform, "a-0", "c-1")
+    share(platform, articles[1], "s-1", "a-1")
+    ledger = platform.chain.ledger
+    registry = platform.chain.registry
+    view = LedgerView().follow(ledger)
+    assert view.audit("a-1")["ranking"] and len(view.audit("a-0")["comments"]) == 2
+
+    def check(shown):
+        state = shown.replay_state()
+
+        def query(contract, method, args):
+            return registry.execute(state, contract, method, args, caller="query",
+                                    timestamp=0.0, tx_id="query").return_value
+
+        view.follow(shown)
+        assert sorted(view.records) == sorted(recorded(shown))
+        for article_id in recorded(shown):
+            assert view.audit(article_id) == audit_oracle(query, shown, article_id)
+
+    shorter = ledger_through(ledger, ranked_at)
+    check(shorter)
+    assert [c["comment_id"] for c in view.audit("a-0")["comments"]] == ["c-0"]
+    assert view.audit("a-1")["ranking"] is None and view.audit("a-0")["ranking"]
+    assert "s-1" not in view.records
+    with pytest.raises(PlatformError, match="no supply-chain record"):
+        view.proof("s-1")
+    forked = ledger_through(ledger, ranked_at, replace_last=True)
+    check(forked)
+    check(ledger)
+    assert view.audit("a-1")["ranking"] and len(view.audit("a-0")["comments"]) == 2
+    assert view.proof("s-1")[0] == platform.graph.nodes["s-1"]["tx_id"]
+
+
+def test_nothing_an_audit_hands_out_reaches_the_fold_or_the_write_set(platform):
+    populate(platform, CorpusGenerator(seed=15))
+    comment(platform, "a-0", "c-0")
+    ledger = platform.chain.ledger
+    view = LedgerView().follow(ledger)
+    writes = {tx.tx_id: copy.deepcopy(tx.write_set)
+              for block in ledger.blocks() for tx in block.transactions}
+    want = audit_oracle(platform.chain.query, ledger, "a-0")
+    for bundle in (view.audit("a-0"), platform.export_audit("a-0")):
+        bundle["node"]["parents"].append("tampered")
+        bundle["node"]["fact_degrees"].clear()
+        bundle["node"]["topic"] = "tampered"
+        bundle["ranking"]["final_score"] = -1.0
+        bundle["votes"][0]["verdict"] = "tampered"
+        bundle["votes"].append({"voter": "tampered"})
+        bundle["comments"][0]["author"] = "tampered"
+        bundle["comments"].clear()
+        bundle["trace"]["path"].clear()
+    assert view.audit("a-0") == want and platform.export_audit("a-0") == want
+    assert {tx.tx_id: tx.write_set
+            for block in ledger.blocks() for tx in block.transactions} == writes
+
+
+def test_prove_article_verifies_every_call_and_builds_each_proof_once(platform, monkeypatch):
+    built, verified = [], []
+    prove_inclusion, verify = Block.prove_inclusion, MerkleProof.verify
+
+    def counting_prove(block, tx_id, index=None):
+        built.append(tx_id)
+        return prove_inclusion(block, tx_id, index)
+
+    def counting_verify(proof, root):
+        verified.append(proof.leaf)
+        return verify(proof, root)
+
+    monkeypatch.setattr(Block, "prove_inclusion", counting_prove)
+    monkeypatch.setattr(MerkleProof, "verify", counting_verify)
+    articles = populate(platform, CorpusGenerator(seed=16))
+    ledger = platform.chain.ledger
+    nodes = recorded(ledger)
+    for _ in range(3):
+        for article_id in nodes:
+            proof = platform.prove_article(article_id)
+            committed = ledger.get_transaction(proof["tx_id"])
+            block = ledger.block(committed.block_height)
+            assert proof["verified"] is True and proof["block_height"] == block.height
+            assert (proof["block_hash"], proof["merkle_root"]) == (
+                block.block_hash, block.merkle_root)
+            assert proof["proof"] == prove_inclusion(block, proof["tx_id"])
+    assert sorted(built) == sorted(platform.graph.nodes[a]["tx_id"] for a in nodes)
+    assert len(verified) == 3 * len(nodes)
+
+    share(platform, articles[0], "s-1", "a-0")
+    assert platform.prove_article("s-1")["verified"] is True
+    assert built[-1] == platform.graph.nodes["s-1"]["tx_id"]
+    assert len(built) == len(nodes) + 1 and len(verified) == 3 * len(nodes) + 1
+    with pytest.raises(PlatformError, match="no supply-chain record"):
+        platform.prove_article("fact:f-0")
+
+
+# -- ids that nest with ':' ------------------------------------------------------
+
+
+@pytest.fixture
+def nested(platform):
+    """Two published articles, ``a`` and ``a:b``, and a verified reader."""
+    fact = CorpusGenerator(seed=17).factual(topic="politics")
+    open_room(platform)
+    for index, article_id in enumerate(("a", "a:b")):
+        platform.publish_article("wire", "wire-news", "politics", article_id,
+                                 relay(fact, "wire", float(index)).text, "politics")
+    platform.register_participant("checker-0", role="checker")
+    return platform
+
+
+def test_a_vote_on_a_nested_id_is_not_a_vote_on_its_prefix(nested):
+    nested.cast_vote("checker-0", "a:b", True)
+    query = nested.chain.query
+    assert query("votes", "tally", {"article_id": "a"}) == {"factual_share": 0.5, "votes": 0}
+    assert query("votes", "tally", {"article_id": "a:b"}) == {"factual_share": 1.0, "votes": 1}
+    view = LedgerView().follow(nested.chain.ledger)
+    assert view.crowd_score("a") is None and view.crowd_score("a:b") == 1.0
+
+
+def test_a_comment_on_a_nested_id_is_not_a_comment_on_its_prefix(nested):
+    comment(nested, "a:b", "c")
+    query = nested.chain.query
+    assert query("newsroom", "list_comments", {"article_id": "a"}) == []
+    assert [c["comment_id"] for c in query("newsroom", "list_comments",
+                                           {"article_id": "a:b"})] == ["c"]
+    assert nested.export_audit("a")["comments"] == []
+    assert [c["comment_id"] for c in nested.export_audit("a:b")["comments"]] == ["c"]
+
+
+def test_a_comment_id_cannot_take_the_key_of_another_articles_comment(nested):
+    """``b:c`` on ``a`` and ``c`` on ``a:b`` would both be ``comment:a:b:c``."""
+    with pytest.raises(ContractError, match="may not contain ':'"):
+        comment(nested, "a", "b:c")
+    comment(nested, "a:b", "c")
+    assert [c["article_id"] for c in nested.export_audit("a:b")["comments"]] == ["a:b"]

@@ -3,7 +3,8 @@ platform answers from its followed view is what a from-genesis pass over
 the same ledger answers — the graph node for node and edge for edge *in
 order* (Dijkstra's tie-break and ``find_original_author``'s ``min`` walk
 successors in insertion order), each article's votes as the scan over
-every ``vote-cast`` event gives them, each room as the scan over every
+every ``vote-cast`` event gives them, its whole audit bundle as the
+contract queries give it, each room as the scan over every
 ``article-published`` event gives it — and nothing handed out is shared
 with the view.
 """
@@ -17,8 +18,10 @@ from repro.core import TrustingNewsPlatform, build_supply_chain_graph
 from repro.corpus import CorpusGenerator
 from repro.corpus.mutations import relay
 from repro.social.cascade import ShareEvent
+from tests.conftest import audit_oracle
 
-WRITES = ("publish_article", "report_external", "ingest_share", "cast_vote", "rank_article")
+WRITES = ("publish_article", "report_external", "ingest_share", "cast_vote", "rank_article",
+          "rerank_article", "comment")
 READS = ("graph", "trace", "export_audit", "rank_room", "none")
 N_CHECKERS = 4
 
@@ -67,6 +70,8 @@ class World:
             plat.register_participant(f"checker-{index}", role="checker")
         self.articles = []          # (id, Article) on the supply chain
         self.voted = set()          # (checker, article id)
+        self.ranked = []            # article ids with a recorded ranking
+        self.comments = set()       # (article id, comment id)
 
     def write(self, kind: str, draw: int) -> None:
         plat, number = self.platform, len(self.articles)
@@ -95,6 +100,21 @@ class World:
             return
         elif kind == "rank_article" and self.articles:
             plat.rank_article(self.articles[draw % number][0], record=True)
+            self.ranked.append(self.articles[draw % number][0])
+            return
+        elif kind == "rerank_article" and self.ranked:
+            plat.rank_article(self.ranked[draw % len(self.ranked)], record=True)
+            return
+        elif kind == "comment":
+            published = [a for a, _ in self.articles if a.startswith("pub-")]
+            if published:
+                # Ids drawn, not counted, so key order is not chain order.
+                target = (published[draw % len(published)], f"c-{draw % 97}")
+                if target not in self.comments:
+                    plat.chain.invoke(plat.account(f"checker-{draw % N_CHECKERS}"), "newsroom",
+                                      "comment", {"article_id": target[0], "comment_id": target[1],
+                                                  "content_hash": "ab" * 32})
+                    self.comments.add(target)
             return
         else:
             return
@@ -125,6 +145,13 @@ class World:
             for vote in votes:
                 vote["verdict"] = "TAMPERED"
             assert plat.export_audit(article_id)["votes"] == scan_votes(ledger, article_id)
+            bundle = plat.export_audit(article_id)
+            assert bundle == audit_oracle(plat.chain.query, ledger, article_id)
+            bundle["node"]["parents"].append("TAMPERED")
+            for record in (bundle["ranking"] or {}, *bundle["comments"]):
+                record["article_id"] = "TAMPERED"
+            assert plat.export_audit(article_id) == audit_oracle(plat.chain.query, ledger,
+                                                                 article_id)
         for room in ("desk", "annex"):
             assert sorted(r.article_id for r in plat.rank_room("wire-news", room)) == sorted(
                 scan_room(ledger, room))
