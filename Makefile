@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-baseline test chaos bench bench-smoke bench-record bench-ab bench-table recovery obs-demo sloc sloc-diff
+.PHONY: lint lint-baseline test chaos bench bench-smoke bench-record bench-ab bench-counts bench-table recovery obs-demo sloc sloc-diff
 
 # Byte-compile (catches syntax errors), then the repo's own AST linter:
 # determinism / sim-time / aliasing / pyflakes-subset / metric-hygiene
@@ -82,6 +82,16 @@ SEED ?= 0
 bench-ab:
 	$(PYTHON) tools/bench_ab.py --parent $(PARENT) $(if $(W),--workload $(W)) \
 		--pairs $(PAIRS) --seed $(SEED) $(if $(PR),--pr $(PR))
+
+# The counts behind "bit-identical except …": `make bench-counts PARENT=<ref>
+# [W=<workload>] [SMOKE=1] [SEED=<s>]` runs each workload (or W) traced once
+# in a `git archive` of PARENT and once in this tree, and prints every
+# per-layer metric that must repeat exactly for a seed (counts, ratios,
+# sim-time; not wall-clock) and differs, or `identical`.  Prints only
+# (~4 s a workload a side with SMOKE=1).
+bench-counts:
+	$(PYTHON) tools/bench_counts.py --parent $(PARENT) $(if $(W),--workload $(W)) \
+		--seed $(SEED) $(if $(SMOKE),--smoke)
 
 # Where the wall goes: `make bench-table PR=<n> [AGAINST=<m>]` prints the
 # traced seed-0 busy_share of every layer (rows) on every workload

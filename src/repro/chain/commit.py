@@ -21,8 +21,8 @@ with the failing member named; a tagged transaction anywhere else is
 invalid.
 
 Callers add only what is theirs: :meth:`Peer.commit_block
-<repro.chain.peer.Peer.commit_block>` (signature prewarm, metrics, trace
-span, block store, mempool, listeners) and :meth:`LocalChain._commit
+<repro.chain.peer.Peer.commit_block>` (metrics, trace span, block
+store, mempool, listeners) and :meth:`LocalChain._commit
 <repro.chain.local.LocalChain._commit>` commit live through
 :func:`commit_block`; :class:`~repro.chain.store.durable.DurableStore`
 recovery replays through :func:`replay_block` (an in-memory restart keeps

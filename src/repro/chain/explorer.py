@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Block
 from repro.chain.ledger import Ledger
+from repro.chain.state import _isolate
 from repro.chain.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,7 +85,8 @@ def describe_block(block: Block) -> dict[str, Any]:
 
 
 def describe_transaction(ledger: Ledger, tx_id: str) -> dict[str, Any] | None:
-    """Full commitment record for one transaction (None if unknown)."""
+    """Full commitment record for one transaction (None if unknown); its
+    ``args`` and ``return_value`` are copies, not the committed objects."""
     committed = ledger.get_transaction(tx_id)
     if committed is None:
         return None
@@ -97,13 +99,13 @@ def describe_transaction(ledger: Ledger, tx_id: str) -> dict[str, Any] | None:
         "sender": tx.sender,
         "contract": tx.contract,
         "method": tx.method,
-        "args": tx.args,
+        "args": _isolate(tx.args),
         "timestamp": tx.timestamp,
         "reads": len(tx.read_set),
         "writes": len(tx.write_set),
         "events": [event.get("kind") for event in tx.events],
         "endorsements": [e.peer_id for e in tx.endorsements],
-        "return_value": tx.return_value,
+        "return_value": _isolate(tx.return_value),
     }
 
 

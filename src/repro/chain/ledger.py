@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.chain.block import Block, make_genesis_block
+from repro.chain.state import _isolate
 from repro.chain.transaction import Transaction, TxReceipt
 from repro.errors import InvalidBlockError
 
@@ -256,15 +257,16 @@ class Ledger:
         return CommittedTx(block.transactions[index], height, index, verdicts[index])
 
     def receipt_at(self, height: int, index: int) -> TxReceipt:
-        """The receipt of the transaction at one chain position."""
+        """The receipt of the transaction at one chain position; its
+        return value and events are copies, not the committed objects."""
         block, verdicts, errors = self._entry(height)
         tx, valid = block.transactions[index], verdicts[index]
         return TxReceipt(
             tx_id=tx.tx_id,
             block_height=height,
             success=valid,
-            return_value=tx.return_value if valid else None,
-            events=tx.events if valid else (),
+            return_value=_isolate(tx.return_value) if valid else None,
+            events=tuple(_isolate(event) for event in tx.events) if valid else (),
             error=errors[index],
         )
 
@@ -315,7 +317,8 @@ class Ledger:
         """All events emitted by valid transactions, in chain order,
         optionally filtered, from the blocks at heights ``> above``.
 
-        Each yielded event dict is a copy augmented with ``_tx_id``,
+        Each yielded event dict is a structural copy (nothing in it is
+        shared with the committed event) augmented with ``_tx_id``,
         ``_sender`` and ``_height`` so consumers can attribute it.  The
         read first extends the position lists over the blocks appended
         since the previous read (O(new blocks)), then resolves the
@@ -338,7 +341,7 @@ class Ledger:
         for height, index, event_index in positions[bisect_left(positions, (above + 1,)):]:
             tx = self._entry(height)[0].transactions[index]
             if contract is None or tx.contract == contract:
-                enriched = dict(tx.events[event_index])
+                enriched = _isolate(tx.events[event_index])
                 enriched["_tx_id"] = tx.tx_id
                 enriched["_sender"] = tx.sender
                 enriched["_height"] = height

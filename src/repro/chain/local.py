@@ -34,8 +34,7 @@ from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
 from repro.chain.peer import simulate_and_sign
 from repro.chain.state import WorldState
-from repro.chain.transaction import Transaction, TxReceipt, create_group, signature_items
-from repro.crypto.batch import verify_many
+from repro.chain.transaction import Transaction, TxReceipt, create_group
 from repro.crypto.keys import KeyPair
 from repro.errors import ContractError
 from repro.chain.consensus.sharded import ShardedExecutor
@@ -143,9 +142,6 @@ class LocalChain:
             proposer=self.node_id,
             transactions=txs,
         )
-        # Warm the verify cache for the whole batch; the per-transaction
-        # checks in the commit path then hit it.
-        verify_many(signature_items(txs))
         result = commit_block(
             block, lambda contract: _POLICY,
             ledger=self.ledger, state=self.state, index=self.index,

@@ -43,9 +43,8 @@ from repro.chain.transaction import (
     group_digest,
     group_run,
     rwset_digest,
-    signature_items,
 )
-from repro.crypto.batch import batch_meter, verify_many
+from repro.crypto.batch import batch_meter
 from repro.crypto.keys import KeyPair
 from repro.errors import InvalidTransactionError
 from repro.obs import MetricsRegistry, Tracer
@@ -176,7 +175,8 @@ class Peer(NetworkNode):
         self._commit_latency = self.obs.histogram("phase.commit_latency", peer=node_id)
         #: Block-commit sim times, kept as a bounded reservoir.
         self._commit_times = self.obs.histogram("peer.commit_time", peer=node_id)
-        #: Told every batch of signatures this peer checks in one pass.
+        #: Told of the one batch of signatures this peer checks in one
+        #: pass: a synced tip's certificate (``verify_synced_block``).
         self.verify_meter = batch_meter(self.obs, peer=node_id)
         self.store.attach(self.obs, node_id)
         self.sync = SyncManager(self)
@@ -237,10 +237,6 @@ class Peer(NetworkNode):
         if self.crashed:
             return Admission.CRASHED
         entry = (tx, *siblings)
-        # Prewarm the verify cache with the client + endorsement
-        # signatures in one batch; validate_structure and the later
-        # commit-time endorsement checks then hit the cache.
-        verify_many(signature_items(entry), self.verify_meter)
         try:
             for member in entry:
                 member.validate_structure()
@@ -283,11 +279,6 @@ class Peer(NetworkNode):
         # Consensus + propagation cost for this peer: proposal timestamp
         # to local commit (0 for a PoA leader committing its own block).
         self._consensus_round.observe(max(0.0, self.sim.now - block.timestamp))
-        # One batched pass over every signature in the block (client +
-        # endorsements); the per-transaction checks then hit the warmed
-        # cache, so verdicts — and the order failures are attributed in —
-        # are those of checking one signature at a time.
-        verify_many(signature_items(block.transactions), self.verify_meter)
         result = commit.commit_block(
             block, self.policy_for,
             ledger=self.ledger, state=self.state, index=self.index,

@@ -11,7 +11,8 @@ re-verify the tail *before* trusting it.
 Encoding is compact sorted-key JSON — deterministic bytes, so the CRC in
 the log framing (see :mod:`repro.chain.store.log`) pins the exact
 content, and two peers logging the same block produce identical records.
-``default=str`` matches the transaction-signing payload convention.
+:func:`encode_obj` is :func:`repro.crypto.hashing.canonical_json`, the
+encoder the transaction-signing payload uses too.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Any
 
 from repro.chain.block import Block
 from repro.chain.transaction import Endorsement, Transaction
+from repro.crypto.hashing import canonical_json
 
 __all__ = [
     "encode_record",
@@ -32,8 +34,7 @@ __all__ = [
 ]
 
 
-def encode_obj(obj: Any) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str).encode("utf-8")
+encode_obj = canonical_json
 
 
 def decode_obj(data: bytes) -> Any:

@@ -56,8 +56,6 @@ from typing import TYPE_CHECKING, Any
 from repro.chain.block import Block
 from repro.chain.sync_core import (Apply, AttestRequest, CaughtUp, Closed, Count, Forget, LagStart,
                                    Request, Schedule, Statement, SyncCore, Token)
-from repro.chain.transaction import signature_items
-from repro.crypto.batch import verify_many
 from repro.crypto.keys import verify_signature
 from repro.simnet.events import Event
 from repro.simnet.network import Message
@@ -355,11 +353,6 @@ class SyncManager:
                     case Apply(batch, proof):
                         if proof is not None:
                             peer.engine.on_synced_block(batch[-1], proof)
-                            # One batched pass over every signature in the
-                            # range; the commits below hit the warmed cache.
-                            verify_many([item for block in batch
-                                         for item in signature_items(block.transactions)],
-                                        peer.verify_meter)
                         for block in batch:
                             # Applying one block may let the engine apply
                             # decided blocks it held above the gap.

@@ -17,11 +17,10 @@ malicious endorser.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
-from repro.crypto.hashing import hash_json, sha256_hex
+from repro.crypto.hashing import canonical_json, hash_json, sha256_hex
 from repro.crypto.keys import KeyPair, address_from_public_key, verify_signature
 from repro.errors import InvalidTransactionError
 from repro.simnet.network import WireSized
@@ -32,7 +31,6 @@ __all__ = [
     "ReadSet",
     "WriteSet",
     "TxReceipt",
-    "signature_items",
     "create_group",
     "group_digest",
     "group_run",
@@ -62,7 +60,7 @@ def _proposal_payload(
     }
     if group is not None:
         body["group"] = group
-    return json.dumps(body, sort_keys=True, separators=(",", ":"), default=str).encode("utf-8")
+    return canonical_json(body)
 
 
 def rwset_digest(read_set: ReadSet, write_set: WriteSet) -> str:
@@ -81,21 +79,12 @@ class Endorsement:
     signature_hex: str
 
     def verify(self, tx_id: str) -> bool:
-        item = self.signature_item(tx_id)
-        if item is None:
-            return False
-        return verify_signature(*item)
-
-    def signature_item(self, tx_id: str) -> tuple[bytes, bytes, bytes] | None:
-        """The ``(public_key, message, signature)`` triple :meth:`verify`
-        checks, for batch verification; ``None`` if the hex fields don't
-        decode (in which case :meth:`verify` is ``False`` anyway)."""
         try:
             public_key = bytes.fromhex(self.public_key_hex)
             signature = bytes.fromhex(self.signature_hex)
         except ValueError:
-            return None
-        return (public_key, f"{tx_id}:{self.digest}".encode("utf-8"), signature)
+            return False
+        return verify_signature(public_key, f"{tx_id}:{self.digest}".encode("utf-8"), signature)
 
     @classmethod
     def create(cls, keypair: KeyPair, peer_id: str, tx_id: str, digest: str) -> "Endorsement":
@@ -187,8 +176,8 @@ class Transaction(WireSized):
 
     def signature_item(self) -> tuple[bytes, bytes, bytes] | None:
         """The client-signature ``(public_key, message, signature)``
-        triple, for batch verification; ``None`` if the hex fields don't
-        decode.  Address/tx-id binding is NOT checked here — those are
+        triple :meth:`verify_signature` checks; ``None`` if the hex fields
+        don't decode.  Address/tx-id binding is NOT checked here — those are
         cheap equality checks :meth:`verify_signature` still performs.
         Derived on first use and remembered (see the class docstring)."""
         item = self.__dict__.get("_signature_item")
@@ -315,25 +304,6 @@ def group_digest(digests: Sequence[str]) -> str:
     its members' rw-set digests, in order — for a unit of one, the
     member's own digest as it stands."""
     return digests[0] if len(digests) == 1 else hash_json(list(digests))
-
-
-def signature_items(txs: "list[Transaction] | tuple[Transaction, ...]") -> list[tuple[bytes, bytes, bytes]]:
-    """Every signature a validator will check across *txs* — each client
-    proposal signature plus every endorsement signature — as raw
-    ``(public_key, message, signature)`` triples ready for
-    :func:`repro.crypto.verify_many`.  Undecodable hex fields are
-    skipped; the per-transaction checks reject those without ever
-    reaching a curve operation."""
-    items: list[tuple[bytes, bytes, bytes]] = []
-    for tx in txs:
-        item = tx.signature_item()
-        if item is not None:
-            items.append(item)
-        for endorsement in tx.endorsements:
-            item = endorsement.signature_item(tx.endorsed_id)
-            if item is not None:
-                items.append(item)
-    return items
 
 
 @dataclass(frozen=True)

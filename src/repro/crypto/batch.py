@@ -8,12 +8,10 @@ the batch counters of a
 :class:`~repro.obs.registry.MetricsRegistry` once, for a caller to hold
 (duck-typed — crypto stays import-free of :mod:`repro.obs`).
 
-Because :func:`~repro.crypto.ed25519.verify_batch` populates the same
-digest-keyed cache as single :func:`~repro.crypto.ed25519.verify`, the
-dominant call-site pattern is *prewarming*: a block validator hands the
-whole block's signature items to :func:`verify_many` once, then runs its
-per-transaction validation logic, whose individual ``verify`` calls all
-hit the cache.  Verdicts are those of
+The chain has one real batch: the signed statements that certify a
+synced PBFT tip, checked together because one quorum verdict rests on
+all of them.  Every other signature is checked once, one at a time, where
+its verdict is used.  Verdicts are those of
 :func:`~repro.crypto.ed25519.verify` per item, because that is what a
 batch is.
 """

@@ -625,8 +625,7 @@ def verify_batch(items: list[tuple[bytes, bytes, bytes]]) -> list[bool]:
     """Verify many ``(public_key, message, signature)`` triples.
 
     Returns one bool per item, in order: :func:`verify` of each, through
-    the same bounded digest-keyed cache, so a batch-verified block's
-    signatures are cache hits for every later per-transaction check.
+    the same bounded digest-keyed cache.
     """
     global _batch_calls, _batch_items
     _batch_calls += 1

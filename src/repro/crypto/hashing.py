@@ -16,6 +16,7 @@ __all__ = [
     "sha256_bytes",
     "sha256_hex",
     "sha512_bytes",
+    "canonical_json",
     "hash_json",
     "short_id",
 ]
@@ -36,14 +37,17 @@ def sha512_bytes(data: bytes) -> bytes:
     return hashlib.sha512(data).digest()
 
 
-def hash_json(obj: Any) -> str:
-    """Canonical-JSON SHA-256 digest of any JSON-serialisable object.
+def canonical_json(obj: Any) -> bytes:
+    """The canonical JSON bytes of *obj*: keys sorted, separators fixed,
+    anything not JSON-native as ``str``, UTF-8.  Logically equal objects
+    encode identically regardless of insertion order; the transaction
+    signing payload, :func:`hash_json` and the store codec all use it."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str).encode("utf-8")
 
-    Keys are sorted and separators fixed so that logically equal objects
-    always hash identically regardless of insertion order.
-    """
-    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
-    return sha256_hex(canonical.encode("utf-8"))
+
+def hash_json(obj: Any) -> str:
+    """SHA-256 digest of :func:`canonical_json` of *obj*."""
+    return sha256_hex(canonical_json(obj))
 
 
 def short_id(digest: str, length: int = 12) -> str:

@@ -1,8 +1,10 @@
-"""Batched verification threaded through the chain layer.
+"""Where the chain layer checks signatures.
 
-``verify_many`` must return exactly what per-signature
-``ed25519.verify`` returns — only the verification schedule (and the
-metrics) differ.  PBFT commit votes are channel-authenticated and carry
+Each station checks a signature once, where its verdict is used:
+admission and commit check every client signature and endorsement one
+at a time, and ``verify_many`` — which returns exactly what
+per-signature ``ed25519.verify`` returns — is called for one batch only,
+the statements that certify a synced tip.  PBFT commit votes are channel-authenticated and carry
 no signature; what a peer that was not there accepts for a block is
 2f+1 validators' signed statements for its ``(height, hash)``, made on
 request and batch-verified, and anything that would pass a bare name-set
@@ -11,20 +13,23 @@ check without them is rejected.
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
-from repro.chain import BlockchainNetwork
+from repro.chain import BlockchainNetwork, Contract, contract_method
 from repro.chain.consensus.pbft import PBFTEngine
 from repro.chain.consensus.pbft_core import Commit
 from repro.chain.sync import statement_message
 from repro.crypto import KeyPair, ed25519
 from repro.crypto.batch import batch_meter, verify_many
 from repro.obs import MetricsRegistry
-from repro.simnet import FixedLatency
+from repro.chain.block import Block
+from repro.simnet import FailureSchedule, FixedLatency, UniformLatency
 from repro.simnet.network import Message
-from tests.conftest import CounterContract
+from tests.conftest import CounterContract, peer_count
 
 
 @pytest.fixture(autouse=True)
@@ -51,15 +56,42 @@ def _run_network(n_txs: int = 3, consensus: str = "pbft", seed: int = 21):
     return network, receipts
 
 
-def test_batch_mode_populates_phase_and_counters():
-    network, receipts = _run_network(n_txs=2, consensus="poa")
-    # Receipts may legitimately carry MVCC conflicts (hot counter key);
-    # what matters here is that blocks committed through the batch path.
-    assert all(r.block_height is not None for r in receipts)
-    merged = network.obs.merged_histogram("phase.verify_batch")
-    assert merged.count > 0
-    assert network.obs.total("crypto.batch_calls") > 0
-    assert network.obs.total("crypto.batch_items") >= network.obs.total("crypto.batch_calls")
+def test_verify_meter_sees_only_certificate_batches():
+    """``verify_many``'s one batch in the chain is a synced tip's
+    certificate: a peer that fetches a tip meters one call over its
+    statements, and a network that never syncs meters none, however many
+    blocks it commits."""
+    for consensus in ("poa", "pbft"):
+        network, receipts = _run_network(n_txs=2, consensus=consensus)
+        assert all(r.block_height is not None for r in receipts)
+        assert network.obs.total("crypto.batch_calls") == 0
+        assert network.obs.merged_histogram("phase.verify_batch").count == 0
+
+    network = BlockchainNetwork(
+        n_peers=4, consensus="pbft", block_interval=0.5,
+        latency=UniformLatency(0.01, 0.05), seed=31, view_timeout=4.0,
+    )
+    network.install_contract(CounterContract)
+    schedule = FailureSchedule(network.sim, network.net)
+    victim = network.peers[3]
+    schedule.crash_at(1.0, victim.node_id)
+    client = network.client()
+    for _ in range(10):
+        network.submit(network.endorse_transaction(client, "counter", "increment", {"amount": 1}))
+        network.run_for(0.8)
+    network.run_for(5.0)
+    schedule.restart_at(network.sim.now + 0.3, victim.node_id)
+    network.run_for(6.0)
+    network.stop()
+
+    assert victim.ledger.height == network.peers[0].ledger.height >= 8
+    (tip,) = victim.engine.synced_proofs
+    statements = len(victim.engine.sync_proof(tip)["signatures"])
+    assert statements >= victim.engine.quorum
+    for peer in network.peers:
+        synced = peer is victim
+        assert peer_count(peer, "crypto.batch_calls") == (1 if synced else 0)
+        assert peer_count(peer, "crypto.batch_items") == (statements if synced else 0)
 
 
 def test_verify_many_modes_agree_and_label():
@@ -229,8 +261,6 @@ def test_pbft_keyless_engine_keeps_legacy_semantics():
     """Standalone engines (no key directory) count signers by name:
     certificates with empty ``signatures`` verify, votes need none."""
     engine = PBFTEngine(["v0", "v1", "v2", "v3"])
-    from repro.chain.block import Block
-
     block = Block.build(1, "genesis", 0.0, "v0", [])
 
     def proof(*signers):
@@ -281,3 +311,104 @@ def test_statement_is_signed_once_per_height_and_hash(monkeypatch):
     assert ed25519.verify(
         peer.keypair.public_key, statement_message(peer.node_id, 1, block_hash),
         peer.sync._statement(1, block_hash)["signature"])
+
+
+# -- one check per signature, where its verdict is used ------------------------
+
+class SlotContract(Contract):
+    """Writes one key of the caller's choosing: units that never conflict."""
+
+    name = "slot"
+
+    @contract_method
+    def touch(self, ctx, key: str):
+        ctx.put(key, 1)
+
+
+def _slot_network(seed):
+    network = BlockchainNetwork(
+        n_peers=4, consensus="pbft", block_interval=0.5,
+        latency=FixedLatency(0.02), seed=seed, view_timeout=5.0,
+    )
+    network.install_contract(SlotContract)
+    return network
+
+
+def test_each_committed_signature_is_verified_uncached_once(monkeypatch):
+    """Four peers admit and commit groups and single transactions; every
+    client signature and endorsement they committed reaches the curve
+    once in the process — admission, commit and every other peer read
+    the content-keyed cache."""
+    uncached = []
+    verify_uncached = ed25519._verify_uncached
+    monkeypatch.setattr(
+        ed25519, "_verify_uncached",
+        lambda *item: uncached.append(item) or verify_uncached(*item))
+    network = _slot_network(seed=8)
+    clients = [network.client() for _ in range(3)]
+    for round_ in range(3):
+        network.submit(*network.endorse_group(
+            [(client, "slot", "touch", {"key": f"g{round_}-{k}"})
+             for k, client in enumerate(clients)]))
+        network.run_for(1.5)
+        network.submit(network.endorse_transaction(
+            clients[round_], "slot", "touch", {"key": f"s{round_}"}))
+        network.run_for(1.5)
+    network.stop()
+
+    committed = [c.transaction for c in network.peers[0].ledger.transactions()]
+    assert len(committed) == 12
+    assert network.obs.total("chain.groups_committed") == 3 * len(network.peers)
+    triples = set()
+    for tx in committed:
+        triples.add(tx.signature_item())
+        triples.update(
+            (bytes.fromhex(e.public_key_hex), f"{tx.endorsed_id}:{e.digest}".encode("utf-8"),
+             bytes.fromhex(e.signature_hex))
+            for e in tx.endorsements)
+    counts = Counter(item for item in uncached if item in triples)
+    assert set(counts) == triples
+    assert set(counts.values()) == {1}
+
+
+def _flipped(signature_hex):
+    signature = bytearray.fromhex(signature_hex)
+    signature[0] ^= 1
+    return signature.hex()
+
+
+def test_forged_units_keep_their_verdicts_and_attribution():
+    """A block with a good transaction, a group with one forged client
+    signature, a transaction whose endorsements are forged, and one with
+    both: each unit is judged by the first check it fails, in the order
+    signature, endorsement — on every peer."""
+    network = _slot_network(seed=4)
+    client = network.client()
+
+    def touch(key):
+        return (client, "slot", "touch", {"key": key})
+
+    good = network.endorse_transaction(*touch("good"))
+    first, second = network.endorse_group([touch("g0"), touch("g1")])
+    forged = dataclasses.replace(second, signature_hex=_flipped(second.signature_hex))
+    bad_endorsements = network.endorse_transaction(*touch("e"))
+    bad_endorsements = dataclasses.replace(bad_endorsements, endorsements=tuple(
+        dataclasses.replace(e, signature_hex=_flipped(e.signature_hex))
+        for e in bad_endorsements.endorsements))
+    both = dataclasses.replace(
+        bad_endorsements, signature_hex=_flipped(bad_endorsements.signature_hex))
+    txs = [good, first, forged, bad_endorsements, both]
+
+    for peer in network.peers:
+        peer.commit_block(Block.build(1, peer.ledger.head.block_hash, 0.0, peer.node_id, txs))
+        assert peer.ledger.block_validity(1) == [True, False, False, False, False]
+        errors = [peer.ledger.receipt_at(1, k).error for k in range(len(txs))]
+        assert errors[0] is None
+        assert errors[1] == errors[2] == (
+            f"group {first.group[0][:12]} member 1: bad signature on tx {forged.tx_id[:12]}")
+        assert "endorsement" in errors[3]
+        assert errors[4] == f"bad signature on tx {both.tx_id[:12]}"
+        assert peer_count(peer, "peer.signature_failures") == 3
+        assert peer_count(peer, "peer.endorsement_failures") == 1
+    assert network.obs.total("chain.groups_aborted") == len(network.peers)
+    network.stop()

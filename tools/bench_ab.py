@@ -47,6 +47,30 @@ def parse_result(stdout: str) -> tuple[Metrics, int]:
     return {name: m["value"] for name, m in result["metrics"].items()}, result["failed"]
 
 
+def unpack(ref: str, root: Path, into: str) -> str:
+    """Extract the tree of *ref* (a git ref of the repository at *root*)
+    into the directory *into* with ``git archive``, leaving nothing in
+    ``.git``; returns the commit's full sha."""
+    sha = subprocess.run(["git", "rev-parse", ref], cwd=root, capture_output=True,
+                         text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", sha], cwd=root, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", into], input=archive.stdout, check=True)
+    return sha
+
+
+def run_workload(tree: Path, workload: str, seed: int, *flags: str) -> tuple[Metrics, int]:
+    """One ``run.py --workload <workload> --seed <seed> <flags>`` run in
+    *tree*: its metrics and its failed-operation count."""
+    done = subprocess.run(
+        [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+         "--seed", str(seed), *flags],
+        cwd=tree, capture_output=True, text=True, check=False)
+    if not done.stdout.strip():
+        raise SystemExit(f"{tree}: run.py printed nothing (exit {done.returncode})\n"
+                         + done.stderr)
+    return parse_result(done.stdout)
+
+
 def run_pairs(pairs: int, run_side: Callable[[str], Metrics]) -> list[dict[str, Metrics]]:
     """*pairs* runs of each side; even pairs start with the parent, odd
     ones with the change, so neither side always runs on a warm box."""
@@ -127,25 +151,15 @@ def main(argv: list[str]) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
-    sha = subprocess.run(["git", "rev-parse", args.parent], cwd=root, capture_output=True,
-                         text=True, check=True).stdout.strip()
     failed_change = 0
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as scratch:
-        archive = subprocess.run(["git", "archive", sha], cwd=root, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", scratch], input=archive.stdout, check=True)
+        sha = unpack(args.parent, root, scratch)
         trees = {"parent": Path(scratch), "change": root}
         for workload in workloads:
             failed = dict.fromkeys(SIDES, 0)
 
             def run_side(side: str) -> Metrics:
-                done = subprocess.run(
-                    [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-                     "--seed", str(args.seed), "--trace", "0"],
-                    cwd=trees[side], capture_output=True, text=True, check=False)
-                if not done.stdout.strip():
-                    raise SystemExit(f"{side}: run.py printed nothing (exit {done.returncode})\n"
-                                     + done.stderr)
-                metrics, failures = parse_result(done.stdout)
+                metrics, failures = run_workload(trees[side], workload, args.seed, "--trace", "0")
                 failed[side] += failures
                 return metrics
 
