@@ -47,7 +47,9 @@ bench:
 # traced newsroom_publish run asks the same of the grouped publish path
 # (txs per block, messages and signatures per tx repeat exactly), and the
 # traced reader_follow run of the read path (core.graph_rebuilds,
-# index.scan_fallbacks and bench.spans_recorded repeat exactly).  A1 adds
+# index.scan_fallbacks and bench.spans_recorded repeat exactly), and the
+# traced crash_recover run of the one workload that restarts peers (store
+# recovery, the snapshot's index rows, sync and view change).  A1 adds
 # the discovery recall gates and, on a 5k-article index, that the signature
 # matrix answers every query exactly as the per-article scan does.
 bench-smoke:
@@ -61,6 +63,7 @@ bench-smoke:
 		"benchmarks/e2e/test_e2e_smoke.py::test_traced_smoke_run[external_screening]" \
 		"benchmarks/e2e/test_e2e_smoke.py::test_traced_smoke_run[newsroom_publish]" \
 		"benchmarks/e2e/test_e2e_smoke.py::test_traced_smoke_run[reader_follow]" \
+		"benchmarks/e2e/test_e2e_smoke.py::test_traced_smoke_run[crash_recover]" \
 		-q --benchmark-disable
 
 # The perf trajectory (ROADMAP aim 1): `make bench-record PR=<n>` runs the

@@ -67,12 +67,12 @@ def _bench_tx(nonce: int, sender: str, contract: str, method: str) -> Transactio
 
 def _build_chain(seed: int) -> tuple[Ledger, ChainIndex, dict]:
     """A randomized chain: 20 senders, 3 common contracts, one contract
-    and one sender confined to the oldest blocks, ~10% invalid txs."""
+    and one sender confined to the oldest blocks, ~10% invalid txs.  The
+    index is the ledger's own, fed by ``Ledger.append``."""
     rng = random.Random(seed)
     senders = [f"acct:{sha256_hex(f'sender-{i}'.encode())[:40]}" for i in range(20)]
     rare_sender = f"acct:{sha256_hex(b'rare-sender')[:40]}"
     ledger = Ledger()
-    index = ChainIndex()
     for height in range(1, N_BLOCKS + 1):
         nonce = height - 1
         if height <= RARE_BLOCKS and height % 2 == 0:
@@ -85,9 +85,8 @@ def _build_chain(seed: int) -> tuple[Ledger, ChainIndex, dict]:
         block = Block.build(height, ledger.head.block_hash, float(height), "p", [tx])
         validity = [rng.random() > 0.1]
         ledger.append(block, validity)
-        index.on_commit(block, validity)
     population = {"senders": senders, "rare_sender": rare_sender}
-    return ledger, index, population
+    return ledger, ledger.index, population
 
 
 def _battery(population: dict) -> list[tuple[str, dict]]:

@@ -25,7 +25,11 @@ It populates a durable store with a synthetic chain (dummy signatures —
 the cost under test is storage, not Ed25519), then cold-starts two ways:
 full log replay (the seed's restart semantics: every record re-decoded,
 re-verified, re-applied) versus snapshot+tail (load the newest
-world-state snapshot, replay only the records above it).  Both must
+world-state snapshot and the transaction-index rows it carries, replay
+only the records above it).  Replay feeds the ledger's transaction index
+through ``Ledger.append``, so the ``memory-replay`` row builds the index
+for the whole chain while it replays, and the snapshot rows rebuild it
+from the snapshot's rows without decoding a block below the snapshot.  Both must
 recover the byte-identical tip, state digest, and receipt set; at the
 largest size the snapshot path must be strictly faster — that gap is the
 entire point of shipping snapshots.  A ``SQLiteStore`` recovers the same
@@ -242,7 +246,8 @@ def _cold_start_sweep() -> list[dict]:
     for n_blocks in COLD_START_SIZES:
         # "memory" reproduces the seed's restart: no snapshots exist, so
         # recovery is a full replay of every record — the disk-backed
-        # equivalent of rebuilding world state from the in-memory ledger.
+        # equivalent of rebuilding world state from the in-memory ledger —
+        # and builds the ledger's transaction index as it replays.
         replay_disk, reference = _populate_store(n_blocks, snapshot_interval=n_blocks + 1)
         # A non-dividing interval so the newest snapshot sits *below* the
         # tip: the timed path is snapshot load + genuine tail replay.

@@ -101,9 +101,10 @@ class Block(WireSized):
     def prove_inclusion(self, tx_id: str, index: int | None = None) -> MerkleProof:
         """Merkle inclusion proof for one of this block's transactions.
 
-        A caller that already holds the transaction's position (a ledger
-        locator's ``tx_index``) passes it as *index*: the block's ids are
-        then not scanned, only the id at that position is checked.
+        A caller that already holds the transaction's position (the
+        ``tx_index`` of ``ChainIndex.locate``) passes it as *index*: the
+        block's ids are then not scanned, only the id at that position is
+        checked.
         """
         transactions = self.transactions
         if index is None:

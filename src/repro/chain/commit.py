@@ -1,4 +1,4 @@
-"""The commit path: the one place a block becomes state, ledger record and index rows.
+"""The commit path: the one place a block becomes state and ledger record.
 
 Fabric's *validate* phase, once.  Every transaction of a block is judged
 — live: (1) client signature / structure, (2) endorsement policy,
@@ -6,11 +6,12 @@ Fabric's *validate* phase, once.  Every transaction of a block is judged
 the same block left behind; on replay: the verdict recorded when the
 block was first committed — its write set is applied if it is valid, and
 finally the block goes, with its verdicts and error strings, to
-``Ledger.append`` and ``ChainIndex.on_commit``.  Receipts are not built
-here: a :class:`~repro.chain.transaction.TxReceipt` is a function of what
-the ledger now records and is read from it (``Ledger.receipt``), and the
+``Ledger.append``, which feeds the ledger's one transaction index
+(``ChainIndex.on_commit``).  Receipts are not built here: a
+:class:`~repro.chain.transaction.TxReceipt` is a function of what the
+ledger now records and is read from it (``Ledger.receipt``), and the
 never-downgrade rule for an id committed twice lives where the id is
-bound to a position (``Ledger.append``).
+bound to a position (``ChainIndex._feed``).
 
 What is judged is a *unit* (:func:`~repro.chain.transaction.group_run`):
 an untagged transaction on its own, or the members of a group — a
@@ -26,7 +27,8 @@ store, mempool, listeners) and :meth:`LocalChain._commit
 <repro.chain.local.LocalChain._commit>` commit live through
 :func:`commit_block`; :class:`~repro.chain.store.durable.DurableStore`
 recovery replays through :func:`replay_block` (an in-memory restart keeps
-its ledger and only rebuilds state, ``Ledger.replay_state``).  All peers
+its ledger, index included, and only rebuilds state,
+``Ledger.replay_state``).  All peers
 therefore derive identical state, receipts and index rows from the same
 block sequence, whichever way the blocks reached them.
 """
@@ -38,7 +40,6 @@ from typing import Callable
 
 from repro.chain.block import Block
 from repro.chain.contracts.endorsement import EndorsementPolicy, check_endorsements
-from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction, group_digest, group_run
@@ -120,18 +121,13 @@ def _apply(
     judge: Callable[[int], list[Verdict]],
     ledger: Ledger,
     state: WorldState,
-    index: ChainIndex | None,
 ) -> CommitResult:
     """*judge* answers for the unit that starts at a position — one
     transaction, or every member of a group — before any of it is applied."""
     # Every check that can reject the block runs before the first
-    # mutation: a block that does not extend this chain must leave state,
-    # ledger and index exactly as they were.
+    # mutation: a block that does not extend this chain must leave state
+    # and ledger (its index included) exactly as they were.
     ledger.check_extends(block)
-    if index is not None and index.height != ledger.height:
-        raise InvalidBlockError(
-            f"index at height {index.height} is not at ledger height {ledger.height}"
-        )
     txs = block.transactions
     result = CommitResult(verdicts=[], valid_txs=[], group_outcomes=[])
     while len(result.verdicts) < len(txs):
@@ -146,10 +142,7 @@ def _apply(
             if verdict.valid:
                 state.apply_write_set(tx.write_set)
                 result.valid_txs.append(tx)
-    validity = result.validity
-    ledger.append(block, validity, result.errors)
-    if index is not None:
-        index.on_commit(block, validity)
+    ledger.append(block, result.validity, result.errors)
     return result
 
 
@@ -159,7 +152,6 @@ def commit_block(
     *,
     ledger: Ledger,
     state: WorldState,
-    index: ChainIndex,
 ) -> CommitResult:
     """Judge and commit a freshly decided *block*.
 
@@ -175,7 +167,7 @@ def commit_block(
             return [Verdict(False, "group member outside its complete group", "incomplete")]
         return [_judge(unit, state, policy_for)] * len(unit)
 
-    return _apply(block, judge, ledger, state, index)
+    return _apply(block, judge, ledger, state)
 
 
 def replay_block(
@@ -188,13 +180,13 @@ def replay_block(
 ) -> CommitResult:
     """Re-commit *block* under the verdicts recorded at its first commit.
 
-    Nothing is re-verified except the block's structure and linkage; the
-    index is not fed (a restart reindexes the whole recovered chain).
+    Nothing is re-verified except the block's structure and linkage;
+    ``Ledger.append`` feeds the ledger's index as on the live path.
     """
     if not len(validity) == len(errors) == len(block.transactions):
         raise InvalidBlockError("recorded verdicts do not match the block's transactions")
     return _apply(
         block,
         lambda position: [Verdict(validity[position], errors[position])],
-        ledger, state, None,
+        ledger, state,
     )

@@ -124,8 +124,6 @@ def find_transactions(
     and stops at *limit* — the seed built ``list(ledger.transactions())``
     (the entire chain) before applying the limit.
     """
-    if limit <= 0:
-        return []
     if _index_covers(index, ledger):
         return [
             {
@@ -140,6 +138,8 @@ def find_transactions(
                 contract=contract, method=method, sender=sender, limit=limit
             )
         ]
+    if limit <= 0:
+        return []
     matches = []
     for committed in ledger.transactions_newest_first(valid_only=False):
         tx = committed.transaction

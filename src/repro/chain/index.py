@@ -16,23 +16,28 @@ turns them into O(log n + k)-class lookups:
   per-contract counts are maintained incrementally as blocks commit
   (events are not indexed here: :meth:`Ledger.events
   <repro.chain.ledger.Ledger.events>` is the one events-by-kind view);
-- **incremental feed** — the owning peer calls :meth:`on_commit` with
-  exactly the ``(block, validity)`` pair it hands its
-  :class:`~repro.chain.store.BlockStore`, so the index is never ahead of
-  or behind durability by more than the current call;
-- **full rebuild** — :meth:`reindex` reconstructs everything from a
-  ledger (the recovery/migration path: after ``Peer.restart`` the
-  recovered ledger is re-walked, archive window included).
+- **one feed** — the index belongs to the ledger it indexes:
+  :meth:`Ledger.append <repro.chain.ledger.Ledger.append>` calls
+  :meth:`on_commit` after its own checks and before its first mutation,
+  so the index is never ahead of or behind the ledger, and it is the one
+  place a transaction id is bound to a position (the *never-downgrade*
+  rule, see :meth:`_feed`);
+- **carried by the snapshot** — :meth:`dump` writes the interned tables
+  and one row per transaction, and :meth:`load` replays those rows through
+  the same per-row feed, so a restart from a snapshot decodes no archived
+  block.
 
 The ledger scan stays available as the cross-checked fallback: every
 view answers *identically* to the equivalent scan (asserted by the
 scan-vs-index equivalence tests and ``benchmarks/bench_explorer.py``),
-and :meth:`verify_against` re-derives the counts from a ledger so an
-index that ever drifted is loud, not subtly wrong.
+and :meth:`verify_against` re-derives the rows, the counts and the
+position each id names from a ledger scan, so an index that ever drifted
+is loud, not subtly wrong.
 """
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Block
@@ -124,9 +129,9 @@ class ChainIndex:
     def on_commit(self, block: Block, validity: list[bool]) -> None:
         """Index one committed block (must extend the indexed height).
 
-        Called by the owning peer with the same arguments it hands its
-        block store, immediately after ``Ledger.append`` accepted the
-        block — so a block the ledger rejected never pollutes the index.
+        Every field of every transaction is read before the first
+        mutation, so a transaction object that raises leaves the index —
+        and the ledger whose ``append`` called this — exactly as it was.
         """
         if block.height != self.height + 1:
             raise InvalidBlockError(
@@ -134,43 +139,70 @@ class ChainIndex:
             )
         if len(validity) != len(block.transactions):
             raise InvalidBlockError("validity vector length mismatch")
-        for tx_index, tx in enumerate(block.transactions):
-            ordinal = len(self._tx_ids)
-            sender_id = self.addresses.intern(tx.sender)
-            contract_id = self.contracts.intern(tx.contract)
-            method_id = self.methods.intern(f"{tx.contract}.{tx.method}")
-            if method_id == len(self._method_names):
-                self._method_names.append(tx.method)
-            valid = validity[tx_index]
-            self._tx_ids.append(tx.tx_id)
-            self._heights.append(block.height)
-            self._indexes.append(tx_index)
-            self._senders.append(sender_id)
-            self._contracts.append(contract_id)
-            self._methods.append(method_id)
-            self._valid.append(valid)
-            # Never downgrade, as Ledger.append: an id keeps naming its
-            # valid copy when a later copy fails (no held copy: itself).
-            if valid or not self._valid[self._ordinal_by_tx.get(tx.tx_id, ordinal)]:
-                self._ordinal_by_tx[tx.tx_id] = ordinal
-            self._by_sender.setdefault(sender_id, []).append(ordinal)
-            self._by_contract.setdefault(contract_id, []).append(ordinal)
-            self._by_method.setdefault(method_id, []).append(ordinal)
-            if valid:
-                self._n_valid += 1
+        rows = [(tx.tx_id, tx.sender, tx.contract, tx.method) for tx in block.transactions]
+        for tx_index, (tx_id, sender, contract, method) in enumerate(rows):
+            self._feed(tx_id, block.height, tx_index, sender, contract, method, validity[tx_index])
         self.height = block.height
 
-    def reindex(self, ledger: "Ledger") -> int:
-        """Full rebuild from *ledger* (recovery / migration path).
+    def _feed(self, tx_id: str, height: int, tx_index: int,
+              sender: str, contract: str, method: str, valid: bool) -> None:
+        """Append one row in chain order — the live path and :meth:`load`
+        both come through here.
 
-        Walks every block — including a recovered ledger's archive window,
-        which decodes log records on demand — so this is O(chain); it runs
-        at restart, not on the query path.  Returns the indexed height.
+        This is the one place a transaction id is bound to a position, so
+        the *never-downgrade* rule lives here: the id names the new row
+        unless the row it already names is valid and the new one is not —
+        a duplicate of a committed-valid transaction that lands in a later
+        block and fails MVCC there must not become what the id means.
         """
-        self.__init__()
-        for height in range(1, ledger.height + 1):
-            self.on_commit(ledger.block(height), ledger.block_validity(height))
-        return self.height
+        ordinal = len(self._tx_ids)
+        sender_id = self.addresses.intern(sender)
+        contract_id = self.contracts.intern(contract)
+        method_id = self.methods.intern(f"{contract}.{method}")
+        if method_id == len(self._method_names):
+            self._method_names.append(method)
+        self._tx_ids.append(tx_id)
+        self._heights.append(height)
+        self._indexes.append(tx_index)
+        self._senders.append(sender_id)
+        self._contracts.append(contract_id)
+        self._methods.append(method_id)
+        self._valid.append(valid)
+        if valid or not self._valid[self._ordinal_by_tx.get(tx_id, ordinal)]:
+            self._ordinal_by_tx[tx_id] = ordinal
+        self._by_sender.setdefault(sender_id, []).append(ordinal)
+        self._by_contract.setdefault(contract_id, []).append(ordinal)
+        self._by_method.setdefault(method_id, []).append(ordinal)
+        if valid:
+            self._n_valid += 1
+
+    # -- snapshot ----------------------------------------------------------
+
+    def dump(self) -> dict[str, Any]:
+        """JSON-ready copy for a snapshot: the interned addresses, the
+        ``(contract, method)`` pairs, and one row per transaction in chain
+        order, ``[tx_id, height, tx_index, sender id, method id, valid]``."""
+        methods = zip(self.methods._values, self._method_names)
+        rows = zip(self._tx_ids, self._heights, self._indexes,
+                   self._senders, self._methods, self._valid)
+        return {
+            "addresses": list(self.addresses._values),
+            "methods": [[pair[: -len(method) - 1], method] for pair, method in methods],
+            "rows": [list(row) for row in rows],
+        }
+
+    @classmethod
+    def load(cls, dump: dict[str, Any], height: int) -> "ChainIndex":
+        """The index a :meth:`dump` taken at *height* describes.  The rows
+        are replayed through :meth:`_feed`, so the id binding and the views
+        are rebuilt by the one rule, not read back."""
+        index = cls()
+        addresses, methods = dump["addresses"], dump["methods"]
+        for tx_id, row_height, tx_index, sender_id, method_id, valid in dump["rows"]:
+            contract, method = methods[method_id]
+            index._feed(tx_id, row_height, tx_index, addresses[sender_id], contract, method, valid)
+        index.height = height
+        return index
 
     # -- views -------------------------------------------------------------
 
@@ -185,14 +217,20 @@ class ChainIndex:
     def valid_transactions(self) -> int:
         return self._n_valid
 
+    def tx_ids(self) -> KeysView[str]:
+        """Every indexed id once, in order of first commit."""
+        return self._ordinal_by_tx.keys()
+
+    def locate(self, tx_id: str) -> tuple[int, int] | None:
+        """``(height, tx_index)`` of the row *tx_id* names, or ``None``."""
+        ordinal = self._ordinal_by_tx.get(tx_id)
+        return None if ordinal is None else (self._heights[ordinal], self._indexes[ordinal])
+
     def get(self, tx_id: str) -> TxView | None:
         """tx-by-id: the indexed row, or ``None`` if unknown."""
         ordinal = self._ordinal_by_tx.get(tx_id)
         if ordinal is None:
             return None
-        return self._view(ordinal)
-
-    def _view(self, ordinal: int) -> TxView:
         return TxView(
             self._tx_ids[ordinal], self._heights[ordinal], self._indexes[ordinal],
             self.addresses.value(self._senders[ordinal]),
@@ -243,6 +281,8 @@ class ChainIndex:
         *limit* — O(view tail + k), not O(chain).  Each row is built from
         the columns, bound once per query, by position.
         """
+        if limit <= 0:
+            return []
         ordinals = self._candidate_ordinals(contract, method, sender)
         if ordinals is None:
             ordinals = range(len(self._tx_ids))
@@ -280,19 +320,6 @@ class ChainIndex:
                 break
         return out
 
-    def transactions_by_sender(self, sender: str) -> list[str]:
-        """All of *sender*'s tx ids, chain order."""
-        sender_id = self.addresses.lookup(sender)
-        if sender_id is None:
-            return []
-        return [self._tx_ids[o] for o in self._by_sender.get(sender_id, [])]
-
-    def transactions_by_contract(self, contract: str) -> list[str]:
-        contract_id = self.contracts.lookup(contract)
-        if contract_id is None:
-            return []
-        return [self._tx_ids[o] for o in self._by_contract.get(contract_id, [])]
-
     def contract_counts(self) -> dict[str, int]:
         """Per-contract committed-tx counts, name-sorted (summary view)."""
         counts = {
@@ -319,7 +346,10 @@ class ChainIndex:
         Returns a list of human-readable discrepancies (empty = clean).
         This is the "scan as fallback oracle" contract made executable —
         cheap enough to run in tests and the explorer CLI, loud when an
-        incremental update ever drifts from the chain.
+        incremental update ever drifts from the chain.  Besides the rows
+        and counts it re-derives, from the scan, the position each id
+        names under the never-downgrade rule: that binding answers every
+        receipt and every lookup by id.
         """
         problems: list[str] = []
         if ledger.height != self.height:
@@ -329,12 +359,18 @@ class ChainIndex:
         scanned_total = 0
         scanned_valid = 0
         scanned_contracts: dict[str, int] = {}
+        named: dict[str, int] = {}  # tx id -> the scan ordinal it names
+        scanned_flags: list[bool] = []
         for ordinal, committed in enumerate(ledger.transactions(valid_only=False)):
             scanned_total += 1
             if committed.valid:
                 scanned_valid += 1
             tx = committed.transaction
             scanned_contracts[tx.contract] = scanned_contracts.get(tx.contract, 0) + 1
+            held = named.get(tx.tx_id)
+            if committed.valid or held is None or not scanned_flags[held]:
+                named[tx.tx_id] = ordinal
+            scanned_flags.append(committed.valid)
             if ordinal >= len(self._tx_ids):
                 problems.append(f"tx {tx.tx_id[:12]} missing from index")
                 continue
@@ -354,4 +390,9 @@ class ChainIndex:
             )
         if dict(sorted(scanned_contracts.items())) != self.contract_counts():
             problems.append("per-contract counts diverge from scan")
+        # Rows were compared above, so an id naming the right ordinal names
+        # the right position; equal maps also have equal distinct-id counts.
+        if named != self._ordinal_by_tx:
+            wrong = sorted({tx_id for tx_id, _ in named.items() ^ self._ordinal_by_tx.items()})
+            problems.append(f"{len(wrong)} tx id(s) name the wrong position, first {wrong[0][:12]}")
         return problems

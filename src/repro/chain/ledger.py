@@ -1,4 +1,4 @@
-"""The append-only ledger: the chain of blocks, a lookup by tx id, and
+"""The append-only ledger: the chain of blocks, its transaction index, and
 the events-by-kind view.
 
 Beyond storage, the ledger is the platform's *audit substrate*: the
@@ -10,11 +10,12 @@ kind — which the ledger extends over the blocks appended since the
 previous read; :meth:`Ledger.append` does no event work, so a peer that
 is never asked pays nothing.
 The ledger records each position's commit verdict and error string once,
-as committed, and indexes by transaction id only; a
-:class:`~repro.chain.transaction.TxReceipt` is read from that record
-(:meth:`Ledger.receipt`, :attr:`Ledger.receipts`), never stored beside
-it.  The by-sender / by-contract / by-method views live in
-:class:`~repro.chain.index.ChainIndex`.
+as committed; a :class:`~repro.chain.transaction.TxReceipt` is read from
+that record (:meth:`Ledger.receipt`, :attr:`Ledger.receipts`), never
+stored beside it.  Lookups by transaction id — and the by-sender /
+by-contract / by-method views — answer from the ledger's one
+:class:`~repro.chain.index.ChainIndex` (:attr:`Ledger.index`), which
+:meth:`Ledger.append` feeds and a recovery snapshot carries.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.chain.block import Block, make_genesis_block
+from repro.chain.index import ChainIndex
 from repro.chain.state import _isolate
 from repro.chain.transaction import Transaction, TxReceipt
 from repro.errors import InvalidBlockError
@@ -71,7 +73,7 @@ class _Receipts(Mapping):
         return tx_id in self._ledger
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._ledger._tx_locator)
+        return iter(self._ledger.index.tx_ids())
 
     def __len__(self) -> int:
         return self._ledger.total_transactions()
@@ -89,11 +91,11 @@ class Ledger:
     Verdicts and error strings are kept per position (one vector each per
     block): a transaction id can occur twice on a chain (a duplicate copy
     forced into a later block fails MVCC there), and the two copies have
-    different verdicts.  ``_tx_locator`` answers lookups by id — and so
+    different verdicts.  :attr:`index` answers lookups by id — and so
     does everything read through it: :meth:`get_transaction`,
     :meth:`receipt`, ``explorer.describe_transaction`` — and names the
     latest copy, except that a valid copy is never given up for a failed
-    one (*never downgrade*, see :meth:`append`).
+    one (*never downgrade*, see ``ChainIndex._feed``).
     """
 
     def __init__(self, genesis: Block | None = None):
@@ -109,7 +111,8 @@ class Ledger:
         self._base = 0
         self._archive: Callable[[int], Entry] | None = None
         self._archive_cache: OrderedDict[int, Entry] = OrderedDict()
-        self._tx_locator: dict[str, tuple[int, int]] = {}
+        #: The one transaction index, fed by :meth:`append`.
+        self.index = ChainIndex()
         #: The events view (:meth:`events`): positions of the events of
         #: valid transactions at heights ``<= _events_through``, in chain
         #: order — all of them, and per ``kind``.
@@ -122,17 +125,16 @@ class Ledger:
         cls,
         window: list[Entry],
         base: int,
-        indexes: dict[str, Any],
+        index: dict[str, Any],
         archive: Callable[[int], Entry] | None = None,
     ) -> "Ledger":
         """Rebuild a ledger from a recovery snapshot.
 
         *window* is the in-memory ``(block, verdicts, errors)`` window
-        starting at height *base* (the snapshot anchor); *indexes* is a
-        :meth:`index_dump` mapping covering heights ``<= base`` (keys
-        other than ``tx_locator``, which older snapshots carry, are
-        ignored); *archive* serves the same triple for heights below
-        *base* on demand.
+        starting at height *base* (the snapshot anchor); *index* is a
+        :meth:`ChainIndex.dump <repro.chain.index.ChainIndex.dump>` taken
+        at the window's tip; *archive* serves the same triple for heights
+        below *base* on demand — and no archived block is decoded here.
         """
         ledger = cls.__new__(cls)
         ledger._blocks = [block for block, _, _ in window]
@@ -142,9 +144,7 @@ class Ledger:
         ledger._base = base
         ledger._archive = archive
         ledger._archive_cache = OrderedDict()
-        ledger._tx_locator = {
-            tx_id: (loc[0], loc[1]) for tx_id, loc in indexes.get("tx_locator", {}).items()
-        }
+        ledger.index = ChainIndex.load(index, ledger.height)
         # The events view starts empty; the first read extends it through
         # the archive window.
         ledger._events_through = 0
@@ -173,42 +173,23 @@ class Ledger:
         """Append a block whose per-tx verdicts are *validity* and whose
         per-tx error strings are *errors* (default: none recorded).
 
-        This is the one place a transaction id is bound to a position, so
-        the *never-downgrade* rule lives here: the id is rebound to the
-        new copy unless the copy it already names is valid and the new one
-        is not — a duplicate of a committed-valid transaction that lands
-        in a later block and fails MVCC there must not become what the id
-        means.
-
-        Atomic: every check — and every read of the block's transactions
-        or of the copies already held — happens before the first mutation,
-        so an exception (bad linkage, a hostile transaction object raising
-        mid-indexing) leaves the ledger exactly as it was.  The seed
-        version appended the block *before* building the indexes; a
-        failure there left a committed block invisible to ``tx_locator``
-        lookups.
+        Atomic: every check — and, through :meth:`ChainIndex.on_commit
+        <repro.chain.index.ChainIndex.on_commit>`, every read of the
+        block's transactions — happens before the first mutation, so an
+        exception (bad linkage, a hostile transaction object raising
+        mid-indexing) leaves the ledger and its index exactly as they
+        were.
         """
         self.check_extends(block)
         if errors is None:
             errors = [None] * len(validity)
         if not len(validity) == len(errors) == len(block.transactions):
             raise InvalidBlockError("validity vector length mismatch")
-        rebound: dict[str, tuple[int, int]] = {}
-
-        def names_valid_copy(tx_id: str) -> bool:
-            if tx_id in rebound:  # an earlier position of this very block
-                return validity[rebound[tx_id][1]]
-            held = self._tx_locator.get(tx_id)
-            return held is not None and self._entry(held[0])[1][held[1]]
-
-        for index, tx in enumerate(block.transactions):
-            if validity[index] or not names_valid_copy(tx.tx_id):
-                rebound[tx.tx_id] = (block.height, index)
+        self.index.on_commit(block, validity)
         self._blocks.append(block)
         self.height = block.height
         self._verdicts.append(list(validity))
         self._errors.append(list(errors))
-        self._tx_locator.update(rebound)
 
     # -- access ------------------------------------------------------------
 
@@ -246,10 +227,10 @@ class Ledger:
         return self.height + 1
 
     def __contains__(self, tx_id: str) -> bool:
-        return tx_id in self._tx_locator
+        return tx_id in self.index
 
     def get_transaction(self, tx_id: str) -> CommittedTx | None:
-        locator = self._tx_locator.get(tx_id)
+        locator = self.index.locate(tx_id)
         if locator is None:
             return None
         height, index = locator
@@ -272,7 +253,7 @@ class Ledger:
 
     def receipt(self, tx_id: str) -> TxReceipt | None:
         """The receipt of the copy *tx_id* names (``None`` if unknown)."""
-        locator = self._tx_locator.get(tx_id)
+        locator = self.index.locate(tx_id)
         return None if locator is None else self.receipt_at(*locator)
 
     @property
@@ -348,7 +329,7 @@ class Ledger:
                 yield enriched
 
     def total_transactions(self) -> int:
-        return len(self._tx_locator)
+        return len(self.index.tx_ids())
 
     def verify_chain(self) -> bool:
         """Full-chain audit: hashes link and every block is internally
@@ -361,10 +342,6 @@ class Ledger:
                 raise InvalidBlockError(f"chain broken at height {current.height}")
             prev = current
         return True
-
-    def index_dump(self) -> dict[str, Any]:
-        """JSON-ready copy of the tx-id lookup, for snapshots."""
-        return {"tx_locator": {k: list(v) for k, v in self._tx_locator.items()}}
 
     def replay_state(self):
         """Rebuild the world state by replaying valid write sets in order.

@@ -16,8 +16,9 @@ one step.
 Everything that reads the ledger (supply-chain graph construction,
 expert mining, accountability tracing) works identically against a
 LocalChain or a :class:`~repro.chain.network.BlockchainNetwork` peer,
-because both expose the same :class:`~repro.chain.ledger.Ledger` and
-:class:`~repro.chain.index.ChainIndex`.
+because both expose the same :class:`~repro.chain.ledger.Ledger` and its
+:class:`~repro.chain.index.ChainIndex` (``Ledger.index``, fed by
+``Ledger.append``).
 E9 is the experiment where consensus latency itself is the subject, and
 it uses the networked harness.
 """
@@ -30,7 +31,6 @@ from repro.chain.block import Block
 from repro.chain.commit import commit_block
 from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy
 from repro.chain.contracts.endorsement import gather_endorsements
-from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
 from repro.chain.peer import simulate_and_sign
 from repro.chain.state import WorldState
@@ -56,8 +56,8 @@ class LocalChain:
         self.keypair = KeyPair.generate(self.rng)
         self.registry = ContractRegistry()
         self.ledger = Ledger()
-        #: Explorer index, fed at every commit (see repro.chain.index).
-        self.index = ChainIndex()
+        #: The ledger's explorer index (see repro.chain.index).
+        self.index = self.ledger.index
         self.state = WorldState()
         #: Read-only ``tx id -> TxReceipt`` view of the ledger's record.
         self.receipts = self.ledger.receipts
@@ -144,7 +144,7 @@ class LocalChain:
         )
         result = commit_block(
             block, lambda contract: _POLICY,
-            ledger=self.ledger, state=self.state, index=self.index,
+            ledger=self.ledger, state=self.state,
         )
         if self.sharded_executor is not None and result.valid_txs:
             self.sharded_executor.plan_block(result.valid_txs)

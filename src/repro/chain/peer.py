@@ -139,10 +139,6 @@ class Peer(NetworkNode):
         #: write-ahead logs every commit and makes restart a *recovery*.
         self.store: BlockStore = store if store is not None else MemoryStore()
         self.ledger = Ledger()
-        #: Explorer-grade secondary index, fed incrementally at commit and
-        #: rebuilt from the recovered ledger on restart — explorer queries
-        #: against this peer answer from materialized views, not scans.
-        self.index = ChainIndex()
         self.state = WorldState()
         self.mempool = Mempool()
         self.policies: dict[str, EndorsementPolicy] = {}
@@ -194,6 +190,12 @@ class Peer(NetworkNode):
         record (:attr:`Ledger.receipts <repro.chain.ledger.Ledger.receipts>`);
         hot loops ask ``ledger.receipt(tx_id)`` / ``tx_id in ledger``."""
         return self.ledger.receipts
+
+    @property
+    def index(self) -> ChainIndex:
+        """The ledger's explorer-grade transaction index (a property:
+        restart replaces the ledger, and the index comes with it)."""
+        return self.ledger.index
 
     @property
     def disk(self):
@@ -281,7 +283,7 @@ class Peer(NetworkNode):
         self._consensus_round.observe(max(0.0, self.sim.now - block.timestamp))
         result = commit.commit_block(
             block, self.policy_for,
-            ledger=self.ledger, state=self.state, index=self.index,
+            ledger=self.ledger, state=self.state,
         )
         for verdict in result.verdicts:
             if verdict.failed_check is not None:
@@ -336,9 +338,13 @@ class Peer(NetworkNode):
         (:meth:`Ledger.replay_state <repro.chain.ledger.Ledger.replay_state>`).
         With a :class:`~repro.chain.store.DurableStore`, restart is
         *recovery*: the backend rebuilds ledger and state from its
-        verified snapshot + log tail — and anything it had to give up
-        (torn tail, corrupt snapshot) is reported, counted, and later
-        re-fetched from the network by the sync manager.  The mempool,
+        verified snapshot + log tail — the ledger's transaction index
+        comes back with it, loaded from the snapshot's rows and fed by the
+        replayed tail, so rebuilding it decodes no archived block — and
+        anything it had to give up (torn tail, corrupt snapshot) is
+        reported, counted, and later re-fetched from the network by the
+        sync manager.  With the in-memory store the ledger, and so its
+        index, is kept as it was.  The mempool,
         the engine's open rounds and timers, and in-flight fetches are
         wiped either way — exactly what a real crash loses.  Returns the
         wiped pending tx ids so fault injectors can report (and auditors
@@ -356,9 +362,6 @@ class Peer(NetworkNode):
             report = recovered.report
             self.ledger = recovered.ledger
             self.state = recovered.state
-        # The in-memory index is volatile: rebuild it from whatever chain
-        # survived (recovery may have truncated below the pre-crash tip).
-        self.index.reindex(self.ledger)
         self.engine.on_restart()
         if recovered is not None:
             self._reseed_engine_proofs(recovered.proofs)

@@ -6,9 +6,9 @@ into one record, appended to the log, and fsync'd — only then is the
 block *acknowledged durable* and remembered in :attr:`DurableStore.acked`
 (the model's ground truth for the storage-durability invariant; it is
 never used to rebuild state).  Every ``snapshot_interval`` blocks,
-:meth:`maybe_snapshot` persists the world state and the ledger's tx-id
-locator — state, not history: a receipt is read from the ledger, which
-recovery rebuilds from the log.
+:meth:`maybe_snapshot` persists the world state and the rows of the
+ledger's transaction index — not history: a receipt is read from the
+ledger, which recovery rebuilds from the log.
 
 Recovery (:meth:`recover`) is verify-before-trust, and it *degrades*,
 never guesses::
@@ -136,7 +136,7 @@ class DurableStore(BlockStore):
         if height == 0 or height - self.last_snapshot_height < self.snapshot_interval:
             return False
         written = write_snapshot(
-            self.disk, height, ledger.head.block_hash, state.dump(), ledger.index_dump()
+            self.disk, height, ledger.head.block_hash, state.dump(), ledger.index.dump()
         )
         for stale in list_snapshots(self.disk)[: -self.KEEP_SNAPSHOTS]:
             self.disk.delete(stale.name)
@@ -306,7 +306,7 @@ class DurableStore(BlockStore):
                 # (block, verdicts, errors) at snap_height, verified above
                 window=[decoded[0][:3]],
                 base=snap_height,
-                indexes=snap_obj["indexes"],
+                index=snap_obj["index"],
                 archive=self._archive_fn(records, snap_height),
             )
             to_apply = decoded[1:]

@@ -2,7 +2,10 @@
 
 A snapshot pins what is needed to resume at height *H* without replaying
 blocks 1..H: the world state dump (values + MVCC versions + commit
-sequence) and the ledger's tx-id locator.  It holds state, not history:
+sequence) and the ledger's transaction index
+(:meth:`ChainIndex.dump <repro.chain.index.ChainIndex.dump>`: one row per
+transaction, so a restart rebuilds the index without decoding a block
+below *H*).  It holds state and index rows, not history:
 blocks, verdicts, error strings — and so every receipt — stay in the
 block log and are read from there.  Each snapshot is its own file
 (``snapshot-<height>``), fsync'd on write; the store keeps the newest
@@ -80,11 +83,11 @@ def write_snapshot(
     height: int,
     block_hash: str,
     state_dump: dict[str, Any],
-    indexes: dict[str, Any],
+    index: dict[str, Any],
 ) -> int:
     """Write + fsync one snapshot; returns bytes written."""
     payload = encode_obj(
-        {"height": height, "block_hash": block_hash, "state": state_dump, "indexes": indexes}
+        {"height": height, "block_hash": block_hash, "state": state_dump, "index": index}
     )
     name = snapshot_name(height)
     disk.set_role(name, "snapshot")
@@ -107,9 +110,11 @@ def list_snapshots(disk: SimDisk) -> list[SnapshotCandidate]:
 
 
 def load_snapshot(disk: SimDisk, candidate: SnapshotCandidate) -> dict[str, Any] | None:
-    """Verify-before-trust load; ``None`` if the file fails any check.
-    Keys this version does not write (``receipts``, from snapshots taken
-    before receipts became a view of the ledger) are carried and ignored."""
+    """Verify-before-trust load; ``None`` if the file fails any check,
+    including a snapshot with no ``index`` (one written before the index
+    rows were carried), which recovery cannot resume from.  Keys this
+    version does not write (``receipts``, ``indexes``) are carried and
+    ignored."""
     payload = unframe(disk.read(candidate.name))
     if isinstance(payload, str):
         return None
@@ -117,6 +122,6 @@ def load_snapshot(disk: SimDisk, candidate: SnapshotCandidate) -> dict[str, Any]
         obj = decode_obj(payload)
     except ValueError:
         return None
-    if obj.get("height") != candidate.height:
+    if obj.get("height") != candidate.height or "index" not in obj:
         return None
     return obj

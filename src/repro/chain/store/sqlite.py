@@ -12,11 +12,11 @@ The tables are a view derived from the ledger, never a second source of
 truth.  :meth:`~SQLiteStore.on_commit` feeds them each committed block;
 :meth:`~SQLiteStore.recover` drops them with the crash and rebuilds them
 from the recovered ledger — every height, the ones below the snapshot
-through its archive — as ``Peer.restart`` rebuilds ``ChainIndex``.
-``txs`` holds one row per tx id, written under the ledger's
-never-downgrade rule (see ``Ledger.append``): the row of an id committed
-twice names the same copy the ledger, ``ChainIndex.get`` and the receipt
-name.
+through its archive (the ledger's own ``ChainIndex`` comes back from the
+snapshot's rows instead).  ``txs`` holds one row per tx id, written under
+the never-downgrade rule (see ``ChainIndex._feed``): the row of an id
+committed twice names the same copy the ledger, ``ChainIndex.get`` and
+the receipt name.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class SQLiteStore(DurableStore):
                 "ON CONFLICT(tx_id) DO UPDATE SET (height, tx_index, sender_id, contract_id, "
                 "method_id, valid) = (excluded.height, excluded.tx_index, excluded.sender_id, "
                 "excluded.contract_id, excluded.method_id, excluded.valid) "
-                "WHERE excluded.valid OR NOT txs.valid",  # never downgrade, as Ledger.append
+                "WHERE excluded.valid OR NOT txs.valid",  # never downgrade, as ChainIndex._feed
                 (
                     tx.tx_id,
                     block.height,

@@ -101,21 +101,24 @@ def test_transactions_iteration_valid_only(chain):
 
 
 def test_query_by_sender_and_contract(chain, keypair):
-    """By-sender / by-contract views live in ChainIndex (the ledger keeps
-    none); they agree with a filter over the ledger's scan."""
+    """By-sender / by-contract views live in ChainIndex; a fresh index fed
+    block by block and the ledger's own index agree with a filter over the
+    ledger's scan."""
     ledger, txs = chain
-    index = ChainIndex()
-    index.reindex(ledger)
+    fresh = ChainIndex()
+    for height in range(1, ledger.height + 1):
+        fresh.on_commit(ledger.block(height), ledger.block_validity(height))
     scan = [c.transaction for c in ledger.transactions(valid_only=False)]
-    assert index.transactions_by_sender(keypair.address) == [
-        tx.tx_id for tx in scan if tx.sender == keypair.address
-    ]
-    assert index.transactions_by_contract("counter") == [
-        tx.tx_id for tx in scan if tx.contract == "counter"
-    ]
-    assert len(index.transactions_by_contract("counter")) == 3
-    assert index.transactions_by_contract("other") == []
-    assert set(ledger.index_dump()) == {"tx_locator"}
+    for index in (fresh, ledger.index):
+        def ids(**filters):
+            return [row.tx_id for row in reversed(index.find_transactions(**filters))]
+
+        assert ids(sender=keypair.address) == [
+            tx.tx_id for tx in scan if tx.sender == keypair.address
+        ]
+        assert ids(contract="counter") == [tx.tx_id for tx in scan if tx.contract == "counter"]
+        assert len(ids(contract="counter")) == 3
+        assert ids(contract="other") == []
 
 
 def test_verify_chain_passes(chain):
@@ -133,7 +136,8 @@ def test_append_is_atomic_under_hostile_transaction(chain, keypair):
 
     The seed appended the block *before* building the indexes, so a
     transaction object whose attributes raise mid-indexing left the
-    block committed but (partly) invisible to tx_locator — a torn index.
+    block committed but (partly) invisible to lookups by id — a torn
+    index.  The ledger's index reads every transaction before it changes.
     The Merkle tree is built (and cached) at ``Block.build``, so a hostile
     object can legitimately get as far as the ledger's own reads.
     """
@@ -154,11 +158,12 @@ def test_append_is_atomic_under_hostile_transaction(chain, keypair):
     block = Block.build(2, ledger.head.block_hash, 2.0, "p", [good, _HostileTx(bad)])
     _HostileTx.armed = True
     before_height = ledger.height
-    before_locators = dict(ledger._tx_locator)
+    before_index = ledger.index.dump()
     with pytest.raises(RuntimeError, match="hostile"):
         ledger.append(block, [True, True])
     assert ledger.height == before_height
-    assert ledger._tx_locator == before_locators
+    assert ledger.index.dump() == before_index
+    assert ledger.index.height == before_height
     assert ledger.get_transaction(good.tx_id) is None
     assert ledger.total_transactions() == 3  # fixture only
     # The ledger still accepts the block once the transactions behave.

@@ -36,7 +36,6 @@ from repro.chain import BlockchainNetwork
 from repro.chain.block import Block
 from repro.chain.commit import commit_block
 from repro.chain.contracts.endorsement import EndorsementPolicy, check_endorsements
-from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
 from repro.chain.store.codec import block_to_obj, decode_record, encode_obj, encode_record
@@ -77,7 +76,7 @@ def _verdicts(txs):
     ledger = Ledger()
     block = Block.build(1, ledger.head.block_hash, 1.0, "peer-0", txs)
     result = commit_block(
-        block, lambda contract: POLICY, ledger=ledger, state=WorldState(), index=ChainIndex())
+        block, lambda contract: POLICY, ledger=ledger, state=WorldState())
     return [(verdict.valid, verdict.error) for verdict in result.verdicts]
 
 

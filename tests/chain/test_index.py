@@ -3,7 +3,8 @@
 Three layers:
 
 1. ``ChainIndex`` unit behaviour — incremental feed contract (contiguous
-   heights, validity-vector length), lookups, views, ``reindex`` and the
+   heights, validity-vector length), lookups, views, the ledger's own
+   index against a fresh feed and its snapshot dump, and the
    ``verify_against`` drift detector.
 2. Explorer regressions — the scan fallback does *bounded* work now
    (``find_transactions`` stops reading blocks at ``limit``;
@@ -91,8 +92,10 @@ def _extend(ledger, keypairs, n_blocks, txs_per_block=3, seed=0):
 
 
 def _indexed(ledger):
+    """A fresh index fed block by block — independent of ``ledger.index``."""
     index = ChainIndex()
-    index.reindex(ledger)
+    for height in range(1, ledger.height + 1):
+        index.on_commit(ledger.block(height), ledger.block_validity(height))
     return index
 
 
@@ -140,16 +143,24 @@ def test_on_commit_rejects_validity_length_mismatch(keypairs):
         index.on_commit(ledger.block(1), [True])
 
 
-def test_incremental_feed_equals_full_reindex(keypairs):
+def test_ledger_index_equals_a_fresh_feed_and_reloads_from_its_dump(keypairs):
+    """``Ledger.append`` feeds the ledger's own index; it equals an index
+    fed block by block, and ``load(dump)`` rebuilds it row for row."""
     ledger = _build(keypairs, 12)
-    incremental = ChainIndex()
-    for height in range(1, ledger.height + 1):
-        incremental.on_commit(ledger.block(height), ledger.block_validity(height))
-    rebuilt = _indexed(ledger)
-    assert incremental.stats() == rebuilt.stats()
-    assert incremental.contract_counts() == rebuilt.contract_counts()
-    assert incremental.verify_against(ledger) == []
-    assert rebuilt.verify_against(ledger) == []
+    fresh = _indexed(ledger)
+    assert ledger.index.dump() == fresh.dump()
+    assert ledger.index.stats() == fresh.stats()
+    assert ledger.index.contract_counts() == fresh.contract_counts()
+    reloaded = ChainIndex.load(ledger.index.dump(), ledger.height)
+    assert reloaded.dump() == ledger.index.dump()
+    assert reloaded.stats() == ledger.index.stats()
+    for index in (ledger.index, fresh, reloaded):
+        assert index.verify_against(ledger) == []
+    # The reloaded index keeps growing like the live one.
+    _extend(ledger, keypairs, 2, seed=1)
+    for height in (ledger.height - 1, ledger.height):
+        reloaded.on_commit(ledger.block(height), ledger.block_validity(height))
+    assert reloaded.dump() == ledger.index.dump()
 
 
 def test_lookups_match_ledger(keypairs):
@@ -165,6 +176,29 @@ def test_lookups_match_ledger(keypairs):
         )
     assert index.get("nope") is None
     assert "nope" not in index
+
+
+def test_verify_against_checks_what_each_id_names(keypairs):
+    """Rows and counts can all be right while an id is bound to another
+    transaction's row; ``get`` (and every receipt) then answers wrongly,
+    and ``verify_against`` must say so."""
+    ledger = _build(keypairs, 5)
+    index = _indexed(ledger)
+    first, second = [c.transaction.tx_id for c in ledger.transactions(valid_only=False)][:2]
+    index._ordinal_by_tx[first] = index._ordinal_by_tx[second]
+    assert index.get(first).tx_id == second
+    assert index.verify_against(ledger) == [
+        f"1 tx id(s) name the wrong position, first {first[:12]}"
+    ]
+    # So is an id the index lost, and one the chain never held.
+    index._ordinal_by_tx["0" * 64] = index._ordinal_by_tx.pop(first)
+    assert index.verify_against(ledger) == [
+        "2 tx id(s) name the wrong position, first 000000000000"
+    ]
+    del index._ordinal_by_tx["0" * 64]
+    assert index.verify_against(ledger) == [
+        f"1 tx id(s) name the wrong position, first {first[:12]}"
+    ]
 
 
 def test_verify_against_detects_drift(keypairs):
@@ -193,16 +227,20 @@ def test_ledger_by_sender_and_by_contract_are_chain_ordered(keypairs):
     assert positions == sorted(positions)
     assert not hasattr(ledger, "transactions_by_sender")
     assert not hasattr(ledger, "transactions_by_contract")
+
+    def oldest_first(**filters):
+        return [row.tx_id for row in reversed(index.find_transactions(limit=len(scan), **filters))]
+
     for keypair in keypairs:
-        assert index.transactions_by_sender(keypair.address) == [
+        assert oldest_first(sender=keypair.address) == [
             c.transaction.tx_id for c in scan if c.transaction.sender == keypair.address
         ]
     for contract in ("articles", "votes"):
-        assert index.transactions_by_contract(contract) == [
+        assert oldest_first(contract=contract) == [
             c.transaction.tx_id for c in scan if c.transaction.contract == contract
         ]
-    assert index.transactions_by_sender("acct:unknown") == []
-    assert index.transactions_by_contract("unknown") == []
+    assert oldest_first(sender="acct:unknown") == []
+    assert oldest_first(contract="unknown") == []
 
 
 def test_verify_against_compares_rows_not_ids(keypairs):
@@ -480,12 +518,14 @@ def test_stale_index_is_bypassed(keypairs):
     n_blocks=st.integers(min_value=0, max_value=12),
     txs_per_block=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**16),
-    limit=st.integers(min_value=1, max_value=10),
+    limit=st.integers(min_value=-1, max_value=10),
 )
 @settings(max_examples=25, deadline=None)
 def test_scan_vs_index_equivalence_property(n_blocks, txs_per_block, seed, limit):
     """On a randomized chain, every filter combination answers identically
-    through the index and through the ledger scan."""
+    through the index and through the ledger scan — through the explorer
+    and through ``ChainIndex.find_transactions`` itself, ``limit <= 0``
+    included."""
     rng = random.Random(seed)
     keypairs = [KeyPair.generate(rng) for _ in range(2)]
     ledger = _build(keypairs, n_blocks, txs_per_block=txs_per_block, seed=seed)
@@ -497,9 +537,13 @@ def test_scan_vs_index_equivalence_property(n_blocks, txs_per_block, seed, limit
                (None, "cast"), ("votes", "cast")]
     for sender in senders:
         for contract, method in filters:
+            scanned = find_transactions(
+                ledger, contract=contract, method=method, sender=sender, limit=limit
+            )
             assert find_transactions(
                 ledger, contract=contract, method=method, sender=sender,
                 limit=limit, index=index,
-            ) == find_transactions(
-                ledger, contract=contract, method=method, sender=sender, limit=limit
-            ), (sender, contract, method, limit)
+            ) == scanned, (sender, contract, method, limit)
+            assert [row.tx_id for row in index.find_transactions(
+                contract=contract, method=method, sender=sender, limit=limit,
+            )] == [row["tx_id"] for row in scanned], (sender, contract, method, limit)

@@ -294,25 +294,32 @@ def test_durable_store_receipts_survive_snapshot_recovery(keypair, store_cls):
 
 
 def test_snapshot_indexes_hold_only_the_tx_id_lookup(keypair, store_cls):
-    """By-sender / by-contract views belong to ChainIndex (rebuilt on every
-    restart) and verdicts come with the blocks: snapshots carry only the
-    tx-id locator, and a snapshot object written before the other maps
-    were removed, which has them, still loads."""
+    """Verdicts come with the blocks: a snapshot carries the state and the
+    rows of the ledger's ChainIndex — the interned tables and one row per
+    transaction — from which the id lookup and the by-sender / by-contract
+    views are rebuilt.  Keys a dump does not use (the tx-id locator and
+    the maps older snapshots carried) are ignored."""
     ledger, commits = _build_chain(keypair, 10)
     store = store_cls(disk=SimDisk("n0"), snapshot_interval=4)
     _populate(store, commits, snapshots=True)
     snap = load_snapshot(store.disk, list_snapshots(store.disk)[-1])
     assert snap["height"] == 8
-    assert set(snap) == {"height", "block_hash", "state", "indexes"}  # state, not history
-    assert set(snap["indexes"]) == {"tx_locator"}
+    assert set(snap) == {"height", "block_hash", "state", "index"}  # state, not history
+    assert set(snap["index"]) == {"addresses", "methods", "rows"}
+    assert len(snap["index"]["rows"]) == 16
     tx = commits[7][0].transactions[0]
-    old = dict(snap["indexes"], validity={tx.tx_id: True},
+    old = dict(snap["index"], tx_locator={tx.tx_id: [8, 0]}, validity={tx.tx_id: True},
                by_sender={tx.sender: [tx.tx_id]}, by_contract={tx.contract: [tx.tx_id]})
     window = [commits[7]]  # (block, verdicts, errors) at height 8
-    for indexes in (snap["indexes"], old):
-        revived = Ledger.from_recovery(window, base=8, indexes=indexes)
+    for index in (snap["index"], old):
+        revived = Ledger.from_recovery(window, base=8, index=index)
         assert revived.get_transaction(tx.tx_id).block_height == 8
         assert revived.total_transactions() == 16
+        assert revived.index.height == 8
+        assert [row.tx_id for row in revived.index.find_transactions(sender=tx.sender)] == [
+            row.tx_id for row in ledger.index.find_transactions(sender=tx.sender)
+            if row.block_height <= 8
+        ]
 
 
 def test_torn_tail_truncates_and_reconciles_acked(keypair, store_cls):
@@ -483,7 +490,7 @@ def test_snapshot_with_receipts_key_from_before_they_became_a_view_still_loads(k
     disk.set_role(name, "snapshot")
     disk.append(name, frame(encode_obj({
         "height": at, "block_hash": early.head.block_hash, "state": early_state.dump(),
-        "receipts": old_receipts, "indexes": early.index_dump(),
+        "receipts": old_receipts, "indexes": {"tx_locator": {}}, "index": early.index.dump(),
     })))
     disk.fsync(name)
 
@@ -494,6 +501,31 @@ def test_snapshot_with_receipts_key_from_before_they_became_a_view_still_loads(k
     assert recovered.ledger.head.block_hash == ledger.head.block_hash
     assert recovered.state.state_digest() == state.state_digest()
     assert dict(recovered.ledger.receipts) == dict(ledger.receipts)
+
+
+def test_snapshot_without_index_rows_is_not_resumed_from(keypair):
+    """A snapshot that carries no ``index`` (written before the index rows
+    were) cannot rebuild the ledger's index without the archive: recovery
+    counts it as failing verification and replays the log instead."""
+    ledger, commits = _build_chain(keypair, 6)
+    disk = SimDisk("n0")
+    store = DurableStore(disk=disk, snapshot_interval=1000)
+    state = _populate(store, commits)
+    early, _ = _build_chain(keypair, 4)
+    early_state = _populate(DurableStore(disk=SimDisk("scratch")), commits[:4])
+    name = snapshot_name(4)
+    disk.set_role(name, "snapshot")
+    disk.append(name, frame(encode_obj({
+        "height": 4, "block_hash": early.head.block_hash, "state": early_state.dump(),
+        "indexes": {"tx_locator": {}},
+    })))
+    disk.fsync(name)
+
+    recovered = store.recover()
+    assert recovered.report.mode == "full-replay"
+    assert [d.kind for d in recovered.report.degradations] == ["snapshot-corrupt"]
+    assert recovered.state.state_digest() == state.state_digest()
+    assert recovered.ledger.index.dump() == ledger.index.dump()
 
 
 def test_memory_store_recover_returns_none():

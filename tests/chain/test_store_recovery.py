@@ -75,6 +75,35 @@ def _peer(network, node_id):
     return next(p for p in network.peers if p.node_id == node_id)
 
 
+def test_restart_from_a_snapshot_decodes_no_archived_block():
+    """The ledger's transaction index comes back from the snapshot's rows:
+    a restart decodes no block below the snapshot (rebuilding the index
+    from the recovered chain used to decode all of them), and the
+    restarted peer's index equals a live peer's row for row.  No auditor
+    is attached: its acked-block check reads the archive on purpose."""
+    from tests.conftest import CounterContract, peer_count
+
+    network = BlockchainNetwork(
+        n_peers=4, consensus="pbft", block_interval=0.5,
+        latency=UniformLatency(0.01, 0.05), seed=3, view_timeout=4.0,
+        storage="durable", snapshot_interval=20,
+    )
+    network.install_contract(CounterContract)
+    _drive(network, n_txs=20)
+    network.run_for(2.0)
+    peer, live = _peer(network, "peer-1"), _peer(network, "peer-2")
+    assert peer.store.last_snapshot_height == 20 <= peer.ledger.height
+    loads = peer_count(peer, "store.archive_loads")
+    peer.restart()
+    assert peer.store.last_recovery.mode == "snapshot+tail"
+    assert peer.ledger._base == 20
+    assert peer_count(peer, "store.archive_loads") == loads
+    assert peer.index is peer.ledger.index
+    assert peer.index.dump() == live.ledger.index.dump()
+    assert peer.index.verify_against(peer.ledger) == []
+    network.stop()
+
+
 @pytest.mark.parametrize("storage", BACKENDS)
 def test_restart_recovers_from_store_not_replay(storage):
     """A clean crash-restart must come back through the store: snapshot

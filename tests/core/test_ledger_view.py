@@ -123,7 +123,7 @@ def test_events_above_on_a_ledger_rebuilt_from_recovery(platform):
     base = live.height // 2
     rebuilt = Ledger.from_recovery(
         [live._entry(height) for height in range(base, live.height + 1)],
-        base=base, indexes=live.index_dump(), archive=live._entry,
+        base=base, index=live.index.dump(), archive=live._entry,
     )
     assert list(rebuilt.events()) == list(live.events())
     assert_above_is_the_height_filter(rebuilt)
