@@ -3,7 +3,10 @@
 Each block commits to its transactions through a Merkle root, to its
 predecessor through ``prev_hash``, and to its proposer.  Block hashes
 cover the header only (the Merkle root stands in for the body), matching
-how real chains keep headers verifiable without the full body.
+how real chains keep headers verifiable without the full body.  A leaf
+is a transaction's whole body (:attr:`Transaction.merkle_leaf`: its
+proposal, id, signatures and endorsed execution), as Fabric's data hash
+covers whole envelopes, so one block hash names one body.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class Block(WireSized):
         transactions: list[Transaction],
     ) -> "Block":
         txs = tuple(transactions)
-        tree = MerkleTree([tx.tx_id for tx in txs])
+        tree = MerkleTree([tx.merkle_leaf for tx in txs])
         merkle_root = tree.root
         header_hash = cls._header_hash(height, prev_hash, merkle_root, timestamp, proposer)
         block = cls(
@@ -83,7 +86,7 @@ class Block(WireSized):
         """
         tree = getattr(self, "_merkle_cache", None)
         if tree is None:
-            tree = MerkleTree([tx.tx_id for tx in self.transactions])
+            tree = MerkleTree([tx.merkle_leaf for tx in self.transactions])
             object.__setattr__(self, "_merkle_cache", tree)
         return tree
 

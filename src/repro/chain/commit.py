@@ -104,7 +104,7 @@ def _judge(
             tx.validate_structure()
         except InvalidTransactionError as exc:
             return failed(position, exc, "signature")
-    digest = group_digest([tx.rwset_digest for tx in unit])
+    digest = group_digest([tx.endorsed_digest for tx in unit])
     for position, tx in enumerate(unit):
         try:
             check_endorsements(unit[0], policy_for(tx.contract), digest)

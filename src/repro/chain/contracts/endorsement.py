@@ -20,7 +20,7 @@ __all__ = ["EndorsementPolicy", "Endorsed", "check_endorsements", "gather_endors
 
 #: One endorser's answer for a unit: its signature (``None`` when the
 #: simulation aborted — an abort is not signed), the ``ExecutionResult``
-#: of every member it ran (an aborted one last) and the rw-set digests it
+#: of every member it ran (an aborted one last) and the endorsed digests it
 #: hashed to sign, in member order.
 Endorsed = tuple[Endorsement | None, list[Any], list[str]]
 
@@ -104,15 +104,16 @@ def check_endorsements(
 
     Checks: enough endorsements, each from an eligible distinct peer,
     each signature valid, and every endorsement committing to the same
-    read/write-set digest the transaction carries (a divergent digest
-    means endorsers simulated different outcomes — the transaction must
-    not commit).  A unit is endorsed once: *tx* is its first member,
+    endorsed digest — reads, writes, events, return value — the
+    transaction carries (a divergent digest means endorsers simulated
+    different outcomes, or the outcome was edited after endorsement —
+    the transaction must not commit).  A unit is endorsed once: *tx* is its first member,
     which carries the endorsements, and *digest* the unit's
     (:func:`~repro.chain.transaction.group_digest`; for a transaction on
-    its own, its rw-set digest, the default).
+    its own, its endorsed digest, the default).
     """
     if digest is None:
-        digest = tx.rwset_digest
+        digest = tx.endorsed_digest
     seen: set[str] = set()
     valid = 0
     for endorsement in tx.endorsements:
@@ -123,7 +124,7 @@ def check_endorsements(
         if endorsement.digest != digest:
             raise EndorsementError(
                 f"tx {tx.tx_id[:12]}: endorser {endorsement.peer_id} signed a "
-                "different rw-set (non-deterministic execution?)"
+                "different execution (non-deterministic or edited after endorsement?)"
             )
         if not endorsement.verify(tx.endorsed_id):
             raise EndorsementError(

@@ -40,9 +40,9 @@ from repro.chain.sync import SyncManager
 from repro.chain.transaction import (
     Endorsement,
     Transaction,
+    endorsed_digest,
     group_digest,
     group_run,
-    rwset_digest,
 )
 from repro.crypto.batch import batch_meter
 from repro.crypto.keys import KeyPair
@@ -65,7 +65,7 @@ def simulate_and_sign(
 ) -> Endorsed:
     """What an endorser does with a unit: simulate its members in order
     over one speculative state and sign once — the unit's endorsed id and
-    the digest of its members' rw-set digests.  A member's rw-set means
+    the digest of its members' endorsed digests.  A member's rw-set means
     nothing without the writes of the members before it, so there is
     nothing smaller to vouch for.  A member that aborts ends the
     simulation: its failed result comes back last and nothing is signed.
@@ -73,7 +73,10 @@ def simulate_and_sign(
     results = registry.execute_group(state, txs)
     if not results[-1].success:
         return None, results, []
-    digests = [rwset_digest(result.read_set, result.write_set) for result in results]
+    digests = [
+        endorsed_digest(result.read_set, result.write_set, result.events, result.return_value)
+        for result in results
+    ]
     endorsement = Endorsement.create(
         keypair, node_id, txs[0].endorsed_id, group_digest(digests)
     )

@@ -63,15 +63,23 @@ def _proposal_payload(
     return canonical_json(body)
 
 
-def rwset_digest(read_set: ReadSet, write_set: WriteSet) -> str:
-    """Digest endorsers sign: commits them to one simulated execution."""
-    return hash_json({"reads": read_set, "writes": write_set})
+def endorsed_digest(
+    read_set: ReadSet, write_set: WriteSet, events: Sequence[dict[str, Any]], return_value: Any
+) -> str:
+    """Digest endorsers sign: commits them to one simulated execution —
+    what it read, what it wrote, the events it emitted and the value it
+    returned (Fabric's endorser signs the results, events and response
+    alike).  Nothing a committing peer keeps from the execution is left
+    out, so no part of it can be edited after endorsement."""
+    return hash_json(
+        {"reads": read_set, "writes": write_set, "events": events, "return": return_value}
+    )
 
 
 @dataclass(frozen=True)
 class Endorsement:
-    """One endorsing peer's signature over (tx_id, rw-set digest) — for a
-    group, over (root, digest of its members' rw-set digests)."""
+    """One endorsing peer's signature over (tx_id, endorsed digest) — for
+    a group, over (root, digest of its members' endorsed digests)."""
 
     peer_id: str
     public_key_hex: str
@@ -102,9 +110,10 @@ class Transaction(WireSized):
     """A signed contract invocation, optionally carrying endorsements.
 
     Immutable, so what is derived from its fields alone — the signing
-    payload (:meth:`signature_item`), :attr:`rwset_digest`, the wire size
-    — is derived once and remembered on the object (DESIGN.md, "What an
-    immutable chain object may remember").  ``dataclasses.replace``, the
+    payload (:meth:`signature_item`), :attr:`endorsed_digest`,
+    :attr:`merkle_leaf`, the wire size — is derived once and remembered
+    on the object (DESIGN.md, "What an immutable chain object may
+    remember").  ``dataclasses.replace``, the
     store codec and direct construction build a new object with nothing
     remembered, so a tampered copy is always judged on its own fields.
     ``args`` / ``read_set`` / ``write_set`` are frozen by contract, not by
@@ -216,8 +225,9 @@ class Transaction(WireSized):
         The proposal fields are untouched, so the signing payload this
         transaction remembers is the endorsed one's too.  *digest*, when
         the endorsement phase has it in hand, must be
-        ``rwset_digest(read_set, write_set)`` of exactly these sets; the
-        endorsed transaction then starts with it remembered.
+        ``endorsed_digest(read_set, write_set, events, return_value)`` of
+        exactly these; the endorsed transaction then starts with it
+        remembered.
         """
         endorsed = replace(
             self,
@@ -231,16 +241,45 @@ class Transaction(WireSized):
         if item is not None:
             object.__setattr__(endorsed, "_signature_item", item)
         if digest is not None:
-            object.__setattr__(endorsed, "_rwset_digest", digest)
+            object.__setattr__(endorsed, "_endorsed_digest", digest)
         return endorsed
 
     @property
-    def rwset_digest(self) -> str:
-        digest = self.__dict__.get("_rwset_digest")
+    def endorsed_digest(self) -> str:
+        digest = self.__dict__.get("_endorsed_digest")
         if digest is None:
-            digest = rwset_digest(self.read_set, self.write_set)
-            object.__setattr__(self, "_rwset_digest", digest)
+            digest = endorsed_digest(
+                self.read_set, self.write_set, self.events, self.return_value
+            )
+            object.__setattr__(self, "_endorsed_digest", digest)
         return digest
+
+    @property
+    def merkle_leaf(self) -> str:
+        """What a block's Merkle tree holds for this transaction: a digest
+        of its whole body — the proposal it signs, its id, its client
+        signature, its :attr:`endorsed_digest` and every endorsement — so
+        a block hash names one body, and an inclusion proof proves the
+        execution the ledger folds, not only the id."""
+        leaf = self.__dict__.get("_merkle_leaf")
+        if leaf is None:
+            item = self.__dict__.get("_signature_item")
+            proposal = item[1] if item is not None else _proposal_payload(
+                self.sender, self.contract, self.method, self.args, self.nonce,
+                self.timestamp, self.group,
+            )
+            leaf = hash_json({
+                "proposal": sha256_hex(proposal),
+                "tx_id": self.tx_id,
+                "signer": [self.public_key_hex, self.signature_hex],
+                "endorsed": self.endorsed_digest,
+                "endorsements": [
+                    [e.peer_id, e.public_key_hex, e.digest, e.signature_hex]
+                    for e in self.endorsements
+                ],
+            })
+            object.__setattr__(self, "_merkle_leaf", leaf)
+        return leaf
 
     @property
     def endorsed_id(self) -> str:
@@ -301,7 +340,7 @@ def group_run(txs: Sequence[Transaction], start: int) -> tuple[Transaction, ...]
 
 def group_digest(digests: Sequence[str]) -> str:
     """What a unit's endorsement signs beside :attr:`Transaction.endorsed_id`:
-    its members' rw-set digests, in order — for a unit of one, the
+    its members' endorsed digests, in order — for a unit of one, the
     member's own digest as it stands."""
     return digests[0] if len(digests) == 1 else hash_json(list(digests))
 

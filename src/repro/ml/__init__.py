@@ -7,7 +7,7 @@ with three distinct inductive biases (lexical, generative, stylometric).
 """
 
 from repro.ml.deepfake import DeepfakeDetector, MediaFingerprint, capture_signal, tamper_signal
-from repro.ml.ensemble import FakeNewsScorer, SoftVotingEnsemble
+from repro.ml.ensemble import FakeNewsScorer
 from repro.ml.features import FEATURE_NAMES, StylometricExtractor
 from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import (
@@ -32,7 +32,6 @@ __all__ = [
     "capture_signal",
     "tamper_signal",
     "FakeNewsScorer",
-    "SoftVotingEnsemble",
     "FEATURE_NAMES",
     "StylometricExtractor",
     "LogisticRegression",

@@ -11,6 +11,8 @@ wraps them in a classifier-compatible extractor.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from repro.corpus.lexicon import (
@@ -21,6 +23,7 @@ from repro.corpus.lexicon import (
     REPORTING_VERBS,
     tokenize,
 )
+from repro.ml.vectorize import count_terms
 
 __all__ = ["StylometricExtractor", "FEATURE_NAMES"]
 
@@ -56,7 +59,13 @@ class StylometricExtractor:
     """
 
     def transform(self, texts: list[str]) -> np.ndarray:
-        return np.array([self._features(text) for text in texts], dtype=np.float64)
+        return self.transform_counted(texts, count_terms(texts))
+
+    def transform_counted(self, texts: list[str], counted: list[Counter[str]]) -> np.ndarray:
+        """The vectors of *texts*, whose token counts *counted* already
+        holds (:func:`~repro.ml.vectorize.count_terms`)."""
+        rows = [self._features(text, counts) for text, counts in zip(texts, counted)]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
 
     def fit(self, texts: list[str]) -> "StylometricExtractor":
         return self
@@ -64,23 +73,29 @@ class StylometricExtractor:
     def fit_transform(self, texts: list[str]) -> np.ndarray:
         return self.transform(texts)
 
-    def _features(self, text: str) -> list[float]:
-        tokens = tokenize(text)
-        n = max(1, len(tokens))
+    def _features(self, text: str, counts: Counter[str]) -> list[float]:
+        # Every rate is an integer count over the token total, so reading
+        # the counts gives the values walking the token list gave.
+        n = max(1, sum(counts.values()))
         lower = text.lower()
         sentences = [s for s in lower.split(".") if s.strip()]
         lengths = np.array([len(tokenize(s)) for s in sentences] or [0], dtype=np.float64)
         mean_len = float(lengths.mean())
         cv = float(lengths.std() / mean_len) if mean_len > 0 else 0.0
         return [
-            sum(1 for t in tokens if t in _EMOTIONAL) / n,
+            _hits(counts, _EMOTIONAL) / n,
             float(sum(lower.count(phrase) for phrase in CLICKBAIT_PHRASES)),
-            sum(1 for t in tokens if t in _HEDGE_TOKENS) / n,
-            sum(1 for t in tokens if t in _REPORTING_TOKENS) / n,
-            sum(1 for t in tokens if t in _NEUTRAL) / n,
-            sum(1 for t in tokens if t.isdigit()) / n,
-            len(set(tokens)) / n,
+            _hits(counts, _HEDGE_TOKENS) / n,
+            _hits(counts, _REPORTING_TOKENS) / n,
+            _hits(counts, _NEUTRAL) / n,
+            sum(count for term, count in counts.items() if term.isdigit()) / n,
+            len(counts) / n,
             mean_len,
             cv,
-            sum(1 for t in tokens if t in _SECOND_PERSON) / n,
+            _hits(counts, _SECOND_PERSON) / n,
         ]
+
+
+def _hits(counts: Counter[str], terms: frozenset[str]) -> int:
+    """How many of the counted tokens are in *terms*."""
+    return sum(counts[term] for term in terms.intersection(counts))

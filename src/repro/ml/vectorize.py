@@ -5,10 +5,18 @@ shape.  Matrices are dense ``float64`` arrays — corpora in these
 experiments are thousands of documents with vocabularies of a few
 thousand terms, where dense NumPy is both simpler and faster than a
 hand-rolled sparse format.
+
+A text is tokenized once: :func:`count_terms` turns it into a token
+:class:`~collections.Counter`, and everything downstream reads that.
+:class:`CountVectorizer` fits its vocabulary and builds its count matrix
+from the counters (``fit_counted`` / ``transform_counted``), and
+:class:`TfidfVectorizer` weights a count matrix in place (``fit_weights``
+/ ``weight``), so a caller that needs both counts and TF-IDF — the
+platform's :class:`~repro.ml.ensemble.FakeNewsScorer` — counts once,
+reads the counts, then weights them.
 """
 
 from __future__ import annotations
-
 
 from collections import Counter
 
@@ -17,7 +25,14 @@ import numpy as np
 from repro.corpus.lexicon import tokenize
 from repro.errors import MLError
 
-__all__ = ["CountVectorizer", "TfidfVectorizer", "HashingVectorizer", "StandardScaler", "ScaledVectorizer"]
+__all__ = ["CountVectorizer", "TfidfVectorizer", "HashingVectorizer", "StandardScaler",
+           "ScaledVectorizer", "count_terms"]
+
+
+def count_terms(texts: list[str]) -> list[Counter[str]]:
+    """One token :class:`~collections.Counter` per text: the one
+    tokenization every featurization here reads."""
+    return [Counter(tokenize(text)) for text in texts]
 
 
 class StandardScaler:
@@ -78,10 +93,19 @@ class CountVectorizer:
         self.vocabulary_: dict[str, int] = {}
 
     def fit(self, texts: list[str]) -> "CountVectorizer":
+        return self.fit_counted(count_terms(texts))
+
+    def fit_counted(self, counted: list[Counter[str]]) -> "CountVectorizer":
+        """Fit the vocabulary on texts already counted (:func:`count_terms`).
+        Raises :class:`MLError` when no term reaches ``min_df``: a model
+        over no terms could only answer its prior."""
         document_frequency: Counter[str] = Counter()
-        for text in texts:
-            document_frequency.update(set(tokenize(text)))
+        for counts in counted:
+            document_frequency.update(counts.keys())
         terms = [t for t, df in document_frequency.items() if df >= self.min_df]
+        if not terms:
+            raise MLError(f"no term occurs in {self.min_df} or more of the {len(counted)} "
+                          "training texts: nothing to fit a vocabulary on")
         # Keep the highest-DF terms when capped; ties broken alphabetically
         # so fitting is deterministic.
         terms.sort(key=lambda t: (-document_frequency[t], t))
@@ -91,48 +115,66 @@ class CountVectorizer:
         return self
 
     def transform(self, texts: list[str]) -> np.ndarray:
+        return self.transform_counted(count_terms(texts))
+
+    def transform_counted(self, counted: list[Counter[str]]) -> np.ndarray:
+        """The count matrix of texts already counted, one row per counter."""
         if not self.vocabulary_:
             raise MLError("vectorizer is not fitted")
-        matrix = np.zeros((len(texts), len(self.vocabulary_)), dtype=np.float64)
-        for row, text in enumerate(texts):
-            for term, count in Counter(tokenize(text)).items():
+        matrix = np.zeros((len(counted), len(self.vocabulary_)), dtype=np.float64)
+        for row, counts in enumerate(counted):
+            for term, count in counts.items():
                 column = self.vocabulary_.get(term)
                 if column is not None:
                     matrix[row, column] = count
         return matrix
 
     def fit_transform(self, texts: list[str]) -> np.ndarray:
-        return self.fit(texts).transform(texts)
+        counted = count_terms(texts)
+        return self.fit_counted(counted).transform_counted(counted)
 
 
 class TfidfVectorizer:
-    """TF-IDF with smoothed IDF and L2 row normalization."""
+    """TF-IDF with smoothed IDF and L2 row normalization, weighted from
+    the count matrix of its :attr:`counter`."""
 
     def __init__(self, min_df: int = 1, max_features: int | None = None):
-        self._counts = CountVectorizer(min_df=min_df, max_features=max_features)
+        self.counter = CountVectorizer(min_df=min_df, max_features=max_features)
         self.idf_: np.ndarray | None = None
 
     @property
     def vocabulary_(self) -> dict[str, int]:
-        return self._counts.vocabulary_
+        return self.counter.vocabulary_
 
     def fit(self, texts: list[str]) -> "TfidfVectorizer":
-        counts = self._counts.fit_transform(texts)
+        self.fit_transform(texts)
+        return self
+
+    def fit_weights(self, counts: np.ndarray) -> np.ndarray:
+        """Fit the IDF on the training count matrix *counts* (over
+        :attr:`counter`'s vocabulary) and :meth:`weight` it."""
         n_docs = counts.shape[0]
         document_frequency = np.count_nonzero(counts, axis=0)
         self.idf_ = np.log((1 + n_docs) / (1 + document_frequency)) + 1.0
-        return self
+        return self.weight(counts)
 
-    def transform(self, texts: list[str]) -> np.ndarray:
+    def weight(self, counts: np.ndarray) -> np.ndarray:
+        """Turn a count matrix over :attr:`counter`'s vocabulary into its
+        TF-IDF matrix, in place, and return it: a caller that still needs
+        the counts reads them first, and no second matrix is held."""
         if self.idf_ is None:
             raise MLError("vectorizer is not fitted")
-        weighted = self._counts.transform(texts) * self.idf_
-        norms = np.linalg.norm(weighted, axis=1, keepdims=True)
+        counts *= self.idf_
+        norms = np.linalg.norm(counts, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        return weighted / norms
+        counts /= norms
+        return counts
+
+    def transform(self, texts: list[str]) -> np.ndarray:
+        return self.weight(self.counter.transform(texts))
 
     def fit_transform(self, texts: list[str]) -> np.ndarray:
-        return self.fit(texts).transform(texts)
+        return self.fit_weights(self.counter.fit_transform(texts))
 
 
 class HashingVectorizer:
@@ -162,8 +204,8 @@ class HashingVectorizer:
 
     def transform(self, texts: list[str]) -> np.ndarray:
         matrix = np.zeros((len(texts), self.n_features), dtype=np.float64)
-        for row, text in enumerate(texts):
-            for term, count in Counter(tokenize(text)).items():
+        for row, counts in enumerate(count_terms(texts)):
+            for term, count in counts.items():
                 bucket, sign = self._bucket(term)
                 matrix[row, bucket] += sign * count
         if self.normalize:

@@ -76,4 +76,4 @@ def test_cached_proofs_still_verify(txs):
         proof = block.prove_inclusion(tx.tx_id)
         assert proof.verify(block.merkle_root)
         assert proof.index == index
-        assert proof.leaf == tx.tx_id
+        assert proof.leaf == tx.merkle_leaf

@@ -262,7 +262,7 @@ def pool():
     write — failed→valid and valid→failed duplicates)."""
     import random
 
-    from repro.chain.transaction import Endorsement, Transaction, rwset_digest
+    from repro.chain.transaction import Endorsement, Transaction, endorsed_digest
     from repro.crypto import KeyPair
 
     client, endorser = (KeyPair.generate(random.Random(seed)) for seed in (1, 2))
@@ -271,10 +271,11 @@ def pool():
     for nonce, read_set in enumerate(read_sets):
         write_set = {_KEYS[nonce % 2]: nonce}
         tx = Transaction.create(client, "counter", "increment", {"n": nonce}, nonce=nonce)
+        events = ({"kind": "wrote", "n": nonce},)
         endorsement = Endorsement.create(
-            endorser, "peer-0", tx.tx_id, rwset_digest(read_set, write_set))
+            endorser, "peer-0", tx.tx_id, endorsed_digest(read_set, write_set, events, nonce))
         txs.append(tx.with_execution(
-            read_set=read_set, write_set=write_set, events=({"kind": "wrote", "n": nonce},),
+            read_set=read_set, write_set=write_set, events=events,
             return_value=nonce, endorsements=(endorsement,)))
     return txs
 

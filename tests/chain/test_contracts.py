@@ -8,7 +8,7 @@ from repro.chain import Contract, ContractRegistry, EndorsementPolicy, contract_
 from repro.chain.contracts import check_endorsements
 from repro.chain.contracts.runtime import GasSchedule
 from repro.chain.state import WorldState
-from repro.chain.transaction import Endorsement, Transaction, rwset_digest
+from repro.chain.transaction import Endorsement, Transaction, endorsed_digest
 from repro.crypto import KeyPair
 from repro.errors import ContractError, EndorsementError
 
@@ -185,7 +185,7 @@ def _endorsed_tx(n_endorsers=2, digest_override=None):
     endorsements = []
     for index in range(n_endorsers):
         peer_key = KeyPair.generate(rng)
-        digest = digest_override or tx.rwset_digest
+        digest = digest_override or tx.endorsed_digest
         endorsements.append(Endorsement.create(peer_key, f"peer-{index}", tx.tx_id, digest))
     import dataclasses
 
@@ -204,7 +204,7 @@ def test_policy_insufficient_endorsements():
 
 
 def test_policy_divergent_digest_rejected():
-    tx = _endorsed_tx(1, digest_override=rwset_digest({"x": 0}, {}))
+    tx = _endorsed_tx(1, digest_override=endorsed_digest({"x": 0}, {}, (), 1))
     with pytest.raises(EndorsementError):
         check_endorsements(tx, EndorsementPolicy(required=1))
 

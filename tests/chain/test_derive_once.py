@@ -1,10 +1,10 @@
 """An immutable chain object derives its bytes once — and only its own.
 
 ``Transaction`` remembers its signing payload (``signature_item``), its
-``rwset_digest`` and its wire size; ``Block`` its wire size; the store
+``endorsed_digest`` and its wire size; ``Block`` its wire size; the store
 codec the canonical bytes of the blocks it encoded last.  Each memo sits
 in front of the one existing implementation (``_proposal_payload``,
-``rwset_digest``, ``estimate_payload_size``, ``encode_obj``), so these
+``endorsed_digest``, ``estimate_payload_size``, ``encode_obj``), so these
 tests check two things: the derivation really happens once (a counting
 monkeypatch in the style of ``test_block_merkle_cache.py``; 17 runs per
 transaction before the memo), and nothing observable changed — a
@@ -39,7 +39,7 @@ from repro.chain.contracts.endorsement import EndorsementPolicy, check_endorseme
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
 from repro.chain.store.codec import block_to_obj, decode_record, encode_obj, encode_record
-from repro.chain.transaction import Endorsement, Transaction, rwset_digest
+from repro.chain.transaction import Endorsement, Transaction, endorsed_digest
 from repro.crypto import KeyPair
 from repro.errors import EndorsementError
 from repro.simnet import UniformLatency, estimate_payload_size
@@ -54,9 +54,9 @@ def _endorsed(nonce, args=None, read_set=None, write_set=None, events=()):
     read_set = {} if read_set is None else read_set
     write_set = {"count": nonce} if write_set is None else write_set
     tx = Transaction.create(CLIENT, "counter", "increment", args or {"amount": nonce}, nonce=nonce)
-    digest = rwset_digest(read_set, write_set)
+    digest = endorsed_digest(read_set, write_set, events, True)
     endorsement = Endorsement.create(ENDORSER, "peer-0", tx.tx_id, digest)
-    return tx.with_execution(read_set, write_set, events, nonce, (endorsement,), digest=digest)
+    return tx.with_execution(read_set, write_set, events, True, (endorsement,), digest=digest)
 
 
 def _fresh(tx):
@@ -67,7 +67,7 @@ def _fresh(tx):
 def _warm(tx):
     tx.signature_item()
     tx.wire_size()
-    assert tx.rwset_digest
+    assert tx.endorsed_digest
     return tx
 
 
@@ -99,7 +99,7 @@ def _count_calls(monkeypatch, name, *modules):
 
 def test_payload_and_rwset_are_derived_once_from_create_to_commit_on_four_peers(monkeypatch):
     built = _count_calls(monkeypatch, "_proposal_payload", transaction_module)
-    hashed = _count_calls(monkeypatch, "rwset_digest", transaction_module, peer_module)
+    hashed = _count_calls(monkeypatch, "endorsed_digest", transaction_module, peer_module)
     net = BlockchainNetwork(n_peers=4, consensus="pbft", block_interval=0.2,
                             latency=UniformLatency(0.01, 0.03), seed=3)
     net.install_contract(CounterContract)
@@ -116,7 +116,7 @@ def test_payload_and_rwset_are_derived_once_from_create_to_commit_on_four_peers(
 
 def test_rwset_is_hashed_once_per_endorsed_transaction(monkeypatch):
     tx = _endorsed(1)
-    hashed = _count_calls(monkeypatch, "rwset_digest", transaction_module)
+    hashed = _count_calls(monkeypatch, "endorsed_digest", transaction_module)
     check_endorsements(tx, POLICY)
     check_endorsements(tx, POLICY)
     assert sum(hashed) == 0  # with_execution was handed the endorser's digest
@@ -137,16 +137,17 @@ def test_tampered_copies_are_judged_on_their_own_fields():
         replace(tx, write_set={"count": 1_000_000}),
         replace(tx, signature_hex=other.signature_hex),
         replace(tx, public_key_hex="not hex"),
-        # An endorsement of the same rw-set, signed for another transaction.
+        # An endorsement of the same execution, signed for another transaction.
         replace(tx, endorsements=other.endorsements),
     ]
     for copy in tampered:
-        assert not {"_signature_item", "_rwset_digest", "_wire_size"} & set(vars(copy))
+        assert not {"_signature_item", "_endorsed_digest", "_merkle_leaf", "_wire_size"} & set(
+            vars(copy))
     short = tx.tx_id[:12]
     assert _verdicts(tampered) == [
         (False, f"bad signature on tx {short}"),
-        (False, f"tx {short}: endorser peer-0 signed a different rw-set "
-                "(non-deterministic execution?)"),
+        (False, f"tx {short}: endorser peer-0 signed a different execution "
+                "(non-deterministic or edited after endorsement?)"),
         (False, f"bad signature on tx {short}"),
         (False, f"bad signature on tx {short}"),
         (False, f"tx {short}: bad endorsement signature from peer-0"),
@@ -162,7 +163,7 @@ def test_decoded_record_rederives_everything():
     for original, copy in zip(txs, decoded.transactions):
         assert copy == original and not any(name.startswith("_") for name in vars(copy))
         assert copy.signature_item() == original.signature_item()
-        assert copy.rwset_digest == original.rwset_digest
+        assert copy.endorsed_digest == original.endorsed_digest
     assert _verdicts(list(decoded.transactions)) == [(True, None), (True, None)]
     # Bytes changed on disk decode to a transaction that fails on its own fields.
     obj = block_to_obj(block)
@@ -200,7 +201,7 @@ def test_warm_and_fresh_equal_objects_agree(args, read_set, write_set, tamper):
             endorsed = None
         except EndorsementError as exc:
             endorsed = str(exc)
-        return (candidate.signature_item(), candidate.rwset_digest,
+        return (candidate.signature_item(), candidate.endorsed_digest,
                 candidate.verify_signature(), endorsed, estimate_payload_size(candidate))
 
     first = outcomes(tx)

@@ -24,7 +24,7 @@ from repro.chain.block import Block
 from repro.chain.mempool import Mempool
 from repro.chain.peer import Admission
 from repro.chain.store.codec import decode_record, encode_record
-from repro.chain.transaction import Endorsement, Transaction, create_group, rwset_digest
+from repro.chain.transaction import Endorsement, Transaction, create_group, endorsed_digest
 from repro.crypto import KeyPair
 from repro.errors import ChainError, ContractError
 from repro.simnet import FailureSchedule, FixedLatency, UniformLatency
@@ -522,11 +522,10 @@ def test_an_ungrouped_transaction_has_the_bytes_it_had_before_groups():
         {"article_id": "a-1", "parents": ["p"], "degree": 0.25}, nonce=7, timestamp=1.5)
     read_set = {"scnode:a-1": -1, "id:x": 3}
     write_set = {"scnode:a-1": {"author": "x", "parents": ["p"]}}
+    events = ({"kind": "supply-node-recorded", "article_id": "a-1"},)
     endorsement = Endorsement.create(
-        endorser, "peer-0", tx.tx_id, rwset_digest(read_set, write_set))
-    tx = tx.with_execution(
-        read_set, write_set, ({"kind": "supply-node-recorded", "article_id": "a-1"},),
-        {"ok": True}, (endorsement,))
+        endorser, "peer-0", tx.tx_id, endorsed_digest(read_set, write_set, events, {"ok": True}))
+    tx = tx.with_execution(read_set, write_set, events, {"ok": True}, (endorsement,))
     block = Block.build(1, "ab" * 32, 2.0, "peer-0", [tx])
     record = encode_record(block, [True], [None], None)
     golden = "c38888eb12973eee233efa7cedb7780d2ea3d8077da017b45fb0509d2ff2c925"
@@ -535,8 +534,11 @@ def test_an_ungrouped_transaction_has_the_bytes_it_had_before_groups():
     assert tx.signature_hex[:32] == "195050126e40456e8d4b301d62730f41"
     assert (tx.wire_size(), estimate_payload_size(tx), estimate_payload_size(block)) == (
         (731, 45), 731, 945)
+    # The record's hash moved once, when a block's Merkle leaf became the
+    # endorsed transaction (digest over reads, writes, events and return
+    # value); its length did not.
     assert (len(record), hashlib.sha256(record).hexdigest()) == (
-        1389, "710cd297e23e82ff9cd536d3ffd5e2e96a1493effca9d95cea9a05f3e41e5cbf")
+        1389, "4b627a22a1043c44ae944e19fd0f45e70ca26cfc3619e7fead7beecc8ce87653")
     assert b"group" not in record
     # A member's tag is in its signed bytes and survives the WAL, as a tuple.
     member = _signed_group(2, "g")[1]

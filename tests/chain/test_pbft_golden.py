@@ -35,91 +35,91 @@ def fingerprint(network: BlockchainNetwork) -> tuple:
 CHAOS_GOLDEN: dict[int, tuple] = {
     0: (
         (
-            (10, "f8fe8862480f5fe80a22a1e5f5593c43f002bea764e1c07300e74c30f725d85c", 0),
-            (10, "f8fe8862480f5fe80a22a1e5f5593c43f002bea764e1c07300e74c30f725d85c", 0),
-            (10, "f8fe8862480f5fe80a22a1e5f5593c43f002bea764e1c07300e74c30f725d85c", 0),
-            (10, "f8fe8862480f5fe80a22a1e5f5593c43f002bea764e1c07300e74c30f725d85c", 0),
+            (10, "5e33cc0d4480f3ed6b76a49c16f5c5208ef74afbe91486627a5756d18d4ecdbc", 0),
+            (10, "5e33cc0d4480f3ed6b76a49c16f5c5208ef74afbe91486627a5756d18d4ecdbc", 0),
+            (10, "5e33cc0d4480f3ed6b76a49c16f5c5208ef74afbe91486627a5756d18d4ecdbc", 0),
+            (10, "5e33cc0d4480f3ed6b76a49c16f5c5208ef74afbe91486627a5756d18d4ecdbc", 0),
         ),
         (1552, 382468, 0, 0, 0),
     ),
     1: (
         (
-            (6, "be9d3f514d721a6020439f152cead5e6f1bc7056a033c4f3ef9d17043d0ce8eb", 0),
-            (6, "be9d3f514d721a6020439f152cead5e6f1bc7056a033c4f3ef9d17043d0ce8eb", 0),
-            (6, "be9d3f514d721a6020439f152cead5e6f1bc7056a033c4f3ef9d17043d0ce8eb", 0),
-            (6, "be9d3f514d721a6020439f152cead5e6f1bc7056a033c4f3ef9d17043d0ce8eb", 0),
+            (6, "2b0072dc7744451e8fca9963da38e0562f6f6865e326f5f52cd6a19f2a25f297", 0),
+            (6, "2b0072dc7744451e8fca9963da38e0562f6f6865e326f5f52cd6a19f2a25f297", 0),
+            (6, "2b0072dc7744451e8fca9963da38e0562f6f6865e326f5f52cd6a19f2a25f297", 0),
+            (6, "2b0072dc7744451e8fca9963da38e0562f6f6865e326f5f52cd6a19f2a25f297", 0),
         ),
         (1548, 359621, 0, 0, 0),
     ),
     2: (
         (
-            (11, "b191fe25f47670802125da00cc2c273c85ab395ebea0b64677aeea8b378fa6d6", 2),
-            (11, "b191fe25f47670802125da00cc2c273c85ab395ebea0b64677aeea8b378fa6d6", 2),
-            (11, "b191fe25f47670802125da00cc2c273c85ab395ebea0b64677aeea8b378fa6d6", 2),
-            (11, "b191fe25f47670802125da00cc2c273c85ab395ebea0b64677aeea8b378fa6d6", 2),
+            (11, "2ccf3ce06d5e95a1d3e468895f453c47d8c7b658f0bdbfc617f4ec89d57bf4d0", 2),
+            (11, "2ccf3ce06d5e95a1d3e468895f453c47d8c7b658f0bdbfc617f4ec89d57bf4d0", 2),
+            (11, "2ccf3ce06d5e95a1d3e468895f453c47d8c7b658f0bdbfc617f4ec89d57bf4d0", 2),
+            (11, "2ccf3ce06d5e95a1d3e468895f453c47d8c7b658f0bdbfc617f4ec89d57bf4d0", 2),
         ),
         (6249, 1195514, 8, 0, 0),
     ),
     3: (
         (
-            (10, "5b341803fd24272e043b4fddcc166dc6ece5c6b04cbe4a88ad675600451b2f59", 1),
-            (10, "5b341803fd24272e043b4fddcc166dc6ece5c6b04cbe4a88ad675600451b2f59", 1),
-            (10, "5b341803fd24272e043b4fddcc166dc6ece5c6b04cbe4a88ad675600451b2f59", 1),
-            (10, "5b341803fd24272e043b4fddcc166dc6ece5c6b04cbe4a88ad675600451b2f59", 1),
+            (10, "c87cc3ad4758c9cc3f3b27211e76ca035447192c2e167a5059ec66e6986b8a7d", 1),
+            (10, "c87cc3ad4758c9cc3f3b27211e76ca035447192c2e167a5059ec66e6986b8a7d", 1),
+            (10, "c87cc3ad4758c9cc3f3b27211e76ca035447192c2e167a5059ec66e6986b8a7d", 1),
+            (10, "c87cc3ad4758c9cc3f3b27211e76ca035447192c2e167a5059ec66e6986b8a7d", 1),
         ),
         (1360, 350618, 4, 0, 0),
     ),
     4: (
         (
-            (7, "9c8711a832ea1adf60e1868ce07bf226729879b7873ee65abaf0bfc0007bd501", 0),
-            (7, "9c8711a832ea1adf60e1868ce07bf226729879b7873ee65abaf0bfc0007bd501", 1),
-            (7, "9c8711a832ea1adf60e1868ce07bf226729879b7873ee65abaf0bfc0007bd501", 1),
-            (7, "9c8711a832ea1adf60e1868ce07bf226729879b7873ee65abaf0bfc0007bd501", 1),
+            (7, "0f2f22415d98091908bac62ae8b4b19e7be5719a4f7ebe7aa64efb215724774f", 0),
+            (7, "0f2f22415d98091908bac62ae8b4b19e7be5719a4f7ebe7aa64efb215724774f", 1),
+            (7, "0f2f22415d98091908bac62ae8b4b19e7be5719a4f7ebe7aa64efb215724774f", 1),
+            (7, "0f2f22415d98091908bac62ae8b4b19e7be5719a4f7ebe7aa64efb215724774f", 1),
         ),
         (1298, 363210, 3, 0, 0),
     ),
     5: (
         (
-            (5, "d54355b4d495df62356c760dca94ebdd1bb1ddc0d1af12cf1d3645913fca6ad4", 10),
-            (5, "d54355b4d495df62356c760dca94ebdd1bb1ddc0d1af12cf1d3645913fca6ad4", 10),
-            (5, "d54355b4d495df62356c760dca94ebdd1bb1ddc0d1af12cf1d3645913fca6ad4", 10),
-            (5, "d54355b4d495df62356c760dca94ebdd1bb1ddc0d1af12cf1d3645913fca6ad4", 10),
+            (5, "5858669f31d7a4326628054e16f9b5a74572a4b2bb2d4200041c99e0b990edbf", 10),
+            (5, "5858669f31d7a4326628054e16f9b5a74572a4b2bb2d4200041c99e0b990edbf", 10),
+            (5, "5858669f31d7a4326628054e16f9b5a74572a4b2bb2d4200041c99e0b990edbf", 10),
+            (5, "5858669f31d7a4326628054e16f9b5a74572a4b2bb2d4200041c99e0b990edbf", 10),
         ),
         (1703, 421765, 38, 1, 0),
     ),
     6: (
         (
-            (6, "8a551c6d63a7a761e24337ac251951c32dd69fdf749152fac8dfb01f517d7ce8", 2),
-            (6, "8a551c6d63a7a761e24337ac251951c32dd69fdf749152fac8dfb01f517d7ce8", 2),
-            (6, "8a551c6d63a7a761e24337ac251951c32dd69fdf749152fac8dfb01f517d7ce8", 2),
-            (6, "8a551c6d63a7a761e24337ac251951c32dd69fdf749152fac8dfb01f517d7ce8", 2),
+            (6, "8d3e6031ea31651ba01054475d575971cf1b44e1b0d62585259d9d8adf0c70a2", 2),
+            (6, "8d3e6031ea31651ba01054475d575971cf1b44e1b0d62585259d9d8adf0c70a2", 2),
+            (6, "8d3e6031ea31651ba01054475d575971cf1b44e1b0d62585259d9d8adf0c70a2", 2),
+            (6, "8d3e6031ea31651ba01054475d575971cf1b44e1b0d62585259d9d8adf0c70a2", 2),
         ),
         (1922, 452730, 8, 1, 0),
     ),
     7: (
         (
-            (10, "57e13e5554884ded3d52c636de811baad59f259ce4c2a95610135792ff439c9b", 2),
-            (10, "57e13e5554884ded3d52c636de811baad59f259ce4c2a95610135792ff439c9b", 2),
-            (10, "57e13e5554884ded3d52c636de811baad59f259ce4c2a95610135792ff439c9b", 2),
-            (10, "57e13e5554884ded3d52c636de811baad59f259ce4c2a95610135792ff439c9b", 2),
+            (10, "e03014aa0357b12792822c7a668ef2aeb9d3bc9c58b281511c7be0698e13bace", 2),
+            (10, "e03014aa0357b12792822c7a668ef2aeb9d3bc9c58b281511c7be0698e13bace", 2),
+            (10, "e03014aa0357b12792822c7a668ef2aeb9d3bc9c58b281511c7be0698e13bace", 2),
+            (10, "e03014aa0357b12792822c7a668ef2aeb9d3bc9c58b281511c7be0698e13bace", 2),
         ),
         (4941, 996221, 7, 1, 1),
     ),
     8: (
         (
-            (8, "60c46e37d2a9c331d15217161040c31ab7de8e6b1e78ec4e3816698ed789b0c1", 2),
-            (8, "60c46e37d2a9c331d15217161040c31ab7de8e6b1e78ec4e3816698ed789b0c1", 2),
-            (8, "60c46e37d2a9c331d15217161040c31ab7de8e6b1e78ec4e3816698ed789b0c1", 2),
-            (8, "60c46e37d2a9c331d15217161040c31ab7de8e6b1e78ec4e3816698ed789b0c1", 2),
+            (8, "7794542955aa08a61f571fbcc6544f36901072ee707c601ad6283c881c7af3fb", 2),
+            (8, "7794542955aa08a61f571fbcc6544f36901072ee707c601ad6283c881c7af3fb", 2),
+            (8, "7794542955aa08a61f571fbcc6544f36901072ee707c601ad6283c881c7af3fb", 2),
+            (8, "7794542955aa08a61f571fbcc6544f36901072ee707c601ad6283c881c7af3fb", 2),
         ),
         (5442, 1080221, 7, 1, 1),
     ),
     9: (
         (
-            (9, "cc365e81b502753a5521ea90a8b96d8f888f31fc505109af03b49bde36775899", 0),
-            (9, "cc365e81b502753a5521ea90a8b96d8f888f31fc505109af03b49bde36775899", 0),
-            (9, "cc365e81b502753a5521ea90a8b96d8f888f31fc505109af03b49bde36775899", 0),
-            (9, "cc365e81b502753a5521ea90a8b96d8f888f31fc505109af03b49bde36775899", 0),
+            (9, "051a5f77c0ae5945f9d6fd4da5e4fb136969207443c344080af3c0570a524757", 0),
+            (9, "051a5f77c0ae5945f9d6fd4da5e4fb136969207443c344080af3c0570a524757", 0),
+            (9, "051a5f77c0ae5945f9d6fd4da5e4fb136969207443c344080af3c0570a524757", 0),
+            (9, "051a5f77c0ae5945f9d6fd4da5e4fb136969207443c344080af3c0570a524757", 0),
         ),
         (1486, 367564, 0, 0, 0),
     ),
@@ -128,28 +128,28 @@ CHAOS_GOLDEN: dict[int, tuple] = {
 GOLDEN: dict[str, tuple] = {
     "byzantine-primary": (
         (
-            (12, "5a909aa878a9b34ed472ee6fec2b3db6617e10e8f9040b0940adf86428b781fb", 1),
-            (12, "5a909aa878a9b34ed472ee6fec2b3db6617e10e8f9040b0940adf86428b781fb", 1),
-            (12, "5a909aa878a9b34ed472ee6fec2b3db6617e10e8f9040b0940adf86428b781fb", 1),
-            (12, "5a909aa878a9b34ed472ee6fec2b3db6617e10e8f9040b0940adf86428b781fb", 1),
+            (12, "16e345977fc7139e07d90b6a2e7a687cc101e7ed0afaa08643691d43b07c1d45", 1),
+            (12, "16e345977fc7139e07d90b6a2e7a687cc101e7ed0afaa08643691d43b07c1d45", 1),
+            (12, "16e345977fc7139e07d90b6a2e7a687cc101e7ed0afaa08643691d43b07c1d45", 1),
+            (12, "16e345977fc7139e07d90b6a2e7a687cc101e7ed0afaa08643691d43b07c1d45", 1),
         ),
         (645, 252060, 4, 0, 0),
     ),
     "quiet-depth-1": (
         (
-            (12, "08f36a8542ba102918034c5b55c9623fc4c61b8aed90e33a3b56af8ced90d3c8", 0),
-            (12, "08f36a8542ba102918034c5b55c9623fc4c61b8aed90e33a3b56af8ced90d3c8", 0),
-            (12, "08f36a8542ba102918034c5b55c9623fc4c61b8aed90e33a3b56af8ced90d3c8", 0),
-            (12, "08f36a8542ba102918034c5b55c9623fc4c61b8aed90e33a3b56af8ced90d3c8", 0),
+            (12, "e38223534e9fb5579c33c339d5ee649c46bc5b5234a12405a77136bf970f54ac", 0),
+            (12, "e38223534e9fb5579c33c339d5ee649c46bc5b5234a12405a77136bf970f54ac", 0),
+            (12, "e38223534e9fb5579c33c339d5ee649c46bc5b5234a12405a77136bf970f54ac", 0),
+            (12, "e38223534e9fb5579c33c339d5ee649c46bc5b5234a12405a77136bf970f54ac", 0),
         ),
         (612, 229068, 0, 0, 0),
     ),
     "quiet-depth-4": (
         (
-            (12, "20b245130fea95ef38acb8f71b8e301cc363f43ecbf5368dd6828b2c512a872a", 0),
-            (12, "20b245130fea95ef38acb8f71b8e301cc363f43ecbf5368dd6828b2c512a872a", 0),
-            (12, "20b245130fea95ef38acb8f71b8e301cc363f43ecbf5368dd6828b2c512a872a", 0),
-            (12, "20b245130fea95ef38acb8f71b8e301cc363f43ecbf5368dd6828b2c512a872a", 0),
+            (12, "bfe0a035af08f8a4b66dc1a83e9c134ac5a8eaf3eb39d8535f1d35706f7d2fca", 0),
+            (12, "bfe0a035af08f8a4b66dc1a83e9c134ac5a8eaf3eb39d8535f1d35706f7d2fca", 0),
+            (12, "bfe0a035af08f8a4b66dc1a83e9c134ac5a8eaf3eb39d8535f1d35706f7d2fca", 0),
+            (12, "bfe0a035af08f8a4b66dc1a83e9c134ac5a8eaf3eb39d8535f1d35706f7d2fca", 0),
         ),
         (612, 229068, 0, 0, 0),
     ),

@@ -14,6 +14,10 @@ must catch up with four PBFT validators (n = 4, f = 1):
   request sent to someone else with the fork under that request's id (a
   spoof), and signs "applied" statements for the honest block *and* the
   fork block at every height, handed over whenever the explorer likes.
+  Its other lie is the honest chain's headers over other bodies (every
+  block holds one transaction, whose write set it rewrites): the honest
+  validators' statements certify those hashes, so only the block's own
+  structure check can refuse the bodies.
 
 Every statement is really signed and the certificate verdict is the real
 engine rule (:meth:`~repro.chain.consensus.pbft.PBFTEngine.verify_synced_block`
@@ -43,7 +47,8 @@ box); ``make chaos`` runs ``failures=3`` (130 662 states, about 30 s and
 
 Checked in every state:
 
-- **fork** — every applied block is the honest block at its height;
+- **fork** — every applied block is the honest block at its height,
+  header and body;
 - **certificate** — every :class:`Apply` carries a proof the engine rule
   accepts;
 - **blame** — a rejected batch never costs an honest provider its claim;
@@ -61,7 +66,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -69,22 +74,36 @@ from repro.chain.block import Block, make_genesis_block
 from repro.chain.consensus.pbft import PBFTEngine
 from repro.chain.sync import statement_message
 from repro.chain.sync_core import Apply, Closed, Forget, Schedule, Statement, SyncCore
+from repro.chain.transaction import Transaction
 from repro.crypto.keys import KeyPair, verify_signature
 
 VALIDATORS = ("v0", "v1", "v2", "v3")
 HONEST, LIAR, NODE = ("v0", "v1", "v2"), "v3", "lag"
 F = 1
 GENESIS = make_genesis_block()
+CLIENT = KeyPair.generate(random.Random("explore:client"))
+
+
+def _transaction(height: int) -> Transaction:
+    tx = Transaction.create(CLIENT, "counter", "increment", {"amount": height}, nonce=height)
+    return tx.with_execution({"count": height - 1}, {"count": height}, (), height, ())
 
 
 def _chain(length: int, proposer: str) -> list[Block]:
     chain = [GENESIS]
     for height in range(1, length + 1):
-        chain.append(Block.build(height, chain[-1].block_hash, float(height), proposer, []))
+        chain.append(Block.build(height, chain[-1].block_hash, float(height), proposer,
+                                 [_transaction(height)]))
     return chain
 
 
 HONEST_CHAIN, FORK = _chain(2, "v0"), _chain(3, LIAR)
+#: The honest headers over rewritten bodies: the same hashes, other writes.
+SWAPPED = [GENESIS] + [
+    replace(block, transactions=tuple(replace(tx, write_set={"count": 1000})
+                                      for tx in block.transactions))
+    for block in HONEST_CHAIN[1:]
+]
 TIP = HONEST_CHAIN[-1]
 KEYS = {v: KeyPair.generate(random.Random(f"explore:{v}")) for v in VALIDATORS}
 _SIGNED: dict[tuple[str, int, str], str] = {}
@@ -165,8 +184,8 @@ class Explorer:
     """Breadth-first search over the delivery orders of the scenario."""
 
     def __init__(self, bound: Bound, certified=CERTIFIED, core_type: type = SyncCore,
-                 certificates: bool = True):
-        self.bound, self.certificates = bound, certificates
+                 certificates: bool = True, lie: list[Block] = FORK):
+        self.bound, self.certificates, self.lie = bound, certificates, lie
         core = core_type(NODE, list(VALIDATORS), 3, GENESIS, certified)
         self.initial = _State(core, frozenset())
         self.states = 0
@@ -187,11 +206,11 @@ class Explorer:
         if tip is not None and tip <= TIP.height:
             events += [("vouch", v, HONEST_CHAIN[tip]) for v in HONEST]
         if not honest_only:
-            events.append(("announce", LIAR, FORK[-1]))
+            events.append(("announce", LIAR, self.lie[-1]))
             if open_request:
                 events.append(("response", LIAR))  # its own, or a spoof of another's
             if tip is not None:
-                events += [("vouch", LIAR, chain[tip]) for chain in (HONEST_CHAIN, FORK)
+                events += [("vouch", LIAR, chain[tip]) for chain in (HONEST_CHAIN, self.lie)
                            if tip < len(chain)]
         for kind in ("reask", "timeout", "retry"):
             if kind in state.live and (
@@ -208,7 +227,7 @@ class Explorer:
             effects = core.statement(event[1], statement, announced=kind == "announce")
         elif kind == "response":
             # The head has not moved since the request: it is still open.
-            chain = FORK if event[1] == LIAR else HONEST_CHAIN
+            chain = self.lie if event[1] == LIAR else HONEST_CHAIN
             effects = core.response(event[1], core.request, len(chain) - 1,
                                     chain[core.head.height + 1:])
         else:  # ("fire", kind): the live timer of that kind
@@ -240,7 +259,7 @@ class Explorer:
         parent = core.head
         for block in effect.batch:
             if block.prev_hash != parent.block_hash or block.height > TIP.height or (
-                    HONEST_CHAIN[block.height].block_hash != block.block_hash):
+                    HONEST_CHAIN[block.height] != block):
                 raise Violation("fork", f"applied {block.block_hash[:12]} at {block.height}",
                                 self.states)
             parent = block
@@ -316,6 +335,15 @@ def _explore(bound: Bound, **kwargs) -> Explorer:
 def test_every_delivery_order_is_safe_and_live():
     explorer = _explore(TIER1)
     assert explorer.states > 10_000
+
+
+def test_a_body_swapped_under_certified_hashes_is_never_applied():
+    """The adversary serves the honest headers over rewritten bodies; the
+    honest validators' statements certify those very hashes.  A block
+    hash names one body (its Merkle leaves are the whole transactions),
+    so the swapped batch fails its structure check and is never applied."""
+    assert [b.block_hash for b in SWAPPED] == [b.block_hash for b in HONEST_CHAIN]
+    _explore(TIER1, lie=SWAPPED)
 
 
 @pytest.mark.chaos

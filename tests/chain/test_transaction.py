@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.chain.transaction import Endorsement, Transaction, rwset_digest
+from repro.chain.transaction import Endorsement, Transaction, endorsed_digest
 from repro.crypto import KeyPair
 from repro.errors import InvalidTransactionError
 
@@ -67,7 +67,8 @@ def test_validate_structure_raises_on_bad_signature(tx):
 
 
 def test_with_execution_attaches_rwsets(tx, keypair):
-    endorsement = Endorsement.create(keypair, "peer-0", tx.tx_id, rwset_digest({"k": 1}, {"k": "v"}))
+    digest = endorsed_digest({"k": 1}, {"k": "v"}, ({"kind": "e"},), 42)
+    endorsement = Endorsement.create(keypair, "peer-0", tx.tx_id, digest)
     endorsed = tx.with_execution(
         read_set={"k": 1},
         write_set={"k": "v"},
@@ -79,23 +80,27 @@ def test_with_execution_attaches_rwsets(tx, keypair):
     assert endorsed.write_set == {"k": "v"}
     assert endorsed.return_value == 42
     assert endorsed.tx_id == tx.tx_id  # id covers the proposal only
-    assert endorsed.rwset_digest == rwset_digest({"k": 1}, {"k": "v"})
+    assert endorsed.endorsed_digest == digest
 
 
 def test_endorsement_verify(tx, keypair):
-    digest = rwset_digest({}, {"a": 1})
+    digest = endorsed_digest({}, {"a": 1}, (), None)
     endorsement = Endorsement.create(keypair, "peer-0", tx.tx_id, digest)
     assert endorsement.verify(tx.tx_id)
     assert not endorsement.verify("deadbeef" * 8)
 
 
 def test_endorsement_bad_signature_rejected(tx, keypair):
-    digest = rwset_digest({}, {})
+    digest = endorsed_digest({}, {}, (), None)
     endorsement = Endorsement.create(keypair, "peer-0", tx.tx_id, digest)
     forged = dataclasses.replace(endorsement, signature_hex="11" * 64)
     assert not forged.verify(tx.tx_id)
 
 
 def test_rwset_digest_sensitive_to_content():
-    assert rwset_digest({"a": 1}, {}) != rwset_digest({"a": 2}, {})
-    assert rwset_digest({}, {"k": "x"}) != rwset_digest({}, {"k": "y"})
+    assert endorsed_digest({"a": 1}, {}, (), None) != endorsed_digest({"a": 2}, {}, (), None)
+    assert endorsed_digest({}, {"k": "x"}, (), None) != endorsed_digest({}, {"k": "y"}, (), None)
+    # Events and the return value are signed too.
+    assert endorsed_digest({}, {}, ({"amount": 1},), None) != endorsed_digest(
+        {}, {}, ({"amount": 1000},), None)
+    assert endorsed_digest({}, {}, (), 1) != endorsed_digest({}, {}, (), 1000)

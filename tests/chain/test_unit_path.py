@@ -83,13 +83,13 @@ def test_a_unit_of_one_is_an_untagged_transaction_under_its_own_id():
     client = network.client()
     (alone,) = network.endorse_group([(client, "counter", "increment", {"amount": 1})])
     assert alone.group is None and alone.endorsed_id == alone.tx_id
-    # The endorsement signs the member's own rw-set digest, as it always did.
-    assert [e.digest for e in alone.endorsements] == [alone.rwset_digest]
+    # The endorsement signs the member's own endorsed digest.
+    assert [e.digest for e in alone.endorsements] == [alone.endorsed_digest]
     assert alone.endorsements[0].verify(alone.tx_id)
     pair = network.endorse_group([(client, "counter", "increment", {"amount": 1})] * 2)
-    assert pair[0].endorsements[0].digest not in {tx.rwset_digest for tx in pair}
+    assert pair[0].endorsements[0].digest not in {tx.endorsed_digest for tx in pair}
     # Every member starts with the digest its endorser hashed.
-    assert all("_rwset_digest" in vars(tx) for tx in (alone, *pair))
+    assert all("_endorsed_digest" in vars(tx) for tx in (alone, *pair))
 
 
 # -- one gossip kind, and a unit of one costs what the bare transaction did ------

@@ -95,13 +95,16 @@ def article_tuples(platform):
 # Per-article tuples and counters computed on commit 68a3b7a, where the path
 # existed three times.  The ai_score column was process memory there; it is
 # read from the supply-chain record now and holds the same values.  The head
-# hash and the block count were re-pinned twice:
+# hash and the block count were re-pinned twice, and the head hash alone
+# once more:
 # - a publish became one group: two publishes, 2 x 3 fewer blocks, and the
 #   members sign a group tag, so their tx ids moved;
 # - the score went on the chain: every scored record carries ``ai_score``,
 #   so its bytes moved, and a-2's media assessment joined its publish unit,
-#   one block fewer.
-HEAD_HASH = "839313b162707e670407b0d904880b10b3c510e89479e74d6fa738b17e7760d3"
+#   one block fewer;
+# - a block's Merkle leaf became the whole endorsed transaction, so every
+#   block hash moved.
+HEAD_HASH = "48b4137c2dec4b70915a94c05339f1c5fe4884398e198c2348df390b3f7e0f00"
 ARTICLES = {  # article id -> (parents, fact_roots, modification_degree, ai_score)
     "a-1": ((), ("f-0",), 0.0, 0.24),
     "a-2": (("a-1",), ("a-1-fact",), 0.1282051282051282, 0.40625),
