@@ -71,6 +71,7 @@ from repro.core.ranking import ArticleSignals, FactualnessRanker, RankedArticle,
 from repro.core.source_rating import SourceRating, rate_distribution_platform
 from repro.core.supplychain import (
     SupplyChainContract,
+    SupplyChainGraph,
     TraceResult,
     build_supply_chain_graph,
     find_original_author,
@@ -143,6 +144,7 @@ __all__ = [
     "SourceRating",
     "rate_distribution_platform",
     "SupplyChainContract",
+    "SupplyChainGraph",
     "TraceResult",
     "build_supply_chain_graph",
     "find_original_author",

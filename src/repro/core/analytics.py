@@ -11,11 +11,15 @@ same numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.chain.ledger import Ledger
 from repro.core.supplychain import trace_to_factual_root
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+    from repro.core.supplychain import SupplyChainGraph
 
 __all__ = [
     "TopicStatistics",
@@ -51,7 +55,7 @@ class TopicStatistics:
         )
 
 
-def topic_statistics(graph: nx.DiGraph) -> list[TopicStatistics]:
+def topic_statistics(graph: SupplyChainGraph | nx.DiGraph) -> list[TopicStatistics]:
     """Per-topic summaries over the whole supply-chain graph."""
     by_topic: dict[str, list[str]] = {}
     roots_by_topic: dict[str, int] = {}
@@ -96,7 +100,7 @@ class AccountReport:
     descendants: int  # how much downstream sharing the account's work drew
 
 
-def account_report(graph: nx.DiGraph, address: str) -> AccountReport:
+def account_report(graph: SupplyChainGraph | nx.DiGraph, address: str) -> AccountReport:
     """Everything the ledger says about one account's output."""
     own_nodes = [
         node
@@ -124,7 +128,9 @@ def account_report(graph: nx.DiGraph, address: str) -> AccountReport:
     )
 
 
-def propagation_timeline(graph: nx.DiGraph, article_id: str) -> list[tuple[int, int]]:
+def propagation_timeline(
+    graph: SupplyChainGraph | nx.DiGraph, article_id: str
+) -> list[tuple[int, int]]:
     """(block height, cumulative descendant count) for one article.
 
     The "continuously monitoring and recording the effectiveness of the
@@ -133,9 +139,16 @@ def propagation_timeline(graph: nx.DiGraph, article_id: str) -> list[tuple[int, 
     """
     if article_id not in graph:
         return []
-    # Descendants = nodes with a provenance path *to* the article, which
-    # in networkx terms are its ancestors (edges point child -> parent).
-    reachable = nx.ancestors(graph, article_id)
+    # Descendants = nodes with a provenance path *to* the article: walk
+    # the edges backwards (they point child -> parent).
+    reachable: set[str] = set()
+    frontier = [article_id]
+    while frontier:
+        for child in graph.predecessors(frontier.pop()):
+            if child not in reachable:
+                reachable.add(child)
+                frontier.append(child)
+    reachable.discard(article_id)
     heights = sorted(
         graph.nodes[node].get("recorded_at", 0) for node in reachable
     )

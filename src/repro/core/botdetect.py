@@ -22,8 +22,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.social.cascade import ShareEvent
 
 __all__ = ["AccountActivity", "account_activity_features", "detect_bot_rings", "bot_scores"]
@@ -89,6 +87,8 @@ def detect_bot_rings(
     connected components of that filtered graph with at least
     ``min_ring_size`` members.
     """
+    import networkx as nx
+
     forward: Counter[tuple[str, str]] = Counter()
     for event in events:
         if event.source_agent_id != event.agent_id:

@@ -15,11 +15,12 @@ surfaced as the natural carriers of cross-group corrections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
-from networkx.algorithms import community as nx_community
+from typing import TYPE_CHECKING
 
 from repro.social.cascade import ShareEvent
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["interaction_graph", "detect_communities", "find_bridges", "BridgeAccount"]
 
@@ -31,6 +32,8 @@ def interaction_graph(events: list[ShareEvent]) -> nx.Graph:
     pair strengthens their tie, which is what modularity clustering
     keys on.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for event in events:
         a, b = event.source_agent_id, event.agent_id
@@ -49,6 +52,8 @@ def detect_communities(graph: nx.Graph, max_communities: int | None = None) -> d
     Deterministic for a given graph.  Singletons (accounts with no
     interactions) are absent from the result — they belong to no group.
     """
+    from networkx.algorithms import community as nx_community
+
     if graph.number_of_nodes() == 0:
         return {}
     kwargs = {"weight": "weight"}

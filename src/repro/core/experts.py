@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.supplychain import trace_to_factual_root
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+    from repro.core.supplychain import SupplyChainGraph
 
 __all__ = ["ExpertScore", "ExpertFinder"]
 
@@ -34,7 +38,7 @@ class ExpertScore:
 class ExpertFinder:
     """Mines the supply-chain graph for per-topic expertise."""
 
-    def __init__(self, graph: nx.DiGraph, min_articles: int = 2):
+    def __init__(self, graph: SupplyChainGraph | nx.DiGraph, min_articles: int = 2):
         self.graph = graph
         self.min_articles = min_articles
         self._trace_cache: dict[str, float] = {}

@@ -25,6 +25,11 @@ beside the graph and the votes, and the Merkle proof of the record is
 built once when it is folded — no read about a recorded article runs a
 contract.
 
+The graph is a :class:`~repro.core.supplychain.SupplyChainGraph`,
+plain dicts rather than a networkx ``DiGraph``: nothing on the read
+path runs a graph algorithm, so running the platform does not load
+networkx (the analyses that do run one import it where they run it).
+
 What the process keeps that no ledger gives back: the private keys in
 :attr:`~TrustingNewsPlatform.accounts`, the provenance index (it needs
 article texts, which are not on the chain), and the models — text
@@ -37,8 +42,6 @@ from bisect import insort
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Any, Sequence
-
-import networkx as nx
 
 from repro.chain.ledger import Ledger
 from repro.chain.local import LocalChain
@@ -63,6 +66,7 @@ from repro.core.ranking import ArticleSignals, FactualnessRanker, RankedArticle,
 from repro.core.supplychain import (
     FACT_PREFIX,
     SupplyChainContract,
+    SupplyChainGraph,
     TraceResult,
     add_supply_node,
     find_original_author,
@@ -128,7 +132,7 @@ class LedgerView:
     def _forget(self) -> None:
         self.height = 0
         self.head_hash: str | None = None  # None: nothing folded yet
-        self.graph = nx.DiGraph()
+        self.graph = SupplyChainGraph()
         self.votes: dict[str, list[dict[str, Any]]] = {}
         self.rooms: dict[tuple[str, str], list[str]] = {}
         self.owners: dict[str, str] = {}  # platform name -> owner address
@@ -633,7 +637,7 @@ class TrustingNewsPlatform:
     # -- supply-chain analytics ---------------------------------------------------------------
 
     @property
-    def graph(self) -> nx.DiGraph:
+    def graph(self) -> SupplyChainGraph:
         """The supply-chain graph as of the ledger's head.
 
         The same object from read to read while the ledger only grows

@@ -12,9 +12,9 @@ Two predictors the paper calls for:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-import networkx as nx
+import numpy as np
 
 from repro.corpus.articles import Article
 from repro.errors import MLError
@@ -24,10 +24,15 @@ from repro.ml.vectorize import StandardScaler
 from repro.social.agents import AgentKind, SocialAgent
 from repro.social.cascade import CascadeResult
 
+if TYPE_CHECKING:
+    import networkx as nx
+
+    from repro.core.supplychain import SupplyChainGraph
+
 __all__ = ["author_history_features", "FakeRiskPredictor", "early_cascade_features", "ViralityPredictor"]
 
 
-def author_history_features(graph: nx.DiGraph, author: str) -> list[float]:
+def author_history_features(graph: SupplyChainGraph | nx.DiGraph, author: str) -> list[float]:
     """Ledger-derived author features: volume, mean modification degree,
     untraceable share.  A brand-new account (no history) reports the
     priors (0 volume, 0.5 / 0.5) — itself a risk signal."""
@@ -57,14 +62,18 @@ class FakeRiskPredictor:
         self._model = LogisticRegression(learning_rate=learning_rate, n_iterations=n_iterations)
         self._fitted = False
 
-    def _matrix(self, articles: list[Article], graph: nx.DiGraph) -> np.ndarray:
+    def _matrix(
+        self, articles: list[Article], graph: SupplyChainGraph | nx.DiGraph
+    ) -> np.ndarray:
         content = self._stylometric.transform([a.text for a in articles])
         history = np.array(
             [author_history_features(graph, a.author) for a in articles], dtype=np.float64
         )
         return np.hstack([content, history])
 
-    def fit(self, articles: list[Article], graph: nx.DiGraph) -> "FakeRiskPredictor":
+    def fit(
+        self, articles: list[Article], graph: SupplyChainGraph | nx.DiGraph
+    ) -> "FakeRiskPredictor":
         if not articles:
             raise MLError("need training articles")
         X = self._scaler.fit_transform(self._matrix(articles, graph))
@@ -73,7 +82,7 @@ class FakeRiskPredictor:
         self._fitted = True
         return self
 
-    def risk(self, articles: list[Article], graph: nx.DiGraph) -> np.ndarray:
+    def risk(self, articles: list[Article], graph: SupplyChainGraph | nx.DiGraph) -> np.ndarray:
         """P(fake) per article, before any share has happened."""
         if not self._fitted:
             raise MLError("predictor must be fitted first")

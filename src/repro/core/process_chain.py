@@ -13,11 +13,15 @@ open-membership).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.chain.contracts import Contract, ContractContext, contract_method
 from repro.chain.ledger import Ledger
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+    from repro.core.supplychain import SupplyChainGraph
 
 __all__ = ["ProcessSupplyChainContract", "PROCESS_STAGES", "process_chain_graph", "GraphShape", "graph_shape"]
 
@@ -80,6 +84,8 @@ class ProcessSupplyChainContract(Contract):
 
 def process_chain_graph(ledger: Ledger) -> nx.DiGraph:
     """Reconstruct the (linear) stage graph of every batch from events."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     stage_of: dict[str, int] = {}
     for event in ledger.events(contract="process-chain"):
@@ -122,22 +128,32 @@ class GraphShape:
         )
 
 
-def graph_shape(graph: nx.DiGraph) -> GraphShape:
-    """Compute the structural summary of a provenance-style DAG."""
-    if graph.number_of_nodes() == 0:
+def graph_shape(graph: SupplyChainGraph | nx.DiGraph) -> GraphShape:
+    """Compute the structural summary of a provenance-style DAG.
+
+    The depth is networkx's longest path, run on a networkx copy of
+    *graph*'s nodes and edges, so the Fig. 4 graph and the Fig. 3 one are
+    measured by the same code.
+    """
+    import networkx as nx
+
+    dag = nx.DiGraph()
+    dag.add_nodes_from(graph.nodes)
+    dag.add_edges_from(graph.edges())
+    if dag.number_of_nodes() == 0:
         return GraphShape(0, 0, 0, 0, 0.0, 0)
-    in_degrees = [d for _, d in graph.in_degree()]
-    out_degrees = [d for _, d in graph.out_degree()]
+    in_degrees = [d for _, d in dag.in_degree()]
+    out_degrees = [d for _, d in dag.out_degree()]
     # Depth in hops: ignore edge weight attrs (they carry modification
     # degrees, not lengths).
     depth = (
-        int(nx.dag_longest_path_length(graph, weight=None))
-        if nx.is_directed_acyclic_graph(graph)
+        int(nx.dag_longest_path_length(dag, weight=None))
+        if nx.is_directed_acyclic_graph(dag)
         else -1
     )
     return GraphShape(
-        nodes=graph.number_of_nodes(),
-        edges=graph.number_of_edges(),
+        nodes=dag.number_of_nodes(),
+        edges=dag.number_of_edges(),
         max_depth=depth,
         max_fanout=max(in_degrees),
         mean_fanout=sum(in_degrees) / len(in_degrees),

@@ -17,11 +17,15 @@ for not-yet-ratable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.chain.ledger import Ledger
 from repro.core.supplychain import trace_to_factual_root
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+    from repro.core.supplychain import SupplyChainGraph
 
 __all__ = ["SourceRating", "rate_distribution_platform"]
 
@@ -54,7 +58,7 @@ class SourceRating:
 
 
 def rate_distribution_platform(
-    ledger: Ledger, graph: nx.DiGraph, platform_name: str
+    ledger: Ledger, graph: SupplyChainGraph | nx.DiGraph, platform_name: str
 ) -> SourceRating:
     """Compute a platform's rating from its on-ledger record."""
     # Articles that went through this platform's rooms: a draft names its

@@ -10,21 +10,30 @@ paper's central queries —
 - along the best path, how far is it and how much modification
   accumulated?
 - who created the first fake ancestor (accountability)?
+
+The graph is a :class:`SupplyChainGraph`: plain dicts that answer the
+part of networkx's ``DiGraph`` interface these walks use, so a process
+that reads the chain does not load networkx.  The queries still accept
+an ``nx.DiGraph`` built by :func:`add_supply_node`, which is what the
+tests compare against.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.chain.contracts import Contract, ContractContext, contract_method
 from repro.chain.ledger import Ledger
 from repro.core.identity import identity_key
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 __all__ = [
     "SupplyChainContract",
+    "SupplyChainGraph",
     "add_supply_node",
     "build_supply_chain_graph",
     "TraceResult",
@@ -80,6 +89,11 @@ class SupplyChainContract(Contract):
         It enters the record and the event only when given, so an
         unscored record keeps the bytes it has always had.
 
+        Each id appears once in ``parents`` and once in ``fact_roots``:
+        the graph keeps one edge per (child, parent) pair, so a repeated id
+        with two degrees would keep whichever came last, and the same two
+        claims would trace and attribute differently by their order.
+
         An ``article_id`` in the :data:`FACT_PREFIX` namespace is refused:
         the graph names factual roots that way, and a record there would
         take over the root every honest relay of that fact traces to.
@@ -100,6 +114,8 @@ class SupplyChainContract(Contract):
         ] * len(fact_roots)
         ctx.require(len(parent_degrees) == len(parents), "parent_degrees misaligned with parents")
         ctx.require(len(fact_degrees) == len(fact_roots), "fact_degrees misaligned with fact_roots")
+        ctx.require(len(set(parents)) == len(parents), "parents name an article more than once")
+        ctx.require(len(set(fact_roots)) == len(fact_roots), "fact_roots name a fact more than once")
         ctx.require(
             all(0.0 <= d <= 1.0 for d in parent_degrees + fact_degrees),
             "edge degrees must be in [0, 1]",
@@ -185,7 +201,110 @@ class SupplyChainContract(Contract):
         return ctx.get(f"scrank:{article_id}")
 
 
-def add_supply_node(graph: nx.DiGraph, event: dict) -> None:
+class _Nodes(dict):
+    """Node id -> attribute dict, in insertion order; called, it lists the
+    ids, or ``(id, attributes)`` pairs with ``data=True``, as networkx's
+    ``G.nodes`` does."""
+
+    def __call__(self, data: bool = False):
+        return self.items() if data else self.keys()
+
+
+class _Edges:
+    """``G.edges`` of a :class:`SupplyChainGraph`: ``[child, parent]`` is
+    the edge's attributes (``{"weight": degree}``); called, it lists the
+    ``(child, parent)`` pairs, or ``(child, parent, attributes)`` with
+    ``data=True``, in networkx's order (by child, then by edge
+    insertion)."""
+
+    __slots__ = ("_parents",)
+
+    def __init__(self, parents: dict[str, dict[str, float]]) -> None:
+        self._parents = parents
+
+    def __getitem__(self, edge: tuple[str, str]) -> dict[str, float]:
+        child, parent = edge
+        return {"weight": self._parents[child][parent]}
+
+    def __call__(self, data: bool = False) -> list[tuple]:
+        if data:
+            return [(child, parent, {"weight": weight})
+                    for child, parents in self._parents.items()
+                    for parent, weight in parents.items()]
+        return [(child, parent) for child, parents in self._parents.items() for parent in parents]
+
+
+class SupplyChainGraph:
+    """The Fig. 4 graph as plain dicts.
+
+    One attribute dict per node, the child -> parent edges with their
+    weights, and the reverse parent -> child map, all in insertion order
+    (the walks below depend on it).  It answers the networkx ``DiGraph``
+    names this repository calls on the supply chain — ``add_node``,
+    ``add_edge``, ``in``, ``len``, iteration, ``nodes`` (``[n]``,
+    ``.get``, ``(data=True)``), ``edges`` (``[u, v]``, ``(data=True)``),
+    ``successors``, ``predecessors``, ``has_edge``, ``in_degree(n)``,
+    ``out_degree(n)``, ``number_of_nodes`` and ``number_of_edges`` — with
+    networkx's results and order, and nothing else.  An analysis that
+    needs a graph algorithm builds a networkx graph from ``nodes`` and
+    ``edges()`` where it runs it.
+    """
+
+    def __init__(self) -> None:
+        self.nodes = _Nodes()
+        self._parents: dict[str, dict[str, float]] = {}  # child -> {parent: weight}
+        self._children: dict[str, dict[str, None]] = {}  # parent -> children, an ordered set
+        self.edges = _Edges(self._parents)
+
+    def add_node(self, node: str, **attrs: Any) -> None:
+        """Add *node*, or update the attributes of the one already there."""
+        if node not in self.nodes:
+            self.nodes[node], self._parents[node], self._children[node] = {}, {}, {}
+        self.nodes[node].update(attrs)
+
+    def add_edge(self, child: str, parent: str, weight: float) -> None:
+        """Add the edge child -> parent (a missing end becomes a node with
+        no attributes); a second call for the pair replaces its weight."""
+        for node in (child, parent):
+            if node not in self.nodes:
+                self.add_node(node)
+        self._parents[child][parent] = weight
+        self._children[parent][child] = None
+
+    def __contains__(self, node: object) -> bool:
+        return node in self.nodes
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.nodes)
+
+    def successors(self, node: str) -> Iterator[str]:
+        """The parents of *node* (edges point toward provenance)."""
+        return iter(self._parents[node])
+
+    def predecessors(self, node: str) -> Iterator[str]:
+        """The nodes recorded with *node* as a parent or factual root."""
+        return iter(self._children[node])
+
+    def has_edge(self, child: str, parent: str) -> bool:
+        return parent in self._parents.get(child, ())
+
+    def in_degree(self, node: str) -> int:
+        return len(self._children[node])
+
+    def out_degree(self, node: str) -> int:
+        return len(self._parents[node])
+
+    def number_of_nodes(self) -> int:
+        return len(self.nodes)
+
+    def number_of_edges(self) -> int:
+        return sum(map(len, self._parents.values()))
+
+
+def add_supply_node(graph: SupplyChainGraph | nx.DiGraph, event: dict) -> None:
     """Add one ``supply-node-recorded`` event's node and provenance edges
     to *graph* — the only place that does.
 
@@ -222,7 +341,7 @@ def add_supply_node(graph: nx.DiGraph, event: dict) -> None:
         graph.add_edge(article_id, fact_node, weight=degree)
 
 
-def build_supply_chain_graph(ledger: Ledger) -> nx.DiGraph:
+def build_supply_chain_graph(ledger: Ledger) -> SupplyChainGraph:
     """Reconstruct the Fig. 4 graph from committed ledger events.
 
     Nodes are article ids (plus ``fact:<id>`` nodes for factual-database
@@ -240,7 +359,7 @@ def build_supply_chain_graph(ledger: Ledger) -> nx.DiGraph:
     follows and the one an auditor builds from any honest peer's ledger
     are equal node for node, edge for edge, in the same order.
     """
-    graph = nx.DiGraph()
+    graph = SupplyChainGraph()
     for event in ledger.events(contract="supplychain", kind="supply-node-recorded"):
         add_supply_node(graph, event)
     return graph
@@ -266,7 +385,9 @@ class TraceResult:
         return max(0.0, 1.0 - self.cumulative_modification)
 
 
-def trace_to_factual_root(graph: nx.DiGraph, article_id: str) -> TraceResult:
+def trace_to_factual_root(
+    graph: SupplyChainGraph | nx.DiGraph, article_id: str
+) -> TraceResult:
     """Find the minimum-accumulated-modification path to any factual root.
 
     Dijkstra over provenance edges, each weighted by the measured change
@@ -304,7 +425,7 @@ def trace_to_factual_root(graph: nx.DiGraph, article_id: str) -> TraceResult:
 
 
 def find_original_author(
-    graph: nx.DiGraph, article_id: str, copy_epsilon: float = 0.05
+    graph: SupplyChainGraph | nx.DiGraph, article_id: str, copy_epsilon: float = 0.05
 ) -> str | None:
     """Accountability query: who introduced the content this article carries?
 

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable
 
 from repro.corpus.articles import Article
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.lexicon import EMOTIONAL_WORDS, tokenize
 from repro.social.agents import AgentKind, SocialAgent
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "ShareEvent",

@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import networkx as nx
 
 from repro.corpus.articles import Article
 from repro.corpus.generator import CorpusGenerator
@@ -53,6 +52,9 @@ from repro.social.cascade import (
     ShareEvent,
     emotional_appeal,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "KeyedDraws",

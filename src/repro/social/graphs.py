@@ -15,10 +15,12 @@ cover the experiments' needs:
 from __future__ import annotations
 
 import random
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.social.agents import SocialAgent
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "scale_free_follow_graph",
@@ -31,6 +33,8 @@ __all__ = [
 
 def _directed_from_undirected(graph: nx.Graph, rng: random.Random) -> nx.DiGraph:
     """Orient each undirected edge randomly, doubling ~30% to mutual."""
+    import networkx as nx
+
     directed = nx.DiGraph()
     directed.add_nodes_from(graph.nodes())
     for u, v in graph.edges():
@@ -44,6 +48,8 @@ def _directed_from_undirected(graph: nx.Graph, rng: random.Random) -> nx.DiGraph
 
 def scale_free_follow_graph(n_agents: int, attachment: int = 3, seed: int = 0) -> nx.DiGraph:
     """Barabási–Albert preferential attachment, randomly oriented."""
+    import networkx as nx
+
     rng = random.Random(seed)
     base = nx.barabasi_albert_graph(n_agents, attachment, seed=seed)
     return _directed_from_undirected(base, rng)
@@ -53,6 +59,8 @@ def small_world_follow_graph(
     n_agents: int, k_neighbors: int = 6, rewire: float = 0.1, seed: int = 0
 ) -> nx.DiGraph:
     """Watts–Strogatz ring lattice with rewiring, randomly oriented."""
+    import networkx as nx
+
     rng = random.Random(seed)
     base = nx.watts_strogatz_graph(n_agents, k_neighbors, rewire, seed=seed)
     return _directed_from_undirected(base, rng)
@@ -69,6 +77,8 @@ def polarized_follow_graph(
     Node attribute ``community`` is 0 or 1; experiments read it to plant
     polarized validators and to measure cross-community reach.
     """
+    import networkx as nx
+
     half = n_agents // 2
     sizes = [half, n_agents - half]
     base = nx.stochastic_block_model(sizes, [[p_within, p_across], [p_across, p_within]], seed=seed)

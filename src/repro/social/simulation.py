@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.corpus.generator import CorpusGenerator
 from repro.social.agents import SocialAgent, make_population
 from repro.social.cascade import CascadeResult, CascadeRunner
 from repro.social.graphs import bind_agents, scale_free_follow_graph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["RaceOutcome", "RaceSummary", "build_social_world", "run_race", "run_races"]
 

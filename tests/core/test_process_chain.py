@@ -73,3 +73,24 @@ def test_graph_shape_empty():
 
     shape = graph_shape(nx.DiGraph())
     assert shape.nodes == 0 and shape.edges == 0
+
+
+def test_graph_shape_of_the_supply_chain_equals_its_networkx_copy(platform):
+    import networkx as nx
+
+    from repro.corpus import CorpusGenerator
+    from repro.corpus.mutations import relay
+
+    fact = CorpusGenerator(seed=4).factual(topic="politics")
+    platform.seed_fact("f-0", fact.text, "public-record", "politics")
+    platform.register_participant("reporter", role="consumer")
+    for index in range(4):
+        platform.report_external("reporter", f"x-{index}", relay(fact, "r", float(index)).text,
+                                 "politics", f"outlet-{index}")
+    graph = platform.graph
+    copy = nx.DiGraph()
+    copy.add_nodes_from(graph.nodes(data=True))
+    copy.add_edges_from(graph.edges(data=True))
+    shape = graph_shape(graph)
+    assert shape == graph_shape(copy)
+    assert shape.nodes == 5 and shape.max_depth >= 2 and shape.branching_nodes >= 1

@@ -71,6 +71,27 @@ def test_duplicate_article_rejected(chain):
         _record(chain, alice, "a-1")
 
 
+@pytest.mark.parametrize("ids, degrees, repeated", [
+    ("parents", "parent_degrees", ["p", "p"]),
+    ("fact_roots", "fact_degrees", ["f", "f"]),
+])
+def test_a_record_names_each_parent_and_fact_root_once(chain, ids, degrees, repeated):
+    """The graph keeps one edge per pair, so one id twice with two degrees
+    would keep the last: in this order the copy would trace at 0.0 and
+    hand accountability up to ``p``'s author, in the other at 0.9 and
+    keep it with the recorder.  The contract refuses the repeat."""
+    alice = _register(chain, "alice")
+    _record(chain, alice, "p", fact_roots=["f"])
+    args = {"article_id": "c", "content_hash": "h-c", "parents": [], "modification_degree": 0.0,
+            "topic": "politics", "op": "relay", ids: repeated, degrees: [0.9, 0.0]}
+    with pytest.raises(ContractError, match="more than once"):
+        chain.invoke(alice, "supplychain", "record_node", args)
+    assert chain.query("supplychain", "get_node", {"article_id": "c"}) is None
+    args[ids], args[degrees] = repeated[:1], [0.9]
+    chain.invoke(alice, "supplychain", "record_node", args)
+    assert trace_to_factual_root(build_supply_chain_graph(chain.ledger), "c").traceable
+
+
 @pytest.fixture
 def lineage(chain):
     """fact:f-1 <- a-1 (relay, 0.0) <- a-2 (relay 0.0) <- a-3 (distort 0.6) <- a-4 (relay 0.0);

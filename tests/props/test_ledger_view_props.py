@@ -6,15 +6,25 @@ successors in insertion order), each article's votes as the scan over
 every ``vote-cast`` event gives them, its whole audit bundle as the
 contract queries give it, each room as the scan over every
 ``article-published`` event gives it — and nothing handed out is shared
-with the view.
+with the view.  The from-genesis graph is itself checked against a
+networkx ``DiGraph`` fed the same events: the same nodes, edges and
+parent -> child lists in the same order, and the same trace and
+accountable author for every node.
 """
 
 from dataclasses import replace
 
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TrustingNewsPlatform, build_supply_chain_graph
+from repro.core import (
+    TrustingNewsPlatform,
+    build_supply_chain_graph,
+    find_original_author,
+    trace_to_factual_root,
+)
+from repro.core.supplychain import add_supply_node
 from repro.corpus import CorpusGenerator
 from repro.corpus.mutations import relay
 from repro.social.cascade import ShareEvent
@@ -139,6 +149,15 @@ class World:
         oracle = build_supply_chain_graph(ledger)
         assert list(plat.graph.nodes(data=True)) == list(oracle.nodes(data=True))
         assert list(plat.graph.edges(data=True)) == list(oracle.edges(data=True))
+        reference = nx.DiGraph()
+        for event in ledger.events(contract="supplychain", kind="supply-node-recorded"):
+            add_supply_node(reference, event)
+        assert list(oracle.nodes(data=True)) == list(reference.nodes(data=True))
+        assert list(oracle.edges(data=True)) == list(reference.edges(data=True))
+        for node in reference:
+            assert list(oracle.predecessors(node)) == list(reference.predecessors(node))
+            assert trace_to_factual_root(oracle, node) == trace_to_factual_root(reference, node)
+            assert find_original_author(oracle, node) == find_original_author(reference, node)
         for article_id, _ in self.articles:
             votes = plat.export_audit(article_id)["votes"]
             assert votes == scan_votes(ledger, article_id)
