@@ -53,11 +53,14 @@ bench:
 # the discovery recall gates and, on a 5k-article index, that the signature
 # matrix answers every query exactly as the per-article scan does.  E5
 # (~5 s, full size) is the one model-quality gate: the platform scorer's
-# AUC stays above 0.9 and mutated fakes stay the harder class.
+# AUC stays above 0.9 and mutated fakes stay the harder class.  E9 (~5 s,
+# full size) is the one reader of the shard planner: it plans each run's
+# committed blocks from peer-0's ledger (its trace export is skipped).
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_micro_substrate.py \
 		benchmarks/bench_a1_provenance.py \
 		benchmarks/bench_e5_classifiers.py \
+		benchmarks/bench_e9_scalability.py \
 		benchmarks/bench_pipeline.py \
 		benchmarks/bench_recovery.py::test_cold_start_recovery \
 		benchmarks/bench_explorer.py \

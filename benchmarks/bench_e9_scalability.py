@@ -10,21 +10,28 @@ Reports simulated-time throughput, mean commit latency, and message
 volume per committed transaction — the shape expected: PoA latency is
 flat-ish in N while PBFT latency and message cost grow, which is why the
 paper needs its ICDCS'18 parallel-execution layer (A3, measured here via
-the sharded executor's speedup on the same blocks).
+the sharded executor's speedup on the same blocks: after each run it
+plans every block's valid transactions in peer-0's ledger on 4 shards).
+
+Full runs also rewrite ``latest_trace.jsonl`` from the 4-peer PBFT
+configuration; under ``REPRO_BENCH_SMOKE=1`` that file is left alone.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 from benchmarks.conftest import emit
-from repro.chain import BlockchainNetwork, Contract, contract_method
+from repro.chain import BlockchainNetwork, Contract, ShardedExecutor, contract_method
 from repro.obs import export_jsonl, snapshot_crypto_cache
 from repro.simnet import FixedLatency
 
 N_TXS = 120
 PEER_COUNTS = (4, 8, 16, 32)
+N_SHARDS = 4
 TRACE_PATH = pathlib.Path(__file__).parent / "latest_trace.jsonl"
+_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 
 
 class KVContract(Contract):
@@ -42,7 +49,6 @@ def _run_config(n_peers: int, consensus: str, trace: bool = False):
     network = BlockchainNetwork(
         n_peers=n_peers, consensus=consensus, block_interval=0.5,
         latency=FixedLatency(0.05), seed=900 + n_peers,
-        n_shards=4,
     )
     network.install_contract(KVContract)
     client = network.client()
@@ -60,8 +66,8 @@ def _run_config(n_peers: int, consensus: str, trace: bool = False):
     throughput = committed / elapsed
     latency = network.obs.histogram("phase.commit_latency", peer=peer.node_id).mean
     messages_per_tx = network.obs.total("net.sent") / max(1, committed)
-    speedup = peer.sharded_executor.cumulative_speedup if peer.sharded_executor else 1.0
-    if trace:
+    speedup = _shard_speedup(peer.ledger)
+    if trace and not _SMOKE:
         # Durable timeline for `repro-news report`: the full per-phase
         # latency breakdown of this configuration's run.
         snapshot_crypto_cache(network.obs)
@@ -71,6 +77,18 @@ def _run_config(n_peers: int, consensus: str, trace: bool = False):
                   "n_peers": n_peers, "n_txs": N_TXS, "sim_time": elapsed},
         )
     return throughput, latency, messages_per_tx, speedup, committed
+
+
+def _shard_speedup(ledger) -> float:
+    """Plan each block's valid transactions on :data:`N_SHARDS` shards;
+    the cumulative sequential / parallel gas over the whole chain."""
+    executor = ShardedExecutor(N_SHARDS)
+    for height in range(1, ledger.height + 1):
+        block = ledger.block(height)
+        valid = [tx for tx, ok in zip(block.transactions, ledger.block_validity(height)) if ok]
+        if valid:
+            executor.plan_block(valid)
+    return executor.cumulative_speedup
 
 
 def _sweep():

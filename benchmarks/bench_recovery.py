@@ -6,8 +6,9 @@ back under lossy links (25% message drop during the recovery phase), in
 both comeback modes:
 
 - **pause**   — crash-pause: in-memory state intact, only behind;
-- **restart** — crash-restart: mempool/rounds/timers wiped, world state
-  replayed from the durable ledger, then the same catch-up.
+- **restart** — crash-restart: mempool/rounds/timers wiped, ledger and
+  world state recovered from the replica's own disk, then the same
+  catch-up.
 
 Reported per scenario: blocks missed, catch-up latency (from the fault
 injector's log to the head that existed at comeback), sync throughput
@@ -23,8 +24,9 @@ Besides the usual ``emit`` table, the run writes a JSON perf record to
 long a single peer takes to get its chain *back* after the process dies.
 It populates a durable store with a synthetic chain (dummy signatures —
 the cost under test is storage, not Ed25519), then cold-starts two ways:
-full log replay (the seed's restart semantics: every record re-decoded,
-re-verified, re-applied) versus snapshot+tail (load the newest
+full log replay (a ``DurableStore`` with no snapshot on disk: every
+record re-decoded, re-verified, re-applied; the row keeps its historical
+label ``memory-replay``) versus snapshot+tail (load the newest
 world-state snapshot and the transaction-index rows it carries, replay
 only the records above it).  Replay feeds the ledger's transaction index
 through ``Ledger.append``, so the ``memory-replay`` row builds the index
@@ -244,10 +246,9 @@ def _cold_start(disk: SimDisk, store_cls: type, backend: str, n_blocks: int) -> 
 def _cold_start_sweep() -> list[dict]:
     results = []
     for n_blocks in COLD_START_SIZES:
-        # "memory" reproduces the seed's restart: no snapshots exist, so
-        # recovery is a full replay of every record — the disk-backed
-        # equivalent of rebuilding world state from the in-memory ledger —
-        # and builds the ledger's transaction index as it replays.
+        # "memory-replay" is a DurableStore full replay: no snapshots
+        # exist, so recovery re-applies every record and builds the
+        # ledger's transaction index as it replays.
         replay_disk, reference = _populate_store(n_blocks, snapshot_interval=n_blocks + 1)
         # A non-dividing interval so the newest snapshot sits *below* the
         # tip: the timed path is snapshot load + genuine tail replay.

@@ -34,10 +34,8 @@ from repro.chain.network import BlockchainNetwork, ChainClient
 from repro.chain.peer import Admission, Peer
 from repro.chain.state import StateSnapshot, WorldState
 from repro.chain.store import (
-    BlockStore,
     Degradation,
     DurableStore,
-    MemoryStore,
     RecoveredChain,
     RecoveryReport,
     SQLiteStore,
@@ -77,11 +75,9 @@ __all__ = [
     "SyncManager",
     "StateSnapshot",
     "WorldState",
-    "BlockStore",
     "Degradation",
     "DurableStore",
     "SQLiteStore",
-    "MemoryStore",
     "RecoveredChain",
     "RecoveryReport",
     "Endorsement",

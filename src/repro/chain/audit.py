@@ -36,8 +36,8 @@ checks, cheap) and again at end-of-run (full-ledger forensics):
   decided-but-unapplied buffer must only ever hold heights *above* the
   applied head: a decided block at or below it means the drain logic
   lost a block or applied out of order;
-- **storage durability** — on peers with a durable store
-  (:class:`repro.chain.store.DurableStore`), every block the store
+- **storage durability** — on every peer (each has a
+  :class:`repro.chain.store.DurableStore`), every block the store
   acknowledged durable and that survived injected disk faults must be
   present and hash-identical in the recovered ledger, and every acked
   block that did *not* survive must be explained by a counted recovery
@@ -560,7 +560,7 @@ class InvariantAuditor:
                         )
 
     def check_storage(self, failures: list["FailureEvent"] | None = None) -> None:
-        """Storage durability on peers with a durable store.
+        """Storage durability on every honest peer.
 
         Three obligations, audited per peer against the store's own
         acked map (``height -> (block_hash, payload crc)``, recorded at
@@ -587,12 +587,8 @@ class InvariantAuditor:
         for peer in self.network.peers:
             if peer.byzantine:
                 continue
-            store = peer.store
-            acked = getattr(store, "acked", None)
-            if acked is None:
-                continue  # in-memory backend: nothing durable to audit
-            self._check_acked_in_ledger(peer, acked)
-            reports = list(getattr(store, "reports", ()))
+            reports = peer.store.reports
+            self._check_acked_in_ledger(peer, peer.store.acked)
             lost = sum(len(r.missing_acked) for r in reports)
             degraded = sum(len(r.degradations) for r in reports)
             if lost and not degraded:
@@ -627,12 +623,9 @@ class InvariantAuditor:
     def _check_storage_recovery(self, peer: "Peer") -> None:
         """Incremental storage audit, run the moment a peer restarts
         through its store (before sync can paper over a bad recovery)."""
-        store = peer.store
-        report = getattr(store, "last_recovery", None)
-        if report is None:
-            return  # in-memory backend, or the store has never recovered
+        report = peer.store.last_recovery
         self._checks_run.inc()
-        self._check_acked_in_ledger(peer, store.acked)
+        self._check_acked_in_ledger(peer, peer.store.acked)
         if report.missing_acked and not report.degradations:
             self._violate(
                 "storage",

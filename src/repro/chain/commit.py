@@ -26,10 +26,8 @@ Callers add only what is theirs: :meth:`Peer.commit_block
 store, mempool, listeners) and :meth:`LocalChain._commit
 <repro.chain.local.LocalChain._commit>` commit live through
 :func:`commit_block`; :class:`~repro.chain.store.durable.DurableStore`
-recovery replays through :func:`replay_block` (an in-memory restart keeps
-its ledger, index included, and only rebuilds state,
-``Ledger.replay_state``).  All peers
-therefore derive identical state, receipts and index rows from the same
+recovery — every peer restart — replays through :func:`replay_block`.
+All peers therefore derive identical state, receipts and index rows from the same
 block sequence, whichever way the blocks reached them.
 """
 

@@ -2,7 +2,13 @@
 
 from repro.chain.contracts.contract import Contract, ContractRegistry, contract_method
 from repro.chain.contracts.endorsement import EndorsementPolicy, check_endorsements
-from repro.chain.contracts.runtime import ContractContext, ExecutionResult, GasSchedule
+from repro.chain.contracts.runtime import (
+    ContractContext,
+    ExecutionResult,
+    GasSchedule,
+    is_real,
+    is_str_list,
+)
 
 __all__ = [
     "Contract",
@@ -13,4 +19,6 @@ __all__ = [
     "ContractContext",
     "ExecutionResult",
     "GasSchedule",
+    "is_real",
+    "is_str_list",
 ]

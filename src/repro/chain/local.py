@@ -37,7 +37,6 @@ from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction, TxReceipt, create_group
 from repro.crypto.keys import KeyPair
 from repro.errors import ContractError
-from repro.chain.consensus.sharded import ShardedExecutor
 
 __all__ = ["LocalChain"]
 
@@ -48,7 +47,7 @@ _POLICY = EndorsementPolicy(required=1)
 class LocalChain:
     """Synchronous single-peer chain with full transaction semantics."""
 
-    def __init__(self, node_id: str = "local-peer", seed: int = 0, n_shards: int | None = None):
+    def __init__(self, node_id: str = "local-peer", seed: int = 0):
         import random
 
         self.node_id = node_id
@@ -61,7 +60,6 @@ class LocalChain:
         self.state = WorldState()
         #: Read-only ``tx id -> TxReceipt`` view of the ledger's record.
         self.receipts = self.ledger.receipts
-        self.sharded_executor = ShardedExecutor(n_shards) if n_shards else None
         self._clock = 0.0
         self._nonces: dict[str, int] = {}
 
@@ -142,12 +140,10 @@ class LocalChain:
             proposer=self.node_id,
             transactions=txs,
         )
-        result = commit_block(
+        commit_block(
             block, lambda contract: _POLICY,
             ledger=self.ledger, state=self.state,
         )
-        if self.sharded_executor is not None and result.valid_txs:
-            self.sharded_executor.plan_block(result.valid_txs)
         return [self.ledger.receipt_at(block.height, position) for position in range(len(txs))]
 
     def query(

@@ -25,11 +25,11 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Literal, Sequence
 
-from repro.chain.consensus import ConsensusEngine, PBFTEngine, RoundRobinOrderer, ShardedExecutor
+from repro.chain.consensus import ConsensusEngine, PBFTEngine, RoundRobinOrderer
 from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy  # noqa: F401 - re-exported
 from repro.chain.contracts.endorsement import gather_endorsements
 from repro.chain.peer import Admission, Peer
-from repro.chain.store import BlockStore, DurableStore, MemoryStore, SQLiteStore
+from repro.chain.store import DurableStore, SQLiteStore
 from repro.chain.transaction import Transaction, TxReceipt, create_group
 from repro.crypto.keys import KeyPair
 from repro.errors import ChainError, ContractError
@@ -39,7 +39,8 @@ from repro.simnet import LatencyModel, Network, SimDisk, Simulator
 __all__ = ["BlockchainNetwork", "ChainClient"]
 
 ConsensusKind = Literal["poa", "pbft"]
-StorageKind = Literal["memory", "durable", "sqlite"]
+StorageKind = Literal["durable", "sqlite"]
+_STORES: dict[str, type[DurableStore]] = {"durable": DurableStore, "sqlite": SQLiteStore}
 
 
 @dataclass
@@ -89,14 +90,17 @@ class BlockchainNetwork:
         block_interval: float = 0.5,
         max_block_txs: int = 500,
         seed: int = 0,
-        n_shards: int | None = None,
         byzantine_peers: set[str] | None = None,
         view_timeout: float = 10.0,
         drop_probability: float = 0.0,
         pipeline_depth: int = 4,
-        storage: StorageKind = "memory",
+        storage: StorageKind = "durable",
         snapshot_interval: int = 64,
     ):
+        if consensus not in ("poa", "pbft"):
+            raise ChainError(f"unknown consensus {consensus!r}: expected 'poa' or 'pbft'")
+        if storage not in _STORES:
+            raise ChainError(f"unknown storage {storage!r}: expected 'durable' or 'sqlite'")
         if consensus == "pbft" and n_peers < 4:
             raise ChainError("PBFT requires at least 4 peers")
         self.sim = Simulator()
@@ -123,24 +127,21 @@ class BlockchainNetwork:
         self.view_timeout = view_timeout
         #: PBFT in-flight sequence-number window (1 = unpipelined).
         self.pipeline_depth = pipeline_depth
-        #: ``"memory"`` keeps the seed in-memory ledger; ``"durable"``
-        #: gives every peer a fault-injectable SimDisk + DurableStore so
-        #: restart is snapshot+tail recovery, not full replay; ``"sqlite"``
-        #: is the same storage plus in-memory SQL tx tables, rebuilt from
-        #: the recovered ledger at restart.
+        #: Every peer gets a fault-injectable SimDisk; ``"durable"`` puts a
+        #: DurableStore on it, so restart is snapshot+tail recovery;
+        #: ``"sqlite"`` is the same storage plus in-memory SQL tx tables,
+        #: rebuilt from the recovered ledger at restart.
         self.storage = storage
         self.snapshot_interval = snapshot_interval
         peer_ids = [f"peer-{i}" for i in range(n_peers)]
         self._validator_ids = list(peer_ids)
         byzantine_peers = byzantine_peers or set()
         for peer_id in peer_ids:
-            executor = ShardedExecutor(n_shards) if n_shards else None
             peer = Peer(
                 node_id=peer_id,
                 keypair=KeyPair.generate(self.rng),
                 registry=ContractRegistry(),
                 engine=self._make_engine(),
-                sharded_executor=executor,
                 byzantine=peer_id in byzantine_peers,
                 obs=self.obs,
                 tracer=self.tracer,
@@ -172,18 +173,12 @@ class BlockchainNetwork:
             pipeline_depth=self.pipeline_depth,
         )
 
-    def _make_store(self, peer_id: str) -> BlockStore:
-        """One storage backend per peer, per the network's ``storage``."""
-        if self.storage in ("durable", "sqlite"):
-            disk = SimDisk(
-                node_id=peer_id,
-                rng=random.Random(f"disk:{self.seed}:{peer_id}"),
-            )
-            cls = SQLiteStore if self.storage == "sqlite" else DurableStore
-            return cls(
-                disk=disk, node_id=peer_id, snapshot_interval=self.snapshot_interval
-            )
-        return MemoryStore()
+    def _make_store(self, peer_id: str) -> DurableStore:
+        """One store per peer on its own disk, per the network's ``storage``."""
+        disk = SimDisk(node_id=peer_id, rng=random.Random(f"disk:{self.seed}:{peer_id}"))
+        return _STORES[self.storage](
+            disk=disk, node_id=peer_id, snapshot_interval=self.snapshot_interval
+        )
 
     # -- deployment -------------------------------------------------------
 

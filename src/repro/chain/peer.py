@@ -16,8 +16,8 @@ that detects when the peer has fallen behind the network head and
 fetches, verifies, and applies the missing blocks — the recovery path
 for crash windows, partitions, and message loss.  :meth:`Peer.restart`
 models a real process restart: volatile state (mempool, open consensus
-rounds, timers) is wiped and ledger and state are rebuilt from what the
-storage backend kept.
+rounds, timers) is wiped and ledger and state are recovered from what the
+peer's store kept on disk.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 
 from repro.chain import commit
 from repro.chain.consensus.base import ConsensusEngine
-from repro.chain.consensus.sharded import ShardedExecutor
 from repro.chain.contracts import ContractRegistry, EndorsementPolicy
 from repro.chain.contracts.endorsement import Endorsed
 from repro.chain.block import Block
@@ -35,7 +34,7 @@ from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
 from repro.chain.mempool import Mempool
 from repro.chain.state import WorldState
-from repro.chain.store import BlockStore, MemoryStore
+from repro.chain.store import DurableStore
 from repro.chain.sync import SyncManager
 from repro.chain.transaction import (
     Endorsement,
@@ -48,6 +47,7 @@ from repro.crypto.batch import batch_meter
 from repro.crypto.keys import KeyPair
 from repro.errors import InvalidTransactionError
 from repro.obs import MetricsRegistry, Tracer
+from repro.simnet.disk import SimDisk
 from repro.simnet.network import Message, NetworkNode
 
 __all__ = ["Admission", "Peer", "simulate_and_sign"]
@@ -126,27 +126,24 @@ class Peer(NetworkNode):
         keypair: KeyPair,
         registry: ContractRegistry,
         engine: ConsensusEngine,
+        store: DurableStore,
         default_policy: EndorsementPolicy | None = None,
-        sharded_executor: ShardedExecutor | None = None,
         byzantine: bool = False,
         obs: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        store: BlockStore | None = None,
     ):
         super().__init__(node_id)
         self.keypair = keypair
         self.registry = registry
         self.engine = engine
-        #: Storage backend; :class:`~repro.chain.store.MemoryStore` keeps
-        #: the seed behaviour, :class:`~repro.chain.store.DurableStore`
-        #: write-ahead logs every commit and makes restart a *recovery*.
-        self.store: BlockStore = store if store is not None else MemoryStore()
+        #: Write-ahead logs every commit on the peer's own disk; restart
+        #: is a *recovery* from it.
+        self.store = store
         self.ledger = Ledger()
         self.state = WorldState()
         self.mempool = Mempool()
         self.policies: dict[str, EndorsementPolicy] = {}
         self.default_policy = default_policy or EndorsementPolicy(required=1)
-        self.sharded_executor = sharded_executor
         self.byzantine = byzantine
         #: Shared (network-wide) metrics registry; private when the peer
         #: is constructed standalone, as unit tests do.
@@ -201,11 +198,11 @@ class Peer(NetworkNode):
         return self.ledger.index
 
     @property
-    def disk(self):
-        """The store's simulated disk, if the backend has one — the hook
+    def disk(self) -> SimDisk:
+        """The store's simulated disk — the hook
         :class:`~repro.simnet.failure.FailureSchedule` disk faults target
         (duck-typed: the simnet layer never imports chain classes)."""
-        return getattr(self.store, "disk", None)
+        return self.store.disk
 
     # -- configuration --------------------------------------------------------
 
@@ -319,8 +316,6 @@ class Peer(NetworkNode):
         self._blocks_committed.inc()
         self._commit_times.observe(self.sim.now)
         self.store.maybe_snapshot(self.ledger, self.state)
-        if self.sharded_executor is not None and valid_txs:
-            self.sharded_executor.plan_block(valid_txs)
         for listener in self.commit_listeners:
             listener(self, block)
         self.tracer.finish(span, valid=len(valid_txs), invalid=len(block) - len(valid_txs))
@@ -333,42 +328,29 @@ class Peer(NetworkNode):
     # -- crash recovery -----------------------------------------------------------
 
     def restart(self) -> set[str]:
-        """Simulate a process restart: durable state survives, the rest dies.
+        """Simulate a process restart: what is on disk survives, the rest dies.
 
-        What "durable" means depends on the storage backend.  With the
-        in-memory store (seed behaviour) the chain is axiomatically kept
-        and the world state replayed from it under its recorded verdicts
-        (:meth:`Ledger.replay_state <repro.chain.ledger.Ledger.replay_state>`).
-        With a :class:`~repro.chain.store.DurableStore`, restart is
-        *recovery*: the backend rebuilds ledger and state from its
-        verified snapshot + log tail — the ledger's transaction index
+        Restart is *recovery*: the store rebuilds ledger and state from
+        its verified snapshot + log tail — the ledger's transaction index
         comes back with it, loaded from the snapshot's rows and fed by the
         replayed tail, so rebuilding it decodes no archived block — and
         anything it had to give up (torn tail, corrupt snapshot) is
         reported, counted, and later re-fetched from the network by the
-        sync manager.  With the in-memory store the ledger, and so its
-        index, is kept as it was.  The mempool,
-        the engine's open rounds and timers, and in-flight fetches are
-        wiped either way — exactly what a real crash loses.  Returns the
-        wiped pending tx ids so fault injectors can report (and auditors
-        can excuse) the loss.
+        sync manager.  The mempool, the engine's open rounds and timers,
+        and in-flight fetches are wiped — exactly what a real crash loses.
+        Returns the wiped pending tx ids so fault injectors can report
+        (and auditors can excuse) the loss.
         """
         wiped = {tx.tx_id for tx in self.mempool.snapshot()} | self.engine.pending_txs()
         wiped = {tx_id for tx_id in wiped if tx_id not in self.ledger}
         self.crashed = False
         self.mempool = Mempool()
         recovered = self.store.recover(engine=self.engine)
-        report = None
-        if recovered is None:
-            self.state = self.ledger.replay_state()
-        else:
-            report = recovered.report
-            self.ledger = recovered.ledger
-            self.state = recovered.state
+        self.ledger = recovered.ledger
+        self.state = recovered.state
         self.engine.on_restart()
-        if recovered is not None:
-            self._reseed_engine_proofs(recovered.proofs)
-        self.sync.on_restart(report=report)
+        self._reseed_engine_proofs(recovered.proofs)
+        self.sync.on_restart(recovered.report)
         self._restarts.inc()
         for listener in self.restart_listeners:
             listener(self, wiped)

@@ -1,29 +1,26 @@
-"""Pluggable block storage: in-memory (seed behaviour), durable, or sqlite.
+"""Block storage: every peer write-ahead logs its commits on its own disk.
 
-See :mod:`repro.chain.store.base` for the interface,
-:mod:`repro.chain.store.durable` for the write-ahead-log + snapshot
-backend, :mod:`repro.chain.store.snapshots` for the one snapshot format,
+See :mod:`repro.chain.store.durable` for the write-ahead-log + snapshot
+store, :mod:`repro.chain.store.base` for what a recovery returns and
+reports, :mod:`repro.chain.store.snapshots` for the one snapshot format,
 :mod:`repro.chain.store.sqlite` for the relational backend (the durable
 backend's storage plus SQL tables rebuilt from the recovered ledger), and
 ``docs/API.md`` for the record format and the recovery degradation
 ladder.
 """
 
-from repro.chain.store.base import BlockStore, Degradation, RecoveredChain, RecoveryReport
+from repro.chain.store.base import Degradation, RecoveredChain, RecoveryReport
 from repro.chain.store.codec import decode_record, encode_record
 from repro.chain.store.durable import DurableStore
 from repro.chain.store.inspect import inspect_disk, inspect_files, render_inspection
 from repro.chain.store.log import BlockLog, LogRecord, LogScan, scan_log_bytes
-from repro.chain.store.memory import MemoryStore
 from repro.chain.store.snapshots import list_snapshots, load_snapshot, write_snapshot
 from repro.chain.store.sqlite import SQLiteStore
 
 __all__ = [
-    "BlockStore",
     "Degradation",
     "RecoveredChain",
     "RecoveryReport",
-    "MemoryStore",
     "DurableStore",
     "SQLiteStore",
     "BlockLog",

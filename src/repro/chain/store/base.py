@@ -1,30 +1,23 @@
-"""The pluggable block-store interface.
+"""What a recovery hands back, and what it reports.
 
-A :class:`~repro.chain.peer.Peer` owns exactly one
-:class:`BlockStore`.  The commit path calls :meth:`BlockStore.on_commit`
-for every block the ledger accepted — the durable backend write-ahead
-logs it and only then acknowledges durability — and
-:meth:`BlockStore.maybe_snapshot` afterwards so the backend can decide
-when a world-state snapshot is due.  ``Peer.restart`` calls
-:meth:`BlockStore.recover`: a backend that can rebuild the chain from
-its own media returns a :class:`RecoveredChain`; the in-memory backend
-returns ``None``, which tells the peer to fall back to the seed
-behaviour (keep the in-memory chain, replay its state from genesis).
+``Peer.restart`` calls :meth:`DurableStore.recover
+<repro.chain.store.durable.DurableStore.recover>`, which rebuilds the
+chain from the peer's own disk and returns a :class:`RecoveredChain`:
+the verified ledger and state, the consensus proofs found beside the
+blocks, and a :class:`RecoveryReport` listing every :class:`Degradation`
+it had to take.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.chain.consensus.base import ConsensusEngine
     from repro.chain.ledger import Ledger
     from repro.chain.state import WorldState
-    from repro.obs import MetricsRegistry
 
-__all__ = ["BlockStore", "Degradation", "RecoveryReport", "RecoveredChain"]
+__all__ = ["Degradation", "RecoveryReport", "RecoveredChain"]
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class RecoveryReport:
 
 @dataclass
 class RecoveredChain:
-    """A backend's verified reconstruction of the chain."""
+    """A store's verified reconstruction of the chain."""
 
     ledger: "Ledger"
     state: "WorldState"
@@ -91,30 +84,3 @@ class RecoveredChain:
     proofs: dict[int, Any]
     report: RecoveryReport
 
-
-class BlockStore(abc.ABC):
-    """Storage backend interface — see the module docstring."""
-
-    kind: str = "abstract"
-
-    def attach(self, registry: "MetricsRegistry", node_id: str) -> None:
-        """Bind obs counters to the owning peer's registry (optional)."""
-
-    @abc.abstractmethod
-    def on_commit(
-        self,
-        block: Any,
-        validity: list[bool],
-        proof: Any = None,
-        errors: list[str | None] | None = None,
-    ) -> bool:
-        """Persist one committed block; ``True`` = acknowledged durable."""
-
-    @abc.abstractmethod
-    def maybe_snapshot(self, ledger: "Ledger", state: "WorldState") -> bool:
-        """Write a snapshot if policy says one is due; ``True`` if written."""
-
-    @abc.abstractmethod
-    def recover(self, engine: "ConsensusEngine | None" = None) -> RecoveredChain | None:
-        """Rebuild the chain from storage; ``None`` = backend has no media
-        (caller keeps its in-memory ledger and replays from it)."""

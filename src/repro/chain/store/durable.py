@@ -51,7 +51,7 @@ from repro.chain.block import Block, make_genesis_block
 from repro.chain.commit import replay_block
 from repro.chain.ledger import Entry, Ledger
 from repro.chain.state import WorldState
-from repro.chain.store.base import BlockStore, Degradation, RecoveredChain, RecoveryReport
+from repro.chain.store.base import Degradation, RecoveredChain, RecoveryReport
 from repro.chain.store.codec import decode_record, encode_record
 from repro.chain.store.log import BlockLog, LogRecord
 from repro.chain.store.snapshots import list_snapshots, load_snapshot, write_snapshot
@@ -79,10 +79,9 @@ class _SnapshotRejected(Exception):
     """The snapshot disagrees with the verified log; try the next one."""
 
 
-class DurableStore(BlockStore):
+class DurableStore:
     """Append-only log + snapshots over a fault-injectable SimDisk."""
 
-    kind = "durable"
     #: Snapshot generations kept on disk: a corrupt newest one degrades
     #: to the one before it.
     KEEP_SNAPSHOTS = 2
@@ -123,15 +122,18 @@ class DurableStore(BlockStore):
         validity: list[bool],
         proof: Any = None,
         errors: list[str | None] | None = None,
-    ) -> bool:
+    ) -> None:
+        """Log and fsync one committed block; on return it is acknowledged
+        durable (:attr:`acked`)."""
         payload = encode_record(block, validity, errors, proof)
         self.log.append(block.height, payload)
         self.acked[block.height] = (block.block_hash, zlib.crc32(payload))
         self._blocks_logged.inc()
         self._log_bytes.inc(len(payload))
-        return True
 
     def maybe_snapshot(self, ledger: Ledger, state: WorldState) -> bool:
+        """Write a snapshot if ``snapshot_interval`` blocks have passed
+        since the last one; ``True`` if one was written."""
         height = ledger.height
         if height == 0 or height - self.last_snapshot_height < self.snapshot_interval:
             return False
@@ -148,6 +150,9 @@ class DurableStore(BlockStore):
     # -- recovery ----------------------------------------------------------
 
     def recover(self, engine: "ConsensusEngine | None" = None) -> RecoveredChain:
+        """Rebuild ledger and state from this store's disk (the ladder in
+        the module docstring); *engine* checks the proofs stored beside
+        tail records."""
         report = RecoveryReport()
         self._count("store.recoveries")
 

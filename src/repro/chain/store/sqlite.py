@@ -63,8 +63,6 @@ CREATE INDEX idx_txs_method ON txs(method_id, height, tx_index);
 class SQLiteStore(DurableStore):
     """Block WAL + snapshots, plus a volatile SQL mirror of committed txs."""
 
-    kind = "sqlite"
-
     def __init__(
         self,
         disk: SimDisk | None = None,
@@ -150,11 +148,10 @@ class SQLiteStore(DurableStore):
         validity: list[bool],
         proof: Any = None,
         errors: list[str | None] | None = None,
-    ) -> bool:
-        acked = super().on_commit(block, validity, proof=proof, errors=errors)
+    ) -> None:
+        super().on_commit(block, validity, proof=proof, errors=errors)
         self._index_block(block, validity)
         self._rows_indexed.inc(len(block.transactions))
-        return acked
 
     # -- recovery ----------------------------------------------------------
 

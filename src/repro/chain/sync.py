@@ -62,6 +62,7 @@ from repro.simnet.network import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chain.peer import Peer
+    from repro.chain.store import RecoveryReport
 
 __all__ = ["SyncManager", "statement_message", "KIND_ANNOUNCE", "KIND_REQUEST", "KIND_RESPONSE",
            "KIND_ATTEST_REQUEST", "KIND_ATTEST"]
@@ -163,18 +164,16 @@ class SyncManager:
             self._announce_event = None
         self._run(self.core.halt())
 
-    def on_restart(self, report: Any = None) -> None:
+    def on_restart(self, report: RecoveryReport) -> None:
         """Drop volatile sync state after a simulated process restart.
 
-        *report* is the storage backend's
-        :class:`~repro.chain.store.RecoveryReport` when the peer
-        recovered through a durable store (``None`` for the in-memory
-        backend).  A recovery that had to truncate damaged log records is
-        recorded here: those blocks are gone locally and it is this
-        manager's job to re-fetch them, so the loss is surfaced as sync
-        lag metrics rather than silently absorbed.
+        *report* is the store's :class:`~repro.chain.store.RecoveryReport`.
+        A recovery that had to truncate damaged log records is recorded
+        here: those blocks are gone locally and it is this manager's job
+        to re-fetch them, so the loss is surfaced as sync lag metrics
+        rather than silently absorbed.
         """
-        lost = len(getattr(report, "missing_acked", {}) or {})
+        lost = len(report.missing_acked)
         self._counters["sync.store_truncated_blocks"].inc(lost)
         self._run(self.core.restart(self.peer.ledger.head, lost))
         # The announce loop keeps its schedule: a restarted process would

@@ -62,7 +62,7 @@ from repro.core.media import MediaAssessment, MediaRegistryContract, MediaVerifi
 from repro.core.newsroom import NewsRoomContract
 from repro.core.toolmarket import ToolMarketContract
 from repro.core.provenance import ProvenanceIndex
-from repro.core.ranking import ArticleSignals, FactualnessRanker, RankedArticle, RankingWeights
+from repro.core.ranking import ArticleSignals, FactualnessRanker, RankedArticle
 from repro.core.supplychain import (
     FACT_PREFIX,
     SupplyChainContract,
@@ -282,8 +282,6 @@ class TrustingNewsPlatform:
         self,
         seed: int = 0,
         chain: "LocalChain | Any" = None,
-        provenance_method: str = "minhash",
-        ranking_weights: RankingWeights | None = None,
         scorer: FakeNewsScorer | None = None,
     ):
         # Any LocalChain-compatible backend works; pass a
@@ -302,9 +300,9 @@ class TrustingNewsPlatform:
             ConductContract(),
         ):
             self.chain.install_contract(contract)
-        self.index = ProvenanceIndex(method=provenance_method)
+        self.index = ProvenanceIndex()
         self.media_verifier = MediaVerifier()
-        self.ranker = FactualnessRanker(ranking_weights)
+        self.ranker = FactualnessRanker()
         self.scorer = scorer
         self.accounts: dict[str, KeyPair] = {}
         self._view = LedgerView()

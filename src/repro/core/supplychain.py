@@ -24,7 +24,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.chain.contracts import Contract, ContractContext, contract_method
+from repro.chain.contracts import Contract, ContractContext, contract_method, is_real, is_str_list
 from repro.chain.ledger import Ledger
 from repro.core.identity import identity_key
 
@@ -97,7 +97,28 @@ class SupplyChainContract(Contract):
         An ``article_id`` in the :data:`FACT_PREFIX` namespace is refused:
         the graph names factual roots that way, and a record there would
         take over the root every honest relay of that fact traces to.
+
+        Arguments are type-checked before anything else: ids and names
+        are strings, ``parents`` / ``fact_roots`` lists of strings,
+        degrees and ``ai_score`` numbers (not ``bool``).
         """
+        ctx.require(
+            all(isinstance(v, str) for v in (article_id, content_hash, topic, op)),
+            "article_id, content_hash, topic and op must be strings",
+        )
+        ctx.require(is_str_list(parents), "parents must be a list of article ids")
+        ctx.require(
+            fact_roots is None or is_str_list(fact_roots), "fact_roots must be a list of fact ids"
+        )
+        ctx.require(
+            is_real(modification_degree)
+            and all(
+                degrees is None or (isinstance(degrees, list) and all(map(is_real, degrees)))
+                for degrees in (parent_degrees, fact_degrees)
+            ),
+            "degrees must be numbers",
+        )
+        ctx.require(ai_score is None or is_real(ai_score), "ai_score must be a number")
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(caller is not None, "unregistered identities cannot record news")
         ctx.require(
@@ -178,6 +199,12 @@ class SupplyChainContract(Contract):
         can see *why* an article ranks where it does, the transparency
         mechanism refs [29] argue for.
         """
+        ctx.require(isinstance(article_id, str), "article_id must be a string")
+        ctx.require(
+            is_real(final_score)
+            and all(s is None or is_real(s) for s in (provenance_score, ai_score, crowd_score)),
+            "scores must be numbers",
+        )
         ctx.require(
             ctx.get(supply_node_key(article_id)) is not None,
             f"article {article_id} is not recorded in the supply chain",

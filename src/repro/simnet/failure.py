@@ -101,7 +101,7 @@ class FailureSchedule:
     def _disk_fault(self, node_id: str, time: float, kind: str, k: int = 1, artifact: str = "log") -> None:
         disk = getattr(self.network.node(node_id), "disk", None)
         if disk is None:
-            return  # in-memory backend: nothing to corrupt
+            return  # a node with no disk (a vote flooder): nothing to corrupt
         if kind == "torn-write":
             disk.arm_torn_write()
             self.log.append(FailureEvent(time=time, action="disk-arm-torn-write", target=node_id))

@@ -16,6 +16,7 @@ The default parametrization keeps tier-1 fast; the ``chaos`` marker
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -88,6 +89,21 @@ def test_chaos_audit_pbft(seed):
     # Every peer that came back (pause or restart) caught up in finite time.
     for event, latency in auditor.catchup_latencies(chaos.log):
         assert latency is not None, f"{event.target} never caught up after {event.action}"
+
+
+@pytest.mark.parametrize("seed", DEFAULT_SEEDS)
+def test_every_chaos_restart_is_an_audited_recovery(seed):
+    """No peer's ledger survives a crash by fiat: every restart the plan
+    fired on the default storage rebuilt that peer from its own disk, and
+    the auditor's storage checks held over each recovery."""
+    network, auditor, chaos = run_chaos_audited(seed)
+    restarts = Counter(e.target for e in chaos.log if e.action == "restart")
+    recoveries = {
+        peer.node_id: network.obs.counter("store.recoveries", peer=peer.node_id).value
+        for peer in network.peers
+    }
+    assert recoveries == {peer.node_id: restarts[peer.node_id] for peer in network.peers}
+    assert auditor.violations == []
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -9,12 +9,13 @@ one that loses MVCC as a whole, one member on its own) — is pushed through
 (b) ``LocalChain._commit``,
 (c) ``DurableStore`` / ``SQLiteStore`` recovery of (a)'s disk
     (snapshot+tail and full replay),
-(d) a ``MemoryStore`` restart (replay of the in-memory chain),
 
 and all of them must report identical validity vectors, receipts per tx
 id (error strings included), state digest, and an index that matches a
-ledger scan.  All four go through :mod:`repro.chain.commit`; this test is
-what notices if one of them ever grows its own rules again.
+ledger scan; every observation also replays the ledger's valid write sets
+(``Ledger.replay_state``) to the same digest.  All three go through
+:mod:`repro.chain.commit`; this test is what notices if one of them ever
+grows its own rules again.
 
 An id names one copy: for every tx id — the one committed twice included
 — ``Ledger.get_transaction``, ``explorer.describe_transaction``,
@@ -36,6 +37,7 @@ from hypothesis import strategies as st
 from repro.chain import BlockchainNetwork, LocalChain
 from repro.chain.block import Block
 from repro.chain.explorer import describe_transaction
+from repro.chain.store import SQLiteStore
 from repro.errors import InvalidBlockError
 from tests.conftest import CounterContract
 from tests.conftest import peer_count
@@ -43,7 +45,7 @@ from tests.conftest import peer_count
 _ZERO_SIG = "00" * 64
 
 
-def _network(storage: str = "memory", snapshot_interval: int = 64) -> BlockchainNetwork:
+def _network(storage: str = "durable", snapshot_interval: int = 64) -> BlockchainNetwork:
     """One PoA peer that is never run: blocks are committed by hand."""
     network = BlockchainNetwork(
         n_peers=1, consensus="poa", seed=5, storage=storage,
@@ -139,7 +141,7 @@ def _observe(ledger, state, receipts, index):
 
 def _observe_peer(peer):
     observed = _observe(peer.ledger, peer.state, peer.receipts, peer.index)
-    if peer.store.kind == "sqlite":  # one row per id, and it names the same copy
+    if isinstance(peer.store, SQLiteStore):  # one row per id, and it names the same copy
         rows = peer.store.query_transactions(limit=100)
         assert {
             row["tx_id"]: (row["block_height"], row["valid"]) for row in rows
@@ -149,7 +151,7 @@ def _observe_peer(peer):
 
 @pytest.fixture(scope="module")
 def reference(sequence):
-    """Path (a) on an in-memory peer — what every other path must equal."""
+    """Path (a) on a durable peer — what every other path must equal."""
     blocks, expected, roles = sequence
     peer = _network().peers[0]
     for block in blocks:
@@ -203,16 +205,6 @@ def test_store_recovery_replays_like_the_live_commit(
     peer.restart()
     assert peer.store.last_recovery.mode == mode
     assert peer.store.last_recovery.degradations == []
-    assert _observe_peer(peer) == reference
-
-
-def test_memory_restart_replays_like_the_live_commit(sequence, reference):
-    blocks, _, _ = sequence
-    peer = _network().peers[0]
-    for block in blocks:
-        peer.commit_block(block)
-    peer.restart()
-    # The kept ledger records verdicts and reasons: the restart is exact.
     assert _observe_peer(peer) == reference
 
 
@@ -318,7 +310,7 @@ def _stored_receipts(blocks):
 def test_receipts_view_equals_the_stored_receipt_dict(pool, picks, snapshot_interval):
     """For any block sequence — ids repeated across and within blocks, in
     any verdict order — ``dict(receipts)`` on a LocalChain, on a peer of
-    each backend, and after that peer's restart (memory, full replay,
+    each backend, and after that peer's restart (full replay,
     snapshot+tail) is the dict the commit path used to keep; the index and
     the SQL row name the same copy."""
     blocks = [[pool[pick] for pick in block] for block in picks]
@@ -330,7 +322,7 @@ def test_receipts_view_equals_the_stored_receipt_dict(pool, picks, snapshot_inte
         chain._commit(txs)
     assert dict(chain.receipts) == want
 
-    for storage in ("memory", "durable", "sqlite"):
+    for storage in ("durable", "sqlite"):
         peer = _network(storage, snapshot_interval).peers[0]
         for txs in blocks:
             peer.commit_block(_next_block(peer, txs))

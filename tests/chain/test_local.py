@@ -70,14 +70,3 @@ def test_deterministic_accounts():
     a = LocalChain(seed=9).new_account()
     b = LocalChain(seed=9).new_account()
     assert a.address == b.address
-
-
-def test_sharded_executor_attached():
-    chain = LocalChain(seed=1, n_shards=4)
-    from tests.conftest import CounterContract
-
-    chain.install_contract(CounterContract())
-    alice = chain.new_account()
-    chain.invoke(alice, "counter", "increment")
-    assert chain.sharded_executor is not None
-    assert chain.sharded_executor.blocks_planned == 1

@@ -73,3 +73,14 @@ def test_query_returns_error_for_bad_method():
     client = network.client()
     with pytest.raises(ContractError, match="no method"):
         client.query("counter", "does_not_exist")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"storage": "durabel"},
+    {"storage": "memory"},
+    {"consensus": "POA"},
+    {"consensus": "raft"},
+])
+def test_unknown_storage_or_consensus_is_refused(kwargs):
+    with pytest.raises(ChainError, match="unknown"):
+        BlockchainNetwork(n_peers=4, **kwargs)

@@ -16,13 +16,12 @@ import zlib
 
 import pytest
 
-from repro.chain.block import Block, make_genesis_block
+from repro.chain.block import Block
 from repro.chain.commit import replay_block
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
 from repro.chain.store import (
     DurableStore,
-    MemoryStore,
     SQLiteStore,
     decode_record,
     encode_record,
@@ -526,13 +525,6 @@ def test_snapshot_without_index_rows_is_not_resumed_from(keypair):
     assert [d.kind for d in recovered.report.degradations] == ["snapshot-corrupt"]
     assert recovered.state.state_digest() == state.state_digest()
     assert recovered.ledger.index.dump() == ledger.index.dump()
-
-
-def test_memory_store_recover_returns_none():
-    store = MemoryStore()
-    assert store.recover() is None
-    assert store.on_commit(make_genesis_block(), []) is True
-    assert store.maybe_snapshot(Ledger(), WorldState()) is False
 
 
 def test_acked_map_tracks_payload_bytes(keypair, store_cls):
