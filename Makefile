@@ -8,14 +8,14 @@ export PYTHONPATH := src
 # rules (catalog: docs/LINTS.md).  Fails on any error-severity finding
 # that is neither `# repro: noqa[...]`-suppressed nor baselined.
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
-	$(PYTHON) -m repro.analysis src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples tools
+	$(PYTHON) -m repro.analysis src tests benchmarks examples tools
 
 # Deliberately re-grandfather the current findings.  Only for tree-wide
 # sweeps (e.g. after adding a rule); new code should be fixed, not
 # baselined.
 lint-baseline:
-	$(PYTHON) -m repro.analysis src tests benchmarks examples --update-baseline
+	$(PYTHON) -m repro.analysis src tests benchmarks examples tools --update-baseline
 
 # Tier-1: fast default suite (chaos-marked sweeps excluded via addopts).
 test: lint

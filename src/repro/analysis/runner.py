@@ -29,7 +29,7 @@ from repro.analysis.core import (
 
 __all__ = ["Report", "analyze_paths", "analyze_source", "main"]
 
-DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples", "tools")
 DEFAULT_BASELINE = "analysis_baseline.json"
 REPORT_FORMAT_VERSION = 1
 

@@ -38,10 +38,6 @@ class AccountActivity:
     source_concentration: float  # Herfindahl index over sources
     mutation_rate: float  # fraction of shares that modified content
 
-    @property
-    def is_suspicious(self) -> bool:
-        return self.reciprocity > 0.3 and self.shares >= 3
-
 
 def account_activity_features(events: list[ShareEvent]) -> dict[str, AccountActivity]:
     """Per-account behavioural features from share events."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.chain.contracts import Contract, ContractContext, contract_method
 from repro.core.identity import identity_key
+from repro.core.supplychain import supply_node_key
 
 __all__ = ["FactualDatabaseContract", "fact_key"]
 
@@ -41,12 +42,16 @@ class FactualDatabaseContract(Contract):
         content_hash: str,
         source: str,
         topic: str,
+        text: str | None = None,
     ):
         """Bootstrap entry from an official public record.
 
         Only verified identities may seed (the operator importing the
-        congressional record is accountable for the import).
+        congressional record is accountable for the import).  ``text``,
+        when given, is the record's text for the provenance fold (as in
+        ``supplychain.record_node``): neither stored nor emitted.
         """
+        ctx.require(text is None or isinstance(text, str), "text must be a string")
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(
             caller is not None and caller["verified"],
@@ -69,25 +74,26 @@ class FactualDatabaseContract(Contract):
         return record
 
     @contract_method
-    def promote(
-        self,
-        ctx: ContractContext,
-        fact_id: str,
-        content_hash: str,
-        topic: str,
-        article_id: str,
-        score: float,
-    ):
+    def promote(self, ctx: ContractContext, fact_id: str, article_id: str):
         """Promote a ranked article into the factual database.
 
-        The promotion bar is enforced on-chain so a buggy (or corrupt)
-        off-chain ranking service cannot quietly pollute ground truth.
+        Everything the fact says is read from committed state: the content
+        hash and topic from the article's supply-chain record, the score
+        from its latest ranking (which only a verified identity can
+        record).  The promotion bar is enforced on-chain so a buggy (or
+        corrupt) off-chain ranking service cannot quietly pollute ground
+        truth.
         """
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(
             caller is not None and caller["verified"],
             "only verified identities may promote facts",
         )
+        node = ctx.get(supply_node_key(article_id))
+        ctx.require(node is not None, f"article {article_id} is not recorded in the supply chain")
+        ranking = ctx.get(f"scrank:{article_id}")
+        ctx.require(ranking is not None, f"article {article_id} has no recorded ranking")
+        score = ranking["final_score"]
         ctx.require(
             score >= PROMOTION_THRESHOLD,
             f"score {score:.3f} below promotion threshold {PROMOTION_THRESHOLD}",
@@ -96,8 +102,8 @@ class FactualDatabaseContract(Contract):
         ctx.require(ctx.get(key) is None, f"fact {fact_id} already recorded")
         record = {
             "fact_id": fact_id,
-            "content_hash": content_hash,
-            "topic": topic,
+            "content_hash": node["content_hash"],
+            "topic": node["topic"],
             "kind": "promoted",
             "article_id": article_id,
             "added_by": ctx.caller,

@@ -75,10 +75,3 @@ class IdentityContract(Contract):
     def get_identity(self, ctx: ContractContext, address: str):
         """Fetch an identity record (None if unregistered)."""
         return ctx.get(identity_key(address))
-
-    @contract_method
-    def require_verified(self, ctx: ContractContext, address: str):
-        """Helper for cross-contract-style checks in tests/clients."""
-        record = ctx.get(identity_key(address))
-        ctx.require(record is not None and record["verified"], f"{address} is not a verified identity")
-        return True

@@ -30,10 +30,14 @@ plain dicts rather than a networkx ``DiGraph``: nothing on the read
 path runs a graph algorithm, so running the platform does not load
 networkx (the analyses that do run one import it where they run it).
 
-What the process keeps that no ledger gives back: the private keys in
-:attr:`~TrustingNewsPlatform.accounts`, the provenance index (it needs
-article texts, which are not on the chain), and the models — text
-scorer, ranker, media verifier, topic classifier.
+The ledger is also the content store: a publish, report or share
+carries its text in its ``record_node`` transaction and a seeded fact in
+its ``seed_fact``, so the provenance index parents are discovered
+against is folded out of the ledger too (:attr:`LedgerView.provenance`),
+and a platform over another peer's ledger, or after a restart, discovers
+the same parents.  What the process keeps that no ledger gives back: the
+private keys in :attr:`~TrustingNewsPlatform.accounts` and the models —
+text scorer, ranker, media verifier, topic classifier.
 """
 
 from __future__ import annotations
@@ -111,6 +115,10 @@ class LedgerView:
     ``scrank:<id>``) and :attr:`comments` (the ``comment:<id>:<cid>``
     values in key order), each taken from the write set of the
     transaction that emitted the event.  They hold committed facts only.
+    The :attr:`provenance` index is folded the same way, in chain order:
+    each record whose transaction carries a ``text`` under its article id,
+    each seeded fact with a text under ``fact:<id>``, and each promoted
+    fact under ``fact:<id>`` with its article's text, if that was indexed.
     Nothing is told to the view at commit time: it is a pure function of
     the ledger it is shown, so any honest peer's ledger will do, and a
     ledger that does not extend what was folded — shorter, or another
@@ -139,6 +147,7 @@ class LedgerView:
         self.records: dict[str, dict[str, Any]] = {}
         self.rankings: dict[str, dict[str, Any]] = {}
         self.comments: dict[str, list[dict[str, Any]]] = {}
+        self.provenance = ProvenanceIndex()
         self._draft_rooms: dict[str, tuple[str, str]] = {}  # drafts not yet published
         # Answers about nodes already in ``graph``, by node id.
         self._traces: dict[str, TraceResult] = {}
@@ -163,8 +172,19 @@ class LedgerView:
             committed = ledger.get_transaction(tx_id)
             block = ledger.block(committed.block_height)
             self.records[article_id] = committed.transaction.write_set[supply_node_key(article_id)]
+            text = committed.transaction.args.get("text")
+            if text is not None:
+                self.provenance.add(article_id, text)
             self._proofs[article_id] = (tx_id, block.height, block.block_hash, block.merkle_root,
                                         block.prove_inclusion(tx_id, committed.tx_index))
+        for event in ledger.events("factualdb", "fact-seeded", above):
+            text = ledger.get_transaction(event["_tx_id"]).transaction.args.get("text")
+            if text is not None:
+                self.provenance.add(FACT_PREFIX + event["fact_id"], text)
+        for event in ledger.events("factualdb", "fact-promoted", above):
+            if event["article_id"] in self.provenance:
+                self.provenance.add(FACT_PREFIX + event["fact_id"],
+                                    self.provenance.text_of(event["article_id"]))
         for event in ledger.events("supplychain", "article-ranked", above):
             article_id = event["article_id"]
             self.rankings[article_id] = _written(ledger, event, f"scrank:{article_id}")
@@ -300,7 +320,6 @@ class TrustingNewsPlatform:
             ConductContract(),
         ):
             self.chain.install_contract(contract)
-        self.index = ProvenanceIndex()
         self.media_verifier = MediaVerifier()
         self.ranker = FactualnessRanker()
         self.scorer = scorer
@@ -353,7 +372,8 @@ class TrustingNewsPlatform:
     # -- factual database -------------------------------------------------------
 
     def seed_fact(self, fact_id: str, text: str, source: str, topic: str) -> TxReceipt:
-        """Bootstrap a ground-truth fact (official public record)."""
+        """Bootstrap a ground-truth fact (official public record); its text
+        rides in the transaction, for the provenance fold."""
         receipt = self.chain.invoke(
             self.governance,
             "factualdb",
@@ -363,14 +383,11 @@ class TrustingNewsPlatform:
                 "content_hash": sha256_hex(text.encode("utf-8")),
                 "source": source,
                 "topic": topic,
+                "text": text,
             },
         )
-        self._index_fact(fact_id, text)
+        self._view.follow(self.chain.ledger)  # sketch the fact now, not at the next publish
         return receipt
-
-    def _index_fact(self, fact_id: str, text: str) -> None:
-        """Facts share the provenance index with articles, under a reserved prefix."""
-        self.index.add(FACT_PREFIX + fact_id, text)
 
     def facts(self, topic: str | None = None) -> list[str]:
         return self.chain.query("factualdb", "list_facts", {"topic": topic})
@@ -482,26 +499,27 @@ class TrustingNewsPlatform:
     ) -> PublishedArticle:
         """The content path every entry channel goes through (§VI, Fig. 1).
 
-        Sketch the text once, find its provenance links (discovered, or
-        the indexed ones among *declared_parents* when the channel names
-        them), measure one degree per edge, score the text — P(fake), or
-        the worst of *tamper_scores* if that is higher — commit the
-        *editorial* steps and the supply-chain record carrying that score
-        as one unit (``invoke_group``: all of them in one block, or none
-        of them anywhere), and only when that has committed index the
-        text.
+        Sketch the text once, find its provenance links in :attr:`index`
+        (discovered, or the indexed ones among *declared_parents* when the
+        channel names them), measure one degree per edge, score the text —
+        P(fake), or the worst of *tamper_scores* if that is higher — and
+        commit the *editorial* steps and the supply-chain record carrying
+        that score and the text as one unit (``invoke_group``: all of them
+        in one block, or none of them anywhere).  Following the ledger
+        then indexes the committed text, with the sketch made here.
         """
         if article_id.startswith(FACT_PREFIX):
             raise PlatformError(f"article id {article_id!r} uses the reserved {FACT_PREFIX!r} prefix")
-        sketch = self.index.sketch(text)
+        index = self.index
+        sketch = index.sketch(text)
         if declared_parents is None:
-            links = [c.article_id for c in self.index.discover_parents(sketch, exclude=article_id)]
+            links = [c.article_id for c in index.discover_parents(sketch, exclude=article_id)]
         else:
-            links = [p for p in declared_parents if p in self.index]
+            links = [p for p in declared_parents if p in index]
         parents = tuple(p for p in links if not p.startswith(FACT_PREFIX))
         fact_roots = tuple(p[len(FACT_PREFIX):] for p in links if p.startswith(FACT_PREFIX))
-        parent_degrees = [self.index.degree_between(text, p) for p in parents]
-        fact_degrees = [self.index.degree_between(text, FACT_PREFIX + f) for f in fact_roots]
+        parent_degrees = [index.degree_between(text, p) for p in parents]
+        fact_degrees = [index.degree_between(text, FACT_PREFIX + f) for f in fact_roots]
         degree = min(parent_degrees + fact_degrees, default=1.0)
         record = {
             "article_id": article_id,
@@ -513,6 +531,7 @@ class TrustingNewsPlatform:
             "op": op,
             "fact_roots": list(fact_roots),
             "fact_degrees": fact_degrees,
+            "text": text,
         }
         ai = max((s for s in (self.ai_score(text), *tamper_scores) if s is not None), default=None)
         if ai is not None:
@@ -520,7 +539,7 @@ class TrustingNewsPlatform:
         receipt = self.chain.invoke_group(
             [*editorial, (signer, "supplychain", "record_node", record)]
         )[-1]
-        self.index.add(article_id, sketch)
+        self._view.follow(self.chain.ledger)
         return PublishedArticle(
             article_id=article_id,
             author_address=signer.address,
@@ -610,7 +629,8 @@ class TrustingNewsPlatform:
         sight — the platform admits the public, but every share is
         signed and attributable from then on.  A share names its parent,
         so nothing is discovered: the link is the event's parent when the
-        index knows it, and none otherwise.
+        index knows it, and none otherwise.  The share's text rides in its
+        record like any other, so a later relay can discover it.
         """
         name = event.agent_id
         sharer = self.accounts.get(name) or self._new_account(name, role="consumer")
@@ -643,6 +663,12 @@ class TrustingNewsPlatform:
         had to start over.
         """
         return self._view.follow(self.chain.ledger).graph
+
+    @property
+    def index(self) -> ProvenanceIndex:
+        """The provenance index as of the ledger's head
+        (:attr:`LedgerView.provenance`): read it, do not add to it."""
+        return self._view.follow(self.chain.ledger).provenance
 
     def trace(self, article_id: str) -> TraceResult:
         return self._view.follow(self.chain.ledger).trace(article_id)
@@ -713,8 +739,10 @@ class TrustingNewsPlatform:
     def promote_to_factual(self, article_id: str, fact_id: str | None = None) -> TxReceipt:
         """Promote a highly ranked article into the factual database.
 
-        The promotion threshold is enforced on-chain; this helper reads
-        the recorded ranking, so an article must have been ranked first.
+        The contract reads the record and the ranking and enforces the
+        threshold; this helper checks the recorded ranking first, so an
+        article must have been ranked.  The fact joins :attr:`index` with
+        the article's text when the ledger is next followed.
         """
         view = self._view.follow(self.chain.ledger)
         ranking = view.rankings.get(article_id)
@@ -724,21 +752,10 @@ class TrustingNewsPlatform:
             raise PlatformError(
                 f"score {ranking['final_score']:.3f} below promotion threshold {PROMOTION_THRESHOLD}"
             )
-        node = view.records[article_id]  # a ranking is refused for an unrecorded id
-        fact_id = fact_id or f"promoted-{article_id}"
-        receipt = self.chain.invoke(
+        return self.chain.invoke(
             self.governance, "factualdb", "promote",
-            {
-                "fact_id": fact_id,
-                "content_hash": node["content_hash"],
-                "topic": node["topic"],
-                "article_id": article_id,
-                "score": ranking["final_score"],
-            },
+            {"fact_id": fact_id or f"promoted-{article_id}", "article_id": article_id},
         )
-        if article_id in self.index:
-            self._index_fact(fact_id, self.index.text_of(article_id))
-        return receipt
 
     # -- topic routing ----------------------------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 §VI: "The system will then analyze the news content searching and
 discovering the parent references which the news is created [from]".
-The :class:`ProvenanceIndex` holds every article the platform has seen
+The :class:`ProvenanceIndex` holds every article text the ledger carries
 and, for a new text, proposes the most similar prior articles as parent
 candidates.  Three strategies (ablation A1):
 
@@ -57,10 +57,14 @@ class TextSketch:
 
 
 class ProvenanceIndex:
-    """Similarity index over all content the platform has ingested.
+    """Similarity index over article and fact texts.
 
-    Per article it keeps the text (edge degrees are measured on it) and
-    the method's representation of it, nothing else.  Under ``minhash``
+    The platform's index is a fold of the ledger
+    (:attr:`repro.core.platform.LedgerView.provenance`): a text rides in
+    its ``record_node`` / ``seed_fact`` transaction, so every peer's
+    ledger gives the same index back.  Per article it keeps the text
+    (edge degrees are measured on it) and the method's representation of
+    it, nothing else.  Under ``minhash``
     that is one column of ``n_hashes`` integers in a ``uint64`` matrix,
     whatever the article's length, and discovery compares the query
     against every column in a single array pass; ``exact`` and ``cosine``
@@ -80,6 +84,7 @@ class ProvenanceIndex:
         # minhash: column i is the signature of _ids[i]; columns from len(_ids) on are spare.
         self._ids: list[str] = []
         self._signatures = np.empty((n_hashes, _INITIAL_COLUMNS), dtype=np.uint64)
+        self._last: TextSketch | None = None  # the latest sketch, until an add takes it
 
     def __len__(self) -> int:
         return len(self._texts)
@@ -88,21 +93,29 @@ class ProvenanceIndex:
         return article_id in self._texts
 
     def sketch(self, text: str | TextSketch) -> TextSketch:
-        """Tokenise, shingle and hash *text* once; a sketch passes through."""
+        """Tokenise, shingle and hash *text* once; a sketch passes through.
+
+        The latest sketch is remembered until an :meth:`add` takes it, so
+        the add that follows a query for the same text (a publish, then its
+        committed record) reuses it, and each add sketches at most once."""
         if isinstance(text, TextSketch):
             return text
+        if self._last is not None and self._last.text == text:
+            return self._last
         representation = text
         if self.method != "cosine":
             representation = shingles(text, self.shingle_k)
             if self.method == "minhash":
                 representation = minhash_signature(representation, self.n_hashes)
-        return TextSketch(text, representation)
+        self._last = TextSketch(text, representation)
+        return self._last
 
     def add(self, article_id: str, text: str | TextSketch) -> None:
         """Index an article (id must be new)."""
         if article_id in self._texts:
             raise ReproError(f"article {article_id} already indexed")
         sketch = self.sketch(text)
+        self._last = None
         if self.method == "minhash":
             if len(self._ids) == self._signatures.shape[1]:
                 self._signatures = np.concatenate(

@@ -71,6 +71,7 @@ class SupplyChainContract(Contract):
         parent_degrees: list[float] | None = None,
         fact_degrees: list[float] | None = None,
         ai_score: float | None = None,
+        text: str | None = None,
     ):
         """Record one news item and its propagation end points.
 
@@ -98,9 +99,15 @@ class SupplyChainContract(Contract):
         the graph names factual roots that way, and a record there would
         take over the root every honest relay of that fact traces to.
 
-        Arguments are type-checked before anything else: ids and names
-        are strings, ``parents`` / ``fact_roots`` lists of strings,
-        degrees and ``ai_score`` numbers (not ``bool``).
+        ``text`` is the article's text, when the recorder shares it: the
+        ledger is the content store, and a reader's provenance index is a
+        fold of the texts records carry (``LedgerView.provenance``).  It is
+        neither written to state nor emitted; a record without one is not
+        discoverable as a parent.
+
+        Arguments are type-checked before anything else: ids, names and
+        ``text`` are strings, ``parents`` / ``fact_roots`` lists of
+        strings, degrees and ``ai_score`` numbers (not ``bool``).
         """
         ctx.require(
             all(isinstance(v, str) for v in (article_id, content_hash, topic, op)),
@@ -119,6 +126,7 @@ class SupplyChainContract(Contract):
             "degrees must be numbers",
         )
         ctx.require(ai_score is None or is_real(ai_score), "ai_score must be a number")
+        ctx.require(text is None or isinstance(text, str), "text must be a string")
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(caller is not None, "unregistered identities cannot record news")
         ctx.require(
@@ -197,7 +205,8 @@ class SupplyChainContract(Contract):
 
         The verdict (and each component signal) is auditable: readers
         can see *why* an article ranks where it does, the transparency
-        mechanism refs [29] argue for.
+        mechanism refs [29] argue for.  Only a verified identity may rank:
+        a ranking is what ``factualdb.promote`` reads.
         """
         ctx.require(isinstance(article_id, str), "article_id must be a string")
         ctx.require(
@@ -209,6 +218,8 @@ class SupplyChainContract(Contract):
             ctx.get(supply_node_key(article_id)) is not None,
             f"article {article_id} is not recorded in the supply chain",
         )
+        caller = ctx.get(identity_key(ctx.caller))
+        ctx.require(caller is not None and caller["verified"], "only verified identities may rank")
         ctx.require(0.0 <= final_score <= 1.0, "final_score must be in [0, 1]")
         record = {
             "article_id": article_id,

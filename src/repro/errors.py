@@ -33,10 +33,6 @@ class InvalidBlockError(ChainError):
     """A block failed structural validation or does not extend the chain."""
 
 
-class StateConflictError(ChainError):
-    """MVCC read-set validation failed: a read key was stale at commit."""
-
-
 class ContractError(ChainError):
     """A smart contract aborted, or contract invocation was malformed."""
 
@@ -47,10 +43,6 @@ class OutOfGasError(ContractError):
 
 class EndorsementError(ChainError):
     """A transaction did not satisfy its endorsement policy."""
-
-
-class ConsensusError(ChainError):
-    """Consensus protocol violation or insufficient quorum."""
 
 
 class IdentityError(ReproError):

@@ -54,9 +54,6 @@ class TopicClassifier:
         indices = self._model.predict(X)
         return [self._labels[int(index)] for index in indices]
 
-    def predict_one(self, text: str) -> str:
-        return self.predict([text])[0]
-
     def predict_proba(self, texts: list[str]) -> np.ndarray:
         """(n_texts, n_topics) probabilities, columns in ``topics`` order."""
         if not self._fitted:

@@ -245,6 +245,23 @@ def run_platform_chaos(seed: int, n_articles: int = 8):
                 peer.node_id
             assert [view.audit(a) for a in article_ids] == [
                 platform.export_audit(a) for a in article_ids], peer.node_id
+    # The provenance index is a fold of the same ledger (the texts ride in
+    # the records): every live peer's, the restarted one's included, holds
+    # the platform's entries and discovers the same parents for a new relay,
+    # with the same similarities and degrees to the last bit.
+    probe = gen.relay_derivation(fact, "probe", 0.0).text
+
+    def discovery(index):
+        return [(c.article_id, c.similarity.hex(), index.degree_between(probe, c.article_id).hex())
+                for c in index.discover_parents(probe)]
+
+    indexed = platform.index
+    assert "fact:f-0" in indexed and discovery(indexed)
+    for peer in network.peers:
+        if not peer.crashed:
+            folded = LedgerView().follow(peer.ledger).provenance
+            assert sorted(folded._texts) == sorted(indexed._texts), peer.node_id
+            assert discovery(folded) == discovery(indexed), peer.node_id
     return network, platform, acknowledged, refused
 
 

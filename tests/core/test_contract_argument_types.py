@@ -58,6 +58,7 @@ def test_a_mistyped_argument_is_a_contract_error(chain, contract, method, name, 
     well_typed = {"cast": _VOTE, "record_node": _NODE, "record_ranking": _RANKING}[method]
     account = chain.new_account()
     chain.invoke(account, "identity", "register", {"display_name": "alice", "role": "creator"})
+    chain.invoke(account, "identity", "verify", {"address": account.address})  # rankers are verified
     chain.invoke(account, "supplychain", "record_node", {**_NODE, "article_id": "a-1", "parents": []})
     height, digest = chain.ledger.height, chain.state.state_digest()
     with pytest.raises(ContractError):

@@ -43,13 +43,72 @@ def test_seed_requires_verified_identity(platform):
         )
 
 
-def test_promote_enforces_threshold_on_chain(platform):
+@pytest.fixture
+def reported(platform):
+    """A platform with one external report, ``a-x``, recorded and unranked,
+    by an unverified reader."""
+    platform.register_participant("reader", role="consumer", verified=False)
+    platform.report_external("reader", "a-x", "the council approved the budget on monday",
+                             "politics", source="https://o.example")
+    return platform
+
+
+def _rank(platform, article_id, final_score, signer=None):
+    return platform.chain.invoke(
+        signer or platform.governance, "supplychain", "record_ranking",
+        {"article_id": article_id, "provenance_score": final_score, "ai_score": None,
+         "crowd_score": None, "final_score": final_score},
+    )
+
+
+def test_promote_enforces_threshold_on_chain(reported):
+    _rank(reported, "a-x", 0.3)
     with pytest.raises(ContractError, match="below promotion threshold"):
-        platform.chain.invoke(
-            platform.governance, "factualdb", "promote",
-            {"fact_id": "p-1", "content_hash": "h", "topic": "politics",
-             "article_id": "a-x", "score": 0.3},
-        )
+        reported.chain.invoke(reported.governance, "factualdb", "promote",
+                              {"fact_id": "p-1", "article_id": "a-x"})
+
+
+def test_only_a_verified_identity_ranks(reported):
+    """A ranking is what promotion reads, so an unregistered key (or a
+    registered, unverified one) ranking an article 1.0 must not commit:
+    it used to, and ``promote_to_factual`` then promoted the article."""
+    for forger in (reported.chain.new_account(), reported.account("reader")):
+        with pytest.raises(ContractError, match="only verified identities may rank"):
+            _rank(reported, "a-x", 1.0, signer=forger)
+    with pytest.raises(PlatformError, match="no recorded ranking"):
+        reported.promote_to_factual("a-x")
+    assert reported.facts() == []
+
+
+def test_promotion_reads_the_record_and_the_ranking(reported):
+    """``promote`` takes a fact id and an article id; the content hash and
+    topic come from the article's record and the score from its ranking.
+    A verified checker used to promote an article ranked 0.0, or one never
+    recorded, by claiming a 0.99 score and an invented hash."""
+    reported.register_participant("checker", role="checker")
+    checker = reported.account("checker")
+
+    def promote(article_id, **claims):
+        return reported.chain.invoke(checker, "factualdb", "promote",
+                                     {"fact_id": "p-1", "article_id": article_id, **claims})
+
+    _rank(reported, "a-x", 0.0)
+    for article_id in ("a-x", "never-recorded"):
+        with pytest.raises(ContractError):
+            promote(article_id, content_hash="invented", topic="health", score=0.99)
+    reported.report_external("reader", "a-y", "an unranked report about the weather",
+                             "climate", source="https://p.example")
+    for article_id, refusal in (("a-x", "below promotion threshold"),
+                                ("a-y", "has no recorded ranking"),
+                                ("never-recorded", "is not recorded")):
+        with pytest.raises(ContractError, match=refusal):
+            promote(article_id)
+    assert reported.facts() == []
+    _rank(reported, "a-x", 0.9)
+    fact = promote("a-x").return_value
+    node = reported.chain.query("supplychain", "get_node", {"article_id": "a-x"})
+    assert (fact["content_hash"], fact["topic"], fact["score"], fact["added_by"]) == (
+        node["content_hash"], node["topic"], 0.9, checker.address)
 
 
 # -- newsroom workflow -------------------------------------------------------------

@@ -103,8 +103,12 @@ def article_tuples(platform):
 #   so its bytes moved, and a-2's media assessment joined its publish unit,
 #   one block fewer;
 # - a block's Merkle leaf became the whole endorsed transaction, so every
-#   block hash moved.
-HEAD_HASH = "48b4137c2dec4b70915a94c05339f1c5fe4884398e198c2348df390b3f7e0f00"
+#   block hash moved;
+# - the texts went on the chain (``record_node`` / ``seed_fact`` carry them),
+#   ``record_ranking`` reads its caller's identity and ``promote`` takes only
+#   the fact and article ids, so those transactions' bytes, and every block
+#   hash from the first fact on, moved.
+HEAD_HASH = "fa8a6d3300b7f4f383798b8ee74e643bfe8f4ea6c054dde742736efc01cd20a6"
 ARTICLES = {  # article id -> (parents, fact_roots, modification_degree, ai_score)
     "a-1": ((), ("f-0",), 0.0, 0.24),
     "a-2": (("a-1",), ("a-1-fact",), 0.1282051282051282, 0.40625),

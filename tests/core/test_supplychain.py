@@ -193,6 +193,8 @@ def test_record_ranking_requires_existing_node(chain):
 
 def test_record_ranking_roundtrip(lineage):
     chain, accounts = lineage
+    # Only a verified identity may rank; the first attestation bootstraps the root.
+    chain.invoke(accounts["alice"], "identity", "verify", {"address": accounts["alice"].address})
     chain.invoke(
         accounts["alice"], "supplychain", "record_ranking",
         {"article_id": "a-1", "provenance_score": 1.0, "ai_score": 0.9,

@@ -1,4 +1,7 @@
-"""CLI entry points (repro-news)."""
+"""CLI entry points (repro-news), and every example script's ``main``."""
+
+import pathlib
+import runpy
 
 import pytest
 
@@ -52,6 +55,15 @@ def test_demo_quickstart(capsys, monkeypatch):
     assert code == 0
     captured = capsys.readouterr().out
     assert "published report-1" in captured
+
+
+_EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "examples"
+
+
+@pytest.mark.parametrize("example", sorted(path.stem for path in _EXAMPLES.glob("*.py")))
+def test_every_example_runs(example, capsys):
+    runpy.run_path(str(_EXAMPLES / f"{example}.py"))["main"]()
+    assert capsys.readouterr().out
 
 
 def test_demo_missing_examples_dir(tmp_path, monkeypatch, capsys):
