@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.chain.contracts import Contract, ContractContext, contract_method
 from repro.core.identity import identity_key
-from repro.core.supplychain import supply_node_key
+from repro.core.supplychain import MAX_TEXT_LENGTH, is_text, supply_node_key
 
 __all__ = ["FactualDatabaseContract", "fact_key"]
 
@@ -49,9 +49,15 @@ class FactualDatabaseContract(Contract):
         Only verified identities may seed (the operator importing the
         congressional record is accountable for the import).  ``text``,
         when given, is the record's text for the provenance fold (as in
-        ``supplychain.record_node``): neither stored nor emitted.
+        ``supplychain.record_node``): neither stored nor emitted.  Every
+        argument is type-checked before anything is read: every reader's
+        fold names the fact ``fact:<fact_id>``.
         """
-        ctx.require(text is None or isinstance(text, str), "text must be a string")
+        ctx.require(
+            all(isinstance(v, str) for v in (fact_id, content_hash, source, topic)),
+            "fact_id, content_hash, source and topic must be strings",
+        )
+        ctx.require(is_text(text), f"text must be a string of at most {MAX_TEXT_LENGTH} characters")
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(
             caller is not None and caller["verified"],
@@ -82,8 +88,12 @@ class FactualDatabaseContract(Contract):
         from its latest ranking (which only a verified identity can
         record).  The promotion bar is enforced on-chain so a buggy (or
         corrupt) off-chain ranking service cannot quietly pollute ground
-        truth.
+        truth.  Both ids are type-checked first, as in :meth:`seed_fact`.
         """
+        ctx.require(
+            isinstance(fact_id, str) and isinstance(article_id, str),
+            "fact_id and article_id must be strings",
+        )
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(
             caller is not None and caller["verified"],

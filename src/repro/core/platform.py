@@ -59,7 +59,7 @@ from repro.core.conduct import ConductContract
 from repro.core.crowdsourcing import VoteContract, factual_share
 from repro.core.ecosystem import TokenContract
 from repro.core.experts import ExpertFinder
-from repro.core.factualdb import PROMOTION_THRESHOLD, FactualDatabaseContract
+from repro.core.factualdb import FactualDatabaseContract
 from repro.core.governance import PlatformGovernanceContract
 from repro.core.identity import IdentityContract
 from repro.core.media import MediaAssessment, MediaRegistryContract, MediaVerifier
@@ -77,7 +77,7 @@ from repro.core.supplychain import (
     supply_node_key,
     trace_to_factual_root,
 )
-from repro.errors import IdentityError, PlatformError
+from repro.errors import ContractError, IdentityError, PlatformError
 from repro.ml.ensemble import FakeNewsScorer
 from repro.social.cascade import ShareEvent
 
@@ -115,10 +115,13 @@ class LedgerView:
     ``scrank:<id>``) and :attr:`comments` (the ``comment:<id>:<cid>``
     values in key order), each taken from the write set of the
     transaction that emitted the event.  They hold committed facts only.
-    The :attr:`provenance` index is folded the same way, in chain order:
-    each record whose transaction carries a ``text`` under its article id,
-    each seeded fact with a text under ``fact:<id>``, and each promoted
-    fact under ``fact:<id>`` with its article's text, if that was indexed.
+    The :attr:`provenance` index is folded from the same walk: each record
+    whose transaction carries a ``text`` under its article id, each seeded
+    fact with a text under ``fact:<id>``, and each promoted fact under
+    ``fact:<id>`` with its article's text, if that was indexed.  Within one
+    follow the three kinds go in in that order, not in chain order; what
+    the index answers does not depend on it, since discovery sorts its
+    candidates by similarity, then id.
     Nothing is told to the view at commit time: it is a pure function of
     the ledger it is shown, so any honest peer's ledger will do, and a
     ledger that does not extend what was folded — shorter, or another
@@ -740,22 +743,18 @@ class TrustingNewsPlatform:
         """Promote a highly ranked article into the factual database.
 
         The contract reads the record and the ranking and enforces the
-        threshold; this helper checks the recorded ranking first, so an
-        article must have been ranked.  The fact joins :attr:`index` with
-        the article's text when the ledger is next followed.
+        threshold; its refusal (no recorded ranking, a score below the
+        bar) is raised as a :class:`PlatformError` with the contract's
+        message.  The fact joins :attr:`index` with the article's text when
+        the ledger is next followed.
         """
-        view = self._view.follow(self.chain.ledger)
-        ranking = view.rankings.get(article_id)
-        if ranking is None:
-            raise PlatformError(f"article {article_id} has no recorded ranking")
-        if ranking["final_score"] < PROMOTION_THRESHOLD:
-            raise PlatformError(
-                f"score {ranking['final_score']:.3f} below promotion threshold {PROMOTION_THRESHOLD}"
+        try:
+            return self.chain.invoke(
+                self.governance, "factualdb", "promote",
+                {"fact_id": fact_id or f"promoted-{article_id}", "article_id": article_id},
             )
-        return self.chain.invoke(
-            self.governance, "factualdb", "promote",
-            {"fact_id": fact_id or f"promoted-{article_id}", "article_id": article_id},
-        )
+        except ContractError as error:
+            raise PlatformError(str(error)) from error
 
     # -- topic routing ----------------------------------------------------------------------------------
 

@@ -41,11 +41,22 @@ __all__ = [
     "find_original_author",
     "supply_node_key",
     "FACT_PREFIX",
+    "MAX_TEXT_LENGTH",
 ]
 
 #: The namespace of factual-root nodes in the supply-chain graph:
 #: ``fact:<fact id>``.  No recorded article may take an id in it.
 FACT_PREFIX = "fact:"
+
+#: The longest ``text`` a record or a seeded fact may carry, in characters
+#: (the corpus's articles average 409–623): a text costs no gas, and every
+#: reader's provenance fold sketches it.
+MAX_TEXT_LENGTH = 16_384
+
+
+def is_text(value: Any) -> bool:
+    """Whether *value* is a ``text`` argument a contract accepts."""
+    return value is None or (isinstance(value, str) and len(value) <= MAX_TEXT_LENGTH)
 
 
 def supply_node_key(article_id: str) -> str:
@@ -106,7 +117,8 @@ class SupplyChainContract(Contract):
         discoverable as a parent.
 
         Arguments are type-checked before anything else: ids, names and
-        ``text`` are strings, ``parents`` / ``fact_roots`` lists of
+        ``text`` are strings (``text`` at most :data:`MAX_TEXT_LENGTH`
+        characters), ``parents`` / ``fact_roots`` lists of
         strings, degrees and ``ai_score`` numbers (not ``bool``).
         """
         ctx.require(
@@ -126,7 +138,7 @@ class SupplyChainContract(Contract):
             "degrees must be numbers",
         )
         ctx.require(ai_score is None or is_real(ai_score), "ai_score must be a number")
-        ctx.require(text is None or isinstance(text, str), "text must be a string")
+        ctx.require(is_text(text), f"text must be a string of at most {MAX_TEXT_LENGTH} characters")
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(caller is not None, "unregistered identities cannot record news")
         ctx.require(

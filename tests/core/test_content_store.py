@@ -112,3 +112,23 @@ def test_the_platform_folds_its_own_commits_at_once(platform, monkeypatch):
                              source="https://o.example")
     assert len(calls) == 2 and "ext-1" in platform._view.provenance
     assert platform._view.height == platform.chain.ledger.height
+
+
+def test_two_copies_of_a_fact_text_displace_its_root(platform):
+    """A known gap, pinned as it stands (ROADMAP item 6 (c)): any registered
+    key may record a seeded fact's text under ids that sort before
+    ``fact:``, and discovery keeps two parents and breaks ties by id, so an
+    honest relay of the fact links to the two copies instead of its factual
+    root.  When recording or discovery closes the gap this test fails, and
+    is to be turned round to assert the relay keeps ``fact:f-0``."""
+    fact = CorpusGenerator(seed=5).factual(topic="politics")
+    platform.seed_fact("f-0", fact.text, "public-record", "politics")
+    forger = _outsider(platform.chain)
+    for article_id in ("0-a", "0-b"):
+        platform.chain.invoke(forger, "supplychain", "record_node", _node(article_id, fact.text))
+    platform.register_participant("reader", role="consumer")
+    echoed = platform.report_external("reader", "ext-1", relay(fact, "r", 1.0).text, "politics",
+                                      source="https://o.example")
+    assert (echoed.parents, echoed.fact_roots) == (("0-a", "0-b"), ())
+    assert not platform.trace("ext-1").traceable
+    assert platform.accountable_author("ext-1") == forger.address

@@ -9,7 +9,13 @@ simulation) and commit nothing.
 import pytest
 
 from repro.chain import LocalChain
-from repro.core import IdentityContract, SupplyChainContract, VoteContract
+from repro.core import (
+    FactualDatabaseContract,
+    IdentityContract,
+    SupplyChainContract,
+    VoteContract,
+)
+from repro.core.supplychain import MAX_TEXT_LENGTH
 from repro.errors import ContractError
 
 _NODE = {
@@ -21,6 +27,9 @@ _RANKING = {
     "article_id": "a-1", "provenance_score": 1.0, "ai_score": 0.1,
     "crowd_score": None, "final_score": 0.8,
 }
+_FACT = {"fact_id": "f-1", "content_hash": "h-f-1", "source": "public-record",
+         "topic": "politics", "text": "the council approved the budget"}
+_PROMOTION = {"fact_id": "a-1-fact", "article_id": "a-1"}
 
 #: (contract, method, argument, mistyped value): each replaces one
 #: argument of the method's well-typed call.
@@ -42,24 +51,38 @@ _MALFORMED = [
     ("supplychain", "record_ranking", "final_score", "0.8"),
     ("supplychain", "record_ranking", "ai_score", "low"),
     ("supplychain", "record_ranking", "article_id", 1),
+    ("supplychain", "record_node", "text", 7),
+    pytest.param("supplychain", "record_node", "text", "x" * (MAX_TEXT_LENGTH + 1),
+                 id="supplychain-record_node-text-too-long"),
+    # Every reader's provenance fold names a fact ``fact:<fact_id>``.
+    ("factualdb", "seed_fact", "fact_id", 7),
+    ("factualdb", "seed_fact", "topic", ["politics"]),
+    pytest.param("factualdb", "seed_fact", "text", "x" * (MAX_TEXT_LENGTH + 1),
+                 id="factualdb-seed_fact-text-too-long"),
+    ("factualdb", "promote", "fact_id", 7),
+    ("factualdb", "promote", "article_id", ["a-1"]),
 ]
 
 
 @pytest.fixture
 def chain():
     chain = LocalChain(seed=4)
-    for contract in (IdentityContract(), SupplyChainContract(), VoteContract()):
+    for contract in (IdentityContract(), SupplyChainContract(), VoteContract(),
+                     FactualDatabaseContract()):
         chain.install_contract(contract)
     return chain
 
 
 @pytest.mark.parametrize("contract,method,name,value", _MALFORMED)
 def test_a_mistyped_argument_is_a_contract_error(chain, contract, method, name, value):
-    well_typed = {"cast": _VOTE, "record_node": _NODE, "record_ranking": _RANKING}[method]
+    well_typed = {"cast": _VOTE, "record_node": _NODE, "record_ranking": _RANKING,
+                  "seed_fact": _FACT, "promote": _PROMOTION}[method]
     account = chain.new_account()
     chain.invoke(account, "identity", "register", {"display_name": "alice", "role": "creator"})
     chain.invoke(account, "identity", "verify", {"address": account.address})  # rankers are verified
     chain.invoke(account, "supplychain", "record_node", {**_NODE, "article_id": "a-1", "parents": []})
+    if method == "promote":
+        chain.invoke(account, "supplychain", "record_ranking", _RANKING)
     height, digest = chain.ledger.height, chain.state.state_digest()
     with pytest.raises(ContractError):
         chain.invoke(account, contract, method, {**well_typed, name: value})
