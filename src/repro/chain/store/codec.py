@@ -1,4 +1,4 @@
-"""Canonical JSON codec for durable block-log records and snapshots.
+"""Codec for durable block-log records and snapshots: canonical JSON, deflated.
 
 One record encodes everything ``Peer.restart`` needs to rebuild the
 block's effect without re-running consensus: the block itself (header +
@@ -8,16 +8,20 @@ ledger serves are byte-equal to the originals), and the consensus
 proof (PBFT commit certificate + vote signatures) so recovery can
 re-verify the tail *before* trusting it.
 
-Encoding is compact sorted-key JSON — deterministic bytes, so the CRC in
-the log framing (see :mod:`repro.chain.store.log`) pins the exact
-content, and two peers logging the same block produce identical records.
-:func:`encode_obj` is :func:`repro.crypto.hashing.canonical_json`, the
-encoder the transaction-signing payload uses too.
+A record is compact sorted-key JSON, stored deflated: :func:`deflate`
+(zlib at :data:`DEFLATE_LEVEL`) of those bytes is what the log frames
+and its CRC covers (see :mod:`repro.chain.store.log`); snapshots are
+stored the same way.  Both steps are deterministic, so the CRC pins the
+exact content and two peers logging the same block with the same
+verdicts and proof produce identical records.  :func:`encode_obj` is
+:func:`repro.crypto.hashing.canonical_json`, the encoder the
+transaction-signing payload uses too.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 from typing import Any
 
 from repro.chain.block import Block
@@ -29,6 +33,8 @@ __all__ = [
     "decode_record",
     "encode_obj",
     "decode_obj",
+    "deflate",
+    "inflate",
     "block_to_obj",
     "block_from_obj",
 ]
@@ -39,6 +45,27 @@ encode_obj = canonical_json
 
 def decode_obj(data: bytes) -> Any:
     return json.loads(data.decode("utf-8"))
+
+
+#: zlib level of every durable byte.  Level 1 already takes the canonical
+#: JSON (hex keys and signatures, field names repeated per transaction, a
+#: record's arguments echoed in its write set and event) to about a fifth
+#: of its size; higher levels cost more per commit for a few per cent.
+DEFLATE_LEVEL = 1
+
+
+def deflate(data: bytes) -> bytes:
+    """The bytes a durable file stores for *data*."""
+    return zlib.compress(data, DEFLATE_LEVEL)
+
+
+def inflate(stored: bytes) -> bytes:
+    """Undo :func:`deflate`; bytes that do not inflate raise ``ValueError``
+    like any other undecodable payload."""
+    try:
+        return zlib.decompress(stored)
+    except zlib.error as exc:
+        raise ValueError(f"payload does not inflate: {exc}") from exc
 
 
 def _tx_to_obj(tx: Transaction) -> dict[str, Any]:
@@ -145,29 +172,35 @@ def encode_record(
 ) -> bytes:
     """One log-record payload: block + commit verdicts + consensus proof.
 
-    Byte for byte ``encode_obj({"block": ..., "errors": ..., "proof": ...,
-    "validity": ...})`` — sorted keys, so that is the order of the splice
-    — with the block's part, by far the largest and the same for every
-    peer that logs this block, taken from :func:`_encode_block`'s memo;
-    verdicts, error strings and proof are each peer's own and are encoded
-    per call.
+    ``deflate(encode_obj({"block": ..., "errors": ..., "proof": ...,
+    "validity": ...}))``: the JSON is spliced byte for byte — sorted keys,
+    so that is the order of the splice — with the block's part, by far the
+    largest and the same for every peer that logs this block, taken from
+    :func:`_encode_block`'s memo; verdicts, error strings and proof are
+    each peer's own and are encoded, and the whole deflated, per call.
     """
     if errors is None:
         errors = [None] * len(validity)
-    return b"".join((
+    return deflate(b"".join((
         b'{"block":', _encode_block(block),
         b',"errors":', encode_obj(list(errors)),
         b',"proof":', encode_obj(proof),
         b',"validity":', encode_obj(list(validity)),
         b"}",
-    ))
+    )))
 
 
 def decode_record(payload: bytes) -> tuple[Block, list[bool], list[str | None], Any]:
-    obj = decode_obj(payload)
-    return (
-        block_from_obj(obj["block"]),
-        [bool(v) for v in obj["validity"]],
-        list(obj["errors"]),
-        obj["proof"],
-    )
+    """Inverse of :func:`encode_record`.  A payload that does not inflate
+    or parse, or whose verdicts or error strings are not one per
+    transaction, raises ``ValueError`` (``KeyError`` / ``TypeError`` for a
+    missing or mistyped field)."""
+    obj = decode_obj(inflate(payload))
+    block = block_from_obj(obj["block"])
+    validity = [bool(v) for v in obj["validity"]]
+    errors = list(obj["errors"])
+    if len(validity) != len(block.transactions) or len(errors) != len(block.transactions):
+        raise ValueError(
+            f"{len(validity)} verdicts and {len(errors)} error strings "
+            f"for {len(block.transactions)} transactions")
+    return block, validity, errors, obj["proof"]

@@ -2,13 +2,14 @@
 
 Commit path (:meth:`DurableStore.on_commit`): the block, its validity
 verdicts, its per-tx error strings, and its consensus proof are encoded
-into one record, appended to the log, and fsync'd — only then is the
-block *acknowledged durable* and remembered in :attr:`DurableStore.acked`
-(the model's ground truth for the storage-durability invariant; it is
-never used to rebuild state).  Every ``snapshot_interval`` blocks,
-:meth:`maybe_snapshot` persists the world state and the rows of the
-ledger's transaction index — not history: a receipt is read from the
-ledger, which recovery rebuilds from the log.
+into one record (canonical JSON, deflated), appended to the log, and
+fsync'd — only then is the block *acknowledged durable* and remembered
+in :attr:`DurableStore.acked` (the model's ground truth for the
+storage-durability invariant; it is never used to rebuild state).
+Every ``snapshot_interval`` blocks, :meth:`maybe_snapshot` persists the
+world state and the rows of the ledger's transaction index — not
+history: a receipt is read from the ledger, which recovery rebuilds from
+the log.
 
 Recovery (:meth:`recover`) is verify-before-trust, and it *degrades*,
 never guesses::

@@ -4,37 +4,53 @@ Backs the ``repro-news store`` CLI subcommand: given the raw bytes of a
 store's files (from a live :class:`~repro.simnet.disk.SimDisk` or a
 dumped directory), re-run the same verify-before-trust checks recovery
 uses and report what a recovery *would* find — valid records, the torn
-or corrupt tail, snapshot health, and the implied degradation ladder.
-Inspection never mutates anything.
+or corrupt tail, snapshot health, and the implied degradation ladder —
+and what deflating saved: the size of the log's verified records and of
+each snapshot once inflated, beside the bytes stored.  Inspection never
+mutates anything.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.chain.store.codec import decode_obj
-from repro.chain.store.log import LOG_NAME, scan_log_bytes
-from repro.chain.store.snapshots import SNAPSHOT_PREFIX, unframe
+from repro.chain.store.codec import inflate
+from repro.chain.store.log import LOG_NAME, LogScan, scan_log_bytes
+from repro.chain.store.snapshots import SNAPSHOT_PREFIX, read_snapshot
 
 __all__ = ["inspect_files", "inspect_disk", "render_inspection"]
 
 
 def _inspect_snapshot(name: str, data: bytes) -> dict[str, Any]:
     info: dict[str, Any] = {"file": name, "bytes": len(data), "valid": False}
-    payload = unframe(data)
-    if isinstance(payload, str):
-        info["problem"] = payload
-        return info
     try:
-        obj = decode_obj(payload)
+        height = int(name[len(SNAPSHOT_PREFIX):])
     except ValueError:
-        info["problem"] = "undecodable payload"
+        info["problem"] = "no height in file name"
         return info
+    read = read_snapshot(data, height)
+    if isinstance(read, str):
+        info["problem"] = read
+        return info
+    obj, info["inflated_bytes"] = read
     info["valid"] = True
-    info["height"] = obj.get("height")
-    info["block_hash"] = obj.get("block_hash", "")[:16]
-    info["state_keys"] = len(obj.get("state", {}).get("entries", []))
+    info["height"] = height
+    info["block_hash"] = obj["block_hash"][:16]
+    info["state_keys"] = len(obj["state"].get("entries", []))
     return info
+
+
+def _inflated_log_bytes(scan: LogScan) -> tuple[int, list[int]]:
+    """The verified records' size with each payload inflated (the frame
+    headers counted as stored), and the heights whose payload does not
+    inflate — recovery cuts the log at the first of those."""
+    total, broken = scan.valid_length, []
+    for record in scan.records:
+        try:
+            total += len(inflate(record.payload)) - len(record.payload)
+        except ValueError:
+            broken.append(record.height)
+    return total, broken
 
 
 def inspect_files(files: dict[str, bytes]) -> dict[str, Any]:
@@ -48,11 +64,14 @@ def inspect_files(files: dict[str, bytes]) -> dict[str, Any]:
     ]
     valid_snap_heights = [s["height"] for s in snapshots if s["valid"] and s["height"] <= scan.tip]
     recovery_snapshot = max(valid_snap_heights, default=0)
+    inflated, not_inflating = _inflated_log_bytes(scan)
     return {
         "log": {
             "bytes": len(log_data),
             "valid_bytes": scan.valid_length,
             "garbage_bytes": len(log_data) - scan.valid_length,
+            "inflated_bytes": inflated,
+            "not_inflating": not_inflating,
             "records": len(scan.records),
             "tip": scan.tip,
             "failure": scan.failure,
@@ -84,8 +103,13 @@ def render_inspection(info: dict[str, Any]) -> str:
         f"  {log['records']} valid records, tip height {log['tip']}",
         f"  {log['valid_bytes']}/{log['bytes']} bytes verified"
         + (f" ({log['garbage_bytes']} garbage: {log['failure']})" if log["failure"] else ""),
-        "snapshots:",
+        f"  {log['valid_bytes']} bytes stored deflated, {log['inflated_bytes']} inflated",
     ]
+    if log["not_inflating"]:
+        lines.append(
+            f"  {len(log['not_inflating'])} record(s) do not inflate, "
+            f"first at height {log['not_inflating'][0]}")
+    lines.append("snapshots:")
     if not info["snapshots"]:
         lines.append("  (none)")
     for snap in info["snapshots"]:
@@ -94,7 +118,8 @@ def render_inspection(info: dict[str, Any]) -> str:
         else:
             lines.append(
                 f"  {snap['file']}: OK, height {snap['height']}, "
-                f"{snap['state_keys']} state keys"
+                f"{snap['state_keys']} state keys, "
+                f"{snap['bytes']} bytes stored deflated, {snap['inflated_bytes']} inflated"
             )
     recovery = info["recovery"]
     lines.append(

@@ -7,15 +7,16 @@ Record framing (all integers big-endian)::
     | 2B    | u32     | u32     | u32    | `length` bytes   |
     +-------+---------+---------+--------+------------------+
 
-The payload is the canonical-JSON record from
-:mod:`repro.chain.store.codec`.  The CRC covers the payload only; the
-magic and the height/length sanity checks cover the header.  ``scan``
-never trusts bytes it cannot prove: it walks records front to back and
-stops at the first framing violation, classifying it as a *torn tail*
-(file ends mid-record — the normal crash pattern, repaired by
-truncation) or *corruption* (bad magic / CRC mismatch / non-contiguous
-height — bytes present but wrong, also repaired by truncation, but
-counted separately because it means media damage, not a crash).
+The payload is the record from :mod:`repro.chain.store.codec`: its
+canonical JSON, deflated.  The CRC covers the payload as stored (the
+deflated bytes) only; the magic and the height/length sanity checks
+cover the header.  ``scan`` never trusts bytes it cannot prove: it walks
+records front to back and stops at the first framing violation,
+classifying it as a *torn tail* (file ends mid-record — the normal crash
+pattern, repaired by truncation) or *corruption* (bad magic / CRC
+mismatch / non-contiguous height — bytes present but wrong, also
+repaired by truncation, but counted separately because it means media
+damage, not a crash).
 """
 
 from __future__ import annotations

@@ -15,15 +15,18 @@ falls all the way back to full replay.
 
 This is the one snapshot format: both durable backends write it (the
 SQLite backend's tables are a view rebuilt from the recovered ledger).
-The file is one frame::
+The file is one frame around the snapshot's canonical JSON, deflated
+(:func:`~repro.chain.store.codec.deflate`; the CRC covers the stored,
+deflated bytes)::
 
     +-------+---------+--------+------------------+
     | magic | length  | crc32  | payload          |
     | 2B    | u32     | u32    | `length` bytes   |
     +-------+---------+--------+------------------+
 
-:func:`frame` packs it and :func:`unframe` is the verify-before-trust read
-(recovery and ``repro-news store`` inspection run the same checks).
+:func:`frame` packs it; :func:`unframe` checks the frame and
+:func:`read_snapshot` everything after it — recovery and ``repro-news
+store`` inspection run the same checks.
 """
 
 from __future__ import annotations
@@ -33,12 +36,12 @@ import zlib
 from dataclasses import dataclass
 from typing import Any
 
-from repro.chain.store.codec import decode_obj, encode_obj
+from repro.chain.store.codec import decode_obj, deflate, encode_obj, inflate
 from repro.simnet.disk import SimDisk
 
 __all__ = [
     "SnapshotCandidate", "snapshot_name", "write_snapshot", "list_snapshots", "load_snapshot",
-    "frame", "unframe",
+    "frame", "unframe", "read_snapshot",
 ]
 
 SNAPSHOT_PREFIX = "snapshot-"
@@ -86,9 +89,9 @@ def write_snapshot(
     index: dict[str, Any],
 ) -> int:
     """Write + fsync one snapshot; returns bytes written."""
-    payload = encode_obj(
+    payload = deflate(encode_obj(
         {"height": height, "block_hash": block_hash, "state": state_dump, "index": index}
-    )
+    ))
     name = snapshot_name(height)
     disk.set_role(name, "snapshot")
     framed = frame(payload)
@@ -109,19 +112,35 @@ def list_snapshots(disk: SimDisk) -> list[SnapshotCandidate]:
     return sorted(out, key=lambda c: c.height)
 
 
-def load_snapshot(disk: SimDisk, candidate: SnapshotCandidate) -> dict[str, Any] | None:
-    """Verify-before-trust load; ``None`` if the file fails any check,
-    including a snapshot with no ``index`` (one written before the index
-    rows were carried), which recovery cannot resume from.  Keys this
-    version does not write (``receipts``, ``indexes``) are carried and
-    ignored."""
-    payload = unframe(disk.read(candidate.name))
+def read_snapshot(data: bytes, height: int) -> tuple[dict[str, Any], int] | str:
+    """The snapshot in the file bytes *data*, named for *height*, and the
+    size *data* would have with its payload inflated; or — as a ``str`` —
+    the first check it fails.  A snapshot is an object with an int
+    ``height`` equal to the file's, a str ``block_hash`` and object
+    ``state`` and ``index`` (one written before the index rows were
+    carried cannot be resumed from).  Keys this version does not write
+    (``receipts``, ``indexes``) are carried and ignored."""
+    payload = unframe(data)
     if isinstance(payload, str):
-        return None
+        return payload
     try:
-        obj = decode_obj(payload)
+        text = inflate(payload)
+        obj = decode_obj(text)
     except ValueError:
-        return None
-    if obj.get("height") != candidate.height or "index" not in obj:
-        return None
-    return obj
+        return "undecodable payload"
+    if not isinstance(obj, dict):
+        return "payload is not an object"
+    if type(obj.get("height")) is not int or obj["height"] != height:
+        return f"height is not {height}"
+    if not isinstance(obj.get("block_hash"), str):
+        return "no block hash"
+    if not isinstance(obj.get("state"), dict) or not isinstance(obj.get("index"), dict):
+        return "no state or no index"
+    return obj, len(data) - len(payload) + len(text)
+
+
+def load_snapshot(disk: SimDisk, candidate: SnapshotCandidate) -> dict[str, Any] | None:
+    """Verify-before-trust load (:func:`read_snapshot`); ``None`` if the
+    file fails any check."""
+    read = read_snapshot(disk.read(candidate.name), candidate.height)
+    return None if isinstance(read, str) else read[0]

@@ -125,10 +125,6 @@ class FactualDatabaseContract(Contract):
         return record
 
     @contract_method
-    def get_fact(self, ctx: ContractContext, fact_id: str):
-        return ctx.get(fact_key(fact_id))
-
-    @contract_method
     def list_facts(self, ctx: ContractContext, topic: str | None = None):
         """All fact ids (optionally filtered by topic)."""
         facts = []

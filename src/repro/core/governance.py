@@ -107,10 +107,6 @@ class PlatformGovernanceContract(Contract):
         return record
 
     @contract_method
-    def get_petition(self, ctx: ContractContext, platform_name: str):
-        return ctx.get(petition_key(platform_name))
-
-    @contract_method
     def is_chartered(self, ctx: ContractContext, platform_name: str):
         """True iff the platform passed its crowd review."""
         record = ctx.get(petition_key(platform_name))

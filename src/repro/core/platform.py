@@ -58,7 +58,6 @@ from repro.crypto.merkle import MerkleProof
 from repro.core.conduct import ConductContract
 from repro.core.crowdsourcing import VoteContract, factual_share
 from repro.core.ecosystem import TokenContract
-from repro.core.experts import ExpertFinder
 from repro.core.factualdb import FactualDatabaseContract
 from repro.core.governance import PlatformGovernanceContract
 from repro.core.identity import IdentityContract
@@ -679,9 +678,6 @@ class TrustingNewsPlatform:
     def accountable_author(self, article_id: str) -> str | None:
         """The address answerable for this article's content (§IV)."""
         return self._view.follow(self.chain.ledger).author(article_id)
-
-    def expert_panel(self, topic: str, k: int = 5) -> list[str]:
-        return ExpertFinder(self.graph).suggest_panel(topic, k=k)
 
     # -- ranking -----------------------------------------------------------------------------------
 

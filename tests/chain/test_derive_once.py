@@ -38,7 +38,8 @@ from repro.chain.commit import commit_block
 from repro.chain.contracts.endorsement import EndorsementPolicy, check_endorsements
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
-from repro.chain.store.codec import block_to_obj, decode_record, encode_obj, encode_record
+from repro.chain.store.codec import (
+    block_to_obj, decode_record, deflate, encode_obj, encode_record, inflate)
 from repro.chain.transaction import Endorsement, Transaction, endorsed_digest
 from repro.crypto import KeyPair
 from repro.errors import EndorsementError
@@ -168,8 +169,8 @@ def test_decoded_record_rederives_everything():
     # Bytes changed on disk decode to a transaction that fails on its own fields.
     obj = block_to_obj(block)
     obj["transactions"][0]["args"] = {"amount": 1_000_000}
-    forged, _, _, _ = decode_record(
-        encode_obj({"block": obj, "validity": [True, True], "errors": [None, None], "proof": None}))
+    forged, _, _, _ = decode_record(deflate(
+        encode_obj({"block": obj, "validity": [True, True], "errors": [None, None], "proof": None})))
     assert _verdicts(list(forged.transactions)) == [
         (False, f"bad signature on tx {txs[0].tx_id[:12]}"), (True, None)]
 
@@ -338,9 +339,10 @@ def test_encode_record_is_encode_obj_of_the_whole_record():
             "errors": list(errors) if errors is not None else [None] * len(validity),
             "proof": block_proof,
         })
-        assert encode_record(block, validity, errors, block_proof) == whole   # block encoded here
-        assert encode_record(block, validity, errors, block_proof) == whole   # block bytes reused
-        decoded = decode_record(whole)
+        stored = encode_record(block, validity, errors, block_proof)  # block encoded here
+        assert inflate(stored) == whole and stored == deflate(whole)
+        assert encode_record(block, validity, errors, block_proof) == stored  # block bytes reused
+        decoded = decode_record(stored)
         assert decoded[0] == block and decoded[1] == list(validity)
     # What the store acknowledged for the real chain is the CRC of exactly these bytes.
     assert peer.store.acked[1] == (

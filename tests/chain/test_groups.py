@@ -23,7 +23,7 @@ from repro.chain import BlockchainNetwork, Contract, InvariantAuditor, contract_
 from repro.chain.block import Block
 from repro.chain.mempool import Mempool
 from repro.chain.peer import Admission
-from repro.chain.store.codec import decode_record, encode_record
+from repro.chain.store.codec import decode_record, encode_record, inflate
 from repro.chain.transaction import Endorsement, Transaction, create_group, endorsed_digest
 from repro.crypto import KeyPair
 from repro.errors import ChainError, ContractError
@@ -527,7 +527,7 @@ def test_an_ungrouped_transaction_has_the_bytes_it_had_before_groups():
         endorser, "peer-0", tx.tx_id, endorsed_digest(read_set, write_set, events, {"ok": True}))
     tx = tx.with_execution(read_set, write_set, events, {"ok": True}, (endorsement,))
     block = Block.build(1, "ab" * 32, 2.0, "peer-0", [tx])
-    record = encode_record(block, [True], [None], None)
+    record = inflate(encode_record(block, [True], [None], None))  # the JSON the WAL deflates
     golden = "c38888eb12973eee233efa7cedb7780d2ea3d8077da017b45fb0509d2ff2c925"
     assert tx.group is None and tx.endorsed_id == tx.tx_id == golden
     assert hashlib.sha256(tx.signature_item()[1]).hexdigest() == golden

@@ -31,7 +31,7 @@ from repro.chain.store import (
     render_inspection,
     scan_log_bytes,
 )
-from repro.chain.store.codec import encode_obj
+from repro.chain.store.codec import deflate, encode_obj, inflate
 from repro.chain.store.log import BlockLog
 from repro.chain.store.snapshots import SnapshotCandidate, frame, snapshot_name, unframe
 from repro.chain.transaction import Transaction
@@ -95,6 +95,14 @@ def _populate(store, commits, snapshots=False):
             ledger.append(block, validity, errors)
             store.maybe_snapshot(ledger, state)
     return state
+
+
+def _write_snapshot_file(disk, height, data):
+    """Write *data* as the snapshot file for *height*, durably."""
+    name = snapshot_name(height)
+    disk.set_role(name, "snapshot")
+    disk.append(name, data)
+    disk.fsync(name)
 
 
 # -- SimDisk crash semantics ----------------------------------------------
@@ -485,13 +493,10 @@ def test_snapshot_with_receipts_key_from_before_they_became_a_view_still_loads(k
          "gas_used": 0}
         for _, r in sorted(early.receipts.items())
     ]
-    name = snapshot_name(at)
-    disk.set_role(name, "snapshot")
-    disk.append(name, frame(encode_obj({
+    _write_snapshot_file(disk, at, frame(deflate(encode_obj({
         "height": at, "block_hash": early.head.block_hash, "state": early_state.dump(),
         "receipts": old_receipts, "indexes": {"tx_locator": {}}, "index": early.index.dump(),
-    })))
-    disk.fsync(name)
+    }))))
 
     recovered = store.recover()
     assert recovered.report.mode == "snapshot+tail"
@@ -512,19 +517,103 @@ def test_snapshot_without_index_rows_is_not_resumed_from(keypair):
     state = _populate(store, commits)
     early, _ = _build_chain(keypair, 4)
     early_state = _populate(DurableStore(disk=SimDisk("scratch")), commits[:4])
-    name = snapshot_name(4)
-    disk.set_role(name, "snapshot")
-    disk.append(name, frame(encode_obj({
+    _write_snapshot_file(disk, 4, frame(deflate(encode_obj({
         "height": 4, "block_hash": early.head.block_hash, "state": early_state.dump(),
         "indexes": {"tx_locator": {}},
-    })))
-    disk.fsync(name)
+    }))))
 
     recovered = store.recover()
     assert recovered.report.mode == "full-replay"
     assert [d.kind for d in recovered.report.degradations] == ["snapshot-corrupt"]
     assert recovered.state.state_digest() == state.state_digest()
     assert recovered.ledger.index.dump() == ledger.index.dump()
+
+
+def _malformed_snapshot(obj, broken):
+    """The snapshot object *obj* with one field broken, framed as the store
+    frames a snapshot — or, when *broken* is ``"not deflated"``, intact
+    but framed without deflating."""
+    payload = encode_obj({
+        "a list": [obj["height"], obj["block_hash"]],
+        "no state": {k: v for k, v in obj.items() if k != "state"},
+        "a string height": dict(obj, height=str(obj["height"])),
+        "no block hash": dict(obj, block_hash=None),
+        "not deflated": obj,
+    }[broken])
+    return frame(payload if broken == "not deflated" else deflate(payload))
+
+
+@pytest.mark.parametrize("broken, problem", [
+    ("a list", "payload is not an object"),
+    ("no state", "no state or no index"),
+    ("a string height", "height is not 8"),
+    ("no block hash", "no block hash"),
+    ("not deflated", "undecodable payload"),
+])
+def test_a_malformed_snapshot_fails_verification(keypair, broken, problem):
+    """A CRC-valid snapshot whose payload is not a snapshot is refused like
+    a corrupt one: recovery resumes from the one before it and
+    ``repro-news store`` reports it invalid — neither raises."""
+    _, commits = _build_chain(keypair, 10)
+    disk = SimDisk("n0")
+    store = DurableStore(disk=disk, snapshot_interval=4)
+    state = _populate(store, commits, snapshots=True)
+    newest = list_snapshots(disk)[-1]
+    assert newest.height == 8
+    good = load_snapshot(disk, newest)
+    disk.delete(newest.name)
+    _write_snapshot_file(disk, newest.height, _malformed_snapshot(good, broken))
+    assert load_snapshot(disk, newest) is None
+
+    info = inspect_disk(disk)
+    assert [(s["height"] if s["valid"] else s["problem"]) for s in info["snapshots"]] == [4, problem]
+    assert info["recovery"]["mode"] == "snapshot+tail" and info["recovery"]["snapshot_height"] == 4
+    assert f"INVALID ({problem})" in render_inspection(info)
+
+    recovered = store.recover()
+    assert recovered.report.mode == "snapshot+tail" and recovered.report.snapshot_height == 4
+    assert [d.kind for d in recovered.report.degradations] == ["snapshot-corrupt"]
+    assert recovered.ledger.height == 10
+    assert recovered.state.state_digest() == state.state_digest()
+
+
+@pytest.mark.parametrize("rewrite", ["one verdict too many", "one error too few", "not deflated"])
+def test_a_record_that_decodes_wrong_truncates_the_log_there(keypair, store_cls, rewrite):
+    """A CRC-valid record whose payload does not inflate, or whose verdicts
+    or error strings are not one per transaction, is a ``decode-error``:
+    recovery cuts the log at it and keeps every block below."""
+    ledger, commits = _build_chain(keypair, 6)
+    disk = SimDisk("n0")
+    store = store_cls(disk=disk, snapshot_interval=100)
+    state_at_3 = _populate(DurableStore(disk=SimDisk("scratch")), commits[:3])
+    _populate(store, commits)
+    records = store.log.scan().records
+    block, validity, errors = commits[3]
+    bad = {
+        "one verdict too many": encode_record(block, validity + [True], errors + [None]),
+        "one error too few": encode_record(block, validity, errors[:-1]),
+        "not deflated": inflate(records[3].payload),
+    }[rewrite]
+    with pytest.raises(ValueError):
+        decode_record(bad)
+    disk.truncate(store.log.name, records[3].offset)
+    store.log.append(4, bad)
+    for record in records[4:]:
+        store.log.append(record.height, record.payload)
+
+    info = inspect_disk(disk)
+    assert info["log"]["records"] == 6 and info["log"]["failure"] is None
+    assert info["log"]["not_inflating"] == ([4] if rewrite == "not deflated" else [])
+
+    recovered = store.recover()
+    report = recovered.report
+    assert [d.kind for d in report.degradations] == ["decode-error", "acked-rollback"]
+    assert report.degradations[0].height == 4
+    assert sorted(report.missing_acked) == [4, 5, 6]
+    assert recovered.ledger.height == 3
+    assert recovered.ledger.head.block_hash == ledger.block(3).block_hash
+    assert recovered.state.state_digest() == state_at_3.state_digest()
+    assert store.log.scan().tip == 3
 
 
 def test_acked_map_tracks_payload_bytes(keypair, store_cls):
@@ -550,9 +639,24 @@ def test_inspect_disk_reports_log_and_snapshots(keypair):
     assert info["log"]["failure"] is None
     assert [s["height"] for s in info["snapshots"]] == [4, 8]
     assert info["recovery"]["snapshot_height"] == 8
+    # Beside each stored size, the size with the payloads inflated.
+    header = struct.calcsize(">2sIII")
+    records = scan_log_bytes(disk.read(store.log.name)).records
+    assert info["log"]["inflated_bytes"] == sum(header + len(inflate(r.payload)) for r in records)
+    assert info["log"]["inflated_bytes"] > info["log"]["bytes"]
+    assert info["log"]["not_inflating"] == []
+    for snap in info["snapshots"]:
+        data = disk.read(snap["file"])
+        assert snap["bytes"] == len(data)
+        assert snap["inflated_bytes"] == len(frame(inflate(unframe(data)))) > len(data)
     text = render_inspection(info)
     assert "10 valid records" in text
     assert "snapshot+tail" in text
+    assert (f"{info['log']['bytes']} bytes stored deflated, "
+            f"{info['log']['inflated_bytes']} inflated") in text
+    for snap in info["snapshots"]:
+        assert (f"{snap['bytes']} bytes stored deflated, "
+                f"{snap['inflated_bytes']} inflated") in text
 
 
 def test_inspect_surfaces_torn_tail(keypair):
