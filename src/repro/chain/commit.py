@@ -40,8 +40,8 @@ from repro.chain.block import Block
 from repro.chain.contracts.endorsement import EndorsementPolicy, check_endorsements
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
-from repro.chain.transaction import Transaction, group_digest, group_run
-from repro.errors import EndorsementError, InvalidBlockError, InvalidTransactionError
+from repro.chain.transaction import Transaction, check_signatures, group_digest, group_run
+from repro.errors import EndorsementError, InvalidBlockError
 
 __all__ = ["CommitResult", "Verdict", "commit_block", "replay_block"]
 
@@ -86,10 +86,11 @@ def _judge(
     policy_for: Callable[[str], EndorsementPolicy],
 ) -> Verdict:
     """One verdict for a unit — a transaction on its own or a complete
-    group — reached before any member is applied: every client signature,
-    the one endorsement against every member's contract policy, and every
-    read set — all of them reads of what lay outside the unit — against
-    the state before its first member.  A tagged member's error names its
+    group — reached before any member is applied: the client signatures
+    (``check_signatures``: each distinct one verified once), the one
+    endorsement against every member's contract policy, and every read
+    set — all of them reads of what lay outside the unit — against the
+    state before its first member.  A tagged member's error names its
     group and its place; an untagged transaction's is the bare message."""
     tag = unit[0].group
 
@@ -97,15 +98,18 @@ def _judge(
         where = f"group {tag[0][:12]} member {position}: " if tag else ""
         return Verdict(False, f"{where}{error}", check)
 
-    for position, tx in enumerate(unit):
-        try:
-            tx.validate_structure()
-        except InvalidTransactionError as exc:
-            return failed(position, exc, "signature")
+    refused = check_signatures(unit)
+    if refused is not None:
+        return failed(*refused, "signature")
     digest = group_digest([tx.endorsed_digest for tx in unit])
+    # The one set of endorsements, checked once per distinct policy its
+    # members' contracts ask for, at the first member that asks.
+    policies: dict[EndorsementPolicy, int] = {}
     for position, tx in enumerate(unit):
+        policies.setdefault(policy_for(tx.contract), position)
+    for policy, position in policies.items():
         try:
-            check_endorsements(unit[0], policy_for(tx.contract), digest)
+            check_endorsements(unit[0], policy, digest)
         except EndorsementError as exc:
             return failed(position, exc, "endorsement")
     for position, tx in enumerate(unit):

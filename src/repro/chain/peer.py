@@ -39,13 +39,13 @@ from repro.chain.sync import SyncManager
 from repro.chain.transaction import (
     Endorsement,
     Transaction,
+    check_signatures,
     endorsed_digest,
     group_digest,
     group_run,
 )
 from repro.crypto.batch import batch_meter
 from repro.crypto.keys import KeyPair
-from repro.errors import InvalidTransactionError
 from repro.obs import MetricsRegistry, Tracer
 from repro.simnet.disk import SimDisk
 from repro.simnet.network import Message, NetworkNode
@@ -239,14 +239,12 @@ class Peer(NetworkNode):
         if self.crashed:
             return Admission.CRASHED
         entry = (tx, *siblings)
-        try:
-            for member in entry:
-                member.validate_structure()
-        except InvalidTransactionError:
+        if check_signatures(entry) is not None:
             self._rejections["signature"].inc()
             return Admission.INVALID
         # A tagged transaction is admitted only as its whole group, an
-        # untagged one only on its own.
+        # untagged one only on its own: only then is each member's
+        # signature over the root a signature over that member.
         if group_run(entry, 0) != entry:
             return Admission.INVALID
         if len(entry) > self.engine.max_block_txs:

@@ -13,6 +13,14 @@ which the paper's platform builds on (its refs [45], [54]):
 The transaction id is the hash of the proposal alone, so a transaction
 is identifiable before endorsement and the id cannot be changed by a
 malicious endorser.
+
+A transaction on its own is signed over its proposal.  The members of a
+*group* (:func:`create_group`) are signed once per signer: each signer
+signs :func:`unit_message` of the group's root, which commits to every
+member's proposal, and each of its members carries that one signature.
+A member is authenticated only as part of its unit: :func:`check_signatures`
+verifies each distinct signature of the unit once and :func:`group_run`
+ties each member's proposal to the root its signer signed.
 """
 
 from __future__ import annotations
@@ -31,19 +39,24 @@ __all__ = [
     "ReadSet",
     "WriteSet",
     "TxReceipt",
+    "check_signatures",
     "create_group",
     "group_digest",
     "group_run",
+    "unit_message",
 ]
 
 # A read set maps key -> version observed during simulated execution.
 ReadSet = dict[str, int]
 # A write set maps key -> new value (None encodes deletion).
 WriteSet = dict[str, Any]
-# What a member of a group signs beside its proposal: the group's root
-# (the digest of every member's untagged proposal, in order), the
-# member's position and the group's size.  A unit of one has no tag.
+# What a member of a group carries in its proposal, and so in its tx id:
+# the group's root (the digest of every member's untagged proposal, in
+# order), the member's position and the group's size.  A unit of one has
+# no tag.
 GroupTag = tuple[str, int, int]
+# A client signature to check: (public key, signed message, signature).
+SignatureItem = tuple[bytes, bytes, bytes]
 
 
 def _proposal_payload(
@@ -61,6 +74,13 @@ def _proposal_payload(
     if group is not None:
         body["group"] = group
     return canonical_json(body)
+
+
+def unit_message(root: str) -> bytes:
+    """What each signer of a group signs, once: the group's root under a
+    domain tag.  A proposal payload is a JSON object and starts with
+    ``{``, so no proposal is ever this message."""
+    return b"unit|" + root.encode("utf-8")
 
 
 def endorsed_digest(
@@ -109,11 +129,11 @@ class Endorsement:
 class Transaction(WireSized):
     """A signed contract invocation, optionally carrying endorsements.
 
-    Immutable, so what is derived from its fields alone — the signing
-    payload (:meth:`signature_item`), :attr:`endorsed_digest`,
-    :attr:`merkle_leaf`, the wire size — is derived once and remembered
-    on the object (DESIGN.md, "What an immutable chain object may
-    remember").  ``dataclasses.replace``, the
+    Immutable, so what is derived from its fields alone — the proposal
+    payload, the signed triple (:meth:`signature_item`),
+    :attr:`endorsed_digest`, :attr:`merkle_leaf`, the wire size — is
+    derived once and remembered on the object (DESIGN.md, "What an
+    immutable chain object may remember").  ``dataclasses.replace``, the
     store codec and direct construction build a new object with nothing
     remembered, so a tampered copy is always judged on its own fields.
     ``args`` / ``read_set`` / ``write_set`` are frozen by contract, not by
@@ -135,8 +155,8 @@ class Transaction(WireSized):
     events: tuple[dict[str, Any], ...] = ()
     return_value: Any = None
     #: ``(root, position, size)`` for a member of a group (see
-    #: :func:`create_group`), part of what the sender signs; ``None`` for
-    #: a transaction on its own, whose bytes do not mention it.
+    #: :func:`create_group`), part of the proposal its id hashes; ``None``
+    #: for a transaction on its own, whose bytes do not mention it.
     group: GroupTag | None = field(default=None, metadata={"wire_omit_none": True})
 
     @classmethod
@@ -148,14 +168,33 @@ class Transaction(WireSized):
         args: dict[str, Any] | None = None,
         nonce: int = 0,
         timestamp: float = 0.0,
-        group: GroupTag | None = None,
     ) -> "Transaction":
-        """Build and sign a proposal (steps before endorsement)."""
-        args = args or {}
+        """Build and sign a proposal on its own: a unit of one (the step
+        before endorsement)."""
+        return create_group([(keypair, contract, method, args, nonce)], timestamp)[0]
+
+    @classmethod
+    def _signed(
+        cls,
+        keypair: KeyPair,
+        contract: str,
+        method: str,
+        args: dict[str, Any],
+        nonce: int,
+        timestamp: float,
+        group: GroupTag | None,
+        signatures: dict[bytes, bytes],
+    ) -> "Transaction":
+        """One step of :func:`create_group`: its proposal, signed by
+        *keypair* unless *signatures* already holds that key's signature
+        of the unit (and remembers it there)."""
         payload = _proposal_payload(
             keypair.address, contract, method, args, nonce, timestamp, group
         )
-        signature = keypair.sign(payload)
+        message = payload if group is None else unit_message(group[0])
+        signature = signatures.get(keypair.public_key)
+        if signature is None:
+            signature = signatures[keypair.public_key] = keypair.sign(message)
         tx = cls(
             sender=keypair.address,
             public_key_hex=keypair.public_key.hex(),
@@ -168,48 +207,80 @@ class Transaction(WireSized):
             tx_id=sha256_hex(payload),
             group=group,
         )
-        object.__setattr__(tx, "_signature_item", (keypair.public_key, payload, signature))
+        if group is not None:
+            object.__setattr__(tx, "_proposal_bytes", payload)
+        object.__setattr__(tx, "_signature_item", (keypair.public_key, message, signature))
         return tx
 
-    def verify_signature(self) -> bool:
-        """Check the client signature and that sender matches the key."""
-        item = self.signature_item()
-        if item is None:
-            return False
-        public_key, payload, signature = item
-        if address_from_public_key(public_key) != self.sender:
-            return False
-        if sha256_hex(payload) != self.tx_id:
-            return False
-        return verify_signature(public_key, payload, signature)
-
-    def signature_item(self) -> tuple[bytes, bytes, bytes] | None:
-        """The client-signature ``(public_key, message, signature)``
-        triple :meth:`verify_signature` checks; ``None`` if the hex fields
-        don't decode.  Address/tx-id binding is NOT checked here — those are
-        cheap equality checks :meth:`verify_signature` still performs.
-        Derived on first use and remembered (see the class docstring)."""
+    def _proposal(self) -> bytes:
+        """The proposal payload, tag included: what :attr:`tx_id` hashes.
+        A transaction on its own signs it, so its signed triple remembers
+        it; a group member remembers it beside."""
         item = self.__dict__.get("_signature_item")
-        if item is None:
-            try:
-                public_key = bytes.fromhex(self.public_key_hex)
-                signature = bytes.fromhex(self.signature_hex)
-            except ValueError:
-                return None
+        if item is not None and self.group is None:
+            return item[1]
+        payload = self.__dict__.get("_proposal_bytes")
+        if payload is None:
             payload = _proposal_payload(
                 self.sender, self.contract, self.method, self.args, self.nonce,
                 self.timestamp, self.group,
             )
-            item = (public_key, payload, signature)
+            if self.group is not None:
+                object.__setattr__(self, "_proposal_bytes", payload)
+        return payload
+
+    def signature_item(self) -> SignatureItem | None:
+        """The client-signature ``(public_key, message, signature)`` triple:
+        the message is the proposal for a transaction on its own and
+        :func:`unit_message` of the root for a group member.  ``None`` if
+        the hex fields don't decode or the tag has no root.  No binding is
+        checked here (see :func:`check_signatures`).  Derived on first use
+        and remembered (see the class docstring)."""
+        item = self.__dict__.get("_signature_item")
+        if item is None:
+            tag = self.group
+            if tag is None:
+                message = self._proposal()
+            elif isinstance(tag, tuple) and tag and isinstance(tag[0], str):
+                message = unit_message(tag[0])
+            else:
+                return None
+            try:
+                item = (bytes.fromhex(self.public_key_hex), message,
+                        bytes.fromhex(self.signature_hex))
+            except ValueError:
+                return None
             object.__setattr__(self, "_signature_item", item)
         return item
 
-    def validate_structure(self) -> None:
-        """Raise :class:`InvalidTransactionError` on a malformed tx."""
+    def _bound_item(self) -> SignatureItem:
+        """:meth:`signature_item`, once the cheap checks hold: a contract
+        and a method are named, the sender is the key's address and the id
+        is the proposal's hash.  Raises :class:`InvalidTransactionError`."""
         if not self.contract or not self.method:
             raise InvalidTransactionError("transaction must name a contract and method")
-        if not self.verify_signature():
+        item = self.signature_item()
+        if (
+            item is None
+            or address_from_public_key(item[0]) != self.sender
+            or sha256_hex(self._proposal()) != self.tx_id
+        ):
             raise InvalidTransactionError(f"bad signature on tx {self.tx_id[:12]}")
+        return item
+
+    def validate_structure(self) -> None:
+        """Raise :class:`InvalidTransactionError` unless this transaction,
+        taken alone, is well formed and its signer signed what it names.
+        For a group member that is the root, not the member's place in
+        it: only :func:`check_signatures` with :func:`group_run`
+        authenticates a member, as part of its unit."""
+        error = check_signatures((self,))
+        if error is not None:
+            raise InvalidTransactionError(error[1])
+
+    def verify_signature(self) -> bool:
+        """:meth:`validate_structure` as a bool."""
+        return check_signatures((self,)) is None
 
     def with_execution(
         self,
@@ -222,9 +293,9 @@ class Transaction(WireSized):
     ) -> "Transaction":
         """Attach simulated-execution results (endorsement phase).
 
-        The proposal fields are untouched, so the signing payload this
-        transaction remembers is the endorsed one's too.  *digest*, when
-        the endorsement phase has it in hand, must be
+        The proposal fields are untouched, so the proposal and the signed
+        triple this transaction remembers are the endorsed one's too.
+        *digest*, when the endorsement phase has it in hand, must be
         ``endorsed_digest(read_set, write_set, events, return_value)`` of
         exactly these; the endorsed transaction then starts with it
         remembered.
@@ -237,9 +308,9 @@ class Transaction(WireSized):
             return_value=return_value,
             endorsements=endorsements,
         )
-        item = self.__dict__.get("_signature_item")
-        if item is not None:
-            object.__setattr__(endorsed, "_signature_item", item)
+        for memo in ("_proposal_bytes", "_signature_item"):
+            if memo in self.__dict__:
+                object.__setattr__(endorsed, memo, self.__dict__[memo])
         if digest is not None:
             object.__setattr__(endorsed, "_endorsed_digest", digest)
         return endorsed
@@ -257,19 +328,14 @@ class Transaction(WireSized):
     @property
     def merkle_leaf(self) -> str:
         """What a block's Merkle tree holds for this transaction: a digest
-        of its whole body — the proposal it signs, its id, its client
-        signature, its :attr:`endorsed_digest` and every endorsement — so
-        a block hash names one body, and an inclusion proof proves the
-        execution the ledger folds, not only the id."""
+        of its whole body — its proposal, its id, its client signature,
+        its :attr:`endorsed_digest` and every endorsement — so a block
+        hash names one body, and an inclusion proof proves the execution
+        the ledger folds, not only the id."""
         leaf = self.__dict__.get("_merkle_leaf")
         if leaf is None:
-            item = self.__dict__.get("_signature_item")
-            proposal = item[1] if item is not None else _proposal_payload(
-                self.sender, self.contract, self.method, self.args, self.nonce,
-                self.timestamp, self.group,
-            )
             leaf = hash_json({
-                "proposal": sha256_hex(proposal),
+                "proposal": sha256_hex(self._proposal()),
                 "tx_id": self.tx_id,
                 "signer": [self.public_key_hex, self.signature_hex],
                 "endorsed": self.endorsed_digest,
@@ -297,10 +363,12 @@ def create_group(
     steps: Sequence[tuple[KeyPair, str, str, dict[str, Any] | None, int]], timestamp: float
 ) -> tuple[Transaction, ...]:
     """Sign ``(keypair, contract, method, args, nonce)`` *steps* as one
-    unit: each its own transaction under its own key.  The members of a
-    group (two steps or more) each sign the tag that binds them to their
-    siblings and their place; a unit of one is a transaction on its own,
-    untagged, with the bytes it has always had."""
+    unit: each its own transaction, sent by its own key.  A unit of one
+    is a transaction on its own, untagged and signed over its proposal,
+    with the bytes it has always had.  The members of a group (two steps
+    or more) each carry the tag that binds them to their siblings and
+    their place, and every distinct signer signs the group's root once
+    (:func:`unit_message`): its members all carry that one signature."""
     steps = [(keypair, contract, method, args or {}, nonce)
              for keypair, contract, method, args, nonce in steps]
     tags: list[GroupTag | None] = [None]
@@ -310,18 +378,46 @@ def create_group(
             for keypair, contract, method, args, nonce in steps
         )
         tags = [(root, position, len(steps)) for position in range(len(steps))]
+    signatures: dict[bytes, bytes] = {}
     return tuple(
-        Transaction.create(keypair, contract, method, args, nonce, timestamp, group=tag)
+        Transaction._signed(keypair, contract, method, args, nonce, timestamp, tag, signatures)
         for tag, (keypair, contract, method, args, nonce) in zip(tags, steps)
     )
+
+
+def check_signatures(unit: Sequence[Transaction]) -> tuple[int, str] | None:
+    """Check the client signatures of *unit*, a transaction on its own or
+    the members of one group: every member's cheap bindings (a contract
+    and a method named, sender and id bound to key and proposal), then
+    each distinct ``(signer, message)`` signature once.  A signer signs a
+    unit once, so a second, different signature by the same signer over
+    the same message is refused whether or not it verifies.  ``None``
+    when all hold, else the position of the first member that fails and
+    why.  That the members' proposals hash to the root they name is
+    :func:`group_run`'s check, not this one."""
+    verified: dict[tuple[bytes, bytes], bytes] = {}
+    for position, tx in enumerate(unit):
+        try:
+            public_key, message, signature = tx._bound_item()
+        except InvalidTransactionError as exc:
+            return position, str(exc)
+        seen = verified.get((public_key, message))
+        if seen is None and verify_signature(public_key, message, signature):
+            verified[(public_key, message)] = seen = signature
+        if seen != signature:
+            return position, f"bad signature on tx {tx.tx_id[:12]}"
+    return None
 
 
 def group_run(txs: Sequence[Transaction], start: int) -> tuple[Transaction, ...] | None:
     """The unit that begins at ``txs[start]``: an untagged transaction on
     its own, or a complete group — all of its members, consecutive, in
-    order, hashing to the root they signed.  ``None`` when a tagged
-    ``txs[start]`` does not begin such a run — a tag is whatever its
-    sender chose to sign, so its shape is checked."""
+    order, their proposals hashing to the root their signers signed.
+    This is what ties a member to the signature it carries: the
+    signature covers the root, and only the run's proposals hash to it.
+    ``None`` when a tagged ``txs[start]`` does not begin such a run — a
+    tag is whatever its sender chose to put in its proposal, so its
+    shape is checked."""
     tag = txs[start].group
     if tag is None:
         return (txs[start],)

@@ -335,18 +335,24 @@ class TrustingNewsPlatform:
 
     # -- accounts ----------------------------------------------------------
 
-    def _new_account(self, name: str, role: str) -> KeyPair:
-        """Create a keypair and register its identity on-chain.
+    def _new_account(self, name: str, role: str, verified: bool = False) -> KeyPair:
+        """Create a keypair and register its identity on-chain; with
+        *verified*, governance's attestation commits in the same unit.
 
-        The name is taken only once the register tx has committed, so a
-        rejected registration can be retried under the same name.
+        The name is taken only once that unit has committed, so a rejected
+        registration — or an aborted attestation, which takes the
+        registration down with it — can be retried under the same name.
         """
         if name in self.accounts:
             raise IdentityError(f"account name {name!r} already exists")
         keypair = self.chain.new_account()
-        self.chain.invoke(
-            keypair, "identity", "register", {"display_name": name, "role": role}
-        )
+        register = (keypair, "identity", "register", {"display_name": name, "role": role})
+        if verified:
+            self.chain.invoke_group([
+                register, (self.governance, "identity", "verify", {"address": keypair.address})
+            ])
+        else:
+            self.chain.invoke(*register)
         self.accounts[name] = keypair
         return keypair
 
@@ -360,16 +366,12 @@ class TrustingNewsPlatform:
         return self.account(name).address
 
     def register_participant(self, name: str, role: str, verified: bool = True) -> str:
-        """Create + register an identity; optionally verify via governance.
+        """Create + register an identity; optionally verify via governance,
+        in one unit with the registration (all of it commits or none).
 
         Returns the new ledger address.
         """
-        keypair = self._new_account(name, role)
-        if verified:
-            self.chain.invoke(
-                self.governance, "identity", "verify", {"address": keypair.address}
-            )
-        return keypair.address
+        return self._new_account(name, role, verified).address
 
     # -- factual database -------------------------------------------------------
 

@@ -24,7 +24,8 @@ from repro.chain.block import Block
 from repro.chain.mempool import Mempool
 from repro.chain.peer import Admission
 from repro.chain.store.codec import decode_record, encode_record, inflate
-from repro.chain.transaction import Endorsement, Transaction, create_group, endorsed_digest
+from repro.chain.transaction import (
+    Endorsement, Transaction, create_group, endorsed_digest, unit_message)
 from repro.crypto import KeyPair
 from repro.errors import ChainError, ContractError
 from repro.simnet import FailureSchedule, FixedLatency, UniformLatency
@@ -540,8 +541,11 @@ def test_an_ungrouped_transaction_has_the_bytes_it_had_before_groups():
     assert (len(record), hashlib.sha256(record).hexdigest()) == (
         1389, "4b627a22a1043c44ae944e19fd0f45e70ca26cfc3619e7fead7beecc8ce87653")
     assert b"group" not in record
-    # A member's tag is in its signed bytes and survives the WAL, as a tuple.
+    # A member's tag is in the proposal its id hashes and survives the WAL,
+    # as a tuple.  Its signer signs the group's root once, so since members
+    # stopped signing their own proposals the signed bytes are the root's.
     member = _signed_group(2, "g")[1]
-    assert b'"group":["' in member.signature_item()[1]
+    assert b'"group":["' in member._proposal()
+    assert member.signature_item()[1] == unit_message(member.group[0])
     logged = encode_record(Block.build(1, "ab" * 32, 2.0, "peer-0", [member]), [False])
     assert decode_record(logged)[0].transactions[0] == member

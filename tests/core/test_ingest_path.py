@@ -95,8 +95,8 @@ def article_tuples(platform):
 # Per-article tuples and counters computed on commit 68a3b7a, where the path
 # existed three times.  The ai_score column was process memory there; it is
 # read from the supply-chain record now and holds the same values.  The head
-# hash and the block count were re-pinned twice, and the head hash alone
-# once more:
+# hash and the block count were re-pinned three times, and the head hash
+# alone once more:
 # - a publish became one group: two publishes, 2 x 3 fewer blocks, and the
 #   members sign a group tag, so their tx ids moved;
 # - the score went on the chain: every scored record carries ``ai_score``,
@@ -107,8 +107,11 @@ def article_tuples(platform):
 # - the texts went on the chain (``record_node`` / ``seed_fact`` carry them),
 #   ``record_ranking`` reads its caller's identity and ``promote`` takes only
 #   the fact and article ids, so those transactions' bytes, and every block
-#   hash from the first fact on, moved.
-HEAD_HASH = "fa8a6d3300b7f4f383798b8ee74e643bfe8f4ea6c054dde742736efc01cd20a6"
+#   hash from the first fact on, moved;
+# - a group's signer signs the group's root once, so every group member's
+#   signature moved, and a verified registration became one group (register,
+#   verify): four registrations, four fewer blocks.
+HEAD_HASH = "118c8a11fbea761b0298222a5fe999db4b4f90d1ffc50dcea79296c7964887e6"
 ARTICLES = {  # article id -> (parents, fact_roots, modification_degree, ai_score)
     "a-1": ((), ("f-0",), 0.0, 0.24),
     "a-2": (("a-1",), ("a-1-fact",), 0.1282051282051282, 0.40625),
@@ -118,7 +121,7 @@ ARTICLES = {  # article id -> (parents, fact_roots, modification_degree, ai_scor
     "s-2": (("s-1",), (), 0.19780219780219777, 0.66),
     "s-3": ((), (), 1.0, 0.16),
 }
-STATS = {"blocks": 28, "transactions": 35, "accounts": 7, "articles": 7, "facts": 3,
+STATS = {"blocks": 24, "transactions": 35, "accounts": 7, "articles": 7, "facts": 3,
          "supply_chain_edges": 6}
 
 
@@ -330,8 +333,9 @@ def test_commit_time_abort_takes_every_member_with_it(newsroom, monkeypatch):
                                  "the council approved the budget on monday", "politics")
     after = _visible(platform, "a1")
     for ledger in _ledgers(chain):
+        # A verified registration is a group of its own (register, verify).
         members = [c for c in ledger.transactions(valid_only=False)
-                   if c.transaction.group is not None]
+                   if c.transaction.group is not None and c.transaction.contract != "identity"]
         assert [c.transaction.method for c in members] == [
             "submit_draft", "start_review", "publish", "record_node"]
         assert not any(c.valid for c in members)
@@ -358,6 +362,43 @@ def test_failed_registration_does_not_burn_the_name(platform):
     assert "bob" not in platform.accounts
     platform.register_participant("bob", role="consumer")
     assert platform.chain.query("identity", "get_identity", {"address": platform.address_of("bob")})
+
+
+@pytest.mark.parametrize("networked", [False, True], ids=["local", "networked"])
+def test_an_aborted_verification_takes_the_registration_with_it(networked, monkeypatch):
+    """``register_participant`` commits the registration and governance's
+    verification as one unit.  They used to commit one after the other, so
+    a verification that aborted left the name registered, unverified and
+    taken."""
+    chain = LocalChain(seed=0)
+    if networked:
+        chain = NetworkedChain(BlockchainNetwork(
+            n_peers=4, consensus="pbft", block_interval=0.2, latency=FixedLatency(0.01), seed=0))
+    platform = TrustingNewsPlatform(seed=0, chain=chain, scorer=LengthScorer())
+    governance, impostor = platform.governance, chain.new_account()
+    minted = []
+    new_account = chain.new_account
+
+    def minting():
+        minted.append(new_account())
+        return minted[-1]
+
+    monkeypatch.setattr(chain, "new_account", minting)
+    platform.governance = impostor  # no verified identity: its attestation aborts
+    height = chain.ledger.height
+    with pytest.raises(ContractError, match="only verified identities may attest"):
+        platform.register_participant("bob", role="journalist")
+    assert "bob" not in platform.accounts
+    assert chain.ledger.height == height
+    assert chain.query("identity", "get_identity", {"address": minted[-1].address}) is None
+
+    platform.governance = governance
+    address = platform.register_participant("bob", role="journalist")
+    record = chain.query("identity", "get_identity", {"address": address})
+    assert record["verified"] and record["verified_by"] == governance.address
+    assert chain.ledger.height == height + 1
+    if networked:
+        chain.network.stop()
 
 
 def test_failed_auto_registration_leaves_the_sharer_unknown(platform, monkeypatch):

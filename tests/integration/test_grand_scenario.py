@@ -182,11 +182,14 @@ def test_whole_ledger_audits_clean(grand):
     assert platform.chain.ledger.verify_chain()
     stats = platform.stats()
     # LocalChain: one block per invocation, the four steps of a publish and
-    # its media assessments in one.
+    # its media assessments in one, and a verified registration's register
+    # and verify in one (governance's own verification is a block of its own).
     published = sum(1 for _ in platform.chain.ledger.events(
         contract="newsroom", kind="article-published"))
     assessed = sum(1 for _ in platform.chain.ledger.events(
         contract="media", kind="media-assessed"))
+    registered = sum(1 for _ in platform.chain.ledger.events(
+        contract="identity", kind="identity-verified")) - 1
     assert published >= 2 and assessed == 2
-    assert stats["transactions"] == stats["blocks"] + 3 * published + assessed
+    assert stats["transactions"] == stats["blocks"] + 3 * published + assessed + registered
     assert stats["articles"] >= 3
