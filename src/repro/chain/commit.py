@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.chain.block import Block
-from repro.chain.contracts.endorsement import EndorsementPolicy, check_endorsements
+from repro.chain.contracts.endorsement import (
+    Directory, EndorsementPolicy, OwnEndorsements, check_endorsements)
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction, check_signatures, group_digest, group_run
@@ -84,11 +85,15 @@ def _judge(
     unit: tuple[Transaction, ...],
     state: WorldState,
     policy_for: Callable[[str], EndorsementPolicy],
+    directory: Directory,
+    own: OwnEndorsements | None,
 ) -> Verdict:
     """One verdict for a unit — a transaction on its own or a complete
     group — reached before any member is applied: the client signatures
-    (``check_signatures``: each distinct one verified once), the one
-    endorsement against every member's contract policy, and every read
+    (``check_signatures``: each distinct one verified once), the unit's
+    endorsements against every member's contract policy, under the keys
+    of *directory* (an endorsement in the committing peer's *own* record
+    is not verified again), and every read
     set — all of them reads of what lay outside the unit — against the
     state before its first member.  A tagged member's error names its
     group and its place; an untagged transaction's is the bare message."""
@@ -102,14 +107,14 @@ def _judge(
     if refused is not None:
         return failed(*refused, "signature")
     digest = group_digest([tx.endorsed_digest for tx in unit])
-    # The one set of endorsements, checked once per distinct policy its
+    # The unit's endorsements, checked once per distinct policy its
     # members' contracts ask for, at the first member that asks.
     policies: dict[EndorsementPolicy, int] = {}
     for position, tx in enumerate(unit):
         policies.setdefault(policy_for(tx.contract), position)
     for policy, position in policies.items():
         try:
-            check_endorsements(unit[0], policy, digest)
+            check_endorsements(unit[0], policy, directory, digest, own)
         except EndorsementError as exc:
             return failed(position, exc, "endorsement")
     for position, tx in enumerate(unit):
@@ -154,10 +159,16 @@ def commit_block(
     *,
     ledger: Ledger,
     state: WorldState,
+    directory: Directory,
+    own: OwnEndorsements | None = None,
 ) -> CommitResult:
     """Judge and commit a freshly decided *block*.
 
-    *policy_for* maps a contract name to its endorsement policy.  Raises
+    *policy_for* maps a contract name to its endorsement policy,
+    *directory* a peer id to the key its endorsements are checked
+    against, and *own* is the committing peer's record of the
+    endorsements it signed (:class:`~repro.chain.contracts.endorsement.OwnEndorsements`):
+    the entries of the block's units leave it once they are judged.  Raises
     :class:`~repro.errors.InvalidBlockError`, having changed nothing, if
     the block is malformed or does not extend *ledger*'s head.
     """
@@ -167,9 +178,12 @@ def commit_block(
         unit = group_run(txs, start)
         if unit is None:
             return [Verdict(False, "group member outside its complete group", "incomplete")]
-        return [_judge(unit, state, policy_for)] * len(unit)
+        return [_judge(unit, state, policy_for, directory, own)] * len(unit)
 
-    return _apply(block, judge, ledger, state)
+    result = _apply(block, judge, ledger, state)
+    if own is not None:
+        own.committed(txs)
+    return result
 
 
 def replay_block(

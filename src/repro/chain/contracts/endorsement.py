@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.chain.transaction import Endorsement, Transaction
 from repro.errors import ContractError, EndorsementError
 
-__all__ = ["EndorsementPolicy", "Endorsed", "check_endorsements", "gather_endorsements"]
+__all__ = [
+    "Directory", "EndorsementPolicy", "Endorsed", "OwnEndorsements", "check_endorsements",
+    "gather_endorsements",
+]
 
 #: One endorser's answer for a unit: its signature (``None`` when the
 #: simulation aborted — an abort is not signed), the ``ExecutionResult``
@@ -97,42 +100,93 @@ def gather_endorsements(
     )
 
 
-def check_endorsements(
-    tx: Transaction, policy: EndorsementPolicy, digest: str | None = None
-) -> None:
-    """Validate a transaction's endorsements against *policy*.
+#: Peer id -> Ed25519 public key: the only keys a committing peer checks
+#: an endorsement against.
+Directory = Mapping[str, bytes]
 
-    Checks: enough endorsements, each from an eligible distinct peer,
-    each signature valid, and every endorsement committing to the same
-    endorsed digest — reads, writes, events, return value — the
-    transaction carries (a divergent digest means endorsers simulated
-    different outcomes, or the outcome was edited after endorsement —
-    the transaction must not commit).  A unit is endorsed once: *tx* is its first member,
-    which carries the endorsements, and *digest* the unit's
+#: How many of its own endorsements a peer remembers.  An entry leaves
+#: when its unit commits on that peer; past this many the oldest goes
+#: first (a unit endorsed and never submitted), and a unit whose entry
+#: went is checked like anyone else's.
+OWN_RECORD_LIMIT = 1024
+
+
+class OwnEndorsements:
+    """The endorsements one peer signed whose units it has not committed
+    yet, by the unit's endorsed id.  An endorsement equal to its entry
+    here is one this peer signed, so the peer's commit takes it without
+    verifying its signature again."""
+
+    def __init__(self) -> None:
+        self._signed: dict[str, Endorsement] = {}
+
+    def __len__(self) -> int:
+        return len(self._signed)
+
+    def add(self, endorsed_id: str, endorsement: Endorsement) -> None:
+        self._signed.pop(endorsed_id, None)
+        self._signed[endorsed_id] = endorsement
+        if len(self._signed) > OWN_RECORD_LIMIT:
+            del self._signed[next(iter(self._signed))]
+
+    def holds(self, endorsed_id: str, endorsement: Endorsement) -> bool:
+        return self._signed.get(endorsed_id) == endorsement
+
+    def committed(self, txs: Iterable[Transaction]) -> None:
+        """Forget the entries of the units *txs* belong to."""
+        for tx in txs:
+            endorsed_id = tx.endorsed_id
+            if isinstance(endorsed_id, str):  # a forged tag's root may be anything
+                self._signed.pop(endorsed_id, None)
+
+
+def check_endorsements(
+    tx: Transaction,
+    policy: EndorsementPolicy,
+    directory: Directory,
+    digest: str | None = None,
+    own: OwnEndorsements | None = None,
+) -> None:
+    """Raise :class:`EndorsementError` unless *policy* ``required`` of
+    the unit's endorsements hold.  A unit is endorsed once: *tx* is its
+    first member, which carries the endorsements, and *digest* the unit's
     (:func:`~repro.chain.transaction.group_digest`; for a transaction on
     its own, its endorsed digest, the default).
+
+    An endorsement holds when, in this order, its peer is eligible, is
+    counted once and is in *directory*; it signed *digest* — the unit's
+    reads, writes, events and return value, so an output edited after
+    endorsement fails here, before any curve work; and it is the
+    committing peer's own (equal to its entry in *own*) or its signature
+    verifies under the directory's key for its peer.  One that does not
+    hold is not counted, and nothing is checked once enough hold: an
+    endorsement appended to an endorsed unit can neither carry nor veto
+    it.  The error names why the first uncounted endorsement failed.
     """
     if digest is None:
         digest = tx.endorsed_digest
-    seen: set[str] = set()
-    valid = 0
+    counted: set[str] = set()
+    refusal: str | None = None
     for endorsement in tx.endorsements:
-        if endorsement.peer_id in seen:
+        if len(counted) >= policy.required:
+            return
+        peer_id = endorsement.peer_id
+        if not isinstance(peer_id, str):  # a client's object: it may hold anything
+            reason = "malformed endorsement"
+        elif peer_id in counted or not policy.eligible(peer_id):
             continue
-        if not policy.eligible(endorsement.peer_id):
+        elif (key := directory.get(peer_id)) is None:
+            reason = f"endorser {peer_id} is not a known peer"
+        elif endorsement.digest != digest:
+            reason = (f"endorser {peer_id} signed a different execution "
+                      "(non-deterministic or edited after endorsement?)")
+        elif (own is not None and own.holds(tx.endorsed_id, endorsement)) or endorsement.verify(
+                tx.endorsed_id, key):
+            counted.add(peer_id)
             continue
-        if endorsement.digest != digest:
-            raise EndorsementError(
-                f"tx {tx.tx_id[:12]}: endorser {endorsement.peer_id} signed a "
-                "different execution (non-deterministic or edited after endorsement?)"
-            )
-        if not endorsement.verify(tx.endorsed_id):
-            raise EndorsementError(
-                f"tx {tx.tx_id[:12]}: bad endorsement signature from {endorsement.peer_id}"
-            )
-        seen.add(endorsement.peer_id)
-        valid += 1
-    if valid < policy.required:
-        raise EndorsementError(
-            f"tx {tx.tx_id[:12]}: {valid} valid endorsements, policy requires {policy.required}"
-        )
+        else:
+            reason = f"bad endorsement signature from {peer_id}"
+        refusal = refusal or reason
+    if len(counted) < policy.required:
+        raise EndorsementError(f"tx {tx.tx_id[:12]}: " + (refusal or (
+            f"{len(counted)} valid endorsements, policy requires {policy.required}")))

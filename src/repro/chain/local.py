@@ -30,7 +30,7 @@ from typing import Any, Sequence
 from repro.chain.block import Block
 from repro.chain.commit import commit_block
 from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy
-from repro.chain.contracts.endorsement import gather_endorsements
+from repro.chain.contracts.endorsement import OwnEndorsements, gather_endorsements
 from repro.chain.ledger import Ledger
 from repro.chain.peer import simulate_and_sign
 from repro.chain.state import WorldState
@@ -53,6 +53,11 @@ class LocalChain:
         self.node_id = node_id
         self.rng = random.Random(seed)
         self.keypair = KeyPair.generate(self.rng)
+        #: The one key an endorsement here is checked against.
+        self.directory = {node_id: self.keypair.public_key}
+        #: What this node endorsed and has not committed yet: its commit
+        #: takes these without verifying them again.
+        self.own_endorsements = OwnEndorsements()
         self.registry = ContractRegistry()
         self.ledger = Ledger()
         #: The ledger's explorer index (see repro.chain.index).
@@ -118,7 +123,8 @@ class LocalChain:
         # The one local peer is the one endorser asked.
         endorsed = gather_endorsements(
             txs,
-            [simulate_and_sign(self.registry, self.state, self.keypair, self.node_id, txs)],
+            [simulate_and_sign(self.registry, self.state, self.keypair, self.node_id, txs,
+                               self.own_endorsements)],
             _POLICY.required,
         )
         receipts = self._commit(list(endorsed))
@@ -143,6 +149,7 @@ class LocalChain:
         commit_block(
             block, lambda contract: _POLICY,
             ledger=self.ledger, state=self.state,
+            directory=self.directory, own=self.own_endorsements,
         )
         return [self.ledger.receipt_at(block.height, position) for position in range(len(txs))]
 

@@ -149,12 +149,14 @@ class BlockchainNetwork:
             )
             self.net.add_node(peer)
             self.peers.append(peer)
-        #: validator id -> Ed25519 public key; engines that count signed
-        #: statements (PBFT) get the directory so the certificate of a
-        #: synced tip is cryptographically verifiable.
-        self._validator_keys = {p.node_id: p.keypair.public_key for p in self.peers}
+        #: Peer id -> Ed25519 public key of every peer, joiners included:
+        #: each peer checks endorsements against it, and engines that
+        #: count signed statements (PBFT, which counts only validators)
+        #: check the certificate of a synced tip with it.
+        self.directory = {p.node_id: p.keypair.public_key for p in self.peers}
         for peer in self.peers:
-            peer.engine.register_validator_keys(self._validator_keys)
+            peer.directory = self.directory
+            peer.engine.register_validator_keys(self.directory)
         for peer in self.peers:
             peer.engine.start()
             peer.sync.start()
@@ -227,7 +229,9 @@ class BlockchainNetwork:
                 peer.set_policy(contract.name, policy)
         self.net.add_node(peer)
         self.peers.append(peer)
-        peer.engine.register_validator_keys(self._validator_keys)
+        self.directory[node_id] = peer.keypair.public_key
+        peer.directory = self.directory
+        peer.engine.register_validator_keys(self.directory)
         # State transfer: replay the committed chain from the freshest peer
         # (the newcomer itself, at height 0, when nobody else is up).
         source = self.freshest_peer()

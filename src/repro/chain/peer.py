@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from repro.chain import commit
 from repro.chain.consensus.base import ConsensusEngine
 from repro.chain.contracts import ContractRegistry, EndorsementPolicy
-from repro.chain.contracts.endorsement import Endorsed
+from repro.chain.contracts.endorsement import Directory, Endorsed, OwnEndorsements
 from repro.chain.block import Block
 from repro.chain.index import ChainIndex
 from repro.chain.ledger import Ledger
@@ -62,10 +62,12 @@ def simulate_and_sign(
     keypair: KeyPair,
     node_id: str,
     txs: Sequence[Transaction],
+    own: OwnEndorsements | None = None,
 ) -> Endorsed:
     """What an endorser does with a unit: simulate its members in order
     over one speculative state and sign once — the unit's endorsed id and
-    the digest of its members' endorsed digests.  A member's rw-set means
+    the digest of its members' endorsed digests — and remember the
+    endorsement in its *own* record.  A member's rw-set means
     nothing without the writes of the members before it, so there is
     nothing smaller to vouch for.  A member that aborts ends the
     simulation: its failed result comes back last and nothing is signed.
@@ -77,9 +79,10 @@ def simulate_and_sign(
         endorsed_digest(result.read_set, result.write_set, result.events, result.return_value)
         for result in results
     ]
-    endorsement = Endorsement.create(
-        keypair, node_id, txs[0].endorsed_id, group_digest(digests)
-    )
+    endorsed_id = txs[0].endorsed_id
+    endorsement = Endorsement.create(keypair, node_id, endorsed_id, group_digest(digests))
+    if own is not None:
+        own.add(endorsed_id, endorsement)
     return endorsement, results, digests
 
 
@@ -144,6 +147,13 @@ class Peer(NetworkNode):
         self.mempool = Mempool()
         self.policies: dict[str, EndorsementPolicy] = {}
         self.default_policy = default_policy or EndorsementPolicy(required=1)
+        #: Peer id -> public key: what this peer checks an endorsement
+        #: against.  A network hands every peer its one shared directory;
+        #: a peer on its own knows itself.
+        self.directory: Directory = {node_id: keypair.public_key}
+        #: The endorsements this peer signed and has not committed yet;
+        #: volatile, so a restart starts it empty.
+        self.own_endorsements = OwnEndorsements()
         self.byzantine = byzantine
         #: Shared (network-wide) metrics registry; private when the peer
         #: is constructed standalone, as unit tests do.
@@ -227,7 +237,8 @@ class Peer(NetworkNode):
             self.policy_for(tx.contract).eligible(self.node_id) for tx in txs
         ):
             return None
-        return simulate_and_sign(self.registry, self.state, self.keypair, self.node_id, txs)
+        return simulate_and_sign(
+            self.registry, self.state, self.keypair, self.node_id, txs, self.own_endorsements)
 
     # -- transaction admission ---------------------------------------------------
 
@@ -282,6 +293,7 @@ class Peer(NetworkNode):
         result = commit.commit_block(
             block, self.policy_for,
             ledger=self.ledger, state=self.state,
+            directory=self.directory, own=self.own_endorsements,
         )
         for verdict in result.verdicts:
             if verdict.failed_check is not None:
@@ -335,7 +347,8 @@ class Peer(NetworkNode):
         anything it had to give up (torn tail, corrupt snapshot) is
         reported, counted, and later re-fetched from the network by the
         sync manager.  The mempool, the engine's open rounds and timers,
-        and in-flight fetches are wiped — exactly what a real crash loses.
+        in-flight fetches and the record of the peer's own endorsements
+        are wiped — exactly what a real crash loses.
         Returns the wiped pending tx ids so fault injectors can report
         (and auditors can excuse) the loss.
         """
@@ -343,6 +356,7 @@ class Peer(NetworkNode):
         wiped = {tx_id for tx_id in wiped if tx_id not in self.ledger}
         self.crashed = False
         self.mempool = Mempool()
+        self.own_endorsements = OwnEndorsements()
         recovered = self.store.recover(engine=self.engine)
         self.ledger = recovered.ledger
         self.state = recovered.state

@@ -29,6 +29,7 @@ from repro.chain.transaction import Endorsement, Transaction
 from repro.crypto.hashing import canonical_json
 
 __all__ = [
+    "CodecError",
     "encode_record",
     "decode_record",
     "encode_obj",
@@ -68,6 +69,48 @@ def inflate(stored: bytes) -> bytes:
         raise ValueError(f"payload does not inflate: {exc}") from exc
 
 
+class CodecError(ValueError):
+    """A payload that is not a record this codec writes: it does not
+    inflate or parse, a field is missing, unknown or of the wrong type,
+    or its verdicts and error strings are not one per transaction."""
+
+
+_NUMBER = (int, float)
+_BLOCK_FIELDS = {
+    "height": int, "prev_hash": str, "merkle_root": str, "timestamp": _NUMBER,
+    "proposer": str, "block_hash": str, "transactions": list,
+}
+_TX_FIELDS = {
+    "sender": str, "public_key_hex": str, "contract": str, "method": str, "args": dict,
+    "nonce": int, "timestamp": _NUMBER, "signature_hex": str, "tx_id": str,
+    "read_set": dict, "write_set": dict, "endorsements": list, "events": list,
+    "return_value": object,
+}
+_ENDORSEMENT_FIELDS = {"peer_id": str, "digest": str, "signature_hex": str}
+_RECORD_FIELDS = {"block": dict, "errors": list, "proof": object, "validity": list}
+
+
+def _typed(value: Any, kind: Any, where: str) -> Any:
+    # JSON's true/false decode to bool, which Python counts as an int.
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise CodecError(f"{where} is {type(value).__name__}")
+    return value
+
+
+def _fields(obj: Any, schema: dict[str, Any], where: str, optional: tuple[str, ...] = ()) -> Any:
+    """*obj*, once it is a dict with exactly *schema*'s keys (and any of
+    *optional*) and every value of its schema type."""
+    _typed(obj, dict, where)
+    missing = schema.keys() - obj.keys()
+    unknown = obj.keys() - schema.keys() - set(optional)
+    if missing or unknown:
+        raise CodecError(f"{where}: missing {sorted(missing)}, unknown {sorted(unknown)}")
+    for name, kind in schema.items():
+        if kind is not object:
+            _typed(obj[name], kind, f"{where}.{name}")
+    return obj
+
+
 def _tx_to_obj(tx: Transaction) -> dict[str, Any]:
     obj = {
         "sender": tx.sender,
@@ -84,7 +127,6 @@ def _tx_to_obj(tx: Transaction) -> dict[str, Any]:
         "endorsements": [
             {
                 "peer_id": e.peer_id,
-                "public_key_hex": e.public_key_hex,
                 "digest": e.digest,
                 "signature_hex": e.signature_hex,
             }
@@ -98,7 +140,18 @@ def _tx_to_obj(tx: Transaction) -> dict[str, Any]:
     return obj
 
 
-def _tx_from_obj(obj: dict[str, Any]) -> Transaction:
+def _tx_from_obj(obj: Any) -> Transaction:
+    obj = _fields(obj, _TX_FIELDS, "transaction", optional=("group",))
+    read_set = obj["read_set"]
+    for version in read_set.values():
+        _typed(version, int, "transaction.read_set version")
+    group = obj.get("group")  # absent on a transaction on its own, never null
+    if "group" in obj:
+        _typed(group, list, "transaction.group")
+        if [type(part) for part in group] != [str, int, int]:
+            raise CodecError("transaction.group is not [root, position, size]")
+    for event in obj["events"]:
+        _typed(event, dict, "transaction.events entry")
     return Transaction(
         sender=obj["sender"],
         public_key_hex=obj["public_key_hex"],
@@ -109,12 +162,15 @@ def _tx_from_obj(obj: dict[str, Any]) -> Transaction:
         timestamp=obj["timestamp"],
         signature_hex=obj["signature_hex"],
         tx_id=obj["tx_id"],
-        read_set=dict(obj["read_set"]),
+        read_set=dict(read_set),
         write_set=dict(obj["write_set"]),
-        endorsements=tuple(Endorsement(**e) for e in obj["endorsements"]),
+        endorsements=tuple(
+            Endorsement(**_fields(e, _ENDORSEMENT_FIELDS, "endorsement"))
+            for e in obj["endorsements"]
+        ),
         events=tuple(obj["events"]),
         return_value=obj["return_value"],
-        group=tuple(obj["group"]) if "group" in obj else None,
+        group=None if group is None else tuple(group),
     )
 
 
@@ -130,7 +186,10 @@ def block_to_obj(block: Block) -> dict[str, Any]:
     }
 
 
-def block_from_obj(obj: dict[str, Any]) -> Block:
+def block_from_obj(obj: Any) -> Block:
+    """Inverse of :func:`block_to_obj`; raises :class:`CodecError` unless
+    every field is there, known and of its type."""
+    obj = _fields(obj, _BLOCK_FIELDS, "block")
     return Block(
         height=obj["height"],
         prev_hash=obj["prev_hash"],
@@ -191,16 +250,20 @@ def encode_record(
 
 
 def decode_record(payload: bytes) -> tuple[Block, list[bool], list[str | None], Any]:
-    """Inverse of :func:`encode_record`.  A payload that does not inflate
-    or parse, or whose verdicts or error strings are not one per
-    transaction, raises ``ValueError`` (``KeyError`` / ``TypeError`` for a
-    missing or mistyped field)."""
-    obj = decode_obj(inflate(payload))
+    """Inverse of :func:`encode_record`.  Anything but a record it
+    writes — a payload that does not inflate or parse, a field missing,
+    unknown or of the wrong type, verdicts or error strings that are not
+    one per transaction — raises :class:`CodecError`."""
+    try:
+        obj = decode_obj(inflate(payload))
+    except ValueError as exc:  # zlib, UTF-8 and JSON errors alike
+        raise CodecError(str(exc)) from exc
+    obj = _fields(obj, _RECORD_FIELDS, "record")
     block = block_from_obj(obj["block"])
-    validity = [bool(v) for v in obj["validity"]]
-    errors = list(obj["errors"])
+    validity = [_typed(v, bool, "record.validity entry") for v in obj["validity"]]
+    errors = [e if e is None else _typed(e, str, "record.errors entry") for e in obj["errors"]]
     if len(validity) != len(block.transactions) or len(errors) != len(block.transactions):
-        raise ValueError(
+        raise CodecError(
             f"{len(validity)} verdicts and {len(errors)} error strings "
             f"for {len(block.transactions)} transactions")
     return block, validity, errors, obj["proof"]

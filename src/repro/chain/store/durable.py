@@ -53,7 +53,7 @@ from repro.chain.commit import replay_block
 from repro.chain.ledger import Entry, Ledger
 from repro.chain.state import WorldState
 from repro.chain.store.base import Degradation, RecoveredChain, RecoveryReport
-from repro.chain.store.codec import decode_record, encode_record
+from repro.chain.store.codec import CodecError, decode_record, encode_record
 from repro.chain.store.log import BlockLog, LogRecord
 from repro.chain.store.snapshots import list_snapshots, load_snapshot, write_snapshot
 from repro.errors import InvalidBlockError
@@ -264,7 +264,7 @@ class DurableStore:
         for record in tail:
             try:
                 block, validity, errors, proof = decode_record(record.payload)
-            except (ValueError, KeyError, TypeError) as exc:
+            except CodecError as exc:
                 raise _TailCorruption("decode-error", record.height, str(exc)) from exc
             if block.height != record.height:
                 raise _TailCorruption(

@@ -99,30 +99,26 @@ def endorsed_digest(
 @dataclass(frozen=True)
 class Endorsement:
     """One endorsing peer's signature over (tx_id, endorsed digest) — for
-    a group, over (root, digest of its members' endorsed digests)."""
+    a group, over (root, digest of its members' endorsed digests).  It
+    names its peer and carries no key: a committing peer checks it
+    against the key its peer directory holds for that name."""
 
     peer_id: str
-    public_key_hex: str
     digest: str
     signature_hex: str
 
-    def verify(self, tx_id: str) -> bool:
+    def verify(self, tx_id: str, public_key: bytes) -> bool:
+        """Whether the signature is *public_key*'s over (tx_id, digest)."""
         try:
-            public_key = bytes.fromhex(self.public_key_hex)
             signature = bytes.fromhex(self.signature_hex)
-        except ValueError:
+        except (TypeError, ValueError):
             return False
         return verify_signature(public_key, f"{tx_id}:{self.digest}".encode("utf-8"), signature)
 
     @classmethod
     def create(cls, keypair: KeyPair, peer_id: str, tx_id: str, digest: str) -> "Endorsement":
         message = f"{tx_id}:{digest}".encode("utf-8")
-        return cls(
-            peer_id=peer_id,
-            public_key_hex=keypair.public_key.hex(),
-            digest=digest,
-            signature_hex=keypair.sign(message).hex(),
-        )
+        return cls(peer_id=peer_id, digest=digest, signature_hex=keypair.sign(message).hex())
 
 
 @dataclass(frozen=True)
@@ -340,7 +336,7 @@ class Transaction(WireSized):
                 "signer": [self.public_key_hex, self.signature_hex],
                 "endorsed": self.endorsed_digest,
                 "endorsements": [
-                    [e.peer_id, e.public_key_hex, e.digest, e.signature_hex]
+                    [e.peer_id, e.digest, e.signature_hex]
                     for e in self.endorsements
                 ],
             })

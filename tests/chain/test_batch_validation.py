@@ -363,7 +363,7 @@ def test_each_committed_signature_is_verified_uncached_once(monkeypatch):
     for tx in committed:
         triples.add(tx.signature_item())
         triples.update(
-            (bytes.fromhex(e.public_key_hex), f"{tx.endorsed_id}:{e.digest}".encode("utf-8"),
+            (network.directory[e.peer_id], f"{tx.endorsed_id}:{e.digest}".encode("utf-8"),
              bytes.fromhex(e.signature_hex))
             for e in tx.endorsements)
     counts = Counter(item for item in uncached if item in triples)

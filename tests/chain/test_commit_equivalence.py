@@ -55,6 +55,14 @@ def _network(storage: str = "durable", snapshot_interval: int = 64) -> Blockchai
     return network
 
 
+def _local_chain() -> LocalChain:
+    """A LocalChain whose directory also names ``_network()``'s peer, the
+    endorser of every block committed here."""
+    chain = LocalChain()
+    chain.directory.update(_network().directory)
+    return chain
+
+
 def _next_block(peer, txs) -> Block:
     return Block.build(
         peer.ledger.height + 1, peer.ledger.head.block_hash, 0.0, peer.node_id, txs
@@ -185,7 +193,7 @@ def reference(sequence):
 
 def test_local_chain_commits_like_a_peer(sequence, reference):
     blocks, _, _ = sequence
-    chain = LocalChain()
+    chain = _local_chain()
     built = [chain._commit(list(block.transactions)) for block in blocks]
     assert _observe(chain.ledger, chain.state, chain.receipts, chain.index) == reference
     # _commit hands back the receipts of *this* block: the duplicate's is a failure.
@@ -257,7 +265,7 @@ def pool():
     from repro.chain.transaction import Endorsement, Transaction, endorsed_digest
     from repro.crypto import KeyPair
 
-    client, endorser = (KeyPair.generate(random.Random(seed)) for seed in (1, 2))
+    client, endorser = KeyPair.generate(random.Random(1)), _network().peers[0].keypair
     read_sets = [{}, {}] + [{key: version} for key in _KEYS for version in (1, 2, 3)]
     txs = []
     for nonce, read_set in enumerate(read_sets):
@@ -317,7 +325,7 @@ def test_receipts_view_equals_the_stored_receipt_dict(pool, picks, snapshot_inte
     want = _stored_receipts(blocks)
     copy_named = {tx_id: (r.block_height, r.success) for tx_id, r in want.items()}
 
-    chain = LocalChain()
+    chain = _local_chain()
     for txs in blocks:
         chain._commit(txs)
     assert dict(chain.receipts) == want

@@ -177,14 +177,19 @@ def test_registry_names(registry):
 # -- endorsement policies -----------------------------------------------------
 
 
+#: The endorsing peers' keys, by peer id: what a committing peer's
+#: directory holds.
+_PEER_KEYS = [KeyPair.generate(random.Random(100 + index)) for index in range(2)]
+DIRECTORY = {f"peer-{index}": key.public_key for index, key in enumerate(_PEER_KEYS)}
+
+
 def _endorsed_tx(n_endorsers=2, digest_override=None):
-    rng = random.Random(0)
-    client = KeyPair.generate(rng)
+    client = KeyPair.generate(random.Random(0))
     tx = Transaction.create(client, "bank", "deposit", {"account": "a", "amount": 1})
     tx = tx.with_execution({"bal:a": -1}, {"bal:a": 1}, (), 1, ())
     endorsements = []
     for index in range(n_endorsers):
-        peer_key = KeyPair.generate(rng)
+        peer_key = _PEER_KEYS[index]
         digest = digest_override or tx.endorsed_digest
         endorsements.append(Endorsement.create(peer_key, f"peer-{index}", tx.tx_id, digest))
     import dataclasses
@@ -194,26 +199,26 @@ def _endorsed_tx(n_endorsers=2, digest_override=None):
 
 def test_policy_satisfied():
     tx = _endorsed_tx(2)
-    check_endorsements(tx, EndorsementPolicy(required=2))
+    check_endorsements(tx, EndorsementPolicy(required=2), DIRECTORY)
 
 
 def test_policy_insufficient_endorsements():
     tx = _endorsed_tx(1)
     with pytest.raises(EndorsementError):
-        check_endorsements(tx, EndorsementPolicy(required=2))
+        check_endorsements(tx, EndorsementPolicy(required=2), DIRECTORY)
 
 
 def test_policy_divergent_digest_rejected():
     tx = _endorsed_tx(1, digest_override=endorsed_digest({"x": 0}, {}, (), 1))
     with pytest.raises(EndorsementError):
-        check_endorsements(tx, EndorsementPolicy(required=1))
+        check_endorsements(tx, EndorsementPolicy(required=1), DIRECTORY)
 
 
 def test_policy_restricts_endorser_set():
     tx = _endorsed_tx(2)  # endorsers peer-0, peer-1
     policy = EndorsementPolicy(required=1, endorsers=("peer-9",))
     with pytest.raises(EndorsementError):
-        check_endorsements(tx, policy)
+        check_endorsements(tx, policy, DIRECTORY)
 
 
 def test_policy_duplicate_endorser_counted_once():
@@ -222,7 +227,7 @@ def test_policy_duplicate_endorser_counted_once():
     tx = _endorsed_tx(1)
     doubled = dataclasses.replace(tx, endorsements=tx.endorsements * 2)
     with pytest.raises(EndorsementError):
-        check_endorsements(doubled, EndorsementPolicy(required=2))
+        check_endorsements(doubled, EndorsementPolicy(required=2), DIRECTORY)
 
 
 def test_policy_validation():

@@ -49,6 +49,7 @@ from tests.conftest import CounterContract
 
 CLIENT, ENDORSER = (KeyPair.generate(random.Random(seed)) for seed in (1, 2))
 POLICY = EndorsementPolicy(required=1)
+DIRECTORY = {"peer-0": ENDORSER.public_key}
 
 
 def _endorsed(nonce, args=None, read_set=None, write_set=None, events=()):
@@ -77,7 +78,7 @@ def _verdicts(txs):
     ledger = Ledger()
     block = Block.build(1, ledger.head.block_hash, 1.0, "peer-0", txs)
     result = commit_block(
-        block, lambda contract: POLICY, ledger=ledger, state=WorldState())
+        block, lambda contract: POLICY, ledger=ledger, state=WorldState(), directory=DIRECTORY)
     return [(verdict.valid, verdict.error) for verdict in result.verdicts]
 
 
@@ -118,12 +119,12 @@ def test_payload_and_rwset_are_derived_once_from_create_to_commit_on_four_peers(
 def test_rwset_is_hashed_once_per_endorsed_transaction(monkeypatch):
     tx = _endorsed(1)
     hashed = _count_calls(monkeypatch, "endorsed_digest", transaction_module)
-    check_endorsements(tx, POLICY)
-    check_endorsements(tx, POLICY)
+    check_endorsements(tx, POLICY, DIRECTORY)
+    check_endorsements(tx, POLICY, DIRECTORY)
     assert sum(hashed) == 0  # with_execution was handed the endorser's digest
     cold = _fresh(tx)
-    check_endorsements(cold, POLICY)
-    check_endorsements(cold, POLICY)
+    check_endorsements(cold, POLICY, DIRECTORY)
+    check_endorsements(cold, POLICY, DIRECTORY)
     assert sum(hashed) == 1
 
 
@@ -198,7 +199,7 @@ def test_warm_and_fresh_equal_objects_agree(args, read_set, write_set, tamper):
 
     def outcomes(candidate):
         try:
-            check_endorsements(candidate, POLICY)
+            check_endorsements(candidate, POLICY, DIRECTORY)
             endorsed = None
         except EndorsementError as exc:
             endorsed = str(exc)
@@ -232,7 +233,7 @@ def _bulky(nonce):
     return _endorsed(
         nonce, args={f"field{i}": "x" * i for i in range(14)},
         read_set={f"r{i}": i for i in range(8)}, write_set={f"w{i}": [i, None] for i in range(8)},
-        events=({"kind": "shared", "n": nonce},))
+        events=({"kind": "shared", "n": [nonce]},))
 
 
 @pytest.fixture(scope="module")

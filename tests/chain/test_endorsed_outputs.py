@@ -46,7 +46,8 @@ def _forged_event(tx: Transaction) -> Transaction:
 
 def _commit(block: Block) -> tuple[Ledger, WorldState, list]:
     ledger, state = Ledger(), WorldState()
-    result = commit_block(block, lambda contract: POLICY, ledger=ledger, state=state)
+    result = commit_block(block, lambda contract: POLICY, ledger=ledger, state=state,
+                          directory={"peer-0": ENDORSER.public_key})
     return ledger, state, [(verdict.valid, verdict.failed_check) for verdict in result.verdicts]
 
 
@@ -103,7 +104,8 @@ def test_two_bodies_cannot_share_one_block_hash():
     assert verdicts == [(True, None)] and state.get("count") == 1
     ledger, state = Ledger(), WorldState()
     with pytest.raises(InvalidBlockError):
-        commit_block(swapped, lambda contract: POLICY, ledger=ledger, state=state)
+        commit_block(swapped, lambda contract: POLICY, ledger=ledger, state=state,
+                     directory={"peer-0": ENDORSER.public_key})
     assert ledger.height == 0 and state.state_digest() == WorldState().state_digest()
 
 

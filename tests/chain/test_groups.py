@@ -113,7 +113,7 @@ def test_members_read_their_predecessors_writes_and_one_endorser_signs_once():
     # What an earlier member wrote is not a read of the world outside the group.
     assert [tx.read_set for tx in txs] == [{}, {}, {}]
     assert [len(tx.endorsements) for tx in txs] == [1, 0, 0]
-    assert txs[0].endorsements[0].verify(root) and len({tx.tx_id for tx in txs}) == 3
+    assert txs[0].endorsements[0].verify(root, network.directory["peer-0"]) and len({tx.tx_id for tx in txs}) == 3
     assert all(tx.verify_signature() for tx in txs)
     # On its own the second step has nothing to append to: it aborts.
     with pytest.raises(ContractError, match="no key solo"):
@@ -533,13 +533,16 @@ def test_an_ungrouped_transaction_has_the_bytes_it_had_before_groups():
     assert tx.group is None and tx.endorsed_id == tx.tx_id == golden
     assert hashlib.sha256(tx.signature_item()[1]).hexdigest() == golden
     assert tx.signature_hex[:32] == "195050126e40456e8d4b301d62730f41"
+    # Sizes and record moved once more when the endorsement stopped
+    # carrying its peer's key (the committing peer's directory names it):
+    # 64 hex characters and one node on the wire, 84 bytes of record JSON.
     assert (tx.wire_size(), estimate_payload_size(tx), estimate_payload_size(block)) == (
-        (731, 45), 731, 945)
-    # The record's hash moved once, when a block's Merkle leaf became the
-    # endorsed transaction (digest over reads, writes, events and return
-    # value); its length did not.
+        (667, 44), 667, 881)
+    # The record's hash moved once before, when a block's Merkle leaf
+    # became the endorsed transaction (digest over reads, writes, events
+    # and return value); its length did not.
     assert (len(record), hashlib.sha256(record).hexdigest()) == (
-        1389, "4b627a22a1043c44ae944e19fd0f45e70ca26cfc3619e7fead7beecc8ce87653")
+        1305, "893635be939c2aa24a54d808c31e1ae81cdc703fcfa4ab093ce2a319477e5d70")
     assert b"group" not in record
     # A member's tag is in the proposal its id hashes and survives the WAL,
     # as a tuple.  Its signer signs the group's root once, so since members

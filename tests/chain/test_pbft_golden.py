@@ -5,6 +5,8 @@ network's totals of messages and bytes sent, view changes, lock
 re-proposals and lock refusals.  A refactor of the engine that keeps the
 protocol must keep every fingerprint below exactly: a different head hash
 means a different block, a different message count a different exchange.
+A change to what a transaction carries moves head hashes and bytes only
+(the last: endorsements stopped carrying their peer's key).
 
 The ten default chaos seeds are pinned inside
 ``tests/chain/test_chaos_audit.py::test_chaos_audit_pbft`` (that run
@@ -35,123 +37,123 @@ def fingerprint(network: BlockchainNetwork) -> tuple:
 CHAOS_GOLDEN: dict[int, tuple] = {
     0: (
         (
-            (10, "5e33cc0d4480f3ed6b76a49c16f5c5208ef74afbe91486627a5756d18d4ecdbc", 0),
-            (10, "5e33cc0d4480f3ed6b76a49c16f5c5208ef74afbe91486627a5756d18d4ecdbc", 0),
-            (10, "5e33cc0d4480f3ed6b76a49c16f5c5208ef74afbe91486627a5756d18d4ecdbc", 0),
-            (10, "5e33cc0d4480f3ed6b76a49c16f5c5208ef74afbe91486627a5756d18d4ecdbc", 0),
+            (10, "2ed5f13af531776fabcab5c4190e8781b889cc8a566e48179ff6ceec10dc4783", 0),
+            (10, "2ed5f13af531776fabcab5c4190e8781b889cc8a566e48179ff6ceec10dc4783", 0),
+            (10, "2ed5f13af531776fabcab5c4190e8781b889cc8a566e48179ff6ceec10dc4783", 0),
+            (10, "2ed5f13af531776fabcab5c4190e8781b889cc8a566e48179ff6ceec10dc4783", 0),
         ),
-        (1552, 382468, 0, 0, 0),
+        (1552, 376324, 0, 0, 0),
     ),
     1: (
         (
-            (6, "2b0072dc7744451e8fca9963da38e0562f6f6865e326f5f52cd6a19f2a25f297", 0),
-            (6, "2b0072dc7744451e8fca9963da38e0562f6f6865e326f5f52cd6a19f2a25f297", 0),
-            (6, "2b0072dc7744451e8fca9963da38e0562f6f6865e326f5f52cd6a19f2a25f297", 0),
-            (6, "2b0072dc7744451e8fca9963da38e0562f6f6865e326f5f52cd6a19f2a25f297", 0),
+            (6, "bb6512d3a05bde308266f5109c1aed4b85794c0b709d56c78c7c0fd6a635aa43", 0),
+            (6, "bb6512d3a05bde308266f5109c1aed4b85794c0b709d56c78c7c0fd6a635aa43", 0),
+            (6, "bb6512d3a05bde308266f5109c1aed4b85794c0b709d56c78c7c0fd6a635aa43", 0),
+            (6, "bb6512d3a05bde308266f5109c1aed4b85794c0b709d56c78c7c0fd6a635aa43", 0),
         ),
-        (1548, 359621, 0, 0, 0),
+        (1548, 354821, 0, 0, 0),
     ),
     2: (
         (
-            (11, "2ccf3ce06d5e95a1d3e468895f453c47d8c7b658f0bdbfc617f4ec89d57bf4d0", 2),
-            (11, "2ccf3ce06d5e95a1d3e468895f453c47d8c7b658f0bdbfc617f4ec89d57bf4d0", 2),
-            (11, "2ccf3ce06d5e95a1d3e468895f453c47d8c7b658f0bdbfc617f4ec89d57bf4d0", 2),
-            (11, "2ccf3ce06d5e95a1d3e468895f453c47d8c7b658f0bdbfc617f4ec89d57bf4d0", 2),
+            (11, "c340b38e7fada6e4c1614c5bce65d4b8dc4586518ebd862200765ca36d0704e8", 2),
+            (11, "c340b38e7fada6e4c1614c5bce65d4b8dc4586518ebd862200765ca36d0704e8", 2),
+            (11, "c340b38e7fada6e4c1614c5bce65d4b8dc4586518ebd862200765ca36d0704e8", 2),
+            (11, "c340b38e7fada6e4c1614c5bce65d4b8dc4586518ebd862200765ca36d0704e8", 2),
         ),
-        (6249, 1195514, 8, 0, 0),
+        (6249, 1187706, 8, 0, 0),
     ),
     3: (
         (
-            (10, "c87cc3ad4758c9cc3f3b27211e76ca035447192c2e167a5059ec66e6986b8a7d", 1),
-            (10, "c87cc3ad4758c9cc3f3b27211e76ca035447192c2e167a5059ec66e6986b8a7d", 1),
-            (10, "c87cc3ad4758c9cc3f3b27211e76ca035447192c2e167a5059ec66e6986b8a7d", 1),
-            (10, "c87cc3ad4758c9cc3f3b27211e76ca035447192c2e167a5059ec66e6986b8a7d", 1),
+            (10, "6c9b2fdf4c8585bd8dff86f2ef4171cc0802c6ad6d2d06ca7a8b10437cd74921", 1),
+            (10, "6c9b2fdf4c8585bd8dff86f2ef4171cc0802c6ad6d2d06ca7a8b10437cd74921", 1),
+            (10, "6c9b2fdf4c8585bd8dff86f2ef4171cc0802c6ad6d2d06ca7a8b10437cd74921", 1),
+            (10, "6c9b2fdf4c8585bd8dff86f2ef4171cc0802c6ad6d2d06ca7a8b10437cd74921", 1),
         ),
-        (1360, 350618, 4, 0, 0),
+        (1360, 344474, 4, 0, 0),
     ),
     4: (
         (
-            (7, "0f2f22415d98091908bac62ae8b4b19e7be5719a4f7ebe7aa64efb215724774f", 0),
-            (7, "0f2f22415d98091908bac62ae8b4b19e7be5719a4f7ebe7aa64efb215724774f", 1),
-            (7, "0f2f22415d98091908bac62ae8b4b19e7be5719a4f7ebe7aa64efb215724774f", 1),
-            (7, "0f2f22415d98091908bac62ae8b4b19e7be5719a4f7ebe7aa64efb215724774f", 1),
+            (7, "1c08687f922b5e09c9bf4c03fec1e854e639366698a4883c9abfd06859124697", 0),
+            (7, "1c08687f922b5e09c9bf4c03fec1e854e639366698a4883c9abfd06859124697", 1),
+            (7, "1c08687f922b5e09c9bf4c03fec1e854e639366698a4883c9abfd06859124697", 1),
+            (7, "1c08687f922b5e09c9bf4c03fec1e854e639366698a4883c9abfd06859124697", 1),
         ),
-        (1298, 363210, 3, 0, 0),
+        (1298, 355210, 3, 0, 0),
     ),
     5: (
         (
-            (5, "5858669f31d7a4326628054e16f9b5a74572a4b2bb2d4200041c99e0b990edbf", 10),
-            (5, "5858669f31d7a4326628054e16f9b5a74572a4b2bb2d4200041c99e0b990edbf", 10),
-            (5, "5858669f31d7a4326628054e16f9b5a74572a4b2bb2d4200041c99e0b990edbf", 10),
-            (5, "5858669f31d7a4326628054e16f9b5a74572a4b2bb2d4200041c99e0b990edbf", 10),
+            (5, "abc33ff9e207749b3e481e1995ea1e6bb99c93e507bd501865e04f65840a9446", 10),
+            (5, "abc33ff9e207749b3e481e1995ea1e6bb99c93e507bd501865e04f65840a9446", 10),
+            (5, "abc33ff9e207749b3e481e1995ea1e6bb99c93e507bd501865e04f65840a9446", 10),
+            (5, "abc33ff9e207749b3e481e1995ea1e6bb99c93e507bd501865e04f65840a9446", 10),
         ),
-        (1703, 421765, 38, 1, 0),
+        (1703, 413637, 38, 1, 0),
     ),
     6: (
         (
-            (6, "8d3e6031ea31651ba01054475d575971cf1b44e1b0d62585259d9d8adf0c70a2", 2),
-            (6, "8d3e6031ea31651ba01054475d575971cf1b44e1b0d62585259d9d8adf0c70a2", 2),
-            (6, "8d3e6031ea31651ba01054475d575971cf1b44e1b0d62585259d9d8adf0c70a2", 2),
-            (6, "8d3e6031ea31651ba01054475d575971cf1b44e1b0d62585259d9d8adf0c70a2", 2),
+            (6, "8c1c1d68231a6e510655436bd4554f31657cdae2866f7de1a8018faf5ef5313d", 2),
+            (6, "8c1c1d68231a6e510655436bd4554f31657cdae2866f7de1a8018faf5ef5313d", 2),
+            (6, "8c1c1d68231a6e510655436bd4554f31657cdae2866f7de1a8018faf5ef5313d", 2),
+            (6, "8c1c1d68231a6e510655436bd4554f31657cdae2866f7de1a8018faf5ef5313d", 2),
         ),
-        (1922, 452730, 8, 1, 0),
+        (1922, 445242, 8, 1, 0),
     ),
     7: (
         (
-            (10, "e03014aa0357b12792822c7a668ef2aeb9d3bc9c58b281511c7be0698e13bace", 2),
-            (10, "e03014aa0357b12792822c7a668ef2aeb9d3bc9c58b281511c7be0698e13bace", 2),
-            (10, "e03014aa0357b12792822c7a668ef2aeb9d3bc9c58b281511c7be0698e13bace", 2),
-            (10, "e03014aa0357b12792822c7a668ef2aeb9d3bc9c58b281511c7be0698e13bace", 2),
+            (10, "d0ee8b3c568f28e9e3f227681e402407e643255912b39936b0c60d6eae0d2c20", 2),
+            (10, "d0ee8b3c568f28e9e3f227681e402407e643255912b39936b0c60d6eae0d2c20", 2),
+            (10, "d0ee8b3c568f28e9e3f227681e402407e643255912b39936b0c60d6eae0d2c20", 2),
+            (10, "d0ee8b3c568f28e9e3f227681e402407e643255912b39936b0c60d6eae0d2c20", 2),
         ),
-        (4941, 996221, 7, 1, 1),
+        (4941, 987133, 7, 1, 1),
     ),
     8: (
         (
-            (8, "7794542955aa08a61f571fbcc6544f36901072ee707c601ad6283c881c7af3fb", 2),
-            (8, "7794542955aa08a61f571fbcc6544f36901072ee707c601ad6283c881c7af3fb", 2),
-            (8, "7794542955aa08a61f571fbcc6544f36901072ee707c601ad6283c881c7af3fb", 2),
-            (8, "7794542955aa08a61f571fbcc6544f36901072ee707c601ad6283c881c7af3fb", 2),
+            (8, "7dc6547f887da338b8d437d89427d171410840c04698828a33073e47a853064d", 2),
+            (8, "7dc6547f887da338b8d437d89427d171410840c04698828a33073e47a853064d", 2),
+            (8, "7dc6547f887da338b8d437d89427d171410840c04698828a33073e47a853064d", 2),
+            (8, "7dc6547f887da338b8d437d89427d171410840c04698828a33073e47a853064d", 2),
         ),
-        (5442, 1080221, 7, 1, 1),
+        (5442, 1070749, 7, 1, 1),
     ),
     9: (
         (
-            (9, "051a5f77c0ae5945f9d6fd4da5e4fb136969207443c344080af3c0570a524757", 0),
-            (9, "051a5f77c0ae5945f9d6fd4da5e4fb136969207443c344080af3c0570a524757", 0),
-            (9, "051a5f77c0ae5945f9d6fd4da5e4fb136969207443c344080af3c0570a524757", 0),
-            (9, "051a5f77c0ae5945f9d6fd4da5e4fb136969207443c344080af3c0570a524757", 0),
+            (9, "fa9b3f9d8da1b79d8dfa05c2e54721872ef98d9fbdd78a4d0e318e3458b76a83", 0),
+            (9, "fa9b3f9d8da1b79d8dfa05c2e54721872ef98d9fbdd78a4d0e318e3458b76a83", 0),
+            (9, "fa9b3f9d8da1b79d8dfa05c2e54721872ef98d9fbdd78a4d0e318e3458b76a83", 0),
+            (9, "fa9b3f9d8da1b79d8dfa05c2e54721872ef98d9fbdd78a4d0e318e3458b76a83", 0),
         ),
-        (1486, 367564, 0, 0, 0),
+        (1486, 361612, 0, 0, 0),
     ),
 }
 
 GOLDEN: dict[str, tuple] = {
     "byzantine-primary": (
         (
-            (12, "16e345977fc7139e07d90b6a2e7a687cc101e7ed0afaa08643691d43b07c1d45", 1),
-            (12, "16e345977fc7139e07d90b6a2e7a687cc101e7ed0afaa08643691d43b07c1d45", 1),
-            (12, "16e345977fc7139e07d90b6a2e7a687cc101e7ed0afaa08643691d43b07c1d45", 1),
-            (12, "16e345977fc7139e07d90b6a2e7a687cc101e7ed0afaa08643691d43b07c1d45", 1),
+            (12, "c54d6291493388d633bd3287acf7009195367ad76c1b7ce01effd650c79c82ca", 1),
+            (12, "c54d6291493388d633bd3287acf7009195367ad76c1b7ce01effd650c79c82ca", 1),
+            (12, "c54d6291493388d633bd3287acf7009195367ad76c1b7ce01effd650c79c82ca", 1),
+            (12, "c54d6291493388d633bd3287acf7009195367ad76c1b7ce01effd650c79c82ca", 1),
         ),
-        (645, 252060, 4, 0, 0),
+        (645, 241308, 4, 0, 0),
     ),
     "quiet-depth-1": (
         (
-            (12, "e38223534e9fb5579c33c339d5ee649c46bc5b5234a12405a77136bf970f54ac", 0),
-            (12, "e38223534e9fb5579c33c339d5ee649c46bc5b5234a12405a77136bf970f54ac", 0),
-            (12, "e38223534e9fb5579c33c339d5ee649c46bc5b5234a12405a77136bf970f54ac", 0),
-            (12, "e38223534e9fb5579c33c339d5ee649c46bc5b5234a12405a77136bf970f54ac", 0),
+            (12, "c86f4e98bf1d49f1ff1cf1298fcfa29dc8dff57cb70b554af49b6c10e39e469e", 0),
+            (12, "c86f4e98bf1d49f1ff1cf1298fcfa29dc8dff57cb70b554af49b6c10e39e469e", 0),
+            (12, "c86f4e98bf1d49f1ff1cf1298fcfa29dc8dff57cb70b554af49b6c10e39e469e", 0),
+            (12, "c86f4e98bf1d49f1ff1cf1298fcfa29dc8dff57cb70b554af49b6c10e39e469e", 0),
         ),
-        (612, 229068, 0, 0, 0),
+        (612, 219852, 0, 0, 0),
     ),
     "quiet-depth-4": (
         (
-            (12, "bfe0a035af08f8a4b66dc1a83e9c134ac5a8eaf3eb39d8535f1d35706f7d2fca", 0),
-            (12, "bfe0a035af08f8a4b66dc1a83e9c134ac5a8eaf3eb39d8535f1d35706f7d2fca", 0),
-            (12, "bfe0a035af08f8a4b66dc1a83e9c134ac5a8eaf3eb39d8535f1d35706f7d2fca", 0),
-            (12, "bfe0a035af08f8a4b66dc1a83e9c134ac5a8eaf3eb39d8535f1d35706f7d2fca", 0),
+            (12, "94b36dd9b877dcef274981522e54344d3affce85b093722d183e56ef18d30e25", 0),
+            (12, "94b36dd9b877dcef274981522e54344d3affce85b093722d183e56ef18d30e25", 0),
+            (12, "94b36dd9b877dcef274981522e54344d3affce85b093722d183e56ef18d30e25", 0),
+            (12, "94b36dd9b877dcef274981522e54344d3affce85b093722d183e56ef18d30e25", 0),
         ),
-        (612, 229068, 0, 0, 0),
+        (612, 219852, 0, 0, 0),
     ),
 }
 

@@ -86,15 +86,20 @@ def test_with_execution_attaches_rwsets(tx, keypair):
 def test_endorsement_verify(tx, keypair):
     digest = endorsed_digest({}, {"a": 1}, (), None)
     endorsement = Endorsement.create(keypair, "peer-0", tx.tx_id, digest)
-    assert endorsement.verify(tx.tx_id)
-    assert not endorsement.verify("deadbeef" * 8)
+    assert endorsement.verify(tx.tx_id, keypair.public_key)
+    assert not endorsement.verify("deadbeef" * 8, keypair.public_key)
+    # The signature is the key's own: under another key it does not verify.
+    other = KeyPair.generate(random.Random(99))
+    assert not endorsement.verify(tx.tx_id, other.public_key)
 
 
 def test_endorsement_bad_signature_rejected(tx, keypair):
     digest = endorsed_digest({}, {}, (), None)
     endorsement = Endorsement.create(keypair, "peer-0", tx.tx_id, digest)
     forged = dataclasses.replace(endorsement, signature_hex="11" * 64)
-    assert not forged.verify(tx.tx_id)
+    assert not forged.verify(tx.tx_id, keypair.public_key)
+    assert not dataclasses.replace(endorsement, signature_hex="not hex").verify(
+        tx.tx_id, keypair.public_key)
 
 
 def test_rwset_digest_sensitive_to_content():

@@ -85,7 +85,7 @@ def test_a_unit_of_one_is_an_untagged_transaction_under_its_own_id():
     assert alone.group is None and alone.endorsed_id == alone.tx_id
     # The endorsement signs the member's own endorsed digest.
     assert [e.digest for e in alone.endorsements] == [alone.endorsed_digest]
-    assert alone.endorsements[0].verify(alone.tx_id)
+    assert alone.endorsements[0].verify(alone.tx_id, network.directory["peer-0"])
     pair = network.endorse_group([(client, "counter", "increment", {"amount": 1})] * 2)
     assert pair[0].endorsements[0].digest not in {tx.endorsed_digest for tx in pair}
     # Every member starts with the digest its endorser hashed.

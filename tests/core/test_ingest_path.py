@@ -96,7 +96,7 @@ def article_tuples(platform):
 # existed three times.  The ai_score column was process memory there; it is
 # read from the supply-chain record now and holds the same values.  The head
 # hash and the block count were re-pinned three times, and the head hash
-# alone once more:
+# alone twice more:
 # - a publish became one group: two publishes, 2 x 3 fewer blocks, and the
 #   members sign a group tag, so their tx ids moved;
 # - the score went on the chain: every scored record carries ``ai_score``,
@@ -110,8 +110,10 @@ def article_tuples(platform):
 #   hash from the first fact on, moved;
 # - a group's signer signs the group's root once, so every group member's
 #   signature moved, and a verified registration became one group (register,
-#   verify): four registrations, four fewer blocks.
-HEAD_HASH = "118c8a11fbea761b0298222a5fe999db4b4f90d1ffc50dcea79296c7964887e6"
+#   verify): four registrations, four fewer blocks;
+# - an endorsement stopped carrying its peer's key (the committing peer's
+#   directory names it), so every Merkle leaf, and every block hash, moved.
+HEAD_HASH = "aff1ad53e2781f25642077e51b612cb638b4f2a5605c3b95bc3a66836cf5fe2e"
 ARTICLES = {  # article id -> (parents, fact_roots, modification_degree, ai_score)
     "a-1": ((), ("f-0",), 0.0, 0.24),
     "a-2": (("a-1",), ("a-1-fact",), 0.1282051282051282, 0.40625),
