@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Any, Sequence
 
-from repro.chain.ledger import Ledger
+from repro.chain.ledger import CommittedTx, Ledger
 from repro.chain.local import LocalChain
 from repro.chain.state import _isolate
 from repro.chain.transaction import TxReceipt
@@ -97,6 +97,15 @@ class PublishedArticle:
     receipt: TxReceipt
 
 
+#: Event kind -> the contract whose events of that kind :class:`LedgerView` folds.
+_FOLDED = {
+    "supply-node-recorded": "supplychain", "article-ranked": "supplychain",
+    "fact-seeded": "factualdb", "fact-promoted": "factualdb", "vote-cast": "votes",
+    "comment-posted": "newsroom", "draft-submitted": "newsroom",
+    "article-published": "newsroom", "platform-created": "newsroom",
+}
+
+
 class LedgerView:
     """What the platform's reads are answered from: a fold of
     ``Ledger.events`` that follows the ledger.
@@ -117,10 +126,10 @@ class LedgerView:
     The :attr:`provenance` index is folded from the same walk: each record
     whose transaction carries a ``text`` under its article id, each seeded
     fact with a text under ``fact:<id>``, and each promoted fact under
-    ``fact:<id>`` with its article's text, if that was indexed.  Within one
-    follow the three kinds go in in that order, not in chain order; what
-    the index answers does not depend on it, since discovery sorts its
-    candidates by similarity, then id.
+    ``fact:<id>`` with its article's text, if that was indexed.
+    One walk of ``ledger.events(above=)`` folds every event in chain
+    order, dispatched by kind; an event of a folded kind that another
+    contract emitted is ignored.
     Nothing is told to the view at commit time: it is a pure function of
     the ledger it is shown, so any honest peer's ledger will do, and a
     ledger that does not extend what was folded — shorter, or another
@@ -167,49 +176,52 @@ class LedgerView:
             or ledger.block(self.height).block_hash != self.head_hash
         ):
             self._forget()
-        above = self.height
-        for event in ledger.events("supplychain", "supply-node-recorded", above):
+        for event in ledger.events(above=self.height):
+            kind = event.get("kind")
+            if kind in _FOLDED:
+                committed = ledger.get_transaction(event["_tx_id"])
+                if committed.transaction.contract == _FOLDED[kind]:
+                    self._fold(ledger, kind, event, committed)
+        self.height, self.head_hash = head.height, head.block_hash
+        return self
+
+    def _fold(self, ledger: Ledger, kind: str, event: dict[str, Any], committed: CommittedTx) -> None:
+        """Fold one event of a folded kind; *committed* is the transaction
+        that emitted it, whose write set holds the values it committed."""
+        tx, article_id = committed.transaction, event.get("article_id")
+        if kind == "supply-node-recorded":
             add_supply_node(self.graph, event)
-            article_id, tx_id = event["article_id"], event["_tx_id"]
-            committed = ledger.get_transaction(tx_id)
+            self.records[article_id] = tx.write_set[supply_node_key(article_id)]
+            if tx.args.get("text") is not None:
+                self.provenance.add(article_id, tx.args["text"])
             block = ledger.block(committed.block_height)
-            self.records[article_id] = committed.transaction.write_set[supply_node_key(article_id)]
-            text = committed.transaction.args.get("text")
-            if text is not None:
-                self.provenance.add(article_id, text)
-            self._proofs[article_id] = (tx_id, block.height, block.block_hash, block.merkle_root,
-                                        block.prove_inclusion(tx_id, committed.tx_index))
-        for event in ledger.events("factualdb", "fact-seeded", above):
-            text = ledger.get_transaction(event["_tx_id"]).transaction.args.get("text")
-            if text is not None:
-                self.provenance.add(FACT_PREFIX + event["fact_id"], text)
-        for event in ledger.events("factualdb", "fact-promoted", above):
-            if event["article_id"] in self.provenance:
+            self._proofs[article_id] = (tx.tx_id, block.height, block.block_hash, block.merkle_root,
+                                        block.prove_inclusion(tx.tx_id, committed.tx_index))
+        elif kind == "fact-seeded":
+            if tx.args.get("text") is not None:
+                self.provenance.add(FACT_PREFIX + event["fact_id"], tx.args["text"])
+        elif kind == "fact-promoted":
+            if article_id in self.provenance:
                 self.provenance.add(FACT_PREFIX + event["fact_id"],
-                                    self.provenance.text_of(event["article_id"]))
-        for event in ledger.events("supplychain", "article-ranked", above):
-            article_id = event["article_id"]
-            self.rankings[article_id] = _written(ledger, event, f"scrank:{article_id}")
-        for event in ledger.events("newsroom", "comment-posted", above):
-            article_id = event["article_id"]
+                                    self.provenance.text_of(article_id))
+        elif kind == "article-ranked":
+            self.rankings[article_id] = tx.write_set[f"scrank:{article_id}"]
+        elif kind == "comment-posted":
             insort(self.comments.setdefault(article_id, []),
-                   _written(ledger, event, f"comment:{article_id}:{event['comment_id']}"),
+                   tx.write_set[f"comment:{article_id}:{event['comment_id']}"],
                    key=itemgetter("comment_id"))
-        for event in ledger.events("votes", "vote-cast", above):
-            self.votes.setdefault(event["article_id"], []).append(
+        elif kind == "vote-cast":
+            self.votes.setdefault(article_id, []).append(
                 {"voter": event["_sender"], "verdict": event["verdict"], "weight": event["weight"]}
             )
         # An article-published event names its room only; the draft it
         # publishes (always earlier on the chain) names platform and room.
-        for event in ledger.events("newsroom", "draft-submitted", above):
-            self._draft_rooms[event["article_id"]] = (event["platform"], event["room"])
-        for event in ledger.events("newsroom", "article-published", above):
-            room = self._draft_rooms.pop(event["article_id"])
-            self.rooms.setdefault(room, []).append(event["article_id"])
-        for event in ledger.events("newsroom", "platform-created", above):
+        elif kind == "draft-submitted":
+            self._draft_rooms[article_id] = (event["platform"], event["room"])
+        elif kind == "article-published":
+            self.rooms.setdefault(self._draft_rooms.pop(article_id), []).append(article_id)
+        else:  # platform-created
             self.owners[event["platform"]] = event["owner"]
-        self.height, self.head_hash = head.height, head.block_hash
-        return self
 
     def trace(self, article_id: str) -> TraceResult:
         """:func:`~repro.core.supplychain.trace_to_factual_root` of
@@ -289,12 +301,6 @@ class LedgerView:
             "comments": _isolate(self.comments.get(article_id, [])),
             "accountable_author": self.author(article_id),
         }
-
-
-def _written(ledger: Ledger, event: dict[str, Any], key: str) -> Any:
-    """The value *event*'s transaction committed at *key*: a valid
-    transaction's write set is the state change it made."""
-    return ledger.get_transaction(event["_tx_id"]).transaction.write_set[key]
 
 
 class TrustingNewsPlatform:
