@@ -55,11 +55,15 @@ bench:
 # (~5 s, full size) is the one model-quality gate: the platform scorer's
 # AUC stays above 0.9 and mutated fakes stay the harder class.  E9 (~5 s,
 # full size) is the one reader of the shard planner: it plans each run's
-# committed blocks from peer-0's ledger (its trace export is skipped).
+# committed blocks from peer-0's ledger (its trace export is skipped).  E7
+# and E8 (~7 s together, full size) read the accountability and expert
+# answers off build_supply_chain_graph, the from-genesis ledger fold.
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_micro_substrate.py \
 		benchmarks/bench_a1_provenance.py \
 		benchmarks/bench_e5_classifiers.py \
+		benchmarks/bench_e7_accountability.py \
+		benchmarks/bench_e8_experts.py \
 		benchmarks/bench_e9_scalability.py \
 		benchmarks/bench_pipeline.py \
 		benchmarks/bench_recovery.py::test_cold_start_recovery \

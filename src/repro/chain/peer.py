@@ -250,6 +250,12 @@ class Peer(NetworkNode):
         if self.crashed:
             return Admission.CRASHED
         entry = (tx, *siblings)
+        # A block's Merkle leaf hashes each endorsement's fields: anything
+        # else in the tuple would raise in the proposer that builds it.
+        if any(not isinstance(member.endorsements, tuple)
+               or not all(isinstance(e, Endorsement) for e in member.endorsements)
+               for member in entry):
+            return Admission.INVALID
         if check_signatures(entry) is not None:
             self._rejections["signature"].inc()
             return Admission.INVALID

@@ -64,7 +64,7 @@ from repro.core.identity import IdentityContract
 from repro.core.media import MediaAssessment, MediaRegistryContract, MediaVerifier
 from repro.core.newsroom import NewsRoomContract
 from repro.core.toolmarket import ToolMarketContract
-from repro.core.provenance import ProvenanceIndex
+from repro.core.provenance import ProvenanceIndex, TextSketch
 from repro.core.ranking import ArticleSignals, FactualnessRanker, RankedArticle
 from repro.core.supplychain import (
     FACT_PREFIX,
@@ -122,7 +122,11 @@ class LedgerView:
     :attr:`records` (``scnode:<id>``), :attr:`rankings` (the latest
     ``scrank:<id>``) and :attr:`comments` (the ``comment:<id>:<cid>``
     values in key order), each taken from the write set of the
-    transaction that emitted the event.  They hold committed facts only.
+    transaction that emitted the event.  They hold committed facts only,
+    and what the fold derives from them: a record that carries its text
+    commits no links, so before the text is indexed the fold derives them
+    against the index as it stands at the record's chain position
+    (:meth:`_links`) and adds them to the record and to the graph.
     The :attr:`provenance` index is folded from the same walk: each record
     whose transaction carries a ``text`` under its article id, each seeded
     fact with a text under ``fact:<id>``, and each promoted fact under
@@ -190,10 +194,16 @@ class LedgerView:
         that emitted it, whose write set holds the values it committed."""
         tx, article_id = committed.transaction, event.get("article_id")
         if kind == "supply-node-recorded":
+            record = tx.write_set[supply_node_key(article_id)]
+            text = tx.args.get("text")
+            if text is not None:
+                sketch = self.provenance.sketch(text)
+                links = self._links(sketch, tx.args.get("parents"))
+                event.update(links)
+                record = {**record, **links}
+                self.provenance.add(article_id, sketch)
             add_supply_node(self.graph, event)
-            self.records[article_id] = tx.write_set[supply_node_key(article_id)]
-            if tx.args.get("text") is not None:
-                self.provenance.add(article_id, tx.args["text"])
+            self.records[article_id] = record
             block = ledger.block(committed.block_height)
             self._proofs[article_id] = (tx.tx_id, block.height, block.block_hash, block.merkle_root,
                                         block.prove_inclusion(tx.tx_id, committed.tx_index))
@@ -222,6 +232,30 @@ class LedgerView:
             self.rooms.setdefault(self._draft_rooms.pop(article_id), []).append(article_id)
         else:  # platform-created
             self.owners[event["platform"]] = event["owner"]
+
+    def _links(self, sketch: TextSketch, declared: list[str] | None) -> dict[str, Any]:
+        """The links of a record that carries its text, against the index as
+        it stands at the record's chain position: its discovered parents,
+        or the indexed ids among those it *declared*; ``fact:`` ids become
+        fact roots, every edge gets its own measured degree, and the
+        record's ``modification_degree`` is the least of them (1.0 with no
+        edge)."""
+        index = self.provenance
+        if declared is None:
+            linked = [candidate.article_id for candidate in index.discover_parents(sketch)]
+        else:
+            linked = [article_id for article_id in declared if article_id in index]
+        parents = [p for p in linked if not p.startswith(FACT_PREFIX)]
+        facts = [p for p in linked if p.startswith(FACT_PREFIX)]
+        parent_degrees = [index.degree_between(sketch.text, p) for p in parents]
+        fact_degrees = [index.degree_between(sketch.text, f) for f in facts]
+        return {
+            "parents": parents,
+            "parent_degrees": parent_degrees,
+            "modification_degree": min(parent_degrees + fact_degrees, default=1.0),
+            "fact_roots": [f[len(FACT_PREFIX):] for f in facts],
+            "fact_degrees": fact_degrees,
+        }
 
     def trace(self, article_id: str) -> TraceResult:
         """:func:`~repro.core.supplychain.trace_to_factual_root` of
@@ -276,7 +310,8 @@ class LedgerView:
     def audit(self, article_id: str) -> dict[str, Any]:
         """Everything the fold says about one recorded article: the record,
         the trace to a factual root, the latest ranking, the votes, the
-        comments and the accountable author — what the ``get_node``,
+        comments and the accountable author — what the ``get_node``
+        (plus the derived links of a record that carries its text),
         ``get_ranking`` and ``list_comments`` queries and the trace and
         author oracles answer on the same ledger.  Every value is a fresh
         copy; an id with no record raises :class:`PlatformError`."""
@@ -509,57 +544,31 @@ class TrustingNewsPlatform:
     ) -> PublishedArticle:
         """The content path every entry channel goes through (§VI, Fig. 1).
 
-        Sketch the text once, find its provenance links in :attr:`index`
-        (discovered, or the indexed ones among *declared_parents* when the
-        channel names them), measure one degree per edge, score the text —
-        P(fake), or the worst of *tamper_scores* if that is higher — and
-        commit the *editorial* steps and the supply-chain record carrying
-        that score and the text as one unit (``invoke_group``: all of them
-        in one block, or none of them anywhere).  Following the ledger
-        then indexes the committed text, with the sketch made here.
+        Score the text — P(fake), or the worst of *tamper_scores* if that
+        is higher — and commit the *editorial* steps and the supply-chain
+        record carrying that score and the text (and *declared_parents*,
+        when the channel names them) as one unit (``invoke_group``: all of
+        them in one block, or none of them anywhere).  The record claims no
+        links: following the ledger then derives them, as every reader's
+        fold does (:class:`LedgerView`), and indexes the text; the returned
+        :class:`PublishedArticle` is read from that fold.
         """
         if article_id.startswith(FACT_PREFIX):
             raise PlatformError(f"article id {article_id!r} uses the reserved {FACT_PREFIX!r} prefix")
-        index = self.index
-        sketch = index.sketch(text)
-        if declared_parents is None:
-            links = [c.article_id for c in index.discover_parents(sketch, exclude=article_id)]
-        else:
-            links = [p for p in declared_parents if p in index]
-        parents = tuple(p for p in links if not p.startswith(FACT_PREFIX))
-        fact_roots = tuple(p[len(FACT_PREFIX):] for p in links if p.startswith(FACT_PREFIX))
-        parent_degrees = [index.degree_between(text, p) for p in parents]
-        fact_degrees = [index.degree_between(text, FACT_PREFIX + f) for f in fact_roots]
-        degree = min(parent_degrees + fact_degrees, default=1.0)
-        record = {
-            "article_id": article_id,
-            "content_hash": content_hash,
-            "parents": list(parents),
-            "parent_degrees": parent_degrees,
-            "modification_degree": degree,
-            "topic": topic,
-            "op": op,
-            "fact_roots": list(fact_roots),
-            "fact_degrees": fact_degrees,
-            "text": text,
-        }
+        record = {"article_id": article_id, "content_hash": content_hash, "topic": topic,
+                  "op": op, "text": text}
+        if declared_parents is not None:
+            record["parents"] = list(declared_parents)
         ai = max((s for s in (self.ai_score(text), *tamper_scores) if s is not None), default=None)
         if ai is not None:
             record["ai_score"] = ai
         receipt = self.chain.invoke_group(
             [*editorial, (signer, "supplychain", "record_node", record)]
         )[-1]
-        self._view.follow(self.chain.ledger)
-        return PublishedArticle(
-            article_id=article_id,
-            author_address=signer.address,
-            room=room,
-            parents=parents,
-            fact_roots=fact_roots,
-            modification_degree=degree,
-            ai_score=ai,
-            receipt=receipt,
-        )
+        folded = self._view.follow(self.chain.ledger).records[article_id]
+        return PublishedArticle(article_id, signer.address, room, tuple(folded["parents"]),
+                                tuple(folded["fact_roots"]), folded["modification_degree"],
+                                ai, receipt)
 
     def publish_article(
         self,
@@ -638,9 +647,11 @@ class TrustingNewsPlatform:
         The sharer's account is auto-registered (unverified) on first
         sight — the platform admits the public, but every share is
         signed and attributable from then on.  A share names its parent,
-        so nothing is discovered: the link is the event's parent when the
-        index knows it, and none otherwise.  The share's text rides in its
-        record like any other, so a later relay can discover it.
+        so nothing is discovered: the record declares the event's parent,
+        and every reader's fold keeps it as the link when the index knows
+        it at the share's chain position, and none otherwise.  The share's
+        text rides in its record like any other, so a later relay can
+        discover it.
         """
         name = event.agent_id
         sharer = self.accounts.get(name) or self._new_account(name, role="consumer")

@@ -12,7 +12,8 @@ candidates.  Three strategies (ablation A1):
 - ``cosine``  — term-frequency cosine (order-blind).
 
 The measured modification degree between child and discovered parents
-is what gets recorded on-chain and later drives ranking.
+is what every reader's ledger fold derives for a recorded text, and later
+drives ranking.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ class ProvenanceIndex:
         # minhash: column i is the signature of _ids[i]; columns from len(_ids) on are spare.
         self._ids: list[str] = []
         self._signatures = np.empty((n_hashes, _INITIAL_COLUMNS), dtype=np.uint64)
-        self._last: TextSketch | None = None  # the latest sketch, until an add takes it
 
     def __len__(self) -> int:
         return len(self._texts)
@@ -93,29 +93,23 @@ class ProvenanceIndex:
         return article_id in self._texts
 
     def sketch(self, text: str | TextSketch) -> TextSketch:
-        """Tokenise, shingle and hash *text* once; a sketch passes through.
-
-        The latest sketch is remembered until an :meth:`add` takes it, so
-        the add that follows a query for the same text (a publish, then its
-        committed record) reuses it, and each add sketches at most once."""
+        """Tokenise, shingle and hash *text* once; a sketch passes through,
+        so a caller that queries and then adds the same text passes the
+        one sketch to both."""
         if isinstance(text, TextSketch):
             return text
-        if self._last is not None and self._last.text == text:
-            return self._last
         representation = text
         if self.method != "cosine":
             representation = shingles(text, self.shingle_k)
             if self.method == "minhash":
                 representation = minhash_signature(representation, self.n_hashes)
-        self._last = TextSketch(text, representation)
-        return self._last
+        return TextSketch(text, representation)
 
     def add(self, article_id: str, text: str | TextSketch) -> None:
         """Index an article (id must be new)."""
         if article_id in self._texts:
             raise ReproError(f"article {article_id} already indexed")
         sketch = self.sketch(text)
-        self._last = None
         if self.method == "minhash":
             if len(self._ids) == self._signatures.shape[1]:
                 self._signatures = np.concatenate(
@@ -155,7 +149,7 @@ class ProvenanceIndex:
     def degree_between(self, text: str, article_id: str) -> float:
         """Measured change of *text* versus one specific indexed article.
 
-        This is the per-edge weight recorded on-chain: each provenance
+        This is the per-edge weight of the supply-chain graph: each provenance
         edge carries the child's distance to *that* parent, so tracing
         and accountability reason about individual lineages instead of a
         blurred parent union.

@@ -74,27 +74,41 @@ class SupplyChainContract(Contract):
         ctx: ContractContext,
         article_id: str,
         content_hash: str,
-        parents: list[str],
-        modification_degree: float,
         topic: str,
         op: str,
+        parents: list[str] | None = None,
+        modification_degree: float | None = None,
         fact_roots: list[str] | None = None,
         parent_degrees: list[float] | None = None,
         fact_degrees: list[float] | None = None,
         ai_score: float | None = None,
         text: str | None = None,
     ):
-        """Record one news item and its propagation end points.
+        """Record one news item and, for a record without ``text``, its
+        claimed propagation end points.
 
-        ``parents`` are previously recorded article ids (the discovered
-        parent references); ``fact_roots`` are factual-database ids the
-        content was matched against.  Each provenance edge carries its
-        own measured change (``parent_degrees`` / ``fact_degrees``,
-        aligned with the id lists); ``modification_degree`` is the
-        node-level summary (minimum over edges) used for quick ranking.
-        Per-edge degrees matter: a faithful relay of a distortion is
-        0 from its parent but far from the grandparent, and collapsing
-        those into one number mis-attributes accountability.
+        ``text`` is the article's text, when the recorder shares it: the
+        ledger is the content store, and every reader's fold
+        (``LedgerView``) derives such a record's links from it against the
+        texts committed before it — discovered parents, or the indexed ids
+        among the ``parents`` it declares.  So a record that carries its
+        text claims no links: ``modification_degree``, ``fact_roots``,
+        ``parent_degrees`` and ``fact_degrees`` beside it are refused,
+        ``parents`` is only a declaration (checked for its type and for
+        repeats), and neither the text nor the declaration is written to
+        state or emitted.
+
+        A record without ``text`` claims its links, and is not
+        discoverable as a parent.  ``parents`` are previously recorded
+        article ids; ``fact_roots`` are factual-database ids the content
+        was matched against.  Each provenance edge carries its own
+        measured change (``parent_degrees`` / ``fact_degrees``, aligned
+        with the id lists, each defaulting to ``modification_degree``
+        per edge); ``modification_degree`` is the node-level summary
+        (minimum over edges) used for quick ranking.  Per-edge degrees
+        matter: a faithful relay of a distortion is 0 from its parent but
+        far from the grandparent, and collapsing those into one number
+        mis-attributes accountability.
 
         ``ai_score`` is the AI component's verdict, P(fake), when the
         recorder had one (Fig. 1: the verdict becomes the transaction).
@@ -110,12 +124,6 @@ class SupplyChainContract(Contract):
         the graph names factual roots that way, and a record there would
         take over the root every honest relay of that fact traces to.
 
-        ``text`` is the article's text, when the recorder shares it: the
-        ledger is the content store, and a reader's provenance index is a
-        fold of the texts records carry (``LedgerView.provenance``).  It is
-        neither written to state nor emitted; a record without one is not
-        discoverable as a parent.
-
         Arguments are type-checked before anything else: ids, names and
         ``text`` are strings (``text`` at most :data:`MAX_TEXT_LENGTH`
         characters), ``parents`` / ``fact_roots`` lists of
@@ -125,12 +133,16 @@ class SupplyChainContract(Contract):
             all(isinstance(v, str) for v in (article_id, content_hash, topic, op)),
             "article_id, content_hash, topic and op must be strings",
         )
-        ctx.require(is_str_list(parents), "parents must be a list of article ids")
+        ctx.require(is_text(text), f"text must be a string of at most {MAX_TEXT_LENGTH} characters")
+        ctx.require(
+            parents is None and text is not None or is_str_list(parents),
+            "parents must be a list of article ids",
+        )
         ctx.require(
             fact_roots is None or is_str_list(fact_roots), "fact_roots must be a list of fact ids"
         )
         ctx.require(
-            is_real(modification_degree)
+            (modification_degree is None and text is not None or is_real(modification_degree))
             and all(
                 degrees is None or (isinstance(degrees, list) and all(map(is_real, degrees)))
                 for degrees in (parent_degrees, fact_degrees)
@@ -138,65 +150,63 @@ class SupplyChainContract(Contract):
             "degrees must be numbers",
         )
         ctx.require(ai_score is None or is_real(ai_score), "ai_score must be a number")
-        ctx.require(is_text(text), f"text must be a string of at most {MAX_TEXT_LENGTH} characters")
+        ctx.require(
+            text is None
+            or all(v is None for v in (modification_degree, fact_roots, parent_degrees, fact_degrees)),
+            "a record that carries its text claims no degrees or fact roots: readers derive them",
+        )
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(caller is not None, "unregistered identities cannot record news")
         ctx.require(
             not article_id.startswith(FACT_PREFIX),
             f"article id {article_id!r} is in the reserved {FACT_PREFIX!r} namespace",
         )
-        ctx.require(0.0 <= modification_degree <= 1.0, "modification_degree must be in [0, 1]")
-        fact_roots = list(fact_roots or [])
-        parent_degrees = list(parent_degrees) if parent_degrees is not None else [
-            modification_degree
-        ] * len(parents)
-        fact_degrees = list(fact_degrees) if fact_degrees is not None else [
-            modification_degree
-        ] * len(fact_roots)
-        ctx.require(len(parent_degrees) == len(parents), "parent_degrees misaligned with parents")
-        ctx.require(len(fact_degrees) == len(fact_roots), "fact_degrees misaligned with fact_roots")
-        ctx.require(len(set(parents)) == len(parents), "parents name an article more than once")
-        ctx.require(len(set(fact_roots)) == len(fact_roots), "fact_roots name a fact more than once")
         ctx.require(
-            all(0.0 <= d <= 1.0 for d in parent_degrees + fact_degrees),
-            "edge degrees must be in [0, 1]",
+            parents is None or len(set(parents)) == len(parents),
+            "parents name an article more than once",
         )
         ctx.require(ai_score is None or 0.0 <= ai_score <= 1.0, "ai_score must be in [0, 1]")
         key = supply_node_key(article_id)
         ctx.require(ctx.get(key) is None, f"article {article_id} already recorded")
-        for parent in parents:
+        links = {}
+        if text is None:  # the record claims its links: check them
+            ctx.require(0.0 <= modification_degree <= 1.0, "modification_degree must be in [0, 1]")
+            fact_roots = list(fact_roots or [])
+            parent_degrees = list(parent_degrees) if parent_degrees is not None else [
+                modification_degree
+            ] * len(parents)
+            fact_degrees = list(fact_degrees) if fact_degrees is not None else [
+                modification_degree
+            ] * len(fact_roots)
+            ctx.require(len(parent_degrees) == len(parents), "parent_degrees misaligned with parents")
+            ctx.require(len(fact_degrees) == len(fact_roots), "fact_degrees misaligned with fact_roots")
+            ctx.require(len(set(fact_roots)) == len(fact_roots), "fact_roots name a fact more than once")
             ctx.require(
-                ctx.get(supply_node_key(parent)) is not None,
-                f"parent {parent} is not recorded in the supply chain",
+                all(0.0 <= d <= 1.0 for d in parent_degrees + fact_degrees),
+                "edge degrees must be in [0, 1]",
             )
+            for parent in parents:
+                ctx.require(
+                    ctx.get(supply_node_key(parent)) is not None,
+                    f"parent {parent} is not recorded in the supply chain",
+                )
+            links = {"parents": list(parents), "parent_degrees": parent_degrees,
+                     "modification_degree": modification_degree, "fact_roots": fact_roots,
+                     "fact_degrees": fact_degrees}
         scored = {} if ai_score is None else {"ai_score": ai_score}
         record = {
             "article_id": article_id,
             "author": ctx.caller,
             "content_hash": content_hash,
-            "parents": list(parents),
-            "parent_degrees": parent_degrees,
-            "modification_degree": modification_degree,
+            **links,
             "topic": topic,
             "op": op,
-            "fact_roots": fact_roots,
-            "fact_degrees": fact_degrees,
             "recorded_at": ctx.timestamp,
             **scored,
         }
         ctx.put(key, record)
-        ctx.emit(
-            "supply-node-recorded",
-            article_id=article_id,
-            parents=list(parents),
-            parent_degrees=parent_degrees,
-            modification_degree=modification_degree,
-            topic=topic,
-            op=op,
-            fact_roots=fact_roots,
-            fact_degrees=fact_degrees,
-            **scored,
-        )
+        ctx.emit("supply-node-recorded", article_id=article_id, **links, topic=topic, op=op,
+                 **scored)
         return record
 
     @contract_method
@@ -356,7 +366,10 @@ class SupplyChainGraph:
 
 def add_supply_node(graph: SupplyChainGraph | nx.DiGraph, event: dict) -> None:
     """Add one ``supply-node-recorded`` event's node and provenance edges
-    to *graph* — the only place that does.
+    to *graph* — the only place that does.  The event carries its links
+    (``parents`` / ``parent_degrees``, ``fact_roots`` / ``fact_degrees``,
+    ``modification_degree``): the contract emits them for a record without
+    text, and the reader's fold derives and adds them for one with text.
 
     Insertion order is part of the result: Dijkstra's tie-break in
     :func:`trace_to_factual_root` and the ``min`` in
@@ -375,15 +388,9 @@ def add_supply_node(graph: SupplyChainGraph | nx.DiGraph, event: dict) -> None:
         ai_score=event.get("ai_score"),
         is_fact_root=False,
     )
-    parent_degrees = event.get("parent_degrees") or [event["modification_degree"]] * len(
-        event["parents"]
-    )
-    for parent, degree in zip(event["parents"], parent_degrees):
+    for parent, degree in zip(event["parents"], event["parent_degrees"]):
         graph.add_edge(article_id, parent, weight=degree)
-    fact_degrees = event.get("fact_degrees") or [event["modification_degree"]] * len(
-        event["fact_roots"]
-    )
-    for fact_id, degree in zip(event["fact_roots"], fact_degrees):
+    for fact_id, degree in zip(event["fact_roots"], event["fact_degrees"]):
         fact_node = FACT_PREFIX + fact_id
         if fact_node not in graph:
             graph.add_node(fact_node, is_fact_root=True, op="fact", author="factualdb",
@@ -402,17 +409,15 @@ def build_supply_chain_graph(ledger: Ledger) -> SupplyChainGraph:
     downstream analysis (ranking, experts, accountability, inclusion
     proofs) works from the same reconstruction.
 
-    This is the fold from genesis: :func:`add_supply_node` over every
-    ``supply-node-recorded`` event into an empty graph.  The platform's
-    :class:`~repro.core.platform.LedgerView` runs the same body over the
-    events above the height it has already folded, so the graph a reader
-    follows and the one an auditor builds from any honest peer's ledger
-    are equal node for node, edge for edge, in the same order.
+    This is the fold from genesis, ``LedgerView().follow(ledger).graph``:
+    a record that carries its text gets the links that fold derives at
+    its chain position, so the graph a reader follows and the one an
+    auditor builds from any honest peer's ledger are equal node for node,
+    edge for edge, in the same order.
     """
-    graph = SupplyChainGraph()
-    for event in ledger.events(contract="supplychain", kind="supply-node-recorded"):
-        add_supply_node(graph, event)
-    return graph
+    from repro.core.platform import LedgerView
+
+    return LedgerView().follow(ledger).graph
 
 
 @dataclass

@@ -136,3 +136,32 @@ def test_full_mempool_reports_full_and_only_total_rejection_raises():
     # The error names each peer's actual rejection reason.
     assert "full" in str(excinfo.value)
     network.stop()
+
+
+@pytest.mark.parametrize("junk", ["str", "list", "member"])
+def test_a_unit_with_malformed_endorsements_is_refused_before_gossip(junk):
+    """A client could crash every proposer: a unit whose ``endorsements``
+    held a non-``Endorsement`` was admitted and gossiped, and hashing it
+    into a block (``Transaction.merkle_leaf``) raised ``AttributeError``
+    inside ``run_for``.  Every peer now refuses it as ``INVALID``, nothing
+    is gossiped, and the honest copy still commits."""
+    import dataclasses
+
+    network = _network()
+    client = network.client()
+    txs = network.endorse_group([(client, "counter", "increment", {"amount": 1})] * 2)
+    if junk == "str":
+        forged = [dataclasses.replace(txs[0], endorsements=(*txs[0].endorsements, "junk")), txs[1]]
+    elif junk == "list":
+        forged = [dataclasses.replace(txs[0], endorsements=list(txs[0].endorsements)), txs[1]]
+    else:
+        forged = [txs[0], dataclasses.replace(txs[1], endorsements=(None,))]
+    for peer in network.peers:
+        assert peer.submit(*forged) is Admission.INVALID
+    with pytest.raises(ChainError, match="no peer admitted"):
+        network.submit(*forged)
+    network.run_for(2.0)
+    assert all(len(peer.mempool) == 0 for peer in network.peers)
+    assert network.submit(*txs) is Admission.ADMITTED
+    assert all(network.wait_for_receipt(tx.tx_id).success for tx in txs)
+    network.stop()

@@ -101,20 +101,42 @@ class LengthScorer:
         return (len(text) % 89) / 100
 
 
+def graph_links(graph, article_id: str) -> dict:
+    """A recorded node's links as a record holds them, read off *graph*:
+    its parents and fact roots in edge order, each edge's degree, and the
+    node's ``modification_degree``."""
+    from repro.core.supplychain import FACT_PREFIX
+
+    linked = list(graph.successors(article_id))
+    parents = [p for p in linked if not p.startswith(FACT_PREFIX)]
+    facts = [p for p in linked if p.startswith(FACT_PREFIX)]
+    return {
+        "parents": parents,
+        "parent_degrees": [graph.edges[article_id, p]["weight"] for p in parents],
+        "modification_degree": graph.nodes[article_id]["modification_degree"],
+        "fact_roots": [f[len(FACT_PREFIX):] for f in facts],
+        "fact_degrees": [graph.edges[article_id, f]["weight"] for f in facts],
+    }
+
+
 def audit_oracle(query, ledger, article_id: str) -> dict:
     """``export_audit``'s bundle as the contract queries answer it —
     ``get_node``, ``get_ranking`` and ``list_comments`` through
     ``query(contract, method, args)`` — with the trace and author of the
     from-genesis graph of *ledger* and its ``vote-cast`` events in chain
-    order."""
+    order.  A record that carries its text commits no links; its node
+    gets the ones that graph holds for it."""
     from repro.core import build_supply_chain_graph, find_original_author, trace_to_factual_root
 
     args = {"article_id": article_id}
     graph = build_supply_chain_graph(ledger)
     trace = trace_to_factual_root(graph, article_id)
+    node = query("supplychain", "get_node", args)
+    if node is not None and "parents" not in node:
+        node = {**node, **graph_links(graph, article_id)}
     return {
         "article_id": article_id,
-        "node": query("supplychain", "get_node", args),
+        "node": node,
         "trace": {
             "traceable": trace.traceable,
             "root": trace.root,

@@ -84,9 +84,12 @@ def run_scenario(chain):
 
 
 def article_tuples(platform):
+    """Each article's links and score as the platform's fold holds its
+    record (a record that carries its text commits none: readers derive
+    them)."""
     out = {}
     for article_id in ("a-1", "a-2", "ext-1", "ext-2", "s-1", "s-2", "s-3"):
-        node = platform.chain.query("supplychain", "get_node", {"article_id": article_id})
+        node = platform.export_audit(article_id)["node"]
         out[article_id] = (tuple(node["parents"]), tuple(node["fact_roots"]),
                           node["modification_degree"], node["ai_score"])
     return out
@@ -112,8 +115,11 @@ def article_tuples(platform):
 #   signature moved, and a verified registration became one group (register,
 #   verify): four registrations, four fewer blocks;
 # - an endorsement stopped carrying its peer's key (the committing peer's
-#   directory names it), so every Merkle leaf, and every block hash, moved.
-HEAD_HASH = "aff1ad53e2781f25642077e51b612cb638b4f2a5605c3b95bc3a66836cf5fe2e"
+#   directory names it), so every Merkle leaf, and every block hash, moved;
+# - a record that carries its text stopped claiming its links (every
+#   reader's fold derives them), so each such record's arguments, write set
+#   and event, and every block hash from the first one on, moved.
+HEAD_HASH = "df67744489bdb6bd601faa62e53f38653dbe1a4ed6d0b33781b878037ab77f50"
 ARTICLES = {  # article id -> (parents, fact_roots, modification_degree, ai_score)
     "a-1": ((), ("f-0",), 0.0, 0.24),
     "a-2": (("a-1",), ("a-1-fact",), 0.1282051282051282, 0.40625),
@@ -452,7 +458,7 @@ def test_share_naming_an_indexed_fact_records_a_fact_root_not_a_parent(platform)
     platform.seed_fact("f-c", fact.text, "climate-panel", "climate")
     altered = gen.insertion_fake(fact, "agent-1", 1.0, n_insertions=2).with_id("s-1")
     platform.ingest_share(_share("agent-1", altered, "fact:f-c", "insert"), altered)
-    node = platform.chain.query("supplychain", "get_node", {"article_id": "s-1"})
+    node = platform.export_audit("s-1")["node"]
     degree = platform.index.degree_between(altered.text, "fact:f-c")
     assert 0.0 < degree < 1.0
     assert (node["parents"], node["parent_degrees"]) == ([], [])
