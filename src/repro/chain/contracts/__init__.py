@@ -2,13 +2,7 @@
 
 from repro.chain.contracts.contract import Contract, ContractRegistry, contract_method
 from repro.chain.contracts.endorsement import EndorsementPolicy, check_endorsements
-from repro.chain.contracts.runtime import (
-    ContractContext,
-    ExecutionResult,
-    GasSchedule,
-    is_real,
-    is_str_list,
-)
+from repro.chain.contracts.runtime import ContractContext, ExecutionResult, GasSchedule
 
 __all__ = [
     "Contract",
@@ -19,6 +13,4 @@ __all__ = [
     "ContractContext",
     "ExecutionResult",
     "GasSchedule",
-    "is_real",
-    "is_str_list",
 ]

@@ -18,18 +18,7 @@ from typing import Any
 from repro.chain.state import StateSnapshot
 from repro.errors import ContractError, OutOfGasError
 
-__all__ = ["GasSchedule", "ContractContext", "ExecutionResult", "is_real", "is_str_list"]
-
-
-def is_real(value: Any) -> bool:
-    """An ``int`` or ``float`` argument, not a ``bool`` — what a weight,
-    degree or score must be before a contract compares it to a range."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def is_str_list(value: Any) -> bool:
-    """A ``list`` of strings — what a list of ids must be."""
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+__all__ = ["GasSchedule", "ContractContext", "ExecutionResult"]
 
 
 @dataclass(frozen=True)

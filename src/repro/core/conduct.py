@@ -108,7 +108,7 @@ class ConductContract(Contract):
         record["adjudicated_by"] = ctx.caller
         record["adjudicated_at"] = ctx.timestamp
         ctx.put(key, record)
-        ctx.emit("conduct-adjudicated", report_id=report_id, upheld=bool(upheld))
+        ctx.emit("conduct-adjudicated", report_id=report_id, upheld=upheld)
         return record
 
     @contract_method

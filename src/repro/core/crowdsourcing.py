@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.chain.contracts import Contract, ContractContext, contract_method, is_real
+from repro.chain.contracts import Contract, ContractContext, contract_method
 from repro.core.identity import identity_key
 
 __all__ = ["VoteContract", "Validator", "Vote", "ValidatorPool", "vote_key", "factual_share"]
@@ -56,9 +56,6 @@ class VoteContract(Contract):
     @contract_method
     def cast(self, ctx: ContractContext, article_id: str, verdict: bool, weight: float):
         """Record a trust vote (verdict True = factual)."""
-        ctx.require(isinstance(article_id, str), "article_id must be a string")
-        ctx.require(isinstance(verdict, bool), "verdict must be a bool")
-        ctx.require(is_real(weight), "weight must be a number")
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(caller is not None, "only registered identities may vote")
         ctx.require(0.0 < weight <= 1.0, "weight must be in (0, 1]")

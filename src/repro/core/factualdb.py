@@ -49,15 +49,10 @@ class FactualDatabaseContract(Contract):
         Only verified identities may seed (the operator importing the
         congressional record is accountable for the import).  ``text``,
         when given, is the record's text for the provenance fold (as in
-        ``supplychain.record_node``): neither stored nor emitted.  Every
-        argument is type-checked before anything is read: every reader's
-        fold names the fact ``fact:<fact_id>``.
+        ``supplychain.record_node``): neither stored nor emitted, and at most
+        ``MAX_TEXT_LENGTH`` characters.
         """
-        ctx.require(
-            all(isinstance(v, str) for v in (fact_id, content_hash, source, topic)),
-            "fact_id, content_hash, source and topic must be strings",
-        )
-        ctx.require(is_text(text), f"text must be a string of at most {MAX_TEXT_LENGTH} characters")
+        ctx.require(is_text(text), f"text must be at most {MAX_TEXT_LENGTH} characters")
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(
             caller is not None and caller["verified"],
@@ -88,12 +83,8 @@ class FactualDatabaseContract(Contract):
         from its latest ranking (which only a verified identity can
         record).  The promotion bar is enforced on-chain so a buggy (or
         corrupt) off-chain ranking service cannot quietly pollute ground
-        truth.  Both ids are type-checked first, as in :meth:`seed_fact`.
+        truth.
         """
-        ctx.require(
-            isinstance(fact_id, str) and isinstance(article_id, str),
-            "fact_id and article_id must be strings",
-        )
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(
             caller is not None and caller["verified"],

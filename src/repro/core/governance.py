@@ -74,13 +74,13 @@ class PlatformGovernanceContract(Contract):
         ctx.require(record["status"] == "open", "petition is not open")
         vote_key = petition_vote_key(platform_name, ctx.caller)
         ctx.require(ctx.get(vote_key) is None, "checker already reviewed this petition")
-        ctx.put(vote_key, {"approve": bool(approve), "at": ctx.timestamp})
+        ctx.put(vote_key, {"approve": approve, "at": ctx.timestamp})
         if approve:
             record["approvals"] += 1
         else:
             record["rejections"] += 1
         ctx.put(key, record)
-        ctx.emit("petition-reviewed", platform_name=platform_name, approve=bool(approve))
+        ctx.emit("petition-reviewed", platform_name=platform_name, approve=approve)
         return record
 
     @contract_method

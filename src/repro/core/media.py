@@ -65,10 +65,7 @@ class MediaRegistryContract(Contract):
         ctx.require(caller is not None, "unregistered identities cannot register media")
         key = media_key(media_id)
         ctx.require(ctx.get(key) is None, f"media {media_id} already registered")
-        ctx.require(
-            isinstance(fingerprint, dict) and fingerprint.get("block_hashes"),
-            "fingerprint must carry block hashes",
-        )
+        ctx.require(fingerprint.get("block_hashes"), "fingerprint must carry block hashes")
         record = {
             "media_id": media_id,
             "fingerprint": fingerprint,

@@ -24,7 +24,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.chain.contracts import Contract, ContractContext, contract_method, is_real, is_str_list
+from repro.chain.contracts import Contract, ContractContext, contract_method
 from repro.chain.ledger import Ledger
 from repro.core.identity import identity_key
 
@@ -54,9 +54,9 @@ FACT_PREFIX = "fact:"
 MAX_TEXT_LENGTH = 16_384
 
 
-def is_text(value: Any) -> bool:
-    """Whether *value* is a ``text`` argument a contract accepts."""
-    return value is None or (isinstance(value, str) and len(value) <= MAX_TEXT_LENGTH)
+def is_text(value: str | None) -> bool:
+    """Whether a ``text`` argument is within :data:`MAX_TEXT_LENGTH`."""
+    return value is None or len(value) <= MAX_TEXT_LENGTH
 
 
 def supply_node_key(article_id: str) -> str:
@@ -124,32 +124,14 @@ class SupplyChainContract(Contract):
         the graph names factual roots that way, and a record there would
         take over the root every honest relay of that fact traces to.
 
-        Arguments are type-checked before anything else: ids, names and
-        ``text`` are strings (``text`` at most :data:`MAX_TEXT_LENGTH`
-        characters), ``parents`` / ``fact_roots`` lists of
-        strings, degrees and ``ai_score`` numbers (not ``bool``).
+        The annotations are the type check (``Contract.dispatch``); a
+        ``text`` is at most :data:`MAX_TEXT_LENGTH` characters.
         """
+        ctx.require(is_text(text), f"text must be at most {MAX_TEXT_LENGTH} characters")
         ctx.require(
-            all(isinstance(v, str) for v in (article_id, content_hash, topic, op)),
-            "article_id, content_hash, topic and op must be strings",
+            text is not None or parents is not None and modification_degree is not None,
+            "a record without text claims its parents and modification_degree",
         )
-        ctx.require(is_text(text), f"text must be a string of at most {MAX_TEXT_LENGTH} characters")
-        ctx.require(
-            parents is None and text is not None or is_str_list(parents),
-            "parents must be a list of article ids",
-        )
-        ctx.require(
-            fact_roots is None or is_str_list(fact_roots), "fact_roots must be a list of fact ids"
-        )
-        ctx.require(
-            (modification_degree is None and text is not None or is_real(modification_degree))
-            and all(
-                degrees is None or (isinstance(degrees, list) and all(map(is_real, degrees)))
-                for degrees in (parent_degrees, fact_degrees)
-            ),
-            "degrees must be numbers",
-        )
-        ctx.require(ai_score is None or is_real(ai_score), "ai_score must be a number")
         ctx.require(
             text is None
             or all(v is None for v in (modification_degree, fact_roots, parent_degrees, fact_degrees)),
@@ -230,12 +212,6 @@ class SupplyChainContract(Contract):
         mechanism refs [29] argue for.  Only a verified identity may rank:
         a ranking is what ``factualdb.promote`` reads.
         """
-        ctx.require(isinstance(article_id, str), "article_id must be a string")
-        ctx.require(
-            is_real(final_score)
-            and all(s is None or is_real(s) for s in (provenance_score, ai_score, crowd_score)),
-            "scores must be numbers",
-        )
         ctx.require(
             ctx.get(supply_node_key(article_id)) is not None,
             f"article {article_id} is not recorded in the supply chain",

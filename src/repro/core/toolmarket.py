@@ -94,7 +94,7 @@ class ToolMarketContract(Contract):
         key = tool_key(tool_id)
         record = ctx.get(key)
         predicted_fake = call["score"] >= 0.5
-        correct = predicted_fake == bool(final_fake)
+        correct = predicted_fake == final_fake
         if correct:
             record["correct"] += 1
         call["settled"] = True
