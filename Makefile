@@ -56,8 +56,10 @@ bench:
 # AUC stays above 0.9 and mutated fakes stay the harder class.  E9 (~5 s,
 # full size) is the one reader of the shard planner: it plans each run's
 # committed blocks from peer-0's ledger (its trace export is skipped).  E7
-# and E8 (~7 s together, full size) read the accountability and expert
-# answers off build_supply_chain_graph, the from-genesis ledger fold.
+# and E8 (~8 s together, full size) record every article's text through the
+# platform and claim no link, and read the accountability and expert answers
+# off build_supply_chain_graph, the from-genesis ledger fold that derives
+# every link.
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_micro_substrate.py \
 		benchmarks/bench_a1_provenance.py \
@@ -83,10 +85,12 @@ bench-record:
 	$(PYTHON) tools/bench_record.py $(PR)
 
 # The pairs behind a claim: `make bench-ab PARENT=<ref> W=<workload> PAIRS=<n>`
-# runs that workload untraced, alternately in a `git archive` of PARENT
-# (unpacked under $TMPDIR) and in this tree, prints every pair, then each
-# side's median and quartiles and the pairs the change won, per end-to-end
-# metric.  Without W it does so for every workload BENCHMARK.json names,
+# runs that workload untraced, alternately in `git archive`s of PARENT and
+# of the committed HEAD (sibling directories of equal path length under
+# $TMPDIR; each run with MALLOC_MMAP_THRESHOLD_=131072 in its own
+# environment, so peak RSS does not depend on the directory), prints every
+# pair, then each side's median and quartiles and the pairs the change
+# won, per end-to-end metric.  Without W it does so for every workload BENCHMARK.json names,
 # against the one archive.  SEED=<s> picks the seed (default 0); PR=<n>
 # also writes each result under the `ab` key of BENCH_<n>.json (about 12 s
 # a pair).

@@ -2,7 +2,11 @@
 
 Workload: 60 fake-news lineages.  Each lineage: a factual root, a
 malicious mutation by a planted culprit, then 3-6 laundering relays
-through other accounts.  The question: who created the fake?
+through other accounts.  The fact is seeded with its text, and every
+other article goes on the chain through ``report_external`` with its
+text and no claimed link, so the graph is the one every reader's fold
+discovers; only the ground truth (who is the culprit) is the
+generator's.  The question: who created the fake?
 
 - **blockchain trace-back** (this platform): walk the supply-chain
   graph's faithful-copy edges to the content's true author;
@@ -19,65 +23,50 @@ from __future__ import annotations
 import random
 
 from benchmarks.conftest import emit
-from repro.chain import LocalChain
-from repro.core import IdentityContract, SupplyChainContract, build_supply_chain_graph, find_original_author
+from repro.core import TrustingNewsPlatform, build_supply_chain_graph, find_original_author
 from repro.corpus import CorpusGenerator
 
 N_LINEAGES = 60
 
 
 def _build():
-    chain = LocalChain(seed=700)
-    chain.install_contract(IdentityContract())
-    chain.install_contract(SupplyChainContract())
+    platform = TrustingNewsPlatform(seed=700)
     gen = CorpusGenerator(seed=700)
     rng = random.Random(701)
 
-    accounts = {}
-
-    def account(name):
-        if name not in accounts:
-            keypair = chain.new_account()
-            chain.invoke(keypair, "identity", "register",
-                         {"display_name": name, "role": "consumer"})
-            accounts[name] = keypair
-        return accounts[name]
-
-    def record(name, article, parents, degrees, fact_roots=(), fact_degrees=()):
-        chain.invoke(account(name), "supplychain", "record_node",
-                     {"article_id": article.article_id, "content_hash": "h",
-                      "parents": list(parents), "parent_degrees": list(degrees),
-                      "modification_degree": min(list(degrees) + list(fact_degrees) + [1.0]),
-                      "topic": article.topic, "op": article.op,
-                      "fact_roots": list(fact_roots), "fact_degrees": list(fact_degrees)})
+    def report(name, article):
+        if name not in platform.accounts:
+            platform.register_participant(name, role="consumer", verified=False)
+        platform.report_external(name, article.article_id, article.text, article.topic,
+                                 source="social-media")
 
     cases = []
     for lineage in range(N_LINEAGES):
         root = gen.factual()
+        platform.seed_fact(f"fact-{lineage}", root.text, "public-record", root.topic)
         reporter = f"reporter-{lineage}"
-        report = gen.relay_derivation(root, reporter, 0.0)
-        record(reporter, report, [], [], fact_roots=[f"fact-{lineage}"], fact_degrees=[0.0])
+        story = gen.relay_derivation(root, reporter, 0.0)
+        report(reporter, story)
         culprit = f"culprit-{lineage}"
-        fake = gen.malicious_derivation(report, culprit, 1.0)
-        record(culprit, fake, [report.article_id], [fake.modification_degree])
+        fake = gen.malicious_derivation(story, culprit, 1.0)
+        report(culprit, fake)
         current = fake
         last_sharer = culprit
         for hop in range(rng.randint(3, 6)):
             last_sharer = f"relayer-{lineage}-{hop}"
-            relay_article = gen.relay_derivation(current, last_sharer, 2.0 + hop)
-            record(last_sharer, relay_article, [current.article_id], [0.0])
-            current = relay_article
+            current = gen.relay_derivation(current, last_sharer, 2.0 + hop)
+            report(last_sharer, current)
         cases.append((current.article_id, culprit, last_sharer))
-    return chain, accounts, cases
+    return platform, cases
 
 
-def _evaluate(chain, accounts, cases):
-    graph = build_supply_chain_graph(chain.ledger)
+def _evaluate(platform, cases):
+    graph = build_supply_chain_graph(platform.chain.ledger)
     chain_correct = 0
     baseline_correct = 0
     for leaf_id, culprit, last_sharer in cases:
         identified = find_original_author(graph, leaf_id)
-        if identified == accounts[culprit].address:
+        if identified == platform.address_of(culprit):
             chain_correct += 1
         if last_sharer == culprit:  # the last hop is only right if no laundering
             baseline_correct += 1
@@ -85,9 +74,9 @@ def _evaluate(chain, accounts, cases):
 
 
 def test_e7_accountability(benchmark):
-    chain, accounts, cases = _build()
+    platform, cases = _build()
     chain_correct, baseline_correct = benchmark.pedantic(
-        _evaluate, args=(chain, accounts, cases), rounds=1, iterations=1
+        _evaluate, args=(platform, cases), rounds=1, iterations=1
     )
     rows = [
         f"lineages: {N_LINEAGES} (mutation + 3-6 laundering relays each)",

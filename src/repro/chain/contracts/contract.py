@@ -39,7 +39,6 @@ _KINDS: dict[type, tuple[Callable[[Any], bool], str, str]] = {
           "an integer", "integers"),
     float: (lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
             "a number", "numbers"),
-    dict: (lambda value: isinstance(value, dict), "a dict", "dicts"),
 }
 
 #: One argument of an entry point: (check, kind, required).
@@ -48,7 +47,7 @@ _Argument = tuple[Callable[[Any], bool], str, bool]
 
 def _declared(annotation: Any) -> tuple[Callable[[Any], bool], str] | None:
     """The check and kind an annotation declares, or ``None`` when it is
-    not one of the seven forms: a kind of :data:`_KINDS`, ``list[K]`` of
+    not one of the six forms: a kind of :data:`_KINDS`, ``list[K]`` of
     one, or either of those ``| None``."""
     if annotation in _KINDS:
         check, kind, _ = _KINDS[annotation]
@@ -67,7 +66,7 @@ def _declared(annotation: Any) -> tuple[Callable[[Any], bool], str] | None:
 
 def _arguments(where: str, func: Callable) -> dict[str, _Argument]:
     """The argument table of an entry point: every parameter after
-    ``self`` and ``ctx``, which must be annotated with one of the seven
+    ``self`` and ``ctx``, which must be annotated with one of the six
     forms :func:`_declared` reads."""
     table: dict[str, _Argument] = {}
     for param in list(inspect.signature(func, eval_str=True).parameters.values())[2:]:
@@ -75,7 +74,7 @@ def _arguments(where: str, func: Callable) -> dict[str, _Argument]:
         if declared is None or param.kind not in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY):
             raise TypeError(
                 f"{where}: argument {param.name!r} must be a named parameter annotated "
-                "str, bool, int, float, dict, list[T] or T | None"
+                "str, bool, int, float, list[T] or T | None"
             )
         table[param.name] = (*declared, param.default is param.empty)
     return table
@@ -101,11 +100,12 @@ class Contract:
                 ctx.put("count", value)
                 return value
 
-    Every argument after ``ctx`` is annotated with one of seven forms —
-    ``str``, ``bool``, ``int``, ``float``, ``dict``, ``list[T]`` of one of
-    those five, or either of those ``| None`` — and that annotation is
-    the argument's type check; any other annotation, or none, is a
-    ``TypeError`` when the class is defined.
+    Every argument after ``ctx`` is annotated with one of six forms —
+    ``str``, ``bool``, ``int``, ``float``, ``list[T]`` of one of those
+    four, or either of those ``| None`` — and that annotation is the
+    argument's type check; any other annotation, or none, is a
+    ``TypeError`` when the class is defined.  A structured value is
+    several arguments, one per field, so every field is checked.
     """
 
     name: str = ""

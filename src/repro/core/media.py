@@ -20,6 +20,7 @@ blockchain answer implemented here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +34,6 @@ __all__ = ["MediaRegistryContract", "MediaVerifier", "MediaAssessment", "media_k
 
 def media_key(media_id: str) -> str:
     return f"media:{media_id}"
-
-
-def _fingerprint_to_record(fingerprint: MediaFingerprint) -> dict:
-    return {
-        "block_size": fingerprint.block_size,
-        "block_hashes": list(fingerprint.block_hashes),
-        "block_means": list(fingerprint.block_means),
-        "block_stds": list(fingerprint.block_stds),
-    }
 
 
 def _fingerprint_from_record(record: dict) -> MediaFingerprint:
@@ -59,22 +51,39 @@ class MediaRegistryContract(Contract):
     name = "media"
 
     @contract_method
-    def register(self, ctx: ContractContext, media_id: str, fingerprint: dict, description: str):
-        """Commit a capture fingerprint (registered identities only)."""
+    def register(
+        self, ctx: ContractContext, media_id: str, block_size: int, block_hashes: list[str],
+        block_means: list[float], block_stds: list[float], description: str,
+    ):
+        """Commit a capture fingerprint (registered identities only): its
+        block size, and per block a hash, a mean and a standard deviation.
+        Every reader of the registration rebuilds the fingerprint from
+        them, so one value it cannot use would break every assessment of
+        the asset, and every publish that attaches it, for good."""
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(caller is not None, "unregistered identities cannot register media")
         key = media_key(media_id)
         ctx.require(ctx.get(key) is None, f"media {media_id} already registered")
-        ctx.require(fingerprint.get("block_hashes"), "fingerprint must carry block hashes")
+        ctx.require(block_size >= 1, "block_size must be at least 1")
+        ctx.require(block_hashes, "fingerprint must carry block hashes")
+        ctx.require(
+            len(block_means) == len(block_stds) == len(block_hashes),
+            "block_means and block_stds must be as long as block_hashes",
+        )
+        # A NaN statistic compares as consistent with any block, so a
+        # tampered copy would score as authentic.
+        ctx.require(all(map(math.isfinite, block_means + block_stds)),
+                    "block_means and block_stds must be finite")
         record = {
             "media_id": media_id,
-            "fingerprint": fingerprint,
+            "fingerprint": {"block_size": block_size, "block_hashes": block_hashes,
+                            "block_means": block_means, "block_stds": block_stds},
             "description": description,
             "captured_by": ctx.caller,
             "registered_at": ctx.timestamp,
         }
         ctx.put(key, record)
-        ctx.emit("media-registered", media_id=media_id, blocks=len(fingerprint["block_hashes"]))
+        ctx.emit("media-registered", media_id=media_id, blocks=len(block_hashes))
         return record
 
     @contract_method
@@ -124,8 +133,16 @@ class MediaVerifier:
 
     @staticmethod
     def fingerprint_record(signal: np.ndarray, block_size: int = 64) -> dict:
-        """Fingerprint a captured signal into the contract's record form."""
-        return _fingerprint_to_record(MediaFingerprint.of(signal, block_size))
+        """Fingerprint a captured signal into the contract's record form:
+        the arguments ``media.register`` takes beside the id and the
+        description."""
+        fingerprint = MediaFingerprint.of(signal, block_size)
+        return {
+            "block_size": fingerprint.block_size,
+            "block_hashes": list(fingerprint.block_hashes),
+            "block_means": list(fingerprint.block_means),
+            "block_stds": list(fingerprint.block_stds),
+        }
 
     def assess(self, registered_record: dict | None, suspect_signal: np.ndarray,
                media_id: str) -> MediaAssessment:

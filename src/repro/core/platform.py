@@ -486,10 +486,10 @@ class TrustingNewsPlatform:
 
     def register_media(self, owner_name: str, media_id: str, signal, description: str = "") -> TxReceipt:
         """Commit a captured media asset's fingerprint on-chain."""
-        fingerprint = MediaVerifier.fingerprint_record(signal)
         return self.chain.invoke(
             self.account(owner_name), "media", "register",
-            {"media_id": media_id, "fingerprint": fingerprint, "description": description},
+            {"media_id": media_id, **MediaVerifier.fingerprint_record(signal),
+             "description": description},
         )
 
     def assess_media(self, media_id: str, suspect_signal) -> float:

@@ -11,6 +11,11 @@ paper's central queries —
   accumulated?
 - who created the first fake ancestor (accountability)?
 
+An edge onto the factual database is always discovered, by every
+reader's fold against a seeded or promoted fact's text, never claimed by
+a writer: a record can name only article parents, so no key can make
+fabricated content look fact-rooted.
+
 The graph is a :class:`SupplyChainGraph`: plain dicts that answer the
 part of networkx's ``DiGraph`` interface these walks use, so a process
 that reads the chain does not load networkx.  The queries still accept
@@ -78,47 +83,46 @@ class SupplyChainContract(Contract):
         op: str,
         parents: list[str] | None = None,
         modification_degree: float | None = None,
-        fact_roots: list[str] | None = None,
         parent_degrees: list[float] | None = None,
-        fact_degrees: list[float] | None = None,
         ai_score: float | None = None,
         text: str | None = None,
     ):
         """Record one news item and, for a record without ``text``, its
-        claimed propagation end points.
+        claimed parents.
 
         ``text`` is the article's text, when the recorder shares it: the
         ledger is the content store, and every reader's fold
         (``LedgerView``) derives such a record's links from it against the
-        texts committed before it — discovered parents, or the indexed ids
-        among the ``parents`` it declares.  So a record that carries its
-        text claims no links: ``modification_degree``, ``fact_roots``,
-        ``parent_degrees`` and ``fact_degrees`` beside it are refused,
-        ``parents`` is only a declaration (checked for its type and for
-        repeats), and neither the text nor the declaration is written to
-        state or emitted.
+        texts committed before it — discovered parents and fact roots, or
+        the indexed ids among the ``parents`` it declares.  So a record
+        that carries its text claims no links: ``modification_degree`` and
+        ``parent_degrees`` beside it are refused, ``parents`` is only a
+        declaration (checked for its type and for repeats), and neither the
+        text nor the declaration is written to state or emitted.
 
-        A record without ``text`` claims its links, and is not
-        discoverable as a parent.  ``parents`` are previously recorded
-        article ids; ``fact_roots`` are factual-database ids the content
-        was matched against.  Each provenance edge carries its own
-        measured change (``parent_degrees`` / ``fact_degrees``, aligned
-        with the id lists, each defaulting to ``modification_degree``
-        per edge); ``modification_degree`` is the node-level summary
-        (minimum over edges) used for quick ranking.  Per-edge degrees
+        A record without ``text`` claims its ``parents`` (previously
+        recorded article ids), is not discoverable as a parent, and claims
+        no fact root: a fact root is always derived, against a seeded or
+        promoted fact's text, so no key can make fabricated content look
+        fact-rooted.  Each parent edge carries its own measured change
+        (``parent_degrees``, aligned with ``parents``, each defaulting to
+        ``modification_degree``); ``modification_degree`` is the
+        node-level summary used for quick ranking.  Per-edge degrees
         matter: a faithful relay of a distortion is 0 from its parent but
         far from the grandparent, and collapsing those into one number
-        mis-attributes accountability.
+        mis-attributes accountability.  The record and its event keep the
+        empty ``fact_roots`` / ``fact_degrees`` every reader's record
+        shape holds.
 
         ``ai_score`` is the AI component's verdict, P(fake), when the
         recorder had one (Fig. 1: the verdict becomes the transaction).
         It enters the record and the event only when given, so an
         unscored record keeps the bytes it has always had.
 
-        Each id appears once in ``parents`` and once in ``fact_roots``:
-        the graph keeps one edge per (child, parent) pair, so a repeated id
-        with two degrees would keep whichever came last, and the same two
-        claims would trace and attribute differently by their order.
+        Each id appears once in ``parents``: the graph keeps one edge per
+        (child, parent) pair, so a repeated id with two degrees would keep
+        whichever came last, and the same two claims would trace and
+        attribute differently by their order.
 
         An ``article_id`` in the :data:`FACT_PREFIX` namespace is refused:
         the graph names factual roots that way, and a record there would
@@ -133,9 +137,8 @@ class SupplyChainContract(Contract):
             "a record without text claims its parents and modification_degree",
         )
         ctx.require(
-            text is None
-            or all(v is None for v in (modification_degree, fact_roots, parent_degrees, fact_degrees)),
-            "a record that carries its text claims no degrees or fact roots: readers derive them",
+            text is None or modification_degree is None and parent_degrees is None,
+            "a record that carries its text claims no degrees: readers derive them",
         )
         caller = ctx.get(identity_key(ctx.caller))
         ctx.require(caller is not None, "unregistered identities cannot record news")
@@ -151,30 +154,20 @@ class SupplyChainContract(Contract):
         key = supply_node_key(article_id)
         ctx.require(ctx.get(key) is None, f"article {article_id} already recorded")
         links = {}
-        if text is None:  # the record claims its links: check them
+        if text is None:  # the record claims its parents: check them
             ctx.require(0.0 <= modification_degree <= 1.0, "modification_degree must be in [0, 1]")
-            fact_roots = list(fact_roots or [])
-            parent_degrees = list(parent_degrees) if parent_degrees is not None else [
-                modification_degree
-            ] * len(parents)
-            fact_degrees = list(fact_degrees) if fact_degrees is not None else [
-                modification_degree
-            ] * len(fact_roots)
+            if parent_degrees is None:
+                parent_degrees = [modification_degree] * len(parents)
             ctx.require(len(parent_degrees) == len(parents), "parent_degrees misaligned with parents")
-            ctx.require(len(fact_degrees) == len(fact_roots), "fact_degrees misaligned with fact_roots")
-            ctx.require(len(set(fact_roots)) == len(fact_roots), "fact_roots name a fact more than once")
-            ctx.require(
-                all(0.0 <= d <= 1.0 for d in parent_degrees + fact_degrees),
-                "edge degrees must be in [0, 1]",
-            )
+            ctx.require(all(0.0 <= d <= 1.0 for d in parent_degrees), "edge degrees must be in [0, 1]")
             for parent in parents:
                 ctx.require(
                     ctx.get(supply_node_key(parent)) is not None,
                     f"parent {parent} is not recorded in the supply chain",
                 )
-            links = {"parents": list(parents), "parent_degrees": parent_degrees,
-                     "modification_degree": modification_degree, "fact_roots": fact_roots,
-                     "fact_degrees": fact_degrees}
+            links = {"parents": list(parents), "parent_degrees": list(parent_degrees),
+                     "modification_degree": modification_degree, "fact_roots": [],
+                     "fact_degrees": []}
         scored = {} if ai_score is None else {"ai_score": ai_score}
         record = {
             "article_id": article_id,
@@ -344,8 +337,9 @@ def add_supply_node(graph: SupplyChainGraph | nx.DiGraph, event: dict) -> None:
     """Add one ``supply-node-recorded`` event's node and provenance edges
     to *graph* — the only place that does.  The event carries its links
     (``parents`` / ``parent_degrees``, ``fact_roots`` / ``fact_degrees``,
-    ``modification_degree``): the contract emits them for a record without
-    text, and the reader's fold derives and adds them for one with text.
+    ``modification_degree``): the contract emits the claimed parents, and
+    empty fact lists, for a record without text, and the reader's fold
+    derives and adds all of them for one with text.
 
     Insertion order is part of the result: Dijkstra's tie-break in
     :func:`trace_to_factual_root` and the ``min`` in

@@ -37,7 +37,7 @@ def _record(chain, account, article_id, parents=()):
         account, "supplychain", "record_node",
         {"article_id": article_id, "content_hash": "h-" + article_id,
          "parents": list(parents), "modification_degree": 0.2,
-         "topic": "politics", "op": "publish", "fact_roots": []},
+         "topic": "politics", "op": "publish"},
     )
 
 

@@ -79,13 +79,14 @@ def test_a_record_that_carries_its_text_commits_neither_text_nor_links():
 @pytest.mark.parametrize("claim,refusal", [
     ({"modification_degree": 0.0}, "claims no degrees"),
     ({"parent_degrees": [0.0]}, "claims no degrees"),
-    ({"fact_roots": ["f-0"]}, "claims no degrees"),
-    ({"fact_degrees": [0.0]}, "claims no degrees"),
+    ({"fact_roots": ["f-0"]}, r"unknown \['fact_roots'\]"),
+    ({"fact_degrees": [0.0]}, r"unknown \['fact_degrees'\]"),
     ({"parents": ["o-1", "o-1"]}, "more than once"),
 ], ids=["modification_degree", "parent_degrees", "fact_roots", "fact_degrees", "repeated"])
 def test_a_record_that_carries_its_text_claims_no_link(platform, claim, refusal):
-    """Beside a text, a claimed degree or fact root is refused: the readers'
-    fold measures every edge itself, so a writer cannot forge one."""
+    """Beside a text, a claimed degree is refused, and no record names a
+    fact root at all: the readers' fold measures every edge itself, so a
+    writer cannot forge one."""
     gen = CorpusGenerator(seed=5)
     fact = gen.factual(topic="politics")
     platform.seed_fact("f-0", fact.text, "public-record", "politics")

@@ -42,6 +42,8 @@ _PROMOTION = {"fact_id": "a-1-fact", "article_id": "a-1"}
 _DRAFT = {"article_id": "d-1", "platform_name": "wire", "room_name": "desk",
           "content_hash": "h-d-1"}
 _PETITION = {"platform_name": "wire", "charter": "local news", "quorum": 3}
+_MEDIA = {"media_id": "m-1", "block_size": 64, "block_hashes": ["b"], "block_means": [0.0],
+          "block_stds": [1.0], "description": "clip"}
 
 #: (contract, method, argument, mistyped value): each replaces one
 #: argument of the method's well-typed call.
@@ -56,7 +58,6 @@ _MALFORMED = [
     ("supplychain", "record_node", "article_id", 2),
     ("supplychain", "record_node", "parents", "a-1"),
     ("supplychain", "record_node", "parents", [1]),
-    ("supplychain", "record_node", "fact_roots", [7]),
     ("supplychain", "record_node", "parent_degrees", ["0"]),
     ("supplychain", "record_node", "ai_score", "0.2"),
     ("supplychain", "record_node", "topic", None),
@@ -86,6 +87,14 @@ _MALFORMED = [
     ("token", "transfer", "amount", 1.5),
     ("token", "transfer", "amount", True),
     ("media", "record_assessment", "tamper_score", "0.1"),
+    # A fingerprint is four arguments, so each field is checked: every
+    # reader rebuilds it from the committed record.
+    ("media", "register", "block_size", "64"),
+    ("media", "register", "block_size", 64.0),
+    ("media", "register", "block_hashes", "b"),
+    ("media", "register", "block_hashes", {"block_hashes": ["b"]}),
+    ("media", "register", "block_means", ["0.0"]),
+    ("media", "register", "block_stds", [None]),
     ("toolmarket", "register_tool", "fee", "0.5"),
     ("identity", "register", "display_name", 5),
 ]
@@ -110,7 +119,7 @@ def _member(chain, verifier, role):
     return member
 
 
-def _prepare(chain, account, method):
+def _prepare(chain, account, contract, method):
     """Commit what *method*'s well-typed call needs; its caller and arguments."""
     if method == "promote":
         chain.invoke(account, "supplychain", "record_ranking", _RANKING)
@@ -138,18 +147,17 @@ def _prepare(chain, account, method):
         chain.invoke(account, "token", "mint", {"to": account.address, "amount": 10})
         return account, {"to": "someone", "amount": 1}
     if method == "record_assessment":
-        chain.invoke(account, "media", "register", {"media_id": "m-1", "description": "clip",
-                                                    "fingerprint": {"block_hashes": ["b"]}})
+        chain.invoke(account, "media", "register", _MEDIA)
         return account, {"media_id": "m-1", "article_id": "a-1", "tamper_score": 0.1}
     if method == "register_tool":
         return _member(chain, account, "developer"), {
             "tool_id": "t-1", "description": "scorer", "fee": 0.5, "stake": 10.0}
-    if method == "register":
+    if (contract, method) == ("identity", "register"):
         return chain.new_account(), {"display_name": "bob", "role": "consumer"}
     return account, {"cast": _VOTE, "record_node": _NODE, "record_ranking": _RANKING,
                      "seed_fact": _FACT, "promote": _PROMOTION, "create_platform":
                      {"platform_name": "wire"}, "submit_draft": _DRAFT,
-                     "petition": _PETITION}[method]
+                     "petition": _PETITION, "register": _MEDIA}[method]
 
 
 @pytest.mark.parametrize("contract,method,name,value", _MALFORMED)
@@ -158,7 +166,7 @@ def test_a_mistyped_argument_is_a_contract_error(chain, contract, method, name, 
     chain.invoke(account, "identity", "register", {"display_name": "alice", "role": "journalist"})
     chain.invoke(account, "identity", "verify", {"address": account.address})  # rankers are verified
     chain.invoke(account, "supplychain", "record_node", {**_NODE, "article_id": "a-1", "parents": []})
-    caller, well_typed = _prepare(chain, account, method)
+    caller, well_typed = _prepare(chain, account, contract, method)
     height, digest = chain.ledger.height, chain.state.state_digest()
     with pytest.raises(ContractError):
         chain.invoke(caller, contract, method, {**well_typed, name: value})
@@ -187,8 +195,9 @@ def test_an_unannotated_argument_is_refused_when_the_class_is_defined():
                 return amount
 
 
-@pytest.mark.parametrize("annotation", [tuple, set[str], list[list[str]], "int | str", "object"])
-def test_an_annotation_outside_the_seven_forms_is_refused_when_the_class_is_defined(annotation):
+@pytest.mark.parametrize("annotation", [tuple, dict, set[str], list[list[str]], "int | str",
+                                        "object"])
+def test_an_annotation_outside_the_six_forms_is_refused_when_the_class_is_defined(annotation):
     def deposit(self, ctx, amount):
         return amount
 

@@ -8,12 +8,13 @@ from repro.chain import LocalChain
 from repro.core import (
     EcosystemSimulator,
     ExpertFinder,
-    IdentityContract,
-    SupplyChainContract,
     TokenContract,
+    TrustingNewsPlatform,
     build_supply_chain_graph,
 )
+from repro.corpus import CorpusGenerator
 from repro.errors import ContractError
+from repro.social.cascade import ShareEvent
 
 
 # -- expert identification ------------------------------------------------------
@@ -21,31 +22,32 @@ from repro.errors import ContractError
 
 @pytest.fixture
 def expert_world():
-    """Ledger with one planted expert, one bot, one casual user in 'health'."""
-    chain = LocalChain(seed=6)
-    chain.install_contract(IdentityContract())
-    chain.install_contract(SupplyChainContract())
-    accounts = {}
+    """Ledger with one planted expert, one bot, one casual user in 'health'.
+    Every record carries its text, so every link is the one the ledger
+    fold derives."""
+    platform = TrustingNewsPlatform(seed=6)
+    gen = CorpusGenerator(seed=6)
+    facts = {f"f-{index}": gen.factual(topic="health") for index in (*range(6), 9)}
+    for fact_id, fact in facts.items():
+        platform.seed_fact(fact_id, fact.text, "public-record", "health")
     for name in ("expert", "bot", "casual"):
-        account = chain.new_account()
-        chain.invoke(account, "identity", "register", {"display_name": name, "role": "creator"})
-        accounts[name] = account
+        platform.register_participant(name, role="creator", verified=False)
 
-    def record(account, article_id, parents=(), degree=0.0, fact_roots=(), topic="health"):
-        chain.invoke(account, "supplychain", "record_node",
-                     {"article_id": article_id, "content_hash": "h", "parents": list(parents),
-                      "modification_degree": degree, "topic": topic, "op": "publish",
-                      "fact_roots": list(fact_roots)})
-
-    # Expert: six articles rooted in facts, minimal modification.
+    # Expert: six verbatim reports of facts.
     for index in range(6):
-        record(accounts["expert"], f"e-{index}", fact_roots=[f"f-{index}"], degree=0.02)
+        platform.report_external("expert", f"e-{index}", facts[f"f-{index}"].text, "health",
+                                 source="public-record")
     # Bot: six heavily modified derivations of the expert's work.
     for index in range(6):
-        record(accounts["bot"], f"b-{index}", parents=[f"e-{index}"], degree=0.7)
+        fake = gen.insertion_fake(facts[f"f-{index}"], "bot", 1.0,
+                                  n_insertions=12).with_id(f"b-{index}")
+        share = ShareEvent(time=1.0, round_index=0, agent_id="bot", source_agent_id="expert",
+                           article_id=fake.article_id, parent_article_id=f"e-{index}",
+                           op="insert")
+        platform.ingest_share(share, fake, topic="health")
     # Casual: one good article (below min_articles).
-    record(accounts["casual"], "c-0", fact_roots=["f-9"], degree=0.0)
-    return chain, accounts
+    platform.report_external("casual", "c-0", facts["f-9"].text, "health", source="public-record")
+    return platform.chain, {name: platform.account(name) for name in ("expert", "bot", "casual")}
 
 
 def test_expert_ranked_first(expert_world):

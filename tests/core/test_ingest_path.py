@@ -118,8 +118,11 @@ def article_tuples(platform):
 #   directory names it), so every Merkle leaf, and every block hash, moved;
 # - a record that carries its text stopped claiming its links (every
 #   reader's fold derives them), so each such record's arguments, write set
-#   and event, and every block hash from the first one on, moved.
-HEAD_HASH = "df67744489bdb6bd601faa62e53f38653dbe1a4ed6d0b33781b878037ab77f50"
+#   and event, and every block hash from the first one on, moved;
+# - ``media.register`` takes the fingerprint as four typed arguments, not
+#   one ``dict``, so the media registration's arguments, and every block
+#   hash from its block (16 of 24) on, moved; its write set did not.
+HEAD_HASH = "2e50bddd80ddc6f8916f4a7740ecf697e17889cbd79fcae032c52d695263194c"
 ARTICLES = {  # article id -> (parents, fact_roots, modification_degree, ai_score)
     "a-1": ((), ("f-0",), 0.0, 0.24),
     "a-2": (("a-1",), ("a-1-fact",), 0.1282051282051282, 0.40625),

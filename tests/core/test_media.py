@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chain import BlockchainNetwork, LocalChain, NetworkedChain
-from repro.core import TrustingNewsPlatform
+from repro.core import MediaVerifier, TrustingNewsPlatform
 from repro.corpus import CorpusGenerator
 from repro.corpus.mutations import relay
 from repro.errors import ContractError
@@ -60,6 +60,38 @@ def test_duplicate_media_id_rejected(newsroom_platform, rng):
     platform.register_media("cam", "clip-1", signal)
     with pytest.raises(ContractError, match="already registered"):
         platform.register_media("cam", "clip-1", signal)
+
+
+def test_a_fingerprint_a_reader_cannot_rebuild_is_refused(newsroom_platform, rng):
+    """``{"block_hashes": ["x"]}`` used to commit as a fingerprint, and from
+    then on ``assess_media`` and every publish attaching the clip raised
+    ``KeyError: 'block_size'`` on every peer, and NaN statistics made a
+    tampered copy score as authentic.  The fingerprint is four typed
+    arguments now, and the body checks their values."""
+    platform, fact = newsroom_platform
+    chain, cam = platform.chain, platform.account("cam")
+    signal = capture_signal(rng)
+    honest = {"media_id": "clip-1", **MediaVerifier.fingerprint_record(signal), "description": ""}
+    height, digest = chain.ledger.height, chain.state.state_digest()
+    for bad, refusal in [
+        ({"media_id": "clip-1", "fingerprint": {"block_hashes": ["x"]}, "description": ""},
+         r"unknown \['fingerprint'\]"),
+        ({**honest, "block_hashes": {"block_hashes": ["x"]}}, "block_hashes must be a list"),
+        ({**honest, "block_size": 0}, "block_size must be at least 1"),
+        ({**honest, "block_hashes": [], "block_means": [], "block_stds": []}, "block hashes"),
+        ({**honest, "block_stds": honest["block_stds"][:-1]}, "as long as block_hashes"),
+        ({**honest, "block_means": [float("nan")] * len(honest["block_means"])}, "finite"),
+    ]:
+        with pytest.raises(ContractError, match=refusal):
+            chain.invoke(cam, "media", "register", bad)
+    assert (chain.ledger.height, chain.state.state_digest()) == (height, digest)
+    assert platform.assess_media("clip-1", signal) == 1.0  # nothing registered
+    platform.register_media("cam", "clip-1", signal)
+    assert platform.assess_media("clip-1", signal) == 0.0
+    published = platform.publish_article("cam", "acme-news", "desk", "a-1",
+                                         relay(fact, "cam", 1.0).text, "politics",
+                                         media=[("clip-1", signal)])
+    assert published.receipt.success
 
 
 def test_publish_with_authentic_media_keeps_score(newsroom_platform, rng, trained_scorer):

@@ -16,6 +16,7 @@ from repro.core import (
     build_supply_chain_graph,
     trace_to_factual_root,
 )
+from repro.corpus import CorpusGenerator
 from repro.simnet import FixedLatency
 
 
@@ -30,43 +31,53 @@ def net(request):
     return network
 
 
-def test_identity_and_facts_over_consensus(net):
-    governance = net.client()
-    receipt = governance.invoke("identity", "register",
-                                {"display_name": "gov", "role": "checker"})
-    assert receipt.success
-    receipt = governance.invoke("identity", "verify", {"address": governance.address})
-    assert receipt.success
+@pytest.fixture(scope="module")
+def governance(net):
+    """The network's governance root: the first identity to verify itself."""
+    client = net.client()
+    assert client.invoke("identity", "register", {"display_name": "gov", "role": "checker"}).success
+    assert client.invoke("identity", "verify", {"address": client.address}).success
+    return client
+
+
+def test_identity_and_facts_over_consensus(net, governance):
     receipt = governance.invoke("factualdb", "seed_fact",
                                 {"fact_id": "f-1", "content_hash": "h", "source": "s",
                                  "topic": "politics"})
     assert receipt.success
-    assert governance.query("factualdb", "list_facts", {}) == ["f-1"]
+    assert "f-1" in governance.query("factualdb", "list_facts", {})
     net.run_for(5)
     net.assert_convergence()
 
 
-def test_supply_chain_graph_identical_on_all_peers(net):
+def test_supply_chain_graph_identical_on_all_peers(net, governance):
+    """A record copying a seeded fact's text and a text-less relay of it:
+    every peer's fold derives the same fact link and keeps the same
+    claimed parent edge."""
+    fact = CorpusGenerator(seed=55).factual(topic="politics")
+    governance.invoke("factualdb", "seed_fact",
+                      {"fact_id": "f-net", "content_hash": "h", "source": "s",
+                       "topic": "politics", "text": fact.text})
     author = net.client()
     author.invoke("identity", "register", {"display_name": "a", "role": "creator"})
     author.invoke("supplychain", "record_node",
-                  {"article_id": "net-a1", "content_hash": "h", "parents": [],
-                   "modification_degree": 0.0, "topic": "politics", "op": "publish",
-                   "fact_roots": ["f-1"], "parent_degrees": [], "fact_degrees": [0.0]})
+                  {"article_id": "net-a1", "content_hash": "h", "topic": "politics",
+                   "op": "publish", "text": fact.text})
     author.invoke("supplychain", "record_node",
                   {"article_id": "net-a2", "content_hash": "h2", "parents": ["net-a1"],
                    "parent_degrees": [0.3], "modification_degree": 0.3,
-                   "topic": "politics", "op": "insert", "fact_roots": []})
+                   "topic": "politics", "op": "insert"})
     net.run_for(5)
     net.assert_convergence()
     graphs = [build_supply_chain_graph(peer.ledger) for peer in net.peers]
     heights = [p.ledger.height for p in net.peers]
     assert len(set(heights)) == 1
-    reference_edges = sorted(graphs[0].edges())
+    reference_edges = sorted(graphs[0].edges(data=True))
+    assert graphs[0].edges["net-a1", "fact:f-net"] == {"weight": 0.0}
     for graph in graphs[1:]:
-        assert sorted(graph.edges()) == reference_edges
+        assert sorted(graph.edges(data=True)) == reference_edges
     trace = trace_to_factual_root(graphs[0], "net-a2")
-    assert trace.traceable
+    assert trace.traceable and trace.root == "fact:f-net"
     assert trace.cumulative_modification == pytest.approx(0.3)
 
 

@@ -105,3 +105,40 @@ def test_missing_record_is_refused_before_anything_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match="bench-record PR=98"):
         bench_ab.main(["--parent", "HEAD", "--workload", "reader_follow", "--pr", "98"])
+
+
+def test_each_run_gets_the_fixed_mmap_threshold_in_its_own_environment(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(command, **kwargs):
+        seen.append(kwargs)
+        return bench_ab.subprocess.CompletedProcess(command, 0, result_line(1.0, 1.0), "")
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+    before = dict(bench_ab.os.environ)
+    bench_ab.run_workload(tmp_path, "reader_follow", 0, "--trace", "0")
+    assert seen[0]["env"]["MALLOC_MMAP_THRESHOLD_"] == "131072"
+    assert seen[0]["cwd"] == tmp_path
+    assert dict(bench_ab.os.environ) == before  # the tool's own process is untouched
+
+
+def test_both_sides_run_from_archives_in_sibling_directories(monkeypatch, capsys):
+    """The parent and the committed HEAD are each unpacked, into paths of
+    the same length; the working tree itself never runs."""
+    unpacked, ran = {}, []
+
+    def fake_unpack(ref, root, into):
+        unpacked[ref] = Path(into)
+        return ref.ljust(40, "0")
+
+    def fake_run_workload(tree, workload, seed, *flags):
+        ran.append(tree)
+        return dict.fromkeys(("setup_s", "ops_per_s", "op_wall_ms_p50", "peak_rss_mb"), 1.0), 0
+
+    monkeypatch.setattr(bench_ab, "unpack", fake_unpack)
+    monkeypatch.setattr(bench_ab, "run_workload", fake_run_workload)
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    assert bench_ab.main(["--parent", "abc", "--workload", "reader_follow", "--pairs", "2"]) == 0
+    parent, change = unpacked["abc"], unpacked["HEAD"]
+    assert parent.parent == change.parent and len(str(parent)) == len(str(change))
+    assert ran == [parent, change, change, parent]

@@ -1,12 +1,16 @@
 """`make bench-ab PARENT=<ref> [W=<workload>] PAIRS=<n>`: the pairs behind a claim.
 
-Unpacks *PARENT* once (``git archive``, into a temporary directory — set
-``TMPDIR`` to choose where; nothing is left in ``.git``) and runs the
-benchmark BENCHMARK.json declares, untraced —
+Unpacks *PARENT* and the committed ``HEAD`` once each (``git archive``,
+into two sibling directories whose paths have the same length, under a
+temporary directory — set ``TMPDIR`` to choose where; nothing is left in
+``.git``; commit the change first, the working tree is not what runs) and
+runs the benchmark BENCHMARK.json declares, untraced —
 ``python3 benchmarks/e2e/run.py --workload W --seed S --trace 0`` —
-alternately in the parent's tree and in this one, the side that goes
-first alternating from pair to pair; for workload *W*, or without one
-for every workload BENCHMARK.json names, one after another.  Prints
+alternately in the two trees, the side that goes first alternating from
+pair to pair; for workload *W*, or without one for every workload
+BENCHMARK.json names, one after another.  Every run gets the same fixed
+glibc mmap threshold in its own environment (:data:`RUN_ENV`), so that
+``peak_rss_mb`` does not depend on the directory a tree sits in.  Prints
 every pair as it finishes,
 then per end-to-end metric each side's median and quartiles, how many
 pairs the change won (ties count for neither; "better" is the direction
@@ -22,6 +26,7 @@ second run of the same pair of names replaces its entry.  Nothing under
 import argparse
 import importlib.util
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -30,7 +35,16 @@ from pathlib import Path
 from typing import Callable
 
 Metrics = dict[str, float]
+#: Also the names of the two trees' directories: the same length, so
+#: neither side's paths are longer than the other's.
 SIDES = ("parent", "change")
+
+#: Set in each benchmark child process's environment, nowhere else.
+#: glibc's dynamic mmap threshold moves with a process's allocation
+#: history, and with it peak RSS: one tree read over 1 MB apart on
+#: ``share_burst`` from three directories.  A fixed threshold reads the
+#: same from each.
+RUN_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072"}
 
 # The verdict rule is compare.py's; it is imported from there, not restated.
 _compare_spec = importlib.util.spec_from_file_location(
@@ -64,7 +78,7 @@ def run_workload(tree: Path, workload: str, seed: int, *flags: str) -> tuple[Met
     done = subprocess.run(
         [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
          "--seed", str(seed), *flags],
-        cwd=tree, capture_output=True, text=True, check=False)
+        cwd=tree, capture_output=True, text=True, check=False, env={**os.environ, **RUN_ENV})
     if not done.stdout.strip():
         raise SystemExit(f"{tree}: run.py printed nothing (exit {done.returncode})\n"
                          + done.stderr)
@@ -153,8 +167,11 @@ def main(argv: list[str]) -> int:
     workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
     failed_change = 0
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as scratch:
-        sha = unpack(args.parent, root, scratch)
-        trees = {"parent": Path(scratch), "change": root}
+        trees = {side: Path(scratch) / side for side in SIDES}
+        for tree in trees.values():
+            tree.mkdir()
+        sha = unpack(args.parent, root, str(trees["parent"]))
+        head = unpack("HEAD", root, str(trees["change"]))
         for workload in workloads:
             failed = dict.fromkeys(SIDES, 0)
 
@@ -165,12 +182,13 @@ def main(argv: list[str]) -> int:
 
             pairs = run_pairs(args.pairs, run_side)
             summary = summarise(pairs, better, bounds)
-            print(f"# {workload} seed {args.seed}: {args.pairs} pairs against {sha[:7]}; "
+            print(f"# {workload} seed {args.seed}: {args.pairs} pairs, {head[:7]} against {sha[:7]}; "
                   f"failed operations: parent {failed['parent']}, change {failed['change']}")
             print(report(summary), flush=True)
             if args.pr is not None:
                 record(target, {"workload": workload, "seed": args.seed, "parent_sha": sha,
-                                "failed": failed, "summary": summary, "pairs": pairs})
+                                "change_sha": head, "failed": failed, "summary": summary,
+                                "pairs": pairs})
                 print(f"# wrote the pairs under 'ab' in {target.name}")
             failed_change += failed["change"]
     return 1 if failed_change else 0
