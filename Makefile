@@ -59,7 +59,9 @@ bench:
 # and E8 (~8 s together, full size) record every article's text through the
 # platform and claim no link, and read the accountability and expert answers
 # off build_supply_chain_graph, the from-genesis ledger fold that derives
-# every link.
+# every link.  E13 (~3.5 s, full size) is the one caller of the cascade
+# engine's full-fidelity run off its own generator: botnet worlds, ledger
+# events and reach, the same frontier round the bulk path takes.
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_micro_substrate.py \
 		benchmarks/bench_a1_provenance.py \
@@ -67,6 +69,7 @@ bench-smoke:
 		benchmarks/bench_e7_accountability.py \
 		benchmarks/bench_e8_experts.py \
 		benchmarks/bench_e9_scalability.py \
+		benchmarks/bench_e13_botnets.py \
 		benchmarks/bench_pipeline.py \
 		benchmarks/bench_recovery.py::test_cold_start_recovery \
 		benchmarks/bench_explorer.py \

@@ -54,19 +54,15 @@ class NetworkedChain:
     # -- deployment -------------------------------------------------------------
 
     def install_contract(self, contract: Contract, policy: EndorsementPolicy | None = None) -> str:
-        """Install one contract instance on every peer.
+        """Install one contract instance on every peer, a later joiner
+        included (:meth:`BlockchainNetwork.install_contract
+        <repro.chain.network.BlockchainNetwork.install_contract>`).
 
         Contracts are stateless by construction (all state lives in the
         world state behind the context), so sharing the instance across
         peers is safe.
         """
-        for peer in self.network.peers:
-            peer.registry.install(contract)
-            if policy is not None:
-                peer.set_policy(contract.name, policy)
-        if policy is not None:
-            self.network._policies[contract.name] = policy
-        return contract.name
+        return self.network.install_contract(lambda: contract, policy)
 
     # -- ledger -------------------------------------------------------------------
 

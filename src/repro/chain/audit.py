@@ -221,39 +221,7 @@ class InvariantAuditor:
                     forensics={"block_digest": block.block_hash, "time": self.network.sim.now},
                 )
             return
-        digest, certificate = entry
-        validators = set(engine.validators)
-        quorum = engine.quorum
-        distinct = set(certificate)
-        forensics = {
-            "certificate": sorted(certificate),
-            "validators": sorted(validators),
-            "quorum": quorum,
-            "view": getattr(engine, "view", None),
-            "digest": digest,
-            "block_digest": block.block_hash,
-            "time": self.network.sim.now,
-        }
-        outsiders = distinct - validators
-        if outsiders:
-            self._violate(
-                "certificate",
-                f"certificate contains non-validator signer(s) {sorted(outsiders)}",
-                height=block.height, peers=(peer.node_id,), forensics=forensics,
-            )
-        if len(distinct & validators) < quorum:
-            self._violate(
-                "certificate",
-                f"only {len(distinct & validators)} distinct validator signers, "
-                f"quorum is {quorum}",
-                height=block.height, peers=(peer.node_id,), forensics=forensics,
-            )
-        if digest != block.block_hash:
-            self._violate(
-                "certificate",
-                "certified digest does not match the committed block",
-                height=block.height, peers=(peer.node_id,), forensics=forensics,
-            )
+        self._check_quorum_certificate(peer, block, *entry)
 
     # -- end-of-run checks -------------------------------------------------
 
@@ -320,8 +288,10 @@ class InvariantAuditor:
             engine = peer.engine
             for height, (digest, certificate) in sorted(engine.commit_certificates.items()):
                 if height <= peer.ledger.height:
-                    block = peer.ledger.block(height)
-                    self._check_certificate_entry(peer, height, digest, certificate, block)
+                    self._checks_run.inc()
+                    self._check_quorum_certificate(
+                        peer, peer.ledger.block(height), digest, certificate
+                    )
             for height, proof in sorted(engine.synced_proofs.items()):
                 if height <= peer.ledger.height:
                     self._check_statement_set(peer, peer.ledger.block(height), proof)
@@ -341,11 +311,13 @@ class InvariantAuditor:
                 forensics={"signers": sorted(signers), "block_digest": block.block_hash},
             )
 
-    def _check_certificate_entry(
-        self, peer: "Peer", height: int, digest: str,
-        certificate: tuple[str, ...], block: Block,
+    def _check_quorum_certificate(
+        self, peer: "Peer", block: Block, digest: str, certificate: tuple[str, ...],
     ) -> None:
-        self._checks_run.inc()
+        """The commit quorum a replica recorded for *block*: no signer
+        outside the validators, at least a quorum of distinct validator
+        signers, and the certified digest is the committed block's hash.
+        (Counted by the caller.)"""
         engine = peer.engine
         validators = set(engine.validators)
         distinct = set(certificate)
@@ -362,13 +334,16 @@ class InvariantAuditor:
             self._violate(
                 "certificate",
                 "; ".join(problems),
-                height=height,
+                height=block.height,
                 peers=(peer.node_id,),
                 forensics={
                     "certificate": sorted(certificate),
                     "validators": sorted(validators),
+                    "quorum": engine.quorum,
+                    "view": getattr(engine, "view", None),
                     "digest": digest,
                     "block_digest": block.block_hash,
+                    "time": self.network.sim.now,
                 },
             )
 

@@ -2,12 +2,15 @@
 
 Backs the ``repro-news store`` CLI subcommand: given the raw bytes of a
 store's files (from a live :class:`~repro.simnet.disk.SimDisk` or a
-dumped directory), re-run the same verify-before-trust checks recovery
-uses and report what a recovery *would* find — valid records, the torn
-or corrupt tail, snapshot health, and the implied degradation ladder —
-and what deflating saved: the size of the log's verified records and of
-each snapshot once inflated, beside the bytes stored.  Inspection never
-mutates anything.
+dumped directory), report valid records, the torn or corrupt tail and
+snapshot health, and what deflating saved: the size of the log's
+verified records and of each snapshot once inflated, beside the bytes
+stored.  What a recovery *would* do is not predicted by a rule of its
+own: :meth:`DurableStore.recover
+<repro.chain.store.durable.DurableStore.recover>` runs on a scratch
+copy of the files, and its report is the answer.  Offline there is no
+consensus engine, so stored commit certificates are not checked.
+Inspection never mutates anything.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.chain.store.codec import inflate
+from repro.chain.store.durable import DurableStore
 from repro.chain.store.log import LOG_NAME, LogScan, scan_log_bytes
 from repro.chain.store.snapshots import SNAPSHOT_PREFIX, read_snapshot
+from repro.simnet.disk import SimDisk
 
 __all__ = ["inspect_files", "inspect_disk", "render_inspection"]
 
@@ -62,9 +67,11 @@ def inspect_files(files: dict[str, bytes]) -> dict[str, Any]:
         for name, data in sorted(files.items())
         if name.startswith(SNAPSHOT_PREFIX)
     ]
-    valid_snap_heights = [s["height"] for s in snapshots if s["valid"] and s["height"] <= scan.tip]
-    recovery_snapshot = max(valid_snap_heights, default=0)
     inflated, not_inflating = _inflated_log_bytes(scan)
+    scratch = SimDisk("inspect")
+    for name, data in files.items():
+        scratch.append(name, data)
+        scratch.fsync(name)
     return {
         "log": {
             "bytes": len(log_data),
@@ -77,14 +84,7 @@ def inspect_files(files: dict[str, bytes]) -> dict[str, Any]:
             "failure": scan.failure,
         },
         "snapshots": snapshots,
-        "recovery": {
-            "snapshot_height": recovery_snapshot,
-            "tail_records": max(0, scan.tip - recovery_snapshot),
-            "mode": (
-                "snapshot+tail" if recovery_snapshot
-                else ("full-replay" if scan.records else "empty")
-            ),
-        },
+        "recovery": DurableStore(disk=scratch).recover().report.summary(),
     }
 
 
@@ -127,6 +127,8 @@ def render_inspection(info: dict[str, Any]) -> str:
         f"(snapshot {recovery['snapshot_height']}, "
         f"{recovery['tail_records']} tail records)"
     )
+    for step in recovery["degradations"]:
+        lines.append(f"  after {step['kind']} at height {step['height']}: {step['detail']}")
     disk = info.get("disk")
     if disk:
         lines.append(

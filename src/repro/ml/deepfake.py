@@ -47,6 +47,8 @@ class MediaFingerprint:
         if block_size < 2:
             raise MLError("block_size must be >= 2")
         blocks = _blocks(signal, block_size)
+        if not blocks:
+            raise MLError("signal must be at least one block long")
         return cls(
             block_size=block_size,
             block_hashes=tuple(sha256_hex(b.tobytes()) for b in blocks),
@@ -56,9 +58,10 @@ class MediaFingerprint:
 
 
 def _blocks(signal: np.ndarray, block_size: int) -> list[np.ndarray]:
+    """The whole blocks of a 1-D signal (none if it is shorter than one)."""
     signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim != 1 or len(signal) < block_size:
-        raise MLError("signal must be 1-D and at least one block long")
+    if signal.ndim != 1:
+        raise MLError("signal must be 1-D")
     n_blocks = len(signal) // block_size
     return [signal[i * block_size : (i + 1) * block_size] for i in range(n_blocks)]
 
@@ -107,7 +110,8 @@ class DeepfakeDetector:
         """Fraction of blocks statistically inconsistent with capture.
 
         A truncated/extended suspect is suspicious in proportion to the
-        missing/extra blocks, so length mismatch contributes too.
+        missing/extra blocks, so length mismatch contributes too; one
+        shorter than a registered block scores 1.0.
         """
         blocks = _blocks(suspect, fingerprint.block_size)
         n_registered = len(fingerprint.block_hashes)

@@ -11,15 +11,20 @@ hot loop as array programs:
   (share probability, attention, kind, ring, community as parallel
   NumPy arrays), or synthesizes one directly at sizes where building a
   networkx graph is already the bottleneck;
-- :class:`FastCascadeRunner.run` replays a cascade frontier-at-a-time:
-  successor slices are gathered per round, already-seen pairs masked,
-  share decisions drawn as one vectorized Bernoulli per round, and
-  Python objects (:class:`ShareEvent`, mutated :class:`Article`) are
-  materialized only for the sparse set of actual shares;
+- one frontier round, written once (``FastCascadeRunner._round``):
+  successor slices are gathered for the whole frontier, already-seen
+  pairs masked, exposure counted per root, the share probability (appeal,
+  ring floor, flag damping or promotion boost) and the journalist
+  refusal applied as array expressions, the verify and share draws made
+  as one vectorized Bernoulli each, and the per-round attention cap kept
+  as a first-k rank over the winners;
+- :meth:`FastCascadeRunner.run` takes that round and materializes
+  Python objects (:class:`ShareEvent`, mutated :class:`Article`) only
+  for the sparse set of actual shares;
 - :meth:`FastCascadeRunner.run_stats` is the bulk statistics path used
-  by the scaling benchmarks: no per-share objects at all, just reach
-  curves and share counts, which is what a 12-round 1M-agent cascade
-  rides on.
+  by the scaling benchmarks: the same round with no per-share objects at
+  all, just reach curves and share counts, which is what a 12-round
+  1M-agent cascade rides on.
 
 Equivalence with the scalar engine is not aspirational: both runners
 accept a :class:`KeyedDraws` source that maps (article, agent, purpose)
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -343,6 +348,19 @@ class CascadeStats:
         return [int(v) for v in self.reach_curves[root_position]]
 
 
+class _Round(NamedTuple):
+    """What one frontier round yields: the candidate edges it examined,
+    how many candidates drew a share before the attention cap, and the
+    winners that survived it (agent, frontier entry, and position among
+    the candidates that drew a share)."""
+
+    examined: int
+    wanting: int
+    agent: np.ndarray
+    entry: np.ndarray
+    position: np.ndarray
+
+
 class FastCascadeRunner:
     """Vectorized drop-in for :class:`~repro.social.cascade.CascadeRunner`.
 
@@ -386,12 +404,6 @@ class FastCascadeRunner:
         self.draws = draws
         self._rng = np.random.default_rng(seed)
         self._appeal_cache: dict[str, float] = {}
-        # Per-round attention budgets, generation-stamped so a 1M-agent
-        # world never re-zeroes the arrays between rounds.
-        n = self.compiled.n_agents
-        self._att_stamp = np.full(n, -1, dtype=np.int64)
-        self._att_count = np.zeros(n, dtype=np.int32)
-        self._round_stamp = 0
 
     # -- shared helpers -------------------------------------------------
 
@@ -427,6 +439,92 @@ class FastCascadeRunner:
         keep[order[1:]] = sorted_keys[1:] != sorted_keys[:-1]
         return keep
 
+    def _round(
+        self,
+        posters: np.ndarray,
+        item: np.ndarray,
+        root: np.ndarray,
+        appeal: np.ndarray,
+        flagged: np.ndarray,
+        promoted: np.ndarray,
+        fake: np.ndarray,
+        exposed: np.ndarray,
+        exposed_count: np.ndarray,
+        keys: np.ndarray | None = None,
+    ) -> _Round:
+        """One frontier round, the step both :meth:`run` and
+        :meth:`run_stats` take.
+
+        Every argument but the exposure state has one row per frontier
+        entry: the poster, the seen key (entries carrying one article
+        share it), the root position, and the article's appeal, flag,
+        promotion and ground-truth label.  ``exposed`` (roots x agents)
+        and ``exposed_count`` are updated in place.  The verify and share
+        uniforms come from the runner's :class:`KeyedDraws` under the
+        entries' article ``keys``, or, when ``keys`` is ``None``, from
+        its generator (verify first, then share, one per candidate).
+        """
+        g = self.compiled
+        n = g.n_agents
+        cand_agent, cand_entry = self._expand(posters)
+        examined = len(cand_agent)
+        keep = self._first_occurrence(item[cand_entry] * np.int64(n) + cand_agent)
+        cand_agent = cand_agent[keep]
+        cand_entry = cand_entry[keep]
+
+        # Exposure: each (root, agent) pair counts once, ever.
+        pair = root[cand_entry] * np.int64(n) + cand_agent
+        flat = exposed.reshape(-1)
+        fresh = np.sort(pair[~flat[pair]])
+        fresh = fresh[np.diff(fresh, prepend=-1) != 0]
+        flat[fresh] = True
+        exposed_count += np.bincount(fresh // n, minlength=len(exposed_count))
+
+        probability = g.share_probability[cand_agent] * appeal[cand_entry]
+        agent_ring = g.ring_codes[cand_agent]
+        ring_pair = (agent_ring >= 0) & (agent_ring == g.ring_codes[posters[cand_entry]])
+        # Coordinated amplification: ring members re-share ring content
+        # near-deterministically regardless of appeal.
+        probability = np.where(ring_pair, np.maximum(probability, 0.9), probability)
+        cand_flagged = flagged[cand_entry]
+        probability = np.where(
+            cand_flagged,
+            probability * (1.0 - self.damping),
+            np.where(promoted[cand_entry], probability * self.promotion_boost, probability),
+        )
+        np.minimum(probability, 1.0, out=probability)
+
+        if keys is None:
+            u_verify = self._rng.random(len(cand_agent))
+            u_share = self._rng.random(len(cand_agent))
+        else:
+            cand_keys = keys[cand_entry]
+            u_verify = self.draws.unit_array(cand_keys, cand_agent, DRAW_VERIFY)
+            u_share = self.draws.unit_array(cand_keys, cand_agent, DRAW_SHARE)
+        # Journalists never share a flagged item and catch fakes with
+        # some accuracy.
+        refuse = g.journalist[cand_agent] & (
+            cand_flagged | (fake[cand_entry] & (u_verify < self.journalist_verify_accuracy))
+        )
+        wanting = np.flatnonzero(~refuse & (u_share < probability))
+
+        # Attention: an agent keeps its first `attention` successful
+        # draws of the round, in candidate order.
+        wanting_agent = cand_agent[wanting]
+        order = np.argsort(wanting_agent, kind="stable")
+        sorted_agents = wanting_agent[order]
+        rank = np.arange(len(order)) - np.searchsorted(sorted_agents, sorted_agents)
+        allowed = np.empty(len(order), dtype=bool)
+        allowed[order] = rank < g.attention[sorted_agents]
+        position = np.flatnonzero(allowed)
+        return _Round(
+            examined=examined,
+            wanting=len(wanting),
+            agent=wanting_agent[position],
+            entry=cand_entry[wanting[position]],
+            position=position,
+        )
+
     # -- full-fidelity path ---------------------------------------------
 
     def run(
@@ -450,173 +548,103 @@ class FastCascadeRunner:
         if self.corpus is None:
             raise SimulationError("run() needs a corpus; use run_stats for bulk mode")
         g = self.compiled
-        n = g.n_agents
         result = CascadeResult()
         keyed = self.draws is not None
 
-        root_order: list[str] = []
-        exposed: list[np.ndarray] = []  # per root, bool[n]
-        exposed_count: list[int] = []
-        root_position: dict[str, int] = {}
-
         frontier_posters: list[int] = []
         frontier_articles: list[Article] = []
+        # Root -> its latest poster: like the scalar engine, re-seeding
+        # an article restarts its exposure at the latest poster.
+        seed_poster: dict[str, int] = {}
         for node, article in seeds:
             index = g.node_to_index(node)
             root = article.article_id
             if root not in result.root_of:
                 result.record_article(article, root)
-            if root in root_position:
-                # Mirror the scalar engine's quirk: re-seeding the same
-                # article resets its exposure set to the latest poster.
-                position = root_position[root]
-                exposed[position][:] = False
-            else:
-                position = len(root_order)
-                root_position[root] = position
-                root_order.append(root)
-                exposed.append(np.zeros(n, dtype=bool))
-                exposed_count.append(0)
-            exposed[position][index] = True
-            exposed_count[position] = 1
+            seed_poster[root] = index
             frontier_posters.append(index)
             frontier_articles.append(article)
+        root_order = list(seed_poster)
+        root_position = {root: position for position, root in enumerate(root_order)}
+        exposed = np.zeros((len(root_order), g.n_agents), dtype=bool)
+        exposed[np.arange(len(root_order)), list(seed_poster.values())] = True
+        exposed_count = np.ones(len(root_order), dtype=np.int64)
 
         for round_index in range(n_rounds):
             time = start_time + round_index * time_per_round
-            self._round_stamp += 1
-            shares_this_round = 0
+            # Two seed entries may carry one article: predicates and the
+            # seen key go by article, in first-appearance order.
+            first: dict[str, Article] = {}
+            for article in frontier_articles:
+                first.setdefault(article.article_id, article)
+            articles = list(first.values())
+            ordinal = {article_id: i for i, article_id in enumerate(first)}
+            item = np.array(
+                [ordinal[a.article_id] for a in frontier_articles], dtype=np.int64
+            )
+            keys = (
+                np.array([self.draws.key(a.article_id) for a in articles], dtype=np.uint64)[item]
+                if keyed
+                else None
+            )
+            step = self._round(
+                np.asarray(frontier_posters, dtype=np.int64),
+                item=item,
+                root=np.array(
+                    [root_position[result.root_of[a.article_id]] for a in frontier_articles],
+                    dtype=np.int64,
+                ),
+                appeal=np.array([self._appeal(a) for a in articles])[item],
+                flagged=np.array([self.flagged(a.article_id) for a in articles], dtype=bool)[item],
+                promoted=np.array([self.promoted(a.article_id) for a in articles], dtype=bool)[item],
+                fake=np.array([a.label_fake for a in articles], dtype=bool)[item],
+                exposed=exposed,
+                exposed_count=exposed_count,
+                keys=keys,
+            )
+            if not keyed:
+                u_mutate = self._rng.random(step.wanting)
+                u_benign = self._rng.random(step.wanting)
+
             next_posters: list[int] = []
             next_articles: list[Article] = []
-
-            posters = np.asarray(frontier_posters, dtype=np.int64)
-            # Unique frontier articles in first-appearance order; two
-            # seed entries may share an article, so dedup keys on the
-            # article ordinal rather than the frontier entry.
-            art_list: list[Article] = []
-            art_ordinal: dict[str, int] = {}
-            entry_art = np.empty(len(frontier_articles), dtype=np.int64)
-            for position, article in enumerate(frontier_articles):
-                ordinal = art_ordinal.get(article.article_id)
-                if ordinal is None:
-                    ordinal = len(art_list)
-                    art_ordinal[article.article_id] = ordinal
-                    art_list.append(article)
-                entry_art[position] = ordinal
-
-            appeal = np.array([self._appeal(a) for a in art_list])
-            flagged = np.array([self.flagged(a.article_id) for a in art_list], dtype=bool)
-            promoted = np.array([self.promoted(a.article_id) for a in art_list], dtype=bool)
-            fake = np.array([a.label_fake for a in art_list], dtype=bool)
-            art_root = np.array(
-                [root_position[result.root_of[a.article_id]] for a in art_list],
-                dtype=np.int64,
-            )
-            if keyed:
-                art_keys = np.array(
-                    [self.draws.key(a.article_id) for a in art_list], dtype=np.uint64
-                )
-
-            cand_agent, cand_entry = self._expand(posters)
-            if len(cand_agent):
-                cand_art = entry_art[cand_entry]
-                keep = self._first_occurrence(cand_art * np.int64(n) + cand_agent)
-                cand_agent = cand_agent[keep]
-                cand_entry = cand_entry[keep]
-                cand_art = cand_art[keep]
-
-                # Exposure accounting per root (few roots, boolean mask each).
-                cand_root = art_root[cand_art]
-                for position in range(len(root_order)):
-                    agents_here = cand_agent[cand_root == position]
-                    if not len(agents_here):
-                        continue
-                    newly = np.unique(agents_here[~exposed[position][agents_here]])
-                    exposed[position][newly] = True
-                    exposed_count[position] += len(newly)
-
-                # One vectorized Bernoulli per round for the share draw.
-                probability = g.share_probability[cand_agent] * appeal[cand_art]
-                poster_ring = g.ring_codes[posters[cand_entry]]
-                agent_ring = g.ring_codes[cand_agent]
-                ring_pair = (agent_ring >= 0) & (agent_ring == poster_ring)
-                probability = np.where(ring_pair, np.maximum(probability, 0.9), probability)
-                cand_flagged = flagged[cand_art]
-                cand_promoted = promoted[cand_art]
-                probability = np.where(
-                    cand_flagged,
-                    probability * (1.0 - self.damping),
-                    np.where(cand_promoted, probability * self.promotion_boost, probability),
-                )
-                np.minimum(probability, 1.0, out=probability)
-
-                journalist = g.journalist[cand_agent]
-                refuse = journalist & cand_flagged
+            for agent, entry, position in zip(
+                step.agent.tolist(), step.entry.tolist(), step.position.tolist()
+            ):
+                parent = frontier_articles[entry]
+                agent_id = g.agent_id(agent)
                 if keyed:
-                    u_verify = self.draws.unit_array(
-                        art_keys[cand_art], cand_agent, DRAW_VERIFY
-                    )
-                    u_share = self.draws.unit_array(
-                        art_keys[cand_art], cand_agent, DRAW_SHARE
-                    )
+                    key = int(keys[entry])
+                    mutate_draw = self.draws.unit(key, agent, DRAW_MUTATE)
+                    benign_draw = self.draws.unit(key, agent, DRAW_BENIGN)
                 else:
-                    u_verify = self._rng.random(len(cand_agent))
-                    u_share = self._rng.random(len(cand_agent))
-                refuse |= journalist & fake[cand_art] & (
-                    u_verify < self.journalist_verify_accuracy
+                    mutate_draw = float(u_mutate[position])
+                    benign_draw = float(u_benign[position])
+                if g.malicious[agent] and mutate_draw < g.mutate_probability[agent]:
+                    derived = self.corpus.malicious_derivation(parent, agent_id, time)
+                elif benign_draw < 0.1:
+                    derived = self.corpus.benign_derivation(parent, agent_id, time)
+                else:
+                    derived = self.corpus.relay_derivation(parent, agent_id, time)
+                result.record_article(derived, result.root_of[parent.article_id])
+                event = ShareEvent(
+                    time=time,
+                    round_index=round_index,
+                    agent_id=agent_id,
+                    source_agent_id=g.agent_id(frontier_posters[entry]),
+                    article_id=derived.article_id,
+                    parent_article_id=parent.article_id,
+                    op=derived.op,
                 )
-                wants = ~refuse & (u_share < probability)
-                winners = np.flatnonzero(wants)
+                result.events.append(event)
+                if self.on_share is not None:
+                    self.on_share(event, derived)
+                next_posters.append(agent)
+                next_articles.append(derived)
 
-                if not keyed and len(winners):
-                    u_mutate = self._rng.random(len(winners))
-                    u_benign = self._rng.random(len(winners))
-
-                for winner_position, ci in enumerate(winners):
-                    agent = int(cand_agent[ci])
-                    if self._att_stamp[agent] != self._round_stamp:
-                        self._att_stamp[agent] = self._round_stamp
-                        self._att_count[agent] = 0
-                    if self._att_count[agent] >= g.attention[agent]:
-                        continue
-                    self._att_count[agent] += 1
-                    ordinal = int(cand_art[ci])
-                    parent = art_list[ordinal]
-                    agent_id = g.agent_id(agent)
-                    if keyed:
-                        parent_key = int(art_keys[ordinal])
-                        mutate_draw = self.draws.unit(parent_key, agent, DRAW_MUTATE)
-                        benign_draw = self.draws.unit(parent_key, agent, DRAW_BENIGN)
-                    else:
-                        mutate_draw = float(u_mutate[winner_position])
-                        benign_draw = float(u_benign[winner_position])
-                    if g.malicious[agent] and mutate_draw < g.mutate_probability[agent]:
-                        derived = self.corpus.malicious_derivation(parent, agent_id, time)
-                    elif benign_draw < 0.1:
-                        derived = self.corpus.benign_derivation(parent, agent_id, time)
-                    else:
-                        derived = self.corpus.relay_derivation(parent, agent_id, time)
-                    root = result.root_of[parent.article_id]
-                    result.record_article(derived, root)
-                    event = ShareEvent(
-                        time=time,
-                        round_index=round_index,
-                        agent_id=agent_id,
-                        source_agent_id=g.agent_id(int(posters[cand_entry[ci]])),
-                        article_id=derived.article_id,
-                        parent_article_id=parent.article_id,
-                        op=derived.op,
-                    )
-                    result.events.append(event)
-                    shares_this_round += 1
-                    if self.on_share is not None:
-                        self.on_share(event, derived)
-                    next_posters.append(agent)
-                    next_articles.append(derived)
-
-            result.shares_by_round.append(shares_this_round)
+            result.shares_by_round.append(len(next_posters))
             result.exposures_by_round.append(
-                {root: exposed_count[pos] for pos, root in enumerate(root_order)}
+                {root: int(exposed_count[pos]) for pos, root in enumerate(root_order)}
             )
             frontier_posters = next_posters
             frontier_articles = next_articles
@@ -624,7 +652,7 @@ class FastCascadeRunner:
                 break
 
         for position, root in enumerate(root_order):
-            result.reach_counts[root] = exposed_count[position]
+            result.reach_counts[root] = int(exposed_count[position])
             if materialize_exposed:
                 result.exposed_agents[root] = {
                     g.agent_id(int(i)) for i in np.flatnonzero(exposed[position])
@@ -650,7 +678,8 @@ class FastCascadeRunner:
         treated as relays — no mutation text is synthesized, which is
         the approximation that buys the 1M-agent round times).
         ``flag_round`` activates flag damping on ``flagged_roots`` (and
-        promotion on ``promoted_roots``) from that round on.
+        promotion on ``promoted_roots``) from that round on.  Draws come
+        from the runner's generator, never from a :class:`KeyedDraws`.
         """
         g = self.compiled
         n = g.n_agents
@@ -660,13 +689,11 @@ class FastCascadeRunner:
         fake_arr = np.broadcast_to(np.asarray(fake, dtype=bool), (n_roots,)).copy()
         flag_mask = np.zeros(n_roots, dtype=bool)
         promote_mask = np.zeros(n_roots, dtype=bool)
-        for position in flagged_roots or ():
-            flag_mask[position] = True
-        for position in promoted_roots or ():
-            promote_mask[position] = True
+        flag_mask[list(flagged_roots or ())] = True
+        promote_mask[list(promoted_roots or ())] = True
 
         exposed = np.zeros((n_roots, n), dtype=bool)
-        exposed_count = np.zeros(n_roots, dtype=np.int64)
+        exposed_count = np.ones(n_roots, dtype=np.int64)
         curves: list[np.ndarray] = []
         shares_by_round: list[int] = []
         shares_by_agent = np.zeros(n, dtype=np.int64)
@@ -675,86 +702,29 @@ class FastCascadeRunner:
         frontier_agent = np.asarray(roots, dtype=np.int64)
         frontier_root = np.arange(n_roots, dtype=np.int64)
         exposed[frontier_root, frontier_agent] = True
-        exposed_count[:] = 1
-        article_base = 0  # global lineage-item ordinal for seen-dedup
 
         rounds_run = 0
         for round_index in range(n_rounds):
             rounds_run += 1
             intervening = flag_round is not None and round_index >= flag_round
-            cand_agent, cand_entry = self._expand(frontier_agent)
-            shares = 0
-            next_agent = np.empty(0, dtype=np.int64)
-            next_root = np.empty(0, dtype=np.int64)
-            if len(cand_agent):
-                candidates_examined += len(cand_agent)
-                # Every frontier entry is a distinct lineage item, so the
-                # seen-key is (global item ordinal, agent).
-                item = article_base + cand_entry
-                keep = self._first_occurrence(item * np.int64(n) + cand_agent)
-                cand_agent = cand_agent[keep]
-                cand_entry = cand_entry[keep]
-                cand_root = frontier_root[cand_entry]
-
-                for position in range(n_roots):
-                    agents_here = cand_agent[cand_root == position]
-                    if not len(agents_here):
-                        continue
-                    newly = np.unique(agents_here[~exposed[position][agents_here]])
-                    exposed[position][newly] = True
-                    exposed_count[position] += len(newly)
-
-                probability = g.share_probability[cand_agent] * appeal_arr[cand_root]
-                poster_ring = g.ring_codes[frontier_agent[cand_entry]]
-                agent_ring = g.ring_codes[cand_agent]
-                ring_pair = (agent_ring >= 0) & (agent_ring == poster_ring)
-                probability = np.where(ring_pair, np.maximum(probability, 0.9), probability)
-                if intervening:
-                    cand_flagged = flag_mask[cand_root]
-                    cand_promoted = promote_mask[cand_root] & ~cand_flagged
-                    probability = np.where(
-                        cand_flagged, probability * (1.0 - self.damping), probability
-                    )
-                    probability = np.where(
-                        cand_promoted, probability * self.promotion_boost, probability
-                    )
-                else:
-                    cand_flagged = np.zeros(len(cand_agent), dtype=bool)
-                np.minimum(probability, 1.0, out=probability)
-
-                journalist = g.journalist[cand_agent]
-                refuse = journalist & cand_flagged
-                cand_fake = fake_arr[cand_root]
-                verify = self._rng.random(len(cand_agent))
-                refuse |= journalist & cand_fake & (verify < self.journalist_verify_accuracy)
-                wants = ~refuse & (self._rng.random(len(cand_agent)) < probability)
-
-                winner_agent = cand_agent[wants]
-                winner_root = cand_root[wants]
-                if len(winner_agent):
-                    # Vectorized attention cap: an agent keeps its first
-                    # `attention` successful draws in candidate order.
-                    order = np.argsort(winner_agent, kind="stable")
-                    sorted_agents = winner_agent[order]
-                    is_first = np.ones(len(sorted_agents), dtype=bool)
-                    is_first[1:] = sorted_agents[1:] != sorted_agents[:-1]
-                    group_start = np.maximum.accumulate(
-                        np.where(is_first, np.arange(len(sorted_agents)), 0)
-                    )
-                    rank_sorted = np.arange(len(sorted_agents)) - group_start
-                    allowed_sorted = rank_sorted < g.attention[sorted_agents]
-                    allowed = np.empty(len(winner_agent), dtype=bool)
-                    allowed[order] = allowed_sorted
-                    next_agent = winner_agent[allowed]
-                    next_root = winner_root[allowed]
-                    shares = int(len(next_agent))
-                    np.add.at(shares_by_agent, next_agent, 1)
-
-            article_base += len(frontier_agent)
-            shares_by_round.append(shares)
+            # Every frontier entry is a distinct lineage item.
+            step = self._round(
+                frontier_agent,
+                item=np.arange(len(frontier_agent), dtype=np.int64),
+                root=frontier_root,
+                appeal=appeal_arr[frontier_root],
+                flagged=flag_mask[frontier_root] & intervening,
+                promoted=promote_mask[frontier_root] & intervening,
+                fake=fake_arr[frontier_root],
+                exposed=exposed,
+                exposed_count=exposed_count,
+            )
+            candidates_examined += step.examined
+            np.add.at(shares_by_agent, step.agent, 1)
+            shares_by_round.append(len(step.agent))
             curves.append(exposed_count.copy())
-            frontier_agent = next_agent
-            frontier_root = next_root
+            frontier_agent = step.agent
+            frontier_root = frontier_root[step.entry]
             if not len(frontier_agent):
                 break
 

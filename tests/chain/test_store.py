@@ -671,3 +671,31 @@ def test_inspect_surfaces_torn_tail(keypair):
     assert info["log"]["records"] == 2
     assert info["log"]["garbage_bytes"] > 0
     assert "torn-tail" in render_inspection(info)
+
+
+def test_inspection_reports_the_recovery_that_happens(keypair):
+    """A validly framed snapshot naming another block hash passes every
+    file check, but recovery rejects it against the log and resumes from
+    the one before: inspection reports that recovery, and changes no
+    byte of the files it reads."""
+    _, commits = _build_chain(keypair, 11)
+    disk = SimDisk("peer-1")
+    store = DurableStore(disk=disk, snapshot_interval=4)
+    state = _populate(store, commits, snapshots=True)
+    newest = list_snapshots(disk)[-1]
+    assert newest.height == 8
+    obj = load_snapshot(disk, newest)
+    disk.delete(newest.name)
+    _write_snapshot_file(disk, 8, frame(deflate(encode_obj(dict(obj, block_hash="ab" * 32)))))
+    files = {name: disk.read(name) for name in disk.names()}
+
+    info = inspect_disk(disk)
+    assert [s["valid"] for s in info["snapshots"]] == [True, True]
+    assert {name: disk.read(name) for name in disk.names()} == files
+    recovered = store.recover()
+    assert info["recovery"] == recovered.report.summary()
+    assert (info["recovery"]["mode"], info["recovery"]["snapshot_height"],
+            info["recovery"]["tail_records"]) == ("snapshot+tail", 4, 8)
+    assert [d["kind"] for d in info["recovery"]["degradations"]] == ["snapshot-mismatch"]
+    assert "snapshot-mismatch" in render_inspection(info)
+    assert recovered.state.state_digest() == state.state_digest()

@@ -7,7 +7,7 @@ from repro.chain import BlockchainNetwork, LocalChain, NetworkedChain
 from repro.core import MediaVerifier, TrustingNewsPlatform
 from repro.corpus import CorpusGenerator
 from repro.corpus.mutations import relay
-from repro.errors import ContractError
+from repro.errors import ContractError, MLError
 from repro.ml import capture_signal, tamper_signal
 from repro.simnet import FixedLatency
 
@@ -88,6 +88,25 @@ def test_a_fingerprint_a_reader_cannot_rebuild_is_refused(newsroom_platform, rng
     assert platform.assess_media("clip-1", signal) == 1.0  # nothing registered
     platform.register_media("cam", "clip-1", signal)
     assert platform.assess_media("clip-1", signal) == 0.0
+    published = platform.publish_article("cam", "acme-news", "desk", "a-1",
+                                         relay(fact, "cam", 1.0).text, "politics",
+                                         media=[("clip-1", signal)])
+    assert published.receipt.success
+
+
+def test_a_suspect_shorter_than_one_registered_block_scores_one(newsroom_platform, rng):
+    """A registration may name a block larger than any capture; a suspect
+    without one whole block of it is unverifiable (1.0), not an error, so
+    the assessment and a publish attaching the clip both answer."""
+    platform, fact = newsroom_platform
+    signal = capture_signal(rng)
+    platform.chain.invoke(platform.account("cam"), "media", "register", {
+        "media_id": "clip-1", **MediaVerifier.fingerprint_record(signal),
+        "block_size": 10**9, "description": "",
+    })
+    assert platform.assess_media("clip-1", signal) == 1.0
+    with pytest.raises(MLError, match="1-D"):
+        platform.assess_media("clip-1", np.stack([signal, signal]))
     published = platform.publish_article("cam", "acme-news", "desk", "a-1",
                                          relay(fact, "cam", 1.0).text, "politics",
                                          media=[("clip-1", signal)])

@@ -62,3 +62,24 @@ def test_full_pipeline_over_consensus(networked_platform):
         assert peer.ledger.verify_chain()
     heights = {p.ledger.height for p in network.peers}
     assert len(heights) == 1
+
+
+def test_a_joined_peer_serves_the_platform_contracts():
+    """Contracts installed through the adapter are the network's: a peer
+    that joins later gets them, and reads from it answer once it is the
+    only live peer."""
+    network = BlockchainNetwork(
+        n_peers=4, consensus="pbft", block_interval=0.2,
+        latency=FixedLatency(0.01), seed=125,
+    )
+    platform = TrustingNewsPlatform(seed=125, chain=NetworkedChain(network))
+    joiner = network.join_peer()
+    address = platform.governance.address
+    result = joiner.registry.execute(
+        joiner.state, "identity", "get_identity", {"address": address},
+        caller="query", timestamp=network.sim.now, tx_id="query",
+    )
+    assert result.success, result.error
+    for peer in network.peers[:4]:
+        peer.crashed = True
+    assert platform.chain.query("identity", "get_identity", {"address": address})["role"] == "checker"

@@ -68,6 +68,13 @@ def test_short_signal_rejected():
         MediaFingerprint.of(np.zeros(10), block_size=64)
 
 
+def test_suspect_shorter_than_one_block_scores_one(fingerprint, signal):
+    detector = DeepfakeDetector()
+    assert detector.tamper_score(fingerprint, signal[: fingerprint.block_size - 1]) == 1.0
+    with pytest.raises(MLError, match="1-D"):
+        detector.tamper_score(fingerprint, signal.reshape(2, -1))
+
+
 def test_tamper_requires_segments(signal, rng):
     with pytest.raises(MLError):
         tamper_signal(signal, rng, n_segments=0)
