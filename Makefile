@@ -61,7 +61,12 @@ bench:
 # off build_supply_chain_graph, the from-genesis ledger fold that derives
 # every link.  E13 (~3.5 s, full size) is the one caller of the cascade
 # engine's full-fidelity run off its own generator: botnet worlds, ledger
-# events and reach, the same frontier round the bulk path takes.
+# events and reach, the same frontier round the bulk path takes.  A6 and
+# the chaos-audit sweep (~4.5 s together, full size) are the callers of
+# the synced-tip certificate path under faults: crashed replicas and
+# primaries and an equivocating primary on PBFT and PoA, rogue vote
+# flooders, and an auditor that re-verifies every stored statement set
+# against the peers' key directory.
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_micro_substrate.py \
 		benchmarks/bench_a1_provenance.py \
@@ -70,6 +75,8 @@ bench-smoke:
 		benchmarks/bench_e8_experts.py \
 		benchmarks/bench_e9_scalability.py \
 		benchmarks/bench_e13_botnets.py \
+		benchmarks/bench_a6_fault_cost.py \
+		benchmarks/bench_chaos_audit.py \
 		benchmarks/bench_pipeline.py \
 		benchmarks/bench_recovery.py::test_cold_start_recovery \
 		benchmarks/bench_explorer.py \

@@ -134,10 +134,6 @@ class ConsensusEngine(ABC):
 
     # -- what the network harness and the auditor ask of every engine ------
 
-    def register_validator_keys(self, keys: dict[str, bytes]) -> None:
-        """Take the validator public-key directory; an engine that signs
-        nothing (PoA) ignores it."""
-
     def pending_txs(self) -> set[str]:
         """Tx ids the engine holds outside the mempool (open rounds,
         decided-but-unapplied blocks); none unless it keeps rounds."""

@@ -126,17 +126,6 @@ class PBFTEngine(ConsensusEngine):
         self._timer_scheduled = False
         self._tick_event = None
         self._timer_event = None
-        #: validator id -> Ed25519 public key.  Registered by
-        #: :class:`~repro.chain.network.BlockchainNetwork`; a statement
-        #: from a validator whose key is here only counts toward a synced
-        #: tip's certificate if its signature verifies.  Empty for
-        #: standalone engines (unit tests), which count signers by name.
-        self.validator_keys: dict[str, bytes] = {}
-
-    def register_validator_keys(self, keys: dict[str, bytes]) -> None:
-        """Install the validator public-key directory (makes a synced
-        tip's statement set cryptographically checkable)."""
-        self.validator_keys.update(keys)
 
     @property
     def n(self) -> int:
@@ -378,15 +367,16 @@ class PBFTEngine(ConsensusEngine):
 
         *proof* is ``{"signers": [...], "signatures": {name: hex},
         "voted": [...]}`` (the last may be absent); anything else is
-        refused.  Signers whose key is registered only count when their
-        Ed25519 signature over the statement for this block's (height,
-        hash), in the form the proof says they signed, verifies — all
-        such signatures are checked in ONE batched call.  Signers with no
-        registered key fall back to the name-set check (keyless unit-test
-        engines), and a name alone never says "applied".
+        refused.  A signer counts only when its Ed25519 signature over the
+        statement for this block's (height, hash), in the form the proof
+        says it signed, verifies under the key ``peer.directory`` holds for
+        it — all such signatures are checked in ONE batched call.  A
+        validator with no key there counts for nothing: a name alone never
+        certifies a tip.
         """
-        if not isinstance(proof, dict):
-            return False
+        peer = self.peer
+        if peer is None or not isinstance(proof, dict):
+            return False  # an engine on no peer has no directory to check against
         signers, signatures = proof.get("signers"), proof.get("signatures")
         voted = proof.get("voted", ())
         if not (
@@ -395,30 +385,22 @@ class PBFTEngine(ConsensusEngine):
             and isinstance(voted, (list, tuple))
         ):
             return False
-        counted: set[str] = set()
         items: list[tuple[bytes, bytes, bytes]] = []
         item_signers: list[str] = []
         for signer in sorted(set(signers).intersection(self.validators)):
-            key = self.validator_keys.get(signer)
-            if key is None:
-                counted.add(signer)
-                continue
-            sig_hex = signatures.get(signer)
+            key, sig_hex = peer.directory.get(signer), signatures.get(signer)
             try:
                 sig = bytes.fromhex(sig_hex) if isinstance(sig_hex, str) else None
             except ValueError:
                 sig = None
-            if sig is None:
-                continue  # known validator, no usable signature: not counted
+            if key is None or sig is None:
+                continue  # no key to check it, or no usable signature: not counted
             message = statement_message(signer, block.height, block.block_hash, signer in voted)
             items.append((key, message, sig))
             item_signers.append(signer)
-        verified: set[str] = set()
-        if items:
-            meter = self.peer.verify_meter if self.peer is not None else None
-            verdicts = verify_many(items, meter)
-            verified = {s for s, ok in zip(item_signers, verdicts) if ok}
-        return len(counted | verified) >= self.quorum or len(verified - set(voted)) > self.f
+        verdicts = verify_many(items, peer.verify_meter)
+        verified = {s for s, ok in zip(item_signers, verdicts) if ok}
+        return len(verified) >= self.quorum or len(verified - set(voted)) > self.f
 
     def on_synced_block(self, block: Block, proof: Any) -> None:
         self.synced_proofs[block.height] = proof

@@ -150,13 +150,12 @@ class BlockchainNetwork:
             self.net.add_node(peer)
             self.peers.append(peer)
         #: Peer id -> Ed25519 public key of every peer, joiners included:
-        #: each peer checks endorsements against it, and engines that
-        #: count signed statements (PBFT, which counts only validators)
-        #: check the certificate of a synced tip with it.
+        #: the one ``peer.directory`` every peer checks another node's
+        #: signature against (endorsements, sync statements, a synced
+        #: tip's certificate).
         self.directory = {p.node_id: p.keypair.public_key for p in self.peers}
         for peer in self.peers:
             peer.directory = self.directory
-            peer.engine.register_validator_keys(self.directory)
         for peer in self.peers:
             peer.engine.start()
             peer.sync.start()
@@ -231,7 +230,6 @@ class BlockchainNetwork:
         self.peers.append(peer)
         self.directory[node_id] = peer.keypair.public_key
         peer.directory = self.directory
-        peer.engine.register_validator_keys(self.directory)
         # State transfer: replay the committed chain from the freshest peer
         # (the newcomer itself, at height 0, when nobody else is up).
         source = self.freshest_peer()

@@ -147,9 +147,11 @@ class Peer(NetworkNode):
         self.mempool = Mempool()
         self.policies: dict[str, EndorsementPolicy] = {}
         self.default_policy = default_policy or EndorsementPolicy(required=1)
-        #: Peer id -> public key: what this peer checks an endorsement
-        #: against.  A network hands every peer its one shared directory;
-        #: a peer on its own knows itself.
+        #: Peer id -> public key: what this peer checks every signature
+        #: another node made against — an endorsement, a sync statement,
+        #: the statements certifying a synced tip; a node with no entry is
+        #: believed in nothing it signs.  A network hands every peer its
+        #: one shared directory; a peer on its own knows itself.
         self.directory: Directory = {node_id: keypair.public_key}
         #: The endorsements this peer signed and has not committed yet;
         #: volatile, so a restart starts it empty.

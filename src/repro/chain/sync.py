@@ -20,10 +20,11 @@ transport (its docstring has the protocol argument).
   (:meth:`~repro.chain.consensus.base.ConsensusEngine.attested_hash`) — or
   not at all.  A statement is signed the first time it is wanted and
   remembered (``SIGNED_MEMO`` of them), so a flood of attest requests
-  costs lookups, not signatures.  A statement is checked against the key
-  pinned for its sender on first use before it reaches the core; an
-  announcement at or below our head is taken unverified — a lie there can
-  never trigger a fetch.
+  costs lookups, not signatures.  A statement carries no key and no name:
+  it is checked against the key ``peer.directory`` holds for the sender of
+  its message before it reaches the core, and a sender with no entry there
+  is refused; an announcement at or below our head is taken unverified — a
+  lie there can never trigger a fetch.
 - **The boundary.**  A sync payload is input from another process:
   :meth:`SyncManager.on_message` checks its shape (a dict; a request's
   ``req_id``, ``start`` and ``end``; a response's ``blocks`` list) or
@@ -138,8 +139,6 @@ class SyncManager:
         )
         #: node id -> highest height it has credibly claimed (the core's).
         self.known_heights = self.core.known_heights
-        #: node id -> pinned announcement public key (trust on first use).
-        self._announced_keys: dict[str, bytes] = {}
         #: (height, hash, voted) -> own signature, oldest dropped first.
         self._signed: dict[tuple[int, str, bool], bytes] = {}
         self._announce_event: Event | None = None
@@ -207,8 +206,7 @@ class SyncManager:
                 del self._signed[next(iter(self._signed))]
             signature = self._signed[(height, block_hash, voted)] = peer.keypair.sign(
                 statement_message(peer.node_id, height, block_hash, voted))
-        return {"node_id": peer.node_id, "height": height, "head_hash": block_hash, "voted": voted,
-                "public_key": peer.keypair.public_key, "signature": signature}
+        return {"height": height, "head_hash": block_hash, "voted": voted, "signature": signature}
 
     def _vouch(self, tip: Block) -> tuple[str, bool] | None:
         """Our own word on a fetched tip (the core asks a validator only),
@@ -219,29 +217,23 @@ class SyncManager:
         return None
 
     def _verify_statement(self, message: Message, voted: bool = False) -> Statement | None:
-        """The statement in *message* if it is its sender's own, signed
-        in the given form with the key pinned for that sender; otherwise
-        ``None``."""
+        """The statement in *message*, if its sender signed it in the given
+        form with the key ``peer.directory`` holds for that sender;
+        otherwise ``None``."""
         payload, src = message.payload, message.src
         height, block_hash = payload.get("height"), payload.get("head_hash")
-        public_key, signature = payload.get("public_key"), payload.get("signature")
+        key, signature = self.peer.directory.get(src), payload.get("signature")
         if not (
-            payload.get("node_id") == src and isinstance(height, int)
-            and isinstance(block_hash, str) and isinstance(public_key, bytes)
+            key is not None and isinstance(height, int) and isinstance(block_hash, str)
             and isinstance(signature, bytes)
-            and self._announced_keys.get(src, public_key) == public_key
-            and verify_signature(
-                public_key, statement_message(src, height, block_hash, voted), signature)
+            and verify_signature(key, statement_message(src, height, block_hash, voted), signature)
         ):
             return None
-        self._announced_keys.setdefault(src, public_key)
         return Statement(height, block_hash, signature.hex(), voted)
 
     def _on_announce(self, message: Message) -> None:
-        payload, src = message.payload, message.src
-        height = payload.get("height")
-        if (isinstance(height, int) and payload.get("node_id") == src
-                and height <= self.peer.ledger.height):
+        src, height = message.src, message.payload.get("height")
+        if isinstance(height, int) and height <= self.peer.ledger.height:
             self._run(self.core.claim(src, height, own_word=True))
             return
         statement = self._verify_statement(message)

@@ -22,7 +22,7 @@ come out of the fold — so any honest peer's ledger ranks it the same.
 So is an article's audit bundle: the record, ranking and comments are
 the values the recording transactions' write sets committed, folded
 beside the graph and the votes, and the Merkle proof of the record is
-built once when it is folded — no read about a recorded article runs a
+built when it is asked for — no read about a recorded article runs a
 contract.
 
 The graph is a :class:`~repro.core.supplychain.SupplyChainGraph`,
@@ -54,7 +54,6 @@ from repro.chain.transaction import TxReceipt
 from repro.corpus.articles import Article
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.keys import KeyPair
-from repro.crypto.merkle import MerkleProof
 from repro.core.conduct import ConductContract
 from repro.core.crowdsourcing import VoteContract, factual_share
 from repro.core.ecosystem import TokenContract
@@ -143,9 +142,7 @@ class LedgerView:
     and kept for the life of the fold: an event adds edges out of its own
     new node only, and the contract refuses an article id in the
     factual-root namespace, so nothing folded later can change a
-    recorded node's ancestry.  So is the Merkle proof of its recording
-    transaction at its committed position (:meth:`proof`): a committed
-    transaction never moves.  Starting over is the one thing that drops
+    recorded node's ancestry.  Starting over is the one thing that drops
     them.  What the view hands out is the caller's own copy.
     """
 
@@ -167,8 +164,6 @@ class LedgerView:
         # Answers about nodes already in ``graph``, by node id.
         self._traces: dict[str, TraceResult] = {}
         self._authors: dict[str, str | None] = {}
-        # (tx id, height, block hash, Merkle root, proof) by recorded article.
-        self._proofs: dict[str, tuple[str, int, str, str, MerkleProof]] = {}
 
     def follow(self, ledger: Ledger) -> "LedgerView":
         """Fold the blocks *ledger* holds above the remembered height."""
@@ -185,11 +180,11 @@ class LedgerView:
             if kind in _FOLDED:
                 committed = ledger.get_transaction(event["_tx_id"])
                 if committed.transaction.contract == _FOLDED[kind]:
-                    self._fold(ledger, kind, event, committed)
+                    self._fold(kind, event, committed)
         self.height, self.head_hash = head.height, head.block_hash
         return self
 
-    def _fold(self, ledger: Ledger, kind: str, event: dict[str, Any], committed: CommittedTx) -> None:
+    def _fold(self, kind: str, event: dict[str, Any], committed: CommittedTx) -> None:
         """Fold one event of a folded kind; *committed* is the transaction
         that emitted it, whose write set holds the values it committed."""
         tx, article_id = committed.transaction, event.get("article_id")
@@ -204,9 +199,6 @@ class LedgerView:
                 self.provenance.add(article_id, sketch)
             add_supply_node(self.graph, event)
             self.records[article_id] = record
-            block = ledger.block(committed.block_height)
-            self._proofs[article_id] = (tx.tx_id, block.height, block.block_hash, block.merkle_root,
-                                        block.prove_inclusion(tx.tx_id, committed.tx_index))
         elif kind == "fact-seeded":
             if tx.args.get("text") is not None:
                 self.provenance.add(FACT_PREFIX + event["fact_id"], tx.args["text"])
@@ -279,15 +271,6 @@ class LedgerView:
         if article_id in self.graph:
             self._authors[article_id] = author
         return author
-
-    def proof(self, article_id: str) -> tuple[str, int, str, str, MerkleProof]:
-        """``(tx_id, height, block_hash, merkle_root, proof)`` of the
-        article's recording transaction, built when the record was folded;
-        an id with no record raises :class:`PlatformError`."""
-        kept = self._proofs.get(article_id)
-        if kept is None:
-            raise PlatformError(f"no supply-chain record for {article_id}")
-        return kept
 
     def crowd_score(self, article_id: str) -> float | None:
         """The article's weighted factual share, None before its first vote
@@ -794,19 +777,25 @@ class TrustingNewsPlatform:
 
         Returns the block height/hash, the transaction id, the proof
         object, and its verification result against the block's root.
-        The proof is the one :class:`LedgerView` built when it folded the
-        record; the verification runs on every call.
+        The record's node names its transaction; the proof is built and
+        verified on every call, so a reader that never asks builds none.
         """
-        tx_id, height, block_hash, merkle_root, proof = (
-            self._view.follow(self.chain.ledger).proof(article_id))
+        ledger = self.chain.ledger
+        view = self._view.follow(ledger)
+        if article_id not in view.records:
+            raise PlatformError(f"no supply-chain record for {article_id}")
+        tx_id = view.graph.nodes[article_id]["tx_id"]
+        committed = ledger.get_transaction(tx_id)
+        block = ledger.block(committed.block_height)
+        proof = block.prove_inclusion(tx_id, committed.tx_index)
         return {
             "article_id": article_id,
             "tx_id": tx_id,
-            "block_height": height,
-            "block_hash": block_hash,
-            "merkle_root": merkle_root,
+            "block_height": block.height,
+            "block_hash": block.block_hash,
+            "merkle_root": block.merkle_root,
             "proof": proof,
-            "verified": proof.verify(merkle_root),
+            "verified": proof.verify(block.merkle_root),
         }
 
     # -- audit ----------------------------------------------------------------------------------------

@@ -679,8 +679,13 @@ class FastCascadeRunner:
         the approximation that buys the 1M-agent round times).
         ``flag_round`` activates flag damping on ``flagged_roots`` (and
         promotion on ``promoted_roots``) from that round on.  Draws come
-        from the runner's generator, never from a :class:`KeyedDraws`.
+        from the runner's generator: a runner built with a
+        :class:`KeyedDraws` refuses with :class:`SimulationError`, since
+        its keyed path is :meth:`run`.
         """
+        if self.draws is not None:
+            raise SimulationError("run_stats draws from the runner's own generator; "
+                                  "a runner with KeyedDraws is run keyed through run()")
         g = self.compiled
         n = g.n_agents
         roots = [g.node_to_index(node) for node in seed_nodes]

@@ -29,7 +29,7 @@ from repro.obs import MetricsRegistry
 from repro.chain.block import Block
 from repro.simnet import FailureSchedule, FixedLatency, UniformLatency
 from repro.simnet.network import Message
-from tests.conftest import CounterContract, peer_count
+from tests.conftest import CounterContract, attach_to_peer, peer_count
 
 
 @pytest.fixture(autouse=True)
@@ -175,7 +175,7 @@ def test_pbft_sync_proof_round_trip():
         assert other.engine.verify_synced_block(block, proof)
         for signer, sig_hex in proof["signatures"].items():
             assert ed25519.verify(
-                other.engine.validator_keys[signer],
+                other.directory[signer],
                 statement_message(signer, height, block.block_hash),
                 bytes.fromhex(sig_hex),
             )
@@ -257,22 +257,29 @@ def test_pbft_forged_certificate_rejected():
     assert verifier.verify_synced_block(block, real)
 
 
-def test_pbft_keyless_engine_keeps_legacy_semantics():
-    """Standalone engines (no key directory) count signers by name:
-    certificates with empty ``signatures`` verify, votes need none."""
+def test_pbft_certificate_counts_only_validators_with_a_directory_key():
+    """A synced tip's certificate is checked against the peer's directory:
+    a validator with no key there counts for nothing, whatever it signed,
+    so a name alone never certifies a tip — nor does an engine on no peer."""
     engine = PBFTEngine(["v0", "v1", "v2", "v3"])
     block = Block.build(1, "genesis", 0.0, "v0", [])
+    keys = {v: KeyPair.generate(random.Random(v)) for v in engine.validators}
 
     def proof(*signers):
-        return {"signers": list(signers), "signatures": {}}
+        return {"signers": list(signers), "signatures": {
+            s: keys[s].sign(statement_message(s, 1, block.block_hash)).hex() for s in signers}}
 
-    assert engine.verify_synced_block(block, proof("v0", "v1", "v2"))
-    assert not engine.verify_synced_block(block, proof("v0", "v1"))
-    assert not engine.verify_synced_block(block, proof("v0", "ghost-1", "ghost-2"))
-    # One proof format: a bare name list is rejected even without keys.
+    assert not engine.verify_synced_block(block, proof("v0", "v1", "v2", "v3"))
+    attach_to_peer(engine, {"v0": keys["v0"].public_key})
+    assert not engine.verify_synced_block(block, {"signers": ["v0", "v1", "v2"], "signatures": {}})
+    # Four valid statements, one of them by a validator the directory knows.
+    assert not engine.verify_synced_block(block, proof("v0", "v1", "v2", "v3"))
+    engine.peer.directory["v1"] = keys["v1"].public_key
+    assert engine.verify_synced_block(block, proof("v0", "v1"))
+    # One proof format: a bare name list is rejected.
     assert not engine.verify_synced_block(block, ["v0", "v1", "v2"])
-    engine.on_synced_block(block, proof("v0", "v1", "v2"))
-    assert engine.sync_proof(1) == proof("v0", "v1", "v2")
+    engine.on_synced_block(block, proof("v0", "v1"))
+    assert engine.sync_proof(1) == proof("v0", "v1")
 
 
 def test_pbft_commit_vote_needs_membership_and_digest_only():
@@ -311,6 +318,56 @@ def test_statement_is_signed_once_per_height_and_hash(monkeypatch):
     assert ed25519.verify(
         peer.keypair.public_key, statement_message(peer.node_id, 1, block_hash),
         peer.sync._statement(1, block_hash)["signature"])
+
+
+def test_a_statement_is_checked_against_the_directory_even_the_first_one():
+    """A sync statement carries what was signed and the signature, no key
+    and no name: the key is the one ``peer.directory`` holds for the
+    message's sender.  A statement signed with another key is refused even
+    as the first heard from that sender, as is one from a node the
+    directory does not know — no key is pinned on first use."""
+    from repro.chain.sync import KIND_ANNOUNCE, KIND_ATTEST
+
+    network = BlockchainNetwork(n_peers=4, consensus="pbft", latency=FixedLatency(0.02),
+                                block_interval=0.5)
+    network.install_contract(CounterContract)
+    victim, honest = network.peers[3], network.peers[0]
+    impostor = KeyPair.generate(random.Random("impostor"))
+    tip = "ab" * 32
+
+    def forged(src):
+        # Above the victim's head, so it is verified; with the key and the
+        # name a statement once carried, which the check ignores.
+        return {"node_id": src, "height": 5, "head_hash": tip, "voted": False,
+                "public_key": impostor.public_key,
+                "signature": impostor.sign(statement_message(src, 5, tip))}
+
+    network.net.transmit("peer-0", victim.node_id, KIND_ANNOUNCE, forged("peer-0"))
+    network.net.transmit("peer-1", victim.node_id, KIND_ATTEST, forged("peer-1"))
+    network.run_for(0.1)
+    assert peer_count(victim, "sync.announcements_rejected") == 1
+    assert peer_count(victim, "sync.announcements_verified") == 0
+    assert network.obs.counter("sync.statements_rejected", peer=victim.node_id,
+                               reason="bad-signature").value == 1
+    network.net.transmit("rogue-0", victim.node_id, KIND_ANNOUNCE, forged("rogue-0"))
+    network.run_for(0.1)
+    assert peer_count(victim, "sync.announcements_rejected") == 2
+    assert not victim.sync.is_lagging()
+
+    # The sender's own key still holds after the forgery; an honest
+    # announcement carries nothing the directory already says.
+    payloads = []
+    on_message = victim.on_message
+    victim.on_message = lambda message: (
+        message.kind == KIND_ANNOUNCE and payloads.append(message.payload)) or on_message(message)
+    network.net.transmit("peer-0", victim.node_id, KIND_ANNOUNCE, {
+        "height": 5, "head_hash": tip, "voted": False,
+        "signature": honest.keypair.sign(statement_message("peer-0", 5, tip))})
+    network.run_for(2.5)
+    network.stop()
+    assert peer_count(victim, "sync.announcements_verified") == 1
+    assert len(payloads) > 1
+    assert all(set(p) == {"height", "head_hash", "voted", "signature"} for p in payloads)
 
 
 # -- one check per signature, where its verdict is used ------------------------

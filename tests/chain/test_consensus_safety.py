@@ -295,8 +295,7 @@ def test_byzantine_primary_cannot_certify_a_fabricated_parent():
         message.src, KIND_RESPONSE,
         {"req_id": message.payload["req_id"], "height": 3, "blocks": [fabricated, child]})
     liar.send(victim.node_id, KIND_ANNOUNCE, {  # "I applied it": the liar's own word
-        "node_id": "peer-0", "height": 3, "head_hash": child.block_hash,
-        "public_key": liar.keypair.public_key,
+        "height": 3, "head_hash": child.block_hash, "voted": False,
         "signature": liar.keypair.sign(statement_message("peer-0", 3, child.block_hash))})
     applied = []
     victim.commit_listeners.append(lambda peer, block: applied.append(block.block_hash))

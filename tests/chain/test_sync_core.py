@@ -36,7 +36,7 @@ from repro.chain.sync_core import (
 )
 from repro.crypto.keys import KeyPair
 from repro.simnet import FailureSchedule, FixedLatency
-from tests.conftest import peer_count
+from tests.conftest import attach_to_peer, peer_count
 
 VALIDATORS = ["v0", "v1", "v2", "v3"]
 GENESIS = make_genesis_block()
@@ -69,9 +69,9 @@ def _proof(*statements: tuple[str, Statement]) -> dict:
 
 
 def _pbft_core() -> SyncCore:
-    """An observer at genesis; the certificate rule is PBFT's, keys registered."""
-    engine = PBFTEngine(VALIDATORS)
-    engine.register_validator_keys({v: kp.public_key for v, kp in KEYS.items()})
+    """An observer at genesis; the certificate rule is PBFT's, the validators'
+    keys in its peer's directory."""
+    engine = attach_to_peer(PBFTEngine(VALIDATORS), {v: kp.public_key for v, kp in KEYS.items()})
     return SyncCore("lag", VALIDATORS, engine.quorum, GENESIS, engine.verify_synced_block)
 
 

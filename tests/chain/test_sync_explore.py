@@ -76,6 +76,7 @@ from repro.chain.sync import statement_message
 from repro.chain.sync_core import Apply, Closed, Forget, Schedule, Statement, SyncCore
 from repro.chain.transaction import Transaction
 from repro.crypto.keys import KeyPair, verify_signature
+from tests.conftest import attach_to_peer
 
 VALIDATORS = ("v0", "v1", "v2", "v3")
 HONEST, LIAR, NODE = ("v0", "v1", "v2"), "v3", "lag"
@@ -119,11 +120,11 @@ def _statement(signer: str, block: Block) -> Statement:
 
 
 def _engine_rule():
-    """The engine's certificate rule, with the validator keys registered;
+    """The engine's certificate rule, the validator keys in its peer's directory;
     a verdict is remembered by tip and signers (a signer has one signature
     per block here)."""
-    engine = PBFTEngine(list(VALIDATORS))
-    engine.register_validator_keys({v: kp.public_key for v, kp in KEYS.items()})
+    engine = attach_to_peer(PBFTEngine(list(VALIDATORS)),
+                            {v: kp.public_key for v, kp in KEYS.items()})
     verdicts: dict[tuple, bool] = {}
 
     def certified(block: Block, proof) -> bool:

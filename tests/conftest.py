@@ -40,6 +40,21 @@ def peer_count(peer, name: str) -> float:
     return peer.obs.counter(name, peer=peer.node_id).value
 
 
+def attach_to_peer(engine, directory: dict[str, bytes]):
+    """Attach a network-less *engine* to a peer of its own whose
+    ``directory`` also holds *directory* (node id -> public key): the keys
+    it checks a synced tip's certificate against.  Returns *engine*."""
+    from repro.chain.contracts import ContractRegistry
+    from repro.chain.peer import Peer
+    from repro.chain.store import DurableStore
+    from repro.simnet.disk import SimDisk
+
+    peer = Peer("observer", KeyPair.generate(random.Random("observer")), ContractRegistry(),
+                engine, DurableStore(disk=SimDisk("observer"), node_id="observer"))
+    peer.directory.update(directory)
+    return engine
+
+
 class CounterContract(Contract):
     """Tiny contract used across chain-layer tests."""
 

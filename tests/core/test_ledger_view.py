@@ -440,7 +440,7 @@ def test_folded_audit_equals_the_contract_oracle_after_every_follow(platform, mo
         view.audit("ghost")
 
 
-def test_folded_audit_starts_over_with_a_shorter_or_forked_ledger(platform):
+def test_folded_audit_starts_over_with_a_shorter_or_forked_ledger(platform, monkeypatch):
     articles = populate(platform, CorpusGenerator(seed=14))
     comment(platform, "a-0", "c-0")
     ranked_at = platform.chain.ledger.height
@@ -469,13 +469,16 @@ def test_folded_audit_starts_over_with_a_shorter_or_forked_ledger(platform):
     assert [c["comment_id"] for c in view.audit("a-0")["comments"]] == ["c-0"]
     assert view.audit("a-1")["ranking"] is None and view.audit("a-0")["ranking"]
     assert "s-1" not in view.records
+    monkeypatch.setattr(platform.chain, "ledger", shorter)
     with pytest.raises(PlatformError, match="no supply-chain record"):
-        view.proof("s-1")
+        platform.prove_article("s-1")
     forked = ledger_through(ledger, ranked_at, replace_last=True)
     check(forked)
     check(ledger)
     assert view.audit("a-1")["ranking"] and len(view.audit("a-0")["comments"]) == 2
-    assert view.proof("s-1")[0] == platform.graph.nodes["s-1"]["tx_id"]
+    monkeypatch.setattr(platform.chain, "ledger", ledger)
+    proof = platform.prove_article("s-1")
+    assert proof["verified"] and proof["tx_id"] == view.graph.nodes["s-1"]["tx_id"]
 
 
 def test_nothing_an_audit_hands_out_reaches_the_fold_or_the_write_set(platform):
@@ -501,7 +504,7 @@ def test_nothing_an_audit_hands_out_reaches_the_fold_or_the_write_set(platform):
             for block in ledger.blocks() for tx in block.transactions} == writes
 
 
-def test_prove_article_verifies_every_call_and_builds_each_proof_once(platform, monkeypatch):
+def test_prove_article_proves_and_verifies_on_every_call(platform, monkeypatch):
     built, verified = [], []
     prove_inclusion, verify = Block.prove_inclusion, MerkleProof.verify
 
@@ -518,6 +521,7 @@ def test_prove_article_verifies_every_call_and_builds_each_proof_once(platform, 
     articles = populate(platform, CorpusGenerator(seed=16))
     ledger = platform.chain.ledger
     nodes = recorded(ledger)
+    assert built == []  # publishing and folding build no proof
     for _ in range(3):
         for article_id in nodes:
             proof = platform.prove_article(article_id)
@@ -527,15 +531,29 @@ def test_prove_article_verifies_every_call_and_builds_each_proof_once(platform, 
             assert (proof["block_hash"], proof["merkle_root"]) == (
                 block.block_hash, block.merkle_root)
             assert proof["proof"] == prove_inclusion(block, proof["tx_id"])
-    assert sorted(built) == sorted(platform.graph.nodes[a]["tx_id"] for a in nodes)
+    assert sorted(built) == sorted(3 * [platform.graph.nodes[a]["tx_id"] for a in nodes])
     assert len(verified) == 3 * len(nodes)
 
     share(platform, articles[0], "s-1", "a-0")
     assert platform.prove_article("s-1")["verified"] is True
     assert built[-1] == platform.graph.nodes["s-1"]["tx_id"]
-    assert len(built) == len(nodes) + 1 and len(verified) == 3 * len(nodes) + 1
+    assert len(built) == 3 * len(nodes) + 1 and len(verified) == 3 * len(nodes) + 1
     with pytest.raises(PlatformError, match="no supply-chain record"):
         platform.prove_article("fact:f-0")
+
+
+def test_a_cold_follow_builds_no_proof(platform, monkeypatch):
+    """A graph-only reader — ``build_supply_chain_graph``, a cold
+    ``LedgerView().follow`` — folds every record and proves none."""
+    articles = populate(platform, CorpusGenerator(seed=17))
+    share(platform, articles[0], "s-1", "a-0")
+    built = []
+    prove_inclusion = Block.prove_inclusion
+    monkeypatch.setattr(Block, "prove_inclusion", lambda block, tx_id, index=None: (
+        built.append(tx_id) or prove_inclusion(block, tx_id, index)))
+    view = LedgerView().follow(platform.chain.ledger)
+    assert "s-1" in view.records and len(view.records) == len(recorded(platform.chain.ledger))
+    assert built == []
 
 
 # -- ids that nest with ':' ------------------------------------------------------

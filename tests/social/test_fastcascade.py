@@ -2,8 +2,9 @@
 scalar-oracle equivalence contract.
 
 The deep property sweep lives in ``tests/props/test_cascade_equivalence``;
-these tests pin the concrete mechanics — CSR layout, keyed draws,
-generation-stamped attention, the bulk-statistics path — on worlds small
+these tests pin the concrete mechanics — CSR layout, keyed draws, keyed
+runs checked event by event against the scalar oracle, the
+bulk-statistics path on the runner's own generator — on worlds small
 enough to check by hand.
 """
 
@@ -338,6 +339,15 @@ def test_run_stats_is_deterministic_in_seed():
     assert a.shares_by_round == b.shares_by_round
     assert np.array_equal(a.reach_curves, b.reach_curves)
     assert np.array_equal(a.shares_by_agent, b.shares_by_agent)
+
+
+def test_run_stats_refuses_a_keyed_runner():
+    """The bulk path draws from the runner's generator, so a runner built
+    with a KeyedDraws refuses it rather than ignore its draw source."""
+    compiled = CompiledCascadeGraph.synthesize(100, seed=1)
+    runner = FastCascadeRunner(compiled, seed=1, draws=KeyedDraws(seed=0))
+    with pytest.raises(SimulationError, match=r"run\(\)"):
+        runner.run_stats([0], n_rounds=2)
 
 
 def test_run_without_corpus_requires_stats_path():
