@@ -374,9 +374,8 @@ class PBFTEngine(ConsensusEngine):
         validator with no key there counts for nothing: a name alone never
         certifies a tip.
         """
-        peer = self.peer
-        if peer is None or not isinstance(proof, dict):
-            return False  # an engine on no peer has no directory to check against
+        if not isinstance(proof, dict):
+            return False
         signers, signatures = proof.get("signers"), proof.get("signatures")
         voted = proof.get("voted", ())
         if not (
@@ -388,7 +387,7 @@ class PBFTEngine(ConsensusEngine):
         items: list[tuple[bytes, bytes, bytes]] = []
         item_signers: list[str] = []
         for signer in sorted(set(signers).intersection(self.validators)):
-            key, sig_hex = peer.directory.get(signer), signatures.get(signer)
+            key, sig_hex = self.peer.directory.get(signer), signatures.get(signer)
             try:
                 sig = bytes.fromhex(sig_hex) if isinstance(sig_hex, str) else None
             except ValueError:
@@ -398,7 +397,7 @@ class PBFTEngine(ConsensusEngine):
             message = statement_message(signer, block.height, block.block_hash, signer in voted)
             items.append((key, message, sig))
             item_signers.append(signer)
-        verdicts = verify_many(items, peer.verify_meter)
+        verdicts = verify_many(items, self.peer.verify_meter) if items else []
         verified = {s for s, ok in zip(item_signers, verdicts) if ok}
         return len(verified) >= self.quorum or len(verified - set(voted)) > self.f
 

@@ -260,17 +260,15 @@ def test_pbft_forged_certificate_rejected():
 def test_pbft_certificate_counts_only_validators_with_a_directory_key():
     """A synced tip's certificate is checked against the peer's directory:
     a validator with no key there counts for nothing, whatever it signed,
-    so a name alone never certifies a tip — nor does an engine on no peer."""
-    engine = PBFTEngine(["v0", "v1", "v2", "v3"])
+    so a name alone never certifies a tip."""
+    keys = {v: KeyPair.generate(random.Random(v)) for v in ("v0", "v1", "v2", "v3")}
+    engine = attach_to_peer(PBFTEngine(list(keys)), {"v0": keys["v0"].public_key})
     block = Block.build(1, "genesis", 0.0, "v0", [])
-    keys = {v: KeyPair.generate(random.Random(v)) for v in engine.validators}
 
     def proof(*signers):
         return {"signers": list(signers), "signatures": {
             s: keys[s].sign(statement_message(s, 1, block.block_hash)).hex() for s in signers}}
 
-    assert not engine.verify_synced_block(block, proof("v0", "v1", "v2", "v3"))
-    attach_to_peer(engine, {"v0": keys["v0"].public_key})
     assert not engine.verify_synced_block(block, {"signers": ["v0", "v1", "v2"], "signatures": {}})
     # Four valid statements, one of them by a validator the directory knows.
     assert not engine.verify_synced_block(block, proof("v0", "v1", "v2", "v3"))
