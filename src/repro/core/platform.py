@@ -785,9 +785,9 @@ class TrustingNewsPlatform:
         if article_id not in view.records:
             raise PlatformError(f"no supply-chain record for {article_id}")
         tx_id = view.graph.nodes[article_id]["tx_id"]
-        committed = ledger.get_transaction(tx_id)
-        block = ledger.block(committed.block_height)
-        proof = block.prove_inclusion(tx_id, committed.tx_index)
+        height, index = ledger.index.locate(tx_id)
+        block = ledger.block(height)
+        proof = block.prove_inclusion(tx_id, index)
         return {
             "article_id": article_id,
             "tx_id": tx_id,
