@@ -13,11 +13,15 @@ import random
 import pytest
 
 from repro.chain import Contract, LocalChain, contract_method
+from repro.chain.contracts import ContractRegistry
+from repro.chain.peer import Peer
+from repro.chain.store import DurableStore
 from repro.corpus import CorpusGenerator
 from repro.crypto import KeyPair
 from repro.crypto import ed25519
 from repro.core import TrustingNewsPlatform
 from repro.ml import FakeNewsScorer
+from repro.simnet.disk import SimDisk
 
 
 @pytest.fixture
@@ -44,11 +48,6 @@ def attach_to_peer(engine, directory: dict[str, bytes]):
     """Attach a network-less *engine* to a peer of its own whose
     ``directory`` also holds *directory* (node id -> public key): the keys
     it checks a synced tip's certificate against.  Returns *engine*."""
-    from repro.chain.contracts import ContractRegistry
-    from repro.chain.peer import Peer
-    from repro.chain.store import DurableStore
-    from repro.simnet.disk import SimDisk
-
     peer = Peer("observer", KeyPair.generate(random.Random("observer")), ContractRegistry(),
                 engine, DurableStore(disk=SimDisk("observer"), node_id="observer"))
     peer.directory.update(directory)
