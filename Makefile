@@ -129,13 +129,15 @@ bench-table:
 
 # Crash-recovery: deep catch-up tests, the storage-engine suites
 # (parametrized over the durable and sqlite backends, which share one
-# disk format, including the seeded disk-fault chaos sweep over both), and
+# disk format, including the seeded disk-fault chaos sweep over both), the
+# platform's reads over recovered ledgers (a cold fold and every events
+# filter read archived blocks through the archive, each height once), and
 # the recovery benchmarks (write benchmarks/latest_recovery.json; the
 # cold start also times the sqlite backend rebuilding its tables).
 recovery:
 	$(PYTHON) -m pytest tests/chain/test_sync_recovery.py tests/chain/test_store.py \
 		tests/chain/test_sqlite_store.py tests/chain/test_store_recovery.py \
-		benchmarks/bench_recovery.py -q
+		tests/core/test_ledger_view.py benchmarks/bench_recovery.py -q
 	$(PYTHON) -m pytest tests/chain/test_store_recovery.py -q -m chaos
 
 # Traced end-to-end demo: runs a small PBFT workload with a crash/restart,

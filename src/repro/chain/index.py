@@ -14,8 +14,8 @@ turns them into O(log n + k)-class lookups:
 - **materialized views** — tx-by-id, txs-by-sender / -contract /
   -method (chain order, so newest-first is a reversed walk) and
   per-contract counts are maintained incrementally as blocks commit
-  (events are not indexed here: :meth:`Ledger.events
-  <repro.chain.ledger.Ledger.events>` is the one events-by-kind view);
+  (events are not indexed: :meth:`Ledger.events
+  <repro.chain.ledger.Ledger.events>` walks the committed blocks for them);
 - **one feed** — the index belongs to the ledger it indexes:
   :meth:`Ledger.append <repro.chain.ledger.Ledger.append>` calls
   :meth:`on_commit` after its own checks and before its first mutation,

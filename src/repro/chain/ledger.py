@@ -1,14 +1,11 @@
-"""The append-only ledger: the chain of blocks, its transaction index, and
-the events-by-kind view.
+"""The append-only ledger: the chain of blocks and its transaction index.
 
 Beyond storage, the ledger is the platform's *audit substrate*: the
 supply-chain graph (§VI), expert mining, and accountability experiments
-all reconstruct history from the events of committed transactions, and
-:meth:`Ledger.events` is the one answer to that read.  It is served from
-``(height, tx index, event index)`` position lists — all events, and by
-kind — which the ledger extends over the blocks appended since the
-previous read; :meth:`Ledger.append` does no event work, so a peer that
-is never asked pays nothing.
+all reconstruct history from the events of committed transactions.
+:meth:`Ledger.events` walks the committed blocks for them, filtered;
+the ledger keeps no per-event state, so :meth:`Ledger.append` does no
+event work and a peer that is never asked pays nothing.
 The ledger records each position's commit verdict and error string once,
 as committed; a :class:`~repro.chain.transaction.TxReceipt` is read from
 that record (:meth:`Ledger.receipt`, :attr:`Ledger.receipts`), never
@@ -20,7 +17,6 @@ by-contract / by-method views — answer from the ledger's one
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -37,9 +33,6 @@ __all__ = ["Ledger", "CommittedTx", "Entry"]
 #: One height as the ledger holds it: the block, its verdict vector, and
 #: the error string of each position (``None`` where the verdict is valid).
 Entry = tuple[Block, list[bool], list[str | None]]
-
-#: Where one event sits on the chain: ``(height, tx index, event index)``.
-Position = tuple[int, int, int]
 
 #: Archived blocks decoded on demand are cached up to this many entries
 #: (LRU) so repeated explorer/audit reads don't re-decode every time.
@@ -99,26 +92,17 @@ class Ledger:
     """
 
     def __init__(self, genesis: Block | None = None):
-        self._blocks: list[Block] = [genesis or make_genesis_block()]
-        #: The head's height: a plain attribute, set wherever ``_blocks``
+        #: One entry per height held in memory, from ``_base`` up.
+        self._entries: list[Entry] = [(genesis or make_genesis_block(), [], [])]
+        #: The head's height: a plain attribute, set wherever ``_entries``
         #: grows, because every read that picks the freshest peer asks it.
-        self.height = self._blocks[-1].height
-        #: The verdict and error vectors of each block in ``_blocks``
-        #: (parallel lists).
-        self._verdicts: list[list[bool]] = [[]]
-        self._errors: list[list[str | None]] = [[]]
-        #: Height of ``self._blocks[0]``; anything below is archived.
+        self.height = self.head.height
+        #: Height of ``self._entries[0]``; anything below is archived.
         self._base = 0
         self._archive: Callable[[int], Entry] | None = None
         self._archive_cache: OrderedDict[int, Entry] = OrderedDict()
         #: The one transaction index, fed by :meth:`append`.
         self.index = ChainIndex()
-        #: The events view (:meth:`events`): positions of the events of
-        #: valid transactions at heights ``<= _events_through``, in chain
-        #: order — all of them, and per ``kind``.
-        self._events_through = 0
-        self._event_positions: list[Position] = []
-        self._event_positions_by_kind: dict[Any, list[Position]] = {}
 
     @classmethod
     def from_recovery(
@@ -137,19 +121,13 @@ class Ledger:
         below *base* on demand — and no archived block is decoded here.
         """
         ledger = cls.__new__(cls)
-        ledger._blocks = [block for block, _, _ in window]
-        ledger.height = ledger._blocks[-1].height
-        ledger._verdicts = [list(verdicts) for _, verdicts, _ in window]
-        ledger._errors = [list(errors) for _, _, errors in window]
+        ledger._entries = [(block, list(verdicts), list(errors))
+                           for block, verdicts, errors in window]
+        ledger.height = ledger.head.height
         ledger._base = base
         ledger._archive = archive
         ledger._archive_cache = OrderedDict()
         ledger.index = ChainIndex.load(index, ledger.height)
-        # The events view starts empty; the first read extends it through
-        # the archive window.
-        ledger._events_through = 0
-        ledger._event_positions = []
-        ledger._event_positions_by_kind = {}
         return ledger
 
     # -- growth ------------------------------------------------------------
@@ -186,23 +164,20 @@ class Ledger:
         if not len(validity) == len(errors) == len(block.transactions):
             raise InvalidBlockError("validity vector length mismatch")
         self.index.on_commit(block, validity)
-        self._blocks.append(block)
+        self._entries.append((block, list(validity), list(errors)))
         self.height = block.height
-        self._verdicts.append(list(validity))
-        self._errors.append(list(errors))
 
     # -- access ------------------------------------------------------------
 
     @property
     def head(self) -> Block:
-        return self._blocks[-1]
+        return self._entries[-1][0]
 
     def _entry(self, height: int) -> Entry:
         """The block at *height* and the verdict and error vectors it
         committed with."""
         if height < 0 or height >= self._base:
-            offset = height - self._base if height >= 0 else height
-            return self._blocks[offset], self._verdicts[offset], self._errors[offset]
+            return self._entries[height - self._base if height >= 0 else height]
         cached = self._archive_cache.get(height)
         if cached is not None:
             self._archive_cache.move_to_end(height)
@@ -301,32 +276,22 @@ class Ledger:
         Each yielded event dict is a structural copy (nothing in it is
         shared with the committed event) augmented with ``_tx_id``,
         ``_sender`` and ``_height`` so consumers can attribute it.  The
-        read first extends the position lists over the blocks appended
-        since the previous read (O(new blocks)), then resolves the
-        positions of the asked kind — O(matching events), not O(chain).
-        *above* is where a reader that has consumed the chain through
-        that height resumes: the position lists are sorted, so the
-        resume point is a bisection and what lies below costs nothing.
+        read walks the blocks above *above* — where a reader that has
+        consumed the chain through that height resumes — so what lies
+        below costs nothing.
         """
-        for height in range(self._events_through + 1, self.height + 1):
+        for height in range(max(above, 0) + 1, self.height + 1):
             block, verdicts, _ = self._entry(height)
-            for index, tx in enumerate(block.transactions):
-                if not verdicts[index]:
+            for tx, valid in zip(block.transactions, verdicts):
+                if not valid or (contract is not None and tx.contract != contract):
                     continue
-                for event_index, event in enumerate(tx.events):
-                    position = (height, index, event_index)
-                    self._event_positions.append(position)
-                    self._event_positions_by_kind.setdefault(event.get("kind"), []).append(position)
-            self._events_through = height
-        positions = self._event_positions if kind is None else self._event_positions_by_kind.get(kind, ())
-        for height, index, event_index in positions[bisect_left(positions, (above + 1,)):]:
-            tx = self._entry(height)[0].transactions[index]
-            if contract is None or tx.contract == contract:
-                enriched = _isolate(tx.events[event_index])
-                enriched["_tx_id"] = tx.tx_id
-                enriched["_sender"] = tx.sender
-                enriched["_height"] = height
-                yield enriched
+                for event in tx.events:
+                    if kind is None or event.get("kind") == kind:
+                        enriched = _isolate(event)
+                        enriched["_tx_id"] = tx.tx_id
+                        enriched["_sender"] = tx.sender
+                        enriched["_height"] = height
+                        yield enriched
 
     def total_transactions(self) -> int:
         return len(self.index.tx_ids())

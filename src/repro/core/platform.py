@@ -44,13 +44,14 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, replace
+from itertools import compress
 from operator import itemgetter
 from typing import Any, Sequence
 
-from repro.chain.ledger import CommittedTx, Ledger
+from repro.chain.ledger import Ledger
 from repro.chain.local import LocalChain
 from repro.chain.state import _isolate
-from repro.chain.transaction import TxReceipt
+from repro.chain.transaction import Transaction, TxReceipt
 from repro.corpus.articles import Article
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.keys import KeyPair
@@ -106,11 +107,11 @@ _FOLDED = {
 
 
 class LedgerView:
-    """What the platform's reads are answered from: a fold of
-    ``Ledger.events`` that follows the ledger.
+    """What the platform's reads are answered from: a fold of the
+    committed events that follows the ledger.
 
     The view remembers the height it has folded through and that block's
-    hash; :meth:`follow` resolves only the events above it.  Out of the
+    hash; :meth:`follow` folds only the blocks above it.  Out of the
     fold come the supply-chain :attr:`graph` (the same nodes and edges, in
     the same order, as
     :func:`~repro.core.supplychain.build_supply_chain_graph` of the same
@@ -130,9 +131,9 @@ class LedgerView:
     whose transaction carries a ``text`` under its article id, each seeded
     fact with a text under ``fact:<id>``, and each promoted fact under
     ``fact:<id>`` with its article's text, if that was indexed.
-    One walk of ``ledger.events(above=)`` folds every event in chain
-    order, dispatched by kind; an event of a folded kind that another
-    contract emitted is ignored.
+    One walk over the valid transactions above the remembered height
+    folds every event in chain order, dispatched by kind; an event of a
+    folded kind that another contract emitted is ignored.
     Nothing is told to the view at commit time: it is a pure function of
     the ledger it is shown, so any honest peer's ledger will do, and a
     ledger that does not extend what was folded — shorter, or another
@@ -175,29 +176,30 @@ class LedgerView:
             or ledger.block(self.height).block_hash != self.head_hash
         ):
             self._forget()
-        for event in ledger.events(above=self.height):
-            kind = event.get("kind")
-            if kind in _FOLDED:
-                committed = ledger.get_transaction(event["_tx_id"])
-                if committed.transaction.contract == _FOLDED[kind]:
-                    self._fold(kind, event, committed)
+        for height in range(self.height + 1, head.height + 1):
+            for tx in compress(ledger.block(height).transactions, ledger.block_validity(height)):
+                for event in tx.events:
+                    if _FOLDED.get(event.get("kind")) == tx.contract:
+                        self._fold(event, tx, height)
         self.height, self.head_hash = head.height, head.block_hash
         return self
 
-    def _fold(self, kind: str, event: dict[str, Any], committed: CommittedTx) -> None:
-        """Fold one event of a folded kind; *committed* is the transaction
-        that emitted it, whose write set holds the values it committed."""
-        tx, article_id = committed.transaction, event.get("article_id")
+    def _fold(self, event: dict[str, Any], tx: Transaction, height: int) -> None:
+        """Fold one event of a folded kind, as committed (it is read, never
+        changed); *tx* is the valid transaction at *height* that emitted
+        it, whose write set holds the values it committed."""
+        kind, article_id = event["kind"], event.get("article_id")
         if kind == "supply-node-recorded":
+            node = {**event, "_tx_id": tx.tx_id, "_sender": tx.sender, "_height": height}
             record = tx.write_set[supply_node_key(article_id)]
             text = tx.args.get("text")
             if text is not None:
                 sketch = self.provenance.sketch(text)
                 links = self._links(sketch, tx.args.get("parents"))
-                event.update(links)
+                node.update(links)
                 record = {**record, **links}
                 self.provenance.add(article_id, sketch)
-            add_supply_node(self.graph, event)
+            add_supply_node(self.graph, node)
             self.records[article_id] = record
         elif kind == "fact-seeded":
             if tx.args.get("text") is not None:
@@ -214,7 +216,7 @@ class LedgerView:
                    key=itemgetter("comment_id"))
         elif kind == "vote-cast":
             self.votes.setdefault(article_id, []).append(
-                {"voter": event["_sender"], "verdict": event["verdict"], "weight": event["weight"]}
+                {"voter": tx.sender, "verdict": event["verdict"], "weight": event["weight"]}
             )
         # An article-published event names its room only; the draft it
         # publishes (always earlier on the chain) names platform and room.

@@ -125,7 +125,6 @@ class ProvenanceIndex:
         text: str | TextSketch,
         threshold: float = 0.15,
         max_parents: int = 2,
-        exclude: str | None = None,
     ) -> list[ParentCandidate]:
         """Most similar indexed articles above *threshold*, best first."""
         query = self.sketch(text).representation
@@ -142,7 +141,7 @@ class ProvenanceIndex:
                       for article_id, representation in self._representations.items()]
         candidates = [ParentCandidate(article_id=article_id, similarity=similarity)
                       for article_id, similarity in scored
-                      if similarity >= threshold and article_id != exclude]
+                      if similarity >= threshold]
         candidates.sort(key=lambda c: (-c.similarity, c.article_id))
         return candidates[:max_parents]
 

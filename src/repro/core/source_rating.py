@@ -16,8 +16,9 @@ for not-yet-ratable).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.chain.ledger import Ledger
 from repro.core.supplychain import trace_to_factual_root
@@ -61,21 +62,27 @@ def rate_distribution_platform(
     ledger: Ledger, graph: SupplyChainGraph | nx.DiGraph, platform_name: str
 ) -> SourceRating:
     """Compute a platform's rating from its on-ledger record."""
+    # One walk of the chain: the events of valid transactions by (contract,
+    # kind), in chain order, as committed (read, never changed).
+    events: defaultdict[tuple[str, Any], list[dict]] = defaultdict(list)
+    for committed in ledger.transactions():
+        tx = committed.transaction
+        for event in tx.events:
+            events[tx.contract, event.get("kind")].append(event)
     # Articles that went through this platform's rooms: a draft names its
     # (platform, room), so a same-named room elsewhere is somebody else's.
     article_ids = [
         event["article_id"]
-        for event in ledger.events(contract="newsroom", kind="draft-submitted")
+        for event in events["newsroom", "draft-submitted"]
         if event["platform"] == platform_name
     ]
     drafted = set(article_ids)
-    member_addresses = set()
-    verified_addresses = set()
-    for event in ledger.events(contract="newsroom", kind="journalist-authenticated"):
-        if event["platform"] == platform_name:
-            member_addresses.add(event["address"])
-    for event in ledger.events(contract="identity", kind="identity-verified"):
-        verified_addresses.add(event["address"])
+    member_addresses = {
+        event["address"]
+        for event in events["newsroom", "journalist-authenticated"]
+        if event["platform"] == platform_name
+    }
+    verified_addresses = {event["address"] for event in events["identity", "identity-verified"]}
     verified_share = (
         len(member_addresses & verified_addresses) / len(member_addresses)
         if member_addresses
@@ -83,18 +90,16 @@ def rate_distribution_platform(
     )
     # Editorial diligence: review + rejection events over drafts.
     reviews = sum(
-        1 for event in ledger.events(contract="newsroom", kind="review-started")
-        if event["article_id"] in drafted
+        1 for event in events["newsroom", "review-started"] if event["article_id"] in drafted
     )
     rejections = sum(
-        1 for event in ledger.events(contract="newsroom", kind="article-rejected")
-        if event["article_id"] in drafted
+        1 for event in events["newsroom", "article-rejected"] if event["article_id"] in drafted
     )
     diligence = min(1.0, (reviews + rejections) / len(article_ids)) if article_ids else 0.0
     # False-content share from recorded rankings.
     rankings = {
         event["article_id"]: event["final_score"]
-        for event in ledger.events(contract="supplychain", kind="article-ranked")
+        for event in events["supplychain", "article-ranked"]
     }
     ranked = [rankings[a] for a in article_ids if a in rankings]
     false_share = (

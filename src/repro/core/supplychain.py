@@ -47,6 +47,7 @@ __all__ = [
     "supply_node_key",
     "FACT_PREFIX",
     "MAX_TEXT_LENGTH",
+    "COPY_EPSILON",
 ]
 
 #: The namespace of factual-root nodes in the supply-chain graph:
@@ -57,6 +58,10 @@ FACT_PREFIX = "fact:"
 #: (the corpus's articles average 409–623): a text costs no gas, and every
 #: reader's provenance fold sketches it.
 MAX_TEXT_LENGTH = 16_384
+
+#: The largest edge weight (measured change) :func:`find_original_author`
+#: still reads as a faithful copy of the parent.
+COPY_EPSILON = 0.05
 
 
 def is_text(value: str | None) -> bool:
@@ -449,14 +454,12 @@ def trace_to_factual_root(
     return TraceResult(article_id=article_id, traceable=False)
 
 
-def find_original_author(
-    graph: SupplyChainGraph | nx.DiGraph, article_id: str, copy_epsilon: float = 0.05
-) -> str | None:
+def find_original_author(graph: SupplyChainGraph | nx.DiGraph, article_id: str) -> str | None:
     """Accountability query: who introduced the content this article carries?
 
     §IV: "People [who] create fake news can be easily identified and
     located for accountability."  The walk follows *faithful-copy* edges
-    (weight <= ``copy_epsilon``): as long as the current node is a
+    (weight <= :data:`COPY_EPSILON`): as long as the current node is a
     near-verbatim copy of some ancestor, the divergence was inherited,
     not introduced, so responsibility moves up the lineage.  The walk
     stops at the first node with no faithful-copy parent — the account
@@ -474,7 +477,7 @@ def find_original_author(
             for parent in graph.successors(current)
             if parent not in visited
             and not graph.nodes[parent].get("is_fact_root")
-            and graph.edges[current, parent].get("weight", 1.0) <= copy_epsilon
+            and graph.edges[current, parent].get("weight", 1.0) <= COPY_EPSILON
         ]
         if not copy_parents:
             return graph.nodes[current].get("author")

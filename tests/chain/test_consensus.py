@@ -131,6 +131,6 @@ def test_convergence_detects_fork():
 
     victim = net.peers[2]
     forged = Block.build(1, victim.ledger.block(0).block_hash, 9.9, "evil", [])
-    victim.ledger._blocks[1] = forged  # simulate corrupted storage
+    victim.ledger._entries[1] = (forged, [], [])  # simulate corrupted storage
     with pytest.raises(ChainError):
         net.assert_convergence()

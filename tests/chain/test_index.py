@@ -15,9 +15,8 @@ Three layers:
    hypothesis property over randomized chains assert the two paths are
    answer-identical, which is what lets the index serve reads while the
    scan stays the oracle.
-4. ``Ledger.events`` — the one events-by-kind view, served from position
-   lists the ledger extends on read, against the fold over
-   ``ledger.transactions(valid_only=True)`` it replaced, written here as
+4. ``Ledger.events`` — a filtered walk of the committed blocks, against
+   the fold over ``ledger.transactions(valid_only=True)``, written here as
    the reference: every filter shape, reads interleaved with appends, a
    tx id committed twice, a consumer that scribbles on what it was
    handed, and a ledger recovered as snapshot + tail from either store.
@@ -383,8 +382,8 @@ _EVENT_FILTERS = (
 
 
 def _fold_events(ledger, contract=None, kind=None):
-    """The reference: the walk over every valid transaction that
-    ``Ledger.events`` was before it read from position lists."""
+    """The reference: the walk over every valid transaction, written
+    apart from ``Ledger.events``."""
     out = []
     for committed in ledger.transactions(valid_only=True):
         tx = committed.transaction
@@ -470,8 +469,8 @@ def test_events_hands_out_copies(keypairs):
 @pytest.mark.parametrize("store_cls", [DurableStore, SQLiteStore])
 def test_events_of_a_recovered_ledger_come_through_the_archive(keypairs, store_cls):
     """Snapshot + tail recovery leaves only the blocks above the snapshot
-    in memory and an empty events view; the first read extends it through
-    the archive loader, and later appends extend it like any ledger's."""
+    in memory; a read walks the heights below through the archive loader,
+    and after later appends it answers like any ledger's."""
     source = _build(keypairs, 10)
     store = store_cls(disk=SimDisk("n0", rng=random.Random(42)), snapshot_interval=4)
     ledger, state = Ledger(), WorldState()
@@ -487,7 +486,7 @@ def test_events_of_a_recovered_ledger_come_through_the_archive(keypairs, store_c
     recovered = store.recover().ledger
     assert recovered.height == source.height and recovered._base == 8
     # SQLiteStore's table rebuild has already walked the chain, leaving the
-    # archived heights in the ledger's cache; observe the events view's
+    # archived heights in the ledger's cache; observe the events walk's
     # own reads from a cold cache.
     recovered._archive_cache.clear()
     loads, archive = [], recovered._archive

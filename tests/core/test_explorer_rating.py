@@ -120,8 +120,9 @@ def test_unrated_platform_is_grey(world):
 
 def test_rating_reads_each_event_kind_once(platform, monkeypatch):
     """Regression: a room → platform lookup once re-read every
-    ``room-created`` event per draft; a draft now names its platform and
-    the rating makes one ledger read per kind, none of them per draft."""
+    ``room-created`` event per draft; a draft now names its platform, and
+    the rating makes one ledger walk, none per draft: each height is read
+    once, in chain order."""
     fact = CorpusGenerator(seed=71).factual(topic="politics")
     platform.seed_fact("f-0", fact.text, "record", "politics")
     platform.register_participant("pub", role="publisher")
@@ -134,19 +135,16 @@ def test_rating_reads_each_event_kind_once(platform, monkeypatch):
                                  relay(fact, "g", float(index)).text, "politics")
     ledger, graph = platform.chain.ledger, platform.graph
     reads = []
-    events = ledger.events
+    entry = ledger._entry
 
-    def counting(**filters):
-        reads.append(filters["kind"])
-        return events(**filters)
+    def counting(height):
+        reads.append(height)
+        return entry(height)
 
-    monkeypatch.setattr(ledger, "events", counting)
+    monkeypatch.setattr(ledger, "_entry", counting)
     rating = rate_distribution_platform(ledger, graph, "news")
     assert rating.articles == 20 and rating.editorial_diligence == 1.0
-    assert sorted(reads) == [
-        "article-ranked", "article-rejected", "draft-submitted", "identity-verified",
-        "journalist-authenticated", "review-started",
-    ]
+    assert reads == list(range(len(ledger)))
 
 
 def test_same_named_rooms_on_two_platforms_keep_their_own_drafts(platform):

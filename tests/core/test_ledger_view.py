@@ -12,13 +12,14 @@ view keeps per node), the scan expressions ``export_audit`` /
 """
 
 import copy
+import random
 from dataclasses import replace
 
 import pytest
 
 from repro.chain import BlockchainNetwork, NetworkedChain
 from repro.chain.block import Block
-from repro.chain.ledger import Ledger
+from repro.chain.ledger import _ARCHIVE_CACHE_SIZE, Ledger
 from repro.core import (
     TrustingNewsPlatform,
     build_supply_chain_graph,
@@ -28,10 +29,12 @@ from repro.core import (
 from repro.core.platform import LedgerView
 from repro.corpus import CorpusGenerator
 from repro.corpus.mutations import relay
+from repro.crypto import KeyPair
 from repro.crypto.merkle import MerkleProof
 from repro.errors import ContractError, PlatformError
 from repro.simnet import FixedLatency
 from repro.social.cascade import ShareEvent
+from tests.chain.test_index import _EVENT_FILTERS, _build, _fold_events
 from tests.conftest import RewriteContract, audit_oracle
 
 #: Every ``(contract, kind)`` filter ``ledger.events(`` is called with under src/.
@@ -117,8 +120,8 @@ def test_events_above_on_a_live_ledger(platform):
 
 
 def test_events_above_on_a_ledger_rebuilt_from_recovery(platform):
-    """Heights below the window come from the archive, through the same
-    position lists."""
+    """Heights below the window come from the archive, walked as the
+    window's are."""
     populate(platform, CorpusGenerator(seed=5))
     live = platform.chain.ledger
     base = live.height // 2
@@ -128,6 +131,52 @@ def test_events_above_on_a_ledger_rebuilt_from_recovery(platform):
     )
     assert list(rebuilt.events()) == list(live.events())
     assert_above_is_the_height_filter(rebuilt)
+
+
+def recovered(live, window=4):
+    """*live* as a snapshot recovery leaves it: the top *window* heights in
+    memory, the rest behind an archive that records each height it loads."""
+    base = live.height - window
+    loads = []
+
+    def archive(height):
+        loads.append(height)
+        return live._entry(height)
+
+    rebuilt = Ledger.from_recovery(
+        [live._entry(height) for height in range(base, live.height + 1)],
+        base=base, index=live.index.dump(), archive=archive,
+    )
+    return rebuilt, loads
+
+
+def test_a_cold_fold_decodes_each_archived_block_once(platform):
+    """More archived heights with events than the archive cache holds: one
+    walk loads each of them once (reading events back by position once
+    loaded them all a second time, past the cache)."""
+    populate(platform, CorpusGenerator(seed=5))
+    for index in range(_ARCHIVE_CACHE_SIZE + 10):
+        platform.register_participant(f"reader-{index}", role="consumer")
+    live = platform.chain.ledger
+    rebuilt, loads = recovered(live)
+    archived = range(1, rebuilt._base)
+    assert sum(any(tx.events for tx in live.block(h).transactions)
+               for h in archived) > _ARCHIVE_CACHE_SIZE
+    cold, warm = LedgerView().follow(rebuilt), LedgerView().follow(live)
+    assert loads == list(archived)
+    assert list(cold.graph.nodes(data=True)) == list(warm.graph.nodes(data=True))
+    assert list(cold.graph.edges(data=True)) == list(warm.graph.edges(data=True))
+    assert cold.records == warm.records and cold.votes == warm.votes
+
+
+def test_every_event_filter_decodes_each_archived_block_once():
+    keypairs = [KeyPair.generate(random.Random(seed)) for seed in range(3)]
+    live = _build(keypairs, _ARCHIVE_CACHE_SIZE + 10)
+    rebuilt, loads = recovered(live)
+    for filters in _EVENT_FILTERS:
+        loads.clear()
+        assert list(rebuilt.events(**filters)) == _fold_events(live, **filters), filters
+        assert loads == list(range(1, rebuilt._base)), filters
 
 
 @pytest.fixture
@@ -220,23 +269,22 @@ def test_fresh_rank_room_resolves_only_the_new_block(platform, monkeypatch):
     platform.rank_room("wire-news", "politics")           # the view is at the head
 
     platform.cast_vote("checker-0", "a-1", True)
-    new_block_events = sum(len(tx.events) for tx in ledger.head.transactions)
-    yielded = []
-    events = Ledger.events
+    walked = []  # the height of each transaction the fold walks
+    block_validity = Ledger.block_validity
 
-    def counting(self, *args, **kwargs):
-        for event in events(self, *args, **kwargs):
-            yielded.append(event)
-            yield event
+    def counting(self, height):
+        verdicts = block_validity(self, height)
+        walked.extend([height] * len(verdicts))
+        return verdicts
 
-    monkeypatch.setattr(Ledger, "events", counting)
+    monkeypatch.setattr(Ledger, "block_validity", counting)
     ranked = platform.rank_room("wire-news", "politics")
     assert sorted(r.article_id for r in ranked) == ["a-0", "a-1", "a-2"]
-    assert 1 <= len(yielded) <= new_block_events
-    assert all(event["_height"] == ledger.height for event in yielded)
-    yielded.clear()
-    platform.export_audit("a-1")                          # nothing new: nothing resolved
-    assert yielded == []
+    assert 1 <= len(walked) <= len(ledger.head.transactions)
+    assert all(height == ledger.height for height in walked)
+    walked.clear()
+    platform.export_audit("a-1")                          # nothing new: nothing walked
+    assert walked == []
 
 
 # -- rank_room honours the platform ------------------------------------------------
