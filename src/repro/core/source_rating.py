@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.chain.ledger import Ledger
 from repro.core.supplychain import trace_to_factual_root
@@ -64,7 +64,7 @@ def rate_distribution_platform(
     """Compute a platform's rating from its on-ledger record."""
     # One walk of the chain: the events of valid transactions by (contract,
     # kind), in chain order, as committed (read, never changed).
-    events: defaultdict[tuple[str, Any], list[dict]] = defaultdict(list)
+    events: defaultdict[tuple, list[dict]] = defaultdict(list)
     for committed in ledger.transactions():
         tx = committed.transaction
         for event in tx.events:
