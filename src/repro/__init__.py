@@ -33,8 +33,16 @@ Quickstart::
     print(platform.rank_article("a-1"))
 """
 
-from repro.core.platform import PublishedArticle, TrustingNewsPlatform
-
 __version__ = "1.0.0"
 
 __all__ = ["TrustingNewsPlatform", "PublishedArticle", "__version__"]
+
+
+def __getattr__(name: str):
+    # The facade loads on first use (PEP 562), so ``import repro.chain``
+    # imports the chain and its substrates, not the platform above them.
+    if name in ("TrustingNewsPlatform", "PublishedArticle"):
+        from repro.core import platform
+
+        return getattr(platform, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -159,6 +159,10 @@ def parse_noqa(lines: Iterable[str]) -> dict[int, set[str] | None]:
     return out
 
 
+#: Names that stand for a module loaded on first use (see repro._numpy).
+_HANDLES = {"repro._numpy.np": "numpy"}
+
+
 class ImportMap:
     """Resolve local names to canonical dotted paths via the imports.
 
@@ -166,7 +170,8 @@ class ImportMap:
     monotonic as mono`` maps ``mono -> time.monotonic``.  Rules then ask
     :meth:`resolve` for the canonical dotted name of any ``Name`` /
     ``Attribute`` chain and match against banned sets, so aliasing can
-    never dodge a rule.
+    never dodge a rule.  The package's numpy handle (``from repro._numpy
+    import np``) resolves to ``numpy``.
     """
 
     def __init__(self, tree: ast.Module):
@@ -184,7 +189,8 @@ class ImportMap:
                     if alias.name == "*":
                         continue
                     local = alias.asname or alias.name
-                    self.aliases[local] = f"{node.module}.{alias.name}"
+                    dotted = f"{node.module}.{alias.name}"
+                    self.aliases[local] = _HANDLES.get(dotted, dotted)
 
     def resolve(self, node: ast.AST) -> str | None:
         """Canonical dotted path for a Name/Attribute chain, or None."""
@@ -252,7 +258,7 @@ def all_rules(config: AnalysisConfig | None = None) -> list[Rule]:
     # Importing the rule modules registers their classes; deferred to
     # here so `from repro.analysis.core import Finding` stays cheap.
     from repro.analysis import (  # repro: noqa[PYF001] imported for registration side effect
-        rules_alias, rules_det, rules_obs, rules_pyf, rules_sim,
+        rules_alias, rules_det, rules_imp, rules_obs, rules_pyf, rules_sim,
     )
 
     config = config or AnalysisConfig()

@@ -21,7 +21,6 @@ the receipt name.
 
 from __future__ import annotations
 
-import sqlite3
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Block
@@ -30,6 +29,8 @@ from repro.chain.store.durable import DurableStore
 from repro.simnet.disk import SimDisk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import sqlite3
+
     from repro.chain.consensus.base import ConsensusEngine
     from repro.obs import MetricsRegistry
 
@@ -81,8 +82,12 @@ class SQLiteStore(DurableStore):
     # -- live connection ---------------------------------------------------
 
     def connection(self) -> sqlite3.Connection:
-        """The live (volatile) database; created lazily."""
+        """The live (volatile) database; created lazily, and sqlite3 is
+        imported with it, so a process whose stores never build the mirror
+        never loads the module."""
         if self._live is None:
+            import sqlite3
+
             self._live = sqlite3.connect(":memory:")
             self._live.executescript(_SCHEMA)
         return self._live

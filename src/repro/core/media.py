@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro._numpy import np
 from repro.chain.contracts import Contract, ContractContext, contract_method
 from repro.core.identity import identity_key
 from repro.ml.deepfake import DeepfakeDetector, MediaFingerprint

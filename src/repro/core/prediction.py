@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from repro._numpy import np
 from repro.corpus.articles import Article
 from repro.errors import MLError
 from repro.ml.features import StylometricExtractor

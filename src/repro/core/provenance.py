@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro._numpy import np
 from repro.corpus.mutations import measured_change
 from repro.corpus.similarity import (
     MinHashSignature,
@@ -83,8 +82,9 @@ class ProvenanceIndex:
         # exact / cosine: article id -> shingle set / text.
         self._representations: dict[str, set[str] | str] = {}
         # minhash: column i is the signature of _ids[i]; columns from len(_ids) on are spare.
+        # Allocated with the first text, so an index that never sees one never loads numpy.
         self._ids: list[str] = []
-        self._signatures = np.empty((n_hashes, _INITIAL_COLUMNS), dtype=np.uint64)
+        self._signatures: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._texts)
@@ -111,7 +111,9 @@ class ProvenanceIndex:
             raise ReproError(f"article {article_id} already indexed")
         sketch = self.sketch(text)
         if self.method == "minhash":
-            if len(self._ids) == self._signatures.shape[1]:
+            if self._signatures is None:
+                self._signatures = np.empty((self.n_hashes, _INITIAL_COLUMNS), dtype=np.uint64)
+            elif len(self._ids) == self._signatures.shape[1]:
                 self._signatures = np.concatenate(
                     [self._signatures, np.empty_like(self._signatures)], axis=1)
             self._signatures[:, len(self._ids)] = np.array(sketch.representation, dtype=np.uint64)
@@ -128,7 +130,9 @@ class ProvenanceIndex:
     ) -> list[ParentCandidate]:
         """Most similar indexed articles above *threshold*, best first."""
         query = self.sketch(text).representation
-        if self.method == "minhash":
+        if self.method == "minhash" and not self._ids:
+            scored = []
+        elif self.method == "minhash":
             # estimated_jaccard against every column at once: equal lanes / n_hashes.
             # Articles lie along the long axis so the lane sum is one vector add per lane.
             lanes = np.array(query, dtype=np.uint64)[:, None]

@@ -17,8 +17,7 @@ import math
 from collections import Counter
 from hashlib import blake2b
 
-import numpy as np
-
+from repro._numpy import np
 from repro.corpus.lexicon import tokenize
 from repro.mix64 import MASK64, mix64_array
 

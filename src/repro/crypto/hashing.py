@@ -37,12 +37,16 @@ def sha512_bytes(data: bytes) -> bytes:
     return hashlib.sha512(data).digest()
 
 
+# ``json.dumps`` with any non-default argument builds a new encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+
+
 def canonical_json(obj: Any) -> bytes:
     """The canonical JSON bytes of *obj*: keys sorted, separators fixed,
     anything not JSON-native as ``str``, UTF-8.  Logically equal objects
     encode identically regardless of insertion order; the transaction
     signing payload, :func:`hash_json` and the store codec all use it."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str).encode("utf-8")
+    return _CANONICAL.encode(obj).encode("utf-8")
 
 
 def hash_json(obj: Any) -> str:

@@ -10,7 +10,7 @@ form is the reference the array form is tested against.
 
 from __future__ import annotations
 
-import numpy as np
+from repro._numpy import np
 
 __all__ = ["MASK64", "mix64", "mix64_array"]
 

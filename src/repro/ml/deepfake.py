@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro._numpy import np
 from repro.crypto.hashing import sha256_hex
 from repro.errors import MLError
 

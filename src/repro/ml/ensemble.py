@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
+from repro._numpy import np
 from repro.errors import MLError
 from repro.ml.features import StylometricExtractor
 from repro.ml.logistic import LogisticRegression

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
-
+from repro._numpy import np
 from repro.corpus.lexicon import (
     CLICKBAIT_PHRASES,
     EMOTIONAL_WORDS,

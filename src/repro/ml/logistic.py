@@ -7,8 +7,7 @@ adaptive step converges in well under a second.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro._numpy import np
 from repro.errors import MLError
 
 __all__ = ["LogisticRegression"]

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro._numpy import np
 from repro.errors import MLError
 
 __all__ = [

@@ -6,8 +6,7 @@ Laplace smoothing; binary or multiclass.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro._numpy import np
 from repro.errors import MLError
 
 __all__ = ["MultinomialNaiveBayes"]

@@ -8,8 +8,7 @@ consumes (uncalibrated, which is fine for ranking use).
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro._numpy import np
 from repro.errors import MLError
 
 __all__ = ["LinearSVM"]

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
+from repro._numpy import np
 from repro.errors import MLError
 from repro.ml.naive_bayes import MultinomialNaiveBayes
 from repro.ml.vectorize import TfidfVectorizer

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
-
+from repro._numpy import np
 from repro.corpus.lexicon import tokenize
 from repro.errors import MLError
 

@@ -41,8 +41,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-import numpy as np
-
+from repro._numpy import np
 from repro.corpus.articles import Article
 from repro.corpus.generator import CorpusGenerator
 from repro.errors import SimulationError

@@ -77,6 +77,14 @@ def test_det005_sees_through_import_aliases():
     assert [f.rule for f in findings] == ["DET005"]
 
 
+def test_det005_sees_through_the_package_numpy_handle():
+    findings = analyze_source(
+        "from repro._numpy import np\n\nrng = np.random.default_rng()\n",
+        path="np_handle.py",
+    )
+    assert [f.rule for f in findings] == ["DET005"]
+
+
 def test_det005_sanctions_seeded_generator():
     # The vectorized cascade engine's spelling: explicit seed, drawn
     # through the returned Generator — no findings of any kind.
@@ -225,6 +233,27 @@ def test_obs_fires_on_bad():
 def test_obs_quiet_on_clean():
     # Distinct names per kind, stable label keys, **splat skipped.
     assert fixture_findings("obs_clean.py") == []
+
+
+# -- IMP --------------------------------------------------------------------
+
+def test_imp_fires_on_bad():
+    findings = fixture_findings("imp_bad.py", module="repro.ml.fixture")
+    assert [f.context.split("#")[0].strip() for f in findings if f.rule == "IMP001"] == [
+        "import sqlite3", "import numpy as np", "import numpy.random",
+        "from numpy import uint64", "from sqlite3 import connect", "import numpy",
+        "import numpy as lazy_np"]
+    assert all(f.severity == "error" for f in findings)
+
+
+def test_imp_quiet_on_clean():
+    # The handle, a function-local sqlite3 and TYPE_CHECKING imports are the one paths.
+    assert fixture_findings("imp_clean.py", module="repro.ml.fixture") == []
+
+
+def test_imp_is_scoped_to_the_repro_package_outside_the_handle():
+    for module in ("", "tests.ml.fixture", "benchmarks.fixture", "repro._numpy"):
+        assert "IMP001" not in rule_ids(fixture_findings("imp_bad.py", module=module))
 
 
 # -- severity cap outside src ----------------------------------------------

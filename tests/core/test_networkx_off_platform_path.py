@@ -5,7 +5,8 @@ of plain dicts, and the modules that run a networkx algorithm import it
 inside that function.  A fresh interpreter imports the packages, drives a
 ``LocalChain`` platform through every call the end-to-end workloads make,
 rebuilds the graph from the ledger and queries it, and networkx must
-still be absent from ``sys.modules``.
+still be absent from ``sys.modules``.  numpy, which loads on first use,
+must be loaded once the scorer is trained.
 """
 
 import os
@@ -31,6 +32,9 @@ from repro.social.cascade import ShareEvent
 gen = CorpusGenerator(seed=5)
 texts, labels = gen.labeled_corpus(n_factual=20, n_fake=20).texts_and_labels()
 plat = TrustingNewsPlatform(seed=5, scorer=FakeNewsScorer(seed=1).fit(texts, labels))
+# numpy loads on first use (repro._numpy): the fit used it, so the handle is the real module.
+from repro._numpy import np
+assert type(np) is type(sys) and sys.modules["numpy"] is np
 plat.register_participant("wire", "publisher")
 plat.register_participant("author", "journalist")
 plat.register_participant("checker", "checker")

@@ -59,11 +59,10 @@ def test_discovery_equals_the_scan_across_every_capacity_doubling(corpus):
     signatures = {}
     capacities = set()
     for article_id, text in texts.items():
-        capacity = index._signatures.shape[1]
-        capacities.add(capacity)
         index.add(article_id, text)
+        capacities.add(index._signatures.shape[1])
         signatures[article_id] = _signature(text)
-        if abs(len(index) - capacity) <= 1:
+        if min(abs(len(index) - capacity) for capacity in capacities) <= 1:
             for query in queries:
                 for kwargs in ({}, {"threshold": 0.05, "max_parents": 6}):
                     assert _found(index, query, **kwargs) == _scan(signatures, query, **kwargs)
@@ -124,6 +123,14 @@ def test_empty_text_matches_only_another_empty_text():
     index.add("blank", "")
     assert _found(index, "") == [("blank", 1.0)]
     assert [a for a, _ in _found(index, index.text_of("full"))] == ["full"]
+
+
+def test_the_matrix_is_allocated_with_the_first_text():
+    index = ProvenanceIndex()
+    assert index._signatures is None
+    assert index.discover_parents("a query against nothing") == []
+    index.add("first", "the first indexed text")
+    assert index._signatures.shape == (64, 64)
 
 
 def test_duplicate_id_leaves_matrix_ids_and_length_unchanged(indexed):

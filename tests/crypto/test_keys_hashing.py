@@ -1,11 +1,14 @@
 """KeyPair, addresses, and canonical hashing."""
 
+import json
 import random
+from datetime import date
+from decimal import Decimal
 
 import pytest
 
 from repro.crypto import KeyPair, address_from_public_key, hash_json, sha256_hex, verify_signature
-from repro.crypto.hashing import short_id
+from repro.crypto.hashing import canonical_json, short_id
 from repro.errors import CryptoError
 
 
@@ -47,6 +50,18 @@ def test_hash_json_order_independent():
 
 def test_hash_json_value_sensitive():
     assert hash_json({"a": 1}) != hash_json({"a": 2})
+
+
+@pytest.mark.parametrize("value", [
+    {"b": {"z": [1, {"y": None, "x": True}], "a": []}, "a": 0},
+    {"titre": "Élection à Zürich — 東京", "emoji": "\U0001f4f0"},
+    [0.1, -2.5e-300, 1e16, 3.0, float("inf"), float("nan")],
+    {"amount": Decimal("1.10"), "when": date(2019, 7, 7), "tags": ("t", 2)},
+    "a plain string",
+])
+def test_canonical_json_is_json_dumps_with_the_canonical_arguments(value):
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
+    assert canonical_json(value) == expected.encode("utf-8")
 
 
 def test_sha256_hex_known_vector():
