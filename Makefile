@@ -131,13 +131,15 @@ bench-table:
 # (parametrized over the durable and sqlite backends, which share one
 # disk format, including the seeded disk-fault chaos sweep over both), the
 # platform's reads over recovered ledgers (a cold fold and every events
-# filter read archived blocks through the archive, each height once), and
+# filter read archived blocks through the archive, each height once),
 # the recovery benchmarks (write benchmarks/latest_recovery.json; the
-# cold start also times the sqlite backend rebuilding its tables).
+# cold start also times the sqlite backend rebuilding its tables), and the
+# recovery audit's loss rule, stated per recovery report.
 recovery:
 	$(PYTHON) -m pytest tests/chain/test_sync_recovery.py tests/chain/test_store.py \
 		tests/chain/test_sqlite_store.py tests/chain/test_store_recovery.py \
-		tests/core/test_ledger_view.py benchmarks/bench_recovery.py -q
+		tests/chain/test_audit_storage.py tests/core/test_ledger_view.py \
+		benchmarks/bench_recovery.py -q
 	$(PYTHON) -m pytest tests/chain/test_store_recovery.py -q -m chaos
 
 # Traced end-to-end demo: runs a small PBFT workload with a crash/restart,

@@ -4,8 +4,10 @@ Runs the seeded chaos harness (crash windows, partitions, latency
 spikes, rogue vote-flooders) against a 4-validator PBFT network with
 the ``InvariantAuditor`` watching every commit, then reports per seed:
 
-- invariant violations by class (agreement / certificate / durability /
-  convergence) — all must be zero with the membership fix in place,
+- invariant violations from ``final_check``, every class the auditor
+  states (agreement, certificate, durability, convergence, catch-up,
+  pipeline, storage, group) — all must be zero with the membership fix
+  in place,
 - forged votes rejected by the membership check (proof the rogue
   traffic actually reached the quorum logic and was turned away),
 - recovery latency: time from each injected fault to the next honest

@@ -23,13 +23,16 @@ checks, cheap) and again at end-of-run (full-ledger forensics):
   or still pending in some honest mempool (catches the silent tx-drop
   where a deposed primary's in-flight round was discarded on view
   change);
-- **state convergence** — the existing
+- **state convergence** — live honest peers at one height hold one
+  ``state_digest()`` (the app-hash check), at every height where two or
+  more of them sit.  This and the agreement rule are the two end-of-run
+  statements of "every honest replica agrees": :func:`fork_violations`
+  and :func:`state_violations`, which the auditor reports and
   :meth:`~repro.chain.network.BlockchainNetwork.assert_convergence`
-  prefix/app-hash check, surfaced as a structured violation;
+  raises;
 - **catch-up liveness** — at end of run every live honest peer must sit
-  at the network head with the identical ``state_digest()`` (a recovered
-  peer that silently stays behind forever is a liveness bug, which the
-  old min-height prefix check masked), and — given a fault log — every
+  at the honest head height (a recovered peer that silently stays behind
+  forever is a liveness bug), and — given a fault log — every
   peer recovered or restarted at time *t* must have reached the head
   height that existed at *t* within ``sync_window`` seconds;
 - **pipeline consistency** — under pipelined PBFT, an engine's
@@ -39,8 +42,8 @@ checks, cheap) and again at end-of-run (full-ledger forensics):
 - **storage durability** — on every peer (each has a
   :class:`repro.chain.store.DurableStore`), every block the store
   acknowledged durable and that survived injected disk faults must be
-  present and hash-identical in the recovered ledger, and every acked
-  block that did *not* survive must be explained by a counted recovery
+  present and hash-identical in the recovered ledger, and a recovery
+  that lost an acked block must itself have recorded a counted
   degradation (torn tail, partial flush, corruption) — a silent loss of
   an acknowledged write is the one failure a durable store may never
   exhibit.  Recovered peers still re-converge via the existing catch-up
@@ -65,7 +68,7 @@ reports violation counts and recovery latency across seeds.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.chain.block import Block
 from repro.chain.transaction import group_run
@@ -74,18 +77,23 @@ from repro.errors import ChainError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chain.network import BlockchainNetwork
     from repro.chain.peer import Peer
+    from repro.chain.store import RecoveryReport
     from repro.chain.transaction import Transaction
     from repro.simnet.failure import FailureEvent
 
-__all__ = ["AuditViolation", "InvariantAuditor", "recovery_latencies"]
+__all__ = [
+    "AuditViolation", "InvariantAuditor", "fork_violations", "recovery_latencies",
+    "state_violations",
+]
 
 
 class AuditViolation(ChainError):
     """A consensus invariant failed, with forensics attached.
 
     Attributes:
-        invariant: which check failed (``"agreement"``,
-            ``"certificate"``, ``"durability"``, ``"convergence"``).
+        invariant: which check failed: ``"agreement"``,
+            ``"certificate"``, ``"durability"``, ``"convergence"``,
+            ``"catchup"``, ``"pipeline"``, ``"storage"`` or ``"group"``.
         height: block height the violation anchors to, if any.
         peers: node ids implicated.
         forensics: free-form structured context (digests, certificates,
@@ -101,7 +109,7 @@ class AuditViolation(ChainError):
         peers: tuple[str, ...] = (),
         forensics: dict[str, Any] | None = None,
     ):
-        self.invariant = invariant  # "agreement" | "certificate" | "durability" | "convergence" | "catchup" | "pipeline" | "storage" | "group"
+        self.invariant = invariant
         self.detail = detail
         self.height = height
         self.peers = tuple(peers)
@@ -109,6 +117,56 @@ class AuditViolation(ChainError):
         location = f" at height {height}" if height is not None else ""
         involved = f" [{', '.join(self.peers)}]" if self.peers else ""
         super().__init__(f"invariant '{invariant}' violated{location}{involved}: {detail}")
+
+
+def fork_violations(peers: Sequence["Peer"]) -> list[AuditViolation]:
+    """The fork check: every honest ledger, crashed or not, is a prefix of
+    the tallest honest ledger (a commit is permanent, so a peer that forked
+    before crashing still violated safety).  Prefix-of-reference implies
+    pairwise agreement on common prefixes, so one reference suffices; one
+    violation per diverging peer, at its lowest differing height."""
+    honest = [p for p in peers if not p.byzantine]
+    if not honest:
+        return []
+    reference = max(honest, key=lambda p: p.ledger.height)
+    violations = []
+    for peer in honest:
+        if peer is reference:
+            continue
+        for height in range(1, peer.ledger.height + 1):
+            a = reference.ledger.block(height).block_hash
+            b = peer.ledger.block(height).block_hash
+            if a != b:
+                violations.append(AuditViolation(
+                    "agreement",
+                    f"{peer.node_id} diverges from {reference.node_id}",
+                    height=height,
+                    peers=(reference.node_id, peer.node_id),
+                    forensics={"reference_digest": a, "peer_digest": b, "crashed": peer.crashed},
+                ))
+                break  # deeper heights on this fork add no information
+    return violations
+
+
+def state_violations(peers: Sequence["Peer"]) -> list[AuditViolation]:
+    """The state check: live honest peers at one height hold one
+    ``state_digest()``, at every height where two or more of them sit."""
+    by_height: dict[int, list["Peer"]] = {}
+    for peer in peers:
+        if not peer.byzantine and not peer.crashed:
+            by_height.setdefault(peer.ledger.height, []).append(peer)
+    violations = []
+    for height, group in sorted(by_height.items()):
+        digests = {p.node_id: p.state.state_digest() for p in group}
+        if len(set(digests.values())) > 1:
+            violations.append(AuditViolation(
+                "convergence",
+                f"live honest peers at height {height} disagree on state_digest()",
+                height=height,
+                peers=tuple(sorted(digests)),
+                forensics={"digests": digests},
+            ))
+    return violations
 
 
 class InvariantAuditor:
@@ -186,7 +244,7 @@ class InvariantAuditor:
         digests = self._height_digests.setdefault(block.height, {})
         digests.setdefault(block.block_hash, peer.node_id)
         if len(digests) > 1:
-            self._violate(
+            self._violate(AuditViolation(
                 "agreement",
                 f"honest peers committed {len(digests)} distinct blocks",
                 height=block.height,
@@ -197,7 +255,7 @@ class InvariantAuditor:
                     "latest_digest": block.block_hash,
                     "time": self.network.sim.now,
                 },
-            )
+            ))
 
     def _check_certificate(self, peer: "Peer", block: Block) -> None:
         engine = peer.engine
@@ -213,13 +271,13 @@ class InvariantAuditor:
             if proof is not None:
                 self._check_statement_set(peer, block, proof)
             elif block.height > max(engine.synced_proofs, default=0):
-                self._violate(
+                self._violate(AuditViolation(
                     "certificate",
                     "block applied with neither a recorded commit quorum "
                     "nor a certified tip at or above it",
                     height=block.height, peers=(peer.node_id,),
                     forensics={"block_digest": block.block_hash, "time": self.network.sim.now},
-                )
+                ))
             return
         self._check_quorum_certificate(peer, block, *entry)
 
@@ -248,36 +306,10 @@ class InvariantAuditor:
         return list(self.violations)
 
     def check_agreement(self) -> None:
-        """Full-ledger prefix agreement across honest peers, crashed included.
-
-        Every honest chain must be a prefix of the longest honest chain
-        (prefix-of-reference implies pairwise agreement on common
-        prefixes, so one reference suffices).
-        """
+        """The fork check (:func:`fork_violations`) over every peer."""
         self._checks_run.inc()
-        honest = [p for p in self.network.peers if not p.byzantine]
-        if not honest:
-            return
-        reference = max(honest, key=lambda p: p.ledger.height)
-        for peer in honest:
-            if peer is reference:
-                continue
-            for height in range(1, peer.ledger.height + 1):
-                a = reference.ledger.block(height).block_hash
-                b = peer.ledger.block(height).block_hash
-                if a != b:
-                    self._violate(
-                        "agreement",
-                        f"{peer.node_id} diverges from {reference.node_id}",
-                        height=height,
-                        peers=(reference.node_id, peer.node_id),
-                        forensics={
-                            "reference_digest": a,
-                            "peer_digest": b,
-                            "crashed": peer.crashed,
-                        },
-                    )
-                    break  # deeper heights on this fork add no information
+        for violation in fork_violations(self.network.peers):
+            self._violate(violation)
 
     def check_certificates(self) -> None:
         """Re-validate every recorded commit quorum and re-verify every
@@ -302,14 +334,14 @@ class InvariantAuditor:
         self._checks_run.inc()
         signers = set(proof["signers"])
         if signers - set(peer.engine.validators) or not peer.engine.verify_synced_block(block, proof):
-            self._violate(
+            self._violate(AuditViolation(
                 "certificate",
                 "stored statement set names a non-validator or does not "
                 "verify for the applied block",
                 height=block.height,
                 peers=(peer.node_id,),
                 forensics={"signers": sorted(signers), "block_digest": block.block_hash},
-            )
+            ))
 
     def _check_quorum_certificate(
         self, peer: "Peer", block: Block, digest: str, certificate: tuple[str, ...],
@@ -331,7 +363,7 @@ class InvariantAuditor:
         if digest != block.block_hash:
             problems.append("certified digest mismatches committed block")
         if problems:
-            self._violate(
+            self._violate(AuditViolation(
                 "certificate",
                 "; ".join(problems),
                 height=block.height,
@@ -345,7 +377,7 @@ class InvariantAuditor:
                     "block_digest": block.block_hash,
                     "time": self.network.sim.now,
                 },
-            )
+            ))
 
     def check_durability(self) -> None:
         """Every admitted tx is committed or still pending somewhere honest.
@@ -376,7 +408,7 @@ class InvariantAuditor:
         lost = [(t, a) for t, a in missing if t not in self.restart_wiped]
         excused = len(missing) - len(lost)
         if lost:
-            self._violate(
+            self._violate(AuditViolation(
                 "durability",
                 f"{len(lost)} admitted transaction(s) vanished "
                 "(neither committed nor pending in any honest mempool)",
@@ -389,21 +421,13 @@ class InvariantAuditor:
                     "lost_excused": excused,
                     "tracked_total": len(self.tracked_txs),
                 },
-            )
+            ))
 
     def check_convergence(self) -> None:
-        """State convergence (prefix + app-hash), as a structured violation."""
+        """The state check (:func:`state_violations`) over every peer."""
         self._checks_run.inc()
-        try:
-            self.network.assert_convergence()
-        except AuditViolation:
-            raise
-        except ChainError as exc:
-            self._violate(
-                "convergence",
-                str(exc),
-                forensics={"heights": self.network.committed_heights()},
-            )
+        for violation in state_violations(self.network.peers):
+            self._violate(violation)
 
     def check_catchup(
         self,
@@ -413,9 +437,7 @@ class InvariantAuditor:
         """Catch-up liveness: nobody honest and alive stays behind.
 
         End-state: every live honest peer must sit at the maximum honest
-        height with the identical ``state_digest()``.  This is strictly
-        stronger than the old min-height prefix check, which passed even
-        when a recovered peer silently never caught up.
+        height (their state there is :meth:`check_convergence`'s).
 
         Per-event (needs *failures*): for every ``recover`` / ``restart``
         fault at time *t*, the peer must have reached the head height
@@ -424,49 +446,32 @@ class InvariantAuditor:
         """
         self._checks_run.inc()
         honest = [p for p in self.network.peers if not p.byzantine]
-        live = [p for p in honest if not p.crashed]
-        if live:
-            head = max(p.ledger.height for p in honest)
-            behind = [p for p in live if p.ledger.height < head]
-            if behind:
-                self._violate(
-                    "catchup",
-                    f"{len(behind)} live honest peer(s) below head height {head}",
-                    height=head,
-                    peers=tuple(sorted(p.node_id for p in behind)),
-                    forensics={
-                        "heights": {p.node_id: p.ledger.height for p in honest},
-                        "time": self.network.sim.now,
-                    },
-                )
-            digests = {p.state.state_digest() for p in live if p.ledger.height == head}
-            if len(digests) > 1:
-                self._violate(
-                    "catchup",
-                    "live honest peers at head disagree on state_digest()",
-                    height=head,
-                    peers=tuple(sorted(p.node_id for p in live)),
-                    forensics={
-                        "digests": {
-                            p.node_id: p.state.state_digest()
-                            for p in live
-                            if p.ledger.height == head
-                        },
-                    },
-                )
+        head = max((p.ledger.height for p in honest), default=0)
+        behind = [p for p in honest if not p.crashed and p.ledger.height < head]
+        if behind:
+            self._violate(AuditViolation(
+                "catchup",
+                f"{len(behind)} live honest peer(s) below head height {head}",
+                height=head,
+                peers=tuple(sorted(p.node_id for p in behind)),
+                forensics={
+                    "heights": {p.node_id: p.ledger.height for p in honest},
+                    "time": self.network.sim.now,
+                },
+            ))
         if failures is None:
             return
         for event, latency in self.catchup_latencies(failures):
             if latency is None:
-                self._violate(
+                self._violate(AuditViolation(
                     "catchup",
                     f"{event.target} never reached the head height that existed "
                     f"when it came back at t={event.time:g} ({event.action})",
                     peers=(event.target,),
                     forensics={"event": event, "sync_window": sync_window},
-                )
+                ))
             elif sync_window is not None and latency > sync_window:
-                self._violate(
+                self._violate(AuditViolation(
                     "catchup",
                     f"{event.target} took {latency:.2f}s to catch up after its "
                     f"{event.action} at t={event.time:g} (window {sync_window:g}s)",
@@ -476,7 +481,7 @@ class InvariantAuditor:
                         "latency": latency,
                         "sync_window": sync_window,
                     },
-                )
+                ))
 
     def check_pipeline(self) -> None:
         """Pipeline internal consistency on honest engines.
@@ -494,7 +499,7 @@ class InvariantAuditor:
             decided = peer.engine.decided_heights()
             stuck = [h for h in decided if h <= peer.ledger.height]
             if stuck:
-                self._violate(
+                self._violate(AuditViolation(
                     "pipeline",
                     f"decided-block buffer holds height(s) {stuck} at or below "
                     f"the applied head {peer.ledger.height}",
@@ -504,7 +509,7 @@ class InvariantAuditor:
                         "buffered_heights": decided,
                         "ledger_height": peer.ledger.height,
                     },
-                )
+                ))
 
     def check_groups(self) -> None:
         """Group atomicity on every honest ledger: a valid tagged
@@ -525,14 +530,14 @@ class InvariantAuditor:
                     judged = index + (len(run) if run else 1)
                     verdicts = validity[index:judged]
                     if any(verdicts) and not (run and all(verdicts)):
-                        self._violate(
+                        self._violate(AuditViolation(
                             "group",
                             f"tx {tx.tx_id[:12]} is valid outside a complete, in-order, "
                             "all-valid run of its group",
                             height=height, peers=(peer.node_id,),
                             forensics={"group": tx.group, "index": index,
                                        "validity": validity},
-                        )
+                        ))
 
     def check_storage(self, failures: list["FailureEvent"] | None = None) -> None:
         """Storage durability on every honest peer.
@@ -545,9 +550,10 @@ class InvariantAuditor:
         - every acknowledged block that survived recovery must be
           present and hash-identical in the live ledger;
         - every acknowledged block that did **not** survive must be
-          explained by a recorded (and counted) degradation — a durable
-          store may lose acked writes only to an injected disk fault it
-          *detected*, never silently;
+          explained by a degradation recorded (and counted) by the same
+          recovery (:meth:`_check_report_loss`, also run at restart) — a
+          durable store may lose acked writes only to an injected disk
+          fault it *detected*, never silently;
         - given the fault log, a peer that suffered no disk fault may
           not have lost any acknowledged write at all.
 
@@ -563,64 +569,61 @@ class InvariantAuditor:
             if peer.byzantine:
                 continue
             reports = peer.store.reports
-            self._check_acked_in_ledger(peer, peer.store.acked)
+            self._check_acked_in_ledger(peer)
+            for report in reports:
+                self._check_report_loss(peer, report)
             lost = sum(len(r.missing_acked) for r in reports)
-            degraded = sum(len(r.degradations) for r in reports)
-            if lost and not degraded:
-                self._violate(
-                    "storage",
-                    f"{lost} acknowledged block(s) lost with no recorded degradation",
-                    peers=(peer.node_id,),
-                    forensics={"reports": [r.summary() for r in reports]},
-                )
             if lost and failures is not None and peer.node_id not in disk_faulted:
-                self._violate(
+                self._violate(AuditViolation(
                     "storage",
                     f"{lost} acknowledged block(s) lost although no disk fault "
                     "was injected on this peer",
                     peers=(peer.node_id,),
                     forensics={"reports": [r.summary() for r in reports]},
-                )
+                ))
+            degraded = sum(len(r.degradations) for r in reports)
             counted = sum(
                 c.value
                 for c in self._obs.counters("store.degradations")
                 if c.labels.get("peer") == peer.node_id
             )
             if counted < degraded:
-                self._violate(
+                self._violate(AuditViolation(
                     "storage",
                     f"recovery reports list {degraded} degradation(s) but only "
                     f"{counted:g} were counted in store.degradations",
                     peers=(peer.node_id,),
                     forensics={"counted": counted, "reported": degraded},
-                )
+                ))
 
     def _check_storage_recovery(self, peer: "Peer") -> None:
         """Incremental storage audit, run the moment a peer restarts
         through its store (before sync can paper over a bad recovery)."""
-        report = peer.store.last_recovery
         self._checks_run.inc()
-        self._check_acked_in_ledger(peer, peer.store.acked)
+        self._check_acked_in_ledger(peer)
+        self._check_report_loss(peer, peer.store.last_recovery)
+
+    def _check_report_loss(self, peer: "Peer", report: "RecoveryReport") -> None:
+        """The loss rule, per recovery: a recovery that lost acknowledged
+        blocks recorded at least one degradation."""
         if report.missing_acked and not report.degradations:
-            self._violate(
+            self._violate(AuditViolation(
                 "storage",
                 f"recovery lost {len(report.missing_acked)} acknowledged "
                 "block(s) without recording a degradation",
                 peers=(peer.node_id,),
                 forensics={"report": report.summary()},
-            )
+            ))
 
-    def _check_acked_in_ledger(
-        self, peer: "Peer", acked: dict[int, tuple[str, int]]
-    ) -> None:
-        for height, (block_hash, _crc) in sorted(acked.items()):
+    def _check_acked_in_ledger(self, peer: "Peer") -> None:
+        for height, (block_hash, _crc) in sorted(peer.store.acked.items()):
             actual = (
                 peer.ledger.block(height).block_hash
                 if 0 < height <= peer.ledger.height
                 else None
             )
             if actual != block_hash:
-                self._violate(
+                self._violate(AuditViolation(
                     "storage",
                     "block acknowledged durable is missing or differs after recovery",
                     height=height,
@@ -630,7 +633,7 @@ class InvariantAuditor:
                         "ledger_hash": actual,
                         "ledger_height": peer.ledger.height,
                     },
-                )
+                ))
 
     def catchup_latencies(
         self, failures: list["FailureEvent"]
@@ -695,20 +698,9 @@ class InvariantAuditor:
             "violations_by_invariant": by_invariant,
         }
 
-    def _violate(
-        self,
-        invariant: str,
-        detail: str,
-        *,
-        height: int | None = None,
-        peers: tuple[str, ...] = (),
-        forensics: dict[str, Any] | None = None,
-    ) -> None:
-        violation = AuditViolation(
-            invariant, detail, height=height, peers=peers, forensics=forensics
-        )
+    def _violate(self, violation: AuditViolation) -> None:
         self.violations.append(violation)
-        self._obs.counter("audit.violations", invariant=invariant).inc()
+        self._obs.counter("audit.violations", invariant=violation.invariant).inc()
         if self.strict:
             raise violation
 

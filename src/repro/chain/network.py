@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Literal, Sequence
 
+from repro.chain.audit import fork_violations, state_violations
 from repro.chain.consensus import ConsensusEngine, PBFTEngine, RoundRobinOrderer
 from repro.chain.contracts import Contract, ContractRegistry, EndorsementPolicy  # noqa: F401 - re-exported
 from repro.chain.contracts.endorsement import gather_endorsements
@@ -375,34 +376,17 @@ class BlockchainNetwork:
     # -- inspection ---------------------------------------------------------------
 
     def assert_convergence(self) -> None:
-        """Raise unless all live peers agree on chain prefix and state.
-
-        Peers may be at different heights (messages in flight); the check
-        is prefix-consistency of block hashes up to the minimum height.
+        """Raise the first fork, else the first state split, among honest
+        peers: :func:`~repro.chain.audit.fork_violations` over every
+        honest ledger (crashed peers included), then
+        :func:`~repro.chain.audit.state_violations` over the live ones.
+        A Byzantine peer's ledger carries no guarantees and is not
+        compared.  The error is an :class:`~repro.chain.audit.AuditViolation`
+        (a :class:`ChainError`).
         """
-        live = [p for p in self.peers if not p.crashed]
-        min_height = min(p.ledger.height for p in live)
-        reference = live[0]
-        for peer in live[1:]:
-            for height in range(min_height + 1):
-                a = reference.ledger.block(height).block_hash
-                b = peer.ledger.block(height).block_hash
-                if a != b:
-                    raise ChainError(
-                        f"fork at height {height}: {reference.node_id} vs {peer.node_id}"
-                    )
-        # Execution determinism: peers at the same height must hold the
-        # bit-identical world state (the app-hash check).
-        by_height: dict[int, list] = {}
-        for peer in live:
-            by_height.setdefault(peer.ledger.height, []).append(peer)
-        for height, group in by_height.items():
-            digests = {p.state.state_digest() for p in group}
-            if len(digests) > 1:
-                raise ChainError(
-                    f"state divergence at height {height} among "
-                    f"{[p.node_id for p in group]}"
-                )
+        violations = fork_violations(self.peers) or state_violations(self.peers)
+        if violations:
+            raise violations[0]
 
     def committed_heights(self) -> dict[str, int]:
         return {p.node_id: p.ledger.height for p in self.peers}

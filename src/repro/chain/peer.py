@@ -8,8 +8,10 @@ runs through :mod:`repro.chain.commit`: every unit in a decided block is
 checked for (1) client signatures, (2) endorsement policy, (3) MVCC
 read-set freshness; only then are its write sets applied.  All peers run
 the same deterministic checks over the same block sequence, so their
-world states stay identical — asserted by
-``BlockchainNetwork.assert_convergence`` in tests.
+world states stay identical — the state check
+(:func:`repro.chain.audit.state_violations`) that
+``InvariantAuditor.check_convergence`` reports and
+``BlockchainNetwork.assert_convergence`` raises.
 
 Beyond consensus, each peer owns a :class:`~repro.chain.sync.SyncManager`
 that detects when the peer has fallen behind the network head and

@@ -99,7 +99,7 @@ def test_pbft_byzantine_plus_crash_is_beyond_f_but_safe():
         network.peers[1].submit(tx)
         network.run_for(2.0)
     network.run_for(30.0)
-    network.assert_convergence()  # no fork among live honest peers
+    network.assert_convergence()  # no fork among honest peers, crashed included
     auditor.check_agreement()
     auditor.check_certificates()
     assert not auditor.violations
