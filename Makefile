@@ -128,16 +128,14 @@ bench-table:
 	$(PYTHON) tools/bench_table.py $(PR) $(if $(AGAINST),--against $(AGAINST))
 
 # Crash-recovery: deep catch-up tests, the storage-engine suites
-# (parametrized over the durable and sqlite backends, which share one
-# disk format, including the seeded disk-fault chaos sweep over both), the
-# platform's reads over recovered ledgers (a cold fold and every events
-# filter read archived blocks through the archive, each height once),
-# the recovery benchmarks (write benchmarks/latest_recovery.json; the
-# cold start also times the sqlite backend rebuilding its tables), and the
-# recovery audit's loss rule, stated per recovery report.
+# (including the seeded disk-fault chaos sweep), the platform's reads
+# over recovered ledgers (a cold fold and every events filter read
+# archived blocks through the archive, each height once), the recovery
+# benchmarks (write benchmarks/latest_recovery.json), and the recovery
+# audit's loss rule, stated per recovery report.
 recovery:
 	$(PYTHON) -m pytest tests/chain/test_sync_recovery.py tests/chain/test_store.py \
-		tests/chain/test_sqlite_store.py tests/chain/test_store_recovery.py \
+		tests/chain/test_store_recovery.py \
 		tests/chain/test_audit_storage.py tests/core/test_ledger_view.py \
 		benchmarks/bench_recovery.py -q
 	$(PYTHON) -m pytest tests/chain/test_store_recovery.py -q -m chaos

@@ -34,9 +34,7 @@ for the whole chain while it replays, and the snapshot rows rebuild it
 from the snapshot's rows without decoding a block below the snapshot.  Both must
 recover the byte-identical tip, state digest, and receipt set; at the
 largest size the snapshot path must be strictly faster — that gap is the
-entire point of shipping snapshots.  A ``SQLiteStore`` recovers the same
-snapshot disk too (both backends write one format); its row adds the
-rebuild of its SQL tables from the recovered ledger, printed, not gated.
+entire point of shipping snapshots.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import statistics
 import time
 
 from benchmarks.conftest import emit
-from repro.chain import BlockchainNetwork, DurableStore, InvariantAuditor, SQLiteStore
+from repro.chain import BlockchainNetwork, DurableStore, InvariantAuditor
 from repro.chain.block import Block
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
@@ -217,17 +215,15 @@ def _populate_store(n_blocks: int, snapshot_interval: int) -> tuple[SimDisk, dic
     return disk, reference
 
 
-def _cold_start(disk: SimDisk, store_cls: type, backend: str, n_blocks: int) -> dict:
+def _cold_start(disk: SimDisk, backend: str, n_blocks: int) -> dict:
     """Time one cold start: a fresh store instance recovering the chain
     purely from the durable disk image."""
     started = time.perf_counter()
-    store = store_cls(disk=disk)
+    store = DurableStore(disk=disk)
     recovered = store.recover()
     elapsed = time.perf_counter() - started
     report = recovered.report
     assert report.degradations == [], f"clean image degraded: {report.summary()}"
-    if isinstance(store, SQLiteStore):  # the tables were rebuilt, one row per tx
-        assert store.sql_stats()["txs"] == len(recovered.ledger.receipts)
     return {
         "backend": backend,
         "n_blocks": n_blocks,
@@ -256,10 +252,8 @@ def _cold_start_sweep() -> list[dict]:
             n_blocks, snapshot_interval=max(33, n_blocks // 20 + 7)
         )
         assert reference == snap_reference  # identical synthetic chains
-        for backend, store_cls, disk in (("memory-replay", DurableStore, replay_disk),
-                                         ("durable-snapshot", DurableStore, snap_disk),
-                                         ("sqlite-snapshot", SQLiteStore, snap_disk)):
-            result = _cold_start(disk, store_cls, backend, n_blocks)
+        for backend, disk in (("memory-replay", replay_disk), ("durable-snapshot", snap_disk)):
+            result = _cold_start(disk, backend, n_blocks)
             for key in ("height", "tip", "state_digest", "n_receipts"):
                 assert result[key] == reference[key], (
                     f"{backend}@{n_blocks}: recovered {key} diverges from the "
@@ -291,8 +285,7 @@ def test_cold_start_recovery(benchmark):
         metrics[str(n_blocks)]["replay_over_snapshot_speedup"] = round(speedup, 2)
         rows.append(f"{n_blocks} blocks: snapshot+tail is {speedup:.1f}x the replay cold start")
     rows.append("shape: identical tip/state/receipts every way (recovery is "
-                "exact), snapshot+tail strictly faster at the largest size; "
-                "sqlite-snapshot adds the SQL table rebuild (not gated)")
+                "exact), snapshot+tail strictly faster at the largest size")
     emit(benchmark, "Recovery — cold start: full replay vs snapshot+tail", rows,
          metrics=metrics)
 

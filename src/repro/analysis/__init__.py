@@ -6,8 +6,8 @@ repo-wide conventions every headline result depends on — all RNGs are
 seeded ``random.Random`` instances (DET), simulation code reads
 sim-time, never the wall clock (SIM), mutable state never aliases
 across the peer message boundary (ALIAS), plus the pyflakes subset CI
-otherwise lacks (PYF), metric-registry hygiene (OBS) and the one
-import path of numpy and sqlite3 (IMP).
+otherwise lacks (PYF), metric-registry hygiene (OBS), and numpy's one
+import path and no sqlite3 (IMP).
 
 Entry points::
 

@@ -1,18 +1,18 @@
 """IMP — libraries a chain-only process must not load.
 
 numpy (~14 MB resident) serves the AI component, provenance discovery
-and the cascade engine; sqlite3 serves one store's SQL mirror.  A
-process that only runs the chain — peers, the store, sync, the explorer
-— uses neither, so both load on first use and each has one import path:
+and the cascade engine, through one handle that loads it on first use.
+sqlite3 serves nothing: every transaction query answers from the
+ledger's ``ChainIndex``.
 
-IMP001 (error)  numpy imported in a ``repro.*`` module (the tree under
-                ``src/``) other than the handle, :mod:`repro._numpy`;
-                take ``np`` from there (``from repro._numpy import np``).
-                Anywhere, not only at module level: on CPython 3.11 an
-                ``import numpy`` statement reads ``__spec__`` of the lazy
-                module and so loads it.  Also ``import sqlite3`` / ``from
-                sqlite3 import …`` at module level of a ``repro.*``
-                module; import it where the connection is made.
+IMP001 (error)  In a ``repro.*`` module (the tree under ``src/``): numpy
+                imported anywhere but the handle, :mod:`repro._numpy`
+                (take ``np`` from there: ``from repro._numpy import
+                np``), or sqlite3 imported at all.  At any depth, not
+                only at module level: on CPython 3.11 an ``import
+                numpy`` statement reads ``__spec__`` of the lazy module
+                and so loads it, and a function-local sqlite3 loads it
+                with the first call.
 
 Imports under ``if TYPE_CHECKING:`` never run and are allowed.
 """
@@ -27,7 +27,6 @@ from repro.analysis.core import Finding, ModuleInfo, Rule, register
 __all__ = ["EagerImportRule"]
 
 _HANDLE = "repro._numpy"
-_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -47,24 +46,23 @@ def _imported_roots(node: ast.AST) -> list[str]:
 class EagerImportRule(Rule):
     rule_id = "IMP001"
     severity = "error"
-    summary = "numpy imported past repro._numpy, or sqlite3 at module level, in a repro.* module"
+    summary = "numpy imported past repro._numpy, or sqlite3 imported, in a repro.* module"
 
     def check_module(self, mod: ModuleInfo) -> Iterator[Finding]:
         if mod.module.split(".")[0] != "repro" or mod.module == _HANDLE:
             return
-        stack: list[tuple[ast.AST, bool]] = [(mod.tree, False)]
+        stack: list[ast.AST] = [mod.tree]
         while stack:
-            node, in_function = stack.pop()
+            node = stack.pop()
             if isinstance(node, ast.If) and _is_type_checking(node.test):
-                stack.extend((child, in_function) for child in node.orelse)
+                stack.extend(node.orelse)
                 continue
             for root in _imported_roots(node):
                 if root == "numpy":
                     yield self.finding(mod, node, "numpy imported directly; take `np` from "
                                        "repro._numpy so a process that never uses it never "
                                        "loads it")
-                elif root == "sqlite3" and not in_function:
-                    yield self.finding(mod, node, "sqlite3 imported at module level; import it "
-                                       "where the connection is made")
-            in_function = in_function or isinstance(node, _FUNCTIONS)
-            stack.extend((child, in_function) for child in ast.iter_child_nodes(node))
+                elif root == "sqlite3":
+                    yield self.finding(mod, node, "sqlite3 imported; transaction queries "
+                                       "answer from the ledger's ChainIndex")
+            stack.extend(ast.iter_child_nodes(node))

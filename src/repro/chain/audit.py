@@ -120,32 +120,46 @@ class AuditViolation(ChainError):
 
 
 def fork_violations(peers: Sequence["Peer"]) -> list[AuditViolation]:
-    """The fork check: every honest ledger, crashed or not, is a prefix of
-    the tallest honest ledger (a commit is permanent, so a peer that forked
-    before crashing still violated safety).  Prefix-of-reference implies
-    pairwise agreement on common prefixes, so one reference suffices; one
-    violation per diverging peer, at its lowest differing height."""
-    honest = [p for p in peers if not p.byzantine]
-    if not honest:
-        return []
-    reference = max(honest, key=lambda p: p.ledger.height)
+    """The fork check: every honest ledger, crashed or not, agrees with
+    the honest majority at every height it holds (a commit is permanent,
+    so a peer that forked before crashing still violated safety).
+
+    Heights are walked upwards.  At each one, the honest peers that have
+    agreed so far and hold the height are grouped by block hash; the
+    largest group holds the reference block, and a tie goes to the group
+    whose first peer comes first in *peers*.  Every peer outside it is
+    reported once, at this its lowest differing height, against the
+    reference group's first peer, and leaves the walk: deeper heights on
+    its fork add no information.  So the peer holding the odd block is
+    the one named, and the peers left at the end agree pairwise.
+    """
+    agreeing = [p for p in peers if not p.byzantine]
     violations = []
-    for peer in honest:
-        if peer is reference:
-            continue
-        for height in range(1, peer.ledger.height + 1):
-            a = reference.ledger.block(height).block_hash
-            b = peer.ledger.block(height).block_hash
-            if a != b:
+    height = 1
+    while True:
+        groups: dict[str, list["Peer"]] = {}
+        for peer in agreeing:
+            if peer.ledger.height >= height:
+                groups.setdefault(peer.ledger.block(height).block_hash, []).append(peer)
+        if not groups:
+            return violations
+        # max keeps the first of equal groups, and groups are in first-holder order.
+        reference_digest, held = max(groups.items(), key=lambda item: len(item[1]))
+        reference = held[0]
+        for digest, group in groups.items():
+            if digest == reference_digest:
+                continue
+            for peer in group:
+                agreeing.remove(peer)
                 violations.append(AuditViolation(
                     "agreement",
                     f"{peer.node_id} diverges from {reference.node_id}",
                     height=height,
                     peers=(reference.node_id, peer.node_id),
-                    forensics={"reference_digest": a, "peer_digest": b, "crashed": peer.crashed},
+                    forensics={"reference_digest": reference_digest, "peer_digest": digest,
+                               "crashed": peer.crashed},
                 ))
-                break  # deeper heights on this fork add no information
-    return violations
+        height += 1
 
 
 def state_violations(peers: Sequence["Peer"]) -> list[AuditViolation]:
@@ -199,6 +213,13 @@ class InvariantAuditor:
         #: latency measurement (monotone in both coordinates).
         self._commit_history: dict[str, list[tuple[float, int]]] = {}
         self._watched: set[str] = set()
+        #: What the storage audit has judged, so a finding made at a
+        #: restart is not reported again at end of run: the recovery
+        #: reports (by identity; their stores keep them, so an id is never
+        #: reused) and the ``(peer, height, acked hash, ledger hash)``
+        #: discrepancies reported.
+        self._reports_judged: set[int] = set()
+        self._acked_reported: set[tuple[str, int, str, str | None]] = set()
         network.auditors.append(self)
         for peer in network.peers:
             self.watch_peer(peer)
@@ -551,15 +572,17 @@ class InvariantAuditor:
           present and hash-identical in the live ledger;
         - every acknowledged block that did **not** survive must be
           explained by a degradation recorded (and counted) by the same
-          recovery (:meth:`_check_report_loss`, also run at restart) — a
-          durable store may lose acked writes only to an injected disk
-          fault it *detected*, never silently;
+          recovery (:meth:`_check_report_loss`) — a durable store may lose
+          acked writes only to an injected disk fault it *detected*, never
+          silently;
         - given the fault log, a peer that suffered no disk fault may
           not have lost any acknowledged write at all.
 
         The per-kind ``store.degradations`` counters are cross-checked
         against the recovery reports so the observability path cannot
-        drift from the forensics path.
+        drift from the forensics path.  The first two obligations also
+        run at each restart (:meth:`_check_storage_recovery`); a finding
+        is reported once, so here they catch only what no restart saw.
         """
         self._checks_run.inc()
         disk_faulted = {
@@ -605,7 +628,11 @@ class InvariantAuditor:
 
     def _check_report_loss(self, peer: "Peer", report: "RecoveryReport") -> None:
         """The loss rule, per recovery: a recovery that lost acknowledged
-        blocks recorded at least one degradation."""
+        blocks recorded at least one degradation.  Each report is judged
+        once."""
+        if id(report) in self._reports_judged:
+            return
+        self._reports_judged.add(id(report))
         if report.missing_acked and not report.degradations:
             self._violate(AuditViolation(
                 "storage",
@@ -622,7 +649,9 @@ class InvariantAuditor:
                 if 0 < height <= peer.ledger.height
                 else None
             )
-            if actual != block_hash:
+            finding = (peer.node_id, height, block_hash, actual)
+            if actual != block_hash and finding not in self._acked_reported:
+                self._acked_reported.add(finding)
                 self._violate(AuditViolation(
                     "storage",
                     "block acknowledged durable is missing or differs after recovery",

@@ -120,24 +120,14 @@ def find_transactions(
     """Filtered transaction search, newest first.
 
     With an up-to-date *index* this never touches a block: the interned
-    views answer directly.  The scan fallback walks blocks newest-first
-    and stops at *limit* — the seed built ``list(ledger.transactions())``
-    (the entire chain) before applying the limit.
+    views answer and each row is built once from the index's columns
+    (:meth:`ChainIndex.find_rows <repro.chain.index.ChainIndex.find_rows>`).
+    The scan fallback walks blocks newest-first and stops at *limit*.
+    Both list every committed occurrence of a transaction id, so an id
+    committed twice gives two rows.
     """
     if _index_covers(index, ledger):
-        return [
-            {
-                "tx_id": row.tx_id,
-                "block_height": row.block_height,
-                "contract": row.contract,
-                "method": row.method,
-                "sender": row.sender,
-                "valid": row.valid,
-            }
-            for row in index.find_transactions(
-                contract=contract, method=method, sender=sender, limit=limit
-            )
-        ]
+        return index.find_rows(contract=contract, method=method, sender=sender, limit=limit)
     if limit <= 0:
         return []
     matches = []

@@ -226,11 +226,7 @@ class ChainIndex:
         ordinal = self._ordinal_by_tx.get(tx_id)
         return None if ordinal is None else (self._heights[ordinal], self._indexes[ordinal])
 
-    def get(self, tx_id: str) -> TxView | None:
-        """tx-by-id: the indexed row, or ``None`` if unknown."""
-        ordinal = self._ordinal_by_tx.get(tx_id)
-        if ordinal is None:
-            return None
+    def _view(self, ordinal: int) -> TxView:
         return TxView(
             self._tx_ids[ordinal], self._heights[ordinal], self._indexes[ordinal],
             self.addresses.value(self._senders[ordinal]),
@@ -238,33 +234,65 @@ class ChainIndex:
             self._method_names[self._methods[ordinal]], self._valid[ordinal],
         )
 
-    def _candidate_ordinals(
+    def get(self, tx_id: str) -> TxView | None:
+        """tx-by-id: the indexed row, or ``None`` if unknown."""
+        ordinal = self._ordinal_by_tx.get(tx_id)
+        return None if ordinal is None else self._view(ordinal)
+
+    def _matches(
         self,
-        contract: str | None = None,
-        method: str | None = None,
-        sender: str | None = None,
-    ) -> list[int] | None:
-        """The smallest view covering the filters (chain order), or
-        ``None`` for "no filter: every ordinal"."""
-        candidates: list[list[int]] = []
+        contract: str | None,
+        method: str | None,
+        sender: str | None,
+        limit: int,
+    ) -> list[int]:
+        """The one filter walk: ordinals of the rows matching every given
+        filter, newest first (height desc, index desc), at most *limit*.
+
+        Picks the most selective view for the filters, walks it
+        backwards, post-filters the remaining predicates on interned ids
+        (no block or transaction objects are touched), and stops at
+        *limit* — O(view tail + k), not O(chain).
+        """
+        if limit <= 0:
+            return []
+        sender_id = contract_id = method_id = None
+        views: list[list[int]] = []
         if sender is not None:
             sender_id = self.addresses.lookup(sender)
             if sender_id is None:
                 return []
-            candidates.append(self._by_sender.get(sender_id, []))
+            views.append(self._by_sender.get(sender_id, []))
         if contract is not None and method is not None:
             method_id = self.methods.lookup(f"{contract}.{method}")
             if method_id is None:
                 return []
-            candidates.append(self._by_method.get(method_id, []))
+            views.append(self._by_method.get(method_id, []))
         elif contract is not None:
             contract_id = self.contracts.lookup(contract)
             if contract_id is None:
                 return []
-            candidates.append(self._by_contract.get(contract_id, []))
-        if not candidates:
-            return None
-        return min(candidates, key=len)
+            views.append(self._by_contract.get(contract_id, []))
+        ordinals = min(views, key=len) if views else range(len(self._tx_ids))
+        senders, contracts, methods = self._senders, self._contracts, self._methods
+        method_names = self._method_names
+        # ``method`` without ``contract`` has no dedicated view: compare
+        # the method name per candidate.
+        name = method if method_id is None else None
+        out: list[int] = []
+        for ordinal in reversed(ordinals):
+            if sender_id is not None and senders[ordinal] != sender_id:
+                continue
+            if method_id is not None and methods[ordinal] != method_id:
+                continue
+            if contract_id is not None and contracts[ordinal] != contract_id:
+                continue
+            if name is not None and method_names[methods[ordinal]] != name:
+                continue
+            out.append(ordinal)
+            if len(out) >= limit:
+                break
+        return out
 
     def find_transactions(
         self,
@@ -273,52 +301,33 @@ class ChainIndex:
         sender: str | None = None,
         limit: int = 50,
     ) -> list[TxView]:
-        """Filtered search, newest first (height desc, index desc).
+        """Filtered search, newest first, as :class:`TxView` rows."""
+        return [self._view(ordinal) for ordinal in self._matches(contract, method, sender, limit)]
 
-        Picks the most selective view for the given filters, walks it
-        backwards, post-filters the remaining predicates on interned ids
-        (no block or transaction objects are touched), and stops at
-        *limit* — O(view tail + k), not O(chain).  Each row is built from
-        the columns, bound once per query, by position.
-        """
-        if limit <= 0:
-            return []
-        ordinals = self._candidate_ordinals(contract, method, sender)
-        if ordinals is None:
-            ordinals = range(len(self._tx_ids))
-        sender_id = self.addresses.lookup(sender) if sender is not None else None
-        contract_id = self.contracts.lookup(contract) if contract is not None else None
-        method_id = (
-            self.methods.lookup(f"{contract}.{method}")
-            if contract is not None and method is not None
-            else None
-        )
-        tx_ids, heights, indexes, valid = self._tx_ids, self._heights, self._indexes, self._valid
+    def find_rows(
+        self,
+        contract: str | None = None,
+        method: str | None = None,
+        sender: str | None = None,
+        limit: int = 50,
+    ) -> list[dict[str, Any]]:
+        """The same search as :meth:`find_transactions`, each row built
+        once, straight from the columns, as the explorer's dict."""
+        tx_ids, heights, valid = self._tx_ids, self._heights, self._valid
         senders, contracts, methods = self._senders, self._contracts, self._methods
         sender_names, contract_names = self.addresses._values, self.contracts._values
         method_names = self._method_names
-        # ``method`` without ``contract`` has no dedicated view: fall back
-        # to comparing the method name per candidate.
-        out: list[TxView] = []
-        for ordinal in reversed(ordinals):
-            if sender_id is not None and senders[ordinal] != sender_id:
-                continue
-            if method_id is not None:
-                if methods[ordinal] != method_id:
-                    continue
-            else:
-                if contract_id is not None and contracts[ordinal] != contract_id:
-                    continue
-                if method is not None and method_names[methods[ordinal]] != method:
-                    continue
-            out.append(TxView(
-                tx_ids[ordinal], heights[ordinal], indexes[ordinal],
-                sender_names[senders[ordinal]], contract_names[contracts[ordinal]],
-                method_names[methods[ordinal]], valid[ordinal],
-            ))
-            if len(out) >= limit:
-                break
-        return out
+        return [
+            {
+                "tx_id": tx_ids[ordinal],
+                "block_height": heights[ordinal],
+                "contract": contract_names[contracts[ordinal]],
+                "method": method_names[methods[ordinal]],
+                "sender": sender_names[senders[ordinal]],
+                "valid": valid[ordinal],
+            }
+            for ordinal in self._matches(contract, method, sender, limit)
+        ]
 
     def contract_counts(self) -> dict[str, int]:
         """Per-contract committed-tx counts, name-sorted (summary view)."""

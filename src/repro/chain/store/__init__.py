@@ -3,10 +3,9 @@
 See :mod:`repro.chain.store.durable` for the write-ahead-log + snapshot
 store, :mod:`repro.chain.store.base` for what a recovery returns and
 reports, :mod:`repro.chain.store.snapshots` for the one snapshot format,
-:mod:`repro.chain.store.sqlite` for the relational backend (the durable
-backend's storage plus SQL tables rebuilt from the recovered ledger), and
-``docs/API.md`` for the record format and the recovery degradation
-ladder.
+:mod:`repro.chain.store.sqlite` for ``SQLiteStore`` (the durable store
+under the name the end-to-end harness asks for), and ``docs/API.md`` for
+the record format and the recovery degradation ladder.
 """
 
 from repro.chain.store.base import Degradation, RecoveredChain, RecoveryReport

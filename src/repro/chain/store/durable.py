@@ -39,8 +39,7 @@ RecoveryReport` that ``repro-news store`` renders and the invariant
 auditor cross-checks.  A discarded stale snapshot is not a step down:
 nothing acknowledged is lost with it.
 
-Snapshots have one format, defined in :mod:`repro.chain.store.snapshots`;
-``SQLiteStore`` inherits this class's storage and recovery unchanged.
+Snapshots have one format, defined in :mod:`repro.chain.store.snapshots`.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ block log and are read from there.  Each snapshot is its own file
 degrade to the one before it, and only a run with every snapshot damaged
 falls all the way back to full replay.
 
-This is the one snapshot format: both durable backends write it (the
-SQLite backend's tables are a view rebuilt from the recovered ledger).
+This is the one snapshot format.
 The file is one frame around the snapshot's canonical JSON, deflated
 (:func:`~repro.chain.store.codec.deflate`; the CRC covers the stored,
 deflated bytes)::

@@ -99,11 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument("--txs", type=int, default=30, help="--demo transaction count")
     store.add_argument("--seed", type=int, default=7)
     store.add_argument(
-        "--backend", choices=("durable", "sqlite"), default="durable",
-        help="--demo storage backend: block log + snapshot files (durable), "
-        "or the same plus SQL tx tables rebuilt at restart (sqlite)",
-    )
-    store.add_argument(
         "--dump", default=None, metavar="DIR",
         help="--demo: also write the faulted peer's disk files to DIR",
     )
@@ -384,7 +379,7 @@ def _run_store_demo(args: argparse.Namespace) -> int:
     net = BlockchainNetwork(
         n_peers=4, consensus="pbft", block_interval=0.25,
         latency=FixedLatency(0.02), seed=args.seed,
-        storage=args.backend, snapshot_interval=8,
+        snapshot_interval=8,
     )
     net.install_contract(IdentityContract)
     auditor = InvariantAuditor(net)
@@ -420,10 +415,6 @@ def _run_store_demo(args: argparse.Namespace) -> int:
         print("last recovery:")
         for key, value in report.summary().items():
             print(f"  {key}: {value}")
-    sql_stats = getattr(peer.store, "sql_stats", None)
-    if sql_stats is not None:
-        print()
-        print("sqlite backend:", sql_stats())
     violations = auditor.final_check(failures=schedule.log)
     heights = sorted({p.ledger.height for p in net.peers})
     print()

@@ -18,3 +18,8 @@ class Signatures:
 def allocate(n):
     import numpy as lazy_np  # IMP001: the statement itself loads the lazy module
     return lazy_np.empty(n, dtype=uint64), np, numpy.random, sqlite3
+
+
+def connection():
+    import sqlite3 as lazy_sqlite3  # IMP001: loads with the first call
+    return lazy_sqlite3.connect(":memory:")

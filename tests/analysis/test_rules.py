@@ -242,12 +242,12 @@ def test_imp_fires_on_bad():
     assert [f.context.split("#")[0].strip() for f in findings if f.rule == "IMP001"] == [
         "import sqlite3", "import numpy as np", "import numpy.random",
         "from numpy import uint64", "from sqlite3 import connect", "import numpy",
-        "import numpy as lazy_np"]
+        "import numpy as lazy_np", "import sqlite3 as lazy_sqlite3"]
     assert all(f.severity == "error" for f in findings)
 
 
 def test_imp_quiet_on_clean():
-    # The handle, a function-local sqlite3 and TYPE_CHECKING imports are the one paths.
+    # The handle and TYPE_CHECKING imports are the one paths.
     assert fixture_findings("imp_clean.py", module="repro.ml.fixture") == []
 
 

@@ -1,6 +1,8 @@
 """The auditor states "every honest replica agrees" once: one fork check
-(every honest ledger, crashed or not, is a prefix of the tallest) and one
-state check (live honest peers at one height hold one ``state_digest()``).
+(every honest ledger, crashed or not, agrees with the honest majority at
+every height it holds, and the peer holding the odd block is the one
+named) and one state check (live honest peers at one height hold one
+``state_digest()``).
 ``InvariantAuditor`` reports what they find and
 ``BlockchainNetwork.assert_convergence`` raises the first of it; a
 Byzantine peer's ledger is compared by neither."""
@@ -71,6 +73,34 @@ def test_fork_on_a_crashed_honest_peer_is_raised(committed):
         assert (violation.invariant, violation.height) == ("agreement", 1)
         assert violation.peers == ("peer-0", "peer-2")
         assert violation.forensics["crashed"] is True
+
+
+def test_the_fork_check_names_the_peer_holding_the_odd_block(committed):
+    """The forged block sits on the first tallest peer: the three honest
+    peers that agree are not blamed, the one that differs is."""
+    network, auditor = committed
+    forged = _forge(network.peers[0])
+    auditor.check_agreement()
+    [reported] = auditor.violations
+    with pytest.raises(AuditViolation) as raised:
+        network.assert_convergence()
+    for violation in (reported, raised.value):
+        assert (violation.invariant, violation.height) == ("agreement", 1)
+        assert violation.detail == "peer-0 diverges from peer-1"
+        assert violation.peers == ("peer-1", "peer-0")
+        assert violation.forensics["peer_digest"] == forged.block_hash
+
+
+def test_a_tied_fork_goes_to_the_group_of_the_first_peer(committed):
+    """Two against two: the reference block is the one the first peer in
+    peer order holds, and each of the other pair is named at the height
+    where it first differs."""
+    network, auditor = committed
+    for peer in network.peers[2:]:
+        _forge(peer, height=2)
+    auditor.check_agreement()
+    assert [(v.height, v.peers) for v in auditor.violations] == [
+        (2, ("peer-0", "peer-2")), (2, ("peer-0", "peer-3"))]
 
 
 def test_a_byzantine_ledger_is_compared_by_neither_path():

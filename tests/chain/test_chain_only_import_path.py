@@ -1,14 +1,17 @@
 """Running only the chain loads neither numpy nor sqlite3.
 
 numpy serves the AI component, provenance discovery and the cascade
-engine, sqlite3 the SQL mirror of one store; both load on first use
-(``repro._numpy``, ``SQLiteStore.connection``).  A fresh interpreter
-imports what the end-to-end harness imports, runs a durable 4-peer PBFT
-network through text-less supply-chain records and a follower crash and
-restart, reads the chain back through the graph fold and the explorer,
-and numpy must never have executed (no ``numpy.*`` submodule loaded) and
-sqlite3 must be absent.  ``import repro.chain`` alone imports the chain
-and its substrates, not the layers above it.
+engine, and loads on first use (``repro._numpy``); sqlite3 serves
+nothing, since every transaction query answers from the ledger's
+``ChainIndex``.  A fresh interpreter imports what the end-to-end harness
+imports, runs a durable 4-peer PBFT network through text-less
+supply-chain records and a follower crash and restart, reads the chain
+back through the graph fold and the explorer, and numpy must never have
+executed (no ``numpy.*`` submodule loaded) and sqlite3 must be absent.
+The same holds for a ``storage="sqlite"`` network whose stores are
+asked the harness's two store queries, before and after a restart.
+``import repro.chain`` alone imports the chain and its substrates, not
+the layers above it.
 """
 
 import os
@@ -60,6 +63,32 @@ print(sorted(name for name in sys.modules
              if name.split(".")[0] in ("sqlite3", "_sqlite3") or name.startswith("numpy.")))
 """
 
+SQLITE_STORAGE = r"""
+import sys
+
+from repro.chain import BlockchainNetwork
+from repro.core.identity import IdentityContract
+from repro.simnet import FailureSchedule, FixedLatency
+
+net = BlockchainNetwork(n_peers=4, consensus="pbft", latency=FixedLatency(0.02), seed=3,
+                        storage="sqlite", snapshot_interval=4, block_interval=0.25)
+net.install_contract(IdentityContract)
+schedule = FailureSchedule(net.sim, net.net)
+schedule.crash_at(net.sim.now + 1.0, "peer-3")
+schedule.restart_at(net.sim.now + 3.0, "peer-3")
+for i in range(12):
+    net.client().invoke("identity", "register", {"display_name": f"r-{i}", "role": "consumer"},
+                        wait=False)
+    net.run_for(0.25)
+net.run_for(10.0)
+net.assert_convergence()
+assert net.obs.counter("store.recoveries", peer="peer-3").value == 1
+for peer in net.peers:
+    assert len(peer.store.query_transactions(contract="identity", limit=100)) == 12
+    assert peer.store.sql_stats()["txs"] == len(peer.index) == 12
+print(sorted(name for name in sys.modules if name.split(".")[0] in ("sqlite3", "_sqlite3")))
+"""
+
 CHAIN_ONLY = r"""
 import sys
 
@@ -80,6 +109,10 @@ def _run(code):
 
 def test_a_chain_only_session_never_loads_numpy_or_sqlite3():
     assert _run(SESSION) == "[]"
+
+
+def test_a_sqlite_storage_session_never_loads_sqlite3():
+    assert _run(SQLITE_STORAGE) == "[]"
 
 
 def test_importing_the_chain_imports_no_layer_above_it():

@@ -19,8 +19,10 @@ grows its own rules again.
 
 An id names one copy: for every tx id — the one committed twice included
 — ``Ledger.get_transaction``, ``explorer.describe_transaction``,
-``ChainIndex.get``, the receipt and (sqlite) ``query_transactions`` give
-the same ``(height, valid)``, live and after every kind of restart.
+``ChainIndex.get`` and the receipt give the same ``(height, valid)``, live
+and after every kind of restart.  A search lists every committed copy:
+(sqlite) ``query_transactions`` equals ``explorer.find_transactions``
+over the ledger's index and over the ledger scan.
 
 Also pinned here: a block that fails the ledger's linkage check must
 leave the peer exactly as it was.
@@ -36,7 +38,7 @@ from hypothesis import strategies as st
 
 from repro.chain import BlockchainNetwork, LocalChain
 from repro.chain.block import Block
-from repro.chain.explorer import describe_transaction
+from repro.chain.explorer import describe_transaction, find_transactions
 from repro.chain.store import SQLiteStore
 from repro.errors import InvalidBlockError
 from tests.conftest import CounterContract
@@ -149,12 +151,17 @@ def _observe(ledger, state, receipts, index):
 
 def _observe_peer(peer):
     observed = _observe(peer.ledger, peer.state, peer.receipts, peer.index)
-    if isinstance(peer.store, SQLiteStore):  # one row per id, and it names the same copy
-        rows = peer.store.query_transactions(limit=100)
-        assert {
-            row["tx_id"]: (row["block_height"], row["valid"]) for row in rows
-        } == observed["copy_named"]
+    if isinstance(peer.store, SQLiteStore):
+        _assert_store_search_is_the_explorers(peer)
     return observed
+
+
+def _assert_store_search_is_the_explorers(peer):
+    """The store's search is the explorer's over the ledger's index, and
+    both equal the scan: one row per committed copy, newest first."""
+    assert peer.store.query_transactions(limit=100) == find_transactions(
+        peer.ledger, index=peer.index, limit=100
+    ) == find_transactions(peer.ledger, limit=100)
 
 
 @pytest.fixture(scope="module")
@@ -319,8 +326,9 @@ def test_receipts_view_equals_the_stored_receipt_dict(pool, picks, snapshot_inte
     """For any block sequence — ids repeated across and within blocks, in
     any verdict order — ``dict(receipts)`` on a LocalChain, on a peer of
     each backend, and after that peer's restart (full replay,
-    snapshot+tail) is the dict the commit path used to keep; the index and
-    the SQL row name the same copy."""
+    snapshot+tail) is the dict the commit path used to keep; the index
+    names the same copy, and the store's search lists every copy, as the
+    explorer's does."""
     blocks = [[pool[pick] for pick in block] for block in picks]
     want = _stored_receipts(blocks)
     copy_named = {tx_id: (r.block_height, r.success) for tx_id, r in want.items()}
@@ -341,7 +349,4 @@ def test_receipts_view_equals_the_stored_receipt_dict(pool, picks, snapshot_inte
             rows = [peer.index.get(tx_id) for tx_id in want]
             assert {row.tx_id: (row.block_height, row.valid) for row in rows} == copy_named
             if storage == "sqlite":
-                assert {
-                    row["tx_id"]: (row["block_height"], row["valid"])
-                    for row in peer.store.query_transactions(limit=100)
-                } == copy_named
+                _assert_store_search_is_the_explorers(peer)

@@ -485,9 +485,7 @@ def test_events_of_a_recovered_ledger_come_through_the_archive(keypairs, store_c
     store.disk.on_crash()
     recovered = store.recover().ledger
     assert recovered.height == source.height and recovered._base == 8
-    # SQLiteStore's table rebuild has already walked the chain, leaving the
-    # archived heights in the ledger's cache; observe the events walk's
-    # own reads from a cold cache.
+    # Observe the events walk's own reads from a cold archive cache.
     recovered._archive_cache.clear()
     loads, archive = [], recovered._archive
     recovered._archive = lambda height: loads.append(height) or archive(height)

@@ -16,8 +16,10 @@ import zlib
 
 import pytest
 
+from repro.chain import BlockchainNetwork
 from repro.chain.block import Block
 from repro.chain.commit import replay_block
+from repro.chain.explorer import find_transactions
 from repro.chain.ledger import Ledger
 from repro.chain.state import WorldState
 from repro.chain.store import (
@@ -38,6 +40,7 @@ from repro.chain.transaction import Transaction
 from repro.crypto import KeyPair
 from repro.obs import MetricsRegistry
 from repro.simnet.disk import SimDisk
+from tests.conftest import CounterContract
 
 
 @pytest.fixture
@@ -45,9 +48,10 @@ def keypair():
     return KeyPair.generate(random.Random(0))
 
 
-#: Backend-agnostic contract tests run against both durable backends —
-#: SQLiteStore must honour every recovery-ladder promise DurableStore
-#: makes (same log, same snapshot files, plus its SQL tables).
+#: Contract tests run against both store names: ``SQLiteStore`` is the
+#: store the end-to-end harness builds (``storage="sqlite"``), and it must
+#: keep every recovery-ladder promise DurableStore makes until the harness
+#: builds ``"durable"`` (ROADMAP 5 (h)).
 @pytest.fixture(params=["durable", "sqlite"])
 def store_cls(request):
     return {"durable": DurableStore, "sqlite": SQLiteStore}[request.param]
@@ -699,3 +703,121 @@ def test_inspection_reports_the_recovery_that_happens(keypair):
     assert [d["kind"] for d in info["recovery"]["degradations"]] == ["snapshot-mismatch"]
     assert "snapshot-mismatch" in render_inspection(info)
     assert recovered.state.state_digest() == state.state_digest()
+
+
+# -- the harness's store queries: answered by the ledger's index ------------
+
+
+def _chain_with_a_repeat(keypair, n_blocks, at):
+    """``_build_chain``'s shape, except that block *at* commits two ids
+    again: nonce 0 (valid in block 1) fails this time and nonce 3 (failed
+    in block 2) is valid, so under never-downgrade one id keeps naming its
+    first copy and one names its second."""
+    ledger, commits, nonce = Ledger(), [], 0
+    for height in range(1, n_blocks + 1):
+        if height == at:
+            txs, validity = [_tx(keypair, 0), _tx(keypair, 3)], [False, True]
+        else:
+            txs, nonce = [_tx(keypair, nonce), _tx(keypair, nonce + 1)], nonce + 2
+            validity = [tx.nonce % 5 != 3 for tx in txs]
+        errors = [None if ok else "MVCC conflict: stale read set" for ok in validity]
+        block = Block.build(height, ledger.head.block_hash, float(height), "peer-0", txs)
+        ledger.append(block, validity, errors)
+        commits.append((block, validity, errors))
+    return ledger, commits
+
+
+def _filter_shapes(sender, contract="counter", method="increment"):
+    """Every filter shape ``query_transactions`` takes."""
+    return (
+        {},
+        {"limit": 7},
+        {"contract": contract},
+        {"method": method, "limit": 4},
+        {"sender": sender},
+        {"contract": contract, "method": method, "sender": sender},
+        {"contract": "absent"},
+        {"sender": "nobody"},
+        {"limit": 0},
+    )
+
+
+def _rows(ledger, **filters):
+    return [(r["tx_id"], r["block_height"], r["valid"])
+            for r in find_transactions(ledger, index=ledger.index, **filters)]
+
+
+def test_query_transactions_matches_explorer_scan(keypair):
+    """``SQLiteStore.query_transactions`` is the explorer's search over
+    the served ledger's index: for every filter shape it equals the
+    indexed search and the ledger scan, and an id committed twice gives
+    two rows, as it always did in the explorer."""
+    ledger, _ = _chain_with_a_repeat(keypair, 15, at=6)
+    store = SQLiteStore(disk=SimDisk("n0"))
+    store.serve(lambda: ledger)
+    for filters in _filter_shapes(keypair.address):
+        assert store.query_transactions(**filters) == find_transactions(
+            ledger, index=ledger.index, **filters
+        ) == find_transactions(ledger, **filters), filters
+    repeated = _tx(keypair, 0).tx_id
+    assert [(h, v) for tx_id, h, v in _rows(ledger, limit=100) if tx_id == repeated] == [
+        (6, False), (1, True)]
+    assert store.sql_stats() == {"txs": 30, "addresses": 1, "contracts": 1, "methods": 1}
+
+
+def test_query_surface_survives_crash_recovery():
+    """A ``storage="sqlite"`` peer's store answers from the peer's ledger,
+    the one a crash-restart recovers included: after snapshot+tail
+    recovery every filter shape gives the rows it gave before the crash,
+    an id committed twice included."""
+    network = BlockchainNetwork(n_peers=1, consensus="poa", seed=5, storage="sqlite",
+                                snapshot_interval=4)
+    network.install_contract(CounterContract)
+    peer, client = network.peers[0], network.client()
+
+    def commit(tx):
+        peer.commit_block(Block.build(
+            peer.ledger.height + 1, peer.ledger.head.block_hash, 0.0, peer.node_id, [tx]))
+
+    repeated = network.endorse_transaction(client, "counter", "increment", {"amount": 1})
+    commit(repeated)
+    for _ in range(8):
+        commit(network.endorse_transaction(client, "counter", "increment", {"amount": 1}))
+    commit(repeated)  # a duplicate of a valid tx: it commits again, invalid
+    shapes = _filter_shapes(client.address)
+    before = [peer.store.query_transactions(**filters) for filters in shapes]
+    assert [(h, v) for tx_id, h, v in _rows(peer.ledger, limit=100)
+            if tx_id == repeated.tx_id] == [(10, False), (1, True)]
+    crashed = peer.ledger
+    peer.disk.on_crash()
+    peer.restart()
+    report = peer.store.last_recovery
+    assert (report.mode, report.snapshot_height, report.degradations) == (
+        "snapshot+tail", 8, [])
+    assert peer.ledger is not crashed
+    for filters, answered in zip(shapes, before):
+        assert peer.store.query_transactions(**filters) == answered == find_transactions(
+            peer.ledger, index=peer.index, **filters), filters
+    assert peer.store.sql_stats()["txs"] == len(peer.index) == 10
+
+
+def test_index_reconciled_after_log_truncation(keypair):
+    """A torn tail shortens the chain below what the index held: the
+    recovered index holds exactly the live rows of the surviving heights
+    (those below the snapshot from the snapshot's rows), and the id
+    committed twice still names its valid copy."""
+    tx0 = _tx(keypair, 0)
+    live, commits = _chain_with_a_repeat(keypair, 10, at=6)
+    disk = SimDisk("n0", rng=random.Random(7))
+    store = DurableStore(disk=disk, snapshot_interval=4)
+    _populate(store, commits, snapshots=True)
+    disk.arm_torn_write()
+    disk.on_crash()
+    recovered = store.recover()
+    tip = recovered.report.recovered_height
+    assert (tip, recovered.report.snapshot_height) == (9, 8)  # last record torn off
+    ledger = recovered.ledger
+    assert ledger.index.height == tip and ledger.index.verify_against(ledger) == []
+    assert _rows(ledger, limit=100) == [
+        row for row in _rows(live, limit=100) if row[1] <= tip]
+    assert ledger.index.get(tx0.tx_id).block_height == 1  # never downgraded

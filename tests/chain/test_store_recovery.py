@@ -37,8 +37,9 @@ DEFAULT_DISK_SEEDS = range(4)
 EXTENDED_DISK_SEEDS = range(4, 24)
 
 
-#: Both durable backends honour the same recovery contract; the network
-#: suites run against each so SQLiteStore earns the same guarantees.
+#: ``"sqlite"`` builds the store the end-to-end harness runs on, which is
+#: DurableStore under another name; the network suites keep running
+#: against both names until the harness builds ``"durable"`` (ROADMAP 5 (h)).
 BACKENDS = ("durable", "sqlite")
 
 
@@ -268,8 +269,9 @@ def test_disk_chaos_audited(seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_disk_chaos_audited_sqlite(seed):
-    """The sqlite backend survives the same disk-fault chaos (a slice in
-    tier-1; the full sweep runs behind ``-m chaos`` / ``make recovery``)."""
+    """The harness's ``storage="sqlite"`` survives the same disk-fault chaos
+    (a slice in tier-1; the full sweep runs behind ``-m chaos`` / ``make
+    recovery``)."""
     network, auditor, chaos = _run_disk_chaos(seed, storage="sqlite")
     assert auditor.violations == []
     assert chaos.log, "chaos plan injected nothing"

@@ -77,7 +77,7 @@ def test_prove_article_over_consensus_and_after_snapshot_recovery():
     snapshot, so its block comes from the archive)."""
     network = BlockchainNetwork(
         n_peers=4, consensus="pbft", block_interval=0.2, latency=FixedLatency(0.01),
-        seed=66, storage="sqlite", snapshot_interval=4,
+        seed=66, snapshot_interval=4,
     )
     platform = TrustingNewsPlatform(seed=66, chain=NetworkedChain(network))
     gen = CorpusGenerator(seed=64)
