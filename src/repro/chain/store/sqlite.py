@@ -26,10 +26,10 @@ class SQLiteStore(DurableStore):
     """A :class:`DurableStore` that answers the harness's store queries
     from the served ledger's index.
 
-    The class exists only because the frozen end-to-end harness builds
-    ``storage="sqlite"`` networks and calls :meth:`query_transactions`
-    and :meth:`sql_stats` on their stores; it goes when the harness
-    switches to ``"durable"`` (ROADMAP 5 (h)).
+    The class exists only because the end-to-end benchmark harness
+    (``benchmarks/e2e/``) builds ``storage="sqlite"`` networks and calls
+    :meth:`query_transactions` and :meth:`sql_stats` on their stores; it
+    goes when the harness switches to ``"durable"`` (ROADMAP 5 (h)).
     """
 
     _ledger: "Callable[[], Ledger] | None" = None
